@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import requests
+from requests.adapters import HTTPAdapter
 
 from refta.errors import (
     CapabilityError,
@@ -165,6 +166,10 @@ class _HttpClient:
         self.stats = ClientStats()
         self._gate = threading.BoundedSemaphore(cfg.request_parallelism)
         self._session = requests.Session()
+        # one pooled connection per admitted request, so none is discarded
+        adapter = HTTPAdapter(pool_maxsize=cfg.request_parallelism)
+        self._session.mount("http://", adapter)
+        self._session.mount("https://", adapter)
         self._rng = random.Random()
 
     def close(self) -> None:

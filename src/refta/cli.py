@@ -20,13 +20,7 @@ import refta
 from refta.backends import EndpointConfig, ScorerClient, resolve_token
 from refta.corpus import load_monolingual, load_parallel
 from refta.errors import ReftaError
-from refta.index import (
-    ExclusionList,
-    HnswParams,
-    build_index,
-    load_index,
-    save_index,
-)
+from refta.index import ExclusionList, build_index, load_index, save_index
 from refta.metrics.report import (
     attach_neural_scores,
     compare_runs,
@@ -120,10 +114,6 @@ def main(ctx, config_path):
 @click.option("--embedder", "embedder_url", required=True, help="Embedder base URL.")
 @click.option("--embed-model", default=None)
 @click.option("--near-dup-threshold", type=float, default=0.9, show_default=True)
-@click.option("--m", type=int, default=16, show_default=True)
-@click.option("--ef-construction", type=int, default=200, show_default=True)
-@click.option("--ef-search", type=int, default=128, show_default=True)
-@click.option("--index-seed", type=int, default=0, show_default=True)
 @click.option("--timeout", type=float, default=30.0, show_default=True)
 @click.option("--max-retries", type=int, default=3, show_default=True)
 @click.option("--parallelism", type=int, default=4, show_default=True)
@@ -131,8 +121,8 @@ def main(ctx, config_path):
 @click.option("--json", "as_json", is_flag=True)
 @_runtime_errors
 def cmd_index_build(corpora, corpus_format, exclude_path, out_dir, embedder_url,
-                    embed_model, near_dup_threshold, m, ef_construction, ef_search,
-                    index_seed, timeout, max_retries, parallelism, force, as_json):
+                    embed_model, near_dup_threshold, timeout, max_retries, parallelism,
+                    force, as_json):
     """Build and persist the retrieval index."""
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()) and not force:
@@ -148,19 +138,18 @@ def cmd_index_build(corpora, corpus_format, exclude_path, out_dir, embedder_url,
         "embedder", embedder_url, embed_model, timeout, max_retries, parallelism
     ))
 
+    skipped: list = []
+
     def segments():
         for corpus_path in corpora:
-            skipped: list = []
             yield from load_monolingual(corpus_path, corpus_format, skipped=skipped)
 
-    index, report = build_index(
-        segments(),
-        embedder,
-        exclusions,
-        params=HnswParams(m=m, ef_construction=ef_construction,
-                          ef_search=ef_search, seed=index_seed),
-        near_dup_threshold=near_dup_threshold,
-    )
+    try:
+        index, report = build_index(
+            segments(), embedder, exclusions, near_dup_threshold=near_dup_threshold,
+        )
+    finally:
+        embedder.close()
     save_index(index, out)
     payload = {
         "out": str(out),
@@ -168,6 +157,7 @@ def cmd_index_build(corpora, corpus_format, exclude_path, out_dir, embedder_url,
         "excluded": report.excluded_exact,
         "near_dup_dropped": report.excluded_near_dup,
         "rows_seen": report.rows_seen,
+        "skipped_empty": len(skipped),
         "dim": index.dim,
         "model_id": index.model_id,
     }
@@ -177,7 +167,8 @@ def cmd_index_build(corpora, corpus_format, exclude_path, out_dir, embedder_url,
         click.echo(
             f"indexed {report.indexed} segments into {out} "
             f"(excluded: {report.excluded_exact}, "
-            f"near-dup dropped: {report.excluded_near_dup}, dim: {index.dim})"
+            f"near-dup dropped: {report.excluded_near_dup}, "
+            f"skipped empty: {len(skipped)}, dim: {index.dim})"
         )
 
 

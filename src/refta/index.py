@@ -1,21 +1,23 @@
-"""Semantic retrieval index: dense ANN search plus a lemma-overlap filter.
+"""Semantic retrieval index: exact dense search plus a lemma-overlap filter.
 
-The index stores L2-normalized float32 embeddings in a contiguous matrix,
-a navigable small-world graph over them for approximate candidate
-discovery, and an exact sidecar (the matrix itself) that answers full-pool
-queries by exhaustive scan. Query semantics: over-retrieve
-``candidate_pool`` candidates by cosine similarity, drop candidates whose
-lemma Jaccard against the query falls below the threshold, return at most
-``k`` survivors ordered by descending similarity with ties broken by
-ascending segment id. No backfill below the threshold.
+The index stores L2-normalized float32 embeddings in a contiguous matrix
+and answers every query by an exact scan of it (``kernels.search_layer``).
+Query semantics: take the ``candidate_pool`` most similar rows by cosine
+similarity, in descending similarity with ties broken by ascending segment
+id; drop candidates whose lemma Jaccard against the query falls below the
+threshold; return at most ``k`` survivors in that order. No backfill below
+the threshold. Every pool size gives the prefix of a full brute-force sort.
 
-On-disk layout (``save_index``/``load_index``):
+On-disk layout (``save_index``/``load_index``), format version 2:
 
 - ``manifest.json``: format version, dimension, embedding model id, count,
-  graph parameters, SHA-256 checksums of the data files.
+  SHA-256 checksums of the data files.
 - ``vectors.bin``: little-endian float32, row-major.
 - ``meta.jsonl``: one row per entry with ``id``, ``text``, ``lemmas``.
-- ``graph.npz``: adjacency arrays per layer.
+
+Version 1 directories also hold a ``graph.npz`` and an ``hnsw`` manifest
+block from an approximate search graph. They still load: every listed
+checksum is verified, then the graph is ignored.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from refta import kernels
 from refta.corpus import ParallelPair, SourceSegment, lemmatize
 from refta.errors import IndexError_
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 
 def cosine_similarity(a, b) -> float:
@@ -105,14 +108,6 @@ class ExclusionList:
         return segment_id in self.ids or text in self.exact_texts
 
 
-@dataclass(frozen=True)
-class HnswParams:
-    m: int = 16
-    ef_construction: int = 200
-    ef_search: int = 128
-    seed: int = 0
-
-
 @dataclass
 class BuildReport:
     indexed: int = 0
@@ -137,31 +132,8 @@ def _normalize_vector(v, dim: int | None = None) -> np.ndarray:
     return (arr64 / norm).astype(np.float32)
 
 
-class _Layer:
-    """Fixed-capacity adjacency for one graph level."""
-
-    __slots__ = ("neigh", "counts")
-
-    def __init__(self, n: int, cap: int):
-        self.neigh = np.zeros((n, cap), dtype=np.int32)
-        self.counts = np.zeros(n, dtype=np.int32)
-
-    def neighbors_of(self, node: int) -> np.ndarray:
-        return self.neigh[node, : self.counts[node]]
-
-    def set_neighbors(self, node: int, ids: Sequence[int]) -> None:
-        k = len(ids)
-        self.neigh[node, :k] = ids
-        self.counts[node] = k
-
-    def add_neighbor(self, node: int, other: int) -> None:
-        c = self.counts[node]
-        self.neigh[node, c] = other
-        self.counts[node] = c + 1
-
-
 class VectorIndex:
-    """Immutable-after-build vector index with ANN graph and exact sidecar."""
+    """Immutable-after-build vector index answered by an exact scan."""
 
     def __init__(
         self,
@@ -170,20 +142,16 @@ class VectorIndex:
         lemma_sets: list[frozenset],
         vectors: np.ndarray,
         model_id: str,
-        params: HnswParams,
     ):
         self._ids = ids
         self._texts = texts
         self._lemmas = lemma_sets
         self._vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         self.model_id = model_id
-        self.params = params
-        self._id_to_row = {sid: i for i, sid in enumerate(ids)}
-        if len(self._id_to_row) != len(ids):
+        if len(set(ids)) != len(ids):
             raise IndexError_("duplicate segment ids in index")
-        self._layers: list[_Layer] = []
-        self._node_levels = np.zeros(len(ids), dtype=np.int32)
-        self._entry_point = -1
+        self._id_rank = np.empty(len(ids), dtype=np.int64)
+        self._id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
 
     # -- construction -------------------------------------------------------
 
@@ -195,10 +163,8 @@ class VectorIndex:
         lemma_sets: Sequence[frozenset],
         vectors: np.ndarray,
         model_id: str = "unknown",
-        params: HnswParams | None = None,
         normalize: bool = True,
     ) -> "VectorIndex":
-        params = params or HnswParams()
         n = len(ids)
         if not (len(texts) == len(lemma_sets) == n):
             raise ValueError("ids, texts, lemma_sets must have equal lengths")
@@ -208,9 +174,7 @@ class VectorIndex:
         if normalize:
             rows = [_normalize_vector(vectors[i]) for i in range(n)]
             vectors = np.stack(rows) if rows else vectors.reshape(0, vectors.shape[1])
-        idx = cls(list(ids), list(texts), list(lemma_sets), vectors, model_id, params)
-        idx._build_graph()
-        return idx
+        return cls(list(ids), list(texts), list(lemma_sets), vectors, model_id)
 
     @property
     def dim(self) -> int:
@@ -227,100 +191,7 @@ class VectorIndex:
             text=self._texts[row],
         )
 
-    def _sims(self, rows: np.ndarray, query: np.ndarray) -> np.ndarray:
-        # Canonical similarity used for all ranking decisions: float32 BLAS
-        # dot of normalized vectors. Backend-independent.
-        return self._vectors[rows] @ query
-
-    def _assign_levels(self) -> None:
-        n = len(self._ids)
-        if n == 0:
-            return
-        rng = np.random.Generator(np.random.PCG64(self.params.seed))
-        u = rng.random(n)
-        ml = 1.0 / math.log(2.0)
-        self._node_levels = np.minimum(
-            (-np.log(u) * ml).astype(np.int32), 32
-        )
-
-    def _build_graph(self) -> None:
-        n = len(self._ids)
-        self._assign_levels()
-        if n == 0:
-            self._layers = []
-            self._entry_point = -1
-            return
-        max_level = int(self._node_levels.max())
-        m = self.params.m
-        caps = [2 * m if lvl == 0 else m for lvl in range(max_level + 1)]
-        # one slot of slack: bidirectional insert may briefly exceed cap
-        self._layers = [_Layer(n, caps[lvl] + 1) for lvl in range(max_level + 1)]
-        self._entry_point = 0
-        self._max_built_level = int(self._node_levels[0])
-        for i in range(1, n):
-            self._insert_node(i)
-
-    def _insert_node(self, i: int) -> None:
-        q = self._vectors[i]
-        level = int(self._node_levels[i])
-        curr = np.array([self._entry_point], dtype=np.int64)
-        top = self._max_built_level
-        for lc in range(top, level, -1):
-            found = self._layer_search(lc, curr, q, ef=1)
-            if found.size:
-                sims = self._sims(found, q)
-                curr = found[np.argmax(sims)].reshape(1)
-        for lc in range(min(level, top), -1, -1):
-            layer = self._layers[lc]
-            found = self._layer_search(lc, curr, q, ef=self.params.ef_construction)
-            if found.size == 0:
-                curr = np.array([self._entry_point], dtype=np.int64)
-                continue
-            max_conn = 2 * self.params.m if lc == 0 else self.params.m
-            chosen = self._top_rows(found, q, max_conn)
-            for nb in chosen:
-                layer.add_neighbor(i, int(nb))
-                layer.add_neighbor(int(nb), i)
-                if layer.counts[nb] > max_conn:
-                    self._prune(layer, int(nb), max_conn)
-            curr = np.asarray(chosen, dtype=np.int64)
-        if level > top:
-            self._entry_point = i
-            self._max_built_level = level
-
-    def _top_rows(self, rows: np.ndarray, q: np.ndarray, limit: int) -> list[int]:
-        sims = self._sims(rows, q)
-        order = sorted(range(rows.size), key=lambda j: (-sims[j], rows[j]))
-        return [int(rows[j]) for j in order[:limit]]
-
-    def _prune(self, layer: _Layer, node: int, max_conn: int) -> None:
-        nbrs = layer.neighbors_of(node).astype(np.int64)
-        keep = self._top_rows(nbrs, self._vectors[node], max_conn)
-        layer.set_neighbors(node, keep)
-
-    def _layer_search(self, level: int, entries: np.ndarray, q: np.ndarray, ef: int) -> np.ndarray:
-        layer = self._layers[level]
-        return kernels.search_layer(self._vectors, layer.neigh, layer.counts, entries, q, ef)
-
     # -- querying -----------------------------------------------------------
-
-    def _candidate_rows(self, qnorm: np.ndarray, pool: int) -> np.ndarray:
-        n = len(self._ids)
-        if pool >= n or self._entry_point < 0:
-            return np.arange(n, dtype=np.int64)
-        curr = np.array([self._entry_point], dtype=np.int64)
-        for lc in range(self._max_built_level, 0, -1):
-            found = self._layer_search(lc, curr, qnorm, ef=1)
-            if found.size:
-                sims = self._sims(found, qnorm)
-                curr = found[np.argmax(sims)].reshape(1)
-        ef = max(self.params.ef_search, pool)
-        found = self._layer_search(0, curr, qnorm, ef=ef)
-        if found.size <= pool:
-            return found
-        sims = self._sims(found, qnorm)
-        order = sorted(range(found.size), key=lambda j: (-sims[j], self._ids[found[j]]))
-        return found[[order[j] for j in range(pool)]]
 
     def query(
         self,
@@ -340,21 +211,16 @@ class VectorIndex:
         if len(self._ids) == 0:
             return []
         qnorm = _normalize_vector(query_vector, dim=self.dim)
-        rows = self._candidate_rows(qnorm, pool)
-        if rows.size == 0:
-            return []
-        sims = np.clip(self._sims(rows, qnorm), -1.0, 1.0)
-        order = sorted(range(rows.size), key=lambda j: (-sims[j], self._ids[rows[j]]))
+        rows, sims = kernels.search_layer(self._vectors, self._id_rank, qnorm[:, None], pool)
         out: list[RetrievalResult] = []
-        for j in order:
-            row = int(rows[j])
+        for row, sim in zip(rows[0].tolist(), sims[0].tolist()):
             if self._texts[row] in skip_texts:
                 continue
             jac = jaccard(query_lemmas, self._lemmas[row])
             if jac >= jaccard_threshold:
                 out.append(RetrievalResult(
                     entry=self.entry(row),
-                    cosine_similarity=float(sims[j]),
+                    cosine_similarity=sim,
                     jaccard=jac,
                 ))
                 if len(out) == k:
@@ -373,7 +239,6 @@ def build_index(
     exclusions: ExclusionList | None = None,
     *,
     model_id: str | None = None,
-    params: HnswParams | None = None,
     lemmatizer=None,
     near_dup_threshold: float = 0.9,
     batch_size: int | None = None,
@@ -389,7 +254,6 @@ def build_index(
     ``near_dup_threshold``.
     """
     exclusions = exclusions or ExclusionList.empty()
-    params = params or HnswParams()
     report = BuildReport()
 
     excl_lemmas = [lemmatize(t, lemmatizer) for t in sorted(exclusions.exact_texts)]
@@ -410,7 +274,7 @@ def build_index(
 
     resolved_model = model_id or getattr(getattr(embedder, "cfg", None), "model_id", "unknown")
     if not kept:
-        empty = VectorIndex([], [], [], np.zeros((0, 0), dtype=np.float32), resolved_model, params)
+        empty = VectorIndex([], [], [], np.zeros((0, 0), dtype=np.float32), resolved_model)
         return empty, report
 
     if batch_size is None:
@@ -447,7 +311,6 @@ def build_index(
         kept_lemmas,
         matrix,
         model_id=resolved_model,
-        params=params,
     )
     report.indexed = len(kept)
     return index, report
@@ -477,31 +340,14 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
             ))
             fh.write("\n")
 
-    graph_path = out / "graph.npz"
-    arrays = {"node_levels": index._node_levels}
-    for lvl, layer in enumerate(index._layers):
-        arrays[f"neigh_{lvl}"] = layer.neigh
-        arrays[f"counts_{lvl}"] = layer.counts
-    np.savez(graph_path, **arrays)
-
     manifest = {
         "format_version": FORMAT_VERSION,
         "dim": index.dim,
         "model_id": index.model_id,
         "count": len(index),
-        "hnsw": {
-            "m": index.params.m,
-            "ef_construction": index.params.ef_construction,
-            "ef_search": index.params.ef_search,
-            "seed": index.params.seed,
-            "entry_point": int(index._entry_point),
-            "max_level": int(getattr(index, "_max_built_level", -1)),
-            "n_layers": len(index._layers),
-        },
         "checksums": {
             "vectors.bin": _sha256_file(vec_path),
             "meta.jsonl": _sha256_file(meta_path),
-            "graph.npz": _sha256_file(graph_path),
         },
     }
     (out / "manifest.json").write_text(
@@ -517,16 +363,17 @@ def load_index(path: str | Path) -> VectorIndex:
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
 
     version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in READABLE_VERSIONS:
         raise IndexError_(
             f"refusing to load index format version {version!r}; "
-            f"this build reads version {FORMAT_VERSION}"
+            f"this build reads versions {', '.join(map(str, READABLE_VERSIONS))}"
         )
 
     for name, expected in manifest["checksums"].items():
-        actual = _sha256_file(src / name)
-        if actual != expected:
-            raise IndexError_(f"checksum mismatch for {name}: file is corrupt or truncated")
+        if not (src / name).is_file() or _sha256_file(src / name) != expected:
+            raise IndexError_(
+                f"checksum mismatch for {name}: file is missing, corrupt or truncated"
+            )
 
     count = manifest["count"]
     dim = manifest["dim"]
@@ -549,21 +396,4 @@ def load_index(path: str | Path) -> VectorIndex:
     if len(ids) != count:
         raise IndexError_(f"meta.jsonl holds {len(ids)} rows, expected {count}")
 
-    h = manifest["hnsw"]
-    params = HnswParams(
-        m=h["m"], ef_construction=h["ef_construction"],
-        ef_search=h["ef_search"], seed=h["seed"],
-    )
-    index = VectorIndex(ids, texts, lemmas, vectors, manifest["model_id"], params)
-
-    graph = np.load(src / "graph.npz")
-    index._node_levels = graph["node_levels"]
-    index._layers = []
-    for lvl in range(h["n_layers"]):
-        layer = _Layer.__new__(_Layer)
-        layer.neigh = np.ascontiguousarray(graph[f"neigh_{lvl}"], dtype=np.int32)
-        layer.counts = np.ascontiguousarray(graph[f"counts_{lvl}"], dtype=np.int32)
-        index._layers.append(layer)
-    index._entry_point = h["entry_point"]
-    index._max_built_level = h["max_level"]
-    return index
+    return VectorIndex(ids, texts, lemmas, vectors, manifest["model_id"])

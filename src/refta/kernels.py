@@ -1,259 +1,63 @@
-"""Hot numeric kernels, JIT-compiled with a pure-NumPy/Python fallback.
+"""The two numeric hot spots, as plain NumPy expressions.
 
-The numba path is used by default. Set ``REFTA_NO_NUMBA=1`` to force the
-fallback (it is also selected automatically when numba cannot be imported).
-``benchmarks/bench_kernels.py`` compares the two paths.
-
-The two backends implement the same algorithms but may disagree in the last
-float bits (different summation orders), so approximate-search results can
-differ slightly between them. Exact contracts (full-pool queries, metric
-scores from integer statistics) are backend-independent by construction.
+``search_layer`` is the retrieval scan: one BLAS product against every row,
+then an exact top-``pool`` selection. ``resample_sums`` is the bootstrap's
+per-resample sum of integer segment statistics. Both are exact: the scan
+returns the brute-force prefix in (-similarity, id) order, and the sums are
+integer arithmetic.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
-
 import numpy as np
 
-_WANT_NUMBA = os.environ.get("REFTA_NO_NUMBA", "").lower() not in ("1", "true", "yes")
-
-try:
-    if not _WANT_NUMBA:
-        raise ImportError("numba disabled via REFTA_NO_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# candidate scoring: dot products of a query against gathered matrix rows
-
-def _dot_scores_np(vectors: np.ndarray, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
-    return vectors[ids] @ query
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _dot_scores_nb(vectors, ids, query):
-        n = ids.shape[0]
-        d = vectors.shape[1]
-        out = np.empty(n, dtype=np.float32)
-        for r in range(n):
-            row = ids[r]
-            acc = 0.0
-            for j in range(d):
-                acc += vectors[row, j] * query[j]
-            out[r] = acc
-        return out
-
-
-def dot_scores(vectors: np.ndarray, ids: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Similarity of ``query`` against the given rows of a float32 matrix."""
-    if HAS_NUMBA:
-        return _dot_scores_nb(vectors, np.ascontiguousarray(ids, dtype=np.int64), query)
-    return _dot_scores_np(vectors, ids, query)
-
-
-# ---------------------------------------------------------------------------
-# greedy best-first search over one graph layer (HNSW inner loop)
-
-def _search_layer_py(vectors, neigh, counts, entries, query, ef):
-    n = vectors.shape[0]
-    visited = np.zeros(n, dtype=bool)
-    candidates: list[tuple[float, int]] = []  # min-heap on distance = -similarity
-    results: list[tuple[float, int]] = []  # max-heap via negated distance
-
-    ent = []
-    for e in entries:
-        e = int(e)
-        if not visited[e]:
-            visited[e] = True
-            ent.append(e)
-    if ent:
-        dists = -(_dot_scores_np(vectors, np.asarray(ent, dtype=np.int64), query))
-        for e, d in zip(ent, dists):
-            d = float(d)
-            heapq.heappush(candidates, (d, e))
-            heapq.heappush(results, (-d, e))
-        while len(results) > ef:
-            heapq.heappop(results)
-
-    while candidates:
-        d, c = heapq.heappop(candidates)
-        worst = -results[0][0]
-        if len(results) >= ef and d > worst:
-            break
-        nbrs = [int(neigh[c, j]) for j in range(counts[c]) if not visited[neigh[c, j]]]
-        if not nbrs:
-            continue
-        for b in nbrs:
-            visited[b] = True
-        dists = -(_dot_scores_np(vectors, np.asarray(nbrs, dtype=np.int64), query))
-        for b, d2 in zip(nbrs, dists):
-            d2 = float(d2)
-            if len(results) < ef:
-                heapq.heappush(candidates, (d2, b))
-                heapq.heappush(results, (-d2, b))
-            elif d2 < -results[0][0]:
-                heapq.heappush(candidates, (d2, b))
-                heapq.heapreplace(results, (-d2, b))
-    return np.array([i for _, i in results], dtype=np.int64)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _heap_push_min(heap_d, heap_i, size, d, i):
-        pos = size
-        heap_d[pos] = d
-        heap_i[pos] = i
-        while pos > 0:
-            parent = (pos - 1) // 2
-            if heap_d[parent] > heap_d[pos]:
-                heap_d[parent], heap_d[pos] = heap_d[pos], heap_d[parent]
-                heap_i[parent], heap_i[pos] = heap_i[pos], heap_i[parent]
-                pos = parent
-            else:
-                break
-        return size + 1
-
-    @njit(cache=True)
-    def _heap_pop_min(heap_d, heap_i, size):
-        top_d = heap_d[0]
-        top_i = heap_i[0]
-        size -= 1
-        heap_d[0] = heap_d[size]
-        heap_i[0] = heap_i[size]
-        pos = 0
-        while True:
-            left = 2 * pos + 1
-            right = left + 1
-            smallest = pos
-            if left < size and heap_d[left] < heap_d[smallest]:
-                smallest = left
-            if right < size and heap_d[right] < heap_d[smallest]:
-                smallest = right
-            if smallest == pos:
-                break
-            heap_d[smallest], heap_d[pos] = heap_d[pos], heap_d[smallest]
-            heap_i[smallest], heap_i[pos] = heap_i[pos], heap_i[smallest]
-            pos = smallest
-        return top_d, top_i, size
-
-    @njit(cache=True)
-    def _row_dot(vectors, row, query):
-        acc = 0.0
-        for j in range(vectors.shape[1]):
-            acc += vectors[row, j] * query[j]
-        return acc
-
-    @njit(cache=True)
-    def _search_layer_nb(vectors, neigh, counts, entries, query, ef):
-        n = vectors.shape[0]
-        visited = np.zeros(n, dtype=np.bool_)
-
-        cap = n + entries.shape[0] + 1
-        cand_d = np.empty(cap, dtype=np.float64)
-        cand_i = np.empty(cap, dtype=np.int64)
-        cand_size = 0
-        # results: max-heap on distance, stored as min-heap on -distance
-        res_d = np.empty(ef + 1, dtype=np.float64)
-        res_i = np.empty(ef + 1, dtype=np.int64)
-        res_size = 0
-
-        for idx in range(entries.shape[0]):
-            e = entries[idx]
-            if visited[e]:
-                continue
-            visited[e] = True
-            d = -_row_dot(vectors, e, query)
-            cand_size = _heap_push_min(cand_d, cand_i, cand_size, d, e)
-            if res_size < ef:
-                res_size = _heap_push_min(res_d, res_i, res_size, -d, e)
-            elif -d > res_d[0]:
-                _, _, res_size = _heap_pop_min(res_d, res_i, res_size)
-                res_size = _heap_push_min(res_d, res_i, res_size, -d, e)
-
-        while cand_size > 0:
-            d, c, cand_size = _heap_pop_min(cand_d, cand_i, cand_size)
-            if res_size >= ef and d > -res_d[0]:
-                break
-            for j in range(counts[c]):
-                b = neigh[c, j]
-                if visited[b]:
-                    continue
-                visited[b] = True
-                d2 = -_row_dot(vectors, b, query)
-                if res_size < ef:
-                    cand_size = _heap_push_min(cand_d, cand_i, cand_size, d2, b)
-                    res_size = _heap_push_min(res_d, res_i, res_size, -d2, b)
-                elif -d2 > res_d[0]:
-                    cand_size = _heap_push_min(cand_d, cand_i, cand_size, d2, b)
-                    _, _, res_size = _heap_pop_min(res_d, res_i, res_size)
-                    res_size = _heap_push_min(res_d, res_i, res_size, -d2, b)
-
-        return res_i[:res_size].copy()
+BACKEND = "numpy"
 
 
 def search_layer(
     vectors: np.ndarray,
-    neigh: np.ndarray,
-    counts: np.ndarray,
-    entries: np.ndarray,
-    query: np.ndarray,
-    ef: int,
-) -> np.ndarray:
-    """Ids of up to ``ef`` nearest nodes found by greedy graph expansion.
+    id_rank: np.ndarray,
+    queries: np.ndarray,
+    pool: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ``pool`` nearest rows of a float32 matrix for each query column.
 
-    ``vectors`` must be C-contiguous float32 rows; ``neigh``/``counts`` are
-    the layer's adjacency (int32). The returned ids are unordered; callers
-    re-score them with the canonical similarity before ranking.
+    ``vectors`` is ``(n, d)``, ``queries`` is ``(d, b)`` and ``id_rank[row]``
+    is the row's position in ascending segment-id order. Returns ``(rows,
+    sims)``, both ``(b, min(pool, n))``: each line holds the most similar rows
+    in descending similarity (clipped to [-1, 1]) with ties broken by id
+    rank, which is the prefix of a full sort of every row. Rows tied at the
+    pool boundary all enter the sort, so the cut never depends on the order
+    ``argpartition`` happens to leave them in.
     """
-    entries = np.ascontiguousarray(entries, dtype=np.int64)
-    if entries.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if HAS_NUMBA:
-        return _search_layer_nb(vectors, neigh, counts, entries, query, ef)
-    return _search_layer_py(vectors, neigh, counts, entries, query, ef)
-
-
-# ---------------------------------------------------------------------------
-# bootstrap resampling: per-resample sums of integer segment statistics
-
-def _resample_sums_np(stats: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return stats[idx].sum(axis=1)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _resample_sums_nb(stats, idx):
-        n_resamples, n_seg = idx.shape
-        d = stats.shape[1]
-        out = np.zeros((n_resamples, d), dtype=np.int64)
-        for r in range(n_resamples):
-            for s in range(n_seg):
-                row = idx[r, s]
-                for j in range(d):
-                    out[r, j] += stats[row, j]
-        return out
+    n = vectors.shape[0]
+    take = min(pool, n)
+    sims = np.clip(vectors @ queries, -1.0, 1.0)
+    out_rows = np.empty((queries.shape[1], take), dtype=np.int64)
+    out_sims = np.empty((queries.shape[1], take), dtype=sims.dtype)
+    for j in range(queries.shape[1]):
+        col = sims[:, j]
+        if take < n:
+            boundary = np.partition(col, n - take)[n - take]
+            cand = np.flatnonzero(col >= boundary)
+        else:
+            cand = np.arange(n)
+        order = cand[np.lexsort((id_rank[cand], -col[cand]))][:take]
+        out_rows[j] = order
+        out_sims[j] = col[order]
+    return out_rows, out_sims
 
 
 def resample_sums(stats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Sum int64 segment statistics over each resample's index row.
 
-    Integer addition is exact in any order, so both backends return
-    bit-identical results.
+    Equal to ``stats[idx].sum(axis=1)``: each resample's draw counts per
+    segment form a count matrix, and ``counts @ stats`` adds the same
+    integers without the ``(R, n, d)`` gather.
     """
     stats = np.ascontiguousarray(stats, dtype=np.int64)
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    if HAS_NUMBA:
-        return _resample_sums_nb(stats, idx)
-    return _resample_sums_np(stats, idx)
+    idx = np.asarray(idx, dtype=np.int64)
+    n_resamples, m = idx.shape[0], stats.shape[0]
+    offsets = (np.arange(n_resamples, dtype=np.int64) * m)[:, None]
+    counts = np.bincount((idx + offsets).ravel(), minlength=n_resamples * m)
+    return counts.reshape(n_resamples, m) @ stats

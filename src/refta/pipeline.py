@@ -219,6 +219,11 @@ class PipelineClients:
             embedder=EmbedderClient(ep["embedder"]) if "embedder" in ep else None,
         )
 
+    def close(self) -> None:
+        for client in (self.drafter, self.refiner, self.embedder):
+            if client is not None:
+                client.close()
+
 
 def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="milliseconds")
@@ -394,13 +399,16 @@ def translate_corpus(
     clients = PipelineClients.from_config(cfg)
     cache = NeighborDraftCache()
     results: list[RunResult] = []
-    for temp in temps:
-        run_cfg = RunConfig(**{**cfg.__dict__, "temperature": float(temp)})
-        suffix = "" if len(temps) == 1 else f"-t{temp}"
-        run_dir = runs_root / f"{cfg.run_id}{suffix}"
-        results.append(
-            _run_one(run_cfg, pairs, index, run_dir, clients, cache, force=force)
-        )
+    try:
+        for temp in temps:
+            run_cfg = RunConfig(**{**cfg.__dict__, "temperature": float(temp)})
+            suffix = "" if len(temps) == 1 else f"-t{temp}"
+            run_dir = runs_root / f"{cfg.run_id}{suffix}"
+            results.append(
+                _run_one(run_cfg, pairs, index, run_dir, clients, cache, force=force)
+            )
+    finally:
+        clients.close()
     return results
 
 

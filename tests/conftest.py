@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from refta.backends import EndpointConfig
-from refta.index import HnswParams, VectorIndex
+from refta.index import VectorIndex
 from refta.mockserver import MockBehavior, start_mock_server
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -38,7 +38,6 @@ def random_index(
     dim: int,
     seed: int,
     n_lemma_choices: int = 17,
-    params: HnswParams | None = None,
 ) -> tuple[VectorIndex, list[frozenset], np.ndarray]:
     """Synthetic index plus its raw lemma sets and raw (unnormalized) vectors."""
     rng = np.random.default_rng(seed)
@@ -54,7 +53,6 @@ def random_index(
     index = VectorIndex.from_arrays(
         ids, texts, lemma_sets, vectors,
         model_id="synthetic",
-        params=params or HnswParams(seed=seed),
     )
     return index, lemma_sets, vectors
 
@@ -69,11 +67,13 @@ def brute_force_query(
     k: int,
     threshold: float,
     skip_texts: frozenset = frozenset(),
+    pool: int | None = None,
 ) -> list[str]:
     """Independent exhaustive-scan oracle for filtered retrieval.
 
-    Normalizes raw vectors itself, scores every entry, filters by Jaccard,
-    orders by (descending similarity, ascending id), truncates to k.
+    Normalizes raw vectors itself, scores every entry, orders by (descending
+    similarity, ascending id), keeps the first ``pool`` entries (all when
+    ``pool`` is None), filters by Jaccard, truncates to k.
     """
     def unit(v):
         # same arithmetic path as the index: float64 dot-product norm,
@@ -83,7 +83,7 @@ def brute_force_query(
 
     matrix = np.stack([unit(raw_vectors[i]) for i in range(raw_vectors.shape[0])])
     sims = np.clip(matrix @ unit(query_vector), -1.0, 1.0)
-    order = sorted(range(len(ids)), key=lambda j: (-sims[j], ids[j]))
+    order = sorted(range(len(ids)), key=lambda j: (-sims[j], ids[j]))[:pool]
     out: list[str] = []
     for j in order:
         if texts[j] in skip_texts:

@@ -22,7 +22,7 @@ from refta.backends import DrafterClient, EmbedderClient, EndpointConfig
 from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_parallel
 from refta.cost import CostModel, api_cost, local_cost, round_dollars
 from refta.errors import PromptBudgetError, RequestError, TransportError
-from refta.index import ExclusionList, HnswParams, build_index, jaccard
+from refta.index import ExclusionList, VectorIndex, build_index, jaccard
 from refta.metrics import bleu, chrf_pp, paired_bootstrap
 from refta.metrics.bleu import BleuMetric
 from refta.mockserver import MockBehavior, start_mock_server
@@ -78,18 +78,50 @@ def test_c01_retrieval_oracle_equivalence():
         qlem = frozenset({f"w{int(rng.integers(0, 17))}" for _ in range(4)})
         for k in (1, 5, 20):
             for threshold in (0.0, 0.3, 0.9):
-                got = [r.entry.segment_id for r in index.query(
-                    qvec, qlem, k=k, jaccard_threshold=threshold, candidate_pool=n
-                )]
-                want = brute_force_query(
-                    ids, texts, lemma_sets, raw, qvec, qlem, k, threshold
-                )
-                assert got == want, (case, n, dim, k, threshold)
-                checked += 1
+                for pool in (k, 51, n // 3, n):
+                    got = [r.entry.segment_id for r in index.query(
+                        qvec, qlem, k=k, jaccard_threshold=threshold, candidate_pool=pool
+                    )]
+                    want = brute_force_query(
+                        ids, texts, lemma_sets, raw, qvec, qlem, k, threshold, pool=pool
+                    )
+                    assert got == want, (case, n, dim, k, threshold, pool)
+                    checked += 1
+    checked += _c01_tied_pool_boundaries(rng)
     elapsed = time.perf_counter() - start
-    assert checked == 50 * 9
+    assert checked == 50 * 9 * 4 + 3 * 2 * (120 + 118 + 114)
     assert elapsed < 120.0, f"took {elapsed:.1f}s"
     _ok(1, f"retrieval oracle equivalence ({checked} queries, {elapsed:.1f}s)")
+
+
+def _c01_tied_pool_boundaries(rng) -> int:
+    """Rows in groups of identical vectors, ids out of row order: every pool
+    size from 1 to n, so ties straddle the pool boundary at most cuts."""
+    n, dim = 120, 8
+    base = rng.standard_normal((40, dim)).astype(np.float32)
+    raw = base[rng.integers(0, 40, size=n)]
+    ids = [f"dup{int(i):04d}" for i in rng.permutation(n)]
+    texts = [f"dup text {i}" for i in range(n)]
+    lemma_sets = [frozenset({f"w{int(rng.integers(0, 5))}"}) for _ in range(n)]
+    index = VectorIndex.from_arrays(ids, texts, lemma_sets, raw)
+    checked = 0
+    for qvec in (raw[0], raw[77], rng.standard_normal(dim).astype(np.float32)):
+        for k in (1, 3, 7):
+            # threshold 0.5 keeps only rows whose lemma set is {"w1"}, so the
+            # survivors depend on which tied rows the pool cut lets in
+            for threshold in (0.0, 0.5):
+                for pool in range(k, n + 1):
+                    got = [r.entry.segment_id for r in index.query(
+                        qvec, frozenset({"w1"}), k=k, jaccard_threshold=threshold,
+                        candidate_pool=pool,
+                    )]
+                    want = brute_force_query(
+                        ids, texts, lemma_sets, raw, qvec, frozenset({"w1"}), k, threshold,
+                        pool=pool,
+                    )
+                    assert got == want, ("tied", k, threshold, pool)
+                    checked += 1
+    return checked
 
 
 # -- 2. jaccard and threshold semantics --------------------------------------
@@ -255,7 +287,6 @@ def test_c06_end_to_end_determinism(server, tmp_path):
     segments = list(load_monolingual(RETRIEVAL, "jsonl"))
     index, _ = build_index(
         segments, EmbedderClient(endpoints["embedder"]), ExclusionList.empty(),
-        params=HnswParams(seed=9),
     )
 
     cfg = RunConfig(condition="rag", run_id="det", endpoints=endpoints,

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import logging
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -109,6 +111,23 @@ class TestDrafter:
         snap = mock_server.stats.snapshot()
         assert snap["counts"]["/translate"] == 10
         assert snap["max_concurrency"]["/translate"] <= 3
+
+    def test_sixteen_way_parallelism_keeps_every_connection(self, mock_server, endpoint,
+                                                           caplog):
+        # urllib3 pools 10 connections per host by default; past that it logs
+        # "Connection pool is full" and drops the extra connections
+        mock_server.behavior.latency_ms = 50
+        client = DrafterClient(endpoint("drafter", request_parallelism=16))
+        try:
+            with caplog.at_level(logging.WARNING, logger="urllib3.connectionpool"):
+                with ThreadPoolExecutor(max_workers=16) as pool:
+                    list(pool.map(client.translate, [f"textus {i}" for i in range(64)]))
+        finally:
+            client.close()
+        snap = mock_server.stats.snapshot()
+        assert snap["counts"]["/translate"] == 64
+        assert 10 < snap["max_concurrency"]["/translate"] <= 16
+        assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
 
 
 class TestRefiner:

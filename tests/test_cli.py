@@ -69,6 +69,21 @@ class TestIndexBuild:
         payload = json.loads(result.output)
         assert payload["indexed"] == 50  # fixture rows do not overlap the test set
 
+    def test_reports_rows_skipped_as_empty(self, runner, workspace, mock_server):
+        corpus = workspace / "corpus.jsonl"
+        with corpus.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "blank", "text": "  \t "}) + "\n")
+        result = runner.invoke(main, [
+            "index-build", "--corpus", str(corpus), "--out", str(workspace / "idx"),
+            "--embedder", mock_server.base_url, "--json",
+        ])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["indexed"] == 50
+        assert payload["skipped_empty"] == 1
+        text = _build_index(runner, workspace, mock_server.base_url, out="idx_text")
+        assert "skipped empty: 1" in text.output
+
 
 def _translate(runner, workspace, url, condition, extra=(), run_id="run1"):
     args = [

@@ -8,7 +8,7 @@ from conftest import FIXTURES
 from refta.backends import EndpointConfig
 from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_parallel
 from refta.errors import ReftaError
-from refta.index import ExclusionList, HnswParams, build_index
+from refta.index import ExclusionList, build_index
 from refta.mockserver import MockBehavior, start_mock_server
 from refta.pipeline import (
     FAILED_SENTINEL,
@@ -38,7 +38,6 @@ def stack(endpoint, mock_server):
     ))[:60]
     index, _ = build_index(
         segments, EmbedderClient(endpoints["embedder"]), ExclusionList.empty(),
-        params=HnswParams(seed=5),
     )
     mock_server.stats.reset()
     return endpoints, index, mock_server
