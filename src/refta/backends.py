@@ -215,6 +215,20 @@ class _HttpClient:
             delay = self.cfg.backoff_base * (self.cfg.backoff_factor ** (attempts - 1))
             _sleep(delay * (1.0 + 0.1 * self._rng.random()))
 
+    def _post_batches(self, path: str, texts: list[str], outputs_key: str, **fields):
+        """POST ``texts`` in batches of at most ``cfg.max_batch``; yields
+        (batch, response, the response's ``outputs_key`` list, one per input)."""
+        if not texts or not all(texts):
+            raise ValueError(f"{path} requires at least one text, none empty")
+        for start in range(0, len(texts), self.cfg.max_batch):
+            batch = texts[start:start + self.cfg.max_batch]
+            data = self._post(path, {"model": self.cfg.model_id, "inputs": batch, **fields})
+            outputs = data.get(outputs_key)
+            if not isinstance(outputs, list) or len(outputs) != len(batch):
+                raise ProtocolError(f"{path} returned {len(outputs or [])} "
+                                    f"{outputs_key} for {len(batch)} inputs")
+            yield batch, data, outputs
+
     def _raise_request_error(self, status: int, body: str) -> None:
         try:
             parsed = json.loads(body)
@@ -227,30 +241,28 @@ class _HttpClient:
 
 
 class DrafterClient(_HttpClient):
-    """NMT draft translation backend (Latin to English)."""
+    """NMT draft translation backend (Latin to English); batches of up to
+    ``cfg.max_batch`` texts."""
 
-    def translate(self, latin: str) -> tuple[str, TokenUsage]:
-        if not latin:
-            raise ValueError("latin text must be non-empty")
-        data = self._post("/translate", {
-            "model": self.cfg.model_id,
-            "inputs": [latin],
-            "src": "la",
-            "tgt": "en",
-        })
-        outputs = data.get("outputs")
-        if not isinstance(outputs, list) or len(outputs) != 1:
-            raise ProtocolError(f"drafter returned {len(outputs or [])} outputs for 1 input")
-        text = str(outputs[0]).strip()
-        if not text:
-            raise ProtocolError("drafter returned an empty translation")
-        usage = data.get("usage") or {}
-        if "input_tokens" in usage and "output_tokens" in usage:
-            tu = TokenUsage(int(usage["input_tokens"]), int(usage["output_tokens"]),
-                            "backend-reported")
-        else:
-            tu = TokenUsage(estimate_tokens(latin), estimate_tokens(text), "estimated")
-        return text, tu
+    def translate(self, texts: list[str]) -> tuple[list[str], TokenUsage]:
+        drafts: list[str] = []
+        input_tokens = output_tokens = 0
+        source = "backend-reported"
+        for batch, data, outputs in self._post_batches("/translate", texts, "outputs",
+                                                       src="la", tgt="en"):
+            batch_drafts = [str(o).strip() for o in outputs]
+            if not all(batch_drafts):
+                raise ProtocolError("drafter returned an empty translation")
+            usage = data.get("usage") or {}
+            if "input_tokens" in usage and "output_tokens" in usage:
+                input_tokens += int(usage["input_tokens"])
+                output_tokens += int(usage["output_tokens"])
+            else:
+                input_tokens += sum(estimate_tokens(t) for t in batch)
+                output_tokens += sum(estimate_tokens(d) for d in batch_drafts)
+                source = "estimated"
+            drafts.extend(batch_drafts)
+        return drafts, TokenUsage(input_tokens, output_tokens, source)
 
 
 class RefinerClient(_HttpClient):
@@ -299,30 +311,18 @@ class EmbedderClient(_HttpClient):
     """Dense embedding backend; batches of up to ``cfg.max_batch`` texts."""
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
-        if not texts:
-            raise ValueError("embed() requires at least one text")
         out: list[np.ndarray] = []
         dim: int | None = None
-        for start in range(0, len(texts), self.cfg.max_batch):
-            batch = texts[start:start + self.cfg.max_batch]
-            data = self._post("/embed", {"model": self.cfg.model_id, "inputs": batch})
-            vectors = data.get("vectors")
-            if not isinstance(vectors, list) or len(vectors) != len(batch):
-                raise ProtocolError(
-                    f"embedder returned {len(vectors or [])} vectors for {len(batch)} inputs"
-                )
-            batch_dim = int(data.get("dim", len(vectors[0]) if vectors else 0))
+        for _batch, data, vectors in self._post_batches("/embed", texts, "vectors"):
+            batch_dim = int(data.get("dim", len(vectors[0])))
+            if dim is not None and batch_dim != dim:
+                raise ProtocolError(f"embedder dimension drift: {batch_dim} after {dim}")
+            dim = batch_dim
             for vec in vectors:
                 arr = np.asarray(vec, dtype=np.float32)
-                if arr.ndim != 1 or arr.shape[0] != batch_dim:
+                if arr.shape != (dim,):
                     raise ProtocolError(
-                        f"embedder vector of dimension {arr.shape} does not match dim {batch_dim}"
-                    )
-                if dim is None:
-                    dim = batch_dim
-                elif batch_dim != dim:
-                    raise ProtocolError(
-                        f"embedder dimension drift: {batch_dim} after {dim}"
+                        f"embedder vector of dimension {arr.shape} does not match dim {dim}"
                     )
                 out.append(arr)
         return out

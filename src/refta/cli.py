@@ -303,10 +303,13 @@ def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
     if scorer_url and wanted:
         scorer = ScorerClient(_endpoint("scorer", scorer_url, scorer_model,
                                         timeout, 3, 4))
-        report = attach_neural_scores(
-            report, scorer, wanted,
-            [p.source.text for p in pairs], hyps, [p.references[0] for p in pairs],
-        )
+        try:
+            report = attach_neural_scores(
+                report, scorer, wanted,
+                [p.source.text for p in pairs], hyps, [p.references[0] for p in pairs],
+            )
+        finally:
+            scorer.close()
     (Path(run_dir) / "metrics.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -346,10 +349,14 @@ def cmd_compare(run_dirs, baseline, test_set, test_format, seed, scorer_url,
     if scorer_url and wanted:
         scorer = ScorerClient(_endpoint("scorer", scorer_url, scorer_model,
                                         timeout, 3, 4))
-    comparison = compare_runs(
-        list(run_dirs), pairs, baseline, seed=seed,
-        scorer=scorer, neural_metrics=wanted,
-    )
+    try:
+        comparison = compare_runs(
+            list(run_dirs), pairs, baseline, seed=seed,
+            scorer=scorer, neural_metrics=wanted,
+        )
+    finally:
+        if scorer is not None:
+            scorer.close()
     write_comparison(comparison, out_path)
     if as_json:
         click.echo(json.dumps(comparison.to_dict(), sort_keys=True))
@@ -415,7 +422,7 @@ def cmd_mock_serve(host, port, behavior, embed_dim, fail_rate, fail_first,
     try:
         server.serve_forever()
     except KeyboardInterrupt:
-        server.shutdown()
+        server.server_close()
 
 
 if __name__ == "__main__":

@@ -90,11 +90,7 @@ class ExclusionList:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[ParallelPair]) -> "ExclusionList":
-        texts, ids = set(), set()
-        for p in pairs:
-            texts.add(p.source.text)
-            ids.add(p.source.id)
-        return cls(exact_texts=frozenset(texts), ids=frozenset(ids))
+        return cls.from_segments(p.source for p in pairs)
 
     @classmethod
     def from_segments(cls, segments: Iterable[SourceSegment]) -> "ExclusionList":
@@ -226,11 +222,6 @@ class VectorIndex:
                 if len(out) == k:
                     break
         return out
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        save_index(self, path)
 
 
 def build_index(

@@ -11,7 +11,7 @@ from refta.errors import CapabilityError, ComparisonError
 from refta.metrics.bleu import BleuMetric
 from refta.metrics.bootstrap import paired_bootstrap
 from refta.metrics.chrf import ChrfPPMetric
-from refta.pipeline import corpus_digest, read_hypotheses, read_manifest
+from refta.pipeline import FAILED_SENTINEL, corpus_digest, read_hypotheses, read_manifest
 
 LEXICAL_METRICS = (BleuMetric(), ChrfPPMetric())
 SIGNIFICANCE_ALPHA = 0.05
@@ -24,11 +24,13 @@ class MetricReport:
     segment_scores: dict
     n_segments: int
     warnings: tuple = ()
+    n_failed: int = 0
 
     def to_dict(self) -> dict:
         return {
             "system_id": self.system_id,
             "n_segments": self.n_segments,
+            "n_failed": self.n_failed,
             "corpus_scores": self.corpus_scores,
             "segment_scores": self.segment_scores,
             "warnings": list(self.warnings),
@@ -36,7 +38,11 @@ class MetricReport:
 
 
 def evaluate_hypotheses(system_id: str, hypotheses, references) -> MetricReport:
-    """BLEU and chrF++ for one system; corpus scores are pooled, not averaged."""
+    """BLEU and chrF++ for one system; corpus scores are pooled, not averaged.
+
+    ``<FAILED>`` lines are scored as literal text; the report counts them and
+    warns when there are any.
+    """
     corpus_scores: dict = {}
     segment_scores: dict = {}
     for metric in LEXICAL_METRICS:
@@ -45,11 +51,17 @@ def evaluate_hypotheses(system_id: str, hypotheses, references) -> MetricReport:
         segment_scores[metric.name] = [
             metric.segment_score(stats[i]) for i in range(stats.shape[0])
         ]
+    n_failed = sum(1 for h in hypotheses if h == FAILED_SENTINEL)
     return MetricReport(
         system_id=system_id,
         corpus_scores=corpus_scores,
         segment_scores=segment_scores,
         n_segments=len(hypotheses),
+        warnings=(
+            (f"{n_failed} of {len(hypotheses)} hypotheses are {FAILED_SENTINEL}",)
+            if n_failed else ()
+        ),
+        n_failed=n_failed,
     )
 
 

@@ -17,8 +17,9 @@ the request payload:
 Fault injection: ``fail_rate`` (probability of a 500 per data request,
 seeded), ``fail_first`` (force the first N data requests per path to fail
 with ``fail_status``) and ``latency_ms``. ``GET /_stats`` exposes per-path
-request counts and the concurrency high-water mark; ``POST /_reset`` clears
-them.
+request counts, input counts (the length of ``inputs`` for ``/translate``
+and ``/embed``, one per request elsewhere) and the concurrency high-water
+mark; ``POST /_reset`` clears them.
 """
 
 from __future__ import annotations
@@ -56,14 +57,16 @@ class MockBehavior:
 @dataclass
 class _Stats:
     counts: dict = field(default_factory=dict)
+    inputs: dict = field(default_factory=dict)
     failures_injected: dict = field(default_factory=dict)
     current: dict = field(default_factory=dict)
     max_concurrency: dict = field(default_factory=dict)
     lock: threading.Lock = field(default_factory=threading.Lock)
 
-    def enter(self, path: str) -> None:
+    def enter(self, path: str, inputs: int) -> None:
         with self.lock:
             self.counts[path] = self.counts.get(path, 0) + 1
+            self.inputs[path] = self.inputs.get(path, 0) + inputs
             cur = self.current.get(path, 0) + 1
             self.current[path] = cur
             if cur > self.max_concurrency.get(path, 0):
@@ -77,6 +80,7 @@ class _Stats:
         with self.lock:
             return {
                 "counts": dict(self.counts),
+                "inputs": dict(self.inputs),
                 "failures_injected": dict(self.failures_injected),
                 "max_concurrency": dict(self.max_concurrency),
             }
@@ -84,6 +88,7 @@ class _Stats:
     def reset(self) -> None:
         with self.lock:
             self.counts.clear()
+            self.inputs.clear()
             self.failures_injected.clear()
             self.current.clear()
             self.max_concurrency.clear()
@@ -181,7 +186,8 @@ class _Handler(BaseHTTPRequestHandler):
         if handler is None:
             self._send_json(404, {"error": {"type": "not_found"}})
             return
-        self.stats.enter(path)
+        inputs = payload.get("inputs")
+        self.stats.enter(path, len(inputs) if isinstance(inputs, list) else 1)
         try:
             if self.behavior.latency_ms:
                 time.sleep(self.behavior.latency_ms / 1000.0)
@@ -269,11 +275,16 @@ class MockServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
+    def stop(self) -> None:
+        """Stop serving and close the listening socket."""
+        self.shutdown()
+        self.server_close()
+
 
 def start_mock_server(
     behavior: MockBehavior | None = None, host: str = "127.0.0.1", port: int = 0
 ) -> MockServer:
-    """Start a mock server on a background thread; call ``shutdown()`` when done."""
+    """Start a mock server on a background thread; call ``stop()`` when done."""
     server = MockServer(behavior or MockBehavior(), host=host, port=port)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -1,16 +1,31 @@
-"""Per-segment and per-corpus orchestration of the draft-refine workflow.
+"""Corpus-level orchestration of the draft-refine workflow, stage by stage.
 
-For each segment the stages run in order: draft (unless zero-shot), embed
-and retrieve neighbors (rag only), draft the neighbors through a shared
-single-flight cache, assemble the prompt, call the refiner. Segments run
-concurrently under a bounded worker pool; all artifacts are written in
-input order, so output is a pure function of (config, corpus, index) when
-the backends are deterministic.
+``translate_corpus`` runs four stages, each over the whole test set:
+
+1. embed the distinct source texts (rag);
+2. retrieve each segment's neighbors with ``VectorIndex.query`` (rag);
+3. draft the set union of source and neighbor texts (draft_only, rag);
+4. assemble and refine each segment's prompt under a pool of ``workers``.
+
+Stages 1 and 3 send requests of at most ``max_batch`` inputs. Stages 1-3 run
+once per call, and every temperature of a sweep reuses them. A batch
+rejected with ``RequestError``/``ProtocolError`` is resent one input at a
+time; one that exhausts its transport retries fails every segment it
+carried. A segment that fails retrieval is not drafted. Artifacts are
+written in input order, so output is a pure function of (config, corpus,
+index) when the backends are deterministic.
+
+A record's ``timings_ms`` holds the wall ms of what served the segment:
+``draft``, the drafter request that carried its source; ``retrieve``, its
+embedder request plus its query; ``neighbor_drafts``, the slowest drafter
+request that carried one of its neighbors (0 without neighbors);
+``refine``, its own call; ``total``, all of these plus prompt assembly.
 
 Run directory layout (one per temperature):
 
 - ``manifest.json``: resolved config (no secrets), ``config_hash``,
-  ``corpus_digest``, code version, counts, aggregate token usage, wall time.
+  ``corpus_digest``, code version, counts, aggregate token usage, wall time
+  (stages 1-3 included).
 - ``records.jsonl``: one completed TranslationRecord per row, input order.
 - ``hypotheses.txt``: one line per input segment (newlines inside a refined
   text are flattened to spaces); failed segments hold the ``<FAILED>``
@@ -24,8 +39,8 @@ import hashlib
 import json
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,7 +53,13 @@ from refta.backends import (
     canonical_json,
 )
 from refta.corpus import ParallelPair, SourceSegment, lemmatize
-from refta.errors import PipelineError, ReftaError
+from refta.errors import (
+    PipelineError,
+    ProtocolError,
+    ReftaError,
+    RequestError,
+    TransportError,
+)
 from refta.index import VectorIndex, default_candidate_pool
 from refta.prompt import (
     CONDITIONS,
@@ -51,6 +72,10 @@ from refta.prompt import (
 
 FAILED_SENTINEL = "<FAILED>"
 
+# auth tokens and backoff timing stay out of manifests and the config hash
+_HASHED_ENDPOINT_FIELDS = (
+    "base_url", "model_id", "timeout", "max_retries", "request_parallelism", "max_batch",
+)
 _ROLE_REQUIREMENTS = {
     ZERO_SHOT: ("refiner",),
     DRAFT_ONLY: ("drafter", "refiner"),
@@ -97,31 +122,13 @@ class RunConfig:
         )
 
     def to_canonical_dict(self) -> dict:
-        endpoints = {}
-        for role, ep in sorted(self.endpoints.items()):
-            endpoints[role] = {
-                "base_url": ep.base_url,
-                "model_id": ep.model_id,
-                "timeout": ep.timeout,
-                "max_retries": ep.max_retries,
-                "request_parallelism": ep.request_parallelism,
-                "max_batch": ep.max_batch,
-            }
-        return {
-            "condition": self.condition,
-            "run_id": self.run_id,
-            "endpoints": endpoints,
-            "k": self.k,
-            "jaccard_threshold": self.jaccard_threshold,
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_output_tokens": self.max_output_tokens,
-            "input_budget": self.input_budget,
-            "candidate_pool": self.resolved_pool(),
-            "workers": self.workers,
-            "seed": self.seed,
-            "fail_fast": self.fail_fast,
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["candidate_pool"] = self.resolved_pool()
+        out["endpoints"] = {
+            role: {name: getattr(ep, name) for name in _HASHED_ENDPOINT_FIELDS}
+            for role, ep in sorted(self.endpoints.items())
         }
+        return out
 
     def config_hash(self) -> str:
         return hashlib.sha256(
@@ -145,63 +152,7 @@ class TranslationRecord:
     timestamps: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "segment_id": self.segment_id,
-            "latin": self.latin,
-            "condition": self.condition,
-            "draft": self.draft,
-            "neighbors": [
-                {
-                    "segment_id": nb.segment_id,
-                    "latin": nb.latin,
-                    "draft": nb.draft,
-                    "cosine_similarity": nb.cosine_similarity,
-                    "jaccard": nb.jaccard,
-                }
-                for nb in self.neighbors
-            ],
-            "refined": self.refined,
-            "prompt_tokens": self.prompt_tokens,
-            "output_tokens": self.output_tokens,
-            "usage_source": self.usage_source,
-            "truncation_applied": self.truncation_applied,
-            "timings_ms": self.timings_ms,
-            "timestamps": self.timestamps,
-        }
-
-
-class NeighborDraftCache:
-    """Single-flight cache from (segment_id, drafter model) to draft text.
-
-    Concurrent misses on one key trigger exactly one backend call; all
-    waiters receive the identical string. Counters track hits and misses.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._futures: dict[tuple[str, str], Future] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_fetch(self, key: tuple[str, str], fetch) -> str:
-        owner = False
-        with self._lock:
-            fut = self._futures.get(key)
-            if fut is None:
-                fut = Future()
-                self._futures[key] = fut
-                owner = True
-                self.misses += 1
-            else:
-                self.hits += 1
-        if owner:
-            try:
-                fut.set_result(fetch())
-            except Exception as exc:
-                with self._lock:
-                    del self._futures[key]
-                fut.set_exception(exc)
-        return fut.result()
+        return asdict(self)
 
 
 @dataclass
@@ -212,12 +163,8 @@ class PipelineClients:
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "PipelineClients":
-        ep = cfg.endpoints
-        return cls(
-            drafter=DrafterClient(ep["drafter"]) if "drafter" in ep else None,
-            refiner=RefinerClient(ep["refiner"]) if "refiner" in ep else None,
-            embedder=EmbedderClient(ep["embedder"]) if "embedder" in ep else None,
-        )
+        kinds = {"drafter": DrafterClient, "refiner": RefinerClient, "embedder": EmbedderClient}
+        return cls(**{role: kinds[role](ep) for role, ep in cfg.endpoints.items() if role in kinds})
 
     def close(self) -> None:
         for client in (self.drafter, self.refiner, self.embedder):
@@ -229,32 +176,121 @@ def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="milliseconds")
 
 
-class _StageTimer:
-    def __init__(self):
-        self.timings: dict[str, float] = {}
-        self._t0 = time.perf_counter()
-
-    def stage(self, name: str):
-        return _StageSpan(self, name)
-
-    def total(self) -> None:
-        self.timings["total"] = round((time.perf_counter() - self._t0) * 1000.0, 3)
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1000.0
 
 
-class _StageSpan:
-    def __init__(self, timer: _StageTimer, name: str):
-        self.timer = timer
-        self.name = name
+@dataclass
+class _Prepared:
+    """One segment's stage 1-3 outputs, or the error that ended it there."""
 
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
+    draft: str | None = None
+    neighbors: tuple[NeighborExample, ...] = ()
+    timings_ms: dict = field(default_factory=dict)
+    error: PipelineError | None = None
 
-    def __exit__(self, *exc):
-        self.timer.timings[self.name] = round(
-            (time.perf_counter() - self._start) * 1000.0, 3
+
+def _map_batches(call, texts: list[str], max_batch: int):
+    """``call`` over the distinct ``texts`` in batches of at most ``max_batch``.
+
+    Returns ``text -> (output, ms)``, with ms the wall time of the request
+    that served the text, and ``text -> error`` for the texts that failed.
+    """
+    served, failed = {}, {}
+
+    def send(batch: list[str]) -> None:
+        t0 = time.perf_counter()
+        outputs = call(batch)
+        ms = _ms_since(t0)
+        served.update((text, (out, ms)) for text, out in zip(batch, outputs))
+
+    distinct = list(dict.fromkeys(texts))
+    for start in range(0, len(distinct), max_batch):
+        batch = distinct[start:start + max_batch]
+        try:
+            send(batch)
+        except TransportError as exc:
+            failed.update(dict.fromkeys(batch, exc))
+        except (RequestError, ProtocolError):
+            # the backend rejected the batch: find the inputs it rejects
+            for text in batch:
+                try:
+                    send([text])
+                except ReftaError as exc:
+                    failed[text] = exc
+    return served, failed
+
+
+def _prepare(
+    cfg: RunConfig,
+    segments: list[SourceSegment],
+    index: VectorIndex | None,
+    clients: PipelineClients,
+) -> list[_Prepared]:
+    """Stages 1-3 for every segment; a failure is kept on its segment, or
+    raised at once under ``fail_fast``."""
+    if cfg.condition == RAG and index is None:
+        raise ValueError("rag condition requires a loaded index")
+    preps = [_Prepared() for _ in segments]
+    hits: dict[int, list] = {}
+    if cfg.condition == RAG:
+        vectors, failed = _map_batches(clients.embedder.embed, [s.text for s in segments],
+                                       clients.embedder.cfg.max_batch)
+        for i, seg in enumerate(segments):
+            try:
+                if seg.text in failed:
+                    raise failed[seg.text]
+                qvec, embed_ms = vectors[seg.text]
+                t0 = time.perf_counter()
+                # one extra candidate of headroom: a self-match occupies a
+                # pool slot before being skipped
+                hits[i] = index.query(
+                    qvec, lemmatize(seg.text), k=cfg.k, jaccard_threshold=cfg.jaccard_threshold,
+                    candidate_pool=cfg.resolved_pool() + 1, skip_texts=frozenset((seg.text,)),
+                )
+                preps[i].timings_ms["retrieve"] = round(embed_ms + _ms_since(t0), 3)
+            except ReftaError as exc:
+                preps[i].error = PipelineError("retrieve", seg.id, exc)
+                if cfg.fail_fast:
+                    raise preps[i].error from exc
+
+    if cfg.condition != ZERO_SHOT:
+        live = [i for i, prep in enumerate(preps) if prep.error is None]
+        texts = [segments[i].text for i in live]
+        texts += [r.entry.text for i in live for r in hits.get(i, ())]
+        drafts, failed = _map_batches(lambda batch: clients.drafter.translate(batch)[0],
+                                      texts, clients.drafter.cfg.max_batch)
+        for i in live:
+            seg, prep = segments[i], preps[i]
+            bad = [t for t in [seg.text] + [r.entry.text for r in hits.get(i, ())]
+                   if t in failed]
+            if bad:
+                stage = "draft" if bad[0] == seg.text else "neighbor_drafts"
+                prep.error = PipelineError(stage, seg.id, failed[bad[0]])
+                if cfg.fail_fast:
+                    raise prep.error
+                continue
+            prep.draft, draft_ms = drafts[seg.text]
+            prep.timings_ms["draft"] = round(draft_ms, 3)
+            if cfg.condition == RAG:
+                prep.neighbors = neighbor_drafts(hits[i], drafts)
+                prep.timings_ms["neighbor_drafts"] = round(
+                    max((drafts[r.entry.text][1] for r in hits[i]), default=0.0), 3)
+    return preps
+
+
+def neighbor_drafts(results, drafts: dict) -> tuple[NeighborExample, ...]:
+    """Pair retrieval results with their stage-3 drafts (``text -> (draft, ms)``)."""
+    return tuple(
+        NeighborExample(
+            latin=res.entry.text,
+            draft=drafts[res.entry.text][0],
+            segment_id=res.entry.segment_id,
+            cosine_similarity=res.cosine_similarity,
+            jaccard=res.jaccard,
         )
-        return False
+        for res in results
+    )
 
 
 def translate_segment(
@@ -262,113 +298,66 @@ def translate_segment(
     segment: SourceSegment,
     index: VectorIndex | None = None,
     clients: PipelineClients | None = None,
-    cache: NeighborDraftCache | None = None,
+    prepared: _Prepared | None = None,
 ) -> TranslationRecord:
-    """Run the full stage sequence for one segment under ``cfg.condition``."""
-    clients = clients or PipelineClients.from_config(cfg)
-    cache = cache or NeighborDraftCache()
-    if cfg.condition == RAG and index is None:
-        raise ValueError("rag condition requires a loaded index")
+    """Stage 4 for one segment: assemble its prompt and refine it.
+
+    Without ``prepared``, stages 1-3 run first for this segment alone.
+    """
+    if clients is None:
+        clients = PipelineClients.from_config(cfg)
+        try:
+            return translate_segment(cfg, segment, index, clients, prepared)
+        finally:
+            clients.close()
+    if prepared is None:
+        (prepared,) = _prepare(cfg, [segment], index, clients)
+        if prepared.error is not None:
+            raise prepared.error
 
     started = _now_iso()
-    timer = _StageTimer()
-    draft: str | None = None
-    neighbors: tuple[NeighborExample, ...] = ()
-
-    try:
-        if cfg.condition != ZERO_SHOT:
-            with timer.stage("draft"):
-                draft, _usage = clients.drafter.translate(segment.text)
-    except ReftaError as exc:
-        raise PipelineError("draft", segment.id, exc) from exc
-
-    if cfg.condition == RAG:
-        try:
-            with timer.stage("retrieve"):
-                qvec = clients.embedder.embed([segment.text])[0]
-                qlemmas = lemmatize(segment.text)
-                # one extra candidate of headroom: a self-match occupies a
-                # pool slot before being skipped
-                results = index.query(
-                    qvec,
-                    qlemmas,
-                    k=cfg.k,
-                    jaccard_threshold=cfg.jaccard_threshold,
-                    candidate_pool=cfg.resolved_pool() + 1,
-                    skip_texts=frozenset((segment.text,)),
-                )
-        except ReftaError as exc:
-            raise PipelineError("retrieve", segment.id, exc) from exc
-        try:
-            with timer.stage("neighbor_drafts"):
-                neighbors = tuple(
-                    neighbor_drafts(cache, results, clients.drafter)
-                )
-        except ReftaError as exc:
-            raise PipelineError("neighbor_drafts", segment.id, exc) from exc
-
+    t0 = time.perf_counter()
     try:
         bundle = assemble_prompt(
             latin=segment.text,
-            draft=draft,
-            neighbors=neighbors,
+            draft=prepared.draft,
+            neighbors=prepared.neighbors,
             condition=cfg.condition,
             budget_ceiling=cfg.input_budget,
         )
     except ReftaError as exc:
         raise PipelineError("assemble", segment.id, exc) from exc
 
+    t_refine = time.perf_counter()
     try:
-        with timer.stage("refine"):
-            refined, usage = clients.refiner.complete(ChatRequest(
-                system=bundle.system_text,
-                user=bundle.user_text,
-                temperature=cfg.temperature,
-                top_p=cfg.top_p,
-                max_output_tokens=cfg.max_output_tokens,
-                seed=cfg.seed,
-            ))
+        refined, usage = clients.refiner.complete(ChatRequest(
+            system=bundle.system_text,
+            user=bundle.user_text,
+            temperature=cfg.temperature,
+            top_p=cfg.top_p,
+            max_output_tokens=cfg.max_output_tokens,
+            seed=cfg.seed,
+        ))
+        refine_ms = _ms_since(t_refine)
     except ReftaError as exc:
         raise PipelineError("refine", segment.id, exc) from exc
 
-    timer.total()
+    timings = {**prepared.timings_ms, "refine": round(refine_ms, 3),
+               "total": round(sum(prepared.timings_ms.values()) + _ms_since(t0), 3)}
     return TranslationRecord(
         segment_id=segment.id,
         latin=segment.text,
         condition=cfg.condition,
-        draft=draft,
+        draft=prepared.draft,
         neighbors=bundle.neighbors_used,
         refined=refined,
         prompt_tokens=usage.input_tokens,
         output_tokens=usage.output_tokens,
         usage_source=usage.source,
         truncation_applied=bundle.truncation_applied,
-        timings_ms=timer.timings,
+        timings_ms=timings,
         timestamps={"started": started, "finished": _now_iso()},
     )
-
-
-def neighbor_drafts(
-    cache: NeighborDraftCache, results, drafter: DrafterClient
-) -> list[NeighborExample]:
-    """Pair retrieval results with drafts, calling the drafter only on miss."""
-    out: list[NeighborExample] = []
-    for res in results:
-        key = (res.entry.segment_id, drafter.cfg.model_id)
-        try:
-            draft = cache.get_or_fetch(
-                key, lambda text=res.entry.text: drafter.translate(text)[0]
-            )
-        except ReftaError as exc:
-            raise PipelineError("neighbor_drafts", res.entry.segment_id, exc) from exc
-        out.append(NeighborExample(
-            latin=res.entry.text,
-            draft=draft,
-            segment_id=res.entry.segment_id,
-            cosine_similarity=res.cosine_similarity,
-            jaccard=res.jaccard,
-        ))
-    return out
 
 
 def corpus_digest(pairs: list[ParallelPair]) -> str:
@@ -395,82 +384,79 @@ def translate_corpus(
 ) -> list[RunResult]:
     """Translate every pair; one run directory per requested temperature."""
     temps = temperatures if temperatures else [cfg.temperature]
-    runs_root = Path(runs_root)
+    suffixes = [""] if len(temps) == 1 else [f"-t{temp}" for temp in temps]
+    run_dirs = [Path(runs_root) / f"{cfg.run_id}{suffix}" for suffix in suffixes]
+    for run_dir in run_dirs:
+        if (run_dir / "records.jsonl").exists() and not force:
+            raise ReftaError(f"run directory {run_dir} already holds records; use force")
+
+    t0 = time.perf_counter()
     clients = PipelineClients.from_config(cfg)
-    cache = NeighborDraftCache()
-    results: list[RunResult] = []
     try:
-        for temp in temps:
-            run_cfg = RunConfig(**{**cfg.__dict__, "temperature": float(temp)})
-            suffix = "" if len(temps) == 1 else f"-t{temp}"
-            run_dir = runs_root / f"{cfg.run_id}{suffix}"
-            results.append(
-                _run_one(run_cfg, pairs, index, run_dir, clients, cache, force=force)
-            )
+        preps = _prepare(cfg, [p.source for p in pairs], index, clients)
+        prepare_ms = _ms_since(t0)
+        return [
+            _run_one(RunConfig(**{**cfg.__dict__, "temperature": float(temp)}),
+                     pairs, preps, prepare_ms, run_dir, clients)
+            for temp, run_dir in zip(temps, run_dirs)
+        ]
     finally:
         clients.close()
-    return results
+
+
+def _write_lines(path: Path, lines) -> None:
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _run_one(
     cfg: RunConfig,
     pairs: list[ParallelPair],
-    index: VectorIndex | None,
+    preps: list[_Prepared],
+    prepare_ms: float,
     run_dir: Path,
     clients: PipelineClients,
-    cache: NeighborDraftCache,
-    force: bool = False,
 ) -> RunResult:
-    if (run_dir / "records.jsonl").exists() and not force:
-        raise ReftaError(f"run directory {run_dir} already holds records; use force")
     run_dir.mkdir(parents=True, exist_ok=True)
-
     started = _now_iso()
     t0 = time.perf_counter()
     n = len(pairs)
     records: list[TranslationRecord | None] = [None] * n
-    failures: list[dict] = []
-    failure_lock = threading.Lock()
+    errors = [p.error for p in preps]
+    stop = threading.Event()
 
     def work(i: int) -> None:
+        if stop.is_set():
+            return
         try:
-            records[i] = translate_segment(cfg, pairs[i].source, index, clients, cache)
+            records[i] = translate_segment(cfg, pairs[i].source, None, clients, preps[i])
         except PipelineError as exc:
             if cfg.fail_fast:
+                stop.set()
                 raise
-            with failure_lock:
-                failures.append({
-                    "index": i,
-                    "segment_id": exc.segment_id,
-                    "stage": exc.stage,
-                    "error": str(exc.cause),
-                })
+            errors[i] = exc
 
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = [pool.submit(work, i) for i in range(n)]
-        for fut in futures:
+    # not a with-block: its exit would run every queued segment after a
+    # fail-fast error; cancelling them sends no further refiner calls
+    pool = ThreadPoolExecutor(max_workers=cfg.workers)
+    try:
+        for fut in [pool.submit(work, i) for i in range(n) if errors[i] is None]:
             fut.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    wall_ms = round(prepare_ms + _ms_since(t0), 3)
 
-    failures.sort(key=lambda f: f["index"])
-    wall_ms = round((time.perf_counter() - t0) * 1000.0, 3)
-
-    with (run_dir / "records.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            if rec is not None:
-                fh.write(json.dumps(rec.to_json_dict(), ensure_ascii=False))
-                fh.write("\n")
-
-    with (run_dir / "hypotheses.txt").open("w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            line = FAILED_SENTINEL if rec is None else " ".join(rec.refined.split("\n"))
-            fh.write(line + "\n")
-
-    with (run_dir / "errors.jsonl").open("w", encoding="utf-8", newline="\n") as fh:
-        for row in failures:
-            fh.write(json.dumps(row, ensure_ascii=False))
-            fh.write("\n")
-
-    succeeded = sum(1 for r in records if r is not None)
+    failures = [
+        {"index": i, "segment_id": exc.segment_id, "stage": exc.stage, "error": str(exc.cause)}
+        for i, exc in enumerate(errors) if exc is not None
+    ]
+    done = [r for r in records if r is not None]
+    _write_lines(run_dir / "records.jsonl",
+                 (json.dumps(r.to_json_dict(), ensure_ascii=False) for r in done))
+    _write_lines(run_dir / "hypotheses.txt", (
+        FAILED_SENTINEL if r is None else " ".join(r.refined.split("\n")) for r in records))
+    _write_lines(run_dir / "errors.jsonl",
+                 (json.dumps(row, ensure_ascii=False) for row in failures))
     manifest = {
         "run_id": run_dir.name,
         "created_at": started,
@@ -483,46 +469,34 @@ def _run_one(
         "model_ids": {
             role: ep.model_id for role, ep in sorted(cfg.endpoints.items())
         },
-        "counts": {"segments": n, "succeeded": succeeded, "failed": len(failures)},
+        "counts": {"segments": n, "succeeded": len(done), "failed": len(failures)},
         "tokens": {
-            "input": sum(r.prompt_tokens for r in records if r is not None),
-            "output": sum(r.output_tokens for r in records if r is not None),
+            "input": sum(r.prompt_tokens for r in done),
+            "output": sum(r.output_tokens for r in done),
         },
         "wall_time_ms": wall_ms,
     }
     (run_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return RunResult(
-        run_dir=run_dir,
-        temperature=cfg.temperature,
-        succeeded=succeeded,
-        failed=len(failures),
-        failures=failures,
-    )
+    return RunResult(run_dir, cfg.temperature, len(done), len(failures), failures)
+
+
+def _run_file(run_dir: str | Path, name: str) -> Path:
+    path = Path(run_dir) / name
+    if not path.exists():
+        raise ReftaError(f"no {name} under {run_dir}")
+    return path
 
 
 def read_manifest(run_dir: str | Path) -> dict:
-    path = Path(run_dir) / "manifest.json"
-    if not path.exists():
-        raise ReftaError(f"no manifest.json under {run_dir}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    return json.loads(_run_file(run_dir, "manifest.json").read_text(encoding="utf-8"))
 
 
 def read_hypotheses(run_dir: str | Path) -> list[str]:
-    path = Path(run_dir) / "hypotheses.txt"
-    if not path.exists():
-        raise ReftaError(f"no hypotheses.txt under {run_dir}")
-    return path.read_text(encoding="utf-8").split("\n")[:-1]
+    return _run_file(run_dir, "hypotheses.txt").read_text(encoding="utf-8").split("\n")[:-1]
 
 
 def read_records(run_dir: str | Path) -> list[dict]:
-    path = Path(run_dir) / "records.jsonl"
-    if not path.exists():
-        raise ReftaError(f"no records.jsonl under {run_dir}")
-    out = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(json.loads(line))
-    return out
+    text = _run_file(run_dir, "records.jsonl").read_text(encoding="utf-8")
+    return [json.loads(line) for line in text.split("\n") if line.strip()]

@@ -48,9 +48,10 @@ DEFAULT_MAX_OUTPUT_TOKENS = 256
 
 @dataclass(frozen=True)
 class NeighborExample:
+    # field order is the key order of a neighbor in records.jsonl
+    segment_id: str
     latin: str
     draft: str
-    segment_id: str
     cosine_similarity: float
     jaccard: float
 

@@ -18,7 +18,7 @@ DATA = Path(__file__).resolve().parent / "data"
 def mock_server():
     server = start_mock_server(MockBehavior())
     yield server
-    server.shutdown()
+    server.stop()
 
 
 @pytest.fixture()

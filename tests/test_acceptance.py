@@ -9,6 +9,7 @@ exported (see the module tail).
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 
@@ -42,7 +43,7 @@ def _ok(number: int, name: str) -> None:
 def server():
     srv = start_mock_server(MockBehavior())
     yield srv
-    srv.shutdown()
+    srv.stop()
 
 
 def _endpoint(url: str, role: str, **kw) -> EndpointConfig:
@@ -320,12 +321,12 @@ def test_c06_end_to_end_determinism(server, tmp_path):
     _ok(6, f"end-to-end determinism over 110 rows ({elapsed:.1f}s)")
 
 
-# -- 7. cache single-flight and bounded concurrency --------------------------------
+# -- 7. set-union drafting and bounded concurrency ----------------------------------
 
 def test_c07_cache_and_concurrency(tmp_path):
     srv = start_mock_server(MockBehavior(latency_ms=15))
     try:
-        endpoints = _endpoints(srv.base_url, request_parallelism=4)
+        endpoints = _endpoints(srv.base_url, request_parallelism=4, max_batch=8)
         segments = list(load_monolingual(RETRIEVAL, "jsonl"))[:40]
         index, _ = build_index(
             segments, EmbedderClient(endpoints["embedder"]), ExclusionList.empty(),
@@ -344,17 +345,23 @@ def test_c07_cache_and_concurrency(tmp_path):
         (result,) = translate_corpus(cfg, pairs, index, runs_root=tmp_path)
         assert result.failed == 0
 
-        # expected drafter calls: one per segment, one per distinct neighbor
-        distinct = set()
-        for rec in read_records(result.run_dir):
-            distinct.update(nb["segment_id"] for nb in rec["neighbors"])
+        # every distinct source and neighbor text is drafted exactly once
+        records = read_records(result.run_dir)
+        assert all(rec["truncation_applied"] == "none" for rec in records)
+        union = {p.source.text for p in pairs}
+        for rec in records:
+            union.update(nb["latin"] for nb in rec["neighbors"])
+        assert len(union) > len(pairs)
         snap = srv.stats.snapshot()
-        assert snap["counts"]["/translate"] == len(pairs) + len(distinct)
+        assert snap["inputs"]["/translate"] == len(union)
+        assert snap["counts"]["/translate"] <= math.ceil(len(union) / 8)
+        assert snap["inputs"]["/embed"] == len(pairs)
+        assert snap["counts"]["/embed"] <= math.ceil(len(pairs) / 8)
         for path, high_water in snap["max_concurrency"].items():
             assert high_water <= 4, (path, high_water)
     finally:
-        srv.shutdown()
-    _ok(7, "single-flight cache and bounded in-flight concurrency")
+        srv.stop()
+    _ok(7, "set-union drafting in bounded batches and bounded in-flight concurrency")
 
 
 # -- 8. retry contract ----------------------------------------------------------
@@ -367,7 +374,7 @@ def test_c08_retry_contract(monkeypatch):
     try:
         client = DrafterClient(_endpoint(srv.base_url, "drafter", max_retries=3,
                                          backoff_base=0.5))
-        text, _ = client.translate("iterum atque iterum")
+        (text,), _ = client.translate(["iterum atque iterum"])
         assert text.startswith("[draft]")
         assert client.stats.retries == 2
         assert srv.stats.snapshot()["counts"]["/translate"] == 3
@@ -375,25 +382,25 @@ def test_c08_retry_contract(monkeypatch):
         assert 0.5 <= sleeps[0] <= 0.55
         assert 1.0 <= sleeps[1] <= 1.1
     finally:
-        srv.shutdown()
+        srv.stop()
 
     srv = start_mock_server(MockBehavior(fail_first=1, fail_status=422))
     try:
         client = DrafterClient(_endpoint(srv.base_url, "drafter", max_retries=5))
         with pytest.raises(RequestError):
-            client.translate("semel")
+            client.translate(["semel"])
         assert srv.stats.snapshot()["counts"]["/translate"] == 1  # no retry on 4xx
     finally:
-        srv.shutdown()
+        srv.stop()
 
     srv = start_mock_server(MockBehavior(fail_rate=1.0))
     try:
         client = DrafterClient(_endpoint(srv.base_url, "drafter", max_retries=2))
         with pytest.raises(TransportError) as exc:
-            client.translate("numquam")
+            client.translate(["numquam"])
         assert exc.value.attempts == 3
     finally:
-        srv.shutdown()
+        srv.stop()
     _ok(8, "retry only on 5xx/429/transport with bounded backoff")
 
 

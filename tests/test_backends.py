@@ -60,21 +60,35 @@ class TestConfigValidation:
 class TestDrafter:
     def test_echo(self, endpoint):
         client = DrafterClient(endpoint("drafter"))
-        text, usage = client.translate("Gallia est")
-        assert text == "[draft]Gallia est"
+        texts, usage = client.translate(["Gallia est"])
+        assert texts == ["[draft]Gallia est"]
         assert usage.source == "backend-reported"
 
     def test_empty_input_rejected(self, endpoint):
+        client = DrafterClient(endpoint("drafter"))
         with pytest.raises(ValueError):
-            DrafterClient(endpoint("drafter")).translate("")
+            client.translate([])
+        with pytest.raises(ValueError):
+            client.translate(["Gallia", ""])
+
+    def test_batch_splitting_keeps_order_and_sums_usage(self, mock_server, endpoint):
+        client = DrafterClient(endpoint("drafter", max_batch=4))
+        texts = [f"textus {i}" for i in range(10)]
+        drafts, usage = client.translate(texts)
+        assert drafts == [f"[draft]{t}" for t in texts]
+        snap = mock_server.stats.snapshot()
+        assert snap["counts"]["/translate"] == 3
+        assert snap["inputs"]["/translate"] == 10
+        assert usage.input_tokens == sum((len(t) + 3) // 4 for t in texts)
+        assert usage.source == "backend-reported"
 
     def test_retry_then_recover(self, mock_server, endpoint, monkeypatch):
         sleeps = []
         monkeypatch.setattr(backends_mod, "_sleep", sleeps.append)
         mock_server.behavior.fail_first = 2
         client = DrafterClient(endpoint("drafter", max_retries=3))
-        text, _ = client.translate("iterum")
-        assert text == "[draft]iterum"
+        texts, _ = client.translate(["iterum"])
+        assert texts == ["[draft]iterum"]
         assert client.stats.retries == 2
         assert mock_server.stats.snapshot()["counts"]["/translate"] == 3
         # exponential backoff: second delay at least twice the base
@@ -85,7 +99,7 @@ class TestDrafter:
         mock_server.behavior.fail_status = 404
         client = DrafterClient(endpoint("drafter", max_retries=5))
         with pytest.raises(RequestError):
-            client.translate("x")
+            client.translate(["x"])
         assert mock_server.stats.snapshot()["counts"]["/translate"] == 1
 
     def test_exhausted_retries(self, mock_server, endpoint, monkeypatch):
@@ -93,7 +107,7 @@ class TestDrafter:
         mock_server.behavior.fail_first = 10**9
         client = DrafterClient(endpoint("drafter", max_retries=2))
         with pytest.raises(TransportError) as exc:
-            client.translate("x")
+            client.translate(["x"])
         assert exc.value.attempts == 3
         assert mock_server.stats.snapshot()["counts"]["/translate"] == 3
 
@@ -101,7 +115,7 @@ class TestDrafter:
         mock_server.behavior.latency_ms = 30
         client = DrafterClient(endpoint("drafter", request_parallelism=3))
         threads = [
-            threading.Thread(target=client.translate, args=(f"textus {i}",))
+            threading.Thread(target=client.translate, args=([f"textus {i}"],))
             for i in range(10)
         ]
         for t in threads:
@@ -121,7 +135,7 @@ class TestDrafter:
         try:
             with caplog.at_level(logging.WARNING, logger="urllib3.connectionpool"):
                 with ThreadPoolExecutor(max_workers=16) as pool:
-                    list(pool.map(client.translate, [f"textus {i}" for i in range(64)]))
+                    list(pool.map(client.translate, [[f"textus {i}"] for i in range(64)]))
         finally:
             client.close()
         snap = mock_server.stats.snapshot()
@@ -227,6 +241,6 @@ def test_wall_time_within_bound(mock_server, endpoint, monkeypatch):
     mock_server.behavior.fail_first = 2
     client = DrafterClient(endpoint("drafter", max_retries=2, timeout=5.0))
     start = time.perf_counter()
-    client.translate("tempus")
+    client.translate(["tempus"])
     elapsed = time.perf_counter() - start
     assert elapsed <= 5.0 * 3 + sum(sleeps) + 1.0

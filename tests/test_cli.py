@@ -175,6 +175,35 @@ class TestEvaluate:
         assert scores["comet"] == 1.0  # identity pairs at the mock scorer
         assert "bertscore" in scores
 
+    def test_scorer_client_closed(self, runner, workspace, mock_server, monkeypatch):
+        from refta.backends import ScorerClient
+
+        closed = []
+        monkeypatch.setattr(ScorerClient, "close", lambda self: closed.append(self))
+        run_dir = self._identity_run(workspace)
+        result = runner.invoke(main, [
+            "evaluate", "--run", str(run_dir),
+            "--test-set", str(workspace / "test.tsv"),
+            "--scorer", mock_server.base_url, "--metrics", "comet",
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(closed) == 1
+
+    def test_failed_lines_counted_and_warned(self, runner, workspace):
+        run_dir = self._identity_run(workspace)
+        lines = (run_dir / "hypotheses.txt").read_text().splitlines()
+        lines[3] = "<FAILED>"
+        (run_dir / "hypotheses.txt").write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, [
+            "evaluate", "--run", str(run_dir),
+            "--test-set", str(workspace / "test.tsv"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "warning: 1 of 8 hypotheses are <FAILED>" in result.output
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        assert metrics["n_failed"] == 1
+        assert metrics["warnings"] == ["1 of 8 hypotheses are <FAILED>"]
+
 
 class TestCompare:
     def test_baseline_vs_itself(self, runner, workspace, mock_server):
@@ -192,6 +221,40 @@ class TestCompare:
         data = json.loads(out.read_text())
         assert all(s["delta"] == 0.0 for s in data["significance"])
         assert all(s["p_value"] == 1.0 for s in data["significance"])
+
+    def test_failed_lines_warned_in_rows(self, runner, workspace, mock_server):
+        _translate(runner, workspace, mock_server.base_url, "zero_shot", run_id="base")
+        base = workspace / "runs" / "base"
+        broken = workspace / "runs" / "broken"
+        shutil.copytree(base, broken)
+        lines = (broken / "hypotheses.txt").read_text().splitlines()
+        lines[0] = lines[5] = "<FAILED>"
+        (broken / "hypotheses.txt").write_text("\n".join(lines) + "\n")
+        out = workspace / "cmp.json"
+        result = runner.invoke(main, [
+            "compare", "--runs", str(broken), "--baseline", str(base),
+            "--test-set", str(workspace / "test.tsv"), "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        rows = {row["run"]: row for row in json.loads(out.read_text())["rows"]}
+        assert rows["base"]["warnings"] == []
+        assert rows["broken"]["warnings"] == ["2 of 8 hypotheses are <FAILED>"]
+
+    def test_scorer_client_closed(self, runner, workspace, mock_server, monkeypatch):
+        from refta.backends import ScorerClient
+
+        closed = []
+        monkeypatch.setattr(ScorerClient, "close", lambda self: closed.append(self))
+        _translate(runner, workspace, mock_server.base_url, "zero_shot", run_id="base")
+        result = runner.invoke(main, [
+            "compare", "--runs", str(workspace / "runs" / "base"),
+            "--baseline", str(workspace / "runs" / "base"),
+            "--test-set", str(workspace / "test.tsv"),
+            "--out", str(workspace / "cmp.json"),
+            "--scorer", mock_server.base_url, "--metrics", "comet",
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(closed) == 1
 
     def test_dominated_run_gets_significance_marker(self, runner, workspace, mock_server):
         _translate(runner, workspace, mock_server.base_url, "zero_shot", run_id="base")
@@ -287,4 +350,19 @@ def test_mock_serve_subprocess():
         assert stats["counts"]["/translate"] == 1
     finally:
         proc.terminate()
-        proc.wait(timeout=10)
+        proc.communicate(timeout=10)
+
+
+def test_mock_serve_interrupt_closes_socket(runner, monkeypatch):
+    from refta.mockserver import MockServer
+
+    served = []
+
+    def interrupt(self):  # runs inside serve_forever's loop, like a Ctrl-C would
+        served.append(self)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(MockServer, "service_actions", interrupt)
+    result = runner.invoke(main, ["mock-serve", "--port", "0"])
+    assert result.exit_code == 0, result.output
+    assert served[0].socket.fileno() == -1

@@ -16,6 +16,7 @@ from refta.metrics import (
     evaluate_hypotheses,
 )
 from refta.metrics.bleu import tokenize_13a
+from refta.pipeline import FAILED_SENTINEL
 
 
 @pytest.fixture(scope="module")
@@ -169,3 +170,14 @@ def test_evaluate_hypotheses_pools_not_averages(fixture):
     mean_segment_bleu = sum(report.segment_scores["bleu"]) / len(hyps)
     assert report.corpus_scores["bleu"] != pytest.approx(mean_segment_bleu, abs=1e-6)
     assert report.n_segments == len(hyps)
+
+
+def test_evaluate_hypotheses_counts_failed_lines(fixture):
+    hyps = list(fixture["primary"]["hypotheses"])
+    refs = fixture["primary"]["references"]
+    assert evaluate_hypotheses("sys", hyps, refs).n_failed == 0
+    hyps[1] = FAILED_SENTINEL
+    report = evaluate_hypotheses("sys", hyps, refs)
+    assert report.n_failed == 1
+    assert report.warnings == (f"1 of {len(hyps)} hypotheses are <FAILED>",)
+    assert report.to_dict()["n_failed"] == 1

@@ -4,7 +4,7 @@ import numpy as np
 import requests
 from hypothesis import given, strategies as st
 
-from refta.mockserver import hash_embedding, template_refine
+from refta.mockserver import MockBehavior, hash_embedding, start_mock_server, template_refine
 
 
 @given(st.text(max_size=60))
@@ -52,3 +52,20 @@ def test_fail_rate_one_always_fails(mock_server):
 def test_unknown_route_is_404(mock_server):
     resp = requests.post(f"{mock_server.base_url}/nope", json={}, timeout=5)
     assert resp.status_code == 404
+
+
+def test_stats_count_inputs_per_path(mock_server):
+    url = mock_server.base_url
+    requests.post(f"{url}/translate", json={"model": "m", "inputs": ["x", "y", "z"]},
+                  timeout=5)
+    requests.post(f"{url}/embed", json={"model": "m", "inputs": ["x"]}, timeout=5)
+    snap = requests.get(f"{url}/_stats", timeout=5).json()
+    assert snap["counts"] == {"/translate": 1, "/embed": 1}
+    assert snap["inputs"] == {"/translate": 3, "/embed": 1}
+
+
+def test_stop_closes_listening_socket():
+    server = start_mock_server(MockBehavior())
+    assert server.socket.fileno() >= 0
+    server.stop()
+    assert server.socket.fileno() == -1

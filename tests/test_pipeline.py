@@ -1,19 +1,18 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from conftest import FIXTURES
-from refta.backends import EndpointConfig
+from refta.backends import DrafterClient, EndpointConfig
 from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_parallel
-from refta.errors import ReftaError
+from refta.errors import ReftaError, RequestError
 from refta.index import ExclusionList, build_index
 from refta.mockserver import MockBehavior, start_mock_server
 from refta.pipeline import (
     FAILED_SENTINEL,
-    NeighborDraftCache,
-    PipelineClients,
     RunConfig,
     read_hypotheses,
     read_manifest,
@@ -145,26 +144,38 @@ class TestTranslateSegment:
             translate_segment(_config(endpoints, "rag"), _pairs(1)[0].source, None)
 
 
-class TestNeighborDraftCache:
-    def test_fill_then_hit(self, stack):
-        endpoints, index, server = stack
-        cache = NeighborDraftCache()
-        clients = PipelineClients.from_config(_config(endpoints))
-        cfg = _config(endpoints, "rag", k=5, jaccard_threshold=0.0)
-        seg = _pairs(1)[0].source
-        translate_segment(cfg, seg, index, clients, cache)
-        first_calls = server.stats.snapshot()["counts"]["/translate"]
-        translate_segment(cfg, seg, index, clients, cache)
-        second_calls = server.stats.snapshot()["counts"]["/translate"]
-        # repeat run re-drafts the segment itself but no neighbors
-        assert second_calls == first_calls + 1
-        assert cache.hits >= 1
+def _drafted_union(records, pairs) -> set:
+    union = {p.source.text for p in pairs}
+    for rec in records:
+        assert rec["truncation_applied"] == "none"
+        union.update(nb["latin"] for nb in rec["neighbors"])
+    return union
 
-    def test_single_flight_under_concurrency(self, stack):
+
+def _errors(run_dir) -> list[dict]:
+    text = (run_dir / "errors.jsonl").read_text()
+    return [json.loads(line) for line in text.splitlines()]
+
+
+class TestDraftUnion:
+    def test_union_drafted_once(self, stack, tmp_path):
+        endpoints, index, server = stack
+        pairs = _pairs(6)
+        cfg = _config(endpoints, "rag", k=5, jaccard_threshold=0.0)
+        (result,) = translate_corpus(cfg, pairs, index, runs_root=tmp_path)
+        union = _drafted_union(read_records(result.run_dir), pairs)
+        snap = server.stats.snapshot()
+        assert snap["inputs"]["/translate"] == len(union)
+        assert snap["counts"]["/translate"] == 1
+        assert snap["inputs"]["/embed"] == 6 and snap["counts"]["/embed"] == 1
+
+    def test_shared_neighbors_drafted_once_in_bounded_batches(self, stack, tmp_path):
         endpoints, index, server = stack
         server.behavior.latency_ms = 20
-        cfg = _config(endpoints, "rag", k=4, jaccard_threshold=0.0, workers=8)
-        # identical retrieval for several distinct segments: same neighbors
+        small = {role: EndpointConfig(**{**ep.__dict__, "max_batch": 3})
+                 for role, ep in endpoints.items()}
+        cfg = _config(small, "rag", k=4, jaccard_threshold=0.0, workers=8)
+        # near-identical sources retrieve mostly the same neighbors
         base = _pairs(1)[0].source
         pairs = [
             ParallelPair(
@@ -173,23 +184,111 @@ class TestNeighborDraftCache:
             )
             for i in range(8)
         ]
-        import tempfile
-        with tempfile.TemporaryDirectory() as td:
-            translate_corpus(cfg, pairs, index, runs_root=td)
-        counts = server.stats.snapshot()["counts"]["/translate"]
-        distinct_neighbors = set()
-        # reconstruct expected drafter calls: one per segment + one per distinct neighbor
-        from refta.corpus import lemmatize
-        from refta.backends import EmbedderClient
-        embedder = EmbedderClient(endpoints["embedder"])
-        for p in pairs:
-            qvec = embedder.embed([p.source.text])[0]
-            for r in index.query(qvec, lemmatize(p.source.text), k=4,
-                                 jaccard_threshold=0.0,
-                                 candidate_pool=51,
-                                 skip_texts=frozenset((p.source.text,))):
-                distinct_neighbors.add(r.entry.segment_id)
-        assert counts == len(pairs) + len(distinct_neighbors)
+        (result,) = translate_corpus(cfg, pairs, index, runs_root=tmp_path)
+        union = _drafted_union(read_records(result.run_dir), pairs)
+        snap = server.stats.snapshot()
+        assert snap["inputs"]["/translate"] == len(union) < 8 * 5
+        assert snap["counts"]["/translate"] == math.ceil(len(union) / 3)
+        assert snap["counts"]["/embed"] == math.ceil(8 / 3)
+
+    def test_temperature_sweep_shares_drafts(self, stack, tmp_path):
+        endpoints, index, server = stack
+        pairs = _pairs(4)
+        results = translate_corpus(_config(endpoints, "rag"), pairs, index,
+                                   runs_root=tmp_path, temperatures=[0.0, 0.5])
+        union = _drafted_union(read_records(results[0].run_dir), pairs)
+        snap = server.stats.snapshot()
+        assert snap["inputs"]["/translate"] == len(union)
+        assert snap["inputs"]["/embed"] == 4
+        assert snap["counts"]["/v1/chat/completions"] == 8
+
+
+@pytest.fixture()
+def faulty(stack):
+    """Endpoints on a second, healthy mock, except ``role`` on the stack's
+    mock, which injects ``fail_first`` faults; returns (endpoints, healthy)."""
+    endpoints, _, server = stack
+    healthy = start_mock_server(MockBehavior())
+
+    def make(role: str, fail_status: int, **overrides):
+        server.behavior.fail_first = 2
+        server.behavior.fail_status = fail_status
+        eps = {r: EndpointConfig(**{**ep.__dict__, "base_url": healthy.base_url})
+               for r, ep in endpoints.items()}
+        eps[role] = EndpointConfig(**{**endpoints[role].__dict__, **overrides})
+        return eps, healthy
+
+    yield make
+    healthy.stop()
+
+
+class TestFailureIsolation:
+    def test_rejected_batch_isolates_the_bad_source(self, stack, faulty, tmp_path):
+        _, _, server = stack
+        # the first batch and the first one-input resend are rejected
+        endpoints, _ = faulty("drafter", 422, max_batch=2)
+        (result,) = translate_corpus(_config(endpoints, "draft_only"), _pairs(5), None,
+                                     runs_root=tmp_path)
+        assert result.failed == 1
+        (row,) = _errors(result.run_dir)
+        assert (row["index"], row["stage"]) == (0, "draft")
+        hyps = read_hypotheses(result.run_dir)
+        assert hyps[0] == FAILED_SENTINEL and FAILED_SENTINEL not in hyps[1:]
+        # batch [0, 1] failed, [0] and [1] resent, then [2, 3] and [4]
+        assert server.stats.snapshot()["counts"]["/translate"] == 5
+
+    def test_exhausted_batch_fails_its_segments_without_resend(self, stack, faulty,
+                                                               tmp_path):
+        _, _, server = stack
+        endpoints, _ = faulty("drafter", 500, max_batch=2, max_retries=1)
+        (result,) = translate_corpus(_config(endpoints, "draft_only"), _pairs(5), None,
+                                     runs_root=tmp_path)
+        assert [(r["index"], r["stage"]) for r in _errors(result.run_dir)] == [
+            (0, "draft"), (1, "draft")]
+        assert result.succeeded == 3
+        # two attempts at batch [0, 1], then [2, 3] and [4]
+        assert server.stats.snapshot()["counts"]["/translate"] == 4
+
+    def test_rejected_embedding_fails_retrieve_and_skips_drafting(self, stack, faulty,
+                                                                  tmp_path):
+        _, index, _ = stack
+        endpoints, healthy = faulty("embedder", 422)
+        pairs = _pairs(4)
+        (result,) = translate_corpus(_config(endpoints, "rag"), pairs, index,
+                                     runs_root=tmp_path)
+        assert [(r["index"], r["stage"]) for r in _errors(result.run_dir)] == [
+            (0, "retrieve")]
+        assert result.succeeded == 3
+        drafted = _drafted_union(read_records(result.run_dir), pairs[1:])
+        assert healthy.stats.snapshot()["inputs"]["/translate"] == len(drafted)
+
+    def test_rejected_neighbor_fails_every_segment_that_retrieved_it(
+            self, stack, tmp_path, monkeypatch):
+        endpoints, index, _ = stack
+        pairs = _pairs(6)
+        cfg = _config(endpoints, "rag", k=5, jaccard_threshold=0.0)
+        (clean,) = translate_corpus(cfg, pairs, index, runs_root=tmp_path / "clean")
+        records = read_records(clean.run_dir)
+        poisoned = records[2]["neighbors"][0]["latin"]
+        hit = {i for i, rec in enumerate(records)
+               if poisoned in {nb["latin"] for nb in rec["neighbors"]}}
+
+        original = DrafterClient.translate
+
+        def rejecting(self, texts):
+            if poisoned in texts:
+                raise RequestError(422, "rejected input")
+            return original(self, texts)
+
+        monkeypatch.setattr(DrafterClient, "translate", rejecting)
+        (result,) = translate_corpus(cfg, pairs, index, runs_root=tmp_path / "bad")
+        errors = _errors(result.run_dir)
+        assert [(r["index"], r["stage"]) for r in errors] == [
+            (i, "neighbor_drafts") for i in sorted(hit)]
+        kept = {rec["segment_id"]: rec for rec in records}
+        for rec in read_records(result.run_dir):
+            assert rec["neighbors"] == kept[rec["segment_id"]]["neighbors"]
+        assert result.succeeded == len(pairs) - len(hit)
 
 
 class TestTranslateCorpus:
@@ -231,6 +330,15 @@ class TestTranslateCorpus:
         cfg = _config(endpoints, "draft_only", fail_fast=True)
         with pytest.raises(ReftaError):
             translate_corpus(cfg, _pairs(2), None, runs_root=tmp_path)
+
+    def test_fail_fast_stops_dispatching(self, stack, tmp_path):
+        endpoints, _, server = stack
+        server.behavior.refiner = "empty"
+        cfg = _config(endpoints, "draft_only", fail_fast=True, workers=2)
+        with pytest.raises(ReftaError, match="refine"):
+            translate_corpus(cfg, _pairs(40), None, runs_root=tmp_path)
+        # the first failed call, then at most one further call per worker
+        assert server.stats.snapshot()["counts"]["/v1/chat/completions"] <= 1 + 2
 
     def test_refuses_overwrite_without_force(self, stack, tmp_path):
         endpoints, index, _ = stack
@@ -300,4 +408,4 @@ class TestTranslateCorpus:
                     assert nb["segment_id"] not in banned_ids
                     assert nb["latin"] not in banned_texts
         finally:
-            server.shutdown()
+            server.stop()
