@@ -21,9 +21,11 @@ never from config files, and are sent as ``Authorization: Bearer``.
 
 Retry policy: transport failures, HTTP 5xx and 429 are retried up to
 ``max_retries`` times with exponential backoff (base 0.5 s, factor 2, with
-jitter); any other 4xx fails immediately. Per-endpoint concurrency is capped
-at ``request_parallelism`` by an internal admission gate, so clients are safe
-to share across threads.
+jitter); a 429 whose ``Retry-After`` is delta-seconds waits that long instead,
+at most ``RETRY_AFTER_CAP_S``, and one with no such value keeps the backoff.
+Any other 4xx fails immediately. Per-endpoint concurrency is capped at
+``request_parallelism`` by an internal admission gate, so clients are safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -152,6 +154,7 @@ class ClientStats:
 
 
 _RETRYABLE_STATUSES = frozenset({429})
+RETRY_AFTER_CAP_S = 60.0
 
 
 def _is_retryable_status(status: int) -> bool:
@@ -188,6 +191,7 @@ class _HttpClient:
         last_failure = ""
         while True:
             attempts += 1
+            retry_after = ""
             try:
                 with self._gate:
                     resp = self._session.post(
@@ -206,6 +210,8 @@ class _HttpClient:
                     self.stats.record(attempts)
                     self._raise_request_error(resp.status_code, resp.text)
                 last_failure = f"HTTP {resp.status_code}"
+                if resp.status_code == 429:
+                    retry_after = resp.headers.get("Retry-After", "").strip()
             if attempts > self.cfg.max_retries:
                 self.stats.record(attempts)
                 raise TransportError(
@@ -213,7 +219,10 @@ class _HttpClient:
                     attempts=attempts,
                 )
             delay = self.cfg.backoff_base * (self.cfg.backoff_factor ** (attempts - 1))
-            _sleep(delay * (1.0 + 0.1 * self._rng.random()))
+            delay *= 1.0 + 0.1 * self._rng.random()
+            if retry_after.isascii() and retry_after.isdigit():  # delta-seconds, not a date
+                delay = min(float(retry_after), RETRY_AFTER_CAP_S)
+            _sleep(delay)
 
     def _post_batches(self, path: str, texts: list[str], outputs_key: str, **fields):
         """POST ``texts`` in batches of at most ``cfg.max_batch``; yields

@@ -11,7 +11,7 @@ Results are a pure function of (inputs, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,17 +33,7 @@ class SignificanceResult:
     rng_seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "system_a": self.system_a,
-            "system_b": self.system_b,
-            "delta": self.delta,
-            "p_value": self.p_value,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_resamples": self.n_resamples,
-            "rng_seed": self.rng_seed,
-        }
+        return asdict(self)
 
 
 def _metric_name(metric) -> str:
@@ -59,12 +49,14 @@ def paired_bootstrap(
     seed: int = 42,
     system_a: str = "A",
     system_b: str = "B",
+    stats: tuple | None = None,
 ) -> SignificanceResult:
     """Compare two systems on the same references.
 
     ``metric`` is either one of the package's metric objects (exposing
     ``segment_stats``/``corpus_from_sums``, the fast path) or a plain
     ``callable(hypotheses, references) -> float`` recomputed per resample.
+    On the fast path, ``stats`` may hand in both ``segment_stats`` matrices.
     """
     n = len(references)
     if not (len(hyps_a) == len(hyps_b) == n):
@@ -82,8 +74,8 @@ def paired_bootstrap(
     idx = rng.integers(0, n, size=(n_resamples, n), dtype=np.int64)
 
     if hasattr(metric, "segment_stats") and hasattr(metric, "corpus_from_sums"):
-        stats_a = metric.segment_stats(hyps_a, references)
-        stats_b = metric.segment_stats(hyps_b, references)
+        stats_a, stats_b = stats or (metric.segment_stats(hyps_a, references),
+                                     metric.segment_stats(hyps_b, references))
         full_a = metric.corpus_from_sums(stats_a.sum(axis=0))
         full_b = metric.corpus_from_sums(stats_b.sum(axis=0))
         sums_a = kernels.resample_sums(stats_a, idx)

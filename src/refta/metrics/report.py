@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from refta.corpus import ParallelPair
@@ -27,29 +27,28 @@ class MetricReport:
     n_failed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "system_id": self.system_id,
-            "n_segments": self.n_segments,
-            "n_failed": self.n_failed,
-            "corpus_scores": self.corpus_scores,
-            "segment_scores": self.segment_scores,
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
 
-def evaluate_hypotheses(system_id: str, hypotheses, references) -> MetricReport:
+def _lexical_stats(hypotheses, references) -> dict:
+    return {m.name: m.segment_stats(hypotheses, references) for m in LEXICAL_METRICS}
+
+
+def evaluate_hypotheses(system_id: str, hypotheses, references, stats=None) -> MetricReport:
     """BLEU and chrF++ for one system; corpus scores are pooled, not averaged.
 
     ``<FAILED>`` lines are scored as literal text; the report counts them and
-    warns when there are any.
+    warns when there are any. ``stats`` is the segment-statistics matrix per
+    metric name, when the caller has already computed it.
     """
+    stats = stats or _lexical_stats(hypotheses, references)
     corpus_scores: dict = {}
     segment_scores: dict = {}
     for metric in LEXICAL_METRICS:
-        stats = metric.segment_stats(hypotheses, references)
-        corpus_scores[metric.name] = metric.corpus_from_sums(stats.sum(axis=0))
+        m_stats = stats[metric.name]
+        corpus_scores[metric.name] = metric.corpus_from_sums(m_stats.sum(axis=0))
         segment_scores[metric.name] = [
-            metric.segment_score(stats[i]) for i in range(stats.shape[0])
+            metric.segment_score(m_stats[i]) for i in range(m_stats.shape[0])
         ]
     n_failed = sum(1 for h in hypotheses if h == FAILED_SENTINEL)
     return MetricReport(
@@ -107,13 +106,7 @@ class RunComparison:
     significance: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "baseline": self.baseline,
-            "test_set_digest": self.test_set_digest,
-            "seed": self.seed,
-            "rows": self.rows,
-            "significance": [s.to_dict() for s in self.significance],
-        }
+        return asdict(self)
 
 
 def _check_digest(run_dir: Path, expected: str) -> dict:
@@ -139,7 +132,7 @@ def compare_runs(
 
     Refuses to compare runs whose manifest corpus digest does not match the
     given test set. Pairwise significance uses paired bootstrap resampling on
-    the lexical metrics at a fixed seed.
+    the lexical metrics at a fixed seed, reusing each run's segment statistics.
     """
     expected = corpus_digest(pairs)
     references = [list(p.references) for p in pairs]
@@ -155,6 +148,7 @@ def compare_runs(
         baseline=baseline_dir.name, test_set_digest=expected, seed=seed
     )
     hyps_by_run: dict[str, list[str]] = {}
+    stats_by_run: dict[str, dict] = {}
     for run_dir in all_dirs:
         _check_digest(run_dir, expected)
         hyps = read_hypotheses(run_dir)
@@ -162,7 +156,8 @@ def compare_runs(
             raise ComparisonError(
                 f"run {run_dir} holds {len(hyps)} hypotheses for {len(pairs)} pairs"
             )
-        report = evaluate_hypotheses(run_dir.name, hyps, references)
+        stats = stats_by_run[run_dir.name] = _lexical_stats(hyps, references)
+        report = evaluate_hypotheses(run_dir.name, hyps, references, stats=stats)
         if scorer is not None and neural_metrics:
             report = attach_neural_scores(
                 report, scorer, neural_metrics, sources, hyps, first_refs
@@ -175,7 +170,7 @@ def compare_runs(
             "warnings": list(report.warnings),
         })
 
-    base_hyps = hyps_by_run[baseline_dir.name]
+    base_hyps, base_stats = hyps_by_run[baseline_dir.name], stats_by_run[baseline_dir.name]
     for run_dir in all_dirs:
         if run_dir == baseline_dir:
             continue
@@ -188,6 +183,7 @@ def compare_runs(
                 seed=seed,
                 system_a=run_dir.name,
                 system_b=baseline_dir.name,
+                stats=(stats_by_run[run_dir.name][metric.name], base_stats[metric.name]),
             ))
     return comparison
 

@@ -20,6 +20,9 @@ with ``fail_status``) and ``latency_ms``. ``GET /_stats`` exposes per-path
 request counts, input counts (the length of ``inputs`` for ``/translate``
 and ``/embed``, one per request elsewhere) and the concurrency high-water
 mark; ``POST /_reset`` clears them.
+
+Accepted sockets set ``TCP_NODELAY``, so Nagle's algorithm does not hold a
+body written after its headers until the client's delayed ACK (~40 ms).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ REFINED_PREFIX = "[refined] "
 
 _DRAFT_LINE = "NMT draft (NLLB): "
 _BASELINE_LINE = "Translate the following Latin text to English:"
+_POLL_S = 0.05  # how often serve_forever checks for shutdown, so stop() returns fast
 
 
 @dataclass
@@ -115,6 +119,7 @@ def template_refine(system: str, user: str) -> str:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "refta-mock/0.1"
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # quiet by default
         pass
@@ -286,7 +291,7 @@ def start_mock_server(
 ) -> MockServer:
     """Start a mock server on a background thread; call ``stop()`` when done."""
     server = MockServer(behavior or MockBehavior(), host=host, port=port)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(_POLL_S,), daemon=True)
     thread.start()
     server._thread = thread
     return server

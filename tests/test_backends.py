@@ -7,10 +7,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import requests
 
 import refta.backends as backends_mod
 from conftest import DATA
 from refta.backends import (
+    RETRY_AFTER_CAP_S,
     ChatRequest,
     DrafterClient,
     EmbedderClient,
@@ -244,3 +246,38 @@ def test_wall_time_within_bound(mock_server, endpoint, monkeypatch):
     client.translate(["tempus"])
     elapsed = time.perf_counter() - start
     assert elapsed <= 5.0 * 3 + sum(sleeps) + 1.0
+
+
+def _canned(status: int, headers: dict | None = None) -> requests.Response:
+    resp = requests.Response()
+    resp.status_code = status
+    resp.headers.update(headers or {})
+    resp._content = b'{"outputs": ["[draft]x"]}'
+    return resp
+
+
+@pytest.mark.parametrize("status, retry_after, honoured", [
+    (429, "7", 7.0),
+    (429, "0", 0.0),
+    (429, "86400", RETRY_AFTER_CAP_S),
+    (429, None, None),
+    (429, "Wed, 21 Oct 2015 07:28:00 GMT", None),
+    (429, "-3", None),
+    (429, "1.5", None),
+    (503, "7", None),
+])
+def test_retry_after_on_429_capped(monkeypatch, status, retry_after, honoured):
+    sleeps = []
+    monkeypatch.setattr(backends_mod, "_sleep", sleeps.append)
+    client = DrafterClient(EndpointConfig(base_url="http://mock.invalid", model_id="m",
+                                          backoff_base=0.01, max_retries=1))
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    replies = iter([_canned(status, headers), _canned(200)])
+    monkeypatch.setattr(client._session, "post", lambda *a, **kw: next(replies))
+    assert client.translate(["x"])[0] == ["[draft]x"]
+    assert len(sleeps) == 1
+    if honoured is None:  # absent or not delta-seconds: the jittered backoff
+        assert 0.01 <= sleeps[0] <= 0.011
+    else:
+        assert sleeps[0] == honoured
+    client.close()

@@ -6,17 +6,23 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA
+from conftest import DATA, FIXTURES
 from refta.backends import ScorerClient
+from refta.corpus import load_parallel
 from refta.metrics import (
+    BleuMetric,
+    ChrfPPMetric,
     MetricReport,
     attach_neural_scores,
     bleu,
     chrf_pp,
+    compare_runs,
     evaluate_hypotheses,
+    paired_bootstrap,
 )
 from refta.metrics.bleu import tokenize_13a
-from refta.pipeline import FAILED_SENTINEL
+from refta.metrics.report import LEXICAL_METRICS
+from refta.pipeline import FAILED_SENTINEL, corpus_digest
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +187,45 @@ def test_evaluate_hypotheses_counts_failed_lines(fixture):
     assert report.n_failed == 1
     assert report.warnings == (f"1 of {len(hyps)} hypotheses are <FAILED>",)
     assert report.to_dict()["n_failed"] == 1
+
+
+def test_compare_runs_reuses_segment_stats_in_bootstrap(tmp_path, monkeypatch):
+    pairs = load_parallel(FIXTURES / "testsets" / "ood_fixture_110.tsv", "tsv")[:40]
+    first_refs = [p.references[0] for p in pairs]
+    rng = random.Random(5)
+    runs = {
+        name: [r if rng.random() < keep else " ".join(r.split()[::-1]) for r in first_refs]
+        for name, keep in (("base", 0.2), ("mid", 0.5), ("top", 0.8))
+    }
+    for name, hyps in runs.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "manifest.json").write_text(
+            json.dumps({"corpus_digest": corpus_digest(pairs)}), encoding="utf-8")
+        (tmp_path / name / "hypotheses.txt").write_text(
+            "".join(h + "\n" for h in hyps), encoding="utf-8")
+    calls = []
+
+    def counted(orig):
+        def segment_stats(self, hypotheses, references):
+            calls.append(self.name)
+            return orig(self, hypotheses, references)
+        return segment_stats
+
+    for cls in (BleuMetric, ChrfPPMetric):
+        monkeypatch.setattr(cls, "segment_stats", counted(cls.segment_stats))
+
+    comparison = compare_runs([tmp_path / "mid", tmp_path / "top"], pairs,
+                              tmp_path / "base", seed=9)
+    # one matrix per (run, metric): 3 runs x 2 metrics
+    assert sorted(calls) == ["bleu"] * 3 + ["chrf++"] * 3
+
+    monkeypatch.undo()
+    references = [list(p.references) for p in pairs]
+    metrics = {m.name: m for m in LEXICAL_METRICS}
+    assert [(s.system_a, s.metric) for s in comparison.significance] == [
+        ("mid", "bleu"), ("mid", "chrf++"), ("top", "bleu"), ("top", "chrf++")]
+    for sig in comparison.significance:
+        assert sig.delta > 0.0
+        assert sig == paired_bootstrap(
+            metrics[sig.metric], runs[sig.system_a], runs["base"], references,
+            seed=9, system_a=sig.system_a, system_b="base")

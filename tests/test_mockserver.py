@@ -1,10 +1,21 @@
 from __future__ import annotations
 
+import socket
+import statistics
+import threading
+import time
+
 import numpy as np
 import requests
 from hypothesis import given, strategies as st
 
-from refta.mockserver import MockBehavior, hash_embedding, start_mock_server, template_refine
+from refta.mockserver import (
+    MockBehavior,
+    MockServer,
+    hash_embedding,
+    start_mock_server,
+    template_refine,
+)
 
 
 @given(st.text(max_size=60))
@@ -69,3 +80,54 @@ def test_stop_closes_listening_socket():
     assert server.socket.fileno() >= 0
     server.stop()
     assert server.socket.fileno() == -1
+
+
+class _NoDelayProbe(MockServer):
+    """Records TCP_NODELAY on each accepted socket once its handler is done."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.nodelay: list[int] = []
+        self.handled = threading.Event()
+
+    def finish_request(self, request, client_address):
+        super().finish_request(request, client_address)
+        self.nodelay.append(request.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        self.handled.set()
+
+
+def test_accepted_socket_sets_nodelay():
+    server = _NoDelayProbe(MockBehavior())
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        with requests.Session() as session:
+            session.post(f"{server.base_url}/translate",
+                         json={"model": "m", "inputs": ["x"]}, timeout=5)
+        assert server.handled.wait(5)
+        assert server.nodelay and all(server.nodelay)
+    finally:
+        server.stop()
+        thread.join(5)
+
+
+def test_keep_alive_round_trip_is_not_held_by_delayed_ack(mock_server):
+    url = f"{mock_server.base_url}/v1/chat/completions"
+    payload = {"model": "m", "messages": [{"role": "user", "content": "salve"}]}
+    times = []
+    with requests.Session() as session:
+        for _ in range(20):
+            t0 = time.perf_counter()
+            session.post(url, json=payload, timeout=5).raise_for_status()
+            times.append(time.perf_counter() - t0)
+    # a body held until the client's delayed ACK reads ~44 ms here
+    assert statistics.median(times) < 0.020
+
+
+def test_stop_returns_promptly():
+    server = start_mock_server(MockBehavior())
+    # a served request restarts the serve loop's wait; stop() must not sit it out
+    requests.get(f"{server.base_url}/_stats", timeout=5)
+    t0 = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - t0 < 0.25
