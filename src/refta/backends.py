@@ -15,6 +15,11 @@ Wire protocols
   returning ``{"scores": [float]}``. An unsupported metric is signalled by
   HTTP 400 with ``{"error": {"type": "unsupported_metric", ...}}``.
 
+Batching: one ``translate``/``embed`` call is one request, and a call with
+more than ``max_batch`` texts raises ``ValueError`` before sending.
+``send_batches`` is the one place texts are cut into batches; the pipeline
+and the index build both send through it.
+
 Auth tokens come only from the environment (``REFTA_REFINER_TOKEN``,
 ``REFTA_DRAFTER_TOKEN``, ``REFTA_EMBEDDER_TOKEN``, ``REFTA_SCORER_TOKEN``),
 never from config files, and are sent as ``Authorization: Bearer``.
@@ -36,6 +41,8 @@ import os
 import random
 import threading
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,6 +160,35 @@ class ClientStats:
             self.retries += attempts - 1
 
 
+def send_batches(call, texts: list, max_batch: int, max_in_flight: int = 1):
+    """Call ``call`` on ``texts`` cut into batches of at most ``max_batch``.
+
+    Yields ``(batch, result, ms)`` in batch order: ``result`` is what
+    ``call(batch)`` returned or the exception it raised, and ``ms`` the
+    call's wall time. The caller decides what a failed batch means. At most
+    ``max_in_flight`` batches are in flight, and a batch is sent only once
+    the caller has taken the result ``max_in_flight`` places before it: with
+    one in flight, the caller acts on each result (say, resends a rejected
+    batch) before the next batch goes out.
+    """
+    def timed(batch):
+        t0 = time.perf_counter()
+        try:
+            result = call(batch)
+        except Exception as exc:  # handed to the caller with its batch
+            result = exc
+        return batch, result, (time.perf_counter() - t0) * 1000.0
+
+    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+        window: deque = deque()
+        for start in range(0, len(texts), max_batch):
+            window.append(pool.submit(timed, texts[start:start + max_batch]))
+            if len(window) == max_in_flight:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+
+
 _RETRYABLE_STATUSES = frozenset({429})
 RETRY_AFTER_CAP_S = 60.0
 
@@ -224,19 +260,20 @@ class _HttpClient:
                 delay = min(float(retry_after), RETRY_AFTER_CAP_S)
             _sleep(delay)
 
-    def _post_batches(self, path: str, texts: list[str], outputs_key: str, **fields):
-        """POST ``texts`` in batches of at most ``cfg.max_batch``; yields
-        (batch, response, the response's ``outputs_key`` list, one per input)."""
+    def _post_inputs(self, path: str, texts: list[str], outputs_key: str, **fields):
+        """POST ``texts`` as one request; returns the response and its
+        ``outputs_key`` list, one entry per input."""
         if not texts or not all(texts):
             raise ValueError(f"{path} requires at least one text, none empty")
-        for start in range(0, len(texts), self.cfg.max_batch):
-            batch = texts[start:start + self.cfg.max_batch]
-            data = self._post(path, {"model": self.cfg.model_id, "inputs": batch, **fields})
-            outputs = data.get(outputs_key)
-            if not isinstance(outputs, list) or len(outputs) != len(batch):
-                raise ProtocolError(f"{path} returned {len(outputs or [])} "
-                                    f"{outputs_key} for {len(batch)} inputs")
-            yield batch, data, outputs
+        if len(texts) > self.cfg.max_batch:
+            raise ValueError(f"{path} takes at most max_batch={self.cfg.max_batch} texts, "
+                             f"got {len(texts)}; cut them with send_batches")
+        data = self._post(path, {"model": self.cfg.model_id, "inputs": texts, **fields})
+        outputs = data.get(outputs_key)
+        if not isinstance(outputs, list) or len(outputs) != len(texts):
+            raise ProtocolError(f"{path} returned {len(outputs or [])} "
+                                f"{outputs_key} for {len(texts)} inputs")
+        return data, outputs
 
     def _raise_request_error(self, status: int, body: str) -> None:
         try:
@@ -250,28 +287,20 @@ class _HttpClient:
 
 
 class DrafterClient(_HttpClient):
-    """NMT draft translation backend (Latin to English); batches of up to
-    ``cfg.max_batch`` texts."""
+    """NMT draft translation backend (Latin to English); one request of at
+    most ``cfg.max_batch`` texts per call."""
 
     def translate(self, texts: list[str]) -> tuple[list[str], TokenUsage]:
-        drafts: list[str] = []
-        input_tokens = output_tokens = 0
-        source = "backend-reported"
-        for batch, data, outputs in self._post_batches("/translate", texts, "outputs",
-                                                       src="la", tgt="en"):
-            batch_drafts = [str(o).strip() for o in outputs]
-            if not all(batch_drafts):
-                raise ProtocolError("drafter returned an empty translation")
-            usage = data.get("usage") or {}
-            if "input_tokens" in usage and "output_tokens" in usage:
-                input_tokens += int(usage["input_tokens"])
-                output_tokens += int(usage["output_tokens"])
-            else:
-                input_tokens += sum(estimate_tokens(t) for t in batch)
-                output_tokens += sum(estimate_tokens(d) for d in batch_drafts)
-                source = "estimated"
-            drafts.extend(batch_drafts)
-        return drafts, TokenUsage(input_tokens, output_tokens, source)
+        data, outputs = self._post_inputs("/translate", texts, "outputs", src="la", tgt="en")
+        drafts = [str(o).strip() for o in outputs]
+        if not all(drafts):
+            raise ProtocolError("drafter returned an empty translation")
+        usage = data.get("usage") or {}
+        if "input_tokens" in usage and "output_tokens" in usage:
+            return drafts, TokenUsage(int(usage["input_tokens"]), int(usage["output_tokens"]),
+                                      "backend-reported")
+        return drafts, TokenUsage(sum(estimate_tokens(t) for t in texts),
+                                  sum(estimate_tokens(d) for d in drafts), "estimated")
 
 
 class RefinerClient(_HttpClient):
@@ -317,23 +346,18 @@ class RefinerClient(_HttpClient):
 
 
 class EmbedderClient(_HttpClient):
-    """Dense embedding backend; batches of up to ``cfg.max_batch`` texts."""
+    """Dense embedding backend; one request of at most ``cfg.max_batch``
+    texts per call."""
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        dim: int | None = None
-        for _batch, data, vectors in self._post_batches("/embed", texts, "vectors"):
-            batch_dim = int(data.get("dim", len(vectors[0])))
-            if dim is not None and batch_dim != dim:
-                raise ProtocolError(f"embedder dimension drift: {batch_dim} after {dim}")
-            dim = batch_dim
-            for vec in vectors:
-                arr = np.asarray(vec, dtype=np.float32)
-                if arr.shape != (dim,):
-                    raise ProtocolError(
-                        f"embedder vector of dimension {arr.shape} does not match dim {dim}"
-                    )
-                out.append(arr)
+        data, vectors = self._post_inputs("/embed", texts, "vectors")
+        dim = int(data.get("dim", len(vectors[0])))
+        out = [np.asarray(vec, dtype=np.float32) for vec in vectors]
+        for arr in out:
+            if arr.shape != (dim,):
+                raise ProtocolError(
+                    f"embedder vector of dimension {arr.shape} does not match dim {dim}"
+                )
         return out
 
 

@@ -147,6 +147,7 @@ def cmd_index_build(corpora, corpus_format, exclude_path, out_dir, embedder_url,
     try:
         index, report = build_index(
             segments(), embedder, exclusions, near_dup_threshold=near_dup_threshold,
+            max_in_flight=parallelism,
         )
     finally:
         embedder.close()

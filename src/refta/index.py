@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -33,24 +32,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from refta import kernels
+from refta.backends import send_batches
 from refta.corpus import ParallelPair, SourceSegment, lemmatize
 from refta.errors import IndexError_
 
 FORMAT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
-
-
-def cosine_similarity(a, b) -> float:
-    """Exact cosine similarity of two equal-dimension nonzero vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = math.sqrt(float(a @ a))
-    nb = math.sqrt(float(b @ b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for zero vectors")
-    return float(a @ b) / (na * nb)
 
 
 def jaccard(a: frozenset, b: frozenset) -> float:
@@ -159,7 +146,6 @@ class VectorIndex:
         lemma_sets: Sequence[frozenset],
         vectors: np.ndarray,
         model_id: str = "unknown",
-        normalize: bool = True,
     ) -> "VectorIndex":
         n = len(ids)
         if not (len(texts) == len(lemma_sets) == n):
@@ -167,9 +153,8 @@ class VectorIndex:
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[0] != n:
             raise ValueError("vectors must be a (n, dim) matrix")
-        if normalize:
-            rows = [_normalize_vector(vectors[i]) for i in range(n)]
-            vectors = np.stack(rows) if rows else vectors.reshape(0, vectors.shape[1])
+        rows = [_normalize_vector(vectors[i]) for i in range(n)]
+        vectors = np.stack(rows) if rows else vectors.reshape(0, vectors.shape[1])
         return cls(list(ids), list(texts), list(lemma_sets), vectors, model_id)
 
     @property
@@ -207,9 +192,9 @@ class VectorIndex:
         if len(self._ids) == 0:
             return []
         qnorm = _normalize_vector(query_vector, dim=self.dim)
-        rows, sims = kernels.search_layer(self._vectors, self._id_rank, qnorm[:, None], pool)
+        rows, sims = kernels.search_layer(self._vectors, self._id_rank, qnorm, pool)
         out: list[RetrievalResult] = []
-        for row, sim in zip(rows[0].tolist(), sims[0].tolist()):
+        for row, sim in zip(rows.tolist(), sims.tolist()):
             if self._texts[row] in skip_texts:
                 continue
             jac = jaccard(query_lemmas, self._lemmas[row])
@@ -232,14 +217,14 @@ def build_index(
     model_id: str | None = None,
     lemmatizer=None,
     near_dup_threshold: float = 0.9,
-    batch_size: int | None = None,
     max_in_flight: int = 4,
 ) -> tuple[VectorIndex, BuildReport]:
     """Embed, lemmatize and index every non-excluded segment.
 
     ``embedder`` must expose ``embed(texts) -> list of vectors`` and a
-    ``cfg.model_id`` (the backends client does). Embedding requests are
-    issued with at most ``max_in_flight`` batches in flight. Exact-text and
+    ``cfg`` with ``model_id`` and ``max_batch`` (the backends client does).
+    Embedding batches of at most ``cfg.max_batch`` texts go out through
+    ``send_batches`` with at most ``max_in_flight`` in flight. Exact-text and
     id matches against ``exclusions`` are dropped, as are near-duplicates
     whose lemma Jaccard against any excluded text reaches
     ``near_dup_threshold``.
@@ -263,29 +248,19 @@ def build_index(
         kept.append(seg)
         kept_lemmas.append(lem)
 
-    resolved_model = model_id or getattr(getattr(embedder, "cfg", None), "model_id", "unknown")
+    resolved_model = model_id or embedder.cfg.model_id
     if not kept:
         empty = VectorIndex([], [], [], np.zeros((0, 0), dtype=np.float32), resolved_model)
         return empty, report
 
-    if batch_size is None:
-        batch_size = getattr(getattr(embedder, "cfg", None), "max_batch", 64)
-    batches = [kept[i:i + batch_size] for i in range(0, len(kept), batch_size)]
-
-    def embed_batch(batch_no: int) -> list[np.ndarray]:
-        texts = [s.text for s in batches[batch_no]]
-        try:
-            return embedder.embed(texts)
-        except Exception as exc:
-            raise IndexError_(f"embedding batch {batch_no} failed: {exc}") from exc
-
-    with ThreadPoolExecutor(max_workers=max(1, max_in_flight)) as pool:
-        results = list(pool.map(embed_batch, range(len(batches))))
-
+    texts = [s.text for s in kept]
     vectors: list[np.ndarray] = []
     dim = None
-    for batch_no, vecs in enumerate(results):
-        for v in vecs:
+    for batch_no, (_batch, result, _ms) in enumerate(
+            send_batches(embedder.embed, texts, embedder.cfg.max_batch, max_in_flight)):
+        if isinstance(result, Exception):
+            raise IndexError_(f"embedding batch {batch_no} failed: {result}") from result
+        for v in result:
             arr = np.asarray(v, dtype=np.float32).reshape(-1)
             if dim is None:
                 dim = arr.shape[0]
@@ -298,7 +273,7 @@ def build_index(
     matrix = np.stack(vectors)
     index = VectorIndex.from_arrays(
         [s.id for s in kept],
-        [s.text for s in kept],
+        texts,
         kept_lemmas,
         matrix,
         model_id=resolved_model,

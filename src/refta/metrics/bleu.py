@@ -102,7 +102,6 @@ class BleuMetric:
     """BLEU as segment statistics plus a pooled corpus score."""
 
     name = "bleu"
-    stats_dim = STATS_DIM
 
     def segment_stats(self, hypotheses, references) -> np.ndarray:
         _validate(hypotheses, references)

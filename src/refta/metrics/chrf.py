@@ -16,6 +16,8 @@ from collections import Counter
 
 import numpy as np
 
+from refta.metrics.bleu import _validate
+
 CHAR_ORDER = 6
 WORD_ORDER = 2
 BETA = 2.0
@@ -65,18 +67,6 @@ def _pair_stats(hyp_counters: list[Counter], ref_counters: list[Counter]) -> np.
     return row
 
 
-def _validate(hypotheses, references) -> None:
-    if len(hypotheses) != len(references):
-        raise ValueError(
-            f"{len(hypotheses)} hypotheses vs {len(references)} reference rows"
-        )
-    for i, refs in enumerate(references):
-        if not refs:
-            raise ValueError(f"segment {i} has no references")
-        if any(not r for r in refs):
-            raise ValueError(f"segment {i} has an empty reference")
-
-
 def score_from_stats(row) -> float:
     """F_beta averaged over populated orders, in [0, 100]."""
     factor = BETA * BETA
@@ -102,7 +92,6 @@ class ChrfPPMetric:
     """chrF++ as segment statistics plus a pooled corpus score."""
 
     name = "chrf++"
-    stats_dim = STATS_DIM
 
     def segment_stats(self, hypotheses, references) -> np.ndarray:
         _validate(hypotheses, references)

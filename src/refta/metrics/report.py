@@ -131,8 +131,9 @@ def compare_runs(
     """Score every run on the shared test set and test deltas vs the baseline.
 
     Refuses to compare runs whose manifest corpus digest does not match the
-    given test set. Pairwise significance uses paired bootstrap resampling on
-    the lexical metrics at a fixed seed, reusing each run's segment statistics.
+    given test set, and two runs with the same directory name. Pairwise
+    significance uses paired bootstrap resampling on the lexical metrics at
+    a fixed seed, reusing each run's segment statistics.
     """
     expected = corpus_digest(pairs)
     references = [list(p.references) for p in pairs]
@@ -143,6 +144,11 @@ def compare_runs(
     all_dirs = [Path(d) for d in run_dirs]
     if baseline_dir not in all_dirs:
         all_dirs.insert(0, baseline_dir)
+    names = [d.name for d in all_dirs]
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        # rows, significance and the baseline are keyed by directory name
+        raise ComparisonError(f"runs share a directory name: {', '.join(duplicates)}")
 
     comparison = RunComparison(
         baseline=baseline_dir.name, test_set_digest=expected, seed=seed

@@ -7,13 +7,14 @@
 3. draft the set union of source and neighbor texts (draft_only, rag);
 4. assemble and refine each segment's prompt under a pool of ``workers``.
 
-Stages 1 and 3 send requests of at most ``max_batch`` inputs. Stages 1-3 run
-once per call, and every temperature of a sweep reuses them. A batch
-rejected with ``RequestError``/``ProtocolError`` is resent one input at a
-time; one that exhausts its transport retries fails every segment it
-carried. A segment that fails retrieval is not drafted. Artifacts are
-written in input order, so output is a pure function of (config, corpus,
-index) when the backends are deterministic.
+Stages 1 and 3 send requests of at most ``max_batch`` inputs, one at a
+time, through ``backends.send_batches``. Stages 1-3 run once per call, and
+every temperature of a sweep reuses them. A batch rejected with
+``RequestError``/``ProtocolError`` is resent one input at a time before the
+next batch goes out; one that exhausts its transport retries fails every
+segment it carried. A segment that fails retrieval is not drafted.
+Artifacts are written in input order, so output is a pure function of
+(config, corpus, index) when the backends are deterministic.
 
 A record's ``timings_ms`` holds the wall ms of what served the segment:
 ``draft``, the drafter request that carried its source; ``retrieve``, its
@@ -51,6 +52,7 @@ from refta.backends import (
     EmbedderClient,
     RefinerClient,
     canonical_json,
+    send_batches,
 )
 from refta.corpus import ParallelPair, SourceSegment, lemmatize
 from refta.errors import (
@@ -58,7 +60,6 @@ from refta.errors import (
     ProtocolError,
     ReftaError,
     RequestError,
-    TransportError,
 )
 from refta.index import VectorIndex, default_candidate_pool
 from refta.prompt import (
@@ -197,27 +198,18 @@ def _map_batches(call, texts: list[str], max_batch: int):
     that served the text, and ``text -> error`` for the texts that failed.
     """
     served, failed = {}, {}
-
-    def send(batch: list[str]) -> None:
-        t0 = time.perf_counter()
-        outputs = call(batch)
-        ms = _ms_since(t0)
-        served.update((text, (out, ms)) for text, out in zip(batch, outputs))
-
-    distinct = list(dict.fromkeys(texts))
-    for start in range(0, len(distinct), max_batch):
-        batch = distinct[start:start + max_batch]
-        try:
-            send(batch)
-        except TransportError as exc:
-            failed.update(dict.fromkeys(batch, exc))
-        except (RequestError, ProtocolError):
+    for batch, result, ms in send_batches(call, list(dict.fromkeys(texts)), max_batch):
+        outcomes = [(batch, result, ms)]
+        if isinstance(result, (RequestError, ProtocolError)):
             # the backend rejected the batch: find the inputs it rejects
-            for text in batch:
-                try:
-                    send([text])
-                except ReftaError as exc:
-                    failed[text] = exc
+            outcomes = send_batches(call, batch, 1)
+        for sent, outcome, sent_ms in outcomes:
+            if isinstance(outcome, ReftaError):
+                failed.update(dict.fromkeys(sent, outcome))
+            elif isinstance(outcome, Exception):
+                raise outcome
+            else:
+                served.update((text, (out, sent_ms)) for text, out in zip(sent, outcome))
     return served, failed
 
 

@@ -21,6 +21,7 @@ from refta.backends import (
     ScorerClient,
     canonical_json,
     estimate_tokens,
+    send_batches,
 )
 from refta.errors import (
     CapabilityError,
@@ -28,6 +29,7 @@ from refta.errors import (
     RequestError,
     TransportError,
 )
+from refta.mockserver import hash_embedding
 
 
 class TestEstimateTokens:
@@ -59,6 +61,45 @@ class TestConfigValidation:
             ChatRequest(system="s", user="u", max_output_tokens=0)
 
 
+class TestSendBatches:
+    def test_next_batch_waits_for_the_caller(self):
+        log = []
+
+        def call(batch):
+            log.append(("sent", batch))
+            return len(batch)
+
+        for batch, result, _ in send_batches(call, list("abcde"), 2):
+            log.append(("taken", batch, result))
+        assert log == [
+            ("sent", ["a", "b"]), ("taken", ["a", "b"], 2),
+            ("sent", ["c", "d"]), ("taken", ["c", "d"], 2),
+            ("sent", ["e"]), ("taken", ["e"], 1),
+        ]
+
+    def test_bounded_in_flight_in_order_with_failures(self):
+        lock = threading.Lock()
+        active, high = [0], [0]
+
+        def call(batch):
+            with lock:
+                active[0] += 1
+                high[0] = max(high[0], active[0])
+            time.sleep(0.05)
+            with lock:
+                active[0] -= 1
+            if batch == [4, 5]:
+                raise RequestError(422, "rejected")
+            return [x * 10 for x in batch]
+
+        sent = list(send_batches(call, list(range(12)), 2, max_in_flight=3))
+        assert [batch for batch, _, _ in sent] == [[i, i + 1] for i in range(0, 12, 2)]
+        assert isinstance(sent[2][1], RequestError)
+        assert [r for _, r, _ in sent[:2] + sent[3:]] == [
+            [0, 10], [20, 30], [60, 70], [80, 90], [100, 110]]
+        assert high[0] == 3
+
+
 class TestDrafter:
     def test_echo(self, endpoint):
         client = DrafterClient(endpoint("drafter"))
@@ -76,13 +117,25 @@ class TestDrafter:
     def test_batch_splitting_keeps_order_and_sums_usage(self, mock_server, endpoint):
         client = DrafterClient(endpoint("drafter", max_batch=4))
         texts = [f"textus {i}" for i in range(10)]
-        drafts, usage = client.translate(texts)
+        sent = list(send_batches(client.translate, texts, 4, max_in_flight=3))
+        assert [batch for batch, _, _ in sent] == [texts[0:4], texts[4:8], texts[8:10]]
+        drafts = [d for _, (batch_drafts, _), _ in sent for d in batch_drafts]
         assert drafts == [f"[draft]{t}" for t in texts]
         snap = mock_server.stats.snapshot()
         assert snap["counts"]["/translate"] == 3
         assert snap["inputs"]["/translate"] == 10
-        assert usage.input_tokens == sum((len(t) + 3) // 4 for t in texts)
-        assert usage.source == "backend-reported"
+        usages = [usage for _, (_, usage), _ in sent]
+        assert sum(u.input_tokens for u in usages) == sum((len(t) + 3) // 4 for t in texts)
+        assert {u.source for u in usages} == {"backend-reported"}
+
+    def test_more_than_max_batch_raises_before_sending(self, mock_server, endpoint):
+        with pytest.raises(ValueError, match="max_batch=4"):
+            DrafterClient(endpoint("drafter", max_batch=4)).translate(
+                [f"textus {i}" for i in range(5)])
+        with pytest.raises(ValueError, match="max_batch=4"):
+            EmbedderClient(endpoint("embedder", max_batch=4)).embed(
+                [f"textus {i}" for i in range(5)])
+        assert mock_server.stats.snapshot()["counts"] == {}
 
     def test_retry_then_recover(self, mock_server, endpoint, monkeypatch):
         sleeps = []
@@ -209,7 +262,11 @@ class TestEmbedder:
 
     def test_batch_splitting_request_count(self, mock_server, endpoint):
         client = EmbedderClient(endpoint("embedder", max_batch=64))
-        client.embed([f"textus {i}" for i in range(130)])
+        texts = [f"textus {i}" for i in range(130)]
+        sent = list(send_batches(client.embed, texts, 64, max_in_flight=2))
+        assert [batch for batch, _, _ in sent] == [texts[0:64], texts[64:128], texts[128:]]
+        vecs = [v for _, batch_vecs, _ in sent for v in batch_vecs]
+        assert all(np.array_equal(v, hash_embedding(t, 64)) for v, t in zip(vecs, texts))
         assert mock_server.stats.snapshot()["counts"]["/embed"] == 3
 
     def test_identical_text_identical_vector(self, endpoint):

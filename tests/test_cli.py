@@ -69,6 +69,21 @@ class TestIndexBuild:
         payload = json.loads(result.output)
         assert payload["indexed"] == 50  # fixture rows do not overlap the test set
 
+    def test_parallelism_sets_batches_in_flight(self, runner, tmp_path, mock_server):
+        corpus = tmp_path / "big.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"r{i:03d}", "text": f"textus numero {i}"}) + "\n"
+            for i in range(640)), encoding="utf-8")  # 10 batches at max_batch 64
+        mock_server.behavior.latency_ms = 100
+        result = runner.invoke(main, [
+            "index-build", "--corpus", str(corpus), "--out", str(tmp_path / "idx"),
+            "--embedder", mock_server.base_url, "--parallelism", "8",
+        ])
+        assert result.exit_code == 0, result.output
+        snap = mock_server.stats.snapshot()
+        assert snap["counts"]["/embed"] == 10
+        assert 4 < snap["max_concurrency"]["/embed"] <= 8
+
     def test_reports_rows_skipped_as_empty(self, runner, workspace, mock_server):
         corpus = workspace / "corpus.jsonl"
         with corpus.open("a", encoding="utf-8") as fh:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from refta.index import (
     ExclusionList,
     VectorIndex,
     build_index,
-    cosine_similarity,
     jaccard,
     load_index,
     save_index,
@@ -25,33 +23,6 @@ from refta.index import (
 lemma_sets = st.frozensets(
     st.sampled_from([f"w{i}" for i in range(12)]), max_size=8
 )
-
-
-class TestCosineSimilarity:
-    def test_self_similarity(self):
-        v = (0.3, -1.2, 4.0)
-        assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert cosine_similarity((1, 0), (0, 1)) == 0.0
-
-    def test_hand_computed(self):
-        # dot = 32, |a| = sqrt(14), |b| = sqrt(77)
-        expected = 32.0 / math.sqrt(14.0 * 77.0)
-        assert cosine_similarity((1, 2, 3), (4, 5, 6)) == pytest.approx(expected, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine_similarity((1, 2), (1, 2, 3))
-
-    def test_zero_vector(self):
-        with pytest.raises(ValueError):
-            cosine_similarity((0, 0), (1, 2))
-
-    @given(st.integers(1, 1000))
-    def test_scale_invariance(self, c):
-        v = np.array([0.5, -2.0, 3.5])
-        assert cosine_similarity(v, c * v) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestJaccard:
@@ -165,19 +136,17 @@ class _ArrayEmbedder:
         model_id = "test-embedder"
         max_batch = 16
 
-    def __init__(self, dim=12, fail_on_batch=None, drift_on_batch=None, zero_for=()):
+    def __init__(self, dim=12, fail_for=(), drift_for=(), zero_for=()):
         self.dim = dim
-        self.calls = 0
-        self.fail_on_batch = fail_on_batch
-        self.drift_on_batch = drift_on_batch
+        self.fail_for = set(fail_for)
+        self.drift_for = set(drift_for)
         self.zero_for = set(zero_for)
 
     def embed(self, texts):
-        batch_no = self.calls
-        self.calls += 1
-        if self.fail_on_batch == batch_no:
+        # batches may run concurrently, so a fault follows a batch's texts
+        if self.fail_for.intersection(texts):
             raise RuntimeError("backend down")
-        dim = self.dim + (1 if self.drift_on_batch == batch_no else 0)
+        dim = self.dim + (1 if self.drift_for.intersection(texts) else 0)
         out = []
         for t in texts:
             if t in self.zero_for:
@@ -230,13 +199,17 @@ class TestBuildIndex:
 
     def test_backend_failure_names_batch(self):
         segs = _segments(40)  # 3 batches at max_batch 16
+        segs[20] = SourceSegment.make("odd", "textus singularis", "test")  # batch 1
         with pytest.raises(IndexError_, match="batch 1"):
-            build_index(segs, _ArrayEmbedder(fail_on_batch=1), ExclusionList.empty())
+            build_index(segs, _ArrayEmbedder(fail_for={"textus singularis"}),
+                        ExclusionList.empty())
 
     def test_dimension_drift_aborts(self):
         segs = _segments(40)
+        segs[35] = SourceSegment.make("odd", "textus singularis", "test")  # batch 2
         with pytest.raises(IndexError_, match="drift"):
-            build_index(segs, _ArrayEmbedder(drift_on_batch=2), ExclusionList.empty())
+            build_index(segs, _ArrayEmbedder(drift_for={"textus singularis"}),
+                        ExclusionList.empty())
 
     def test_zero_vector_rejected(self):
         segs = _segments(3)

@@ -40,21 +40,15 @@ def test_search_layer_is_prefix_of_full_sort():
     vectors = rng.standard_normal((n, d)).astype(np.float32)
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     id_rank = rng.permutation(n).astype(np.int64)
-    queries = rng.standard_normal((d, 3)).astype(np.float32)
-    queries /= np.linalg.norm(queries, axis=0, keepdims=True)
-    # a batched product may round differently from one query at a time, so
-    # each answer is checked against the product of its own call
-    full = np.clip(vectors @ queries, -1.0, 1.0)
-    for pool in (1, 5, 51, n // 3, n, n + 10):
-        rows, sims = kernels.search_layer(vectors, id_rank, queries, pool)
-        assert rows.shape == sims.shape == (3, min(pool, n))
-        for j in range(3):
-            assert rows[j].tolist() == _full_order(full[:, j], id_rank)[:pool].tolist()
-            assert np.array_equal(sims[j], full[rows[j], j])
-            one_rows, one_sims = kernels.search_layer(vectors, id_rank, queries[:, j:j + 1], pool)
-            single = np.clip(vectors @ queries[:, j], -1.0, 1.0)
-            assert one_rows[0].tolist() == _full_order(single, id_rank)[:pool].tolist()
-            assert np.array_equal(one_sims[0], single[one_rows[0]])
+    for _ in range(3):
+        query = rng.standard_normal(d).astype(np.float32)
+        query /= np.linalg.norm(query)
+        full = np.clip(vectors @ query, -1.0, 1.0)
+        for pool in (1, 5, 51, n // 3, n, n + 10):
+            rows, sims = kernels.search_layer(vectors, id_rank, query, pool)
+            assert rows.shape == sims.shape == (min(pool, n),)
+            assert rows.tolist() == _full_order(full, id_rank)[:pool].tolist()
+            assert np.array_equal(sims, full[rows])
 
 
 def test_search_layer_ties_straddling_the_pool_boundary():
@@ -62,6 +56,6 @@ def test_search_layer_ties_straddling_the_pool_boundary():
     # which of them enter, whatever order argpartition leaves them in
     vectors = np.array([[1.0, 0.0]] + [[0.6, 0.8]] * 6 + [[0.0, 1.0]], dtype=np.float32)
     id_rank = np.array([7, 5, 3, 6, 1, 4, 2, 0], dtype=np.int64)
-    query = np.array([[1.0], [0.0]], dtype=np.float32)
+    query = np.array([1.0, 0.0], dtype=np.float32)
     rows, _ = kernels.search_layer(vectors, id_rank, query, 4)
-    assert rows[0].tolist() == [0, 4, 6, 2]
+    assert rows.tolist() == [0, 4, 6, 2]

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import DATA, FIXTURES
 from refta.backends import ScorerClient
 from refta.corpus import load_parallel
+from refta.errors import ComparisonError
 from refta.metrics import (
     BleuMetric,
     ChrfPPMetric,
@@ -229,3 +230,21 @@ def test_compare_runs_reuses_segment_stats_in_bootstrap(tmp_path, monkeypatch):
         assert sig == paired_bootstrap(
             metrics[sig.metric], runs[sig.system_a], runs["base"], references,
             seed=9, system_a=sig.system_a, system_b="base")
+
+
+def test_compare_runs_refuses_duplicate_run_names(tmp_path):
+    pairs = load_parallel(FIXTURES / "testsets" / "ood_fixture_110.tsv", "tsv")[:10]
+    first_refs = [p.references[0] for p in pairs]
+    reversed_refs = [" ".join(r.split()[::-1]) for r in first_refs]
+    runs = {"base": first_refs, "a/rag": first_refs, "b/rag": reversed_refs}
+    for name, hyps in runs.items():
+        (tmp_path / name).mkdir(parents=True)
+        (tmp_path / name / "manifest.json").write_text(
+            json.dumps({"corpus_digest": corpus_digest(pairs)}), encoding="utf-8")
+        (tmp_path / name / "hypotheses.txt").write_text(
+            "".join(h + "\n" for h in hyps), encoding="utf-8")
+    # keyed by directory name, one rag run's hypotheses would replace the other's
+    with pytest.raises(ComparisonError, match="rag"):
+        compare_runs([tmp_path / "a/rag", tmp_path / "b/rag"], pairs, tmp_path / "base")
+    with pytest.raises(ComparisonError, match="rag"):
+        compare_runs([tmp_path / "a/rag"], pairs, tmp_path / "b/rag")
