@@ -22,7 +22,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol
+from typing import Iterator
 
 from refta.errors import CorpusFormatError
 
@@ -81,12 +81,6 @@ class ParallelPair:
             raise ValueError(
                 f"pair '{self.source.id}' needs at least one non-empty reference"
             )
-
-
-class Lemmatizer(Protocol):
-    """Maps one lowercase alphabetic token to its set of stems."""
-
-    def stem(self, token: str) -> frozenset: ...
 
 
 # The 'que' enclitic cannot be stripped from these words.
@@ -165,14 +159,13 @@ class SchinkeStemmer:
 _DEFAULT_STEMMER = SchinkeStemmer()
 
 
-def lemmatize(text: str, stemmer: Lemmatizer | None = None) -> frozenset:
+def lemmatize(text: str) -> frozenset:
     """Return the set of stems for every alphabetic token of length >= 2."""
-    stemmer = stemmer or _DEFAULT_STEMMER
     stems: set[str] = set()
     for token in _TOKEN_RE.findall(text):
         if len(token) < 2:
             continue
-        stems.update(stemmer.stem(token.lower()))
+        stems.update(_DEFAULT_STEMMER.stem(token.lower()))
     return frozenset(stems)
 
 
@@ -258,21 +251,6 @@ def load_monolingual(
                 skipped.append(SkipRecord(str(path), line_no, "empty after normalization"))
             continue
         yield SourceSegment(id=seg_id, text=text, origin=seg_origin, char_count=len(text))
-
-
-def write_monolingual(segments: Iterable[SourceSegment], path: str | Path) -> int:
-    """Write segments as jsonl; returns the row count. Round-trips load_monolingual."""
-    path = Path(path)
-    n = 0
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for seg in segments:
-            fh.write(json.dumps(
-                {"id": seg.id, "text": seg.text, "origin": seg.origin},
-                ensure_ascii=False,
-            ))
-            fh.write("\n")
-            n += 1
-    return n
 
 
 def load_parallel(path: str | Path, format: str) -> list[ParallelPair]:

@@ -14,10 +14,6 @@ On-disk layout (``save_index``/``load_index``), format version 2:
   SHA-256 checksums of the data files.
 - ``vectors.bin``: little-endian float32, row-major.
 - ``meta.jsonl``: one row per entry with ``id``, ``text``, ``lemmas``.
-
-Version 1 directories also hold a ``graph.npz`` and an ``hnsw`` manifest
-block from an approximate search graph. They still load: every listed
-checksum is verified, then the graph is ignored.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from refta.corpus import ParallelPair, SourceSegment, lemmatize
 from refta.errors import IndexError_
 
 FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
 
 
 def jaccard(a: frozenset, b: frozenset) -> float:
@@ -52,8 +47,6 @@ def jaccard(a: frozenset, b: frozenset) -> float:
 @dataclass(frozen=True)
 class IndexEntry:
     segment_id: str
-    embedding: np.ndarray
-    lemma_set: frozenset
     text: str
 
 
@@ -165,12 +158,7 @@ class VectorIndex:
         return len(self._ids)
 
     def entry(self, row: int) -> IndexEntry:
-        return IndexEntry(
-            segment_id=self._ids[row],
-            embedding=self._vectors[row],
-            lemma_set=self._lemmas[row],
-            text=self._texts[row],
-        )
+        return IndexEntry(segment_id=self._ids[row], text=self._texts[row])
 
     # -- querying -----------------------------------------------------------
 
@@ -214,8 +202,6 @@ def build_index(
     embedder,
     exclusions: ExclusionList | None = None,
     *,
-    model_id: str | None = None,
-    lemmatizer=None,
     near_dup_threshold: float = 0.9,
     max_in_flight: int = 4,
 ) -> tuple[VectorIndex, BuildReport]:
@@ -232,7 +218,7 @@ def build_index(
     exclusions = exclusions or ExclusionList.empty()
     report = BuildReport()
 
-    excl_lemmas = [lemmatize(t, lemmatizer) for t in sorted(exclusions.exact_texts)]
+    excl_lemmas = [lemmatize(t) for t in sorted(exclusions.exact_texts)]
 
     kept: list[SourceSegment] = []
     kept_lemmas: list[frozenset] = []
@@ -241,16 +227,16 @@ def build_index(
         if exclusions.matches(seg.id, seg.text):
             report.excluded_exact += 1
             continue
-        lem = lemmatize(seg.text, lemmatizer)
+        lem = lemmatize(seg.text)
         if any(jaccard(lem, el) >= near_dup_threshold for el in excl_lemmas):
             report.excluded_near_dup += 1
             continue
         kept.append(seg)
         kept_lemmas.append(lem)
 
-    resolved_model = model_id or embedder.cfg.model_id
+    model_id = embedder.cfg.model_id
     if not kept:
-        empty = VectorIndex([], [], [], np.zeros((0, 0), dtype=np.float32), resolved_model)
+        empty = VectorIndex([], [], [], np.zeros((0, 0), dtype=np.float32), model_id)
         return empty, report
 
     texts = [s.text for s in kept]
@@ -276,7 +262,7 @@ def build_index(
         texts,
         kept_lemmas,
         matrix,
-        model_id=resolved_model,
+        model_id=model_id,
     )
     report.indexed = len(kept)
     return index, report
@@ -329,10 +315,10 @@ def load_index(path: str | Path) -> VectorIndex:
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
 
     version = manifest.get("format_version")
-    if version not in READABLE_VERSIONS:
+    if version != FORMAT_VERSION:
         raise IndexError_(
-            f"refusing to load index format version {version!r}; "
-            f"this build reads versions {', '.join(map(str, READABLE_VERSIONS))}"
+            f"refusing to load index format version {version!r}; this build reads "
+            f"version {FORMAT_VERSION} only: rebuild the index with `refta index-build`"
         )
 
     for name, expected in manifest["checksums"].items():

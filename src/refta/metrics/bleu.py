@@ -147,9 +147,6 @@ class BleuMetric:
             effective_order=False,
         )
 
-    def corpus(self, hypotheses, references) -> float:
-        return self.corpus_from_sums(self.segment_stats(hypotheses, references).sum(axis=0))
-
     def segment_score(self, row) -> float:
         return _score_from_row(
             row[:NGRAM_ORDER], row[NGRAM_ORDER:2 * NGRAM_ORDER],

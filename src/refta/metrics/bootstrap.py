@@ -1,12 +1,14 @@
 """Paired bootstrap resampling for system comparisons.
 
 Segment indices are resampled with replacement ``n_resamples`` times and the
-corpus metric is recomputed for both systems per resample. Two-sided
-convention used here: the p-value is the fraction of resampled deltas whose
-sign differs from the full-corpus delta (a zero resampled delta counts
-against the observed sign; an all-zero full delta yields p = 1.0). The
-confidence interval is the 2.5/97.5 percentile band of resampled deltas.
-Results are a pure function of (inputs, seed).
+corpus metric is recomputed for both systems per resample. The p-value is
+one-sided: the fraction of resampled deltas whose sign differs from the
+full-corpus delta (Koehn, "Statistical Significance Tests for Machine
+Translation Evaluation", EMNLP 2004). A zero resampled delta counts against
+the observed sign, and an all-zero full delta yields p = 1.0. It is about
+half of a centred two-sided bootstrap p. The confidence interval is the
+2.5/97.5 percentile band of resampled deltas. Results are a pure function
+of (inputs, seed).
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ class SignificanceResult:
         return asdict(self)
 
 
-def _metric_name(metric) -> str:
-    return getattr(metric, "name", None) or getattr(metric, "__name__", "metric")
-
-
 def paired_bootstrap(
     metric,
     hyps_a,
@@ -53,10 +51,9 @@ def paired_bootstrap(
 ) -> SignificanceResult:
     """Compare two systems on the same references.
 
-    ``metric`` is either one of the package's metric objects (exposing
-    ``segment_stats``/``corpus_from_sums``, the fast path) or a plain
-    ``callable(hypotheses, references) -> float`` recomputed per resample.
-    On the fast path, ``stats`` may hand in both ``segment_stats`` matrices.
+    ``metric`` is one of the package's metric objects (``name``,
+    ``segment_stats``, ``corpus_from_sums``). ``stats`` may hand in both
+    ``segment_stats`` matrices.
     """
     n = len(references)
     if not (len(hyps_a) == len(hyps_b) == n):
@@ -73,29 +70,17 @@ def paired_bootstrap(
     rng = np.random.Generator(np.random.PCG64(seed))
     idx = rng.integers(0, n, size=(n_resamples, n), dtype=np.int64)
 
-    if hasattr(metric, "segment_stats") and hasattr(metric, "corpus_from_sums"):
-        stats_a, stats_b = stats or (metric.segment_stats(hyps_a, references),
-                                     metric.segment_stats(hyps_b, references))
-        full_a = metric.corpus_from_sums(stats_a.sum(axis=0))
-        full_b = metric.corpus_from_sums(stats_b.sum(axis=0))
-        sums_a = kernels.resample_sums(stats_a, idx)
-        sums_b = kernels.resample_sums(stats_b, idx)
-        deltas = np.array([
-            metric.corpus_from_sums(sums_a[r]) - metric.corpus_from_sums(sums_b[r])
-            for r in range(n_resamples)
-        ])
-    else:
-        full_a = float(metric(hyps_a, references))
-        full_b = float(metric(hyps_b, references))
-        deltas = np.empty(n_resamples)
-        for r in range(n_resamples):
-            rows = idx[r]
-            res_refs = [references[i] for i in rows]
-            deltas[r] = float(metric([hyps_a[i] for i in rows], res_refs)) - float(
-                metric([hyps_b[i] for i in rows], res_refs)
-            )
+    stats_a, stats_b = stats or (metric.segment_stats(hyps_a, references),
+                                 metric.segment_stats(hyps_b, references))
+    sums_a = kernels.resample_sums(stats_a, idx)
+    sums_b = kernels.resample_sums(stats_b, idx)
+    deltas = np.array([
+        metric.corpus_from_sums(sums_a[r]) - metric.corpus_from_sums(sums_b[r])
+        for r in range(n_resamples)
+    ])
 
-    full_delta = full_a - full_b
+    full_delta = (metric.corpus_from_sums(stats_a.sum(axis=0))
+                  - metric.corpus_from_sums(stats_b.sum(axis=0)))
     if full_delta == 0.0:
         p_value = 1.0
     else:
@@ -104,7 +89,7 @@ def paired_bootstrap(
     ci_low, ci_high = np.percentile(deltas, [2.5, 97.5])
 
     return SignificanceResult(
-        metric=_metric_name(metric),
+        metric=metric.name,
         system_a=system_a,
         system_b=system_b,
         delta=float(full_delta),

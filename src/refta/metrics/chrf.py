@@ -112,9 +112,6 @@ class ChrfPPMetric:
     def corpus_from_sums(self, sums) -> float:
         return score_from_stats(sums)
 
-    def corpus(self, hypotheses, references) -> float:
-        return self.corpus_from_sums(self.segment_stats(hypotheses, references).sum(axis=0))
-
     def segment_score(self, row) -> float:
         return score_from_stats(row)
 

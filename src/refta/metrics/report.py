@@ -228,8 +228,8 @@ def format_comparison_table(comparison: RunComparison) -> str:
     out = [fmt(header), fmt(["-" * w for w in widths])]
     out.extend(fmt(cells) for cells in lines)
     out.append("")
-    out.append(f"* p < {SIGNIFICANCE_ALPHA} (paired bootstrap vs {comparison.baseline}, "
-               f"seed {comparison.seed})")
+    out.append(f"* p < {SIGNIFICANCE_ALPHA} (one-sided paired bootstrap vs "
+               f"{comparison.baseline}, seed {comparison.seed})")
     return "\n".join(out)
 
 

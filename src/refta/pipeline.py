@@ -9,10 +9,11 @@
 
 Stages 1 and 3 send requests of at most ``max_batch`` inputs, one at a
 time, through ``backends.send_batches``. Stages 1-3 run once per call, and
-every temperature of a sweep reuses them. A batch rejected with
-``RequestError``/``ProtocolError`` is resent one input at a time before the
-next batch goes out; one that exhausts its transport retries fails every
-segment it carried. A segment that fails retrieval is not drafted.
+every temperature of a sweep reuses them. A batch of several inputs
+rejected with ``RequestError``/``ProtocolError`` is resent one input at a
+time before the next batch goes out; a rejected one-input batch, or one
+that exhausts its transport retries, fails every segment it carried. A
+segment that fails retrieval is not drafted.
 Artifacts are written in input order, so output is a pure function of
 (config, corpus, index) when the backends are deterministic.
 
@@ -200,7 +201,7 @@ def _map_batches(call, texts: list[str], max_batch: int):
     served, failed = {}, {}
     for batch, result, ms in send_batches(call, list(dict.fromkeys(texts)), max_batch):
         outcomes = [(batch, result, ms)]
-        if isinstance(result, (RequestError, ProtocolError)):
+        if isinstance(result, (RequestError, ProtocolError)) and len(batch) > 1:
             # the backend rejected the batch: find the inputs it rejects
             outcomes = send_batches(call, batch, 1)
         for sent, outcome, sent_ms in outcomes:
@@ -288,25 +289,10 @@ def neighbor_drafts(results, drafts: dict) -> tuple[NeighborExample, ...]:
 def translate_segment(
     cfg: RunConfig,
     segment: SourceSegment,
-    index: VectorIndex | None = None,
-    clients: PipelineClients | None = None,
-    prepared: _Prepared | None = None,
+    prepared: _Prepared,
+    clients: PipelineClients,
 ) -> TranslationRecord:
-    """Stage 4 for one segment: assemble its prompt and refine it.
-
-    Without ``prepared``, stages 1-3 run first for this segment alone.
-    """
-    if clients is None:
-        clients = PipelineClients.from_config(cfg)
-        try:
-            return translate_segment(cfg, segment, index, clients, prepared)
-        finally:
-            clients.close()
-    if prepared is None:
-        (prepared,) = _prepare(cfg, [segment], index, clients)
-        if prepared.error is not None:
-            raise prepared.error
-
+    """Stage 4 for one segment: assemble its prompt and refine it."""
     started = _now_iso()
     t0 = time.perf_counter()
     try:
@@ -421,7 +407,7 @@ def _run_one(
         if stop.is_set():
             return
         try:
-            records[i] = translate_segment(cfg, pairs[i].source, None, clients, preps[i])
+            records[i] = translate_segment(cfg, pairs[i].source, preps[i], clients)
         except PipelineError as exc:
             if cfg.fail_fast:
                 stop.set()

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from conftest import DATA
+from refta import kernels
 from refta.metrics import paired_bootstrap
 from refta.metrics.bleu import BleuMetric
 from refta.metrics.chrf import ChrfPPMetric
@@ -55,25 +57,45 @@ def test_alignment_enforced(fixture):
         paired_bootstrap(BleuMetric(), hyps[:-1], hyps, refs)
 
 
-def test_generic_callable_path_matches_fast_path(fixture):
-    hyps, refs = fixture["hypotheses"], fixture["references"]
-    better = [r[0] for r in refs]
-    metric = BleuMetric()
-
-    def plain_bleu(h, r):
-        return metric.corpus(h, r)
-
-    fast = paired_bootstrap(metric, better, hyps, refs, n_resamples=200, seed=3)
-    slow = paired_bootstrap(plain_bleu, better, hyps, refs, n_resamples=200, seed=3)
-    assert fast.delta == pytest.approx(slow.delta, abs=1e-12)
-    assert fast.p_value == pytest.approx(slow.p_value, abs=1e-12)
-    assert fast.ci_low == pytest.approx(slow.ci_low, abs=1e-9)
-    assert fast.ci_high == pytest.approx(slow.ci_high, abs=1e-9)
-
-
 def test_metric_name_recorded(fixture):
     hyps, refs = fixture["hypotheses"], fixture["references"]
     res = paired_bootstrap(ChrfPPMetric(), hyps, hyps, refs, seed=1)
     assert res.metric == "chrf++"
     assert res.rng_seed == 1
     assert res.n_resamples == 1000
+
+
+def _synthetic_pair(seed: int, n: int = 1000):
+    """Two systems that each replace ~30% of a random reference's words."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(200)]
+    refs, hyps_a, hyps_b = [], [], []
+    for _ in range(n):
+        ref = [vocab[j] for j in rng.integers(0, len(vocab), size=int(rng.integers(5, 15)))]
+        refs.append([" ".join(ref)])
+        for hyps in (hyps_a, hyps_b):
+            hyps.append(" ".join(
+                w if rng.random() > 0.3 else vocab[int(rng.integers(0, len(vocab)))]
+                for w in ref))
+    return hyps_a, hyps_b, refs
+
+
+# the first two seeds from 0 whose p lies in [0.15, 0.35], where the
+# factor of two between the conventions is plain
+@pytest.mark.parametrize("seed", [0, 3])
+def test_p_value_is_half_a_centred_two_sided_p(seed):
+    hyps_a, hyps_b, refs = _synthetic_pair(seed)
+    metric = BleuMetric()
+    stats = (metric.segment_stats(hyps_a, refs), metric.segment_stats(hyps_b, refs))
+    res = paired_bootstrap(metric, hyps_a, hyps_b, refs, seed=seed, stats=stats)
+    assert 0.15 <= res.p_value <= 0.35
+
+    # the same resample indices as paired_bootstrap draws
+    n = len(refs)
+    idx = np.random.Generator(np.random.PCG64(seed)).integers(
+        0, n, size=(res.n_resamples, n), dtype=np.int64)
+    sums_a, sums_b = (kernels.resample_sums(s, idx) for s in stats)
+    deltas = np.array([metric.corpus_from_sums(a) - metric.corpus_from_sums(b)
+                       for a, b in zip(sums_a, sums_b)])
+    two_sided = float(np.mean(np.abs(deltas - res.delta) >= abs(res.delta)))
+    assert abs(res.p_value - two_sided / 2) <= 0.03

@@ -14,7 +14,6 @@ from refta.corpus import (
     load_monolingual,
     load_parallel,
     normalize_text,
-    write_monolingual,
 )
 from refta.errors import CorpusFormatError
 
@@ -130,16 +129,6 @@ class TestLoadMonolingual:
         p.write_bytes(b"bona\n\xff\xfe latin-1 junk\n")
         with pytest.raises(CorpusFormatError, match="UTF-8"):
             list(load_monolingual(p, "plain-lines"))
-
-    def test_round_trip(self, tmp_path):
-        src = tmp_path / "in.jsonl"
-        rows = [{"id": f"r{i}", "text": f"textus numerus {i}"} for i in range(10)]
-        src.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-        segs = list(load_monolingual(src, "jsonl"))
-        out = tmp_path / "out.jsonl"
-        write_monolingual(segs, out)
-        reloaded = list(load_monolingual(out, "jsonl"))
-        assert [(s.id, s.text) for s in segs] == [(s.id, s.text) for s in reloaded]
 
 
 class TestLoadParallel:

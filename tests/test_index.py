@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import json
 
 import numpy as np
@@ -228,24 +227,6 @@ class TestBuildIndex:
         assert mock_server.stats.snapshot()["counts"]["/embed"] == 3
 
 
-def _downgrade_to_v1(path):
-    """Rewrite a saved index directory in format version 1: a ``graph.npz`` of
-    adjacency arrays beside the data files, an ``hnsw`` manifest block and a
-    checksum for the graph."""
-    n = json.loads((path / "manifest.json").read_text())["count"]
-    neigh = np.zeros((n, 33), dtype=np.int32)
-    neigh[:, 0] = (np.arange(n) + 1) % n
-    np.savez(path / "graph.npz", node_levels=np.zeros(n, dtype=np.int32),
-             neigh_0=neigh, counts_0=np.ones(n, dtype=np.int32))
-    manifest = json.loads((path / "manifest.json").read_text())
-    manifest["format_version"] = 1
-    manifest["hnsw"] = {"m": 16, "ef_construction": 200, "ef_search": 128, "seed": 0,
-                        "entry_point": 0, "max_level": 0, "n_layers": 1}
-    digest = hashlib.sha256((path / "graph.npz").read_bytes()).hexdigest()
-    manifest["checksums"]["graph.npz"] = digest
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
 class TestPersistence:
     def test_round_trip_identical_queries_and_vectors(self, tmp_path):
         index, lemmas, raw = random_index(1000, 24, seed=21)
@@ -266,10 +247,11 @@ class TestPersistence:
         save_index(index, tmp_path / "idx")
         manifest_path = tmp_path / "idx" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 99
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(IndexError_, match="version"):
-            load_index(tmp_path / "idx")
+        for version in (1, 99):
+            manifest["format_version"] = version
+            manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(IndexError_, match=r"version 2 only: rebuild .*refta index-build"):
+                load_index(tmp_path / "idx")
 
     def test_truncated_vectors_fail_checksum(self, tmp_path):
         index, _, _ = random_index(10, 8, seed=23)
@@ -287,35 +269,6 @@ class TestPersistence:
         assert "hnsw" not in manifest
         assert sorted(manifest["checksums"]) == ["meta.jsonl", "vectors.bin"]
         assert not (tmp_path / "idx" / "graph.npz").exists()
-
-    def test_v1_directory_answers_like_v2(self, tmp_path):
-        index, _, _ = random_index(200, 16, seed=25)
-        save_index(index, tmp_path / "v2")
-        save_index(index, tmp_path / "v1")
-        _downgrade_to_v1(tmp_path / "v1")
-        v1, v2 = load_index(tmp_path / "v1"), load_index(tmp_path / "v2")
-        rng = np.random.default_rng(78)
-        for pool in (5, 51, 200):
-            q = rng.standard_normal(16).astype(np.float32)
-            a = [(r.entry.segment_id, r.cosine_similarity) for r in v1.query(
-                q, frozenset({"w1", "w2"}), k=5, jaccard_threshold=0.1, candidate_pool=pool)]
-            b = [(r.entry.segment_id, r.cosine_similarity) for r in v2.query(
-                q, frozenset({"w1", "w2"}), k=5, jaccard_threshold=0.1, candidate_pool=pool)]
-            assert a == b and a
-
-    def test_v1_corrupt_graph_fails_checksum(self, tmp_path):
-        index, _, _ = random_index(20, 8, seed=26)
-        save_index(index, tmp_path / "idx")
-        _downgrade_to_v1(tmp_path / "idx")
-        graph = tmp_path / "idx" / "graph.npz"
-        data = bytearray(graph.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        graph.write_bytes(bytes(data))
-        with pytest.raises(IndexError_, match="graph.npz"):
-            load_index(tmp_path / "idx")
-        graph.unlink()
-        with pytest.raises(IndexError_, match="graph.npz"):
-            load_index(tmp_path / "idx")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(IndexError_, match="manifest"):

@@ -1,7 +1,8 @@
 """The benchmark's tracer patches refta's public names from outside.
 
-Installing and restoring it here makes a rename under ``src/`` that would
-break the traced benchmark run fail the test suite instead.
+Installing and restoring it here, and running a traced pass, makes a rename
+or signature change under ``src/`` that would break the traced benchmark run
+fail the test suite instead.
 """
 
 from __future__ import annotations
@@ -9,7 +10,11 @@ from __future__ import annotations
 import importlib.util
 import sys
 
-from conftest import REPO_ROOT
+import refta.pipeline
+from conftest import FIXTURES, REPO_ROOT
+from refta.backends import EmbedderClient
+from refta.corpus import load_monolingual, load_parallel
+from refta.index import build_index
 
 
 def _load_tracing(monkeypatch):
@@ -40,3 +45,27 @@ def test_tracer_installs_and_restores_every_attribute(monkeypatch):
         tracer.restore()
     assert [(owner, attr) for owner, attr, orig in originals
             if getattr(owner, attr) is not orig] == []
+
+
+def test_segment_spans_carry_their_segment_id(monkeypatch, endpoint, tmp_path):
+    tracing = _load_tracing(monkeypatch)
+    endpoints = {role: endpoint(role) for role in ("drafter", "refiner", "embedder")}
+    corpus = list(load_monolingual(FIXTURES / "corpora" / "retrieval_fixture.jsonl", "jsonl"))
+    embedder = EmbedderClient(endpoints["embedder"])
+    try:
+        index, _ = build_index(corpus[:20], embedder)
+    finally:
+        embedder.close()
+    pairs = load_parallel(FIXTURES / "testsets" / "ood_fixture_110.tsv", "tsv")[:2]
+    cfg = refta.pipeline.RunConfig(condition="rag", run_id="traced", endpoints=endpoints,
+                                   k=2, jaccard_threshold=0.0)
+
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        (result,) = refta.pipeline.translate_corpus(cfg, pairs, index, runs_root=tmp_path)
+    finally:
+        tracer.restore()
+    assert result.succeeded == 2
+    spans = [s for s in tracer.spans if s.name == "pipeline.translate_segment"]
+    assert sorted(s.trace_id for s in spans) == sorted(p.source.id for p in pairs)

@@ -18,7 +18,6 @@ from refta.pipeline import (
     read_manifest,
     read_records,
     translate_corpus,
-    translate_segment,
 )
 
 
@@ -90,27 +89,33 @@ class TestRunConfig:
         assert "super-secret" not in json.dumps(cfg_c.to_canonical_dict())
 
 
+def _record(cfg, segment, index, tmp_path) -> dict:
+    """Run one segment through ``translate_corpus`` and return its record."""
+    pair = ParallelPair(source=segment, references=("ref",))
+    (result,) = translate_corpus(cfg, [pair], index, runs_root=tmp_path)
+    (rec,) = read_records(result.run_dir)
+    return rec
+
+
 class TestTranslateSegment:
-    def test_zero_shot_gating(self, stack):
+    def test_zero_shot_gating(self, stack, tmp_path):
         endpoints, index, server = stack
         server.behavior.refiner = "echo"
-        cfg = _config(endpoints, "zero_shot")
         seg = _pairs(1)[0].source
-        rec = translate_segment(cfg, seg, None)
-        assert rec.draft is None
-        assert rec.neighbors == ()
-        assert rec.refined == f"Translate the following Latin text to English:\n{seg.text}"
+        rec = _record(_config(endpoints, "zero_shot"), seg, None, tmp_path)
+        assert rec["draft"] is None
+        assert rec["neighbors"] == []
+        assert rec["refined"] == f"Translate the following Latin text to English:\n{seg.text}"
 
-    def test_draft_only_has_draft_no_neighbors(self, stack):
+    def test_draft_only_has_draft_no_neighbors(self, stack, tmp_path):
         endpoints, index, _ = stack
-        cfg = _config(endpoints, "draft_only")
         seg = _pairs(1)[0].source
-        rec = translate_segment(cfg, seg, None)
-        assert rec.draft == f"[draft]{seg.text}"
-        assert rec.neighbors == ()
-        assert rec.refined.startswith("[refined] ")
+        rec = _record(_config(endpoints, "draft_only"), seg, None, tmp_path)
+        assert rec["draft"] == f"[draft]{seg.text}"
+        assert rec["neighbors"] == []
+        assert rec["refined"].startswith("[refined] ")
 
-    def test_rag_survivor_count_bounded_by_filter(self, stack):
+    def test_rag_survivor_count_bounded_by_filter(self, stack, tmp_path):
         endpoints, _, _ = stack
         from refta.backends import EmbedderClient
         from refta.index import VectorIndex
@@ -120,28 +125,29 @@ class TestTranslateSegment:
         embedder = EmbedderClient(endpoints["embedder"])
         texts = ["gallia bellum gerunt", "bellum gallia gerunt", "prorsus alienum verbum"]
         vecs = np.stack(embedder.embed(texts))
+        embedder.close()
         from refta.corpus import lemmatize
         index = VectorIndex.from_arrays(
             ["n1", "n2", "n3"], texts, [lemmatize(t) for t in texts], vecs
         )
         seg = SourceSegment.make("q1", "gallia bellum gerunt iterum", "test")
         cfg = _config(endpoints, "rag", k=5, jaccard_threshold=0.3)
-        rec = translate_segment(cfg, seg, index)
-        assert len(rec.neighbors) == 2
-        assert {n.segment_id for n in rec.neighbors} == {"n1", "n2"}
+        rec = _record(cfg, seg, index, tmp_path)
+        assert len(rec["neighbors"]) == 2
+        assert {n["segment_id"] for n in rec["neighbors"]} == {"n1", "n2"}
 
-    def test_self_retrieval_guard(self, stack):
+    def test_self_retrieval_guard(self, stack, tmp_path):
         endpoints, index, _ = stack
-        seg_text = index.entry(0).text
-        seg = SourceSegment.make("self", seg_text, "test")
+        seg = SourceSegment.make("self", index.entry(0).text, "test")
         cfg = _config(endpoints, "rag", k=2, jaccard_threshold=0.0)
-        rec = translate_segment(cfg, seg, index)
-        assert all(n.latin != seg.text for n in rec.neighbors)
+        rec = _record(cfg, seg, index, tmp_path)
+        assert rec["neighbors"]
+        assert all(n["latin"] != seg.text for n in rec["neighbors"])
 
-    def test_rag_needs_index(self, stack):
+    def test_rag_needs_index(self, stack, tmp_path):
         endpoints, _, _ = stack
         with pytest.raises(ValueError, match="index"):
-            translate_segment(_config(endpoints, "rag"), _pairs(1)[0].source, None)
+            translate_corpus(_config(endpoints, "rag"), _pairs(1), None, runs_root=tmp_path)
 
 
 def _drafted_union(records, pairs) -> set:
@@ -236,6 +242,28 @@ class TestFailureIsolation:
         assert hyps[0] == FAILED_SENTINEL and FAILED_SENTINEL not in hyps[1:]
         # batch [0, 1] failed, [0] and [1] resent, then [2, 3] and [4]
         assert server.stats.snapshot()["counts"]["/translate"] == 5
+
+    def test_rejected_one_input_batch_is_not_resent(self, stack, tmp_path, monkeypatch):
+        endpoints, _, _ = stack
+        pairs = _pairs(3)
+        bad = pairs[2].source.text
+        calls = []
+        original = DrafterClient.translate
+
+        def rejecting(self, texts):
+            calls.append(list(texts))
+            if bad in texts:
+                raise RequestError(422, "rejected input")
+            return original(self, texts)
+
+        monkeypatch.setattr(DrafterClient, "translate", rejecting)
+        small = {role: EndpointConfig(**{**ep.__dict__, "max_batch": 2})
+                 for role, ep in endpoints.items()}
+        (result,) = translate_corpus(_config(small, "draft_only"), pairs, None,
+                                     runs_root=tmp_path)
+        assert calls == [[pairs[0].source.text, pairs[1].source.text], [bad]]
+        assert [(r["index"], r["stage"]) for r in _errors(result.run_dir)] == [(2, "draft")]
+        assert result.succeeded == 2
 
     def test_exhausted_batch_fails_its_segments_without_resend(self, stack, faulty,
                                                                tmp_path):
