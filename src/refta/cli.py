@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -77,14 +78,17 @@ def _runtime_errors(fn):
 
 def _endpoint(role: str, url: str, model: str | None, timeout: float,
               max_retries: int, parallelism: int) -> EndpointConfig:
-    return EndpointConfig(
-        base_url=url,
-        model_id=model or DEFAULT_MODELS[role],
-        timeout=timeout,
-        max_retries=max_retries,
-        request_parallelism=parallelism,
-        auth_token=resolve_token(role),
-    )
+    try:
+        return EndpointConfig(
+            base_url=url,
+            model_id=model or DEFAULT_MODELS[role],
+            timeout=timeout,
+            max_retries=max_retries,
+            request_parallelism=parallelism,
+            auth_token=resolve_token(role),
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _parallel_format(path: str, explicit: str | None) -> str:
@@ -174,14 +178,12 @@ def cmd_index_build(corpora, corpus_format, exclude_path, out_dir, embedder_url,
 
 
 def _load_exclusions(path: str) -> ExclusionList:
+    """A ``.tsv`` test set, a ``.jsonl`` file of ``id``/``text`` rows
+    (parallel or monolingual), or else plain lines."""
     if path.endswith(".tsv"):
         return ExclusionList.from_pairs(load_parallel(path, "tsv"))
-    if path.endswith(".jsonl"):
-        try:
-            return ExclusionList.from_pairs(load_parallel(path, "jsonl"))
-        except ReftaError:
-            return ExclusionList.from_segments(load_monolingual(path, "jsonl"))
-    return ExclusionList.from_segments(load_monolingual(path, "plain-lines"))
+    fmt = "jsonl" if path.endswith(".jsonl") else "plain-lines"
+    return ExclusionList.from_segments(load_monolingual(path, fmt))
 
 
 @main.command("translate")
@@ -225,10 +227,6 @@ def cmd_translate(test_set, test_format, index_dir, condition, k, jaccard_thresh
         raise click.UsageError("--condition rag requires --index")
     if not refiner_url:
         raise click.UsageError("--refiner URL is required")
-    if condition in ("draft_only", "rag") and not drafter_url:
-        raise click.UsageError(f"--condition {condition} requires --drafter")
-    if condition == "rag" and not embedder_url:
-        raise click.UsageError("--condition rag requires --embedder")
 
     endpoints = {"refiner": _endpoint("refiner", refiner_url, refiner_model,
                                       timeout, max_retries, parallelism)}
@@ -239,25 +237,30 @@ def cmd_translate(test_set, test_format, index_dir, condition, k, jaccard_thresh
         endpoints["embedder"] = _endpoint("embedder", embedder_url, embed_model,
                                           timeout, max_retries, parallelism)
 
+    temps = list(temperatures) if temperatures else [0.0]
+    try:
+        cfg = RunConfig(
+            condition=condition,
+            run_id=run_id,
+            endpoints=endpoints,
+            k=k,
+            jaccard_threshold=jaccard_threshold,
+            temperature=temps[0],
+            top_p=top_p,
+            max_output_tokens=max_output_tokens,
+            input_budget=input_budget,
+            candidate_pool=candidate_pool,
+            workers=workers,
+            seed=seed,
+            fail_fast=fail_fast,
+        )
+        for temp in temps[1:]:  # every run of a sweep is checked up front
+            replace(cfg, temperature=temp)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+
     pairs = load_parallel(test_set, _parallel_format(test_set, test_format))
     index = load_index(index_dir) if index_dir else None
-    temps = list(temperatures) if temperatures else [0.0]
-
-    cfg = RunConfig(
-        condition=condition,
-        run_id=run_id,
-        endpoints=endpoints,
-        k=k,
-        jaccard_threshold=jaccard_threshold,
-        temperature=temps[0],
-        top_p=top_p,
-        max_output_tokens=max_output_tokens,
-        input_budget=input_budget,
-        candidate_pool=candidate_pool,
-        workers=workers,
-        seed=seed,
-        fail_fast=fail_fast,
-    )
     results = translate_corpus(cfg, pairs, index, runs_root=runs_root,
                                temperatures=temps, force=force)
     payload = [

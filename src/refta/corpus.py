@@ -2,14 +2,17 @@
 
 Input formats
 -------------
-- monolingual jsonl: one object per line with fields ``id`` (string),
-  ``text`` (string) and optional ``origin``.
+- monolingual jsonl: one object per line with fields ``id`` and ``text``.
 - monolingual plain-lines: one segment per line; ids are assigned as
   ``<filename>:<line-number>`` (1-based).
 - parallel tsv: ``id \\t latin \\t reference[ \\t reference...]`` with no
   header row and ``\\n`` line endings.
 - parallel jsonl: one object per line with fields ``id``, ``text`` and
   ``references`` (non-empty list of strings).
+
+JSONL rows must be objects holding the fields their format needs; other
+fields are ignored, so the monolingual reader also reads a parallel file's
+``id`` and ``text``. Blank lines are skipped, and ids must be unique.
 
 All files must be valid UTF-8; anything else is rejected rather than
 transcoded, since silent transcoding corrupts philological text.
@@ -25,8 +28,6 @@ from pathlib import Path
 from typing import Iterator
 
 from refta.errors import CorpusFormatError
-
-LemmaSet = frozenset  # set of lowercase token stems
 
 _WS_RE = re.compile(r"\s+")
 _TOKEN_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
@@ -58,15 +59,10 @@ class SourceSegment:
 
     id: str
     text: str
-    origin: str
-    char_count: int
 
-    @classmethod
-    def make(cls, id: str, raw_text: str, origin: str) -> "SourceSegment":
-        text = normalize_text(raw_text)
-        if not text:
-            raise ValueError(f"segment '{id}' normalizes to empty text")
-        return cls(id=id, text=text, origin=origin, char_count=len(text))
+    def __post_init__(self):
+        if not self.text:
+            raise ValueError(f"segment '{self.id}' has empty text")
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,7 @@ _VERB_REPLACEMENTS = {
 }
 
 
-class SchinkeStemmer:
+def schinke_stem(token: str) -> frozenset:
     """Deterministic rule-based Latin stemmer producing noun and verb stems.
 
     Each token yields up to two stems. i/j and u/v are conflated first, the
@@ -130,33 +126,28 @@ class SchinkeStemmer:
     the longest matching suffix from each table is removed (or substituted)
     provided at least two characters remain.
     """
+    w = token.lower().replace("j", "i").replace("v", "u")
+    if w.endswith("que"):
+        if w in _QUE_EXCEPTIONS:
+            return frozenset((w,))
+        w = w[:-3]
 
-    def stem(self, token: str) -> frozenset:
-        w = token.lower().replace("j", "i").replace("v", "u")
-        if w.endswith("que"):
-            if w in _QUE_EXCEPTIONS:
-                return frozenset((w,))
-            w = w[:-3]
+    noun = w
+    for suf in _NOUN_SUFFIXES:
+        if w.endswith(suf):
+            if len(w) - len(suf) >= 2:
+                noun = w[: -len(suf)]
+            break
 
-        noun = w
-        for suf in _NOUN_SUFFIXES:
-            if w.endswith(suf):
-                if len(w) - len(suf) >= 2:
-                    noun = w[: -len(suf)]
-                break
+    verb = w
+    for suf in _VERB_SUFFIXES:
+        if w.endswith(suf):
+            candidate = w[: -len(suf)] + _VERB_REPLACEMENTS.get(suf, "")
+            if len(candidate) >= 2:
+                verb = candidate
+            break
 
-        verb = w
-        for suf in _VERB_SUFFIXES:
-            if w.endswith(suf):
-                candidate = w[: -len(suf)] + _VERB_REPLACEMENTS.get(suf, "")
-                if len(candidate) >= 2:
-                    verb = candidate
-                break
-
-        return frozenset(s for s in (noun, verb) if s)
-
-
-_DEFAULT_STEMMER = SchinkeStemmer()
+    return frozenset(s for s in (noun, verb) if s)
 
 
 def lemmatize(text: str) -> frozenset:
@@ -165,7 +156,7 @@ def lemmatize(text: str) -> frozenset:
     for token in _TOKEN_RE.findall(text):
         if len(token) < 2:
             continue
-        stems.update(_DEFAULT_STEMMER.stem(token.lower()))
+        stems.update(schinke_stem(token.lower()))
     return frozenset(stems)
 
 
@@ -178,17 +169,15 @@ class SkipRecord:
     reason: str
 
 
-def _open_utf8(path: Path):
+def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Yield (line_no, line) pairs without the line ending; open and decode
+    failures become CorpusFormatError."""
     try:
-        return path.open("r", encoding="utf-8", errors="strict", newline="")
+        fh = path.open("r", encoding="utf-8", errors="strict", newline="")
     except OSError as exc:
         raise CorpusFormatError(path, None, f"cannot open: {exc}") from exc
-
-
-def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:
-    """Yield (line_no, line) pairs; decode failures become CorpusFormatError."""
     line_no = 0
-    with _open_utf8(path) as fh:
+    with fh:
         while True:
             try:
                 line = fh.readline()
@@ -199,13 +188,60 @@ def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:
             if line == "":
                 return
             line_no += 1
-            yield line_no, line
+            yield line_no, line.rstrip("\n").rstrip("\r")
+
+
+def _rows(path: Path, format: str, parallel: bool = False):
+    """Yield ``(line_no, id, raw_text, raw_references)`` for each row of ``path``.
+
+    Every row rule lives here. Blank lines are skipped, except in
+    plain-lines, where the loader reports them as empty. A JSONL row must be
+    an object holding ``id`` and ``text`` and, when ``parallel``, a
+    non-empty ``references`` list; other keys are ignored. An id seen twice
+    is an error naming both lines. ``raw_references`` is None unless
+    ``parallel``.
+    """
+    keys = ("id", "text", "references") if parallel else ("id", "text")
+    seen: dict[str, int] = {}
+    for line_no, line in _iter_lines(path):
+        if format == "plain-lines":
+            row = {"id": f"{path.name}:{line_no}", "text": line}
+        elif not line.strip():
+            continue
+        elif format == "tsv":
+            fields = line.split("\t")
+            if len(fields) < 3:
+                raise CorpusFormatError(
+                    path, line_no,
+                    f"expected at least 3 tab-separated fields, got {len(fields)}",
+                )
+            row = {"id": fields[0], "text": fields[1], "references": fields[2:]}
+        else:
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(path, line_no, f"invalid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise CorpusFormatError(path, line_no, "row is not a JSON object")
+            missing = [k for k in keys if k not in row]
+            if missing:
+                raise CorpusFormatError(path, line_no, f"row missing {missing}")
+            if parallel and not (isinstance(row["references"], list) and row["references"]):
+                raise CorpusFormatError(
+                    path, line_no, "'references' must be a non-empty JSON list")
+        seg_id = str(row["id"])
+        if seg_id in seen:
+            raise CorpusFormatError(
+                path, line_no,
+                f"duplicate id '{seg_id}' (first seen at line {seen[seg_id]})",
+            )
+        seen[seg_id] = line_no
+        yield line_no, seg_id, str(row["text"]), row["references"] if parallel else None
 
 
 def load_monolingual(
     path: str | Path,
     format: str,
-    origin: str | None = None,
     skipped: list[SkipRecord] | None = None,
 ) -> Iterator[SourceSegment]:
     """Stream normalized segments from a monolingual corpus file.
@@ -217,40 +253,12 @@ def load_monolingual(
     if format not in ("jsonl", "plain-lines"):
         raise ValueError(f"unknown monolingual format: {format!r}")
     path = Path(path)
-    origin = origin if origin is not None else path.name
-    seen_ids: dict[str, int] = {}
-    for line_no, line in _iter_lines(path):
-        raw_line = line.rstrip("\n").rstrip("\r")
-        if format == "jsonl":
-            if not raw_line.strip():
-                continue
-            try:
-                row = json.loads(raw_line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(path, line_no, f"invalid JSON: {exc}") from exc
-            if not isinstance(row, dict) or "id" not in row:
-                raise CorpusFormatError(path, line_no, "row missing 'id' field")
-            if "text" not in row:
-                raise CorpusFormatError(path, line_no, "row missing 'text' field")
-            seg_id = str(row["id"])
-            raw_text = str(row["text"])
-            seg_origin = str(row.get("origin", origin))
-        else:
-            seg_id = f"{path.name}:{line_no}"
-            raw_text = raw_line
-            seg_origin = origin
-        if seg_id in seen_ids:
-            raise CorpusFormatError(
-                path, line_no,
-                f"duplicate id '{seg_id}' (first seen at line {seen_ids[seg_id]})",
-            )
-        seen_ids[seg_id] = line_no
+    for line_no, seg_id, raw_text, _ in _rows(path, format):
         text = normalize_text(raw_text)
-        if not text:
-            if skipped is not None:
-                skipped.append(SkipRecord(str(path), line_no, "empty after normalization"))
-            continue
-        yield SourceSegment(id=seg_id, text=text, origin=seg_origin, char_count=len(text))
+        if text:
+            yield SourceSegment(seg_id, text)
+        elif skipped is not None:
+            skipped.append(SkipRecord(str(path), line_no, "empty after normalization"))
 
 
 def load_parallel(path: str | Path, format: str) -> list[ParallelPair]:
@@ -259,41 +267,12 @@ def load_parallel(path: str | Path, format: str) -> list[ParallelPair]:
         raise ValueError(f"unknown parallel format: {format!r}")
     path = Path(path)
     pairs: list[ParallelPair] = []
-    seen_ids: dict[str, int] = {}
-    for line_no, line in _iter_lines(path):
-        raw_line = line.rstrip("\n").rstrip("\r")
-        if not raw_line.strip():
-            continue
-        if format == "tsv":
-            fields = raw_line.split("\t")
-            if len(fields) < 3:
-                raise CorpusFormatError(
-                    path, line_no,
-                    f"expected at least 3 tab-separated fields, got {len(fields)}",
-                )
-            seg_id, latin, refs = fields[0], fields[1], fields[2:]
-        else:
-            try:
-                row = json.loads(raw_line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(path, line_no, f"invalid JSON: {exc}") from exc
-            missing = [k for k in ("id", "text", "references") if k not in row]
-            if missing:
-                raise CorpusFormatError(path, line_no, f"row missing {missing}")
-            seg_id, latin = str(row["id"]), str(row["text"])
-            refs = [str(r) for r in row["references"]]
-        if seg_id in seen_ids:
-            raise CorpusFormatError(
-                path, line_no,
-                f"duplicate id '{seg_id}' (first seen at line {seen_ids[seg_id]})",
-            )
-        seen_ids[seg_id] = line_no
-        text = normalize_text(latin)
+    for line_no, seg_id, raw_text, raw_refs in _rows(path, format, parallel=True):
+        text = normalize_text(raw_text)
         if not text:
             raise CorpusFormatError(path, line_no, "source normalizes to empty text")
-        norm_refs = tuple(normalize_text(r) for r in refs)
-        if any(not r for r in norm_refs):
+        refs = tuple(normalize_text(str(r)) for r in raw_refs)
+        if any(not r for r in refs):
             raise CorpusFormatError(path, line_no, "empty reference")
-        source = SourceSegment(id=seg_id, text=text, origin=path.name, char_count=len(text))
-        pairs.append(ParallelPair(source=source, references=norm_refs))
+        pairs.append(ParallelPair(SourceSegment(seg_id, text), refs))
     return pairs

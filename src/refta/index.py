@@ -312,7 +312,12 @@ def load_index(path: str | Path) -> VectorIndex:
     manifest_path = src / "manifest.json"
     if not manifest_path.exists():
         raise IndexError_(f"no manifest.json under {src}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise IndexError_(f"{manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise IndexError_(f"{manifest_path} is not a JSON object")
 
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
@@ -321,6 +326,9 @@ def load_index(path: str | Path) -> VectorIndex:
             f"version {FORMAT_VERSION} only: rebuild the index with `refta index-build`"
         )
 
+    missing = [key for key in ("checksums", "count", "dim", "model_id") if key not in manifest]
+    if missing:
+        raise IndexError_(f"{manifest_path} lacks {missing}")
     for name, expected in manifest["checksums"].items():
         if not (src / name).is_file() or _sha256_file(src / name) != expected:
             raise IndexError_(

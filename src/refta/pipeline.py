@@ -42,7 +42,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -74,8 +74,10 @@ from refta.prompt import (
 
 FAILED_SENTINEL = "<FAILED>"
 
-# auth tokens and backoff timing stay out of manifests and the config hash
-_HASHED_ENDPOINT_FIELDS = (
+# auth tokens and backoff timing stay out of manifests and the config hash;
+# base_url is in the manifest but not the hash, so a restarted or moved
+# backend serving the same model keeps the hash
+_MANIFEST_ENDPOINT_FIELDS = (
     "base_url", "model_id", "timeout", "max_retries", "request_parallelism", "max_batch",
 )
 _ROLE_REQUIREMENTS = {
@@ -108,10 +110,12 @@ class RunConfig:
             raise ValueError("rag requires k >= 1")
         if not 0.0 <= self.jaccard_threshold <= 1.0:
             raise ValueError("jaccard_threshold must be in [0, 1]")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError("temperature must be in [0, 2]")
-        if not 0.0 < self.top_p <= 1.0:
-            raise ValueError("top_p must be in (0, 1]")
+        # the refiner's sampling rules, checked before any call is paid for
+        ChatRequest(system="", user="", temperature=self.temperature, top_p=self.top_p,
+                    max_output_tokens=self.max_output_tokens, seed=self.seed)
+        if self.condition == RAG and self.resolved_pool() + 1 < self.k:
+            # the retrieve stage queries a pool of candidate_pool + 1
+            raise ValueError(f"candidate_pool {self.resolved_pool()} + 1 must be >= k {self.k}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         missing = [r for r in _ROLE_REQUIREMENTS[self.condition] if r not in self.endpoints]
@@ -127,15 +131,16 @@ class RunConfig:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["candidate_pool"] = self.resolved_pool()
         out["endpoints"] = {
-            role: {name: getattr(ep, name) for name in _HASHED_ENDPOINT_FIELDS}
+            role: {name: getattr(ep, name) for name in _MANIFEST_ENDPOINT_FIELDS}
             for role, ep in sorted(self.endpoints.items())
         }
         return out
 
     def config_hash(self) -> str:
-        return hashlib.sha256(
-            canonical_json(self.to_canonical_dict()).encode("utf-8")
-        ).hexdigest()
+        hashed = self.to_canonical_dict()
+        for ep in hashed["endpoints"].values():
+            del ep["base_url"]
+        return hashlib.sha256(canonical_json(hashed).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -368,16 +373,16 @@ def translate_corpus(
         if (run_dir / "records.jsonl").exists() and not force:
             raise ReftaError(f"run directory {run_dir} already holds records; use force")
 
+    # every temperature is checked before stages 1-3 send a request
+    cfgs = [replace(cfg, temperature=float(temp)) for temp in temps]
+
     t0 = time.perf_counter()
     clients = PipelineClients.from_config(cfg)
     try:
         preps = _prepare(cfg, [p.source for p in pairs], index, clients)
         prepare_ms = _ms_since(t0)
-        return [
-            _run_one(RunConfig(**{**cfg.__dict__, "temperature": float(temp)}),
-                     pairs, preps, prepare_ms, run_dir, clients)
-            for temp, run_dir in zip(temps, run_dirs)
-        ]
+        return [_run_one(run_cfg, pairs, preps, prepare_ms, run_dir, clients)
+                for run_cfg, run_dir in zip(cfgs, run_dirs)]
     finally:
         clients.close()
 

@@ -334,7 +334,7 @@ def test_c07_cache_and_concurrency(tmp_path):
         base = load_parallel(TEST_SET, "tsv")[0]
         pairs = [
             ParallelPair(
-                source=SourceSegment.make(f"q{i:02d}", base.source.text + f" verbum{i}", "t"),
+                source=SourceSegment(f"q{i:02d}", base.source.text + f" verbum{i}"),
                 references=("a reference translation",),
             )
             for i in range(16)

@@ -56,6 +56,18 @@ class TestIndexBuild:
         assert again.exit_code == 1
         assert "--force" in again.output or "force" in again.output
 
+    def test_bad_endpoint_value_is_usage_error(self, runner, workspace, mock_server):
+        import requests
+
+        result = runner.invoke(main, [
+            "index-build", "--corpus", str(workspace / "corpus.jsonl"),
+            "--out", str(workspace / "idx"), "--embedder", mock_server.base_url,
+            "--timeout", "0",
+        ])
+        assert result.exit_code == 2
+        assert "timeout" in result.output
+        assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {}
+
     def test_exclusions_applied(self, runner, workspace, mock_server):
         result = runner.invoke(main, [
             "index-build",
@@ -68,6 +80,24 @@ class TestIndexBuild:
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
         assert payload["indexed"] == 50  # fixture rows do not overlap the test set
+
+    @pytest.mark.parametrize("name, row", [
+        ("parallel.jsonl", lambda r: json.dumps({**r, "references": ["ref"]})),
+        ("monolingual.jsonl", json.dumps),
+        ("lines.txt", lambda r: r["text"]),
+    ])
+    def test_every_exclude_format_is_read(self, runner, workspace, mock_server, name, row):
+        corpus_rows = [json.loads(line) for line in
+                       (workspace / "corpus.jsonl").read_text().splitlines()]
+        exclude = workspace / name
+        exclude.write_text("".join(row(r) + "\n" for r in corpus_rows[:5]), encoding="utf-8")
+        result = runner.invoke(main, [
+            "index-build", "--corpus", str(workspace / "corpus.jsonl"),
+            "--exclude", str(exclude), "--out", str(workspace / "idx3"),
+            "--embedder", mock_server.base_url, "--json",
+        ])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["excluded"] == 5
 
     def test_parallelism_sets_batches_in_flight(self, runner, tmp_path, mock_server):
         corpus = tmp_path / "big.jsonl"
@@ -132,6 +162,41 @@ class TestTranslate:
         result = _translate(runner, workspace, mock_server.base_url, "rag",
                             extra=["--index", ""])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("condition, extra", [
+        ("draft_only", ["--max-output-tokens", "9000"]),
+        ("draft_only", ["--top-p", "0"]),
+        ("zero_shot", ["--temp", "0.0", "--temp", "3.0"]),
+        ("rag", ["--candidate-pool", "2", "--k", "5"]),
+        ("zero_shot", ["--timeout", "0"]),
+    ], ids=["output-ceiling", "top-p", "sweep-temperature", "pool-below-k", "timeout"])
+    def test_bad_value_is_usage_error_before_any_request(self, runner, workspace, mock_server,
+                                                         condition, extra):
+        import requests
+
+        url = mock_server.base_url
+        if condition == "rag":
+            assert _build_index(runner, workspace, url).exit_code == 0
+            requests.post(f"{url}/_reset", json={}, timeout=5)
+        result = _translate(runner, workspace, url, condition, extra=extra)
+        assert result.exit_code == 2, result.output
+        assert requests.get(f"{url}/_stats", timeout=5).json()["counts"] == {}
+
+    @pytest.mark.parametrize("condition, given, missing", [
+        ("draft_only", [], "drafter"),
+        ("rag", ["--drafter"], "embedder"),
+    ])
+    def test_missing_endpoint_is_usage_error(self, runner, workspace, mock_server,
+                                             condition, given, missing):
+        assert _build_index(runner, workspace, mock_server.base_url).exit_code == 0
+        args = ["translate", "--test-set", str(workspace / "test.tsv"),
+                "--condition", condition, "--run-id", "x",
+                "--runs-root", str(workspace / "runs"), "--index", str(workspace / "idx"),
+                "--refiner", mock_server.base_url]
+        args += [arg for flag in given for arg in (flag, mock_server.base_url)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert missing in result.output
 
     def test_two_temperatures_two_dirs(self, runner, workspace, mock_server):
         result = _translate(runner, workspace, mock_server.base_url, "zero_shot",

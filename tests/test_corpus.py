@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 
 from refta.corpus import (
     ParallelPair,
-    SchinkeStemmer,
     SourceSegment,
     lemmatize,
     load_monolingual,
     load_parallel,
     normalize_text,
+    schinke_stem,
 )
 from refta.errors import CorpusFormatError
 
@@ -48,28 +48,25 @@ class TestNormalizeText:
 class TestLemmatize:
     # stems below were derived by applying the published rule tables by hand
     def test_schinke_noun_and_verb_stems(self):
-        stemmer = SchinkeStemmer()
-        assert stemmer.stem("portas") == frozenset({"port", "porta"})
-        assert stemmer.stem("portarum") == frozenset({"portar", "portaru"})
-        assert stemmer.stem("portam") == frozenset({"port", "porta"})
-        assert stemmer.stem("gallia") == frozenset({"gall", "gallia"})
-        assert stemmer.stem("est") == frozenset({"est", "es"})
+        assert schinke_stem("portas") == frozenset({"port", "porta"})
+        assert schinke_stem("portarum") == frozenset({"portar", "portaru"})
+        assert schinke_stem("portam") == frozenset({"port", "porta"})
+        assert schinke_stem("gallia") == frozenset({"gall", "gallia"})
+        assert schinke_stem("est") == frozenset({"est", "es"})
 
     def test_inflection_conflation(self):
         # portas and portam share both stems under the rule tables
         assert lemmatize("portas") == lemmatize("portam")
 
     def test_que_enclitic(self):
-        stemmer = SchinkeStemmer()
         # exception list word is left whole
-        assert stemmer.stem("atque") == frozenset({"atque"})
+        assert schinke_stem("atque") == frozenset({"atque"})
         # populusque -> populus -> noun 'popul', verb 'populus' (-s removed -> 'populu')
-        assert stemmer.stem("populusque") == frozenset({"popul", "populu"})
+        assert schinke_stem("populusque") == frozenset({"popul", "populu"})
 
     def test_j_v_conflation(self):
-        stemmer = SchinkeStemmer()
-        assert stemmer.stem("jus") == stemmer.stem("ius")
-        assert stemmer.stem("veni") == stemmer.stem("ueni")
+        assert schinke_stem("jus") == schinke_stem("ius")
+        assert schinke_stem("veni") == schinke_stem("ueni")
 
     def test_empty_input(self):
         assert lemmatize("") == frozenset()
@@ -99,7 +96,7 @@ class TestLoadMonolingual:
         p.write_text("una linea\naltera linea\ntertia linea\n", encoding="utf-8")
         segs = list(load_monolingual(p, "plain-lines"))
         assert [s.id for s in segs] == [f"corpus.txt:{i}" for i in (1, 2, 3)]
-        assert all(s.char_count == len(s.text) for s in segs)
+        assert [s.text for s in segs] == ["una linea", "altera linea", "tertia linea"]
 
     def test_jsonl_missing_text(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
@@ -123,6 +120,12 @@ class TestLoadMonolingual:
         p.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError, match="line 1"):
             list(load_monolingual(p, "jsonl"))
+
+    def test_reads_parallel_rows_ignoring_references(self, tmp_path):
+        p = tmp_path / "set.jsonl"
+        row = {"id": "a", "text": " latin  hic", "references": ["a ref"], "note": 1}
+        p.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        assert list(load_monolingual(p, "jsonl")) == [SourceSegment("a", "latin hic")]
 
     def test_rejects_non_utf8(self, tmp_path):
         p = tmp_path / "corpus.txt"
@@ -168,6 +171,16 @@ class TestLoadParallel:
         pairs = load_parallel(p, "jsonl")
         assert pairs[0].source.id == "a"
 
+    @pytest.mark.parametrize("references", ["abc", [], None])
+    def test_jsonl_references_must_be_a_non_empty_list(self, tmp_path, references):
+        p = tmp_path / "set.jsonl"
+        rows = [{"id": "a", "text": "latin hic", "references": ["a ref"]},
+                {"id": "b", "text": "latin illic", "references": references}]
+        p.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match="references") as exc:
+            load_parallel(p, "jsonl")
+        assert exc.value.line_no == 2
+
     def test_empty_reference_rejected(self, tmp_path):
         p = tmp_path / "set.tsv"
         p.write_text("a\tlatin hic\t \n", encoding="utf-8")
@@ -175,7 +188,25 @@ class TestLoadParallel:
             load_parallel(p, "tsv")
 
 
+@pytest.mark.parametrize("load", [
+    lambda p: list(load_monolingual(p, "jsonl")),
+    lambda p: load_parallel(p, "jsonl"),
+], ids=["monolingual", "parallel"])
+def test_jsonl_non_object_row_names_its_line(tmp_path, load):
+    p = tmp_path / "rows.jsonl"
+    p.write_text('{"id": "a", "text": "bona", "references": ["good"]}\n\n5\n',
+                 encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="not a JSON object") as exc:
+        load(p)
+    assert exc.value.line_no == 3
+
+
+def test_source_segment_requires_text():
+    with pytest.raises(ValueError, match="empty text"):
+        SourceSegment("x", "")
+
+
 def test_parallel_pair_requires_reference():
-    seg = SourceSegment.make("x", "textus", "t")
+    seg = SourceSegment("x", "textus")
     with pytest.raises(ValueError):
         ParallelPair(source=seg, references=())

@@ -160,10 +160,9 @@ def _segments(n, prefix="seg"):
     words = ["gallia", "bellum", "senatus", "populus", "roma", "aqua",
              "terra", "ignis", "silva", "flumen", "mons", "ager", "urbs"]
     return [
-        SourceSegment.make(
+        SourceSegment(
             f"{prefix}{i:03d}",
             " ".join(words[(2 * i + j) % len(words)] for j in range(5)),
-            "test",
         )
         for i in range(n)
     ]
@@ -189,7 +188,7 @@ class TestBuildIndex:
     def test_near_duplicate_dropped(self):
         segs = _segments(6)
         # same lemma set as segs[0] via word-order permutation
-        twin = SourceSegment.make("twin", " ".join(reversed(segs[0].text.split())), "test")
+        twin = SourceSegment("twin", " ".join(reversed(segs[0].text.split())))
         excl = ExclusionList(exact_texts=frozenset({segs[0].text}), ids=frozenset())
         index, report = build_index(segs[1:] + [twin], _ArrayEmbedder(), excl,
                                     near_dup_threshold=0.9)
@@ -198,14 +197,14 @@ class TestBuildIndex:
 
     def test_backend_failure_names_batch(self):
         segs = _segments(40)  # 3 batches at max_batch 16
-        segs[20] = SourceSegment.make("odd", "textus singularis", "test")  # batch 1
+        segs[20] = SourceSegment("odd", "textus singularis")  # batch 1
         with pytest.raises(IndexError_, match="batch 1"):
             build_index(segs, _ArrayEmbedder(fail_for={"textus singularis"}),
                         ExclusionList.empty())
 
     def test_dimension_drift_aborts(self):
         segs = _segments(40)
-        segs[35] = SourceSegment.make("odd", "textus singularis", "test")  # batch 2
+        segs[35] = SourceSegment("odd", "textus singularis")  # batch 2
         with pytest.raises(IndexError_, match="drift"):
             build_index(segs, _ArrayEmbedder(drift_for={"textus singularis"}),
                         ExclusionList.empty())
@@ -251,6 +250,23 @@ class TestPersistence:
             manifest["format_version"] = version
             manifest_path.write_text(json.dumps(manifest))
             with pytest.raises(IndexError_, match=r"version 2 only: rebuild .*refta index-build"):
+                load_index(tmp_path / "idx")
+
+    def test_malformed_manifest_names_file_and_key(self, tmp_path):
+        index, _, _ = random_index(10, 8, seed=22)
+        save_index(index, tmp_path / "idx")
+        manifest_path = tmp_path / "idx" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        cases = [
+            ("{not json", "manifest.json is not valid JSON"),
+            (json.dumps({k: v for k, v in manifest.items() if k != "checksums"}),
+             r"manifest.json lacks \['checksums'\]"),
+            (json.dumps({k: v for k, v in manifest.items() if k != "count"}),
+             r"manifest.json lacks \['count'\]"),
+        ]
+        for text, message in cases:
+            manifest_path.write_text(text)
+            with pytest.raises(IndexError_, match=message):
                 load_index(tmp_path / "idx")
 
     def test_truncated_vectors_fail_checksum(self, tmp_path):

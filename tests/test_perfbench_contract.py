@@ -1,13 +1,16 @@
-"""The benchmark's tracer patches refta's public names from outside.
+"""The benchmark drives refta's public names from outside.
 
-Installing and restoring it here, and running a traced pass, makes a rename
-or signature change under ``src/`` that would break the traced benchmark run
-fail the test suite instead.
+Installing and restoring its tracer here, running a traced pass, and running
+the benchmark's untraced fixture smoke run make a rename or signature change
+under ``src/`` that would break the benchmark's set-up, output checks or
+stored comparison fail the test suite instead.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
 import sys
 
 import refta.pipeline
@@ -69,3 +72,14 @@ def test_segment_spans_carry_their_segment_id(monkeypatch, endpoint, tmp_path):
     assert result.succeeded == 2
     spans = [s for s in tracer.spans if s.name == "pipeline.translate_segment"]
     assert sorted(s.trace_id for s in spans) == sorted(p.source.id for p in pairs)
+
+
+def test_fixture_smoke_run_is_correct():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "fixture", "--smoke", "--trace", "0"],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

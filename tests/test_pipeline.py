@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -61,6 +62,11 @@ def _config(endpoints, condition="rag", **overrides) -> RunConfig:
     return RunConfig(**kwargs)
 
 
+def _offline_endpoints() -> dict:
+    return {role: EndpointConfig(base_url="http://127.0.0.1:9", model_id=f"mock-{role}")
+            for role in ("drafter", "refiner", "embedder")}
+
+
 class TestRunConfig:
     def test_rag_requires_k(self, stack):
         endpoints, _, _ = stack
@@ -87,6 +93,29 @@ class TestRunConfig:
         )
         cfg_c = _config(with_token)
         assert "super-secret" not in json.dumps(cfg_c.to_canonical_dict())
+
+    def test_config_hash_names_the_model_not_its_address(self):
+        endpoints = _offline_endpoints()
+
+        def with_refiner(**changes):
+            return _config({**endpoints, "refiner": replace(endpoints["refiner"], **changes)})
+
+        moved = with_refiner(base_url="http://127.0.0.1:1")
+        assert moved.config_hash() == _config(endpoints).config_hash()
+        assert moved.to_canonical_dict()["endpoints"]["refiner"]["base_url"] == "http://127.0.0.1:1"
+        assert with_refiner(model_id="other").config_hash() != _config(endpoints).config_hash()
+
+    @pytest.mark.parametrize("overrides", [
+        {"max_output_tokens": 9000}, {"temperature": 2.5}, {"top_p": 0.0},
+        {"condition": "rag", "k": 5, "candidate_pool": 2},
+    ])
+    def test_refuses_what_a_later_stage_refuses(self, overrides):
+        with pytest.raises(ValueError):
+            _config(_offline_endpoints(), **overrides)
+
+    def test_pool_one_below_k_is_accepted(self):
+        # the retrieve stage queries candidate_pool + 1 candidates
+        assert _config(_offline_endpoints(), "rag", k=5, candidate_pool=4).resolved_pool() == 4
 
 
 def _record(cfg, segment, index, tmp_path) -> dict:
@@ -130,7 +159,7 @@ class TestTranslateSegment:
         index = VectorIndex.from_arrays(
             ["n1", "n2", "n3"], texts, [lemmatize(t) for t in texts], vecs
         )
-        seg = SourceSegment.make("q1", "gallia bellum gerunt iterum", "test")
+        seg = SourceSegment("q1", "gallia bellum gerunt iterum")
         cfg = _config(endpoints, "rag", k=5, jaccard_threshold=0.3)
         rec = _record(cfg, seg, index, tmp_path)
         assert len(rec["neighbors"]) == 2
@@ -138,7 +167,7 @@ class TestTranslateSegment:
 
     def test_self_retrieval_guard(self, stack, tmp_path):
         endpoints, index, _ = stack
-        seg = SourceSegment.make("self", index.entry(0).text, "test")
+        seg = SourceSegment("self", index.entry(0).text)
         cfg = _config(endpoints, "rag", k=2, jaccard_threshold=0.0)
         rec = _record(cfg, seg, index, tmp_path)
         assert rec["neighbors"]
@@ -185,7 +214,7 @@ class TestDraftUnion:
         base = _pairs(1)[0].source
         pairs = [
             ParallelPair(
-                source=SourceSegment.make(f"q{i}", base.text + f" verbum{i}", "t"),
+                source=SourceSegment(f"q{i}", base.text + f" verbum{i}"),
                 references=("ref one two three",),
             )
             for i in range(8)
@@ -384,6 +413,14 @@ class TestTranslateCorpus:
         names = sorted(r.run_dir.name for r in results)
         assert names == ["test-run-t0.0", "test-run-t0.5"]
         assert read_manifest(results[1].run_dir)["temperature"] == 0.5
+
+    def test_bad_sweep_temperature_refused_before_any_request(self, stack, tmp_path):
+        endpoints, index, server = stack
+        cfg = _config(endpoints, "draft_only")
+        with pytest.raises(ValueError, match="temperature"):
+            translate_corpus(cfg, _pairs(2), None, runs_root=tmp_path,
+                             temperatures=[0.0, 3.0])
+        assert server.stats.snapshot()["counts"] == {}
 
     def test_determinism_modulo_timestamps(self, stack, tmp_path):
         endpoints, index, _ = stack
