@@ -31,23 +31,35 @@ at most ``RETRY_AFTER_CAP_S``, and one with no such value keeps the backoff.
 Any other 4xx fails immediately. Per-endpoint concurrency is capped at
 ``request_parallelism`` by an internal admission gate, so clients are safe to
 share across threads.
+
+Transport: stdlib ``http.client`` keep-alive connections, pooled per client
+(at most one per admitted request). ``base_url`` and the proxy variables
+(``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``) are read once,
+when the client is built. Redirects are not followed, and no compressed
+response is asked for.
 """
 
 from __future__ import annotations
 
+import functools
+import http.client
 import json
 import math
 import os
 import random
+import select
+import ssl
 import threading
 import time
+import urllib.request
+import weakref
+from base64 import b64encode
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from urllib.parse import SplitResult, unquote, urlsplit
 
 import numpy as np
-import requests
-from requests.adapters import HTTPAdapter
 
 from refta.errors import (
     CapabilityError,
@@ -111,6 +123,7 @@ class EndpointConfig:
             raise ValueError("request_parallelism must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
+        _split_http_url(self.base_url)
 
 
 @dataclass(frozen=True)
@@ -197,6 +210,42 @@ def _is_retryable_status(status: int) -> bool:
     return status in _RETRYABLE_STATUSES or 500 <= status <= 599
 
 
+def _split_http_url(url: str) -> tuple[SplitResult, int]:
+    """``url`` split into its parts, and its port; ``ValueError`` unless it
+    is http(s) with a host and a valid port."""
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"not an http(s) URL: {url!r}")
+    return parts, parts.port or (443 if parts.scheme == "https" else 80)
+
+
+def _env_proxy(scheme: str, host: str) -> tuple[SplitResult, int] | None:
+    """The proxy the environment names for ``scheme`` requests to ``host``,
+    or None when there is none or ``NO_PROXY`` covers the host."""
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(scheme) or proxies.get("all")
+    if not proxy or urllib.request.proxy_bypass(host):
+        return None
+    parts, port = _split_http_url(proxy if "://" in proxy else "http://" + proxy)
+    if parts.scheme != "http":
+        raise ValueError(f"only http:// proxies are supported, got {proxy!r}")
+    return parts, port
+
+
+def _proxy_auth(proxy: SplitResult) -> dict:
+    if proxy.username is None:
+        return {}
+    cred = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+    return {"Proxy-Authorization": "Basic " + b64encode(cred.encode()).decode("ascii")}
+
+
+def _close_all(conns: list, lock: threading.Lock) -> None:
+    with lock:
+        closing, conns[:] = conns[:], []
+    for conn in closing:
+        conn.close()
+
+
 class _HttpClient:
     """Shared POST-with-retry machinery behind the four typed clients."""
 
@@ -204,21 +253,76 @@ class _HttpClient:
         self.cfg = cfg
         self.stats = ClientStats()
         self._gate = threading.BoundedSemaphore(cfg.request_parallelism)
-        self._session = requests.Session()
-        # one pooled connection per admitted request, so none is discarded
-        adapter = HTTPAdapter(pool_maxsize=cfg.request_parallelism)
-        self._session.mount("http://", adapter)
-        self._session.mount("https://", adapter)
         self._rng = random.Random()
+        url, port = _split_http_url(cfg.base_url)
+        host, https = url.hostname, url.scheme == "https"
+        self._headers = {"Content-Type": "application/json"}
+        if cfg.auth_token:
+            self._headers["Authorization"] = f"Bearer {cfg.auth_token}"
+        self._target = url.path.rstrip("/")  # what every request target starts with
+        self._tunnel = None
+        proxy = _env_proxy(url.scheme, host)
+        if proxy is not None:
+            proxy_url, proxy_port = proxy
+            if https:  # CONNECT through the proxy, then TLS to the host
+                self._tunnel = (host, port, _proxy_auth(proxy_url))
+            else:  # the proxy takes the absolute URL
+                self._target = f"http://{url.netloc.rpartition('@')[2]}{self._target}"
+                self._headers.update(_proxy_auth(proxy_url))
+            host, port = proxy_url.hostname, proxy_port
+        if https:  # the system trust store, as OpenSSL finds it
+            self._open = functools.partial(http.client.HTTPSConnection, host, port,
+                                           timeout=cfg.timeout,
+                                           context=ssl.create_default_context())
+        else:
+            self._open = functools.partial(http.client.HTTPConnection, host, port,
+                                           timeout=cfg.timeout)
+        # idle keep-alive connections, most recently used last; the gate caps
+        # the pool at request_parallelism
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+        # a client dropped without close() still closes its sockets
+        weakref.finalize(self, _close_all, self._idle, self._idle_lock)
 
     def close(self) -> None:
-        self._session.close()
+        _close_all(self._idle, self._idle_lock)
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self.cfg.auth_token:
-            headers["Authorization"] = f"Bearer {self.cfg.auth_token}"
-        return headers
+    def _idle_connection(self) -> http.client.HTTPConnection | None:
+        """The most recently used idle connection the server has not closed."""
+        while True:
+            with self._idle_lock:
+                if not self._idle:
+                    return None
+                conn = self._idle.pop()
+            # an idle connection has nothing to read: any event is EOF, a
+            # reset or stray bytes, so sending on it would fail or misparse
+            poller = select.poll()
+            poller.register(conn.sock, select.POLLIN)
+            if not poller.poll(0):
+                return conn
+            conn.close()
+
+    def _send(self, path: str, body: bytes) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """POST ``body`` to ``path`` exactly once; returns the status, the
+        response headers and the whole response body."""
+        conn = self._idle_connection()
+        if conn is None:
+            conn = self._open()
+            if self._tunnel is not None:
+                conn.set_tunnel(*self._tunnel)
+        try:
+            conn.request("POST", self._target + path, body, self._headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return resp.status, resp.headers, data
 
     def _post(self, path: str, payload: dict) -> dict:
         url = self.cfg.base_url.rstrip("/") + path
@@ -230,24 +334,22 @@ class _HttpClient:
             retry_after = ""
             try:
                 with self._gate:
-                    resp = self._session.post(
-                        url, data=body, headers=self._headers(), timeout=self.cfg.timeout
-                    )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                    status, headers, data = self._send(path, body)
+            except (OSError, http.client.HTTPException) as exc:
                 last_failure = f"transport: {exc}"
             else:
-                if 200 <= resp.status_code < 300:
+                if 200 <= status < 300:
                     self.stats.record(attempts)
                     try:
-                        return resp.json()
+                        return json.loads(data)
                     except ValueError as exc:
                         raise ProtocolError(f"{url}: invalid JSON response: {exc}") from exc
-                if not _is_retryable_status(resp.status_code):
+                if not _is_retryable_status(status):
                     self.stats.record(attempts)
-                    self._raise_request_error(resp.status_code, resp.text)
-                last_failure = f"HTTP {resp.status_code}"
-                if resp.status_code == 429:
-                    retry_after = resp.headers.get("Retry-After", "").strip()
+                    self._raise_request_error(status, data.decode("utf-8", "replace"))
+                last_failure = f"HTTP {status}"
+                if status == 429:
+                    retry_after = headers.get("Retry-After", "").strip()
             if attempts > self.cfg.max_retries:
                 self.stats.record(attempts)
                 raise TransportError(

@@ -117,7 +117,8 @@ def main(ctx, config_path):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--embedder", "embedder_url", required=True, help="Embedder base URL.")
 @click.option("--embed-model", default=None)
-@click.option("--near-dup-threshold", type=float, default=0.9, show_default=True)
+@click.option("--near-dup-threshold", type=click.FloatRange(0, 1), default=0.9,
+              show_default=True)
 @click.option("--timeout", type=float, default=30.0, show_default=True)
 @click.option("--max-retries", type=int, default=3, show_default=True)
 @click.option("--parallelism", type=int, default=4, show_default=True)

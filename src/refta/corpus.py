@@ -20,6 +20,7 @@ transcoded, since silent transcoding corrupts philological text.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import unicodedata
@@ -118,6 +119,7 @@ _VERB_REPLACEMENTS = {
 }
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def schinke_stem(token: str) -> frozenset:
     """Deterministic rule-based Latin stemmer producing noun and verb stems.
 

@@ -213,8 +213,10 @@ def build_index(
     ``send_batches`` with at most ``max_in_flight`` in flight. Exact-text and
     id matches against ``exclusions`` are dropped, as are near-duplicates
     whose lemma Jaccard against any excluded text reaches
-    ``near_dup_threshold``.
+    ``near_dup_threshold``, which must lie in [0, 1].
     """
+    if not 0.0 <= near_dup_threshold <= 1.0:
+        raise ValueError(f"near_dup_threshold must be in [0, 1], got {near_dup_threshold}")
     exclusions = exclusions or ExclusionList.empty()
     report = BuildReport()
 

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
-import logging
+import re
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import requests
 
 import refta.backends as backends_mod
 from conftest import DATA
@@ -181,22 +182,20 @@ class TestDrafter:
         assert snap["counts"]["/translate"] == 10
         assert snap["max_concurrency"]["/translate"] <= 3
 
-    def test_sixteen_way_parallelism_keeps_every_connection(self, mock_server, endpoint,
-                                                           caplog):
-        # urllib3 pools 10 connections per host by default; past that it logs
-        # "Connection pool is full" and drops the extra connections
+    def test_sixteen_way_parallelism_keeps_every_connection(self, mock_server, endpoint):
+        # a connection is opened only when none is idle, so the pool ends
+        # with one per request that was ever in flight at once, none dropped
         mock_server.behavior.latency_ms = 50
         client = DrafterClient(endpoint("drafter", request_parallelism=16))
         try:
-            with caplog.at_level(logging.WARNING, logger="urllib3.connectionpool"):
-                with ThreadPoolExecutor(max_workers=16) as pool:
-                    list(pool.map(client.translate, [[f"textus {i}"] for i in range(64)]))
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                list(pool.map(client.translate, [[f"textus {i}"] for i in range(64)]))
+            pooled = len(client._idle)
         finally:
             client.close()
         snap = mock_server.stats.snapshot()
         assert snap["counts"]["/translate"] == 64
-        assert 10 < snap["max_concurrency"]["/translate"] <= 16
-        assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
+        assert 10 < snap["max_concurrency"]["/translate"] <= pooled <= 16
 
 
 class TestRefiner:
@@ -305,12 +304,7 @@ def test_wall_time_within_bound(mock_server, endpoint, monkeypatch):
     assert elapsed <= 5.0 * 3 + sum(sleeps) + 1.0
 
 
-def _canned(status: int, headers: dict | None = None) -> requests.Response:
-    resp = requests.Response()
-    resp.status_code = status
-    resp.headers.update(headers or {})
-    resp._content = b'{"outputs": ["[draft]x"]}'
-    return resp
+_OK_BODY = b'{"outputs": ["[draft]x"]}'
 
 
 @pytest.mark.parametrize("status, retry_after, honoured", [
@@ -329,8 +323,8 @@ def test_retry_after_on_429_capped(monkeypatch, status, retry_after, honoured):
     client = DrafterClient(EndpointConfig(base_url="http://mock.invalid", model_id="m",
                                           backoff_base=0.01, max_retries=1))
     headers = {} if retry_after is None else {"Retry-After": retry_after}
-    replies = iter([_canned(status, headers), _canned(200)])
-    monkeypatch.setattr(client._session, "post", lambda *a, **kw: next(replies))
+    replies = iter([(status, headers, _OK_BODY), (200, {}, _OK_BODY)])
+    monkeypatch.setattr(client, "_send", lambda path, body: next(replies))
     assert client.translate(["x"])[0] == ["[draft]x"]
     assert len(sleeps) == 1
     if honoured is None:  # absent or not delta-seconds: the jittered backoff
@@ -338,3 +332,121 @@ def test_retry_after_on_429_capped(monkeypatch, status, retry_after, honoured):
     else:
         assert sleeps[0] == honoured
     client.close()
+
+
+@pytest.fixture()
+def one_shot_server():
+    """An HTTP server on a raw socket that answers each connection's first
+    request with ``server.reply`` and then closes the connection. The request
+    heads go to ``server.heads``; ``server.closed`` is released once per
+    connection closed."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    server = SimpleNamespace(
+        base_url=f"http://127.0.0.1:{listener.getsockname()[1]}",
+        reply=b"", heads=[], closed=threading.Semaphore(0), stop=threading.Event())
+
+    def serve():
+        while not server.stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5)
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    data += conn.recv(65536)
+                head, _, body = data.partition(b"\r\n\r\n")
+                server.heads.append(head)
+                length = int(re.search(rb"(?i)content-length: *(\d+)", head).group(1))
+                while len(body) < length:
+                    body += conn.recv(65536)
+                conn.sendall(server.reply)
+            server.closed.release()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield server
+    server.stop.set()
+    thread.join(timeout=5)
+    listener.close()
+    assert not thread.is_alive()
+
+
+_OK_REPLY = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+             b"Content-Length: %d\r\n\r\n%s" % (len(_OK_BODY), _OK_BODY))
+
+
+def test_idle_connection_closed_by_server_is_replaced(one_shot_server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(backends_mod, "_sleep", sleeps.append)
+    one_shot_server.reply = _OK_REPLY
+    client = DrafterClient(EndpointConfig(base_url=one_shot_server.base_url, model_id="m"))
+    try:
+        assert client.translate(["x"])[0] == ["[draft]x"]
+        assert one_shot_server.closed.acquire(timeout=5)  # the pooled connection is dead
+        assert client.translate(["x"])[0] == ["[draft]x"]
+        assert one_shot_server.closed.acquire(timeout=5)
+    finally:
+        client.close()
+    assert client.stats.requests == 2 and client.stats.retries == 0
+    assert sleeps == []
+    assert not one_shot_server.closed.acquire(timeout=0.2)  # two requests, no more
+
+
+def test_truncated_body_is_a_transport_failure(one_shot_server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(backends_mod, "_sleep", sleeps.append)
+    one_shot_server.reply = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + _OK_BODY[:13]
+    client = DrafterClient(EndpointConfig(base_url=one_shot_server.base_url, model_id="m",
+                                          backoff_base=0.01, max_retries=2))
+    try:
+        with pytest.raises(TransportError) as exc:
+            client.translate(["x"])
+    finally:
+        client.close()
+    assert exc.value.attempts == 3 and len(sleeps) == 2
+    assert all(one_shot_server.closed.acquire(timeout=5) for _ in range(3))
+    assert not one_shot_server.closed.acquire(timeout=0.2)
+
+
+def test_proxy_from_environment(one_shot_server, monkeypatch):
+    for var in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(var, raising=False)
+        monkeypatch.delenv(var.upper(), raising=False)
+    proxy = one_shot_server.base_url.replace("http://", "http://user:pw@")
+    monkeypatch.setenv("http_proxy", proxy)
+    monkeypatch.setenv("https_proxy", proxy)
+    one_shot_server.reply = _OK_REPLY
+    client = DrafterClient(EndpointConfig(base_url="http://backend.invalid:8080/v1",
+                                          model_id="m"))
+    try:
+        assert client.translate(["x"])[0] == ["[draft]x"]
+    finally:
+        client.close()
+    head = one_shot_server.heads[0]
+    assert head.startswith(b"POST http://backend.invalid:8080/v1/translate HTTP/1.1\r\n")
+    assert b"\r\nProxy-Authorization: Basic dXNlcjpwdw==" in head
+    # HTTPS tunnels through the proxy; NO_PROXY hosts are reached directly
+    tls = DrafterClient(EndpointConfig(base_url="https://backend.invalid/v1", model_id="m"))
+    assert tls._tunnel == ("backend.invalid", 443,
+                           {"Proxy-Authorization": "Basic dXNlcjpwdw=="})
+    assert tls._target == "/v1"
+    monkeypatch.setenv("no_proxy", "backend.invalid")
+    direct = DrafterClient(EndpointConfig(base_url="http://backend.invalid/v1", model_id="m"))
+    assert direct._target == "/v1" and "Proxy-Authorization" not in direct._headers
+
+
+def test_dropped_client_closes_its_connections(endpoint):
+    client = DrafterClient(endpoint("drafter"))
+    client.translate(["x"])
+    sock = client._idle[-1].sock
+    del client
+    assert sock.fileno() == -1
+
+
+@pytest.mark.parametrize("url", ["localhost:8080", "ftp://host/x", "http://", "http://h:99999"])
+def test_base_url_must_be_http(url):
+    with pytest.raises(ValueError):
+        EndpointConfig(base_url=url, model_id="m")

@@ -68,6 +68,20 @@ class TestIndexBuild:
         assert "timeout" in result.output
         assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {}
 
+    @pytest.mark.parametrize("threshold", ["2", "-0.5"])
+    def test_near_dup_threshold_outside_unit_interval_is_usage_error(
+            self, runner, workspace, mock_server, threshold):
+        import requests
+
+        result = runner.invoke(main, [
+            "index-build", "--corpus", str(workspace / "corpus.jsonl"),
+            "--out", str(workspace / "idx"), "--embedder", mock_server.base_url,
+            "--near-dup-threshold", threshold,
+        ])
+        assert result.exit_code == 2
+        assert "near-dup-threshold" in result.output
+        assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {}
+
     def test_exclusions_applied(self, runner, workspace, mock_server):
         result = runner.invoke(main, [
             "index-build",
@@ -405,6 +419,19 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "refta" in result.output
+
+
+def test_cli_runs_without_requests():
+    import subprocess
+    import sys
+
+    code = ("import sys; sys.modules['requests'] = None\n"
+            "from refta.cli import main\n"
+            "main(['--help'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "index-build" in proc.stdout
 
 
 def test_mock_serve_subprocess():

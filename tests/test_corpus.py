@@ -6,7 +6,9 @@ import unicodedata
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import FIXTURES
 from refta.corpus import (
+    _TOKEN_RE,
     ParallelPair,
     SourceSegment,
     lemmatize,
@@ -46,6 +48,16 @@ class TestNormalizeText:
 
 
 class TestLemmatize:
+    def test_memoised_stemmer_matches_the_rules(self):
+        texts = [seg.text for seg in load_monolingual(
+            FIXTURES / "corpora" / "retrieval_fixture.jsonl", "jsonl")]
+        texts += [pair.source.text for pair in load_parallel(
+            FIXTURES / "testsets" / "ood_fixture_110.tsv", "tsv")]
+        tokens = {t.lower() for text in texts for t in _TOKEN_RE.findall(text)}
+        assert len(tokens) >= 50
+        for _ in range(2):  # cold, then from the cache
+            assert all(schinke_stem(t) == schinke_stem.__wrapped__(t) for t in tokens)
+
     # stems below were derived by applying the published rule tables by hand
     def test_schinke_noun_and_verb_stems(self):
         assert schinke_stem("portas") == frozenset({"port", "porta"})

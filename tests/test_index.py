@@ -195,6 +195,14 @@ class TestBuildIndex:
         assert report.excluded_near_dup == 1
         assert "twin" not in {index.entry(i).segment_id for i in range(len(index))}
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+    def test_near_dup_threshold_out_of_range_refused(self, threshold):
+        embedder, sent = _ArrayEmbedder(), []
+        embedder.embed = sent.append
+        with pytest.raises(ValueError, match="near_dup_threshold"):
+            build_index(_segments(3), embedder, near_dup_threshold=threshold)
+        assert sent == []
+
     def test_backend_failure_names_batch(self):
         segs = _segments(40)  # 3 batches at max_batch 16
         segs[20] = SourceSegment("odd", "textus singularis")  # batch 1
