@@ -9,11 +9,15 @@ Wire protocols
   ``{"model": str, "inputs": [str], "src": "la", "tgt": "en"}`` returning
   ``{"outputs": [str], "usage": {"input_tokens": int, "output_tokens": int}}``.
 - Embedder: ``POST {base_url}/embed`` with ``{"model": str, "inputs": [str]}``
-  returning ``{"vectors": [[float]], "dim": int}``.
+  returning ``{"vectors": [[float]], "dim": int}``; ``embed`` returns the
+  vectors as one ``(len(inputs), dim)`` float32 matrix.
 - Scorer: ``POST {base_url}/score`` with
   ``{"metric": str, "sources": [...], "hypotheses": [...], "references": [...]}``
   returning ``{"scores": [float]}``. An unsupported metric is signalled by
   HTTP 400 with ``{"error": {"type": "unsupported_metric", ...}}``.
+
+A 2xx reply that breaks its protocol (say, a body that is not a JSON object
+or a token count that is not a non-negative integer) raises ``ProtocolError``.
 
 Batching: one ``translate``/``embed`` call is one request, and a call with
 more than ``max_batch`` texts raises ``ValueError`` before sending.
@@ -341,9 +345,12 @@ class _HttpClient:
                 if 200 <= status < 300:
                     self.stats.record(attempts)
                     try:
-                        return json.loads(data)
+                        reply = json.loads(data)
                     except ValueError as exc:
                         raise ProtocolError(f"{url}: invalid JSON response: {exc}") from exc
+                    if not isinstance(reply, dict):
+                        raise ProtocolError(f"{url}: response is not a JSON object")
+                    return reply
                 if not _is_retryable_status(status):
                     self.stats.record(attempts)
                     self._raise_request_error(status, data.decode("utf-8", "replace"))
@@ -388,6 +395,21 @@ class _HttpClient:
         raise RequestError(status, body)
 
 
+def _usage(data: dict, keys: tuple[str, str], inputs, outputs) -> TokenUsage:
+    """The reply's ``usage`` counts under ``keys`` (input, output) when it
+    reports both, else ``estimate_tokens`` over ``inputs`` and ``outputs``."""
+    usage = data.get("usage") or {}
+    if not isinstance(usage, dict):
+        raise ProtocolError(f"usage is not a JSON object: {usage!r}")
+    if not all(key in usage for key in keys):
+        return TokenUsage(sum(map(estimate_tokens, inputs)),
+                          sum(map(estimate_tokens, outputs)), "estimated")
+    counts = [usage[key] for key in keys]
+    if not all(type(c) is int and c >= 0 for c in counts):
+        raise ProtocolError(f"usage {keys} must be non-negative integers, got {counts}")
+    return TokenUsage(*counts, "backend-reported")
+
+
 class DrafterClient(_HttpClient):
     """NMT draft translation backend (Latin to English); one request of at
     most ``cfg.max_batch`` texts per call."""
@@ -397,12 +419,7 @@ class DrafterClient(_HttpClient):
         drafts = [str(o).strip() for o in outputs]
         if not all(drafts):
             raise ProtocolError("drafter returned an empty translation")
-        usage = data.get("usage") or {}
-        if "input_tokens" in usage and "output_tokens" in usage:
-            return drafts, TokenUsage(int(usage["input_tokens"]), int(usage["output_tokens"]),
-                                      "backend-reported")
-        return drafts, TokenUsage(sum(estimate_tokens(t) for t in texts),
-                                  sum(estimate_tokens(d) for d in drafts), "estimated")
+        return drafts, _usage(data, ("input_tokens", "output_tokens"), texts, drafts)
 
 
 class RefinerClient(_HttpClient):
@@ -425,42 +442,31 @@ class RefinerClient(_HttpClient):
 
     def complete(self, req: ChatRequest) -> tuple[str, TokenUsage]:
         data = self._post("/v1/chat/completions", self.build_payload(req))
-        choices = data.get("choices")
-        if not choices:
-            raise ProtocolError("refiner response has no choices")
-        content = (choices[0].get("message") or {}).get("content")
-        if content is None:
-            raise ProtocolError("refiner response has no message content")
-        text = str(content).strip()
+        try:
+            text = data["choices"][0]["message"]["content"].strip()
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise ProtocolError("refiner reply has no choices[0].message.content") from exc
         if not text:
             raise ProtocolError("refiner returned empty content")
-        usage = data.get("usage") or {}
-        if "prompt_tokens" in usage and "completion_tokens" in usage:
-            tu = TokenUsage(int(usage["prompt_tokens"]), int(usage["completion_tokens"]),
-                            "backend-reported")
-        else:
-            tu = TokenUsage(
-                estimate_tokens(req.system) + estimate_tokens(req.user),
-                estimate_tokens(text),
-                "estimated",
-            )
-        return text, tu
+        return text, _usage(data, ("prompt_tokens", "completion_tokens"),
+                            (req.system, req.user), (text,))
 
 
 class EmbedderClient(_HttpClient):
     """Dense embedding backend; one request of at most ``cfg.max_batch``
     texts per call."""
 
-    def embed(self, texts: list[str]) -> list[np.ndarray]:
+    def embed(self, texts: list[str]) -> np.ndarray:
         data, vectors = self._post_inputs("/embed", texts, "vectors")
-        dim = int(data.get("dim", len(vectors[0])))
-        out = [np.asarray(vec, dtype=np.float32) for vec in vectors]
-        for arr in out:
-            if arr.shape != (dim,):
-                raise ProtocolError(
-                    f"embedder vector of dimension {arr.shape} does not match dim {dim}"
-                )
-        return out
+        try:
+            matrix = np.array(vectors, dtype=np.float32)
+            dim = int(data.get("dim", matrix.shape[-1]))
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"embedder vectors are not a numeric matrix: {exc}") from exc
+        if matrix.shape != (len(texts), dim):
+            raise ProtocolError(f"embedder returned a {matrix.shape} matrix for "
+                                f"{len(texts)} inputs of dim {dim}")
+        return matrix
 
 
 class ScorerClient(_HttpClient):
@@ -489,4 +495,7 @@ class ScorerClient(_HttpClient):
             raise ProtocolError(
                 f"scorer returned {len(scores or [])} scores for {len(hypotheses)} segments"
             )
-        return [float(s) for s in scores]
+        try:
+            return [float(s) for s in scores]
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"scorer returned a non-numeric score: {exc}") from exc

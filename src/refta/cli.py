@@ -129,6 +129,8 @@ def cmd_index_build(corpora, corpus_format, exclude_path, out_dir, embedder_url,
                     embed_model, near_dup_threshold, timeout, max_retries, parallelism,
                     force, as_json):
     """Build and persist the retrieval index."""
+    if near_dup_threshold != near_dup_threshold:  # NaN passes FloatRange
+        raise click.BadParameter("nan is not in [0, 1]", param_hint="'--near-dup-threshold'")
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()) and not force:
         _fail(f"{out} already exists and is not empty; pass --force to rebuild")

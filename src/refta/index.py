@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -96,16 +95,18 @@ def default_candidate_pool(k: int) -> int:
     return max(50, 10 * k)
 
 
-def _normalize_vector(v, dim: int | None = None) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float32).reshape(-1)
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"vector dimension {arr.shape[0]} does not match index dimension {dim}")
-    arr64 = arr.astype(np.float64)
-    norm = math.sqrt(float(arr64 @ arr64))
-    if not math.isfinite(norm) or norm == 0.0:
-        raise ValueError("zero or non-finite vector rejected")
-    # divide in float64, round once to float32
-    return (arr64 / norm).astype(np.float32)
+def _normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Scale each row of a float32 matrix in place to ``(v64 / sqrt(v64 @
+    v64)).astype(float32)``, bit for bit (the stacked ``@`` makes the same
+    ``ddot`` call per row), in blocks of about 2^20 float64 elements."""
+    step = max(1, (1 << 20) // max(1, rows.shape[1]))
+    for start in range(0, rows.shape[0], step):
+        block = rows[start:start + step].astype(np.float64)
+        norms = np.sqrt(block[:, None, :] @ block[:, :, None])[:, 0]
+        if not 0.0 < norms.min() <= norms.max() < np.inf:  # a NaN norm fails too
+            raise ValueError("zero or non-finite vector rejected")
+        rows[start:start + step] = np.divide(block, norms, out=block)
+    return rows
 
 
 class VectorIndex:
@@ -143,12 +144,10 @@ class VectorIndex:
         n = len(ids)
         if not (len(texts) == len(lemma_sets) == n):
             raise ValueError("ids, texts, lemma_sets must have equal lengths")
-        vectors = np.asarray(vectors, dtype=np.float32)
+        vectors = np.array(vectors, dtype=np.float32)  # a copy: the caller's rows stay raw
         if vectors.ndim != 2 or vectors.shape[0] != n:
             raise ValueError("vectors must be a (n, dim) matrix")
-        rows = [_normalize_vector(vectors[i]) for i in range(n)]
-        vectors = np.stack(rows) if rows else vectors.reshape(0, vectors.shape[1])
-        return cls(list(ids), list(texts), list(lemma_sets), vectors, model_id)
+        return cls(list(ids), list(texts), list(lemma_sets), _normalize_rows(vectors), model_id)
 
     @property
     def dim(self) -> int:
@@ -179,8 +178,11 @@ class VectorIndex:
             raise ValueError(f"candidate_pool {pool} must be >= k {k}")
         if len(self._ids) == 0:
             return []
-        qnorm = _normalize_vector(query_vector, dim=self.dim)
-        rows, sims = kernels.search_layer(self._vectors, self._id_rank, qnorm, pool)
+        query = np.array(query_vector, dtype=np.float32, ndmin=2)
+        if query.shape != (1, self.dim):
+            raise IndexError_(f"query of shape {query.shape} does not fit index dim {self.dim}")
+        rows, sims = kernels.search_layer(self._vectors, self._id_rank,
+                                          _normalize_rows(query)[0], pool)
         out: list[RetrievalResult] = []
         for row, sim in zip(rows.tolist(), sims.tolist()):
             if self._texts[row] in skip_texts:
@@ -207,13 +209,15 @@ def build_index(
 ) -> tuple[VectorIndex, BuildReport]:
     """Embed, lemmatize and index every non-excluded segment.
 
-    ``embedder`` must expose ``embed(texts) -> list of vectors`` and a
-    ``cfg`` with ``model_id`` and ``max_batch`` (the backends client does).
-    Embedding batches of at most ``cfg.max_batch`` texts go out through
-    ``send_batches`` with at most ``max_in_flight`` in flight. Exact-text and
-    id matches against ``exclusions`` are dropped, as are near-duplicates
-    whose lemma Jaccard against any excluded text reaches
-    ``near_dup_threshold``, which must lie in [0, 1].
+    ``embedder`` must expose ``embed(texts)``, returning a ``(len(texts),
+    dim)`` float32 matrix, and a ``cfg`` with ``model_id`` and ``max_batch``
+    (the backends client does). Embedding batches of at most
+    ``cfg.max_batch`` texts go out through ``send_batches`` with at most
+    ``max_in_flight`` in flight, and each lands in one preallocated matrix
+    that is then normalised in place. Exact-text and id matches against
+    ``exclusions`` are dropped, as are near-duplicates whose lemma Jaccard
+    against any excluded text reaches ``near_dup_threshold``, which must lie
+    in [0, 1].
     """
     if not 0.0 <= near_dup_threshold <= 1.0:
         raise ValueError(f"near_dup_threshold must be in [0, 1], got {near_dup_threshold}")
@@ -236,36 +240,22 @@ def build_index(
         kept.append(seg)
         kept_lemmas.append(lem)
 
-    model_id = embedder.cfg.model_id
-    if not kept:
-        empty = VectorIndex([], [], [], np.zeros((0, 0), dtype=np.float32), model_id)
-        return empty, report
-
     texts = [s.text for s in kept]
-    vectors: list[np.ndarray] = []
-    dim = None
-    for batch_no, (_batch, result, _ms) in enumerate(
+    matrix = np.zeros((0, 0), dtype=np.float32)  # stays empty when no row is kept
+    for batch_no, (batch, result, _ms) in enumerate(
             send_batches(embedder.embed, texts, embedder.cfg.max_batch, max_in_flight)):
         if isinstance(result, Exception):
             raise IndexError_(f"embedding batch {batch_no} failed: {result}") from result
-        for v in result:
-            arr = np.asarray(v, dtype=np.float32).reshape(-1)
-            if dim is None:
-                dim = arr.shape[0]
-            elif arr.shape[0] != dim:
-                raise IndexError_(
-                    f"dimension drift in batch {batch_no}: got {arr.shape[0]}, expected {dim}"
-                )
-            vectors.append(arr)
+        if batch_no == 0:
+            matrix = np.empty((len(texts), result.shape[1]), dtype=np.float32)
+        elif result.shape[1] != matrix.shape[1]:
+            raise IndexError_(f"dimension drift in batch {batch_no}: got {result.shape[1]}, "
+                              f"expected {matrix.shape[1]}")
+        start = batch_no * embedder.cfg.max_batch  # every batch but the last is full
+        matrix[start:start + len(batch)] = result
 
-    matrix = np.stack(vectors)
-    index = VectorIndex.from_arrays(
-        [s.id for s in kept],
-        texts,
-        kept_lemmas,
-        matrix,
-        model_id=model_id,
-    )
+    index = VectorIndex([s.id for s in kept], texts, kept_lemmas, _normalize_rows(matrix),
+                        embedder.cfg.model_id)
     report.indexed = len(kept)
     return index, report
 
@@ -283,7 +273,7 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     vec_path = out / "vectors.bin"
-    vec_path.write_bytes(index._vectors.astype("<f4").tobytes(order="C"))
+    index._vectors.astype("<f4", copy=False).tofile(vec_path)
 
     meta_path = out / "meta.jsonl"
     with meta_path.open("w", encoding="utf-8", newline="\n") as fh:
@@ -339,12 +329,11 @@ def load_index(path: str | Path) -> VectorIndex:
 
     count = manifest["count"]
     dim = manifest["dim"]
-    raw = np.frombuffer((src / "vectors.bin").read_bytes(), dtype="<f4")
-    if raw.size != count * dim:
+    vectors = np.fromfile(src / "vectors.bin", dtype="<f4")
+    if vectors.size != count * dim:
         raise IndexError_(
-            f"vectors.bin holds {raw.size} floats, expected {count * dim}"
+            f"vectors.bin holds {vectors.size} floats, expected {count * dim}"
         )
-    vectors = raw.reshape(count, dim).copy() if count else np.zeros((0, dim), dtype=np.float32)
 
     ids, texts, lemmas = [], [], []
     with (src / "meta.jsonl").open("r", encoding="utf-8") as fh:
@@ -358,4 +347,4 @@ def load_index(path: str | Path) -> VectorIndex:
     if len(ids) != count:
         raise IndexError_(f"meta.jsonl holds {len(ids)} rows, expected {count}")
 
-    return VectorIndex(ids, texts, lemmas, vectors, manifest["model_id"])
+    return VectorIndex(ids, texts, lemmas, vectors.reshape(count, dim), manifest["model_id"])

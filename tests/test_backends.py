@@ -252,6 +252,7 @@ class TestEmbedder:
     def test_arity_and_uniform_dim(self, endpoint):
         client = EmbedderClient(endpoint("embedder"))
         vecs = client.embed(["a b", "c d", "e f"])
+        assert vecs.dtype == np.float32 and vecs.shape == (3, 64)
         assert len(vecs) == 3
         assert all(v.shape == (64,) for v in vecs)
 
@@ -332,6 +333,41 @@ def test_retry_after_on_429_capped(monkeypatch, status, retry_after, honoured):
     else:
         assert sleeps[0] == honoured
     client.close()
+
+
+_CHAT = {"choices": [{"message": {"content": "ok"}}]}
+_CALLS = {
+    "drafter": (DrafterClient, lambda client: client.translate(["x"])),
+    "refiner": (RefinerClient, lambda client: client.complete(ChatRequest(system="s", user="u"))),
+    "embedder": (EmbedderClient, lambda client: client.embed(["x", "y"])),
+    "scorer": (ScorerClient, lambda client: client.score("comet", ["s"], ["h"], ["r"])),
+}
+
+
+@pytest.mark.parametrize("role, reply", [
+    *[(role, []) for role in _CALLS],
+    ("refiner", {"choices": ["x"]}),
+    ("refiner", {"choices": [{"message": {"content": None}}]}),
+    ("refiner", {**_CHAT, "usage": {"prompt_tokens": None, "completion_tokens": 1}}),
+    ("refiner", {**_CHAT, "usage": "many"}),
+    ("drafter", {"outputs": ["d"], "usage": {"input_tokens": "many", "output_tokens": 1}}),
+    ("drafter", {"outputs": ["d"], "usage": {"input_tokens": -3, "output_tokens": 1}}),
+    ("drafter", {"outputs": ["d"], "usage": {"input_tokens": 1.5, "output_tokens": 1}}),
+    ("embedder", {"vectors": [["x", 1.0], [1.0, 2.0]], "dim": 2}),
+    ("embedder", {"vectors": [[1.0, 2.0], [1.0, 2.0]], "dim": "one"}),
+    ("embedder", {"vectors": [[1.0, 2.0], [1.0]], "dim": 2}),
+    ("embedder", {"vectors": [[1.0, 2.0], [1.0, 2.0]], "dim": 3}),
+    ("embedder", {"vectors": [1.0, 2.0]}),
+    ("scorer", {"scores": ["high"]}),
+], ids=lambda value: value if isinstance(value, str) else canonical_json(value))
+def test_malformed_2xx_reply_is_a_protocol_error(monkeypatch, role, reply):
+    kind, call = _CALLS[role]
+    client = kind(EndpointConfig(base_url="http://mock.invalid", model_id="m"))
+    monkeypatch.setattr(client, "_send",
+                        lambda path, body: (200, {}, canonical_json(reply).encode()))
+    with pytest.raises(ProtocolError):
+        call(client)
+    assert client.stats.requests == 1 and client.stats.retries == 0
 
 
 @pytest.fixture()

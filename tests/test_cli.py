@@ -68,7 +68,7 @@ class TestIndexBuild:
         assert "timeout" in result.output
         assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {}
 
-    @pytest.mark.parametrize("threshold", ["2", "-0.5"])
+    @pytest.mark.parametrize("threshold", ["2", "-0.5", "nan"])
     def test_near_dup_threshold_outside_unit_interval_is_usage_error(
             self, runner, workspace, mock_server, threshold):
         import requests
@@ -211,6 +211,23 @@ class TestTranslate:
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert missing in result.output
+
+    def test_index_of_another_dimension_fails_every_segment_at_retrieve(
+            self, runner, workspace, mock_server):
+        import requests
+
+        mock_server.behavior.embed_dim = 8
+        assert _build_index(runner, workspace, mock_server.base_url).exit_code == 0
+        mock_server.behavior.embed_dim = 64
+        requests.post(f"{mock_server.base_url}/_reset", json={}, timeout=5)
+        result = _translate(runner, workspace, mock_server.base_url, "rag")
+        assert result.exit_code == 1, result.output
+        errors = [json.loads(line) for line in
+                  (workspace / "runs" / "run1" / "errors.jsonl").read_text().splitlines()]
+        assert [(e["index"], e["stage"]) for e in errors] == [(i, "retrieve") for i in range(8)]
+        assert all("dim 8" in e["error"] for e in errors)
+        assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {
+            "/embed": 1}
 
     def test_two_temperatures_two_dirs(self, runner, workspace, mock_server):
         result = _translate(runner, workspace, mock_server.base_url, "zero_shot",

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from refta.errors import IndexError_
 from refta.index import (
     ExclusionList,
     VectorIndex,
+    _normalize_rows,
     build_index,
     jaccard,
     load_index,
@@ -85,7 +88,7 @@ class TestQuery:
 
     def test_dimension_mismatch(self):
         index, lemmas, raw = random_index(10, 8, seed=4)
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(IndexError_, match="dim 8"):
             index.query(np.ones(5, dtype=np.float32), lemmas[0], k=1,
                         jaccard_threshold=0.0, candidate_pool=10)
 
@@ -128,6 +131,37 @@ class TestQuery:
                     assert got == want
 
 
+class TestNormalizeRows:
+    # 600 x 4096 spans three blocks of 256 rows
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (64, 12), (130, 1024), (600, 4096)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_matches_the_per_row_reference_bit_for_bit(self, shape):
+        rng = np.random.default_rng(shape[0] * 31 + shape[1])
+        raw = rng.standard_normal(shape) * np.exp(rng.uniform(-8.0, 8.0, (shape[0], 1)))
+        raw = raw.astype(np.float32)
+        want = np.stack([(v / np.sqrt(v @ v)).astype(np.float32)
+                         for v in raw.astype(np.float64)])
+        got = raw.copy()
+        assert _normalize_rows(got) is got
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_zero_or_non_finite_row_rejected(self, bad):
+        rows = np.ones((5, 4), dtype=np.float32)
+        rows[3] = 0.0
+        rows[3, 1] = bad
+        with pytest.raises(ValueError, match="zero or non-finite"):
+            _normalize_rows(rows)
+
+    def test_from_arrays_leaves_its_input_unchanged(self):
+        raw = np.random.default_rng(5).standard_normal((20, 8)).astype(np.float32)
+        kept = raw.copy()
+        index = VectorIndex.from_arrays([f"s{i}" for i in range(20)], ["t"] * 20,
+                                        [frozenset()] * 20, raw)
+        assert np.array_equal(raw, kept)
+        assert np.allclose(np.linalg.norm(index._vectors, axis=1), 1.0)
+
+
 class _ArrayEmbedder:
     """Deterministic in-process embedder standing in for the HTTP client."""
 
@@ -146,13 +180,10 @@ class _ArrayEmbedder:
         if self.fail_for.intersection(texts):
             raise RuntimeError("backend down")
         dim = self.dim + (1 if self.drift_for.intersection(texts) else 0)
-        out = []
-        for t in texts:
-            if t in self.zero_for:
-                out.append(np.zeros(dim, dtype=np.float32))
-                continue
-            seed = abs(hash(t)) % (2**32)
-            out.append(np.random.default_rng(seed).standard_normal(dim).astype(np.float32))
+        out = np.zeros((len(texts), dim), dtype=np.float32)
+        for row, t in zip(out, texts):
+            if t not in self.zero_for:
+                row[:] = np.random.default_rng(abs(hash(t)) % (2**32)).standard_normal(dim)
         return out
 
 
@@ -232,6 +263,58 @@ class TestBuildIndex:
         assert index.model_id == "mock-embedder"
         # 20 segments at batch size 8 -> 3 requests
         assert mock_server.stats.snapshot()["counts"]["/embed"] == 3
+
+
+class _MatrixEmbedder:
+    """In-process embedder answering each batch with one float32 matrix, as
+    the HTTP client does; the rows repeat from batch to batch."""
+
+    class cfg:
+        model_id = "matrix-embedder"
+        max_batch = 64
+
+    def __init__(self, dim):
+        self.rows = np.random.default_rng(3).standard_normal((self.cfg.max_batch, dim),
+                                                             dtype=np.float32)
+
+    def embed(self, texts):
+        return self.rows[:len(texts)].copy()
+
+
+def _traced_peak(fn) -> tuple[int, float]:
+    """Peak bytes allocated above the starting level while ``fn`` runs, and
+    its wall time in seconds."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        t0 = time.perf_counter()
+        fn()
+        seconds = time.perf_counter() - t0
+        return tracemalloc.get_traced_memory()[1] - base, seconds
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_save_and_load_stay_near_one_matrix(tmp_path):
+    n, dim = 4000, 2048
+    matrix_bytes = n * dim * 4
+    segs = [SourceSegment(f"s{i:05d}", f"textus {i}") for i in range(n)]
+    embedder = _MatrixEmbedder(dim)
+
+    def build_and_save():
+        index, _ = build_index(segs, embedder)
+        save_index(index, tmp_path / "idx")
+
+    peak, seconds = _traced_peak(build_and_save)
+    assert peak <= 2.0 * matrix_bytes, peak / matrix_bytes
+    assert seconds < 1.0
+    assert (tmp_path / "idx" / "vectors.bin").stat().st_size == matrix_bytes
+
+    loaded = []
+    peak, seconds = _traced_peak(lambda: loaded.append(load_index(tmp_path / "idx")))
+    assert peak <= 1.3 * matrix_bytes, peak / matrix_bytes
+    assert seconds < 1.0
+    assert loaded[0].dim == dim and len(loaded[0]) == n
 
 
 class TestPersistence:

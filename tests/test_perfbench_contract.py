@@ -1,7 +1,7 @@
 """The benchmark drives refta's public names from outside.
 
 Installing and restoring its tracer here, running a traced pass, and running
-the benchmark's untraced fixture smoke run make a rename or signature change
+the benchmark's untraced smoke runs make a rename or signature change
 under ``src/`` that would break the benchmark's set-up, output checks or
 stored comparison fail the test suite instead.
 """
@@ -12,6 +12,8 @@ import importlib.util
 import json
 import subprocess
 import sys
+
+import pytest
 
 import refta.pipeline
 from conftest import FIXTURES, REPO_ROOT
@@ -74,9 +76,11 @@ def test_segment_spans_carry_their_segment_id(monkeypatch, endpoint, tmp_path):
     assert sorted(s.trace_id for s in spans) == sorted(p.source.id for p in pairs)
 
 
-def test_fixture_smoke_run_is_correct():
+@pytest.mark.parametrize("workload", ["fixture", "scale-rag"])
+def test_fixture_smoke_run_is_correct(workload):
+    # scale-rag builds its index over HTTP, through EmbedderClient.embed
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "fixture", "--smoke", "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--smoke", "--trace", "0"],
         cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

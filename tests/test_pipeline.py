@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import FIXTURES
-from refta.backends import DrafterClient, EndpointConfig
+from refta.backends import DrafterClient, EndpointConfig, RefinerClient
 from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_parallel
 from refta.errors import ReftaError, RequestError
 from refta.index import ExclusionList, build_index
@@ -380,6 +380,25 @@ class TestTranslateCorpus:
         errors = (result.run_dir / "errors.jsonl").read_text().strip().split("\n")
         assert len(errors) == 3
         assert json.loads(errors[0])["stage"] == "refine"
+
+    def test_malformed_refiner_reply_fails_only_its_segment(self, stack, tmp_path,
+                                                            monkeypatch):
+        endpoints, _, _ = stack
+        original, replies = RefinerClient._send, []
+
+        def second_reply_is_a_list(self, path, body):
+            replies.append(body)
+            return (200, {}, b"[]") if len(replies) == 2 else original(self, path, body)
+
+        monkeypatch.setattr(RefinerClient, "_send", second_reply_is_a_list)
+        cfg = _config(endpoints, "zero_shot", workers=1)
+        (result,) = translate_corpus(cfg, _pairs(4), None, runs_root=tmp_path)
+        (row,) = _errors(result.run_dir)
+        assert (row["index"], row["stage"]) == (1, "refine")
+        assert "not a JSON object" in row["error"]
+        assert result.succeeded == 3 and len(replies) == 4
+        hyps = read_hypotheses(result.run_dir)
+        assert hyps[1] == FAILED_SENTINEL and FAILED_SENTINEL not in hyps[:1] + hyps[2:]
 
     def test_fail_fast_raises(self, stack, tmp_path):
         endpoints, index, server = stack
