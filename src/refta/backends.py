@@ -416,7 +416,9 @@ class DrafterClient(_HttpClient):
 
     def translate(self, texts: list[str]) -> tuple[list[str], TokenUsage]:
         data, outputs = self._post_inputs("/translate", texts, "outputs", src="la", tgt="en")
-        drafts = [str(o).strip() for o in outputs]
+        if not all(isinstance(o, str) for o in outputs):
+            raise ProtocolError("drafter outputs must all be strings")
+        drafts = [o.strip() for o in outputs]
         if not all(drafts):
             raise ProtocolError("drafter returned an empty translation")
         return drafts, _usage(data, ("input_tokens", "output_tokens"), texts, drafts)

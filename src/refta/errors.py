@@ -22,6 +22,11 @@ class IndexError_(ReftaError):
     """Index build, persistence, or query failure."""
 
 
+class VectorError(IndexError_, ValueError):
+    """A zero or non-finite embedding vector. It is also a ``ValueError``, as
+    any bad array handed to the index's array helpers is."""
+
+
 class BackendError(ReftaError):
     """Base class for model-backend client failures."""
 

@@ -29,7 +29,7 @@ import numpy as np
 from refta import kernels
 from refta.backends import send_batches
 from refta.corpus import ParallelPair, SourceSegment, lemmatize
-from refta.errors import IndexError_
+from refta.errors import IndexError_, VectorError
 
 FORMAT_VERSION = 2
 
@@ -95,16 +95,21 @@ def default_candidate_pool(k: int) -> int:
     return max(50, 10 * k)
 
 
-def _normalize_rows(rows: np.ndarray) -> np.ndarray:
+def _normalize_rows(rows: np.ndarray, ids: Sequence[str] = ()) -> np.ndarray:
     """Scale each row of a float32 matrix in place to ``(v64 / sqrt(v64 @
     v64)).astype(float32)``, bit for bit (the stacked ``@`` makes the same
-    ``ddot`` call per row), in blocks of about 2^20 float64 elements."""
+    ``ddot`` call per row), in blocks of about 2^20 float64 elements.
+
+    A zero or non-finite row raises ``VectorError``, naming its segment id
+    when ``ids`` holds one per row."""
     step = max(1, (1 << 20) // max(1, rows.shape[1]))
     for start in range(0, rows.shape[0], step):
         block = rows[start:start + step].astype(np.float64)
         norms = np.sqrt(block[:, None, :] @ block[:, :, None])[:, 0]
         if not 0.0 < norms.min() <= norms.max() < np.inf:  # a NaN norm fails too
-            raise ValueError("zero or non-finite vector rejected")
+            row = start + int(np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))[0])
+            where = f" for segment {ids[row]!r}" if ids else ""
+            raise VectorError(f"zero or non-finite vector rejected{where}")
         rows[start:start + step] = np.divide(block, norms, out=block)
     return rows
 
@@ -147,7 +152,8 @@ class VectorIndex:
         vectors = np.array(vectors, dtype=np.float32)  # a copy: the caller's rows stay raw
         if vectors.ndim != 2 or vectors.shape[0] != n:
             raise ValueError("vectors must be a (n, dim) matrix")
-        return cls(list(ids), list(texts), list(lemma_sets), _normalize_rows(vectors), model_id)
+        ids = list(ids)
+        return cls(ids, list(texts), list(lemma_sets), _normalize_rows(vectors, ids), model_id)
 
     @property
     def dim(self) -> int:
@@ -170,7 +176,8 @@ class VectorIndex:
         candidate_pool: int | None = None,
         skip_texts: frozenset = frozenset(),
     ) -> list[RetrievalResult]:
-        """Top-k filtered retrieval; see the module docstring for semantics."""
+        """Top-k filtered retrieval; see the module docstring for semantics. A
+        zero or non-finite ``query_vector`` raises ``VectorError``."""
         if k < 1:
             raise ValueError("k must be >= 1")
         pool = candidate_pool if candidate_pool is not None else default_candidate_pool(k)
@@ -254,7 +261,8 @@ def build_index(
         start = batch_no * embedder.cfg.max_batch  # every batch but the last is full
         matrix[start:start + len(batch)] = result
 
-    index = VectorIndex([s.id for s in kept], texts, kept_lemmas, _normalize_rows(matrix),
+    ids = [s.id for s in kept]
+    index = VectorIndex(ids, texts, kept_lemmas, _normalize_rows(matrix, ids),
                         embedder.cfg.model_id)
     report.indexed = len(kept)
     return index, report
@@ -321,15 +329,23 @@ def load_index(path: str | Path) -> VectorIndex:
     missing = [key for key in ("checksums", "count", "dim", "model_id") if key not in manifest]
     if missing:
         raise IndexError_(f"{manifest_path} lacks {missing}")
+    # vectors.bin is read once: its checksum is taken over the loaded floats
+    vec_path = src / "vectors.bin"
+    vectors = np.fromfile(vec_path, dtype="<f4") if vec_path.is_file() else None
     for name, expected in manifest["checksums"].items():
-        if not (src / name).is_file() or _sha256_file(src / name) != expected:
+        if name == "vectors.bin":
+            actual = None if vectors is None else hashlib.sha256(vectors).hexdigest()
+        else:
+            actual = _sha256_file(src / name) if (src / name).is_file() else None
+        if actual != expected:
             raise IndexError_(
                 f"checksum mismatch for {name}: file is missing, corrupt or truncated"
             )
+    if vectors is None:
+        raise IndexError_(f"no vectors.bin under {src}")
 
     count = manifest["count"]
     dim = manifest["dim"]
-    vectors = np.fromfile(src / "vectors.bin", dtype="<f4")
     if vectors.size != count * dim:
         raise IndexError_(
             f"vectors.bin holds {vectors.size} floats, expected {count * dim}"

@@ -10,6 +10,11 @@ closest reference length is used (ties go to the shorter reference).
 Per-segment scores apply the same formula to one segment's statistics with
 the effective n-gram order capped at the segment length, which keeps short
 segments from scoring zero by construction.
+
+``segment_stats`` tokenises and counts a segment's references once for every
+run of consecutive rows that share them, and computes one row per distinct
+hypothesis among those rows. ``scores`` turns a whole ``(R, STATS_DIM)``
+matrix of statistics into R scores; it is the only copy of the formula.
 """
 
 from __future__ import annotations
@@ -24,6 +29,10 @@ NGRAM_ORDER = 4
 STATS_DIM = 2 * NGRAM_ORDER + 2  # correct[4], total[4], sys_len, ref_len
 
 _LOG_ZERO = -9999999999.0
+
+# libm's log and exp, element-wise: NumPy's own can differ in the last bit
+_log = np.frompyfunc(math.log, 1, 1)
+_exp = np.frompyfunc(math.exp, 1, 1)
 
 _13A_RULES = [
     (re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])"), r" \1 "),
@@ -51,12 +60,12 @@ def tokenize_13a(line: str) -> str:
 
 
 def _ngram_counts(tokens: list[str]) -> list[Counter]:
-    counts = [Counter() for _ in range(NGRAM_ORDER)]
-    for n in range(1, NGRAM_ORDER + 1):
-        grams = counts[n - 1]
-        for i in range(len(tokens) - n + 1):
-            grams[tuple(tokens[i:i + n])] += 1
-    return counts
+    return [Counter(zip(*(tokens[i:] for i in range(n)))) for n in range(1, NGRAM_ORDER + 1)]
+
+
+def _matched(hyp: Counter, ref: Counter) -> int:
+    """Clipped matches: the sum of ``min`` over the n-grams both sides hold."""
+    return sum(min(hyp[gram], ref[gram]) for gram in hyp.keys() & ref.keys())
 
 
 def _validate(hypotheses, references) -> None:
@@ -71,88 +80,111 @@ def _validate(hypotheses, references) -> None:
             raise ValueError(f"segment {i} has an empty reference")
 
 
-def _score_from_row(
-    correct, total, sys_len: int, ref_len: int, effective_order: bool
-) -> float:
-    precisions = [0.0] * NGRAM_ORDER
-    smooth = 1.0
-    eff = NGRAM_ORDER
-    for n in range(1, NGRAM_ORDER + 1):
-        if total[n - 1] == 0:
-            break
-        if effective_order:
-            eff = n
-        if correct[n - 1] == 0:
-            smooth *= 2.0
-            precisions[n - 1] = 100.0 / (smooth * total[n - 1])
-        else:
-            precisions[n - 1] = 100.0 * correct[n - 1] / total[n - 1]
-    if sys_len == 0:
-        return 0.0
-    bp = 1.0 if sys_len >= ref_len else math.exp(1.0 - ref_len / sys_len)
-    used = precisions[:eff]
-    if all(p == used[0] for p in used):
-        # geometric mean of equal values is that value; exact for identity
-        return bp * used[0]
-    log_sum = sum(math.log(p) if p > 0.0 else _LOG_ZERO for p in used)
-    return bp * math.exp(log_sum / eff)
+def _distinct_rows(hypotheses, references, reference_side, row) -> tuple[list, list[int]]:
+    """Rows computed once per distinct (hypothesis, references) pair.
+
+    ``reference_side(refs)`` runs once for each stretch of consecutive
+    segments whose references are the same (``is``, then ``==``), and
+    ``row(hyp, side)`` once per distinct hypothesis within the stretch.
+    Returns the distinct rows and, per segment, its position among them.
+    """
+    _validate(hypotheses, references)
+    rows: list = []
+    positions: list[int] = []
+    last_refs, side, seen = None, None, {}
+    for hyp, refs in zip(hypotheses, references):
+        if refs is not last_refs and refs != last_refs:
+            last_refs, side, seen = refs, reference_side(refs), {}
+        pos = seen.get(hyp)
+        if pos is None:
+            pos = seen[hyp] = len(rows)
+            rows.append(row(hyp, side))
+        positions.append(pos)
+    return rows, positions
+
+
+def _reference_side(refs) -> tuple[list[int], list[Counter]]:
+    """Token lengths and the per-n-gram maximum counts over the references."""
+    lengths: list[int] = []
+    max_counts: list[Counter] = []
+    for ref in refs:
+        tokens = tokenize_13a(ref).split()
+        lengths.append(len(tokens))
+        counts = _ngram_counts(tokens)
+        if not max_counts:
+            max_counts = counts
+            continue
+        for merged, grams in zip(max_counts, counts):
+            for gram, cnt in grams.items():
+                if cnt > merged[gram]:
+                    merged[gram] = cnt
+    return lengths, max_counts
+
+
+def _row(hyp: str, side) -> list[int]:
+    ref_lengths, ref_counts = side
+    tokens = tokenize_13a(hyp).split()
+    length = len(tokens)
+    correct = [_matched(h, r) for h, r in zip(_ngram_counts(tokens), ref_counts)]
+    total = [max(0, length - n) for n in range(NGRAM_ORDER)]
+    closest = min(ref_lengths, key=lambda ref_len: (abs(length - ref_len), ref_len))
+    return correct + total + [length, closest]
+
+
+def scores(stats, effective_order: bool) -> np.ndarray:
+    """BLEU of each row of an ``(R, STATS_DIM)`` matrix of statistics.
+
+    Orders count up to the first zero total. With ``effective_order`` the
+    geometric mean runs over those orders only, as per-segment scores do.
+    """
+    stats = np.asarray(stats)
+    correct = stats[:, :NGRAM_ORDER]
+    total = stats[:, NGRAM_ORDER:2 * NGRAM_ORDER]
+    sys_len = stats[:, 2 * NGRAM_ORDER]
+    ref_len = stats[:, 2 * NGRAM_ORDER + 1]
+
+    live = np.logical_and.accumulate(total > 0, axis=1)
+    # the smoothing factor doubles at each live order with no match
+    smooth = 2.0 ** np.cumsum(live & (correct == 0), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precisions = np.where(correct == 0, 100.0 / (smooth * total), 100.0 * correct / total)
+    precisions[~live] = 0.0
+    n_live = live.sum(axis=1)
+    eff = np.where(effective_order & (n_live > 0), n_live, NGRAM_ORDER)
+    used = np.arange(NGRAM_ORDER) < eff[:, None]
+
+    positive = precisions > 0.0
+    logs = np.where(positive, _log(np.where(positive, precisions, 1.0)), _LOG_ZERO)
+    logs = np.where(used, logs, 0.0).astype(np.float64)
+    log_sum = logs[:, 0]
+    for n in range(1, NGRAM_ORDER):  # left to right, as the scalar sum adds
+        log_sum = log_sum + logs[:, n]
+    # the geometric mean of equal values is that value; exact for identity
+    equal = np.all((precisions == precisions[:, :1]) | ~used, axis=1)
+    mean = np.where(equal, precisions[:, 0], _exp(log_sum / eff).astype(np.float64))
+    bp = np.where(sys_len < ref_len,
+                  _exp(1.0 - ref_len / np.maximum(sys_len, 1)).astype(np.float64), 1.0)
+    return np.where(sys_len > 0, bp * mean, 0.0)
 
 
 class BleuMetric:
-    """BLEU as segment statistics plus a pooled corpus score."""
+    """BLEU as segment statistics plus pooled corpus scores."""
 
     name = "bleu"
 
     def segment_stats(self, hypotheses, references) -> np.ndarray:
-        _validate(hypotheses, references)
-        rows = np.zeros((len(hypotheses), STATS_DIM), dtype=np.int64)
-        for i, (hyp, refs) in enumerate(zip(hypotheses, references)):
-            hyp_tokens = tokenize_13a(hyp).split()
-            hyp_counts = _ngram_counts(hyp_tokens)
+        rows, positions = _distinct_rows(hypotheses, references, _reference_side, _row)
+        return np.array(rows, dtype=np.int64).reshape(-1, STATS_DIM)[positions]
 
-            ref_counts = [Counter() for _ in range(NGRAM_ORDER)]
-            closest_diff = None
-            closest_len = 0
-            for ref in refs:
-                ref_tokens = tokenize_13a(ref).split()
-                diff = abs(len(hyp_tokens) - len(ref_tokens))
-                if closest_diff is None or diff < closest_diff or (
-                    diff == closest_diff and len(ref_tokens) < closest_len
-                ):
-                    closest_diff = diff
-                    closest_len = len(ref_tokens)
-                for n, counts in enumerate(_ngram_counts(ref_tokens)):
-                    for gram, cnt in counts.items():
-                        if cnt > ref_counts[n][gram]:
-                            ref_counts[n][gram] = cnt
+    def corpus_scores(self, sums) -> np.ndarray:
+        """The corpus score of each row of pooled statistics."""
+        return scores(sums, effective_order=False)
 
-            for n in range(NGRAM_ORDER):
-                total = sum(hyp_counts[n].values())
-                correct = sum(
-                    min(cnt, ref_counts[n][gram])
-                    for gram, cnt in hyp_counts[n].items()
-                )
-                rows[i, n] = correct
-                rows[i, NGRAM_ORDER + n] = total
-            rows[i, 2 * NGRAM_ORDER] = len(hyp_tokens)
-            rows[i, 2 * NGRAM_ORDER + 1] = closest_len
-        return rows
+    def segment_scores(self, stats) -> np.ndarray:
+        return scores(stats, effective_order=True)
 
     def corpus_from_sums(self, sums) -> float:
-        correct = sums[:NGRAM_ORDER]
-        total = sums[NGRAM_ORDER:2 * NGRAM_ORDER]
-        return _score_from_row(
-            correct, total,
-            int(sums[2 * NGRAM_ORDER]), int(sums[2 * NGRAM_ORDER + 1]),
-            effective_order=False,
-        )
-
-    def segment_score(self, row) -> float:
-        return _score_from_row(
-            row[:NGRAM_ORDER], row[NGRAM_ORDER:2 * NGRAM_ORDER],
-            int(row[2 * NGRAM_ORDER]), int(row[2 * NGRAM_ORDER + 1]),
-            effective_order=True,
-        )
+        return float(self.corpus_scores(np.asarray(sums)[None])[0])
 
 
 def bleu(hypotheses, references) -> tuple[float, list[float]]:
@@ -162,5 +194,4 @@ def bleu(hypotheses, references) -> tuple[float, list[float]]:
     """
     metric = BleuMetric()
     stats = metric.segment_stats(hypotheses, references)
-    corpus = metric.corpus_from_sums(stats.sum(axis=0))
-    return corpus, [metric.segment_score(stats[i]) for i in range(stats.shape[0])]
+    return metric.corpus_from_sums(stats.sum(axis=0)), metric.segment_scores(stats).tolist()

@@ -1,14 +1,18 @@
 """Paired bootstrap resampling for system comparisons.
 
 Segment indices are resampled with replacement ``n_resamples`` times and the
-corpus metric is recomputed for both systems per resample. The p-value is
-one-sided: the fraction of resampled deltas whose sign differs from the
-full-corpus delta (Koehn, "Statistical Significance Tests for Machine
-Translation Evaluation", EMNLP 2004). A zero resampled delta counts against
-the observed sign, and an all-zero full delta yields p = 1.0. It is about
-half of a centred two-sided bootstrap p. The confidence interval is the
-2.5/97.5 percentile band of resampled deltas. Results are a pure function
-of (inputs, seed).
+corpus metric is recomputed for both systems per resample. The resampled
+statistics sums form one ``(n_resamples, d)`` matrix per system
+(``kernels.resample_sums``), and the metric's array scorer,
+``corpus_scores``, scores all of its rows in one call. It is the same
+scorer that gives the full-corpus and per-segment scores, so the metric's
+formula exists once. The p-value is one-sided: the fraction of resampled
+deltas whose sign differs from the full-corpus delta (Koehn, "Statistical
+Significance Tests for Machine Translation Evaluation", EMNLP 2004). A zero
+resampled delta counts against the observed sign, and an all-zero full
+delta yields p = 1.0. It is about half of a centred two-sided bootstrap p.
+The confidence interval is the 2.5/97.5 percentile band of resampled
+deltas. Results are a pure function of (inputs, seed).
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ def paired_bootstrap(
     """Compare two systems on the same references.
 
     ``metric`` is one of the package's metric objects (``name``,
-    ``segment_stats``, ``corpus_from_sums``). ``stats`` may hand in both
+    ``segment_stats``, ``corpus_scores``). ``stats`` may hand in both
     ``segment_stats`` matrices.
     """
     n = len(references)
@@ -72,15 +76,10 @@ def paired_bootstrap(
 
     stats_a, stats_b = stats or (metric.segment_stats(hyps_a, references),
                                  metric.segment_stats(hyps_b, references))
-    sums_a = kernels.resample_sums(stats_a, idx)
-    sums_b = kernels.resample_sums(stats_b, idx)
-    deltas = np.array([
-        metric.corpus_from_sums(sums_a[r]) - metric.corpus_from_sums(sums_b[r])
-        for r in range(n_resamples)
-    ])
-
-    full_delta = (metric.corpus_from_sums(stats_a.sum(axis=0))
-                  - metric.corpus_from_sums(stats_b.sum(axis=0)))
+    deltas = (metric.corpus_scores(kernels.resample_sums(stats_a, idx))
+              - metric.corpus_scores(kernels.resample_sums(stats_b, idx)))
+    full_a, full_b = metric.corpus_scores(np.stack([stats_a.sum(axis=0), stats_b.sum(axis=0)]))
+    full_delta = full_a - full_b
     if full_delta == 0.0:
         p_value = 1.0
     else:

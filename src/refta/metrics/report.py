@@ -6,6 +6,8 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from refta.corpus import ParallelPair
 from refta.errors import CapabilityError, ComparisonError
 from refta.metrics.bleu import BleuMetric
@@ -47,9 +49,7 @@ def evaluate_hypotheses(system_id: str, hypotheses, references, stats=None) -> M
     for metric in LEXICAL_METRICS:
         m_stats = stats[metric.name]
         corpus_scores[metric.name] = metric.corpus_from_sums(m_stats.sum(axis=0))
-        segment_scores[metric.name] = [
-            metric.segment_score(m_stats[i]) for i in range(m_stats.shape[0])
-        ]
+        segment_scores[metric.name] = metric.segment_scores(m_stats).tolist()
     n_failed = sum(1 for h in hypotheses if h == FAILED_SENTINEL)
     return MetricReport(
         system_id=system_id,
@@ -133,7 +133,8 @@ def compare_runs(
     Refuses to compare runs whose manifest corpus digest does not match the
     given test set, and two runs with the same directory name. Pairwise
     significance uses paired bootstrap resampling on the lexical metrics at
-    a fixed seed, reusing each run's segment statistics.
+    a fixed seed, reusing each run's segment statistics, which come from
+    one ``segment_stats`` call per metric over all runs.
     """
     expected = corpus_digest(pairs)
     references = [list(p.references) for p in pairs]
@@ -154,21 +155,30 @@ def compare_runs(
         baseline=baseline_dir.name, test_set_digest=expected, seed=seed
     )
     hyps_by_run: dict[str, list[str]] = {}
-    stats_by_run: dict[str, dict] = {}
     for run_dir in all_dirs:
         _check_digest(run_dir, expected)
-        hyps = read_hypotheses(run_dir)
+        hyps = hyps_by_run[run_dir.name] = read_hypotheses(run_dir)
         if len(hyps) != len(pairs):
             raise ComparisonError(
                 f"run {run_dir} holds {len(hyps)} hypotheses for {len(pairs)} pairs"
             )
-        stats = stats_by_run[run_dir.name] = _lexical_stats(hyps, references)
+
+    # one segment_stats call per metric over every run, segment-major, so
+    # each segment's references are counted once and a hypothesis that
+    # several runs share is scored once
+    runs = [hyps_by_run[d.name] for d in all_dirs]
+    stacked = _lexical_stats([hyps[i] for i in range(len(pairs)) for hyps in runs],
+                             [refs for refs in references for _ in runs])
+    stats_by_run: dict[str, dict] = {}
+    for j, (run_dir, hyps) in enumerate(zip(all_dirs, runs)):
+        stats = stats_by_run[run_dir.name] = {
+            name: np.ascontiguousarray(s.reshape(len(pairs), len(runs), s.shape[1])[:, j])
+            for name, s in stacked.items()}
         report = evaluate_hypotheses(run_dir.name, hyps, references, stats=stats)
         if scorer is not None and neural_metrics:
             report = attach_neural_scores(
                 report, scorer, neural_metrics, sources, hyps, first_refs
             )
-        hyps_by_run[run_dir.name] = hyps
         comparison.rows.append({
             "run": run_dir.name,
             "is_baseline": run_dir == baseline_dir,

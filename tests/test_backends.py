@@ -353,6 +353,8 @@ _CALLS = {
     ("drafter", {"outputs": ["d"], "usage": {"input_tokens": "many", "output_tokens": 1}}),
     ("drafter", {"outputs": ["d"], "usage": {"input_tokens": -3, "output_tokens": 1}}),
     ("drafter", {"outputs": ["d"], "usage": {"input_tokens": 1.5, "output_tokens": 1}}),
+    ("drafter", {"outputs": [None]}),
+    ("drafter", {"outputs": [7]}),
     ("embedder", {"vectors": [["x", 1.0], [1.0, 2.0]], "dim": 2}),
     ("embedder", {"vectors": [[1.0, 2.0], [1.0, 2.0]], "dim": "one"}),
     ("embedder", {"vectors": [[1.0, 2.0], [1.0]], "dim": 2}),

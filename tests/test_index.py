@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +257,12 @@ class TestBuildIndex:
             build_index(segs, _ArrayEmbedder(zero_for={segs[1].text}),
                         ExclusionList.empty())
 
+    def test_zero_vector_is_an_index_error_naming_its_segment(self):
+        segs = _segments(3)
+        with pytest.raises(IndexError_, match=f"zero or non-finite .*'{segs[1].id}'"):
+            build_index(segs, _ArrayEmbedder(zero_for={segs[1].text}),
+                        ExclusionList.empty())
+
     def test_build_via_http_client(self, mock_server, endpoint):
         segs = _segments(20)
         embedder = EmbedderClient(endpoint("embedder", max_batch=8))
@@ -367,6 +376,24 @@ class TestPersistence:
         vec_path.write_bytes(vec_path.read_bytes()[:-8])
         with pytest.raises(IndexError_, match="vectors.bin"):
             load_index(tmp_path / "idx")
+
+    def test_vectors_read_once_per_load(self, tmp_path, monkeypatch):
+        index, _, _ = random_index(10, 8, seed=25)
+        save_index(index, tmp_path / "idx")
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file).name)
+            return real_open(file, *args, **kwargs)
+
+        # pathlib opens through io.open, NumPy's fromfile through builtins.open
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        loaded = load_index(tmp_path / "idx")
+        monkeypatch.undo()
+        assert opened.count("vectors.bin") == 1
+        assert np.array_equal(loaded._vectors, index._vectors)
 
     def test_v2_directory_has_no_graph(self, tmp_path):
         index, _, _ = random_index(10, 8, seed=24)

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+import string
+from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA, FIXTURES
 from refta.backends import ScorerClient
@@ -217,8 +221,8 @@ def test_compare_runs_reuses_segment_stats_in_bootstrap(tmp_path, monkeypatch):
 
     comparison = compare_runs([tmp_path / "mid", tmp_path / "top"], pairs,
                               tmp_path / "base", seed=9)
-    # one matrix per (run, metric): 3 runs x 2 metrics
-    assert sorted(calls) == ["bleu"] * 3 + ["chrf++"] * 3
+    # one matrix per metric, over all three runs interleaved segment-major
+    assert sorted(calls) == ["bleu", "chrf++"]
 
     monkeypatch.undo()
     references = [list(p.references) for p in pairs]
@@ -248,3 +252,191 @@ def test_compare_runs_refuses_duplicate_run_names(tmp_path):
         compare_runs([tmp_path / "a/rag", tmp_path / "b/rag"], pairs, tmp_path / "base")
     with pytest.raises(ComparisonError, match="rag"):
         compare_runs([tmp_path / "a/rag"], pairs, tmp_path / "b/rag")
+
+
+# -- per-row copies of the scalar algorithm that the array code replaced -----
+# ``segment_stats`` must give these integers bit for bit, and the array
+# scorers these floats, on any input.
+
+def _copy_ngrams(tokens, n):
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _copy_bleu_row(hyp, refs):
+    hyp_tokens = tokenize_13a(hyp).split()
+    hyp_counts = [_copy_ngrams(hyp_tokens, n) for n in range(1, 5)]
+    ref_counts = [Counter() for _ in range(4)]
+    closest_diff, closest_len = None, 0
+    for ref in refs:
+        ref_tokens = tokenize_13a(ref).split()
+        diff = abs(len(hyp_tokens) - len(ref_tokens))
+        if closest_diff is None or diff < closest_diff or (
+                diff == closest_diff and len(ref_tokens) < closest_len):
+            closest_diff, closest_len = diff, len(ref_tokens)
+        for n in range(4):
+            for gram, cnt in _copy_ngrams(ref_tokens, n + 1).items():
+                ref_counts[n][gram] = max(ref_counts[n][gram], cnt)
+    correct = [sum(min(c, ref_counts[n][g]) for g, c in hyp_counts[n].items())
+               for n in range(4)]
+    total = [sum(hyp_counts[n].values()) for n in range(4)]
+    return correct + total + [len(hyp_tokens), closest_len]
+
+
+def _copy_bleu_score(row, effective_order):
+    correct, total, sys_len, ref_len = row[:4], row[4:8], int(row[8]), int(row[9])
+    precisions, smooth, eff = [0.0] * 4, 1.0, 4
+    for n in range(1, 5):
+        if total[n - 1] == 0:
+            break
+        if effective_order:
+            eff = n
+        if correct[n - 1] == 0:
+            smooth *= 2.0
+            precisions[n - 1] = 100.0 / (smooth * total[n - 1])
+        else:
+            precisions[n - 1] = 100.0 * correct[n - 1] / total[n - 1]
+    if sys_len == 0:
+        return 0.0
+    bp = 1.0 if sys_len >= ref_len else math.exp(1.0 - ref_len / sys_len)
+    used = precisions[:eff]
+    if all(p == used[0] for p in used):
+        return bp * used[0]
+    log_sum = 0.0  # left to right, as the builtin sum added floats before 3.12
+    for p in used:
+        log_sum += math.log(p) if p > 0.0 else -9999999999.0
+    return bp * math.exp(log_sum / eff)
+
+
+def _copy_chrf_counters(segment):
+    chars = "".join(segment.split())
+    tokens = []
+    for word in segment.split():
+        if len(word) == 1:
+            tokens.append(word)
+        elif word[-1] in string.punctuation:
+            tokens.extend((word[:-1], word[-1]))
+        elif word[0] in string.punctuation:
+            tokens.extend((word[0], word[1:]))
+        else:
+            tokens.append(word)
+    counters = [Counter(chars[i:i + n] for i in range(len(chars) - n + 1)) for n in range(1, 7)]
+    return counters + [_copy_ngrams(tokens, n) for n in (1, 2)]
+
+
+def _copy_chrf_score(row):
+    score, effective = 0.0, 0
+    for i in range(8):
+        n_hyp, n_ref, n_match = row[3 * i], row[3 * i + 1], row[3 * i + 2]
+        if n_hyp > 0 and n_ref > 0:
+            effective += 1
+            prec, rec = n_match / n_hyp, n_match / n_ref
+            denom = 4.0 * prec + rec
+            if denom > 0.0:
+                score += 5.0 * prec * rec / denom
+    return 0.0 if effective == 0 else 100.0 * score / effective
+
+
+def _copy_chrf_row(hyp, refs):
+    hyp_c = _copy_chrf_counters(hyp)
+    best_row, best_f = None, -1.0
+    for ref in refs:
+        ref_c = _copy_chrf_counters(ref)
+        row = np.array([v for h, r in zip(hyp_c, ref_c)
+                        for v in (sum(h.values()), sum(r.values()), sum((h & r).values()))],
+                       dtype=np.int64)
+        f = _copy_chrf_score(row)
+        if f > best_f:
+            best_f, best_row = f, row
+    return best_row.tolist()
+
+
+_words = st.sampled_from(["a", "bb", "ccc", "a,", "bb.", "(d", "e-f", "1.5", "7-8", "x y"])
+_sentences = st.lists(_words, max_size=7).map(" ".join)
+
+
+@st.composite
+def _corpora(draw):
+    """Rows over a few reference sets and a few hypotheses, so that both
+    repeat; a repeated set is sometimes the same list and sometimes a copy."""
+    ref_sets = draw(st.lists(st.lists(_sentences.filter(str.strip), min_size=1, max_size=3),
+                             min_size=1, max_size=4))
+    hyp_pool = draw(st.lists(_sentences, min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(st.integers(0, len(ref_sets) - 1),
+                                   st.integers(0, len(hyp_pool) - 1)),
+                         min_size=1, max_size=12))
+    if draw(st.booleans()):
+        rows.sort(key=lambda row: row[0])
+    copies = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    refs = [list(ref_sets[r]) if copy else ref_sets[r] for (r, _), copy in zip(rows, copies)]
+    return [hyp_pool[h] for _, h in rows], refs
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corpora())
+# BLEU: both references are 1 token from the hypothesis; the shorter one wins
+@example((["a bb ccc x", "a bb ccc x"], [["a bb ccc x y", "a bb ccc"], ["a bb", "a bb ccc"]]))
+# chrF++: both references score F = 0; the first one's statistics are kept
+@example((["a bb", "a bb"], [["ccc (d", "e-f 7-8 ccc"], ["e-f 7-8 ccc", "ccc (d"]]))
+def test_segment_stats_equal_the_per_row_algorithm(corpus):
+    hyps, refs = corpus
+    bleu_rows = [_copy_bleu_row(h, r) for h, r in zip(hyps, refs)]
+    chrf_rows = [_copy_chrf_row(h, r) for h, r in zip(hyps, refs)]
+    assert BleuMetric().segment_stats(hyps, refs).tolist() == bleu_rows
+    assert ChrfPPMetric().segment_stats(hyps, refs).tolist() == chrf_rows
+
+
+def test_closest_length_and_first_best_ties_are_exercised():
+    # guards the two @example cases above: each tie really happens there
+    assert _copy_bleu_row("a bb ccc x", ["a bb ccc x y", "a bb ccc"])[9] == 3
+    first, second = (_copy_chrf_row("a bb", [r]) for r in ("ccc (d", "e-f 7-8 ccc"))
+    assert _copy_chrf_score(first) == _copy_chrf_score(second) == 0.0 and first != second
+    assert _copy_chrf_row("a bb", ["ccc (d", "e-f 7-8 ccc"]) == first
+
+
+@st.composite
+def _bleu_stats(draw):
+    total = draw(st.lists(st.integers(0, 10**6), min_size=4, max_size=4))
+    correct = [draw(st.integers(0, t)) for t in total]
+    return correct + total + draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=2))
+
+
+@st.composite
+def _chrf_stats(draw):
+    row = []
+    for _ in range(8):
+        n_hyp, n_ref = draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
+        row += (n_hyp, n_ref, draw(st.integers(0, min(n_hyp, n_ref))))
+    return row
+
+
+_BLEU_EDGES = [
+    [1, 0, 0, 0, 3, 2, 1, 0, 0, 5],        # sys_len == 0
+    [0, 0, 0, 0, 0, 4, 3, 2, 6, 6],        # zero total at order 1
+    [2, 0, 0, 0, 3, 0, 1, 1, 3, 2],        # ... at order 2
+    [2, 1, 0, 0, 3, 2, 0, 0, 3, 9],        # ... at order 3
+    [4, 3, 2, 1, 4, 3, 2, 1, 4, 4],        # all precisions 100
+    [2, 2, 2, 2, 4, 4, 4, 4, 4, 7],        # all precisions 50, with a penalty
+    [0, 0, 0, 0, 5, 4, 3, 2, 5, 5],        # smoothing at every order
+    # log(100 * 44 / 195) is one where a SIMD np.log can round apart from libm
+    [44, 1, 7, 3, 195, 194, 193, 192, 195, 195],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_bleu_stats(), min_size=1, max_size=8), st.lists(_chrf_stats(), max_size=8))
+def test_array_scorers_equal_the_scalar_formulas(bleu_rows, chrf_rows):
+    bleu_stats = np.array(bleu_rows + _BLEU_EDGES, dtype=np.int64)
+    metric = BleuMetric()
+    assert _bits(metric.corpus_scores(bleu_stats)) == _bits(
+        _copy_bleu_score(row, False) for row in bleu_stats)
+    assert _bits(metric.segment_scores(bleu_stats)) == _bits(
+        _copy_bleu_score(row, True) for row in bleu_stats)
+
+    no_order = [[0, 3, 0] * 8, [2, 0, 0] * 8, [0] * 24]  # chrF++ with no populated order
+    chrf_stats = np.array(chrf_rows + no_order, dtype=np.int64)
+    assert _bits(ChrfPPMetric().corpus_scores(chrf_stats)) == _bits(
+        _copy_chrf_score(row) for row in chrf_stats)

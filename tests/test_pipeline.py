@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import FIXTURES
-from refta.backends import DrafterClient, EndpointConfig, RefinerClient
+from refta.backends import DrafterClient, EmbedderClient, EndpointConfig, RefinerClient
 from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_parallel
 from refta.errors import ReftaError, RequestError
 from refta.index import ExclusionList, build_index
@@ -318,6 +318,27 @@ class TestFailureIsolation:
         assert result.succeeded == 3
         drafted = _drafted_union(read_records(result.run_dir), pairs[1:])
         assert healthy.stats.snapshot()["inputs"]["/translate"] == len(drafted)
+
+    def test_zero_query_vector_fails_only_its_segment_at_retrieve(self, stack, tmp_path,
+                                                                   monkeypatch):
+        endpoints, index, _ = stack
+        pairs = _pairs(4)
+        original = EmbedderClient.embed
+
+        def zero_first(self, texts):
+            matrix = original(self, texts)
+            matrix[[t == pairs[0].source.text for t in texts]] = 0.0
+            return matrix
+
+        monkeypatch.setattr(EmbedderClient, "embed", zero_first)
+        (result,) = translate_corpus(_config(endpoints, "rag"), pairs, index,
+                                     runs_root=tmp_path)
+        (row,) = _errors(result.run_dir)
+        assert (row["index"], row["stage"]) == (0, "retrieve")
+        assert "zero or non-finite" in row["error"]
+        assert result.succeeded == 3
+        hyps = read_hypotheses(result.run_dir)
+        assert hyps[0] == FAILED_SENTINEL and FAILED_SENTINEL not in hyps[1:]
 
     def test_rejected_neighbor_fails_every_segment_that_retrieved_it(
             self, stack, tmp_path, monkeypatch):
