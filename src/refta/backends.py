@@ -115,7 +115,6 @@ class EndpointConfig:
     request_parallelism: int = 4
     auth_token: str | None = None
     backoff_base: float = 0.5
-    backoff_factor: float = 2.0
     max_batch: int = 64
 
     def __post_init__(self):
@@ -208,6 +207,7 @@ def send_batches(call, texts: list, max_batch: int, max_in_flight: int = 1):
 
 _RETRYABLE_STATUSES = frozenset({429})
 RETRY_AFTER_CAP_S = 60.0
+BACKOFF_FACTOR = 2.0
 
 
 def _is_retryable_status(status: int) -> bool:
@@ -363,7 +363,7 @@ class _HttpClient:
                     f"{url}: giving up after {attempts} attempts ({last_failure})",
                     attempts=attempts,
                 )
-            delay = self.cfg.backoff_base * (self.cfg.backoff_factor ** (attempts - 1))
+            delay = self.cfg.backoff_base * (BACKOFF_FACTOR ** (attempts - 1))
             delay *= 1.0 + 0.1 * self._rng.random()
             if retry_after.isascii() and retry_after.isdigit():  # delta-seconds, not a date
                 delay = min(float(retry_after), RETRY_AFTER_CAP_S)

@@ -18,6 +18,7 @@ from pathlib import Path
 import click
 
 import refta
+from refta.artifacts import write_json
 from refta.backends import EndpointConfig, ScorerClient, resolve_token
 from refta.corpus import load_monolingual, load_parallel
 from refta.errors import ReftaError
@@ -317,10 +318,7 @@ def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
             )
         finally:
             scorer.close()
-    (Path(run_dir) / "metrics.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(Path(run_dir) / "metrics.json", report.to_dict())
     if as_json:
         click.echo(json.dumps(report.to_dict()["corpus_scores"], sort_keys=True))
     else:

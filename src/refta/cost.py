@@ -14,11 +14,11 @@ figure applies the configured discount multiplier, 0.5 by default.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
+from refta.artifacts import write_json
 from refta.backends import TokenUsage
 from refta.pipeline import read_manifest
 
@@ -176,8 +176,5 @@ def cost_report(
         per_100_segments=per_100,
     )
     if write:
-        (run_dir / "costs.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(run_dir / "costs.json", report.to_dict())
     return report

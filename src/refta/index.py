@@ -11,9 +11,12 @@ the threshold. Every pool size gives the prefix of a full brute-force sort.
 On-disk layout (``save_index``/``load_index``), format version 2:
 
 - ``manifest.json``: format version, dimension, embedding model id, count,
-  SHA-256 checksums of the data files.
+  SHA-256 checksums of both data files, taken as they are written.
 - ``vectors.bin``: little-endian float32, row-major.
 - ``meta.jsonl``: one row per entry with ``id``, ``text``, ``lemmas``.
+
+A load reads each file once and hashes what it reads; the manifest must name
+both data files and type its fields (a non-negative int count and dim).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from refta import kernels
+from refta.artifacts import encode_json, encode_lines, write_files
 from refta.backends import send_batches
 from refta.corpus import ParallelPair, SourceSegment, lemmatize
 from refta.errors import IndexError_, VectorError
@@ -268,43 +272,56 @@ def build_index(
     return index, report
 
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def save_index(index: VectorIndex, path: str | Path) -> None:
+    """Write ``index`` under ``path``; the three files replace the old ones
+    together once all are written."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
+    write_files({
+        out / "vectors.bin": [index._vectors.astype("<f4", copy=False)],
+        out / "meta.jsonl": encode_lines(json.dumps(
+            {"id": sid, "text": index._texts[i], "lemmas": sorted(index._lemmas[i])},
+            ensure_ascii=False,
+        ) for i, sid in enumerate(index._ids)),
+        out / "manifest.json": lambda sums: [encode_json({
+            "format_version": FORMAT_VERSION,
+            "dim": index.dim,
+            "model_id": index.model_id,
+            "count": len(index),
+            "checksums": {"vectors.bin": sums[0], "meta.jsonl": sums[1]},
+        })],
+    })
 
-    vec_path = out / "vectors.bin"
-    index._vectors.astype("<f4", copy=False).tofile(vec_path)
 
-    meta_path = out / "meta.jsonl"
-    with meta_path.open("w", encoding="utf-8", newline="\n") as fh:
-        for i, sid in enumerate(index._ids):
-            fh.write(json.dumps(
-                {"id": sid, "text": index._texts[i], "lemmas": sorted(index._lemmas[i])},
-                ensure_ascii=False,
-            ))
-            fh.write("\n")
+def _read_vectors(path: Path, sha) -> np.ndarray:
+    vectors = np.fromfile(path, dtype="<f4")
+    sha.update(vectors)
+    return vectors
 
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "dim": index.dim,
-        "model_id": index.model_id,
-        "count": len(index),
-        "checksums": {
-            "vectors.bin": _sha256_file(vec_path),
-            "meta.jsonl": _sha256_file(meta_path),
-        },
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+
+def _read_meta(path: Path, sha) -> tuple[list, list, list]:
+    """Parse ``meta.jsonl`` line by line, hashing each line as it is read."""
+    ids, texts, lemmas = [], [], []
+    with path.open("rb") as fh:
+        for row_no, line in enumerate(fh, 1):
+            sha.update(line)
+            try:
+                row = json.loads(line)
+                ids.append(row["id"])
+                texts.append(row["text"])
+                lemmas.append(frozenset(row["lemmas"]))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise IndexError_(f"{path} row {row_no} does not parse: {exc!r}") from exc
+    return ids, texts, lemmas
+
+
+_DATA_FILES = {"vectors.bin": _read_vectors, "meta.jsonl": _read_meta}
+_MANIFEST_CHECKS = {
+    "checksums": lambda v: isinstance(v, dict) and _DATA_FILES.keys() <= v.keys(),
+    "count": lambda v: type(v) is int and v >= 0,
+    "dim": lambda v: type(v) is int and v >= 0,
+    "model_id": lambda v: isinstance(v, str),
+}
 
 
 def load_index(path: str | Path) -> VectorIndex:
@@ -326,41 +343,27 @@ def load_index(path: str | Path) -> VectorIndex:
             f"version {FORMAT_VERSION} only: rebuild the index with `refta index-build`"
         )
 
-    missing = [key for key in ("checksums", "count", "dim", "model_id") if key not in manifest]
+    missing = [key for key in _MANIFEST_CHECKS if key not in manifest]
     if missing:
         raise IndexError_(f"{manifest_path} lacks {missing}")
-    # vectors.bin is read once: its checksum is taken over the loaded floats
-    vec_path = src / "vectors.bin"
-    vectors = np.fromfile(vec_path, dtype="<f4") if vec_path.is_file() else None
-    for name, expected in manifest["checksums"].items():
-        if name == "vectors.bin":
-            actual = None if vectors is None else hashlib.sha256(vectors).hexdigest()
-        else:
-            actual = _sha256_file(src / name) if (src / name).is_file() else None
-        if actual != expected:
+    for key, valid in _MANIFEST_CHECKS.items():
+        if not valid(manifest[key]):
+            raise IndexError_(f"{manifest_path} has a malformed {key!r}: {manifest[key]!r}")
+
+    # each data file is read once and hashed as it is read
+    data = {}
+    for name, read in _DATA_FILES.items():
+        sha = hashlib.sha256()
+        if (src / name).is_file():
+            data[name] = read(src / name, sha)
+        if name not in data or sha.hexdigest() != manifest["checksums"][name]:
             raise IndexError_(
                 f"checksum mismatch for {name}: file is missing, corrupt or truncated"
             )
-    if vectors is None:
-        raise IndexError_(f"no vectors.bin under {src}")
-
-    count = manifest["count"]
-    dim = manifest["dim"]
+    vectors, (ids, texts, lemmas) = data["vectors.bin"], data["meta.jsonl"]
+    count, dim = manifest["count"], manifest["dim"]
     if vectors.size != count * dim:
-        raise IndexError_(
-            f"vectors.bin holds {vectors.size} floats, expected {count * dim}"
-        )
-
-    ids, texts, lemmas = [], [], []
-    with (src / "meta.jsonl").open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            ids.append(row["id"])
-            texts.append(row["text"])
-            lemmas.append(frozenset(row["lemmas"]))
+        raise IndexError_(f"vectors.bin holds {vectors.size} floats, expected {count * dim}")
     if len(ids) != count:
         raise IndexError_(f"meta.jsonl holds {len(ids)} rows, expected {count}")
-
     return VectorIndex(ids, texts, lemmas, vectors.reshape(count, dim), manifest["model_id"])

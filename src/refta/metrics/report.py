@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from refta.artifacts import write_json
 from refta.corpus import ParallelPair
 from refta.errors import CapabilityError, ComparisonError
 from refta.metrics.bleu import BleuMetric
@@ -244,7 +244,4 @@ def format_comparison_table(comparison: RunComparison) -> str:
 
 
 def write_comparison(comparison: RunComparison, path) -> None:
-    Path(path).write_text(
-        json.dumps(comparison.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, comparison.to_dict())

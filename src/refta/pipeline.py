@@ -29,10 +29,13 @@ Run directory layout (one per temperature):
   ``corpus_digest``, code version, counts, aggregate token usage, wall time
   (stages 1-3 included).
 - ``records.jsonl``: one completed TranslationRecord per row, input order.
-- ``hypotheses.txt``: one line per input segment (newlines inside a refined
-  text are flattened to spaces); failed segments hold the ``<FAILED>``
-  sentinel so line counts always align with the test set.
+- ``hypotheses.txt``: one line per input segment (line breaks of any kind
+  inside a refined text are flattened to spaces); failed segments hold the
+  ``<FAILED>`` sentinel so line counts always align with the test set.
 - ``errors.jsonl``: one row per failed segment with stage and cause.
+
+The four files replace their targets together once all are written
+(``refta.artifacts``), so a failed write leaves no partial run.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import refta
+from refta.artifacts import encode_json, encode_lines, write_files
 from refta.backends import (
     ChatRequest,
     DrafterClient,
@@ -387,11 +391,6 @@ def translate_corpus(
         clients.close()
 
 
-def _write_lines(path: Path, lines) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(line + "\n" for line in lines)
-
-
 def _run_one(
     cfg: RunConfig,
     pairs: list[ParallelPair],
@@ -434,12 +433,6 @@ def _run_one(
         for i, exc in enumerate(errors) if exc is not None
     ]
     done = [r for r in records if r is not None]
-    _write_lines(run_dir / "records.jsonl",
-                 (json.dumps(r.to_json_dict(), ensure_ascii=False) for r in done))
-    _write_lines(run_dir / "hypotheses.txt", (
-        FAILED_SENTINEL if r is None else " ".join(r.refined.split("\n")) for r in records))
-    _write_lines(run_dir / "errors.jsonl",
-                 (json.dumps(row, ensure_ascii=False) for row in failures))
     manifest = {
         "run_id": run_dir.name,
         "created_at": started,
@@ -459,9 +452,15 @@ def _run_one(
         },
         "wall_time_ms": wall_ms,
     }
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_files({
+        run_dir / "records.jsonl": encode_lines(
+            json.dumps(r.to_json_dict(), ensure_ascii=False) for r in done),
+        run_dir / "hypotheses.txt": encode_lines(
+            FAILED_SENTINEL if r is None else " ".join(r.refined.splitlines()) for r in records),
+        run_dir / "errors.jsonl": encode_lines(
+            json.dumps(row, ensure_ascii=False) for row in failures),
+        run_dir / "manifest.json": [encode_json(manifest)],
+    })
     return RunResult(run_dir, cfg.temperature, len(done), len(failures), failures)
 
 

@@ -377,7 +377,31 @@ class TestPersistence:
         with pytest.raises(IndexError_, match="vectors.bin"):
             load_index(tmp_path / "idx")
 
-    def test_vectors_read_once_per_load(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cut", [1, 20])  # into the last row's newline or its text
+    def test_truncated_meta_is_an_index_error(self, tmp_path, cut):
+        index, _, _ = random_index(10, 8, seed=23)
+        save_index(index, tmp_path / "idx")
+        meta_path = tmp_path / "idx" / "meta.jsonl"
+        meta_path.write_bytes(meta_path.read_bytes()[:-cut])
+        with pytest.raises(IndexError_, match="meta.jsonl"):
+            load_index(tmp_path / "idx")
+
+    @pytest.mark.parametrize("key, value", [
+        ("checksums", {}), ("count", "10"), ("dim", -8), ("model_id", None),
+    ])
+    def test_manifest_fields_are_checked_by_name(self, tmp_path, key, value):
+        index, _, _ = random_index(10, 8, seed=22)
+        save_index(index, tmp_path / "idx")
+        meta_path = tmp_path / "idx" / "meta.jsonl"
+        # an edited row that only an unverified load would accept
+        meta_path.write_text(meta_path.read_text().replace("synthetic text 0", "TAMPERED"))
+        manifest_path = tmp_path / "idx" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps({**manifest, key: value}))
+        with pytest.raises(IndexError_, match=f"manifest.json has a malformed '{key}'"):
+            load_index(tmp_path / "idx")
+
+    def test_each_file_opened_once_per_save_and_load(self, tmp_path, monkeypatch):
         index, _, _ = random_index(10, 8, seed=25)
         save_index(index, tmp_path / "idx")
         opened = []
@@ -390,10 +414,52 @@ class TestPersistence:
         # pathlib opens through io.open, NumPy's fromfile through builtins.open
         monkeypatch.setattr(io, "open", counting_open)
         monkeypatch.setattr(builtins, "open", counting_open)
+        save_index(index, tmp_path / "idx")
+        saved = sorted(opened)
+        opened.clear()
         loaded = load_index(tmp_path / "idx")
         monkeypatch.undo()
-        assert opened.count("vectors.bin") == 1
+        assert saved == ["manifest.json.tmp", "meta.jsonl.tmp", "vectors.bin.tmp"]
+        assert sorted(opened) == ["manifest.json", "meta.jsonl", "vectors.bin"]
         assert np.array_equal(loaded._vectors, index._vectors)
+
+    @pytest.mark.parametrize("failing",
+                             ["vectors.bin.tmp", "meta.jsonl.tmp", "manifest.json.tmp"])
+    def test_failed_save_keeps_the_old_index(self, tmp_path, monkeypatch, failing):
+        old, _, _ = random_index(10, 8, seed=26)
+        new, _, _ = random_index(12, 8, seed=27)
+        save_index(old, tmp_path / "idx")
+        real_open = builtins.open
+
+        class DiskFull:
+            """A binary file whose first write stores a few bytes, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                self.fh.write(bytes(chunk)[:4])
+                raise OSError(28, "No space left on device")
+
+        def open_failing(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            return DiskFull(fh) if Path(file).name == failing else fh
+
+        monkeypatch.setattr(builtins, "open", open_failing)
+        with pytest.raises(OSError, match="No space left"):
+            save_index(new, tmp_path / "idx")
+        monkeypatch.undo()
+        assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
+            "manifest.json", "meta.jsonl", "vectors.bin"]
+        loaded = load_index(tmp_path / "idx")
+        assert loaded._ids == old._ids
+        assert np.array_equal(loaded._vectors, old._vectors)
 
     def test_v2_directory_has_no_graph(self, tmp_path):
         index, _, _ = random_index(10, 8, seed=24)

@@ -11,10 +11,12 @@ from refta.backends import DrafterClient, EmbedderClient, EndpointConfig, Refine
 from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_parallel
 from refta.errors import ReftaError, RequestError
 from refta.index import ExclusionList, build_index
+from refta.metrics.report import compare_runs
 from refta.mockserver import MockBehavior, start_mock_server
 from refta.pipeline import (
     FAILED_SENTINEL,
     RunConfig,
+    TranslationRecord,
     read_hypotheses,
     read_manifest,
     read_records,
@@ -420,6 +422,48 @@ class TestTranslateCorpus:
         assert result.succeeded == 3 and len(replies) == 4
         hyps = read_hypotheses(result.run_dir)
         assert hyps[1] == FAILED_SENTINEL and FAILED_SENTINEL not in hyps[:1] + hyps[2:]
+
+    def test_line_breaks_in_a_refined_text_stay_on_its_line(self, stack, tmp_path,
+                                                            monkeypatch):
+        endpoints, _, _ = stack
+        original, replies = RefinerClient._send, []
+
+        def second_reply_has_crlf(self, path, body):
+            status, headers, data = original(self, path, body)
+            replies.append(body)
+            if len(replies) == 2:
+                reply = json.loads(data)
+                reply["choices"][0]["message"]["content"] = "first line\r\nsecond line"
+                data = json.dumps(reply).encode("utf-8")
+            return status, headers, data
+
+        monkeypatch.setattr(RefinerClient, "_send", second_reply_has_crlf)
+        pairs = _pairs(3)
+        cfg = _config(endpoints, "zero_shot", workers=1)
+        crlf, other = translate_corpus(cfg, pairs, None, runs_root=tmp_path,
+                                       temperatures=[0.0, 0.5])
+        hyps = read_hypotheses(crlf.run_dir)
+        assert len(hyps) == 3 and hyps[1] == "first line second line"
+        assert compare_runs([crlf.run_dir], pairs, other.run_dir).baseline == other.run_dir.name
+
+    def test_failed_write_leaves_no_partial_run(self, stack, tmp_path, monkeypatch):
+        endpoints, _, _ = stack
+        cfg = _config(endpoints, "zero_shot")
+        original, rows = TranslationRecord.to_json_dict, []
+
+        def fails_on_second_row(self):
+            rows.append(self.segment_id)
+            if len(rows) == 2:
+                raise OSError(28, "No space left on device")
+            return original(self)
+
+        monkeypatch.setattr(TranslationRecord, "to_json_dict", fails_on_second_row)
+        with pytest.raises(OSError, match="No space left"):
+            translate_corpus(cfg, _pairs(3), None, runs_root=tmp_path)
+        assert list((tmp_path / cfg.run_id).iterdir()) == []
+        monkeypatch.undo()
+        (result,) = translate_corpus(cfg, _pairs(3), None, runs_root=tmp_path)
+        assert len(read_records(result.run_dir)) == 3
 
     def test_fail_fast_raises(self, stack, tmp_path):
         endpoints, index, server = stack
