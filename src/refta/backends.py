@@ -29,9 +29,9 @@ Auth tokens come only from the environment (``REFTA_REFINER_TOKEN``,
 never from config files, and are sent as ``Authorization: Bearer``.
 
 Retry policy: transport failures, HTTP 5xx and 429 are retried up to
-``max_retries`` times with exponential backoff (base 0.5 s, factor 2, with
-jitter); a 429 whose ``Retry-After`` is delta-seconds waits that long instead,
-at most ``RETRY_AFTER_CAP_S``, and one with no such value keeps the backoff.
+``max_retries`` times with exponential backoff (``BACKOFF_BASE_S``, factor 2,
+with jitter); a 429 whose ``Retry-After`` is delta-seconds waits that long
+instead, at most ``RETRY_AFTER_CAP_S``; one with no such value keeps the backoff.
 Any other 4xx fails immediately. Per-endpoint concurrency is capped at
 ``request_parallelism`` by an internal admission gate, so clients are safe to
 share across threads.
@@ -114,7 +114,6 @@ class EndpointConfig:
     max_retries: int = 3
     request_parallelism: int = 4
     auth_token: str | None = None
-    backoff_base: float = 0.5
     max_batch: int = 64
 
     def __post_init__(self):
@@ -207,6 +206,7 @@ def send_batches(call, texts: list, max_batch: int, max_in_flight: int = 1):
 
 _RETRYABLE_STATUSES = frozenset({429})
 RETRY_AFTER_CAP_S = 60.0
+BACKOFF_BASE_S = 0.5
 BACKOFF_FACTOR = 2.0
 
 
@@ -363,7 +363,7 @@ class _HttpClient:
                     f"{url}: giving up after {attempts} attempts ({last_failure})",
                     attempts=attempts,
                 )
-            delay = self.cfg.backoff_base * (BACKOFF_FACTOR ** (attempts - 1))
+            delay = BACKOFF_BASE_S * (BACKOFF_FACTOR ** (attempts - 1))
             delay *= 1.0 + 0.1 * self._rng.random()
             if retry_after.isascii() and retry_after.isdigit():  # delta-seconds, not a date
                 delay = min(float(retry_after), RETRY_AFTER_CAP_S)

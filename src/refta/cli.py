@@ -12,14 +12,13 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
 
 import refta
 from refta.artifacts import write_json
-from refta.backends import EndpointConfig, ScorerClient, resolve_token
+from refta.backends import EmbedderClient, EndpointConfig, ScorerClient, resolve_token
 from refta.corpus import load_monolingual, load_parallel
 from refta.errors import ReftaError
 from refta.index import ExclusionList, build_index, load_index, save_index
@@ -32,7 +31,7 @@ from refta.metrics.report import (
 )
 from refta.cost import CostModel, cost_report
 from refta.mockserver import MockBehavior, MockServer
-from refta.pipeline import RunConfig, read_hypotheses, translate_corpus
+from refta.pipeline import RunConfig, read_hypotheses, sweep_configs, translate_corpus
 
 DEFAULT_MODELS = {
     "drafter": "nllb-200-1.3b",
@@ -77,19 +76,22 @@ def _runtime_errors(fn):
     return wrapper
 
 
-def _endpoint(role: str, url: str, model: str | None, timeout: float,
-              max_retries: int, parallelism: int) -> EndpointConfig:
+def _endpoint(role: str, url: str, model: str | None, **settings) -> EndpointConfig:
+    """``settings`` are ``EndpointConfig`` fields; the rest keep its defaults."""
     try:
-        return EndpointConfig(
-            base_url=url,
-            model_id=model or DEFAULT_MODELS[role],
-            timeout=timeout,
-            max_retries=max_retries,
-            request_parallelism=parallelism,
-            auth_token=resolve_token(role),
-        )
+        return EndpointConfig(base_url=url, model_id=model or DEFAULT_MODELS[role],
+                              auth_token=resolve_token(role), **settings)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+
+
+def _neural_metrics(metrics: str, scorer_url: str | None) -> set:
+    """The comma-separated neural metrics asked for; any without a scorer
+    is a usage error."""
+    wanted = {m.strip() for m in metrics.split(",") if m.strip()}
+    if wanted and not scorer_url:
+        raise click.UsageError(f"--metrics {','.join(sorted(wanted))} needs --scorer")
+    return wanted
 
 
 def _parallel_format(path: str, explicit: str | None) -> str:
@@ -120,9 +122,10 @@ def main(ctx, config_path):
 @click.option("--embed-model", default=None)
 @click.option("--near-dup-threshold", type=click.FloatRange(0, 1), default=0.9,
               show_default=True)
-@click.option("--timeout", type=float, default=30.0, show_default=True)
-@click.option("--max-retries", type=int, default=3, show_default=True)
-@click.option("--parallelism", type=int, default=4, show_default=True)
+@click.option("--timeout", type=float, default=EndpointConfig.timeout, show_default=True)
+@click.option("--max-retries", type=int, default=EndpointConfig.max_retries, show_default=True)
+@click.option("--parallelism", type=int, default=EndpointConfig.request_parallelism,
+              show_default=True)
 @click.option("--force", is_flag=True, help="Allow writing into an existing index dir.")
 @click.option("--json", "as_json", is_flag=True)
 @_runtime_errors
@@ -140,10 +143,9 @@ def cmd_index_build(corpora, corpus_format, exclude_path, out_dir, embedder_url,
     if exclude_path:
         exclusions = _load_exclusions(exclude_path)
 
-    from refta.backends import EmbedderClient
-
     embedder = EmbedderClient(_endpoint(
-        "embedder", embedder_url, embed_model, timeout, max_retries, parallelism
+        "embedder", embedder_url, embed_model, timeout=timeout, max_retries=max_retries,
+        request_parallelism=parallelism,
     ))
 
     skipped: list = []
@@ -196,14 +198,16 @@ def _load_exclusions(path: str) -> ExclusionList:
 @click.option("--index", "index_dir", type=click.Path(exists=True), default=None)
 @click.option("--condition", required=True,
               type=click.Choice(["zero_shot", "draft_only", "rag"]))
-@click.option("--k", type=int, default=5, show_default=True)
-@click.option("--jaccard-threshold", type=float, default=0.3, show_default=True)
+@click.option("--k", type=int, default=RunConfig.k, show_default=True)
+@click.option("--jaccard-threshold", type=float, default=RunConfig.jaccard_threshold,
+              show_default=True)
 @click.option("--temp", "temperatures", multiple=True, type=float,
               help="Sampling temperature; repeat for one run dir per value.")
-@click.option("--top-p", type=float, default=1.0, show_default=True)
-@click.option("--max-output-tokens", type=int, default=256, show_default=True)
-@click.option("--input-budget", type=int, default=1300, show_default=True)
-@click.option("--candidate-pool", type=int, default=None)
+@click.option("--top-p", type=float, default=RunConfig.top_p, show_default=True)
+@click.option("--max-output-tokens", type=int, default=RunConfig.max_output_tokens,
+              show_default=True)
+@click.option("--input-budget", type=int, default=RunConfig.input_budget, show_default=True)
+@click.option("--candidate-pool", type=int, default=RunConfig.candidate_pool)
 @click.option("--run-id", required=True)
 @click.option("--runs-root", type=click.Path(), default="runs", show_default=True)
 @click.option("--drafter", "drafter_url", default=None)
@@ -212,11 +216,12 @@ def _load_exclusions(path: str) -> ExclusionList:
 @click.option("--drafter-model", default=None)
 @click.option("--refiner-model", default=None)
 @click.option("--embed-model", default=None)
-@click.option("--workers", type=int, default=4, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--timeout", type=float, default=30.0, show_default=True)
-@click.option("--max-retries", type=int, default=3, show_default=True)
-@click.option("--parallelism", type=int, default=4, show_default=True)
+@click.option("--workers", type=int, default=RunConfig.workers, show_default=True)
+@click.option("--seed", type=int, default=RunConfig.seed)
+@click.option("--timeout", type=float, default=EndpointConfig.timeout, show_default=True)
+@click.option("--max-retries", type=int, default=EndpointConfig.max_retries, show_default=True)
+@click.option("--parallelism", type=int, default=EndpointConfig.request_parallelism,
+              show_default=True)
 @click.option("--fail-fast", is_flag=True)
 @click.option("--force", is_flag=True, help="Overwrite existing run directories.")
 @click.option("--json", "as_json", is_flag=True)
@@ -229,19 +234,14 @@ def cmd_translate(test_set, test_format, index_dir, condition, k, jaccard_thresh
     """Translate a test set under one experimental condition."""
     if condition == "rag" and not index_dir:
         raise click.UsageError("--condition rag requires --index")
-    if not refiner_url:
-        raise click.UsageError("--refiner URL is required")
 
-    endpoints = {"refiner": _endpoint("refiner", refiner_url, refiner_model,
-                                      timeout, max_retries, parallelism)}
-    if drafter_url:
-        endpoints["drafter"] = _endpoint("drafter", drafter_url, drafter_model,
-                                         timeout, max_retries, parallelism)
-    if embedder_url:
-        endpoints["embedder"] = _endpoint("embedder", embedder_url, embed_model,
-                                          timeout, max_retries, parallelism)
+    settings = {"timeout": timeout, "max_retries": max_retries,
+                "request_parallelism": parallelism}
+    urls = {"refiner": (refiner_url, refiner_model), "drafter": (drafter_url, drafter_model),
+            "embedder": (embedder_url, embed_model)}
+    endpoints = {role: _endpoint(role, url, model, **settings)
+                 for role, (url, model) in urls.items() if url}
 
-    temps = list(temperatures) if temperatures else [0.0]
     try:
         cfg = RunConfig(
             condition=condition,
@@ -249,7 +249,6 @@ def cmd_translate(test_set, test_format, index_dir, condition, k, jaccard_thresh
             endpoints=endpoints,
             k=k,
             jaccard_threshold=jaccard_threshold,
-            temperature=temps[0],
             top_p=top_p,
             max_output_tokens=max_output_tokens,
             input_budget=input_budget,
@@ -258,15 +257,14 @@ def cmd_translate(test_set, test_format, index_dir, condition, k, jaccard_thresh
             seed=seed,
             fail_fast=fail_fast,
         )
-        for temp in temps[1:]:  # every run of a sweep is checked up front
-            replace(cfg, temperature=temp)
+        sweep_configs(cfg, temperatures)  # every run of a sweep is checked up front
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
     pairs = load_parallel(test_set, _parallel_format(test_set, test_format))
-    index = load_index(index_dir) if index_dir else None
+    index = load_index(index_dir) if condition == "rag" else None  # only rag retrieves
     results = translate_corpus(cfg, pairs, index, runs_root=runs_root,
-                               temperatures=temps, force=force)
+                               temperatures=temperatures, force=force)
     payload = [
         {
             "run_dir": str(r.run_dir),
@@ -301,16 +299,15 @@ def cmd_translate(test_set, test_format, index_dir, condition, k, jaccard_thresh
 def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
                  metrics, timeout, as_json):
     """Score a run against its test set; writes metrics.json into the run dir."""
+    wanted = _neural_metrics(metrics, scorer_url)
     pairs = load_parallel(test_set, _parallel_format(test_set, test_format))
     hyps = read_hypotheses(run_dir)
     if len(hyps) != len(pairs):
         _fail(f"{run_dir} holds {len(hyps)} hypotheses for {len(pairs)} pairs")
     references = [list(p.references) for p in pairs]
     report = evaluate_hypotheses(Path(run_dir).name, hyps, references)
-    wanted = {m.strip() for m in metrics.split(",") if m.strip()}
-    if scorer_url and wanted:
-        scorer = ScorerClient(_endpoint("scorer", scorer_url, scorer_model,
-                                        timeout, 3, 4))
+    if wanted:
+        scorer = ScorerClient(_endpoint("scorer", scorer_url, scorer_model, timeout=timeout))
         try:
             report = attach_neural_scores(
                 report, scorer, wanted,
@@ -348,12 +345,10 @@ def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
 def cmd_compare(run_dirs, baseline, test_set, test_format, seed, scorer_url,
                 scorer_model, metrics, out_path, timeout, as_json):
     """Compare runs against a baseline with significance tests."""
+    wanted = _neural_metrics(metrics, scorer_url)
     pairs = load_parallel(test_set, _parallel_format(test_set, test_format))
-    scorer = None
-    wanted = {m.strip() for m in metrics.split(",") if m.strip()}
-    if scorer_url and wanted:
-        scorer = ScorerClient(_endpoint("scorer", scorer_url, scorer_model,
-                                        timeout, 3, 4))
+    scorer = (ScorerClient(_endpoint("scorer", scorer_url, scorer_model, timeout=timeout))
+              if wanted else None)
     try:
         comparison = compare_runs(
             list(run_dirs), pairs, baseline, seed=seed,

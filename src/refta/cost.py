@@ -130,9 +130,7 @@ class CostReport:
         return lines
 
 
-def cost_report(
-    run_dir, model: CostModel, measured_power_kw=None, write: bool = True
-) -> CostReport:
+def cost_report(run_dir, model: CostModel, measured_power_kw=None) -> CostReport:
     """Aggregate a run's token usage into cost figures; emits ``costs.json``."""
     run_dir = Path(run_dir)
     manifest = read_manifest(run_dir)
@@ -175,6 +173,5 @@ def cost_report(
         api_batched_to_local_ratio=batched_ratio,
         per_100_segments=per_100,
     )
-    if write:
-        write_json(run_dir / "costs.json", report.to_dict())
+    write_json(run_dir / "costs.json", report.to_dict())
     return report

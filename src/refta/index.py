@@ -177,23 +177,22 @@ class VectorIndex:
         query_lemmas: frozenset,
         k: int,
         jaccard_threshold: float,
-        candidate_pool: int | None = None,
+        candidate_pool: int,
         skip_texts: frozenset = frozenset(),
     ) -> list[RetrievalResult]:
         """Top-k filtered retrieval; see the module docstring for semantics. A
         zero or non-finite ``query_vector`` raises ``VectorError``."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        pool = candidate_pool if candidate_pool is not None else default_candidate_pool(k)
-        if pool < k:
-            raise ValueError(f"candidate_pool {pool} must be >= k {k}")
+        if candidate_pool < k:
+            raise ValueError(f"candidate_pool {candidate_pool} must be >= k {k}")
         if len(self._ids) == 0:
             return []
         query = np.array(query_vector, dtype=np.float32, ndmin=2)
         if query.shape != (1, self.dim):
             raise IndexError_(f"query of shape {query.shape} does not fit index dim {self.dim}")
         rows, sims = kernels.search_layer(self._vectors, self._id_rank,
-                                          _normalize_rows(query)[0], pool)
+                                          _normalize_rows(query)[0], candidate_pool)
         out: list[RetrievalResult] = []
         for row, sim in zip(rows.tolist(), sims.tolist()):
             if self._texts[row] in skip_texts:

@@ -4,7 +4,7 @@
 then an exact top-``pool`` selection. ``resample_sums`` is the bootstrap's
 per-resample sum of integer segment statistics. Both are exact: the scan
 returns the brute-force prefix in (-similarity, id) order, and the sums are
-integer arithmetic.
+integers that float64 holds exactly.
 """
 
 from __future__ import annotations
@@ -47,11 +47,16 @@ def resample_sums(stats: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
     Equal to ``stats[idx].sum(axis=1)``: each resample's draw counts per
     segment form a count matrix, and ``counts @ stats`` adds the same
-    integers without the ``(R, n, d)`` gather.
+    integers without the ``(R, n, d)`` gather. The product runs as a float64
+    GEMM, exact because no partial sum exceeds ``n * max|stats|`` (a row's
+    counts sum to its ``n`` draws); past ``2**53`` it raises ``ValueError``.
     """
-    stats = np.ascontiguousarray(stats, dtype=np.int64)
+    stats = np.asarray(stats, dtype=np.int64)
     idx = np.asarray(idx, dtype=np.int64)
-    n_resamples, m = idx.shape[0], stats.shape[0]
+    (n_resamples, n), m = idx.shape, stats.shape[0]
+    if n * max(int(stats.max(initial=0)), -int(stats.min(initial=0))) >= 2**53:
+        raise ValueError("resample sums could exceed 2**53, beyond exact float64")
     offsets = (np.arange(n_resamples, dtype=np.int64) * m)[:, None]
     counts = np.bincount((idx + offsets).ravel(), minlength=n_resamples * m)
-    return counts.reshape(n_resamples, m) @ stats
+    sums = counts.reshape(n_resamples, m).astype(np.float64) @ stats.astype(np.float64)
+    return sums.astype(np.int64)

@@ -1,18 +1,18 @@
 """Paired bootstrap resampling for system comparisons.
 
-Segment indices are resampled with replacement ``n_resamples`` times and the
-corpus metric is recomputed for both systems per resample. The resampled
-statistics sums form one ``(n_resamples, d)`` matrix per system
-(``kernels.resample_sums``), and the metric's array scorer,
-``corpus_scores``, scores all of its rows in one call. It is the same
-scorer that gives the full-corpus and per-segment scores, so the metric's
-formula exists once. The p-value is one-sided: the fraction of resampled
-deltas whose sign differs from the full-corpus delta (Koehn, "Statistical
-Significance Tests for Machine Translation Evaluation", EMNLP 2004). A zero
-resampled delta counts against the observed sign, and an all-zero full
-delta yields p = 1.0. It is about half of a centred two-sided bootstrap p.
-The confidence interval is the 2.5/97.5 percentile band of resampled
-deltas. Results are a pure function of (inputs, seed).
+Segment indices are resampled with replacement ``N_RESAMPLES`` times and the
+corpus metric is recomputed for both systems per resample. One
+``kernels.resample_sums`` call over both systems' statistics side by side
+gives an ``(N_RESAMPLES, d)`` matrix of sums per system, and the metric's
+array scorer, ``corpus_scores``, scores all of its rows in one call. It is
+the same scorer that gives the full-corpus and per-segment scores, so the
+metric's formula exists once. The p-value is one-sided: the fraction of
+resampled deltas whose sign differs from the full-corpus delta (Koehn,
+"Statistical Significance Tests for Machine Translation Evaluation", EMNLP
+2004). A zero resampled delta counts against the observed sign, and an
+all-zero full delta yields p = 1.0. It is about half of a centred two-sided
+bootstrap p. The confidence interval is the 2.5/97.5 percentile band of
+resampled deltas. Results are a pure function of (inputs, seed).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from refta import kernels
 
-MIN_RESAMPLES = 100
+N_RESAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,6 @@ def paired_bootstrap(
     hyps_a,
     hyps_b,
     references,
-    n_resamples: int = 1000,
     seed: int = 42,
     system_a: str = "A",
     system_b: str = "B",
@@ -66,25 +65,21 @@ def paired_bootstrap(
         )
     if n < 2:
         raise ValueError("need at least 2 segments")
-    if n_resamples < MIN_RESAMPLES:
-        raise ValueError(
-            f"n_resamples {n_resamples} is below the minimum {MIN_RESAMPLES}"
-        )
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    idx = rng.integers(0, n, size=(n_resamples, n), dtype=np.int64)
+    idx = rng.integers(0, n, size=(N_RESAMPLES, n), dtype=np.int64)
 
     stats_a, stats_b = stats or (metric.segment_stats(hyps_a, references),
                                  metric.segment_stats(hyps_b, references))
-    deltas = (metric.corpus_scores(kernels.resample_sums(stats_a, idx))
-              - metric.corpus_scores(kernels.resample_sums(stats_b, idx)))
+    sums_a, sums_b = np.hsplit(kernels.resample_sums(np.hstack([stats_a, stats_b]), idx), 2)
+    deltas = metric.corpus_scores(sums_a) - metric.corpus_scores(sums_b)
     full_a, full_b = metric.corpus_scores(np.stack([stats_a.sum(axis=0), stats_b.sum(axis=0)]))
     full_delta = full_a - full_b
     if full_delta == 0.0:
         p_value = 1.0
     else:
         flips = int(np.count_nonzero(np.sign(deltas) != np.sign(full_delta)))
-        p_value = flips / n_resamples
+        p_value = flips / N_RESAMPLES
     ci_low, ci_high = np.percentile(deltas, [2.5, 97.5])
 
     return SignificanceResult(
@@ -95,6 +90,6 @@ def paired_bootstrap(
         p_value=float(p_value),
         ci_low=float(ci_low),
         ci_high=float(ci_high),
-        n_resamples=n_resamples,
+        n_resamples=N_RESAMPLES,
         rng_seed=seed,
     )

@@ -12,7 +12,7 @@ the request payload:
   ``echo`` mode returns the user message verbatim; ``empty`` mode returns
   an empty content string (exercises the client's protocol error path).
 - scorer: 1.0 when hypothesis equals reference else 0.7; metrics outside
-  ``scorer_metrics`` get HTTP 400 with error type ``unsupported_metric``.
+  ``SCORER_METRICS`` get HTTP 400 with error type ``unsupported_metric``.
 
 Fault injection: ``fail_rate`` (probability of a 500 per data request,
 seeded), ``fail_first`` (force the first N data requests per path to fail
@@ -39,6 +39,7 @@ import numpy as np
 
 DRAFT_PREFIX = "[draft]"
 REFINED_PREFIX = "[refined] "
+SCORER_METRICS = ("comet", "bertscore")
 
 _DRAFT_LINE = "NMT draft (NLLB): "
 _BASELINE_LINE = "Translate the following Latin text to English:"
@@ -50,7 +51,6 @@ class MockBehavior:
     embed_dim: int = 64
     refiner: str = "template"  # or "echo"
     include_usage: bool = True
-    scorer_metrics: tuple = ("comet", "bertscore")
     fail_rate: float = 0.0
     fail_first: int = 0
     fail_status: int = 500
@@ -220,7 +220,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _score(self, payload: dict) -> None:
         metric = payload.get("metric", "")
-        if metric not in self.behavior.scorer_metrics:
+        if metric not in SCORER_METRICS:
             self._send_json(400, {"error": {
                 "type": "unsupported_metric",
                 "message": f"metric '{metric}' is not served",

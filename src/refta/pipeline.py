@@ -69,6 +69,7 @@ from refta.errors import (
 from refta.index import VectorIndex, default_candidate_pool
 from refta.prompt import (
     CONDITIONS,
+    DEFAULT_INPUT_BUDGET,
     DRAFT_ONLY,
     RAG,
     ZERO_SHOT,
@@ -78,7 +79,7 @@ from refta.prompt import (
 
 FAILED_SENTINEL = "<FAILED>"
 
-# auth tokens and backoff timing stay out of manifests and the config hash;
+# auth tokens stay out of manifests and the config hash;
 # base_url is in the manifest but not the hash, so a restarted or moved
 # backend serving the same model keeps the hash
 _MANIFEST_ENDPOINT_FIELDS = (
@@ -101,7 +102,7 @@ class RunConfig:
     temperature: float = 0.0
     top_p: float = 1.0
     max_output_tokens: int = 256
-    input_budget: int = 1300
+    input_budget: int = DEFAULT_INPUT_BUDGET
     candidate_pool: int | None = None
     workers: int = 4
     seed: int | None = None
@@ -145,6 +146,16 @@ class RunConfig:
         for ep in hashed["endpoints"].values():
             del ep["base_url"]
         return hashlib.sha256(canonical_json(hashed).encode("utf-8")).hexdigest()
+
+
+def sweep_configs(cfg: RunConfig, temperatures) -> list[RunConfig]:
+    """One checked config per temperature of a sweep; ``cfg``'s own when
+    ``temperatures`` is empty. A value repeated after ``float()`` raises
+    ``ValueError``: its runs would share one run directory."""
+    temps = [float(t) for t in temperatures] if temperatures else [float(cfg.temperature)]
+    if len(set(temps)) < len(temps):
+        raise ValueError(f"a sweep's temperatures must differ, got {temps}")
+    return [replace(cfg, temperature=t) for t in temps]
 
 
 @dataclass(frozen=True)
@@ -370,15 +381,12 @@ def translate_corpus(
     force: bool = False,
 ) -> list[RunResult]:
     """Translate every pair; one run directory per requested temperature."""
-    temps = temperatures if temperatures else [cfg.temperature]
-    suffixes = [""] if len(temps) == 1 else [f"-t{temp}" for temp in temps]
+    cfgs = sweep_configs(cfg, temperatures)  # before stages 1-3 send a request
+    suffixes = [""] if len(cfgs) == 1 else [f"-t{c.temperature}" for c in cfgs]
     run_dirs = [Path(runs_root) / f"{cfg.run_id}{suffix}" for suffix in suffixes]
     for run_dir in run_dirs:
         if (run_dir / "records.jsonl").exists() and not force:
             raise ReftaError(f"run directory {run_dir} already holds records; use force")
-
-    # every temperature is checked before stages 1-3 send a request
-    cfgs = [replace(cfg, temperature=float(temp)) for temp in temps]
 
     t0 = time.perf_counter()
     clients = PipelineClients.from_config(cfg)

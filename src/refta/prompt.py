@@ -43,7 +43,6 @@ FINAL_LABEL = "Final translation:"
 BASELINE_INSTRUCTION = "Translate the following Latin text to English:"
 
 DEFAULT_INPUT_BUDGET = 1300
-DEFAULT_MAX_OUTPUT_TOKENS = 256
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from refta import backends
 from refta.backends import EndpointConfig
 from refta.index import VectorIndex
 from refta.mockserver import MockBehavior, start_mock_server
@@ -12,6 +13,13 @@ from refta.mockserver import MockBehavior, start_mock_server
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "fixtures"
 DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def _no_backoff_sleep(monkeypatch):
+    """Retries wait from ``BACKOFF_BASE_S`` (0.5 s) up; tests skip the
+    waits. A test that checks the delays patches ``_sleep`` itself."""
+    monkeypatch.setattr(backends, "_sleep", lambda seconds: None)
 
 
 @pytest.fixture()
@@ -27,7 +35,6 @@ def endpoint(mock_server):
         overrides.setdefault("base_url", mock_server.base_url)
         overrides.setdefault("model_id", f"mock-{role}")
         overrides.setdefault("timeout", 10.0)
-        overrides.setdefault("backoff_base", 0.01)
         return EndpointConfig(**overrides)
 
     return make

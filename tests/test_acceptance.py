@@ -48,7 +48,6 @@ def server():
 
 def _endpoint(url: str, role: str, **kw) -> EndpointConfig:
     kw.setdefault("timeout", 15.0)
-    kw.setdefault("backoff_base", 0.01)
     return EndpointConfig(base_url=url, model_id=f"mock-{role}", **kw)
 
 
@@ -372,8 +371,7 @@ def test_c08_retry_contract(monkeypatch):
 
     srv = start_mock_server(MockBehavior(fail_first=2))
     try:
-        client = DrafterClient(_endpoint(srv.base_url, "drafter", max_retries=3,
-                                         backoff_base=0.5))
+        client = DrafterClient(_endpoint(srv.base_url, "drafter", max_retries=3))
         (text,), _ = client.translate(["iterum atque iterum"])
         assert text.startswith("[draft]")
         assert client.stats.retries == 2
@@ -430,15 +428,13 @@ def test_c10_significance_sanity():
     fixture = json.loads((DATA / "metric_fixture.json").read_text())["primary"]
     hyps, refs = fixture["hypotheses"], fixture["references"]
 
-    same = paired_bootstrap(BleuMetric(), hyps, hyps, refs, n_resamples=1000, seed=17)
+    same = paired_bootstrap(BleuMetric(), hyps, hyps, refs, seed=17)
     assert same.delta == 0.0
     assert same.ci_low <= 0.0 <= same.ci_high
 
     dominant = [r[0] for r in refs]
-    better = paired_bootstrap(BleuMetric(), dominant, hyps, refs,
-                              n_resamples=1000, seed=17)
-    again = paired_bootstrap(BleuMetric(), dominant, hyps, refs,
-                             n_resamples=1000, seed=17)
+    better = paired_bootstrap(BleuMetric(), dominant, hyps, refs, seed=17)
+    again = paired_bootstrap(BleuMetric(), dominant, hyps, refs, seed=17)
     assert better == again
     assert better.p_value < 0.05
     _ok(10, "paired bootstrap sanity (identical, dominated, seed-stable)")

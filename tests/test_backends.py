@@ -13,6 +13,7 @@ import pytest
 import refta.backends as backends_mod
 from conftest import DATA
 from refta.backends import (
+    BACKOFF_BASE_S,
     RETRY_AFTER_CAP_S,
     ChatRequest,
     DrafterClient,
@@ -148,7 +149,7 @@ class TestDrafter:
         assert client.stats.retries == 2
         assert mock_server.stats.snapshot()["counts"]["/translate"] == 3
         # exponential backoff: second delay at least twice the base
-        assert len(sleeps) == 2 and sleeps[1] >= 2 * 0.01
+        assert len(sleeps) == 2 and sleeps[1] >= 2 * BACKOFF_BASE_S
 
     def test_4xx_never_retried(self, mock_server, endpoint):
         mock_server.behavior.fail_first = 1
@@ -322,14 +323,14 @@ def test_retry_after_on_429_capped(monkeypatch, status, retry_after, honoured):
     sleeps = []
     monkeypatch.setattr(backends_mod, "_sleep", sleeps.append)
     client = DrafterClient(EndpointConfig(base_url="http://mock.invalid", model_id="m",
-                                          backoff_base=0.01, max_retries=1))
+                                          max_retries=1))
     headers = {} if retry_after is None else {"Retry-After": retry_after}
     replies = iter([(status, headers, _OK_BODY), (200, {}, _OK_BODY)])
     monkeypatch.setattr(client, "_send", lambda path, body: next(replies))
     assert client.translate(["x"])[0] == ["[draft]x"]
     assert len(sleeps) == 1
     if honoured is None:  # absent or not delta-seconds: the jittered backoff
-        assert 0.01 <= sleeps[0] <= 0.011
+        assert BACKOFF_BASE_S <= sleeps[0] <= 1.1 * BACKOFF_BASE_S
     else:
         assert sleeps[0] == honoured
     client.close()
@@ -438,7 +439,7 @@ def test_truncated_body_is_a_transport_failure(one_shot_server, monkeypatch):
     monkeypatch.setattr(backends_mod, "_sleep", sleeps.append)
     one_shot_server.reply = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + _OK_BODY[:13]
     client = DrafterClient(EndpointConfig(base_url=one_shot_server.base_url, model_id="m",
-                                          backoff_base=0.01, max_retries=2))
+                                          max_retries=2))
     try:
         with pytest.raises(TransportError) as exc:
             client.translate(["x"])

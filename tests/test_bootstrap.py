@@ -39,16 +39,19 @@ def test_seed_determinism(fixture):
 def test_dominated_fixture_is_significant(fixture):
     hyps, refs = fixture["hypotheses"], fixture["references"]
     better = [r[0] for r in refs]  # wins on every segment
-    res = paired_bootstrap(BleuMetric(), better, hyps, refs,
-                           n_resamples=1000, seed=17)
+    res = paired_bootstrap(BleuMetric(), better, hyps, refs, seed=17)
     assert res.delta > 0
     assert res.p_value < 0.05
 
 
-def test_min_resamples_enforced(fixture):
-    hyps, refs = fixture["hypotheses"], fixture["references"]
-    with pytest.raises(ValueError, match="n_resamples"):
-        paired_bootstrap(BleuMetric(), hyps, hyps, refs, n_resamples=50)
+def test_resample_sums_refuses_sums_past_exact_float64():
+    # two draws of a statistic reach n * max|stats|; the GEMM is exact below 2**53
+    idx = np.zeros((3, 2), dtype=np.int64)
+    for big in (2**52, -(2**52)):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            kernels.resample_sums(np.array([[big], [1]], dtype=np.int64), idx)
+    stats = np.array([[2**52 - 1], [1]], dtype=np.int64)
+    assert np.array_equal(kernels.resample_sums(stats, idx), stats[idx].sum(axis=1))
 
 
 def test_alignment_enforced(fixture):

@@ -183,7 +183,9 @@ class TestTranslate:
         ("zero_shot", ["--temp", "0.0", "--temp", "3.0"]),
         ("rag", ["--candidate-pool", "2", "--k", "5"]),
         ("zero_shot", ["--timeout", "0"]),
-    ], ids=["output-ceiling", "top-p", "sweep-temperature", "pool-below-k", "timeout"])
+        ("zero_shot", ["--temp", "0.5", "--temp", "0.50"]),
+    ], ids=["output-ceiling", "top-p", "sweep-temperature", "pool-below-k", "timeout",
+            "repeated-temperature"])
     def test_bad_value_is_usage_error_before_any_request(self, runner, workspace, mock_server,
                                                          condition, extra):
         import requests
@@ -229,6 +231,16 @@ class TestTranslate:
         assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {
             "/embed": 1}
 
+    def test_index_is_read_only_under_rag(self, runner, workspace, mock_server):
+        # zero_shot never retrieves, so it neither loads nor checks the index
+        assert _build_index(runner, workspace, mock_server.base_url).exit_code == 0
+        with (workspace / "idx" / "meta.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "extra", "text": "textus additus"}) + "\n")
+        result = _translate(runner, workspace, mock_server.base_url, "zero_shot",
+                            extra=["--index", str(workspace / "idx")])
+        assert result.exit_code == 0, result.output
+        assert "8 ok, 0 failed" in result.output
+
     def test_two_temperatures_two_dirs(self, runner, workspace, mock_server):
         result = _translate(runner, workspace, mock_server.base_url, "zero_shot",
                             extra=["--temp", "0.0", "--temp", "0.5"], run_id="sweep")
@@ -264,6 +276,16 @@ class TestEvaluate:
         assert result.exit_code == 0, result.output
         assert "bleu 100.00" in result.output
         assert (run_dir / "metrics.json").exists()
+
+    def test_metrics_without_scorer_is_usage_error(self, runner, workspace):
+        run_dir = self._identity_run(workspace)
+        result = runner.invoke(main, [
+            "evaluate", "--run", str(run_dir),
+            "--test-set", str(workspace / "test.tsv"), "--metrics", "comet",
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--scorer" in result.output
+        assert not (run_dir / "metrics.json").exists()
 
     def test_missing_run_dir_exits_1(self, runner, workspace):
         result = runner.invoke(main, [
@@ -384,6 +406,17 @@ class TestCompare:
         table_line = next(line for line in result.output.splitlines()
                           if line.startswith("dominant"))
         assert "*" in table_line
+
+    def test_metrics_without_scorer_is_usage_error(self, runner, workspace):
+        missing = str(workspace / "runs" / "missing")  # refused before any run is read
+        result = runner.invoke(main, [
+            "compare", "--runs", missing, "--baseline", missing,
+            "--test-set", str(workspace / "test.tsv"), "--metrics", "comet",
+            "--out", str(workspace / "cmp.json"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--scorer" in result.output
+        assert not (workspace / "cmp.json").exists()
 
     def test_digest_mismatch_refused(self, runner, workspace, mock_server):
         _translate(runner, workspace, mock_server.base_url, "zero_shot", run_id="base")

@@ -87,19 +87,17 @@ def _write_manifest(tmp_path, segments=100, input_tokens=23_000,
 class TestCostReport:
     def test_batched_is_half(self, tmp_path):
         run = _write_manifest(tmp_path)
-        report = cost_report(run, STANDARD, write=False)
+        report = cost_report(run, STANDARD)
         assert report.api_cost_batched == report.api_cost * Decimal("0.5")
 
     def test_per_100_identity_at_100_segments(self, tmp_path):
         run = _write_manifest(tmp_path, segments=100)
-        report = cost_report(run, STANDARD, write=False)
+        report = cost_report(run, STANDARD)
         assert report.per_100_segments["api_cost"] == round_dollars(report.api_cost)
 
     def test_per_100_scales_with_count(self, tmp_path):
-        a = cost_report(_write_manifest(tmp_path / "a", segments=100),
-                        STANDARD, write=False)
-        b = cost_report(_write_manifest(tmp_path / "b", segments=200),
-                        STANDARD, write=False)
+        a = cost_report(_write_manifest(tmp_path / "a", segments=100), STANDARD)
+        b = cost_report(_write_manifest(tmp_path / "b", segments=200), STANDARD)
         assert a.api_cost == b.api_cost
         assert a.per_100_segments["api_cost"] == pytest.approx(
             2 * b.per_100_segments["api_cost"], abs=1e-4
@@ -113,14 +111,14 @@ class TestCostReport:
         model = CostModel(input_rate="1.25", output_rate="10.0",
                           fixed_hourly="0.6667", power_rate=None)
         run = _write_manifest(tmp_path, wall_ms=18 * 60 * 1000)
-        report = cost_report(run, model, write=False)
+        report = cost_report(run, model)
         assert float(report.local_cost) == pytest.approx(0.20, abs=1e-4)
         assert 3.0 <= report.api_batched_to_local_ratio <= 6.0
         assert report.api_to_local_ratio == pytest.approx(9.69, abs=0.05)
 
     def test_writes_costs_json(self, tmp_path):
         run = _write_manifest(tmp_path)
-        cost_report(run, STANDARD, write=True)
+        cost_report(run, STANDARD)
         data = json.loads((run / "costs.json").read_text())
         assert data["api_cost"] == pytest.approx(1.9388)
         assert data["api_cost_batched"] == pytest.approx(0.9694)
@@ -129,4 +127,4 @@ class TestCostReport:
         from refta.errors import ReftaError
 
         with pytest.raises(ReftaError):
-            cost_report(tmp_path, STANDARD, write=False)
+            cost_report(tmp_path, STANDARD)

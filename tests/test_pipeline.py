@@ -506,6 +506,17 @@ class TestTranslateCorpus:
                              temperatures=[0.0, 3.0])
         assert server.stats.snapshot()["counts"] == {}
 
+    @pytest.mark.parametrize("temps", [[0.5, 0.5], [1, 1.0]])
+    def test_repeated_sweep_temperature_refused_before_any_request(self, stack, tmp_path,
+                                                                   temps):
+        # both runs would write one directory and pay the refiner twice
+        endpoints, index, server = stack
+        cfg = _config(endpoints, "zero_shot")
+        with pytest.raises(ValueError, match="must differ"):
+            translate_corpus(cfg, _pairs(2), None, runs_root=tmp_path, temperatures=temps)
+        assert server.stats.snapshot()["counts"] == {}
+        assert list(tmp_path.iterdir()) == []
+
     def test_determinism_modulo_timestamps(self, stack, tmp_path):
         endpoints, index, _ = stack
         cfg = _config(endpoints, "rag")
@@ -530,12 +541,9 @@ class TestTranslateCorpus:
         server = start_mock_server(MockBehavior())
         try:
             ep = {
-                "drafter": EndpointConfig(base_url=server.base_url, model_id="d",
-                                          timeout=10, backoff_base=0.01),
-                "refiner": EndpointConfig(base_url=server.base_url, model_id="r",
-                                          timeout=10, backoff_base=0.01),
-                "embedder": EndpointConfig(base_url=server.base_url, model_id="e",
-                                           timeout=10, backoff_base=0.01),
+                "drafter": EndpointConfig(base_url=server.base_url, model_id="d", timeout=10),
+                "refiner": EndpointConfig(base_url=server.base_url, model_id="r", timeout=10),
+                "embedder": EndpointConfig(base_url=server.base_url, model_id="e", timeout=10),
             }
             pairs = _pairs(5)
             eval_segments = [p.source for p in pairs]
