@@ -21,9 +21,10 @@ from refta.artifacts import write_json
 from refta.backends import EmbedderClient, EndpointConfig, ScorerClient, resolve_token
 from refta.corpus import load_monolingual, load_parallel
 from refta.errors import ReftaError
-from refta.index import ExclusionList, build_index, load_index, save_index
+from refta.index import NEAR_DUP_THRESHOLD, ExclusionList, build_index, load_index, save_index
 from refta.metrics.report import (
     attach_neural_scores,
+    check_digest,
     compare_runs,
     evaluate_hypotheses,
     format_comparison_table,
@@ -31,7 +32,13 @@ from refta.metrics.report import (
 )
 from refta.cost import CostModel, cost_report
 from refta.mockserver import MockBehavior, MockServer
-from refta.pipeline import RunConfig, read_hypotheses, sweep_configs, translate_corpus
+from refta.pipeline import (
+    RunConfig,
+    corpus_digest,
+    read_hypotheses,
+    sweep_configs,
+    translate_corpus,
+)
 
 DEFAULT_MODELS = {
     "drafter": "nllb-200-1.3b",
@@ -86,11 +93,13 @@ def _endpoint(role: str, url: str, model: str | None, **settings) -> EndpointCon
 
 
 def _neural_metrics(metrics: str, scorer_url: str | None) -> set:
-    """The comma-separated neural metrics asked for; any without a scorer
-    is a usage error."""
+    """The comma-separated neural metrics asked for; metrics without a
+    scorer, or a scorer without metrics, is a usage error."""
     wanted = {m.strip() for m in metrics.split(",") if m.strip()}
     if wanted and not scorer_url:
         raise click.UsageError(f"--metrics {','.join(sorted(wanted))} needs --scorer")
+    if scorer_url and not wanted:
+        raise click.UsageError("--scorer needs --metrics")
     return wanted
 
 
@@ -120,7 +129,7 @@ def main(ctx, config_path):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--embedder", "embedder_url", required=True, help="Embedder base URL.")
 @click.option("--embed-model", default=None)
-@click.option("--near-dup-threshold", type=click.FloatRange(0, 1), default=0.9,
+@click.option("--near-dup-threshold", type=click.FloatRange(0, 1), default=NEAR_DUP_THRESHOLD,
               show_default=True)
 @click.option("--timeout", type=float, default=EndpointConfig.timeout, show_default=True)
 @click.option("--max-retries", type=int, default=EndpointConfig.max_retries, show_default=True)
@@ -139,10 +148,7 @@ def cmd_index_build(corpora, corpus_format, exclude_path, out_dir, embedder_url,
     if out.exists() and any(out.iterdir()) and not force:
         _fail(f"{out} already exists and is not empty; pass --force to rebuild")
 
-    exclusions = ExclusionList.empty()
-    if exclude_path:
-        exclusions = _load_exclusions(exclude_path)
-
+    exclusions = _load_exclusions(exclude_path) if exclude_path else None
     embedder = EmbedderClient(_endpoint(
         "embedder", embedder_url, embed_model, timeout=timeout, max_retries=max_retries,
         request_parallelism=parallelism,
@@ -301,6 +307,8 @@ def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
     """Score a run against its test set; writes metrics.json into the run dir."""
     wanted = _neural_metrics(metrics, scorer_url)
     pairs = load_parallel(test_set, _parallel_format(test_set, test_format))
+    if (Path(run_dir) / "manifest.json").exists():  # an external system's outputs have none
+        check_digest(Path(run_dir), corpus_digest(pairs))
     hyps = read_hypotheses(run_dir)
     if len(hyps) != len(pairs):
         _fail(f"{run_dir} holds {len(hyps)} hypotheses for {len(pairs)} pairs")
@@ -398,12 +406,12 @@ def cmd_cost(run_dir, input_rate, output_rate, batching_discount, fixed_hourly,
 @click.option("--port", type=int, default=8089, show_default=True)
 @click.option("--behavior", type=click.Choice(["default", "echo-refiner"]),
               default="default", show_default=True)
-@click.option("--embed-dim", type=int, default=64, show_default=True)
-@click.option("--fail-rate", type=float, default=0.0, show_default=True)
-@click.option("--fail-first", type=int, default=0, show_default=True)
-@click.option("--fail-status", type=int, default=500, show_default=True)
-@click.option("--latency-ms", type=int, default=0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--embed-dim", type=int, default=MockBehavior.embed_dim, show_default=True)
+@click.option("--fail-rate", type=float, default=MockBehavior.fail_rate, show_default=True)
+@click.option("--fail-first", type=int, default=MockBehavior.fail_first, show_default=True)
+@click.option("--fail-status", type=int, default=MockBehavior.fail_status, show_default=True)
+@click.option("--latency-ms", type=int, default=MockBehavior.latency_ms, show_default=True)
+@click.option("--seed", type=int, default=MockBehavior.seed, show_default=True)
 @_runtime_errors
 def cmd_mock_serve(host, port, behavior, embed_dim, fail_rate, fail_first,
                    fail_status, latency_ms, seed):

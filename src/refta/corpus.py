@@ -152,6 +152,7 @@ def schinke_stem(token: str) -> frozenset:
     return frozenset(s for s in (noun, verb) if s)
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def lemmatize(text: str) -> frozenset:
     """Return the set of stems for every alphabetic token of length >= 2."""
     stems: set[str] = set()

@@ -8,12 +8,16 @@ id; drop candidates whose lemma Jaccard against the query falls below the
 threshold; return at most ``k`` survivors in that order. No backfill below
 the threshold. Every pool size gives the prefix of a full brute-force sort.
 
-On-disk layout (``save_index``/``load_index``), format version 2:
+A row's lemmas are ``corpus.lemmatize(text)``, derived as a query's pool
+reaches the row (``lemmatize`` is memoised) and never stored.
+
+On-disk layout (``save_index``/``load_index``), format version 3:
 
 - ``manifest.json``: format version, dimension, embedding model id, count,
   SHA-256 checksums of both data files, taken as they are written.
 - ``vectors.bin``: little-endian float32, row-major.
-- ``meta.jsonl``: one row per entry with ``id``, ``text``, ``lemmas``.
+- ``meta.jsonl``: one row per entry with ``id`` and ``text``. Format 2, still
+  read, also wrote each row's ``lemmas``, which a load ignores.
 
 A load reads each file once and hashes what it reads; the manifest must name
 both data files and type its fields (a non-negative int count and dim).
@@ -35,7 +39,8 @@ from refta.backends import send_batches
 from refta.corpus import ParallelPair, SourceSegment, lemmatize
 from refta.errors import IndexError_, VectorError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+NEAR_DUP_THRESHOLD = 0.9
 
 
 def jaccard(a: frozenset, b: frozenset) -> float:
@@ -121,17 +126,9 @@ def _normalize_rows(rows: np.ndarray, ids: Sequence[str] = ()) -> np.ndarray:
 class VectorIndex:
     """Immutable-after-build vector index answered by an exact scan."""
 
-    def __init__(
-        self,
-        ids: list[str],
-        texts: list[str],
-        lemma_sets: list[frozenset],
-        vectors: np.ndarray,
-        model_id: str,
-    ):
+    def __init__(self, ids: list[str], texts: list[str], vectors: np.ndarray, model_id: str):
         self._ids = ids
         self._texts = texts
-        self._lemmas = lemma_sets
         self._vectors = np.ascontiguousarray(vectors, dtype=np.float32)
         self.model_id = model_id
         if len(set(ids)) != len(ids):
@@ -142,22 +139,16 @@ class VectorIndex:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_arrays(
-        cls,
-        ids: Sequence[str],
-        texts: Sequence[str],
-        lemma_sets: Sequence[frozenset],
-        vectors: np.ndarray,
-        model_id: str = "unknown",
-    ) -> "VectorIndex":
+    def from_arrays(cls, ids: Sequence[str], texts: Sequence[str], vectors: np.ndarray,
+                    model_id: str = "unknown") -> "VectorIndex":
         n = len(ids)
-        if not (len(texts) == len(lemma_sets) == n):
-            raise ValueError("ids, texts, lemma_sets must have equal lengths")
+        if len(texts) != n:
+            raise ValueError("ids and texts must have equal lengths")
         vectors = np.array(vectors, dtype=np.float32)  # a copy: the caller's rows stay raw
         if vectors.ndim != 2 or vectors.shape[0] != n:
             raise ValueError("vectors must be a (n, dim) matrix")
         ids = list(ids)
-        return cls(ids, list(texts), list(lemma_sets), _normalize_rows(vectors, ids), model_id)
+        return cls(ids, list(texts), _normalize_rows(vectors, ids), model_id)
 
     @property
     def dim(self) -> int:
@@ -197,7 +188,7 @@ class VectorIndex:
         for row, sim in zip(rows.tolist(), sims.tolist()):
             if self._texts[row] in skip_texts:
                 continue
-            jac = jaccard(query_lemmas, self._lemmas[row])
+            jac = jaccard(query_lemmas, lemmatize(self._texts[row]))
             if jac >= jaccard_threshold:
                 out.append(RetrievalResult(
                     entry=self.entry(row),
@@ -214,10 +205,10 @@ def build_index(
     embedder,
     exclusions: ExclusionList | None = None,
     *,
-    near_dup_threshold: float = 0.9,
+    near_dup_threshold: float = NEAR_DUP_THRESHOLD,
     max_in_flight: int = 4,
 ) -> tuple[VectorIndex, BuildReport]:
-    """Embed, lemmatize and index every non-excluded segment.
+    """Embed and index every non-excluded segment.
 
     ``embedder`` must expose ``embed(texts)``, returning a ``(len(texts),
     dim)`` float32 matrix, and a ``cfg`` with ``model_id`` and ``max_batch``
@@ -237,7 +228,6 @@ def build_index(
     excl_lemmas = [lemmatize(t) for t in sorted(exclusions.exact_texts)]
 
     kept: list[SourceSegment] = []
-    kept_lemmas: list[frozenset] = []
     for seg in segments:
         report.rows_seen += 1
         if exclusions.matches(seg.id, seg.text):
@@ -248,7 +238,6 @@ def build_index(
             report.excluded_near_dup += 1
             continue
         kept.append(seg)
-        kept_lemmas.append(lem)
 
     texts = [s.text for s in kept]
     matrix = np.zeros((0, 0), dtype=np.float32)  # stays empty when no row is kept
@@ -265,8 +254,7 @@ def build_index(
         matrix[start:start + len(batch)] = result
 
     ids = [s.id for s in kept]
-    index = VectorIndex(ids, texts, kept_lemmas, _normalize_rows(matrix, ids),
-                        embedder.cfg.model_id)
+    index = VectorIndex(ids, texts, _normalize_rows(matrix, ids), embedder.cfg.model_id)
     report.indexed = len(kept)
     return index, report
 
@@ -279,8 +267,7 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
     write_files({
         out / "vectors.bin": [index._vectors.astype("<f4", copy=False)],
         out / "meta.jsonl": encode_lines(json.dumps(
-            {"id": sid, "text": index._texts[i], "lemmas": sorted(index._lemmas[i])},
-            ensure_ascii=False,
+            {"id": sid, "text": index._texts[i]}, ensure_ascii=False,
         ) for i, sid in enumerate(index._ids)),
         out / "manifest.json": lambda sums: [encode_json({
             "format_version": FORMAT_VERSION,
@@ -298,9 +285,9 @@ def _read_vectors(path: Path, sha) -> np.ndarray:
     return vectors
 
 
-def _read_meta(path: Path, sha) -> tuple[list, list, list]:
+def _read_meta(path: Path, sha) -> tuple[list, list]:
     """Parse ``meta.jsonl`` line by line, hashing each line as it is read."""
-    ids, texts, lemmas = [], [], []
+    ids, texts = [], []
     with path.open("rb") as fh:
         for row_no, line in enumerate(fh, 1):
             sha.update(line)
@@ -308,10 +295,9 @@ def _read_meta(path: Path, sha) -> tuple[list, list, list]:
                 row = json.loads(line)
                 ids.append(row["id"])
                 texts.append(row["text"])
-                lemmas.append(frozenset(row["lemmas"]))
             except (ValueError, KeyError, TypeError) as exc:
                 raise IndexError_(f"{path} row {row_no} does not parse: {exc!r}") from exc
-    return ids, texts, lemmas
+    return ids, texts
 
 
 _DATA_FILES = {"vectors.bin": _read_vectors, "meta.jsonl": _read_meta}
@@ -336,10 +322,10 @@ def load_index(path: str | Path) -> VectorIndex:
         raise IndexError_(f"{manifest_path} is not a JSON object")
 
     version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in (2, FORMAT_VERSION):
         raise IndexError_(
-            f"refusing to load index format version {version!r}; this build reads "
-            f"version {FORMAT_VERSION} only: rebuild the index with `refta index-build`"
+            f"refusing to load index format version {version!r}; this build reads version "
+            f"2 or {FORMAT_VERSION} only: rebuild the index with `refta index-build`"
         )
 
     missing = [key for key in _MANIFEST_CHECKS if key not in manifest]
@@ -359,10 +345,10 @@ def load_index(path: str | Path) -> VectorIndex:
             raise IndexError_(
                 f"checksum mismatch for {name}: file is missing, corrupt or truncated"
             )
-    vectors, (ids, texts, lemmas) = data["vectors.bin"], data["meta.jsonl"]
+    vectors, (ids, texts) = data["vectors.bin"], data["meta.jsonl"]
     count, dim = manifest["count"], manifest["dim"]
     if vectors.size != count * dim:
         raise IndexError_(f"vectors.bin holds {vectors.size} floats, expected {count * dim}")
     if len(ids) != count:
         raise IndexError_(f"meta.jsonl holds {len(ids)} rows, expected {count}")
-    return VectorIndex(ids, texts, lemmas, vectors.reshape(count, dim), manifest["model_id"])
+    return VectorIndex(ids, texts, vectors.reshape(count, dim), manifest["model_id"])

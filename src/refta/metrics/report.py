@@ -109,15 +109,14 @@ class RunComparison:
         return asdict(self)
 
 
-def _check_digest(run_dir: Path, expected: str) -> dict:
-    manifest = read_manifest(run_dir)
-    digest = manifest.get("corpus_digest")
+def check_digest(run_dir: Path, expected: str) -> None:
+    """Raise ``ComparisonError`` unless the run's manifest names digest ``expected``."""
+    digest = read_manifest(run_dir).get("corpus_digest")
     if digest != expected:
         raise ComparisonError(
             f"run {run_dir} was produced on a different test set "
             f"(corpus digest {digest} != {expected})"
         )
-    return manifest
 
 
 def compare_runs(
@@ -156,7 +155,7 @@ def compare_runs(
     )
     hyps_by_run: dict[str, list[str]] = {}
     for run_dir in all_dirs:
-        _check_digest(run_dir, expected)
+        check_digest(run_dir, expected)
         hyps = hyps_by_run[run_dir.name] = read_hypotheses(run_dir)
         if len(hyps) != len(pairs):
             raise ComparisonError(

@@ -99,9 +99,9 @@ class RunConfig:
     endpoints: dict
     k: int = 5
     jaccard_threshold: float = 0.3
-    temperature: float = 0.0
-    top_p: float = 1.0
-    max_output_tokens: int = 256
+    temperature: float = ChatRequest.temperature
+    top_p: float = ChatRequest.top_p
+    max_output_tokens: int = ChatRequest.max_output_tokens
     input_budget: int = DEFAULT_INPUT_BUDGET
     candidate_pool: int | None = None
     workers: int = 4

@@ -7,6 +7,7 @@ import pytest
 
 from refta import backends
 from refta.backends import EndpointConfig
+from refta.corpus import lemmatize
 from refta.index import VectorIndex
 from refta.mockserver import MockBehavior, start_mock_server
 
@@ -40,25 +41,39 @@ def endpoint(mock_server):
     return make
 
 
+# Synthetic lemma k is the two-letter word LEMMA_WORDS[k], which lemmatizes to
+# itself, so that a row's text can spell its lemma set.
+LEMMA_WORDS = tuple(a + b for a in "aeiou" for b in "cdlmnprst")
+
+
+def spell(lemmas: frozenset, row: int) -> str:
+    """A text whose lemmas are exactly ``lemmas``; the row number after the
+    words is not a token, and keeps the texts unique."""
+    text = " ".join(sorted(lemmas)) + f" {row}"
+    assert lemmatize(text) == lemmas, (text, lemmas)
+    return text
+
+
 def random_index(
     n: int,
     dim: int,
     seed: int,
     n_lemma_choices: int = 17,
 ) -> tuple[VectorIndex, list[frozenset], np.ndarray]:
-    """Synthetic index plus its raw lemma sets and raw (unnormalized) vectors."""
+    """Synthetic index plus its rows' lemma sets and raw (unnormalized) vectors;
+    each row's text spells its lemma set."""
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((n, dim)).astype(np.float32)
     lemma_sets = []
     for i in range(n):
         size = int(rng.integers(1, 6))
         lemma_sets.append(frozenset(
-            f"w{int(rng.integers(0, n_lemma_choices))}" for _ in range(size)
+            LEMMA_WORDS[int(rng.integers(0, n_lemma_choices))] for _ in range(size)
         ))
     ids = [f"seg{i:05d}" for i in range(n)]
-    texts = [f"synthetic text {i}" for i in range(n)]
+    texts = [spell(lemmas, i) for i, lemmas in enumerate(lemma_sets)]
     index = VectorIndex.from_arrays(
-        ids, texts, lemma_sets, vectors,
+        ids, texts, vectors,
         model_id="synthetic",
     )
     return index, lemma_sets, vectors

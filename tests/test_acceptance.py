@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refta.backends as backends_mod
-from conftest import DATA, FIXTURES, brute_force_query, random_index
+from conftest import DATA, FIXTURES, LEMMA_WORDS, brute_force_query, random_index, spell
 from refta.backends import DrafterClient, EmbedderClient, EndpointConfig
 from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_parallel
 from refta.cost import CostModel, api_cost, local_cost, round_dollars
@@ -75,7 +75,7 @@ def test_c01_retrieval_oracle_equivalence():
         ids = [index.entry(i).segment_id for i in range(n)]
         texts = [index.entry(i).text for i in range(n)]
         qvec = rng.standard_normal(dim).astype(np.float32)
-        qlem = frozenset({f"w{int(rng.integers(0, 17))}" for _ in range(4)})
+        qlem = frozenset({LEMMA_WORDS[int(rng.integers(0, 17))] for _ in range(4)})
         for k in (1, 5, 20):
             for threshold in (0.0, 0.3, 0.9):
                 for pool in (k, 51, n // 3, n):
@@ -101,23 +101,23 @@ def _c01_tied_pool_boundaries(rng) -> int:
     base = rng.standard_normal((40, dim)).astype(np.float32)
     raw = base[rng.integers(0, 40, size=n)]
     ids = [f"dup{int(i):04d}" for i in rng.permutation(n)]
-    texts = [f"dup text {i}" for i in range(n)]
-    lemma_sets = [frozenset({f"w{int(rng.integers(0, 5))}"}) for _ in range(n)]
-    index = VectorIndex.from_arrays(ids, texts, lemma_sets, raw)
+    lemma_sets = [frozenset({LEMMA_WORDS[int(rng.integers(0, 5))]}) for _ in range(n)]
+    texts = [spell(lemmas, i) for i, lemmas in enumerate(lemma_sets)]
+    index = VectorIndex.from_arrays(ids, texts, raw)
     checked = 0
     for qvec in (raw[0], raw[77], rng.standard_normal(dim).astype(np.float32)):
         for k in (1, 3, 7):
-            # threshold 0.5 keeps only rows whose lemma set is {"w1"}, so the
+            # threshold 0.5 keeps only rows whose lemma set is {LEMMA_WORDS[1]}, so the
             # survivors depend on which tied rows the pool cut lets in
             for threshold in (0.0, 0.5):
                 for pool in range(k, n + 1):
                     got = [r.entry.segment_id for r in index.query(
-                        qvec, frozenset({"w1"}), k=k, jaccard_threshold=threshold,
+                        qvec, frozenset({LEMMA_WORDS[1]}), k=k, jaccard_threshold=threshold,
                         candidate_pool=pool,
                     )]
                     want = brute_force_query(
-                        ids, texts, lemma_sets, raw, qvec, frozenset({"w1"}), k, threshold,
-                        pool=pool,
+                        ids, texts, lemma_sets, raw, qvec, frozenset({LEMMA_WORDS[1]}), k,
+                        threshold, pool=pool,
                     )
                     assert got == want, ("tied", k, threshold, pool)
                     checked += 1
@@ -126,7 +126,7 @@ def _c01_tied_pool_boundaries(rng) -> int:
 
 # -- 2. jaccard and threshold semantics --------------------------------------
 
-lemmas = st.frozensets(st.sampled_from([f"w{i}" for i in range(14)]), max_size=9)
+lemmas = st.frozensets(st.sampled_from(LEMMA_WORDS[:14]), max_size=9)
 
 
 @settings(max_examples=200, deadline=None)

@@ -287,6 +287,35 @@ class TestEvaluate:
         assert "--scorer" in result.output
         assert not (run_dir / "metrics.json").exists()
 
+    def test_scorer_without_metrics_is_usage_error(self, runner, workspace):
+        run_dir = self._identity_run(workspace)
+        result = runner.invoke(main, [
+            "evaluate", "--run", str(run_dir),
+            "--test-set", str(workspace / "test.tsv"), "--scorer", "http://127.0.0.1:9",
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--metrics" in result.output
+        assert not (run_dir / "metrics.json").exists()
+
+    def test_run_made_on_another_test_set_refused(self, runner, workspace, mock_server):
+        assert _translate(runner, workspace, mock_server.base_url, "zero_shot",
+                          run_id="base").exit_code == 0
+        run_dir = workspace / "runs" / "base"
+        rows = (FIXTURES / "testsets" / "ood_fixture_110.tsv").read_text().splitlines()
+        other_set = workspace / "other.tsv"  # as many pairs as test.tsv, other texts
+        other_set.write_text("\n".join(rows[8:16]) + "\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "evaluate", "--run", str(run_dir), "--test-set", str(other_set),
+        ])
+        assert result.exit_code == 1, result.output
+        assert "digest" in result.output
+        assert not (run_dir / "metrics.json").exists()
+        result = runner.invoke(main, [
+            "evaluate", "--run", str(run_dir), "--test-set", str(workspace / "test.tsv"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert (run_dir / "metrics.json").exists()
+
     def test_missing_run_dir_exits_1(self, runner, workspace):
         result = runner.invoke(main, [
             "evaluate", "--run", str(workspace / "missing"),
@@ -416,6 +445,17 @@ class TestCompare:
         ])
         assert result.exit_code == 2, result.output
         assert "--scorer" in result.output
+        assert not (workspace / "cmp.json").exists()
+
+    def test_scorer_without_metrics_is_usage_error(self, runner, workspace):
+        missing = str(workspace / "runs" / "missing")  # refused before any run is read
+        result = runner.invoke(main, [
+            "compare", "--runs", missing, "--baseline", missing,
+            "--test-set", str(workspace / "test.tsv"), "--scorer", "http://127.0.0.1:9",
+            "--out", str(workspace / "cmp.json"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--metrics" in result.output
         assert not (workspace / "cmp.json").exists()
 
     def test_digest_mismatch_refused(self, runner, workspace, mock_server):

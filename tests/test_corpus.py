@@ -89,6 +89,12 @@ class TestLemmatize:
     def test_short_tokens_dropped(self):
         assert lemmatize("a b c") == frozenset()
 
+    def test_memoised(self):
+        # the index derives a pool row's lemmas from its text at every query
+        text = "Gallia est omnis divisa in partes tres."
+        assert lemmatize(text) is lemmatize(text)
+        assert lemmatize.cache_info().maxsize == 1 << 16
+
     def test_invariants(self):
         out = lemmatize("Senatus Populusque Romanus")
         assert all(s and s == s.lower() and " " not in s for s in out)

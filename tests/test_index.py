@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_query, random_index
+from conftest import DATA, FIXTURES, LEMMA_WORDS, brute_force_query, random_index
 from refta.backends import EmbedderClient
-from refta.corpus import SourceSegment
+from refta.corpus import SourceSegment, lemmatize, load_monolingual, load_parallel
 from refta.errors import IndexError_
 from refta.index import (
     ExclusionList,
@@ -24,10 +24,23 @@ from refta.index import (
     load_index,
     save_index,
 )
+from refta.mockserver import hash_embedding
 
 lemma_sets = st.frozensets(
-    st.sampled_from([f"w{i}" for i in range(12)]), max_size=8
+    st.sampled_from(LEMMA_WORDS[:12]), max_size=8
 )
+
+RETRIEVAL = FIXTURES / "corpora" / "retrieval_fixture.jsonl"
+TEST_SET = FIXTURES / "testsets" / "ood_fixture_110.tsv"
+
+
+def _fixture_index(n: int | None, dim: int) -> VectorIndex:
+    """The first ``n`` fixture corpus rows with ``hash_embedding`` vectors."""
+    segs = list(load_monolingual(RETRIEVAL, "jsonl"))[:n]
+    texts = [s.text for s in segs]
+    vectors = np.stack([hash_embedding(t, dim) for t in texts])
+    return VectorIndex.from_arrays([s.id for s in segs], texts, vectors,
+                                   model_id=f"hash-embedding-{dim}")
 
 
 class TestJaccard:
@@ -70,11 +83,10 @@ class TestQuery:
 
     def test_no_backfill_below_threshold(self):
         vecs = np.eye(4, dtype=np.float32)
-        lemmas = [frozenset({"a"}), frozenset({"a"}), frozenset({"b"}), frozenset({"b"})]
         index = VectorIndex.from_arrays(
-            ["s0", "s1", "s2", "s3"], ["t0", "t1", "t2", "t3"], lemmas, vecs
+            ["s0", "s1", "s2", "s3"], ["ab 0", "ab 1", "ac 2", "ac 3"], vecs
         )
-        res = index.query(vecs[0], frozenset({"a"}), k=4, jaccard_threshold=0.5,
+        res = index.query(vecs[0], frozenset({"ab"}), k=4, jaccard_threshold=0.5,
                           candidate_pool=4)
         assert [r.entry.segment_id for r in res] == ["s0", "s1"]
         assert all(r.jaccard >= 0.5 for r in res)
@@ -82,10 +94,9 @@ class TestQuery:
     def test_tie_break_ascending_id(self):
         v = np.array([[1.0, 0.0]] * 3, dtype=np.float32)
         index = VectorIndex.from_arrays(
-            ["sc", "sa", "sb"], ["tc", "ta", "tb"],
-            [frozenset({"x"})] * 3, v,
+            ["sc", "sa", "sb"], ["ex 2", "ex 0", "ex 1"], v,
         )
-        res = index.query(np.array([1.0, 0.0], dtype=np.float32), frozenset({"x"}),
+        res = index.query(np.array([1.0, 0.0], dtype=np.float32), frozenset({"ex"}),
                           k=3, jaccard_threshold=0.0, candidate_pool=3)
         assert [r.entry.segment_id for r in res] == ["sa", "sb", "sc"]
 
@@ -102,7 +113,7 @@ class TestQuery:
                         candidate_pool=3)
 
     def test_empty_index_answers_empty(self):
-        index = VectorIndex.from_arrays([], [], [], np.zeros((0, 8), dtype=np.float32))
+        index = VectorIndex.from_arrays([], [], np.zeros((0, 8), dtype=np.float32))
         assert index.query(np.ones(8), frozenset(), k=3, jaccard_threshold=0.0,
                            candidate_pool=10) == []
 
@@ -121,7 +132,7 @@ class TestQuery:
             ids = [index.entry(i).segment_id for i in range(len(index))]
             texts = [index.entry(i).text for i in range(len(index))]
             query_vec = np.random.default_rng(seed + 100).standard_normal(16).astype(np.float32)
-            query_lemmas = frozenset({"w1", "w2", "w3"})
+            query_lemmas = frozenset(LEMMA_WORDS[1:4])
             for k in (1, 5, 20):
                 for thr in (0.0, 0.3, 0.9):
                     got = [r.entry.segment_id for r in index.query(
@@ -132,6 +143,27 @@ class TestQuery:
                         ids, texts, lemmas, raw, query_vec, query_lemmas, k, thr
                     )
                     assert got == want
+
+    def test_fixture_latin_matches_brute_force_oracle(self):
+        # the index derives each row's lemmas from its text; the oracle is
+        # given the real stemmer's sets
+        index = _fixture_index(None, 16)
+        ids = [index.entry(i).segment_id for i in range(len(index))]
+        texts = [index.entry(i).text for i in range(len(index))]
+        lemmas = [lemmatize(t) for t in texts]
+        raw = np.stack([hash_embedding(t, 16) for t in texts])
+        survivors = 0
+        for pair in load_parallel(TEST_SET, "tsv"):
+            query_vec = hash_embedding(pair.source.text, 16)
+            query_lemmas = lemmatize(pair.source.text)
+            for k, thr, pool in ((5, 0.0, 51), (5, 0.2, 51), (20, 0.3, len(index))):
+                got = [r.entry.segment_id for r in index.query(
+                    query_vec, query_lemmas, k=k, jaccard_threshold=thr, candidate_pool=pool,
+                )]
+                assert got == brute_force_query(ids, texts, lemmas, raw, query_vec,
+                                                query_lemmas, k, thr, pool=pool)
+                survivors += len(got) if thr else 0
+        assert 0 < survivors < 110 * (5 + 20)  # the filter keeps some rows and drops others
 
 
 class TestNormalizeRows:
@@ -159,8 +191,7 @@ class TestNormalizeRows:
     def test_from_arrays_leaves_its_input_unchanged(self):
         raw = np.random.default_rng(5).standard_normal((20, 8)).astype(np.float32)
         kept = raw.copy()
-        index = VectorIndex.from_arrays([f"s{i}" for i in range(20)], ["t"] * 20,
-                                        [frozenset()] * 20, raw)
+        index = VectorIndex.from_arrays([f"s{i}" for i in range(20)], ["t"] * 20, raw)
         assert np.array_equal(raw, kept)
         assert np.allclose(np.linalg.norm(index._vectors, axis=1), 1.0)
 
@@ -336,9 +367,9 @@ class TestPersistence:
         for _ in range(5):
             q = rng.standard_normal(24).astype(np.float32)
             a = [(r.entry.segment_id, r.cosine_similarity) for r in index.query(
-                q, frozenset({"w1"}), k=5, jaccard_threshold=0.0, candidate_pool=30)]
+                q, frozenset({LEMMA_WORDS[1]}), k=5, jaccard_threshold=0.0, candidate_pool=30)]
             b = [(r.entry.segment_id, r.cosine_similarity) for r in loaded.query(
-                q, frozenset({"w1"}), k=5, jaccard_threshold=0.0, candidate_pool=30)]
+                q, frozenset({LEMMA_WORDS[1]}), k=5, jaccard_threshold=0.0, candidate_pool=30)]
             assert a == b
 
     def test_version_gate(self, tmp_path):
@@ -349,7 +380,7 @@ class TestPersistence:
         for version in (1, 99):
             manifest["format_version"] = version
             manifest_path.write_text(json.dumps(manifest))
-            with pytest.raises(IndexError_, match=r"version 2 only: rebuild .*refta index-build"):
+            with pytest.raises(IndexError_, match=r"version 2 or 3 only: rebuild .*refta index-build"):
                 load_index(tmp_path / "idx")
 
     def test_malformed_manifest_names_file_and_key(self, tmp_path):
@@ -394,7 +425,8 @@ class TestPersistence:
         save_index(index, tmp_path / "idx")
         meta_path = tmp_path / "idx" / "meta.jsonl"
         # an edited row that only an unverified load would accept
-        meta_path.write_text(meta_path.read_text().replace("synthetic text 0", "TAMPERED"))
+        meta_path.write_text(meta_path.read_text().replace(json.dumps(index.entry(0).text),
+                                                           '"TAMPERED"'))
         manifest_path = tmp_path / "idx" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest_path.write_text(json.dumps({**manifest, key: value}))
@@ -465,10 +497,38 @@ class TestPersistence:
         index, _, _ = random_index(10, 8, seed=24)
         save_index(index, tmp_path / "idx")
         manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         assert "hnsw" not in manifest
         assert sorted(manifest["checksums"]) == ["meta.jsonl", "vectors.bin"]
         assert not (tmp_path / "idx" / "graph.npz").exists()
+
+    def test_meta_rows_hold_only_id_and_text(self, tmp_path):
+        index, _, _ = random_index(10, 8, seed=28)
+        save_index(index, tmp_path / "idx")
+        lines = (tmp_path / "idx" / "meta.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"id": index.entry(i).segment_id, "text": index.entry(i).text} for i in range(10)]
+
+    def test_format_2_index_answers_as_a_fresh_build(self, tmp_path):
+        # tests/data/index_v2 was written by the format 2 writer from
+        # _fixture_index(20, 8), with each row's lemma set in meta.jsonl
+        v2_dir = DATA / "index_v2"
+        assert json.loads((v2_dir / "manifest.json").read_text())["format_version"] == 2
+        for line in (v2_dir / "meta.jsonl").read_text(encoding="utf-8").splitlines():
+            row = json.loads(line)
+            assert frozenset(row["lemmas"]) == lemmatize(row["text"])
+        old = load_index(v2_dir)
+        save_index(_fixture_index(20, 8), tmp_path / "idx")
+        fresh = load_index(tmp_path / "idx")
+        assert (old._ids, old._texts, old.model_id) == (fresh._ids, fresh._texts, fresh.model_id)
+        assert np.array_equal(old._vectors, fresh._vectors)
+        for pair in load_parallel(TEST_SET, "tsv"):
+            query_vec = hash_embedding(pair.source.text, 8)
+            query_lemmas = lemmatize(pair.source.text)
+            for thr in (0.0, 0.2):
+                assert old.query(query_vec, query_lemmas, k=5, jaccard_threshold=thr,
+                                 candidate_pool=20) == fresh.query(
+                    query_vec, query_lemmas, k=5, jaccard_threshold=thr, candidate_pool=20)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(IndexError_, match="manifest"):
@@ -477,7 +537,7 @@ class TestPersistence:
     def test_empty_index_round_trip(self, tmp_path):
         import numpy as np
 
-        empty = VectorIndex.from_arrays([], [], [], np.zeros((0, 8), dtype=np.float32))
+        empty = VectorIndex.from_arrays([], [], np.zeros((0, 8), dtype=np.float32))
         save_index(empty, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx")
         assert len(loaded) == 0
@@ -486,7 +546,7 @@ class TestPersistence:
 
 
 @settings(max_examples=30)
-@given(st.frozensets(st.sampled_from([f"w{i}" for i in range(8)]), max_size=6),
+@given(st.frozensets(st.sampled_from(LEMMA_WORDS[:8]), max_size=6),
        st.floats(min_value=0.0, max_value=1.0))
 def test_no_result_below_threshold(query_lemmas, threshold):
     index, lemmas, raw = random_index(40, 8, seed=31)

@@ -157,10 +157,7 @@ class TestTranslateSegment:
         texts = ["gallia bellum gerunt", "bellum gallia gerunt", "prorsus alienum verbum"]
         vecs = np.stack(embedder.embed(texts))
         embedder.close()
-        from refta.corpus import lemmatize
-        index = VectorIndex.from_arrays(
-            ["n1", "n2", "n3"], texts, [lemmatize(t) for t in texts], vecs
-        )
+        index = VectorIndex.from_arrays(["n1", "n2", "n3"], texts, vecs)
         seg = SourceSegment("q1", "gallia bellum gerunt iterum")
         cfg = _config(endpoints, "rag", k=5, jaccard_threshold=0.3)
         rec = _record(cfg, seg, index, tmp_path)
