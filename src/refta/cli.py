@@ -23,6 +23,8 @@ from refta.corpus import load_monolingual, load_parallel
 from refta.errors import ReftaError
 from refta.index import NEAR_DUP_THRESHOLD, ExclusionList, build_index, load_index, save_index
 from refta.metrics.report import (
+    COMPARE_SEED,
+    SCORER_TIMEOUT_S,
     attach_neural_scores,
     check_digest,
     compare_runs,
@@ -299,7 +301,7 @@ def cmd_translate(test_set, test_format, index_dir, condition, k, jaccard_thresh
 @click.option("--scorer", "scorer_url", default=None)
 @click.option("--scorer-model", default=None)
 @click.option("--metrics", default="", help="Comma-separated neural metrics.")
-@click.option("--timeout", type=float, default=120.0, show_default=True)
+@click.option("--timeout", type=float, default=SCORER_TIMEOUT_S, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @_runtime_errors
 def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
@@ -341,13 +343,13 @@ def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
 @click.option("--baseline", required=True, type=click.Path())
 @click.option("--test-set", required=True, type=click.Path(exists=True))
 @click.option("--test-format", type=click.Choice(["tsv", "jsonl"]), default=None)
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--seed", type=int, default=COMPARE_SEED, show_default=True)
 @click.option("--scorer", "scorer_url", default=None)
 @click.option("--scorer-model", default=None)
 @click.option("--metrics", default="", help="Comma-separated neural metrics.")
 @click.option("--out", "out_path", type=click.Path(), default="comparison.json",
               show_default=True)
-@click.option("--timeout", type=float, default=120.0, show_default=True)
+@click.option("--timeout", type=float, default=SCORER_TIMEOUT_S, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 @_runtime_errors
 def cmd_compare(run_dirs, baseline, test_set, test_format, seed, scorer_url,

@@ -32,6 +32,16 @@ from refta.errors import CorpusFormatError
 
 _WS_RE = re.compile(r"\s+")
 _TOKEN_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
+# printable ASCII is never Cc or Cf, so only the other characters are looked at
+_NOT_PRINTABLE_ASCII_RE = re.compile(r"[^\x20-\x7e]")
+
+
+def _control_char(match: re.Match) -> str:
+    """Whitespace controls become a space, other Cc and Cf characters go."""
+    ch = match.group()
+    if ch in "\n\r\t\v\f":
+        return " "
+    return "" if unicodedata.category(ch) in ("Cc", "Cf") else ch
 
 
 def normalize_text(raw: str) -> str:
@@ -42,16 +52,8 @@ def normalize_text(raw: str) -> str:
     runs and trims. Idempotent. Returns the empty string when nothing
     survives; the caller decides whether to drop the segment.
     """
-    s = unicodedata.normalize("NFC", raw)
-    chars = []
-    for ch in s:
-        if ch in "\n\r\t\v\f":
-            chars.append(" ")
-            continue
-        if unicodedata.category(ch) in ("Cc", "Cf"):
-            continue
-        chars.append(ch)
-    return _WS_RE.sub(" ", "".join(chars)).strip()
+    s = _NOT_PRINTABLE_ASCII_RE.sub(_control_char, unicodedata.normalize("NFC", raw))
+    return _WS_RE.sub(" ", s).strip()
 
 
 @dataclass(frozen=True)

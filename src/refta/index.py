@@ -11,6 +11,18 @@ the threshold. Every pool size gives the prefix of a full brute-force sort.
 A row's lemmas are ``corpus.lemmatize(text)``, derived as a query's pool
 reaches the row (``lemmatize`` is memoised) and never stored.
 
+``build_index`` drops rows whose lemma Jaccard against any excluded text
+reaches a threshold t, by an exact set-similarity join rather than a
+comparison per (row, excluded text) pair (prefix filtering: Bayardo, Ma and
+Srikant, WWW 2007; Xiao et al., PPJoin, WWW 2008). Lemmas are ranked by
+ascending frequency among the excluded sets; a set of size n is indexed or
+probed by its first n - α(n) + 1 lemmas, where α(n) is the least integer i
+with ``i / n >= t``; a pair survives the size filter only if
+``min(|a|, |b|) / max(|a|, |b|) >= t``, and survivors are checked by
+``jaccard(a, b) >= t``. Each bound is the same float division as that final
+test, and rounding is monotone, so the join keeps and drops exactly the
+rows a pairwise loop would.
+
 On-disk layout (``save_index``/``load_index``), format version 3:
 
 - ``manifest.json``: format version, dimension, embedding model id, count,
@@ -25,11 +37,14 @@ both data files and type its fields (a non-negative int count and dim).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -200,6 +215,65 @@ class VectorIndex:
         return out
 
 
+def _min_overlap(n: int, t: float) -> int:
+    """The least integer ``i`` with ``i / n >= t``, for ``n >= 1`` and ``0 < t <= 1``."""
+    i = math.ceil(t * n)
+    while (i - 1) / n >= t:
+        i -= 1
+    while i / n < t:
+        i += 1
+    return i
+
+
+def _near_dup_join(excluded: list[frozenset], t: float) -> Callable[[str], bool]:
+    """Return a test of whether a row text's lemmas reach Jaccard ``t``
+    against any of the ``excluded`` lemma sets, by the join the module
+    docstring describes. Lemmas that no excluded set holds rank first, and
+    frequency ties go by lemma.
+
+    The filters are exact. If ``jaccard(a, b) >= t``, then ``|a n b| / |a|``
+    and ``|a n b| / |b|`` reach ``t`` as floats too, since the union is no
+    smaller than either set and division rounds monotonically. So a and b
+    share at least max(α(|a|), α(|b|)) lemmas, and the lowest-ranked of them
+    lies in both prefixes; and ``min(|a|, |b|) / max(|a|, |b|) >= t``, since
+    the overlap is at most the min and the union at least the max. An empty
+    set scores 0.0 against any set, so it matches nothing at ``t > 0``; at
+    ``t == 0`` every row matches once a text is excluded, unlemmatized.
+    """
+    if not excluded:
+        return lambda text: False
+    if t == 0.0:
+        return lambda text: True
+    sets = [b for b in set(excluded) if b]
+    freq = Counter(lem for b in sets for lem in b)
+    rank = {lem: r for r, lem in enumerate(sorted(freq, key=lambda lem: (freq[lem], lem)))}
+    prefix_len = functools.cache(lambda n: n - _min_overlap(n, t) + 1)
+    postings: list[list[int]] = [[] for _ in rank]
+    for j, b in enumerate(sets):
+        for r in sorted(rank[lem] for lem in b)[:prefix_len(len(b))]:
+            postings[r].append(j)
+
+    def is_near_dup(text: str) -> bool:
+        a = lemmatize(text)
+        n = len(a)
+        if not n:
+            return False
+        shared = sorted(rank[lem] for lem in a if lem in rank)
+        # the lemmas of ``a`` that no excluded set holds fill its prefix first
+        probe = prefix_len(n) - (n - len(shared))
+        seen: set[int] = set()
+        for r in shared[:max(0, probe)]:
+            for j in postings[r]:
+                if j not in seen:
+                    seen.add(j)
+                    m = len(sets[j])
+                    if min(n, m) / max(n, m) >= t and jaccard(a, sets[j]) >= t:
+                        return True
+        return False
+
+    return is_near_dup
+
+
 def build_index(
     segments: Iterable[SourceSegment],
     embedder,
@@ -218,14 +292,20 @@ def build_index(
     that is then normalised in place. Exact-text and id matches against
     ``exclusions`` are dropped, as are near-duplicates whose lemma Jaccard
     against any excluded text reaches ``near_dup_threshold``, which must lie
-    in [0, 1].
+    in [0, 1]. Near-duplicates are found by the exact prefix-filtered join
+    of the module docstring: each row probes the posting lists of its own
+    prefix, its first n - α(n) + 1 lemmas in ascending frequency among the
+    excluded sets, instead of being compared with every excluded text; the
+    pairs that pass the size filter are checked by ``jaccard`` as before.
+    With no excluded text no row is lemmatized.
     """
     if not 0.0 <= near_dup_threshold <= 1.0:
         raise ValueError(f"near_dup_threshold must be in [0, 1], got {near_dup_threshold}")
     exclusions = exclusions or ExclusionList.empty()
     report = BuildReport()
 
-    excl_lemmas = [lemmatize(t) for t in sorted(exclusions.exact_texts)]
+    is_near_dup = _near_dup_join([lemmatize(t) for t in exclusions.exact_texts],
+                                 near_dup_threshold)
 
     kept: list[SourceSegment] = []
     for seg in segments:
@@ -233,8 +313,7 @@ def build_index(
         if exclusions.matches(seg.id, seg.text):
             report.excluded_exact += 1
             continue
-        lem = lemmatize(seg.text)
-        if any(jaccard(lem, el) >= near_dup_threshold for el in excl_lemmas):
+        if is_near_dup(seg.text):
             report.excluded_near_dup += 1
             continue
         kept.append(seg)

@@ -17,6 +17,8 @@ from refta.pipeline import FAILED_SENTINEL, corpus_digest, read_hypotheses, read
 
 LEXICAL_METRICS = (BleuMetric(), ChrfPPMetric())
 SIGNIFICANCE_ALPHA = 0.05
+COMPARE_SEED = 42  # the bootstrap seed of ``compare_runs`` and ``refta compare``
+SCORER_TIMEOUT_S = 120.0  # the neural scorer's timeout in ``evaluate`` and ``compare``
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ def compare_runs(
     run_dirs,
     pairs: list[ParallelPair],
     baseline_dir,
-    seed: int = 42,
+    seed: int = COMPARE_SEED,
     scorer=None,
     neural_metrics=(),
 ) -> RunComparison:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
 
 import pytest
@@ -45,6 +46,30 @@ class TestNormalizeText:
     def test_idempotence(self, s):
         once = normalize_text(s)
         assert normalize_text(once) == once
+
+    @given(st.text(alphabet=st.one_of(
+        st.characters(),
+        # Cc (two of them whitespace to \s), Cf, Zs, Zl, Zp, combining, astral
+        st.sampled_from("\x00\x1c\x7f\x85\u00ad\u200b\u200e\ufeff\U000e0001"
+                        "\u00a0\u3000\u2028\u2029\u0301\u0308\U0001d11e\U0001f600"),
+        st.sampled_from(" \n\r\t\v\fe"),
+    ), max_size=60))
+    def test_equals_the_per_character_rule(self, s):
+        assert normalize_text(s) == _per_character_normalize(s)
+
+
+def _per_character_normalize(raw: str) -> str:
+    """``normalize_text`` as a loop over characters, kept as its oracle."""
+    s = unicodedata.normalize("NFC", raw)
+    chars = []
+    for ch in s:
+        if ch in "\n\r\t\v\f":
+            chars.append(" ")
+            continue
+        if unicodedata.category(ch) in ("Cc", "Cf"):
+            continue
+        chars.append(ch)
+    return re.sub(r"\s+", " ", "".join(chars)).strip()
 
 
 class TestLemmatize:

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA, FIXTURES, LEMMA_WORDS, brute_force_query, random_index
+from conftest import DATA, FIXTURES, LEMMA_WORDS, brute_force_query, random_index, spell
 from refta.backends import EmbedderClient
 from refta.corpus import SourceSegment, lemmatize, load_monolingual, load_parallel
 from refta.errors import IndexError_
+import refta.index
 from refta.index import (
+    BuildReport,
     ExclusionList,
     VectorIndex,
     _normalize_rows,
@@ -303,6 +305,79 @@ class TestBuildIndex:
         assert index.model_id == "mock-embedder"
         # 20 segments at batch size 8 -> 3 requests
         assert mock_server.stats.snapshot()["counts"]["/embed"] == 3
+
+    def test_no_row_lemmatized_without_exclusions(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(refta.index, "lemmatize",
+                            lambda text: calls.append(text) or lemmatize(text))
+        _index, report = build_index(_segments(12), _ArrayEmbedder(), ExclusionList.empty())
+        assert report.indexed == 12
+        assert calls == []
+
+
+def _pairwise_build(rows, exclusions, near_dup_threshold):
+    """The pairwise near-duplicate loop ``build_index`` ran before its
+    prefix-filtered join, kept as the join's oracle."""
+    report = BuildReport()
+    excl_lemmas = [lemmatize(t) for t in sorted(exclusions.exact_texts)]
+    kept = []
+    for seg in rows:
+        report.rows_seen += 1
+        if exclusions.matches(seg.id, seg.text):
+            report.excluded_exact += 1
+            continue
+        lem = lemmatize(seg.text)
+        if any(jaccard(lem, el) >= near_dup_threshold for el in excl_lemmas):
+            report.excluded_near_dup += 1
+            continue
+        kept.append(seg.id)
+    report.indexed = len(kept)
+    return report, kept
+
+
+def _join_matches_pairwise(rows, excluded_texts, near_dup_threshold):
+    exclusions = ExclusionList(exact_texts=frozenset(excluded_texts), ids=frozenset())
+    index, report = build_index(rows, _ArrayEmbedder(), exclusions,
+                                near_dup_threshold=near_dup_threshold)
+    kept = [index.entry(i).segment_id for i in range(len(index))]
+    assert (report, kept) == _pairwise_build(rows, exclusions, near_dup_threshold)
+    return report
+
+
+@st.composite
+def _join_cases(draw):
+    """Rows and excluded texts over a vocabulary of 1-9 lemmas, so that
+    shared lemmas and equal sets are common; the excluded sets include
+    empty and repeated ones, and some rows are excluded texts verbatim."""
+    vocab = LEMMA_WORDS[:draw(st.integers(1, 9))]
+    sets = st.frozensets(st.sampled_from(vocab), max_size=len(vocab))
+    excluded = draw(st.lists(sets, max_size=6))
+    if excluded and draw(st.booleans()):
+        excluded += draw(st.lists(st.sampled_from(excluded), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        excluded.append(frozenset())
+    excluded_texts = [spell(b, 1000 + j) for j, b in enumerate(excluded)]
+    rows = [SourceSegment(f"r{i:02d}", spell(a, i))
+            for i, a in enumerate(draw(st.lists(sets, max_size=20)))]
+    rows += [SourceSegment(f"x{j:02d}", text) for j, text in enumerate(excluded_texts)
+             if draw(st.booleans())]
+    return rows, excluded_texts
+
+
+class TestNearDupJoin:
+    @pytest.mark.parametrize("near_dup_threshold", [0.0, 1.0, 0.9, 0.7, 0.5, 1 / 3, 0.1 * 3])
+    @settings(max_examples=60, deadline=None)
+    @given(case=_join_cases())
+    def test_matches_the_pairwise_loop(self, near_dup_threshold, case):
+        rows, excluded_texts = case
+        _join_matches_pairwise(rows, excluded_texts, near_dup_threshold)
+
+    def test_superset_at_the_threshold_dropped(self):
+        # |a n b| / |a u b| = 7 / 10, which is the float 0.7 itself
+        a, b = frozenset(LEMMA_WORDS[:10]), frozenset(LEMMA_WORDS[:7])
+        report = _join_matches_pairwise([SourceSegment("a", spell(a, 0))],
+                                        [spell(b, 1)], 0.7)
+        assert report.excluded_near_dup == 1
 
 
 class _MatrixEmbedder:
