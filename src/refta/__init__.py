@@ -8,30 +8,3 @@ bootstrap) and token-based cost accounting are built in.
 """
 
 __version__ = "0.1.0"
-
-from refta.errors import (
-    BackendError,
-    CapabilityError,
-    CorpusFormatError,
-    IndexError_,
-    PipelineError,
-    PromptBudgetError,
-    ProtocolError,
-    ReftaError,
-    RequestError,
-    TransportError,
-)
-
-__all__ = [
-    "__version__",
-    "ReftaError",
-    "CorpusFormatError",
-    "IndexError_",
-    "BackendError",
-    "TransportError",
-    "RequestError",
-    "ProtocolError",
-    "CapabilityError",
-    "PromptBudgetError",
-    "PipelineError",
-]

@@ -22,14 +22,15 @@ from refta.backends import EmbedderClient, EndpointConfig, ScorerClient, resolve
 from refta.corpus import load_monolingual, load_parallel
 from refta.errors import ReftaError
 from refta.index import NEAR_DUP_THRESHOLD, ExclusionList, build_index, load_index, save_index
+from refta.metrics.bootstrap import COMPARE_SEED
 from refta.metrics.report import (
-    COMPARE_SEED,
     SCORER_TIMEOUT_S,
     attach_neural_scores,
     check_digest,
     compare_runs,
     evaluate_hypotheses,
     format_comparison_table,
+    format_score,
     write_comparison,
 )
 from refta.cost import CostModel, cost_report
@@ -119,6 +120,17 @@ def _parallel_format(path: str, explicit: str | None) -> str:
 def main(ctx, config_path):
     """Retrieval-augmented draft-refinement translation engine."""
     ctx.default_map = _load_config_file(config_path)
+    if not isinstance(ctx.default_map, dict):
+        raise click.UsageError("a config file maps command names to tables")
+    for name, table in ctx.default_map.items():
+        command = ctx.command.commands.get(name)
+        if command is None:
+            raise click.UsageError(f"config file names no command {name!r}")
+        if not isinstance(table, dict):
+            raise click.UsageError(f"config file: {name} is not a table")
+        unknown = sorted(set(table) - {param.name for param in command.params})
+        if unknown:
+            raise click.UsageError(f"config file: {name} has no parameter {', '.join(unknown)}")
 
 
 @main.command("index-build")
@@ -224,12 +236,12 @@ def _load_exclusions(path: str) -> ExclusionList:
 @click.option("--drafter-model", default=None)
 @click.option("--refiner-model", default=None)
 @click.option("--embed-model", default=None)
-@click.option("--workers", type=int, default=RunConfig.workers, show_default=True)
 @click.option("--seed", type=int, default=RunConfig.seed)
 @click.option("--timeout", type=float, default=EndpointConfig.timeout, show_default=True)
 @click.option("--max-retries", type=int, default=EndpointConfig.max_retries, show_default=True)
 @click.option("--parallelism", type=int, default=EndpointConfig.request_parallelism,
-              show_default=True)
+              show_default=True,
+              help="Requests in flight per endpoint, and segments refined at once.")
 @click.option("--fail-fast", is_flag=True)
 @click.option("--force", is_flag=True, help="Overwrite existing run directories.")
 @click.option("--json", "as_json", is_flag=True)
@@ -237,7 +249,7 @@ def _load_exclusions(path: str) -> ExclusionList:
 def cmd_translate(test_set, test_format, index_dir, condition, k, jaccard_threshold,
                   temperatures, top_p, max_output_tokens, input_budget, candidate_pool,
                   run_id, runs_root, drafter_url, refiner_url, embedder_url,
-                  drafter_model, refiner_model, embed_model, workers, seed,
+                  drafter_model, refiner_model, embed_model, seed,
                   timeout, max_retries, parallelism, fail_fast, force, as_json):
     """Translate a test set under one experimental condition."""
     if condition == "rag" and not index_dir:
@@ -261,7 +273,7 @@ def cmd_translate(test_set, test_format, index_dir, condition, k, jaccard_thresh
             max_output_tokens=max_output_tokens,
             input_budget=input_budget,
             candidate_pool=candidate_pool,
-            workers=workers,
+            workers=parallelism,
             seed=seed,
             fail_fast=fail_fast,
         )
@@ -329,8 +341,7 @@ def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
     if as_json:
         click.echo(json.dumps(report.to_dict()["corpus_scores"], sort_keys=True))
     else:
-        cells = [f"{name} {value:.4f}" if name not in ("bleu", "chrf++")
-                 else f"{name} {value:.2f}"
+        cells = [f"{name} {format_score(name, value)}"
                  for name, value in sorted(report.corpus_scores.items())]
         click.echo(f"{Path(run_dir).name}: " + "  ".join(cells))
         for warning in report.warnings:
@@ -388,6 +399,10 @@ def cmd_compare(run_dirs, baseline, test_set, test_format, seed, scorer_url,
 def cmd_cost(run_dir, input_rate, output_rate, batching_discount, fixed_hourly,
              power_rate, power_kw, as_json):
     """Token-based cost figures for a run; writes costs.json into the run dir."""
+    if (power_kw is None) != (power_rate is None):
+        raise click.UsageError("--power-kw and --power-rate need each other")
+    if power_kw is not None and fixed_hourly is None:
+        raise click.UsageError("--power-kw and --power-rate need --fixed-hourly")
     model = CostModel(
         input_rate=input_rate,
         output_rate=output_rate,

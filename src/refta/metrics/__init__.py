@@ -1,24 +1,1 @@
 """Native lexical metrics, neural-score aggregation and significance tests."""
-
-from refta.metrics.bleu import BleuMetric, bleu
-from refta.metrics.chrf import ChrfPPMetric, chrf_pp
-from refta.metrics.bootstrap import SignificanceResult, paired_bootstrap
-from refta.metrics.report import (
-    MetricReport,
-    attach_neural_scores,
-    compare_runs,
-    evaluate_hypotheses,
-)
-
-__all__ = [
-    "bleu",
-    "BleuMetric",
-    "chrf_pp",
-    "ChrfPPMetric",
-    "paired_bootstrap",
-    "SignificanceResult",
-    "MetricReport",
-    "evaluate_hypotheses",
-    "attach_neural_scores",
-    "compare_runs",
-]

@@ -24,6 +24,7 @@ import numpy as np
 from refta import kernels
 
 N_RESAMPLES = 1000
+COMPARE_SEED = 42  # the seed of ``paired_bootstrap``, ``compare_runs`` and ``refta compare``
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ def paired_bootstrap(
     hyps_a,
     hyps_b,
     references,
-    seed: int = 42,
+    seed: int = COMPARE_SEED,
     system_a: str = "A",
     system_b: str = "B",
     stats: tuple | None = None,

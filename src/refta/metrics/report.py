@@ -11,14 +11,19 @@ from refta.artifacts import write_json
 from refta.corpus import ParallelPair
 from refta.errors import CapabilityError, ComparisonError
 from refta.metrics.bleu import BleuMetric
-from refta.metrics.bootstrap import paired_bootstrap
+from refta.metrics.bootstrap import COMPARE_SEED, paired_bootstrap
 from refta.metrics.chrf import ChrfPPMetric
 from refta.pipeline import FAILED_SENTINEL, corpus_digest, read_hypotheses, read_manifest
 
 LEXICAL_METRICS = (BleuMetric(), ChrfPPMetric())
 SIGNIFICANCE_ALPHA = 0.05
-COMPARE_SEED = 42  # the bootstrap seed of ``compare_runs`` and ``refta compare``
 SCORER_TIMEOUT_S = 120.0  # the neural scorer's timeout in ``evaluate`` and ``compare``
+
+
+def format_score(name: str, value: float) -> str:
+    """A corpus score as ``evaluate`` and ``compare`` print it: BLEU and
+    chrF++ to 2 places, every other metric to 4."""
+    return f"{value:.2f}" if name in ("bleu", "chrf++") else f"{value:.4f}"
 
 
 @dataclass(frozen=True)
@@ -229,8 +234,7 @@ def format_comparison_table(comparison: RunComparison) -> str:
             sig = sig_by_run.get(row["run"], {}).get(name)
             if sig is not None and sig.p_value < SIGNIFICANCE_ALPHA:
                 mark = "*"
-            cells.append(f"{score:.2f}{mark}" if name in ("bleu", "chrf++")
-                         else f"{score:.4f}{mark}")
+            cells.append(format_score(name, score) + mark)
         lines.append(cells)
 
     widths = [max(len(r[i]) for r in [header] + lines) for i in range(len(header))]

@@ -37,12 +37,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
+from refta.prompt import BASELINE_INSTRUCTION, DRAFT_LABEL
+
 DRAFT_PREFIX = "[draft]"
 REFINED_PREFIX = "[refined] "
 SCORER_METRICS = ("comet", "bertscore")
 
-_DRAFT_LINE = "NMT draft (NLLB): "
-_BASELINE_LINE = "Translate the following Latin text to English:"
 _POLL_S = 0.05  # how often serve_forever checks for shutdown, so stop() returns fast
 
 
@@ -108,10 +108,10 @@ def hash_embedding(text: str, dim: int) -> np.ndarray:
 
 def template_refine(system: str, user: str) -> str:
     for line in user.split("\n"):
-        if line.startswith(_DRAFT_LINE):
-            return REFINED_PREFIX + line[len(_DRAFT_LINE):]
+        if line.startswith(DRAFT_LABEL + " "):
+            return REFINED_PREFIX + line[len(DRAFT_LABEL) + 1:]
     lines = user.split("\n")
-    if lines and lines[0] == _BASELINE_LINE:
+    if lines and lines[0] == BASELINE_INSTRUCTION:
         return REFINED_PREFIX + "\n".join(lines[1:]).strip()
     return user
 

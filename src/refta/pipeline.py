@@ -62,6 +62,7 @@ from refta.backends import (
 from refta.corpus import ParallelPair, SourceSegment, lemmatize
 from refta.errors import (
     PipelineError,
+    PromptBudgetError,
     ProtocolError,
     ReftaError,
     RequestError,
@@ -118,6 +119,14 @@ class RunConfig:
         # the refiner's sampling rules, checked before any call is paid for
         ChatRequest(system="", user="", temperature=self.temperature, top_p=self.top_p,
                     max_output_tokens=self.max_output_tokens, seed=self.seed)
+        # the condition's prompt for a one-character source must fit; called through
+        # refta.prompt so that a wrapper on stage 4's binding sees only stage 4
+        try:
+            refta.prompt.assemble_prompt("x", None if self.condition == ZERO_SHOT else "x", (),
+                                         self.condition, budget_ceiling=self.input_budget)
+        except PromptBudgetError as exc:
+            raise ValueError(f"input_budget {self.input_budget} is below the {exc.estimated} "
+                             f"tokens of the smallest {self.condition} prompt") from exc
         if self.condition == RAG and self.resolved_pool() + 1 < self.k:
             # the retrieve stage queries a pool of candidate_pool + 1
             raise ValueError(f"candidate_pool {self.resolved_pool()} + 1 must be >= k {self.k}")
@@ -484,7 +493,9 @@ def read_manifest(run_dir: str | Path) -> dict:
 
 
 def read_hypotheses(run_dir: str | Path) -> list[str]:
-    return _run_file(run_dir, "hypotheses.txt").read_text(encoding="utf-8").split("\n")[:-1]
+    """One hypothesis per line; the final newline is optional."""
+    lines = _run_file(run_dir, "hypotheses.txt").read_text(encoding="utf-8").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def read_records(run_dir: str | Path) -> list[dict]:

@@ -24,8 +24,9 @@ from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_par
 from refta.cost import CostModel, api_cost, local_cost, round_dollars
 from refta.errors import PromptBudgetError, RequestError, TransportError
 from refta.index import ExclusionList, VectorIndex, build_index, jaccard
-from refta.metrics import bleu, chrf_pp, paired_bootstrap
-from refta.metrics.bleu import BleuMetric
+from refta.metrics.bleu import BleuMetric, bleu
+from refta.metrics.bootstrap import paired_bootstrap
+from refta.metrics.chrf import chrf_pp
 from refta.mockserver import MockBehavior, start_mock_server
 from refta.pipeline import (
     RunConfig,
@@ -473,7 +474,7 @@ LIVE_VARS = ("REFTA_LIVE_DRAFTER_URL", "REFTA_LIVE_REFINER_URL", "REFTA_LIVE_EMB
     reason="live-model track: export REFTA_LIVE_{DRAFTER,REFINER,EMBEDDER}_URL to enable",
 )
 def test_c12_live_model_trend(tmp_path):
-    from refta.metrics import evaluate_hypotheses
+    from refta.metrics.report import evaluate_hypotheses
     from refta.pipeline import read_hypotheses
 
     endpoints = {

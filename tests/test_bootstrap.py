@@ -7,7 +7,7 @@ import pytest
 
 from conftest import DATA
 from refta import kernels
-from refta.metrics import paired_bootstrap
+from refta.metrics.bootstrap import paired_bootstrap
 from refta.metrics.bleu import BleuMetric
 from refta.metrics.chrf import ChrfPPMetric
 

@@ -6,7 +6,7 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO_ROOT
 from refta.cli import main
 
 
@@ -144,8 +144,9 @@ class TestIndexBuild:
         assert "skipped empty: 1" in text.output
 
 
-def _translate(runner, workspace, url, condition, extra=(), run_id="run1"):
-    args = [
+def _translate(runner, workspace, url, condition, extra=(), run_id="run1", config=None):
+    args = [] if config is None else ["--config", str(config)]
+    args += [
         "translate",
         "--test-set", str(workspace / "test.tsv"),
         "--condition", condition,
@@ -184,8 +185,9 @@ class TestTranslate:
         ("rag", ["--candidate-pool", "2", "--k", "5"]),
         ("zero_shot", ["--timeout", "0"]),
         ("zero_shot", ["--temp", "0.5", "--temp", "0.50"]),
+        ("draft_only", ["--input-budget", "71"]),
     ], ids=["output-ceiling", "top-p", "sweep-temperature", "pool-below-k", "timeout",
-            "repeated-temperature"])
+            "repeated-temperature", "budget-below-smallest-prompt"])
     def test_bad_value_is_usage_error_before_any_request(self, runner, workspace, mock_server,
                                                          condition, extra):
         import requests
@@ -241,6 +243,14 @@ class TestTranslate:
         assert result.exit_code == 0, result.output
         assert "8 ok, 0 failed" in result.output
 
+    def test_parallelism_sets_refiner_requests_in_flight(self, runner, workspace, mock_server):
+        shutil.copy(FIXTURES / "testsets" / "ood_fixture_110.tsv", workspace / "test.tsv")
+        mock_server.behavior.latency_ms = 30
+        result = _translate(runner, workspace, mock_server.base_url, "zero_shot",
+                            extra=["--parallelism", "8"])
+        assert result.exit_code == 0, result.output
+        assert 4 < mock_server.stats.snapshot()["max_concurrency"]["/v1/chat/completions"] <= 8
+
     def test_two_temperatures_two_dirs(self, runner, workspace, mock_server):
         result = _translate(runner, workspace, mock_server.base_url, "zero_shot",
                             extra=["--temp", "0.0", "--temp", "0.5"], run_id="sweep")
@@ -276,6 +286,17 @@ class TestEvaluate:
         assert result.exit_code == 0, result.output
         assert "bleu 100.00" in result.output
         assert (run_dir / "metrics.json").exists()
+
+    def test_final_newline_is_optional(self, runner, workspace):
+        run_dir = self._identity_run(workspace)
+        hyps = run_dir / "hypotheses.txt"
+        hyps.write_text(hyps.read_text().removesuffix("\n"))
+        result = runner.invoke(main, [
+            "evaluate", "--run", str(run_dir),
+            "--test-set", str(workspace / "test.tsv"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "bleu 100.00" in result.output
 
     def test_metrics_without_scorer_is_usage_error(self, runner, workspace):
         run_dir = self._identity_run(workspace)
@@ -485,6 +506,21 @@ class TestCost:
         assert data["api_cost_batched"] == pytest.approx(data["api_cost"] * 0.5, abs=1e-4)
         assert (workspace / "runs" / "c" / "costs.json").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--power-kw", "0.3", "--power-rate", "0.10"],
+        ["--power-kw", "0.3", "--fixed-hourly", "0.50"],
+        ["--power-rate", "0.10", "--fixed-hourly", "0.50"],
+    ], ids=["no-fixed-hourly", "no-power-rate", "no-power-kw"])
+    def test_power_flag_that_would_be_dropped_is_usage_error(self, runner, workspace,
+                                                             mock_server, flags):
+        _translate(runner, workspace, mock_server.base_url, "zero_shot", run_id="c")
+        result = runner.invoke(main, [
+            "cost", "--run", str(workspace / "runs" / "c"),
+            "--input-rate", "1.25", "--output-rate", "10.0", *flags,
+        ])
+        assert result.exit_code == 2, result.output
+        assert not (workspace / "runs" / "c" / "costs.json").exists()
+
 
 class TestConfigFile:
     def test_config_provides_defaults_flags_win(self, runner, workspace, mock_server, tmp_path):
@@ -503,6 +539,31 @@ class TestConfigFile:
         assert result.exit_code == 0, result.output
         assert (workspace / "runs" / "flag-wins").is_dir()
         assert not (workspace / "runs" / "from-config").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"translate": {"workerz": 8}},
+        {"translate": {"workers": 8}},
+        {"translat": {"parallelism": 8}},
+        {"translate": ["parallelism"]},
+        ["translate"],
+    ], ids=["misspelled-key", "removed-key", "misspelled-command", "table-not-an-object",
+            "not-an-object"])
+    def test_unknown_name_is_usage_error_before_any_request(self, runner, workspace,
+                                                            mock_server, tmp_path, config):
+        import requests
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = _translate(runner, workspace, mock_server.base_url, "zero_shot", config=cfg)
+        assert result.exit_code == 2, result.output
+        assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {}
+
+    def test_every_key_of_the_documented_example_is_accepted(self, runner, tmp_path):
+        doc = (REPO_ROOT / "docs" / "config.md").read_text(encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc.split("```json\n", 1)[1].split("```", 1)[0])
+        result = runner.invoke(main, ["--config", str(cfg), "mock-serve", "--help"])
+        assert result.exit_code == 0, result.output
 
 
 def test_version_flag(runner):
@@ -543,8 +604,9 @@ def test_mock_serve_subprocess():
                              json={"model": "m", "inputs": ["salve"]}, timeout=5)
         assert resp.status_code == 200
         assert resp.json()["outputs"] == ["[draft]salve"]
-        stats = requests.get(f"{url}/_stats", timeout=5).json()
-        assert stats["counts"]["/translate"] == 1
+        stats = requests.get(f"{url}/_stats", timeout=5)
+        assert stats.status_code == 200
+        assert stats.json()["counts"]["/translate"] == 1
     finally:
         proc.terminate()
         proc.communicate(timeout=10)

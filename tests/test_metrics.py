@@ -4,6 +4,7 @@ import json
 import math
 import random
 import string
+import types
 from collections import Counter
 
 import numpy as np
@@ -14,20 +15,25 @@ from conftest import DATA, FIXTURES
 from refta.backends import ScorerClient
 from refta.corpus import load_parallel
 from refta.errors import ComparisonError
-from refta.metrics import (
-    BleuMetric,
-    ChrfPPMetric,
+from refta.metrics.bleu import BleuMetric, bleu, tokenize_13a
+from refta.metrics.bootstrap import paired_bootstrap
+from refta.metrics.chrf import ChrfPPMetric, chrf_pp
+from refta.metrics.report import (
+    LEXICAL_METRICS,
     MetricReport,
     attach_neural_scores,
-    bleu,
-    chrf_pp,
     compare_runs,
     evaluate_hypotheses,
-    paired_bootstrap,
 )
-from refta.metrics.bleu import tokenize_13a
-from refta.metrics.report import LEXICAL_METRICS
 from refta.pipeline import FAILED_SENTINEL, corpus_digest
+
+
+def test_metric_submodules_import_as_modules():
+    import refta.metrics.bleu as bleu_module
+    import refta.metrics.chrf as chrf_module
+
+    assert isinstance(bleu_module, types.ModuleType)
+    assert isinstance(chrf_module, types.ModuleType)
 
 
 @pytest.fixture(scope="module")

@@ -119,6 +119,24 @@ class TestRunConfig:
         # the retrieve stage queries candidate_pool + 1 candidates
         assert _config(_offline_endpoints(), "rag", k=5, candidate_pool=4).resolved_pool() == 4
 
+    @pytest.mark.parametrize("condition, smallest", [
+        ("zero_shot", 12), ("draft_only", 72), ("rag", 72),
+    ])
+    def test_budget_below_the_smallest_prompt_is_refused(self, condition, smallest):
+        # ``smallest`` is the estimate of the condition's prompt for a one-character source
+        with pytest.raises(ValueError, match="input_budget"):
+            _config(_offline_endpoints(), condition, input_budget=smallest - 1)
+        assert _config(_offline_endpoints(), condition, input_budget=smallest).input_budget == (
+            smallest)
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("a\nb\n", ["a", "b"]), ("a\nb", ["a", "b"]), ("\n", [""]), ("", []),
+])
+def test_read_hypotheses_final_newline_is_optional(tmp_path, text, lines):
+    (tmp_path / "hypotheses.txt").write_text(text, encoding="utf-8")
+    assert read_hypotheses(tmp_path) == lines
+
 
 def _record(cfg, segment, index, tmp_path) -> dict:
     """Run one segment through ``translate_corpus`` and return its record."""
