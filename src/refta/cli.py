@@ -9,6 +9,7 @@ A declarative config file (JSON always; TOML when the interpreter ships
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import sys
@@ -25,23 +26,14 @@ from refta.index import NEAR_DUP_THRESHOLD, ExclusionList, build_index, load_ind
 from refta.metrics.bootstrap import COMPARE_SEED
 from refta.metrics.report import (
     SCORER_TIMEOUT_S,
-    attach_neural_scores,
-    check_digest,
     compare_runs,
-    evaluate_hypotheses,
     format_comparison_table,
     format_score,
-    write_comparison,
+    score_runs,
 )
 from refta.cost import CostModel, cost_report
 from refta.mockserver import MockBehavior, MockServer
-from refta.pipeline import (
-    RunConfig,
-    corpus_digest,
-    read_hypotheses,
-    sweep_configs,
-    translate_corpus,
-)
+from refta.pipeline import RunConfig, sweep_configs, translate_corpus
 
 DEFAULT_MODELS = {
     "drafter": "nllb-200-1.3b",
@@ -57,6 +49,7 @@ def _load_config_file(path: str | None) -> dict:
     p = Path(path)
     if not p.exists():
         raise click.UsageError(f"config file not found: {path}")
+    kind, loads = "JSON", json.loads
     if p.suffix == ".toml":
         try:
             import tomllib  # py311+
@@ -64,11 +57,11 @@ def _load_config_file(path: str | None) -> dict:
             raise click.UsageError(
                 "TOML config requires Python 3.11+; use a JSON config file"
             ) from exc
-        return tomllib.loads(p.read_text(encoding="utf-8"))
+        kind, loads = "TOML", tomllib.loads
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise click.UsageError(f"config file {path} is not valid JSON: {exc}")
+        return loads(p.read_text(encoding="utf-8"))
+    except ValueError as exc:  # tomllib.TOMLDecodeError is a ValueError
+        raise click.UsageError(f"config file {path} is not valid {kind}: {exc}") from exc
 
 
 def _fail(message: str) -> None:
@@ -104,6 +97,22 @@ def _neural_metrics(metrics: str, scorer_url: str | None) -> set:
     if scorer_url and not wanted:
         raise click.UsageError("--scorer needs --metrics")
     return wanted
+
+
+@contextlib.contextmanager
+def _scorer(url: str | None, model: str | None, timeout: float):
+    """A scorer client for ``url``, or None without one; closed on exit."""
+    scorer = ScorerClient(_endpoint("scorer", url, model, timeout=timeout)) if url else None
+    try:
+        yield scorer
+    finally:
+        if scorer is not None:
+            scorer.close()
+
+
+def _warn(warnings) -> None:
+    for warning in warnings:
+        click.echo(f"warning: {warning}", err=True)
 
 
 def _parallel_format(path: str, explicit: str | None) -> str:
@@ -321,31 +330,16 @@ def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
     """Score a run against its test set; writes metrics.json into the run dir."""
     wanted = _neural_metrics(metrics, scorer_url)
     pairs = load_parallel(test_set, _parallel_format(test_set, test_format))
-    if (Path(run_dir) / "manifest.json").exists():  # an external system's outputs have none
-        check_digest(Path(run_dir), corpus_digest(pairs))
-    hyps = read_hypotheses(run_dir)
-    if len(hyps) != len(pairs):
-        _fail(f"{run_dir} holds {len(hyps)} hypotheses for {len(pairs)} pairs")
-    references = [list(p.references) for p in pairs]
-    report = evaluate_hypotheses(Path(run_dir).name, hyps, references)
-    if wanted:
-        scorer = ScorerClient(_endpoint("scorer", scorer_url, scorer_model, timeout=timeout))
-        try:
-            report = attach_neural_scores(
-                report, scorer, wanted,
-                [p.source.text for p in pairs], hyps, [p.references[0] for p in pairs],
-            )
-        finally:
-            scorer.close()
+    with _scorer(scorer_url, scorer_model, timeout) as scorer:
+        ((report, _, _),) = score_runs([run_dir], pairs, scorer, wanted)
     write_json(Path(run_dir) / "metrics.json", report.to_dict())
     if as_json:
-        click.echo(json.dumps(report.to_dict()["corpus_scores"], sort_keys=True))
+        click.echo(json.dumps(report.corpus_scores, sort_keys=True))
     else:
         cells = [f"{name} {format_score(name, value)}"
                  for name, value in sorted(report.corpus_scores.items())]
         click.echo(f"{Path(run_dir).name}: " + "  ".join(cells))
-        for warning in report.warnings:
-            click.echo(f"warning: {warning}", err=True)
+    _warn(report.warnings)
 
 
 @main.command("compare")
@@ -354,7 +348,7 @@ def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
 @click.option("--baseline", required=True, type=click.Path())
 @click.option("--test-set", required=True, type=click.Path(exists=True))
 @click.option("--test-format", type=click.Choice(["tsv", "jsonl"]), default=None)
-@click.option("--seed", type=int, default=COMPARE_SEED, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=COMPARE_SEED, show_default=True)
 @click.option("--scorer", "scorer_url", default=None)
 @click.option("--scorer-model", default=None)
 @click.option("--metrics", default="", help="Comma-separated neural metrics.")
@@ -367,23 +361,20 @@ def cmd_compare(run_dirs, baseline, test_set, test_format, seed, scorer_url,
                 scorer_model, metrics, out_path, timeout, as_json):
     """Compare runs against a baseline with significance tests."""
     wanted = _neural_metrics(metrics, scorer_url)
+    if Path(out_path).is_dir() or not Path(out_path).parent.is_dir():
+        raise click.BadParameter(f"not a file in an existing directory: {out_path}",
+                                 param_hint="'--out'")
     pairs = load_parallel(test_set, _parallel_format(test_set, test_format))
-    scorer = (ScorerClient(_endpoint("scorer", scorer_url, scorer_model, timeout=timeout))
-              if wanted else None)
-    try:
-        comparison = compare_runs(
-            list(run_dirs), pairs, baseline, seed=seed,
-            scorer=scorer, neural_metrics=wanted,
-        )
-    finally:
-        if scorer is not None:
-            scorer.close()
-    write_comparison(comparison, out_path)
+    with _scorer(scorer_url, scorer_model, timeout) as scorer:
+        comparison = compare_runs(list(run_dirs), pairs, baseline, seed=seed,
+                                  scorer=scorer, neural_metrics=wanted)
+    write_json(out_path, comparison.to_dict())
     if as_json:
         click.echo(json.dumps(comparison.to_dict(), sort_keys=True))
     else:
         click.echo(format_comparison_table(comparison))
         click.echo(f"wrote {out_path}")
+    _warn(f"{row['run']}: {warning}" for row in comparison.rows for warning in row["warnings"])
 
 
 @main.command("cost")
@@ -399,18 +390,13 @@ def cmd_compare(run_dirs, baseline, test_set, test_format, seed, scorer_url,
 def cmd_cost(run_dir, input_rate, output_rate, batching_discount, fixed_hourly,
              power_rate, power_kw, as_json):
     """Token-based cost figures for a run; writes costs.json into the run dir."""
-    if (power_kw is None) != (power_rate is None):
-        raise click.UsageError("--power-kw and --power-rate need each other")
-    if power_kw is not None and fixed_hourly is None:
-        raise click.UsageError("--power-kw and --power-rate need --fixed-hourly")
-    model = CostModel(
-        input_rate=input_rate,
-        output_rate=output_rate,
-        batching_discount=batching_discount,
-        fixed_hourly=fixed_hourly,
-        power_rate=power_rate,
-    )
-    report = cost_report(run_dir, model, measured_power_kw=power_kw)
+    try:
+        model = CostModel(input_rate=input_rate, output_rate=output_rate,
+                          batching_discount=batching_discount, fixed_hourly=fixed_hourly,
+                          power_rate=power_rate, power_kw=power_kw)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    report = cost_report(run_dir, model)
     if as_json:
         click.echo(json.dumps(report.to_dict(), sort_keys=True))
     else:

@@ -14,7 +14,7 @@ figure applies the configured discount multiplier, 0.5 by default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from pathlib import Path
 
@@ -27,32 +27,44 @@ _QUANT = Decimal("0.0001")
 
 
 def as_money(value) -> Decimal:
-    """Exact Decimal from int, str or float (via repr, not binary expansion)."""
-    if isinstance(value, Decimal):
-        return value
-    return Decimal(str(value))
+    """Exact Decimal from int, str or float (via repr, not binary expansion);
+    ``ValueError`` for anything that is not a finite number."""
+    try:
+        money = value if isinstance(value, Decimal) else Decimal(str(value))
+        if money.is_finite():
+            return money
+    except ArithmeticError:  # decimal.InvalidOperation: not a number at all
+        pass
+    raise ValueError(f"not a finite number: {value!r}")
 
 
 @dataclass(frozen=True)
 class CostModel:
+    """Every value is a non-negative number. The power term takes ``power_kw``
+    and ``power_rate`` together, and both need ``fixed_hourly``."""
+
     input_rate: Decimal  # dollars per 1M input tokens
     output_rate: Decimal  # dollars per 1M output tokens
     batching_discount: Decimal = Decimal("0.5")
     fixed_hourly: Decimal | None = None  # dollars per hour of wall time
     power_rate: Decimal | None = None  # dollars per kWh
+    power_kw: Decimal | None = None  # measured draw while serving
 
     def __post_init__(self):
-        object.__setattr__(self, "input_rate", as_money(self.input_rate))
-        object.__setattr__(self, "output_rate", as_money(self.output_rate))
-        object.__setattr__(self, "batching_discount", as_money(self.batching_discount))
-        if self.fixed_hourly is not None:
-            object.__setattr__(self, "fixed_hourly", as_money(self.fixed_hourly))
-        if self.power_rate is not None:
-            object.__setattr__(self, "power_rate", as_money(self.power_rate))
-        if self.input_rate < 0 or self.output_rate < 0:
-            raise ValueError("rates must be non-negative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None:
+                continue
+            value = as_money(value)
+            if value < 0:
+                raise ValueError(f"{f.name} must be non-negative, not {value}")
+            object.__setattr__(self, f.name, value)
         if not 0 < self.batching_discount <= 1:
             raise ValueError("batching_discount must be in (0, 1]")
+        if (self.power_kw is None) != (self.power_rate is None):
+            raise ValueError("power_kw and power_rate need each other")
+        if self.power_kw is not None and self.fixed_hourly is None:
+            raise ValueError("power_kw and power_rate need fixed_hourly")
 
 
 def api_cost(usage: TokenUsage, model: CostModel) -> Decimal:
@@ -63,16 +75,14 @@ def api_cost(usage: TokenUsage, model: CostModel) -> Decimal:
     ) / MILLION
 
 
-def local_cost(
-    wall_seconds, model: CostModel, measured_power_kw=None
-) -> Decimal:
+def local_cost(wall_seconds, model: CostModel) -> Decimal:
     """Dollars for local serving: hourly amortization plus optional power."""
     if model.fixed_hourly is None:
         raise ValueError("local_cost requires fixed_hourly in the cost model")
     hours = as_money(wall_seconds) / Decimal(3600)
     total = hours * model.fixed_hourly
-    if measured_power_kw is not None and model.power_rate is not None:
-        total += hours * as_money(measured_power_kw) * model.power_rate
+    if model.power_kw is not None:
+        total += hours * model.power_kw * model.power_rate
     return total
 
 
@@ -130,7 +140,7 @@ class CostReport:
         return lines
 
 
-def cost_report(run_dir, model: CostModel, measured_power_kw=None) -> CostReport:
+def cost_report(run_dir, model: CostModel) -> CostReport:
     """Aggregate a run's token usage into cost figures; emits ``costs.json``."""
     run_dir = Path(run_dir)
     manifest = read_manifest(run_dir)
@@ -147,7 +157,7 @@ def cost_report(run_dir, model: CostModel, measured_power_kw=None) -> CostReport
     batched_ratio = None
     if model.fixed_hourly is not None:
         wall_ms = as_money(manifest.get("wall_time_ms", 0))
-        local = local_cost(wall_ms / Decimal(1000), model, measured_power_kw)
+        local = local_cost(wall_ms / Decimal(1000), model)
         if local > 0:
             ratio = float(api / local)
             batched_ratio = float(batched / local)

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 
-from refta.artifacts import write_json
 from refta.corpus import ParallelPair
 from refta.errors import CapabilityError, ComparisonError
 from refta.metrics.bleu import BleuMetric
@@ -116,14 +115,55 @@ class RunComparison:
         return asdict(self)
 
 
-def check_digest(run_dir: Path, expected: str) -> None:
-    """Raise ``ComparisonError`` unless the run's manifest names digest ``expected``."""
-    digest = read_manifest(run_dir).get("corpus_digest")
-    if digest != expected:
-        raise ComparisonError(
-            f"run {run_dir} was produced on a different test set "
-            f"(corpus digest {digest} != {expected})"
-        )
+def read_run(run_dir, pairs: list[ParallelPair], digest: str) -> list[str]:
+    """A run's hypotheses, one per pair.
+
+    A run whose directory holds ``manifest.json`` must name ``digest`` as its
+    corpus digest; a directory holding only ``hypotheses.txt``, such as an
+    outside system's outputs, is read as is.
+    """
+    run_dir = Path(run_dir)
+    if (run_dir / "manifest.json").exists():
+        found = read_manifest(run_dir).get("corpus_digest")
+        if found != digest:
+            raise ComparisonError(
+                f"run {run_dir} was produced on a different test set "
+                f"(corpus digest {found} != {digest})"
+            )
+    hyps = read_hypotheses(run_dir)
+    if len(hyps) != len(pairs):
+        raise ComparisonError(f"run {run_dir} holds {len(hyps)} hypotheses for {len(pairs)} pairs")
+    return hyps
+
+
+def score_runs(run_dirs, pairs: list[ParallelPair], scorer, neural_metrics) -> list[tuple]:
+    """Read every run with ``read_run`` and score it on the shared test set.
+
+    Returns one ``(report, hypotheses, stats)`` triple per run, in order;
+    ``stats`` maps each lexical metric's name to the run's segment statistics.
+    One ``segment_stats`` call per metric covers every run, segment-major, so
+    each segment's references are counted once and a hypothesis that several
+    runs share is scored once. ``scorer`` serves ``neural_metrics``; it may be
+    None when that is empty.
+    """
+    digest = corpus_digest(pairs)
+    runs = [read_run(run_dir, pairs, digest) for run_dir in run_dirs]
+    references = [list(p.references) for p in pairs]
+    sources = [p.source.text for p in pairs]
+    first_refs = [p.references[0] for p in pairs]
+    stacked = _lexical_stats([hyps[i] for i in range(len(pairs)) for hyps in runs],
+                             [refs for refs in references for _ in runs])
+    scored = []
+    for j, (run_dir, hyps) in enumerate(zip(run_dirs, runs)):
+        stats = {name: np.ascontiguousarray(s.reshape(len(pairs), len(runs), s.shape[1])[:, j])
+                 for name, s in stacked.items()}
+        report = evaluate_hypotheses(Path(run_dir).name, hyps, references, stats=stats)
+        if neural_metrics:
+            report = attach_neural_scores(
+                report, scorer, neural_metrics, sources, hyps, first_refs
+            )
+        scored.append((report, hyps, stats))
+    return scored
 
 
 def compare_runs(
@@ -134,19 +174,12 @@ def compare_runs(
     scorer=None,
     neural_metrics=(),
 ) -> RunComparison:
-    """Score every run on the shared test set and test deltas vs the baseline.
+    """Score every run with ``score_runs`` and test deltas vs the baseline.
 
-    Refuses to compare runs whose manifest corpus digest does not match the
-    given test set, and two runs with the same directory name. Pairwise
-    significance uses paired bootstrap resampling on the lexical metrics at
-    a fixed seed, reusing each run's segment statistics, which come from
-    one ``segment_stats`` call per metric over all runs.
+    Refuses two runs with the same directory name. Pairwise significance uses
+    paired bootstrap resampling on the lexical metrics at a fixed seed,
+    reusing each run's segment statistics.
     """
-    expected = corpus_digest(pairs)
-    references = [list(p.references) for p in pairs]
-    sources = [p.source.text for p in pairs]
-    first_refs = [p.references[0] for p in pairs]
-
     baseline_dir = Path(baseline_dir)
     all_dirs = [Path(d) for d in run_dirs]
     if baseline_dir not in all_dirs:
@@ -157,55 +190,23 @@ def compare_runs(
         # rows, significance and the baseline are keyed by directory name
         raise ComparisonError(f"runs share a directory name: {', '.join(duplicates)}")
 
+    scored = score_runs(all_dirs, pairs, scorer, neural_metrics)
     comparison = RunComparison(
-        baseline=baseline_dir.name, test_set_digest=expected, seed=seed
+        baseline=baseline_dir.name, test_set_digest=corpus_digest(pairs), seed=seed,
+        rows=[{"run": run_dir.name, "is_baseline": run_dir == baseline_dir,
+               "scores": report.corpus_scores, "warnings": list(report.warnings)}
+              for run_dir, (report, _, _) in zip(all_dirs, scored)],
     )
-    hyps_by_run: dict[str, list[str]] = {}
-    for run_dir in all_dirs:
-        check_digest(run_dir, expected)
-        hyps = hyps_by_run[run_dir.name] = read_hypotheses(run_dir)
-        if len(hyps) != len(pairs):
-            raise ComparisonError(
-                f"run {run_dir} holds {len(hyps)} hypotheses for {len(pairs)} pairs"
-            )
-
-    # one segment_stats call per metric over every run, segment-major, so
-    # each segment's references are counted once and a hypothesis that
-    # several runs share is scored once
-    runs = [hyps_by_run[d.name] for d in all_dirs]
-    stacked = _lexical_stats([hyps[i] for i in range(len(pairs)) for hyps in runs],
-                             [refs for refs in references for _ in runs])
-    stats_by_run: dict[str, dict] = {}
-    for j, (run_dir, hyps) in enumerate(zip(all_dirs, runs)):
-        stats = stats_by_run[run_dir.name] = {
-            name: np.ascontiguousarray(s.reshape(len(pairs), len(runs), s.shape[1])[:, j])
-            for name, s in stacked.items()}
-        report = evaluate_hypotheses(run_dir.name, hyps, references, stats=stats)
-        if scorer is not None and neural_metrics:
-            report = attach_neural_scores(
-                report, scorer, neural_metrics, sources, hyps, first_refs
-            )
-        comparison.rows.append({
-            "run": run_dir.name,
-            "is_baseline": run_dir == baseline_dir,
-            "scores": report.corpus_scores,
-            "warnings": list(report.warnings),
-        })
-
-    base_hyps, base_stats = hyps_by_run[baseline_dir.name], stats_by_run[baseline_dir.name]
-    for run_dir in all_dirs:
+    references = [list(p.references) for p in pairs]
+    _, base_hyps, base_stats = scored[all_dirs.index(baseline_dir)]
+    for run_dir, (_, hyps, stats) in zip(all_dirs, scored):
         if run_dir == baseline_dir:
             continue
         for metric in LEXICAL_METRICS:
             comparison.significance.append(paired_bootstrap(
-                metric,
-                hyps_by_run[run_dir.name],
-                base_hyps,
-                references,
-                seed=seed,
-                system_a=run_dir.name,
-                system_b=baseline_dir.name,
-                stats=(stats_by_run[run_dir.name][metric.name], base_stats[metric.name]),
+                metric, hyps, base_hyps, references, seed=seed,
+                system_a=run_dir.name, system_b=baseline_dir.name,
+                stats=(stats[metric.name], base_stats[metric.name]),
             ))
     return comparison
 
@@ -246,7 +247,3 @@ def format_comparison_table(comparison: RunComparison) -> str:
     out.append(f"* p < {SIGNIFICANCE_ALPHA} (one-sided paired bootstrap vs "
                f"{comparison.baseline}, seed {comparison.seed})")
     return "\n".join(out)
-
-
-def write_comparison(comparison: RunComparison, path) -> None:
-    write_json(path, comparison.to_dict())

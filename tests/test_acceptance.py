@@ -413,8 +413,8 @@ def test_c09_cost_arithmetic():
     assert abs(round_dollars(cost) - 1.9388) <= 1e-6
 
     local_model = CostModel(input_rate="0", output_rate="0",
-                            fixed_hourly="0.50", power_rate="0.10")
-    local = local_cost(18 * 60, local_model, measured_power_kw="0.3")
+                            fixed_hourly="0.50", power_rate="0.10", power_kw="0.3")
+    local = local_cost(18 * 60, local_model)
     assert abs(float(local) - 0.159) <= 1e-6
     assert 0.15 <= float(local) <= 0.20
 

@@ -387,6 +387,19 @@ class TestEvaluate:
         assert metrics["n_failed"] == 1
         assert metrics["warnings"] == ["1 of 8 hypotheses are <FAILED>"]
 
+    def test_failed_lines_warned_on_stderr_in_json_mode(self, runner, workspace):
+        run_dir = self._identity_run(workspace)
+        lines = (run_dir / "hypotheses.txt").read_text().splitlines()
+        lines[3] = "<FAILED>"
+        (run_dir / "hypotheses.txt").write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, [
+            "evaluate", "--run", str(run_dir),
+            "--test-set", str(workspace / "test.tsv"), "--json",
+        ])
+        assert result.exit_code == 0, result.output
+        assert sorted(json.loads(result.stdout)) == ["bleu", "chrf++"]
+        assert result.stderr == "warning: 1 of 8 hypotheses are <FAILED>\n"
+
 
 class TestCompare:
     def test_baseline_vs_itself(self, runner, workspace, mock_server):
@@ -422,6 +435,72 @@ class TestCompare:
         rows = {row["run"]: row for row in json.loads(out.read_text())["rows"]}
         assert rows["base"]["warnings"] == []
         assert rows["broken"]["warnings"] == ["2 of 8 hypotheses are <FAILED>"]
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["table", "json"])
+    def test_failed_lines_warned_on_stderr(self, runner, workspace, mock_server, mode):
+        _translate(runner, workspace, mock_server.base_url, "zero_shot", run_id="base")
+        base = workspace / "runs" / "base"
+        broken = workspace / "runs" / "broken"
+        shutil.copytree(base, broken)
+        lines = (broken / "hypotheses.txt").read_text().splitlines()
+        lines[0] = lines[5] = "<FAILED>"
+        (broken / "hypotheses.txt").write_text("\n".join(lines) + "\n")
+        out = workspace / "cmp.json"
+        result = runner.invoke(main, [
+            "compare", "--runs", str(broken), "--baseline", str(base),
+            "--test-set", str(workspace / "test.tsv"), "--out", str(out), *mode,
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == "warning: broken: 2 of 8 hypotheses are <FAILED>\n"
+        if mode:
+            assert json.loads(result.stdout) == json.loads(out.read_text())
+        else:
+            assert result.stdout.endswith(f"wrote {out}\n")
+
+    def test_scores_a_directory_without_manifest(self, runner, workspace, mock_server):
+        _translate(runner, workspace, mock_server.base_url, "zero_shot", run_id="base")
+        base = workspace / "runs" / "base"
+        outside = workspace / "outside"  # an outside system's outputs: hypotheses only
+        outside.mkdir()
+        shutil.copy(base / "hypotheses.txt", outside / "hypotheses.txt")
+        out = workspace / "cmp.json"
+        result = runner.invoke(main, [
+            "compare", "--runs", str(outside), "--baseline", str(base),
+            "--test-set", str(workspace / "test.tsv"), "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        assert [row["run"] for row in json.loads(out.read_text())["rows"]] == [
+            "base", "outside"]
+
+        tampered = workspace / "runs" / "tampered"  # a manifest is still checked
+        shutil.copytree(base, tampered)
+        manifest = json.loads((tampered / "manifest.json").read_text())
+        manifest["corpus_digest"] = "0" * 64
+        (tampered / "manifest.json").write_text(json.dumps(manifest))
+        result = runner.invoke(main, [
+            "compare", "--runs", str(tampered), "--baseline", str(base),
+            "--test-set", str(workspace / "test.tsv"), "--out", str(out),
+        ])
+        assert result.exit_code == 1, result.output
+        assert "digest" in result.output
+
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"],
+        ["--out", "nodir/cmp.json"],
+        ["--out", "runs"],
+    ], ids=["negative-seed", "out-in-missing-dir", "out-is-a-dir"])
+    def test_bad_value_is_usage_error_before_any_run_is_read(self, runner, workspace,
+                                                             monkeypatch, flags):
+        monkeypatch.chdir(workspace)
+        (workspace / "runs").mkdir()
+        missing = str(workspace / "runs" / "missing")  # reading it would exit 1
+        result = runner.invoke(main, [
+            "compare", "--runs", missing, "--baseline", missing,
+            "--test-set", str(workspace / "test.tsv"), *flags,
+        ])
+        assert result.exit_code == 2, result.output
+        assert flags[0] in result.output
+        assert not (workspace / "comparison.json").exists()
 
     def test_scorer_client_closed(self, runner, workspace, mock_server, monkeypatch):
         from refta.backends import ScorerClient
@@ -521,6 +600,23 @@ class TestCost:
         assert result.exit_code == 2, result.output
         assert not (workspace / "runs" / "c" / "costs.json").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--input-rate", "abc"],
+        ["--input-rate", "nan"],
+        ["--output-rate", "-1"],
+        ["--fixed-hourly", "-5"],
+        ["--power-kw", "-0.3", "--power-rate", "0.10", "--fixed-hourly", "0.50"],
+    ], ids=["not-a-number", "nan", "negative-rate", "negative-hourly", "negative-power"])
+    def test_bad_value_is_usage_error(self, runner, workspace, mock_server, flags):
+        _translate(runner, workspace, mock_server.base_url, "zero_shot", run_id="c")
+        result = runner.invoke(main, [
+            "cost", "--run", str(workspace / "runs" / "c"),
+            "--input-rate", "1.25", "--output-rate", "10.0", *flags,
+        ])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert not (workspace / "runs" / "c" / "costs.json").exists()
+
 
 class TestConfigFile:
     def test_config_provides_defaults_flags_win(self, runner, workspace, mock_server, tmp_path):
@@ -539,6 +635,29 @@ class TestConfigFile:
         assert result.exit_code == 0, result.output
         assert (workspace / "runs" / "flag-wins").is_dir()
         assert not (workspace / "runs" / "from-config").exists()
+
+    def test_toml_table_supplies_defaults(self, runner, workspace, mock_server, tmp_path):
+        pytest.importorskip("tomllib")
+        cfg = tmp_path / "cfg.toml"
+        cfg.write_text(
+            "[translate]\n"
+            f"test_set = {json.dumps(str(workspace / 'test.tsv'))}\n"
+            f"refiner_url = {json.dumps(mock_server.base_url)}\n"
+            f"runs_root = {json.dumps(str(workspace / 'runs'))}\n"
+            'condition = "zero_shot"\n'
+            'run_id = "from-toml"\n'
+        )
+        result = runner.invoke(main, ["--config", str(cfg), "translate"])
+        assert result.exit_code == 0, result.output
+        assert (workspace / "runs" / "from-toml" / "hypotheses.txt").exists()
+
+    def test_malformed_toml_is_usage_error(self, runner, tmp_path):
+        pytest.importorskip("tomllib")
+        cfg = tmp_path / "cfg.toml"
+        cfg.write_text("[translate\nk = 3\n")
+        result = runner.invoke(main, ["--config", str(cfg), "mock-serve", "--help"])
+        assert result.exit_code == 2, result.output
+        assert "not valid TOML" in result.output
 
     @pytest.mark.parametrize("config", [
         {"translate": {"workerz": 8}},

@@ -42,10 +42,10 @@ class TestApiCost:
 class TestLocalCost:
     def test_hourly_plus_power(self):
         model = CostModel(input_rate=0, output_rate=0,
-                          fixed_hourly="0.50", power_rate="0.10")
+                          fixed_hourly="0.50", power_rate="0.10", power_kw="0.3")
         # 18 minutes at $0.50/h plus 0.3 kW at $0.10/kWh:
         # 0.3h*0.5 + 0.3h*0.3*0.1 = 0.159
-        cost = local_cost(18 * 60, model, measured_power_kw="0.3")
+        cost = local_cost(18 * 60, model)
         assert cost == Decimal("0.159")
 
     def test_zero_minutes(self):
@@ -69,6 +69,25 @@ class TestCostModelValidation:
     def test_discount_range(self):
         with pytest.raises(ValueError):
             CostModel(input_rate="1", output_rate="1", batching_discount="1.5")
+
+    def test_power_kw_without_power_rate(self):
+        with pytest.raises(ValueError, match="power_rate"):
+            CostModel(input_rate="1", output_rate="1", fixed_hourly="0.5", power_kw="0.3")
+
+    @pytest.mark.parametrize("settings", [
+        {"input_rate": "abc"},
+        {"input_rate": "nan"},
+        {"output_rate": "inf"},
+        {"output_rate": -1},
+        {"fixed_hourly": "-5"},
+        {"fixed_hourly": "0.5", "power_rate": "0.1", "power_kw": "-0.3"},
+        {"fixed_hourly": "0.5", "power_rate": "0.1"},
+        {"power_rate": "0.1", "power_kw": "0.3"},
+    ], ids=["not-a-number", "nan", "inf", "negative-rate", "negative-hourly",
+            "negative-power", "power-rate-alone", "power-without-hourly"])
+    def test_refused(self, settings):
+        with pytest.raises(ValueError):
+            CostModel(**{"input_rate": "1", "output_rate": "1", **settings})
 
 
 def _write_manifest(tmp_path, segments=100, input_tokens=23_000,

@@ -24,6 +24,8 @@ from refta.metrics.report import (
     attach_neural_scores,
     compare_runs,
     evaluate_hypotheses,
+    read_run,
+    score_runs,
 )
 from refta.pipeline import FAILED_SENTINEL, corpus_digest
 
@@ -446,3 +448,30 @@ def test_array_scorers_equal_the_scalar_formulas(bleu_rows, chrf_rows):
     chrf_stats = np.array(chrf_rows + no_order, dtype=np.int64)
     assert _bits(ChrfPPMetric().corpus_scores(chrf_stats)) == _bits(
         _copy_chrf_score(row) for row in chrf_stats)
+
+
+def test_read_run_checks_the_digest_only_where_a_manifest_exists(tmp_path):
+    pairs = load_parallel(FIXTURES / "testsets" / "ood_fixture_110.tsv", "tsv")[:5]
+    hyps = [p.references[0] for p in pairs]
+    run = tmp_path / "outside"
+    run.mkdir()
+    (run / "hypotheses.txt").write_text("".join(h + "\n" for h in hyps), encoding="utf-8")
+    assert read_run(run, pairs, corpus_digest(pairs)) == hyps  # no manifest: read as is
+    with pytest.raises(ComparisonError, match="holds 5 hypotheses for 4 pairs"):
+        read_run(run, pairs[:4], corpus_digest(pairs[:4]))
+    (run / "manifest.json").write_text(json.dumps({"corpus_digest": "other"}))
+    with pytest.raises(ComparisonError, match="digest"):
+        read_run(run, pairs, corpus_digest(pairs))
+
+
+def test_score_runs_of_one_run_is_evaluate_hypotheses(tmp_path):
+    pairs = load_parallel(FIXTURES / "testsets" / "ood_fixture_110.tsv", "tsv")[:12]
+    hyps = [" ".join(p.references[0].split()[1:]) for p in pairs]
+    hyps[4] = FAILED_SENTINEL
+    (tmp_path / "sys").mkdir()
+    (tmp_path / "sys" / "hypotheses.txt").write_text(
+        "".join(h + "\n" for h in hyps), encoding="utf-8")
+    ((report, read, stats),) = score_runs([tmp_path / "sys"], pairs, None, set())
+    assert read == hyps
+    assert report == evaluate_hypotheses("sys", hyps, [list(p.references) for p in pairs])
+    assert sorted(stats) == ["bleu", "chrf++"]
