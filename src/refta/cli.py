@@ -34,6 +34,7 @@ from refta.metrics.report import (
 from refta.cost import CostModel, cost_report
 from refta.mockserver import MockBehavior, MockServer
 from refta.pipeline import RunConfig, sweep_configs, translate_corpus
+from refta.prompt import CONDITIONS
 
 DEFAULT_MODELS = {
     "drafter": "nllb-200-1.3b",
@@ -225,8 +226,7 @@ def _load_exclusions(path: str) -> ExclusionList:
 @click.option("--test-set", "test_set", required=True, type=click.Path(exists=True))
 @click.option("--test-format", type=click.Choice(["tsv", "jsonl"]), default=None)
 @click.option("--index", "index_dir", type=click.Path(exists=True), default=None)
-@click.option("--condition", required=True,
-              type=click.Choice(["zero_shot", "draft_only", "rag"]))
+@click.option("--condition", required=True, type=click.Choice(CONDITIONS))
 @click.option("--k", type=int, default=RunConfig.k, show_default=True)
 @click.option("--jaccard-threshold", type=float, default=RunConfig.jaccard_threshold,
               show_default=True)

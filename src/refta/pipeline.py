@@ -13,7 +13,8 @@ every temperature of a sweep reuses them. A batch of several inputs
 rejected with ``RequestError``/``ProtocolError`` is resent one input at a
 time before the next batch goes out; a rejected one-input batch, or one
 that exhausts its transport retries, fails every segment it carried. A
-segment that fails retrieval is not drafted.
+segment that fails retrieval is not drafted. Under ``fail_fast`` a stage
+sends no request after its first failed one, and the run writes no files.
 Artifacts are written in input order, so output is a pure function of
 (config, corpus, index) when the backends are deterministic.
 
@@ -25,7 +26,8 @@ request that carried one of its neighbors (0 without neighbors);
 
 Run directory layout (one per temperature):
 
-- ``manifest.json``: resolved config (no secrets), ``config_hash``,
+- ``manifest.json``: resolved config (no secrets) naming only the backends
+  the condition calls, ``config_hash``,
   ``corpus_digest``, code version, counts, aggregate token usage, wall time
   (stages 1-3 included).
 - ``records.jsonl``: one completed TranslationRecord per row, input order.
@@ -91,6 +93,7 @@ _ROLE_REQUIREMENTS = {
     DRAFT_ONLY: ("drafter", "refiner"),
     RAG: ("drafter", "refiner", "embedder"),
 }
+_CLIENT_CLASSES = {"drafter": DrafterClient, "refiner": RefinerClient, "embedder": EmbedderClient}
 
 
 @dataclass(frozen=True)
@@ -127,23 +130,22 @@ class RunConfig:
         except PromptBudgetError as exc:
             raise ValueError(f"input_budget {self.input_budget} is below the {exc.estimated} "
                              f"tokens of the smallest {self.condition} prompt") from exc
-        if self.condition == RAG and self.resolved_pool() + 1 < self.k:
+        if self.candidate_pool is None:
+            object.__setattr__(self, "candidate_pool", default_candidate_pool(self.k))
+        if self.condition == RAG and self.candidate_pool + 1 < self.k:
             # the retrieve stage queries a pool of candidate_pool + 1
-            raise ValueError(f"candidate_pool {self.resolved_pool()} + 1 must be >= k {self.k}")
+            raise ValueError(f"candidate_pool {self.candidate_pool} + 1 must be >= k {self.k}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        missing = [r for r in _ROLE_REQUIREMENTS[self.condition] if r not in self.endpoints]
+        roles = _ROLE_REQUIREMENTS[self.condition]
+        missing = [r for r in roles if r not in self.endpoints]
         if missing:
             raise ValueError(f"condition {self.condition} needs endpoints {missing}")
-
-    def resolved_pool(self) -> int:
-        return self.candidate_pool if self.candidate_pool is not None else (
-            default_candidate_pool(self.k)
-        )
+        # the run calls only these, so only these enter the manifest and the hash
+        object.__setattr__(self, "endpoints", {r: self.endpoints[r] for r in roles})
 
     def to_canonical_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["candidate_pool"] = self.resolved_pool()
         out["endpoints"] = {
             role: {name: getattr(ep, name) for name in _MANIFEST_ENDPOINT_FIELDS}
             for role, ep in sorted(self.endpoints.items())
@@ -186,23 +188,6 @@ class TranslationRecord:
         return asdict(self)
 
 
-@dataclass
-class PipelineClients:
-    drafter: DrafterClient | None = None
-    refiner: RefinerClient | None = None
-    embedder: EmbedderClient | None = None
-
-    @classmethod
-    def from_config(cls, cfg: RunConfig) -> "PipelineClients":
-        kinds = {"drafter": DrafterClient, "refiner": RefinerClient, "embedder": EmbedderClient}
-        return cls(**{role: kinds[role](ep) for role, ep in cfg.endpoints.items() if role in kinds})
-
-    def close(self) -> None:
-        for client in (self.drafter, self.refiner, self.embedder):
-            if client is not None:
-                client.close()
-
-
 def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="milliseconds")
 
@@ -221,11 +206,13 @@ class _Prepared:
     error: PipelineError | None = None
 
 
-def _map_batches(call, texts: list[str], max_batch: int):
+def _map_batches(call, texts: list[str], max_batch: int, fail_fast: bool):
     """``call`` over the distinct ``texts`` in batches of at most ``max_batch``.
 
     Returns ``text -> (output, ms)``, with ms the wall time of the request
     that served the text, and ``text -> error`` for the texts that failed.
+    Under ``fail_fast`` no request follows the first failed one, so the
+    texts after it are in neither map.
     """
     served, failed = {}, {}
     for batch, result, ms in send_batches(call, list(dict.fromkeys(texts)), max_batch):
@@ -236,6 +223,8 @@ def _map_batches(call, texts: list[str], max_batch: int):
         for sent, outcome, sent_ms in outcomes:
             if isinstance(outcome, ReftaError):
                 failed.update(dict.fromkeys(sent, outcome))
+                if fail_fast:
+                    return served, failed
             elif isinstance(outcome, Exception):
                 raise outcome
             else:
@@ -247,17 +236,20 @@ def _prepare(
     cfg: RunConfig,
     segments: list[SourceSegment],
     index: VectorIndex | None,
-    clients: PipelineClients,
+    clients: dict,
 ) -> list[_Prepared]:
     """Stages 1-3 for every segment; a failure is kept on its segment, or
-    raised at once under ``fail_fast``."""
+    under ``fail_fast`` raised for the first segment a failed request
+    carried. Every stage 3 failure is found before any draft is attached:
+    under ``fail_fast`` earlier segments may name neighbors never drafted."""
     if cfg.condition == RAG and index is None:
         raise ValueError("rag condition requires a loaded index")
     preps = [_Prepared() for _ in segments]
     hits: dict[int, list] = {}
     if cfg.condition == RAG:
-        vectors, failed = _map_batches(clients.embedder.embed, [s.text for s in segments],
-                                       clients.embedder.cfg.max_batch)
+        embedder = clients["embedder"]
+        vectors, failed = _map_batches(embedder.embed, [s.text for s in segments],
+                                       embedder.cfg.max_batch, cfg.fail_fast)
         for i, seg in enumerate(segments):
             try:
                 if seg.text in failed:
@@ -268,7 +260,7 @@ def _prepare(
                 # pool slot before being skipped
                 hits[i] = index.query(
                     qvec, lemmatize(seg.text), k=cfg.k, jaccard_threshold=cfg.jaccard_threshold,
-                    candidate_pool=cfg.resolved_pool() + 1, skip_texts=frozenset((seg.text,)),
+                    candidate_pool=cfg.candidate_pool + 1, skip_texts=frozenset((seg.text,)),
                 )
                 preps[i].timings_ms["retrieve"] = round(embed_ms + _ms_since(t0), 3)
             except ReftaError as exc:
@@ -280,19 +272,21 @@ def _prepare(
         live = [i for i, prep in enumerate(preps) if prep.error is None]
         texts = [segments[i].text for i in live]
         texts += [r.entry.text for i in live for r in hits.get(i, ())]
-        drafts, failed = _map_batches(lambda batch: clients.drafter.translate(batch)[0],
-                                      texts, clients.drafter.cfg.max_batch)
+        drafter = clients["drafter"]
+        drafts, failed = _map_batches(lambda batch: drafter.translate(batch)[0],
+                                      texts, drafter.cfg.max_batch, cfg.fail_fast)
         for i in live:
-            seg, prep = segments[i], preps[i]
+            seg = segments[i]
             bad = [t for t in [seg.text] + [r.entry.text for r in hits.get(i, ())]
                    if t in failed]
             if bad:
                 stage = "draft" if bad[0] == seg.text else "neighbor_drafts"
-                prep.error = PipelineError(stage, seg.id, failed[bad[0]])
+                preps[i].error = PipelineError(stage, seg.id, failed[bad[0]])
                 if cfg.fail_fast:
-                    raise prep.error
-                continue
-            prep.draft, draft_ms = drafts[seg.text]
+                    raise preps[i].error
+        for i in [i for i in live if preps[i].error is None]:
+            prep = preps[i]
+            prep.draft, draft_ms = drafts[segments[i].text]
             prep.timings_ms["draft"] = round(draft_ms, 3)
             if cfg.condition == RAG:
                 prep.neighbors = neighbor_drafts(hits[i], drafts)
@@ -319,7 +313,7 @@ def translate_segment(
     cfg: RunConfig,
     segment: SourceSegment,
     prepared: _Prepared,
-    clients: PipelineClients,
+    clients: dict,
 ) -> TranslationRecord:
     """Stage 4 for one segment: assemble its prompt and refine it."""
     started = _now_iso()
@@ -337,7 +331,7 @@ def translate_segment(
 
     t_refine = time.perf_counter()
     try:
-        refined, usage = clients.refiner.complete(ChatRequest(
+        refined, usage = clients["refiner"].complete(ChatRequest(
             system=bundle.system_text,
             user=bundle.user_text,
             temperature=cfg.temperature,
@@ -378,7 +372,6 @@ class RunResult:
     temperature: float
     succeeded: int
     failed: int
-    failures: list = field(default_factory=list)
 
 
 def translate_corpus(
@@ -398,14 +391,15 @@ def translate_corpus(
             raise ReftaError(f"run directory {run_dir} already holds records; use force")
 
     t0 = time.perf_counter()
-    clients = PipelineClients.from_config(cfg)
+    clients = {role: _CLIENT_CLASSES[role](ep) for role, ep in cfg.endpoints.items()}
     try:
         preps = _prepare(cfg, [p.source for p in pairs], index, clients)
         prepare_ms = _ms_since(t0)
         return [_run_one(run_cfg, pairs, preps, prepare_ms, run_dir, clients)
                 for run_cfg, run_dir in zip(cfgs, run_dirs)]
     finally:
-        clients.close()
+        for client in clients.values():
+            client.close()
 
 
 def _run_one(
@@ -414,7 +408,7 @@ def _run_one(
     preps: list[_Prepared],
     prepare_ms: float,
     run_dir: Path,
-    clients: PipelineClients,
+    clients: dict,
 ) -> RunResult:
     run_dir.mkdir(parents=True, exist_ok=True)
     started = _now_iso()
@@ -459,9 +453,7 @@ def _run_one(
         "corpus_digest": corpus_digest(pairs),
         "condition": cfg.condition,
         "temperature": cfg.temperature,
-        "model_ids": {
-            role: ep.model_id for role, ep in sorted(cfg.endpoints.items())
-        },
+        "model_ids": {role: ep.model_id for role, ep in sorted(cfg.endpoints.items())},
         "counts": {"segments": n, "succeeded": len(done), "failed": len(failures)},
         "tokens": {
             "input": sum(r.prompt_tokens for r in done),
@@ -478,7 +470,7 @@ def _run_one(
             json.dumps(row, ensure_ascii=False) for row in failures),
         run_dir / "manifest.json": [encode_json(manifest)],
     })
-    return RunResult(run_dir, cfg.temperature, len(done), len(failures), failures)
+    return RunResult(run_dir, cfg.temperature, len(done), len(failures))
 
 
 def _run_file(run_dir: str | Path, name: str) -> Path:
@@ -489,7 +481,14 @@ def _run_file(run_dir: str | Path, name: str) -> Path:
 
 
 def read_manifest(run_dir: str | Path) -> dict:
-    return json.loads(_run_file(run_dir, "manifest.json").read_text(encoding="utf-8"))
+    path = _run_file(run_dir, "manifest.json")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ReftaError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ReftaError(f"{path} is not a JSON object")
+    return manifest
 
 
 def read_hypotheses(run_dir: str | Path) -> list[str]:

@@ -163,6 +163,24 @@ def _translate(runner, workspace, url, condition, extra=(), run_id="run1", confi
     return runner.invoke(main, args)
 
 
+def _unreadable_run(runner, workspace, url, manifest_text):
+    """A zero_shot run whose ``manifest.json`` holds ``manifest_text``."""
+    assert _translate(runner, workspace, url, "zero_shot", run_id="bad").exit_code == 0
+    run_dir = workspace / "runs" / "bad"
+    (run_dir / "manifest.json").write_text(manifest_text, encoding="utf-8")
+    return run_dir
+
+
+def _assert_error_line(result, run_dir):
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("error: ") and str(run_dir / "manifest.json") in result.stderr
+    assert "Traceback" not in result.output
+
+
+UNREADABLE_MANIFESTS = pytest.mark.parametrize("manifest_text", ["{", "[]"],
+                                               ids=["not-json", "not-an-object"])
+
+
 class TestTranslate:
     def test_rag_run(self, runner, workspace, mock_server):
         assert _build_index(runner, workspace, mock_server.base_url).exit_code == 0
@@ -258,6 +276,21 @@ class TestTranslate:
         assert (workspace / "runs" / "sweep-t0.0").is_dir()
         assert (workspace / "runs" / "sweep-t0.5").is_dir()
 
+    def test_manifest_names_only_the_backends_the_condition_calls(self, runner, workspace,
+                                                                  mock_server):
+        url = mock_server.base_url
+        unused = ["--drafter", url, "--drafter-model", "unused-drafter", "--embedder", url]
+        manifests = {}
+        for name, extra in (("own", []), ("extra", unused)):
+            result = _translate(runner, workspace, url, "zero_shot", extra=extra + ["--force"])
+            assert result.exit_code == 0, result.output
+            manifest = workspace / "runs" / "run1" / "manifest.json"
+            manifests[name] = json.loads(manifest.read_text())
+        assert manifests["extra"]["model_ids"] == {"refiner": "llama-3.3-70b"}
+        assert list(manifests["extra"]["config"]["endpoints"]) == ["refiner"]
+        assert manifests["extra"]["config_hash"] == manifests["own"]["config_hash"]
+        assert set(mock_server.stats.snapshot()["counts"]) == {"/v1/chat/completions"}
+
     def test_draft_only_records_shape(self, runner, workspace, mock_server):
         result = _translate(runner, workspace, mock_server.base_url, "draft_only",
                             run_id="draft")
@@ -336,6 +369,16 @@ class TestEvaluate:
         ])
         assert result.exit_code == 0, result.output
         assert (run_dir / "metrics.json").exists()
+
+    @UNREADABLE_MANIFESTS
+    def test_unreadable_manifest_is_an_error_line(self, runner, workspace, mock_server,
+                                                  manifest_text):
+        run_dir = _unreadable_run(runner, workspace, mock_server.base_url, manifest_text)
+        result = runner.invoke(main, [
+            "evaluate", "--run", str(run_dir), "--test-set", str(workspace / "test.tsv"),
+        ])
+        _assert_error_line(result, run_dir)
+        assert not (run_dir / "metrics.json").exists()
 
     def test_missing_run_dir_exits_1(self, runner, workspace):
         result = runner.invoke(main, [
@@ -558,6 +601,18 @@ class TestCompare:
         assert "--metrics" in result.output
         assert not (workspace / "cmp.json").exists()
 
+    @UNREADABLE_MANIFESTS
+    def test_unreadable_manifest_is_an_error_line(self, runner, workspace, mock_server,
+                                                  manifest_text):
+        run_dir = _unreadable_run(runner, workspace, mock_server.base_url, manifest_text)
+        out = workspace / "cmp.json"
+        result = runner.invoke(main, [
+            "compare", "--runs", str(run_dir), "--baseline", str(run_dir),
+            "--test-set", str(workspace / "test.tsv"), "--out", str(out),
+        ])
+        _assert_error_line(result, run_dir)
+        assert not out.exists()
+
     def test_digest_mismatch_refused(self, runner, workspace, mock_server):
         _translate(runner, workspace, mock_server.base_url, "zero_shot", run_id="base")
         other_set = workspace / "other.tsv"
@@ -584,6 +639,16 @@ class TestCost:
         # reported fields are independently rounded to 4 decimals
         assert data["api_cost_batched"] == pytest.approx(data["api_cost"] * 0.5, abs=1e-4)
         assert (workspace / "runs" / "c" / "costs.json").exists()
+
+    @UNREADABLE_MANIFESTS
+    def test_unreadable_manifest_is_an_error_line(self, runner, workspace, mock_server,
+                                                  manifest_text):
+        run_dir = _unreadable_run(runner, workspace, mock_server.base_url, manifest_text)
+        result = runner.invoke(main, [
+            "cost", "--run", str(run_dir), "--input-rate", "1.25", "--output-rate", "10.0",
+        ])
+        _assert_error_line(result, run_dir)
+        assert not (run_dir / "costs.json").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--power-kw", "0.3", "--power-rate", "0.10"],

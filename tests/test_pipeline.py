@@ -9,7 +9,7 @@ import pytest
 from conftest import FIXTURES
 from refta.backends import DrafterClient, EmbedderClient, EndpointConfig, RefinerClient
 from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_parallel
-from refta.errors import ReftaError, RequestError
+from refta.errors import PipelineError, ReftaError, RequestError, TransportError
 from refta.index import ExclusionList, build_index
 from refta.metrics.report import compare_runs
 from refta.mockserver import MockBehavior, start_mock_server
@@ -115,9 +115,29 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             _config(_offline_endpoints(), **overrides)
 
+    @pytest.mark.parametrize("condition, roles", [
+        ("zero_shot", {"refiner"}), ("draft_only", {"drafter", "refiner"}),
+        ("rag", {"drafter", "refiner", "embedder"}),
+    ])
+    def test_keeps_only_the_endpoints_its_condition_calls(self, condition, roles):
+        given = _offline_endpoints()
+        cfg = RunConfig(condition=condition, run_id="x", endpoints=given)
+        assert cfg.endpoints.keys() == roles
+        assert cfg.to_canonical_dict()["endpoints"].keys() == roles
+        own = RunConfig(condition=condition, run_id="x",
+                        endpoints={r: given[r] for r in roles})
+        assert cfg.config_hash() == own.config_hash()
+
+    def test_candidate_pool_is_resolved_once(self):
+        cfg = _config(_offline_endpoints(), "rag", k=7)
+        assert cfg.candidate_pool == 70
+        assert cfg.to_canonical_dict()["candidate_pool"] == 70
+        assert cfg.config_hash() == _config(_offline_endpoints(), "rag", k=7,
+                                            candidate_pool=70).config_hash()
+
     def test_pool_one_below_k_is_accepted(self):
         # the retrieve stage queries candidate_pool + 1 candidates
-        assert _config(_offline_endpoints(), "rag", k=5, candidate_pool=4).resolved_pool() == 4
+        assert _config(_offline_endpoints(), "rag", k=5, candidate_pool=4).candidate_pool == 4
 
     @pytest.mark.parametrize("condition, smallest", [
         ("zero_shot", 12), ("draft_only", 72), ("rag", 72),
@@ -495,6 +515,56 @@ class TestTranslateCorpus:
             translate_corpus(cfg, _pairs(40), None, runs_root=tmp_path)
         # the first failed call, then at most one further call per worker
         assert server.stats.snapshot()["counts"]["/v1/chat/completions"] <= 1 + 2
+
+    @pytest.mark.parametrize("condition, role, failing, sent, stage, segment_id", [
+        ("draft_only", "drafter", 1, 1, "draft", "ood000"),
+        ("rag", "drafter", 3, 3, "draft", "ood008"),
+        ("rag", "embedder", 1, 1, "retrieve", "ood000"),
+    ], ids=["draft_only-first-draft", "rag-third-draft", "rag-first-embed"])
+    def test_fail_fast_sends_no_batch_after_a_failed_one(
+            self, stack, tmp_path, monkeypatch, condition, role, failing, sent, stage,
+            segment_id):
+        endpoints, index, _ = stack
+        cls, method = {"drafter": (DrafterClient, "translate"),
+                       "embedder": (EmbedderClient, "embed")}[role]
+        original, calls = getattr(cls, method), []
+
+        def one_request_fails(self, texts):
+            calls.append(list(texts))
+            if len(calls) == failing:
+                raise TransportError("backend down", attempts=1)
+            return original(self, texts)
+
+        monkeypatch.setattr(cls, method, one_request_fails)
+        small = {r: replace(ep, max_batch=4) for r, ep in endpoints.items()}
+        cfg = _config(small, condition, k=5, jaccard_threshold=0.0, fail_fast=True)
+        with pytest.raises(PipelineError) as raised:
+            translate_corpus(cfg, _pairs(20), index, runs_root=tmp_path)
+        assert (raised.value.stage, raised.value.segment_id) == (stage, segment_id)
+        assert len(calls) == sent
+        assert not (tmp_path / cfg.run_id).exists()
+
+    def test_fail_fast_splits_a_rejected_batch_up_to_its_bad_input(self, stack, tmp_path,
+                                                                   monkeypatch):
+        endpoints, _, _ = stack
+        pairs = _pairs(20)
+        bad = pairs[2].source.text
+        original, calls = DrafterClient.translate, []
+
+        def rejecting(self, texts):
+            calls.append(list(texts))
+            if bad in texts:
+                raise RequestError(422, "rejected input")
+            return original(self, texts)
+
+        monkeypatch.setattr(DrafterClient, "translate", rejecting)
+        small = {r: replace(ep, max_batch=4) for r, ep in endpoints.items()}
+        with pytest.raises(PipelineError) as raised:
+            translate_corpus(_config(small, "draft_only", fail_fast=True), pairs, None,
+                             runs_root=tmp_path)
+        assert (raised.value.stage, raised.value.segment_id) == ("draft", "ood002")
+        sources = [p.source.text for p in pairs]
+        assert calls == [sources[:4], sources[:1], sources[1:2], [bad]]
 
     def test_refuses_overwrite_without_force(self, stack, tmp_path):
         endpoints, index, _ = stack
