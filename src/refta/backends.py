@@ -8,9 +8,12 @@ Wire protocols
 - Drafter: ``POST {base_url}/translate`` with
   ``{"model": str, "inputs": [str], "src": "la", "tgt": "en"}`` returning
   ``{"outputs": [str], "usage": {"input_tokens": int, "output_tokens": int}}``.
-- Embedder: ``POST {base_url}/embed`` with ``{"model": str, "inputs": [str]}``
-  returning ``{"vectors": [[float]], "dim": int}``; ``embed`` returns the
-  vectors as one ``(len(inputs), dim)`` float32 matrix.
+- Embedder: ``POST {base_url}/embed`` with
+  ``{"model": str, "inputs": [str], "encoding_format": "base64"}`` returning
+  ``{"vectors": str, "dim": int}``: ``vectors`` is the base64 of the
+  little-endian float32 ``(len(inputs), dim)`` matrix in row order, the
+  layout of ``vectors.bin``, and ``embed`` returns that matrix. Any other
+  reply, JSON lists of decimals included, is a ``ProtocolError``.
 - Scorer: ``POST {base_url}/score`` with
   ``{"metric": str, "sources": [...], "hypotheses": [...], "references": [...]}``
   returning ``{"scores": [float]}``. An unsupported metric is signalled by
@@ -57,7 +60,7 @@ import threading
 import time
 import urllib.request
 import weakref
-from base64 import b64encode
+from base64 import b64decode, b64encode
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -369,20 +372,14 @@ class _HttpClient:
                 delay = min(float(retry_after), RETRY_AFTER_CAP_S)
             _sleep(delay)
 
-    def _post_inputs(self, path: str, texts: list[str], outputs_key: str, **fields):
-        """POST ``texts`` as one request; returns the response and its
-        ``outputs_key`` list, one entry per input."""
+    def _post_inputs(self, path: str, texts: list[str], **fields) -> dict:
+        """POST ``texts`` as one request; returns the response."""
         if not texts or not all(texts):
             raise ValueError(f"{path} requires at least one text, none empty")
         if len(texts) > self.cfg.max_batch:
             raise ValueError(f"{path} takes at most max_batch={self.cfg.max_batch} texts, "
                              f"got {len(texts)}; cut them with send_batches")
-        data = self._post(path, {"model": self.cfg.model_id, "inputs": texts, **fields})
-        outputs = data.get(outputs_key)
-        if not isinstance(outputs, list) or len(outputs) != len(texts):
-            raise ProtocolError(f"{path} returned {len(outputs or [])} "
-                                f"{outputs_key} for {len(texts)} inputs")
-        return data, outputs
+        return self._post(path, {"model": self.cfg.model_id, "inputs": texts, **fields})
 
     def _raise_request_error(self, status: int, body: str) -> None:
         try:
@@ -415,7 +412,11 @@ class DrafterClient(_HttpClient):
     most ``cfg.max_batch`` texts per call."""
 
     def translate(self, texts: list[str]) -> tuple[list[str], TokenUsage]:
-        data, outputs = self._post_inputs("/translate", texts, "outputs", src="la", tgt="en")
+        data = self._post_inputs("/translate", texts, src="la", tgt="en")
+        outputs = data.get("outputs")
+        if not isinstance(outputs, list) or len(outputs) != len(texts):
+            raise ProtocolError(f"drafter returned {len(outputs or [])} "
+                                f"outputs for {len(texts)} inputs")
         if not all(isinstance(o, str) for o in outputs):
             raise ProtocolError("drafter outputs must all be strings")
         drafts = [o.strip() for o in outputs]
@@ -459,16 +460,18 @@ class EmbedderClient(_HttpClient):
     texts per call."""
 
     def embed(self, texts: list[str]) -> np.ndarray:
-        data, vectors = self._post_inputs("/embed", texts, "vectors")
+        data = self._post_inputs("/embed", texts, encoding_format="base64")
+        vectors, dim = data.get("vectors"), data.get("dim")
+        if not isinstance(vectors, str) or type(dim) is not int or dim < 1:
+            raise ProtocolError("embedder reply needs base64 str vectors and an int dim >= 1")
         try:
-            matrix = np.array(vectors, dtype=np.float32)
-            dim = int(data.get("dim", matrix.shape[-1]))
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"embedder vectors are not a numeric matrix: {exc}") from exc
-        if matrix.shape != (len(texts), dim):
-            raise ProtocolError(f"embedder returned a {matrix.shape} matrix for "
+            raw = b64decode(vectors, validate=True)
+        except ValueError as exc:
+            raise ProtocolError(f"embedder vectors are not base64: {exc}") from exc
+        if len(raw) != 4 * len(texts) * dim:
+            raise ProtocolError(f"embedder returned {len(raw)} bytes for "
                                 f"{len(texts)} inputs of dim {dim}")
-        return matrix
+        return np.frombuffer(raw, "<f4").astype(np.float32).reshape(len(texts), dim)
 
 
 class ScorerClient(_HttpClient):

@@ -6,13 +6,16 @@ the request payload:
 
 - drafter: echoes ``"[draft]" + text``.
 - embedder: hash-seeded pseudo-random vector of a fixed dimension, so equal
-  text always yields the identical vector.
+  text always yields the identical vector; the reply is base64 float32.
 - refiner: ``template`` mode extracts the draft (or the source, for the
   baseline instruction) from the prompt and returns ``"[refined] " + it``;
   ``echo`` mode returns the user message verbatim; ``empty`` mode returns
   an empty content string (exercises the client's protocol error path).
 - scorer: 1.0 when hypothesis equals reference else 0.7; metrics outside
   ``SCORER_METRICS`` get HTTP 400 with error type ``unsupported_metric``.
+
+``/translate`` and ``/embed`` answer HTTP 400 ``bad_inputs`` when ``inputs``
+is not a list of strings.
 
 Fault injection: ``fail_rate`` (probability of a 500 per data request,
 seeded), ``fail_first`` (force the first N data requests per path to fail
@@ -32,6 +35,7 @@ import json
 import random
 import threading
 import time
+from base64 import b64encode
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -192,6 +196,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": {"type": "not_found"}})
             return
         inputs = payload.get("inputs")
+        if path in ("/translate", "/embed") and not (
+                isinstance(inputs, list) and all(isinstance(t, str) for t in inputs)):
+            self._send_json(400, {"error": {"type": "bad_inputs"}})
+            return
         self.stats.enter(path, len(inputs) if isinstance(inputs, list) else 1)
         try:
             if self.behavior.latency_ms:
@@ -203,9 +211,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.stats.leave(path)
 
     def _translate(self, payload: dict) -> None:
-        inputs = payload.get("inputs") or []
-        outputs = [DRAFT_PREFIX + str(t) for t in inputs]
-        in_tok = sum((len(str(t)) + 3) // 4 for t in inputs)
+        inputs = payload["inputs"]
+        outputs = [DRAFT_PREFIX + t for t in inputs]
+        in_tok = sum((len(t) + 3) // 4 for t in inputs)
         out_tok = sum((len(o) + 3) // 4 for o in outputs)
         self._send_json(200, {
             "outputs": outputs,
@@ -213,9 +221,10 @@ class _Handler(BaseHTTPRequestHandler):
         })
 
     def _embed(self, payload: dict) -> None:
-        inputs = payload.get("inputs") or []
+        inputs = payload["inputs"]
         dim = self.behavior.embed_dim
-        vectors = [hash_embedding(str(t), dim).tolist() for t in inputs]
+        matrix = np.array([hash_embedding(t, dim) for t in inputs], "<f4").reshape(-1, dim)
+        vectors = b64encode(matrix.tobytes()).decode("ascii")
         self._send_json(200, {"vectors": vectors, "dim": dim})
 
     def _score(self, payload: dict) -> None:

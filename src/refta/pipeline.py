@@ -47,7 +47,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -185,7 +185,8 @@ class TranslationRecord:
     timestamps: dict
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # field order is the key order; no deep copies, unlike asdict
+        return {**vars(self), "neighbors": [vars(n) for n in self.neighbors]}
 
 
 def _now_iso() -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import re
 import socket
 import threading
@@ -270,6 +271,29 @@ class TestEmbedder:
         assert all(np.array_equal(v, hash_embedding(t, 64)) for v, t in zip(vecs, texts))
         assert mock_server.stats.snapshot()["counts"]["/embed"] == 3
 
+    def test_base64_reply_is_bit_identical_and_compact(self, mock_server, endpoint,
+                                                        monkeypatch):
+        mock_server.behavior.embed_dim = 256
+        client = EmbedderClient(endpoint("embedder"))
+        sent, replies = [], []
+        send = client._send
+
+        def recording_send(path, body):
+            sent.append(body)
+            reply = send(path, body)
+            replies.append(reply[2])
+            return reply
+
+        monkeypatch.setattr(client, "_send", recording_send)
+        texts = [f"textus numero {i}" for i in range(64)]
+        vecs = client.embed(texts)
+        expected = np.stack([hash_embedding(t, 256) for t in texts])
+        assert vecs.dtype == np.float32 and vecs.flags.writeable
+        assert vecs.tobytes() == expected.tobytes()
+        assert b'"encoding_format":"base64"' in sent[0]
+        assert len(replies) == 1 and len(replies[0]) < 90_000  # JSON decimals: ~338 KB
+        client.close()
+
     def test_identical_text_identical_vector(self, endpoint):
         client = EmbedderClient(endpoint("embedder"))
         a, b = client.embed(["idem textus", "idem textus"])
@@ -336,6 +360,11 @@ def test_retry_after_on_429_capped(monkeypatch, status, retry_after, honoured):
     client.close()
 
 
+def _b64_floats(n: int) -> str:
+    """``n`` little-endian float32s, base64-encoded as an embedder sends them."""
+    return base64.b64encode(np.arange(n, dtype="<f4").tobytes()).decode("ascii")
+
+
 _CHAT = {"choices": [{"message": {"content": "ok"}}]}
 _CALLS = {
     "drafter": (DrafterClient, lambda client: client.translate(["x"])),
@@ -361,6 +390,13 @@ _CALLS = {
     ("embedder", {"vectors": [[1.0, 2.0], [1.0]], "dim": 2}),
     ("embedder", {"vectors": [[1.0, 2.0], [1.0, 2.0]], "dim": 3}),
     ("embedder", {"vectors": [1.0, 2.0]}),
+    ("embedder", {"vectors": _b64_floats(4) + "!", "dim": 2}),
+    ("embedder", {"vectors": _b64_floats(3), "dim": 2}),
+    ("embedder", {"vectors": _b64_floats(5), "dim": 2}),
+    ("embedder", {"vectors": _b64_floats(4)}),
+    ("embedder", {"vectors": "", "dim": 0}),
+    ("embedder", {"vectors": _b64_floats(4), "dim": "one"}),
+    ("embedder", {"vectors": _b64_floats(2), "dim": True}),
     ("scorer", {"scores": ["high"]}),
 ], ids=lambda value: value if isinstance(value, str) else canonical_json(value))
 def test_malformed_2xx_reply_is_a_protocol_error(monkeypatch, role, reply):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import base64
 import socket
 import statistics
 import threading
 import time
 
 import numpy as np
+import pytest
 import requests
 from hypothesis import given, strategies as st
 
@@ -73,6 +75,34 @@ def test_stats_count_inputs_per_path(mock_server):
     snap = requests.get(f"{url}/_stats", timeout=5).json()
     assert snap["counts"] == {"/translate": 1, "/embed": 1}
     assert snap["inputs"] == {"/translate": 3, "/embed": 1}
+
+
+@pytest.mark.parametrize("path", ["/translate", "/embed"])
+@pytest.mark.parametrize("inputs", ["abc", None, 3, ["x", 7], [["x"]]],
+                         ids=["str", "missing", "int", "int-item", "list-item"])
+def test_inputs_that_are_not_a_list_of_strings_are_refused(mock_server, path, inputs):
+    url = mock_server.base_url
+    payload = {"model": "m"} if inputs is None else {"model": "m", "inputs": inputs}
+    resp = requests.post(f"{url}{path}", json=payload, timeout=5)
+    assert resp.status_code == 400
+    assert resp.json() == {"error": {"type": "bad_inputs"}}
+    assert requests.get(f"{url}/_stats", timeout=5).json()["inputs"] == {}
+
+
+def test_embed_reply_is_base64_little_endian_float32(mock_server):
+    texts = ["alpha", "beta", "gamma"]
+    resp = requests.post(f"{mock_server.base_url}/embed",
+                         json={"model": "m", "inputs": texts}, timeout=5)
+    reply = resp.json()
+    assert reply["dim"] == 64
+    expected = np.stack([hash_embedding(t, 64) for t in texts]).astype("<f4").tobytes()
+    assert base64.b64decode(reply["vectors"], validate=True) == expected
+
+
+def test_embed_of_no_inputs_is_an_empty_matrix(mock_server):
+    resp = requests.post(f"{mock_server.base_url}/embed",
+                         json={"model": "m", "inputs": []}, timeout=5)
+    assert resp.json() == {"vectors": "", "dim": 64}
 
 
 def test_stop_closes_listening_socket():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -22,6 +22,7 @@ from refta.pipeline import (
     read_records,
     translate_corpus,
 )
+from refta.prompt import NeighborExample
 
 
 @pytest.fixture()
@@ -164,6 +165,19 @@ def _record(cfg, segment, index, tmp_path) -> dict:
     (result,) = translate_corpus(cfg, [pair], index, runs_root=tmp_path)
     (rec,) = read_records(result.run_dir)
     return rec
+
+
+class TestTranslationRecord:
+    def test_json_dict_dumps_as_asdict_does(self):
+        neighbors = tuple(NeighborExample(f"n{i}", f"verbum {i}", f"[draft]verbum {i}",
+                                          0.9 - i / 10, 0.5) for i in range(5))
+        rec = TranslationRecord(
+            segment_id="q1", latin="gallia est", condition="rag", draft="[draft]gallia est",
+            neighbors=neighbors, refined="[refined] Gaul is", prompt_tokens=120,
+            output_tokens=4, usage_source="backend-reported", truncation_applied="none",
+            timings_ms={"draft": 1.5, "refine": 2.0}, timestamps={"start": "t0"})
+        assert (json.dumps(rec.to_json_dict(), ensure_ascii=False)
+                == json.dumps(asdict(rec), ensure_ascii=False))
 
 
 class TestTranslateSegment:
