@@ -120,8 +120,8 @@ class EndpointConfig:
     max_batch: int = 64
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
+        if not 0 < self.timeout < math.inf:  # NaN fails both bounds
+            raise ValueError(f"timeout must be finite and > 0, not {self.timeout}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.request_parallelism < 1:

@@ -100,15 +100,11 @@ def _neural_metrics(metrics: str, scorer_url: str | None) -> set:
     return wanted
 
 
-@contextlib.contextmanager
 def _scorer(url: str | None, model: str | None, timeout: float):
     """A scorer client for ``url``, or None without one; closed on exit."""
-    scorer = ScorerClient(_endpoint("scorer", url, model, timeout=timeout)) if url else None
-    try:
-        yield scorer
-    finally:
-        if scorer is not None:
-            scorer.close()
+    if not url:
+        return contextlib.nullcontext()
+    return contextlib.closing(ScorerClient(_endpoint("scorer", url, model, timeout=timeout)))
 
 
 def _warn(warnings) -> None:
@@ -116,10 +112,45 @@ def _warn(warnings) -> None:
         click.echo(f"warning: {warning}", err=True)
 
 
-def _parallel_format(path: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    return "jsonl" if path.endswith(".jsonl") else "tsv"
+def _emit(as_json: bool, payload, lines) -> None:
+    """Print ``payload`` as one sorted JSON document under ``--json``, else
+    the human ``lines``."""
+    if as_json:
+        click.echo(json.dumps(payload, sort_keys=True))
+    else:
+        for line in lines:
+            click.echo(line)
+
+
+def _load_test_set(test_set: str, test_format: str | None) -> list:
+    """The test set's pairs; without ``--test-format``, a ``.jsonl`` file is
+    JSON lines and anything else TSV."""
+    fmt = test_format or ("jsonl" if test_set.endswith(".jsonl") else "tsv")
+    return load_parallel(test_set, fmt)
+
+
+def _options(*decorators):
+    """One decorator applying ``decorators`` so that they list in this order."""
+    return lambda fn: functools.reduce(lambda f, d: d(f), reversed(decorators), fn)
+
+
+_json_option = click.option("--json", "as_json", is_flag=True)
+_test_set_options = _options(
+    click.option("--test-set", required=True, type=click.Path(exists=True)),
+    click.option("--test-format", type=click.Choice(["tsv", "jsonl"]), default=None),
+)
+_scorer_options = _options(
+    click.option("--scorer", "scorer_url", default=None),
+    click.option("--scorer-model", default=None),
+    click.option("--metrics", default="", help="Comma-separated neural metrics."),
+)
+_scorer_timeout_option = click.option("--timeout", type=float, default=SCORER_TIMEOUT_S,
+                                      show_default=True)
+_retry_options = _options(
+    click.option("--timeout", type=float, default=EndpointConfig.timeout, show_default=True),
+    click.option("--max-retries", type=int, default=EndpointConfig.max_retries,
+                 show_default=True),
+)
 
 
 @click.group()
@@ -155,12 +186,11 @@ def main(ctx, config_path):
 @click.option("--embed-model", default=None)
 @click.option("--near-dup-threshold", type=click.FloatRange(0, 1), default=NEAR_DUP_THRESHOLD,
               show_default=True)
-@click.option("--timeout", type=float, default=EndpointConfig.timeout, show_default=True)
-@click.option("--max-retries", type=int, default=EndpointConfig.max_retries, show_default=True)
+@_retry_options
 @click.option("--parallelism", type=int, default=EndpointConfig.request_parallelism,
               show_default=True)
 @click.option("--force", is_flag=True, help="Allow writing into an existing index dir.")
-@click.option("--json", "as_json", is_flag=True)
+@_json_option
 @_runtime_errors
 def cmd_index_build(corpora, corpus_format, exclude_path, out_dir, embedder_url,
                     embed_model, near_dup_threshold, timeout, max_retries, parallelism,
@@ -202,15 +232,12 @@ def cmd_index_build(corpora, corpus_format, exclude_path, out_dir, embedder_url,
         "dim": index.dim,
         "model_id": index.model_id,
     }
-    if as_json:
-        click.echo(json.dumps(payload, sort_keys=True))
-    else:
-        click.echo(
-            f"indexed {report.indexed} segments into {out} "
-            f"(excluded: {report.excluded_exact}, "
-            f"near-dup dropped: {report.excluded_near_dup}, "
-            f"skipped empty: {len(skipped)}, dim: {index.dim})"
-        )
+    _emit(as_json, payload, [
+        f"indexed {report.indexed} segments into {out} "
+        f"(excluded: {report.excluded_exact}, "
+        f"near-dup dropped: {report.excluded_near_dup}, "
+        f"skipped empty: {len(skipped)}, dim: {index.dim})"
+    ])
 
 
 def _load_exclusions(path: str) -> ExclusionList:
@@ -223,8 +250,7 @@ def _load_exclusions(path: str) -> ExclusionList:
 
 
 @main.command("translate")
-@click.option("--test-set", "test_set", required=True, type=click.Path(exists=True))
-@click.option("--test-format", type=click.Choice(["tsv", "jsonl"]), default=None)
+@_test_set_options
 @click.option("--index", "index_dir", type=click.Path(exists=True), default=None)
 @click.option("--condition", required=True, type=click.Choice(CONDITIONS))
 @click.option("--k", type=int, default=RunConfig.k, show_default=True)
@@ -246,99 +272,66 @@ def _load_exclusions(path: str) -> ExclusionList:
 @click.option("--refiner-model", default=None)
 @click.option("--embed-model", default=None)
 @click.option("--seed", type=int, default=RunConfig.seed)
-@click.option("--timeout", type=float, default=EndpointConfig.timeout, show_default=True)
-@click.option("--max-retries", type=int, default=EndpointConfig.max_retries, show_default=True)
+@_retry_options
 @click.option("--parallelism", type=int, default=EndpointConfig.request_parallelism,
               show_default=True,
               help="Requests in flight per endpoint, and segments refined at once.")
 @click.option("--fail-fast", is_flag=True)
 @click.option("--force", is_flag=True, help="Overwrite existing run directories.")
-@click.option("--json", "as_json", is_flag=True)
+@_json_option
 @_runtime_errors
-def cmd_translate(test_set, test_format, index_dir, condition, k, jaccard_threshold,
-                  temperatures, top_p, max_output_tokens, input_budget, candidate_pool,
-                  run_id, runs_root, drafter_url, refiner_url, embedder_url,
-                  drafter_model, refiner_model, embed_model, seed,
-                  timeout, max_retries, parallelism, fail_fast, force, as_json):
+def cmd_translate(test_set, test_format, index_dir, temperatures, runs_root,
+                  drafter_url, refiner_url, embedder_url, drafter_model, refiner_model,
+                  embed_model, timeout, max_retries, parallelism, force, as_json,
+                  **run_fields):
     """Translate a test set under one experimental condition."""
-    if condition == "rag" and not index_dir:
+    # run_fields are the flags named after RunConfig fields
+    if run_fields["condition"] == "rag" and not index_dir:
         raise click.UsageError("--condition rag requires --index")
 
-    settings = {"timeout": timeout, "max_retries": max_retries,
-                "request_parallelism": parallelism}
     urls = {"refiner": (refiner_url, refiner_model), "drafter": (drafter_url, drafter_model),
             "embedder": (embedder_url, embed_model)}
-    endpoints = {role: _endpoint(role, url, model, **settings)
+    endpoints = {role: _endpoint(role, url, model, timeout=timeout, max_retries=max_retries,
+                                 request_parallelism=parallelism)
                  for role, (url, model) in urls.items() if url}
 
     try:
-        cfg = RunConfig(
-            condition=condition,
-            run_id=run_id,
-            endpoints=endpoints,
-            k=k,
-            jaccard_threshold=jaccard_threshold,
-            top_p=top_p,
-            max_output_tokens=max_output_tokens,
-            input_budget=input_budget,
-            candidate_pool=candidate_pool,
-            workers=parallelism,
-            seed=seed,
-            fail_fast=fail_fast,
-        )
+        cfg = RunConfig(endpoints=endpoints, workers=parallelism, **run_fields)
         sweep_configs(cfg, temperatures)  # every run of a sweep is checked up front
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
-    pairs = load_parallel(test_set, _parallel_format(test_set, test_format))
-    index = load_index(index_dir) if condition == "rag" else None  # only rag retrieves
+    pairs = _load_test_set(test_set, test_format)
+    index = load_index(index_dir) if cfg.condition == "rag" else None  # only rag retrieves
     results = translate_corpus(cfg, pairs, index, runs_root=runs_root,
                                temperatures=temperatures, force=force)
-    payload = [
-        {
-            "run_dir": str(r.run_dir),
-            "temperature": r.temperature,
-            "succeeded": r.succeeded,
-            "failed": r.failed,
-        }
-        for r in results
-    ]
-    if as_json:
-        click.echo(json.dumps(payload, sort_keys=True))
-    else:
-        for row in payload:
-            click.echo(
-                f"{row['run_dir']} (temp {row['temperature']}): "
-                f"{row['succeeded']} ok, {row['failed']} failed"
-            )
+    payload = [{**vars(r), "run_dir": str(r.run_dir)} for r in results]
+    _emit(as_json, payload, (
+        f"{row['run_dir']} (temp {row['temperature']}): "
+        f"{row['succeeded']} ok, {row['failed']} failed" for row in payload
+    ))
     if any(r.failed for r in results):
         sys.exit(1)
 
 
 @main.command("evaluate")
 @click.option("--run", "run_dir", required=True, type=click.Path())
-@click.option("--test-set", required=True, type=click.Path(exists=True))
-@click.option("--test-format", type=click.Choice(["tsv", "jsonl"]), default=None)
-@click.option("--scorer", "scorer_url", default=None)
-@click.option("--scorer-model", default=None)
-@click.option("--metrics", default="", help="Comma-separated neural metrics.")
-@click.option("--timeout", type=float, default=SCORER_TIMEOUT_S, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
+@_test_set_options
+@_scorer_options
+@_scorer_timeout_option
+@_json_option
 @_runtime_errors
 def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
                  metrics, timeout, as_json):
     """Score a run against its test set; writes metrics.json into the run dir."""
     wanted = _neural_metrics(metrics, scorer_url)
-    pairs = load_parallel(test_set, _parallel_format(test_set, test_format))
+    pairs = _load_test_set(test_set, test_format)
     with _scorer(scorer_url, scorer_model, timeout) as scorer:
         ((report, _, _),) = score_runs([run_dir], pairs, scorer, wanted)
     write_json(Path(run_dir) / "metrics.json", report.to_dict())
-    if as_json:
-        click.echo(json.dumps(report.corpus_scores, sort_keys=True))
-    else:
-        cells = [f"{name} {format_score(name, value)}"
-                 for name, value in sorted(report.corpus_scores.items())]
-        click.echo(f"{Path(run_dir).name}: " + "  ".join(cells))
+    scores = report.corpus_scores
+    _emit(as_json, scores, [f"{Path(run_dir).name}: " + "  ".join(
+        f"{name} {format_score(name, value)}" for name, value in sorted(scores.items()))])
     _warn(report.warnings)
 
 
@@ -346,16 +339,13 @@ def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
 @click.option("--runs", "run_dirs", multiple=True, required=True,
               type=click.Path())
 @click.option("--baseline", required=True, type=click.Path())
-@click.option("--test-set", required=True, type=click.Path(exists=True))
-@click.option("--test-format", type=click.Choice(["tsv", "jsonl"]), default=None)
+@_test_set_options
 @click.option("--seed", type=click.IntRange(min=0), default=COMPARE_SEED, show_default=True)
-@click.option("--scorer", "scorer_url", default=None)
-@click.option("--scorer-model", default=None)
-@click.option("--metrics", default="", help="Comma-separated neural metrics.")
+@_scorer_options
 @click.option("--out", "out_path", type=click.Path(), default="comparison.json",
               show_default=True)
-@click.option("--timeout", type=float, default=SCORER_TIMEOUT_S, show_default=True)
-@click.option("--json", "as_json", is_flag=True)
+@_scorer_timeout_option
+@_json_option
 @_runtime_errors
 def cmd_compare(run_dirs, baseline, test_set, test_format, seed, scorer_url,
                 scorer_model, metrics, out_path, timeout, as_json):
@@ -364,16 +354,13 @@ def cmd_compare(run_dirs, baseline, test_set, test_format, seed, scorer_url,
     if Path(out_path).is_dir() or not Path(out_path).parent.is_dir():
         raise click.BadParameter(f"not a file in an existing directory: {out_path}",
                                  param_hint="'--out'")
-    pairs = load_parallel(test_set, _parallel_format(test_set, test_format))
+    pairs = _load_test_set(test_set, test_format)
     with _scorer(scorer_url, scorer_model, timeout) as scorer:
         comparison = compare_runs(list(run_dirs), pairs, baseline, seed=seed,
                                   scorer=scorer, neural_metrics=wanted)
-    write_json(out_path, comparison.to_dict())
-    if as_json:
-        click.echo(json.dumps(comparison.to_dict(), sort_keys=True))
-    else:
-        click.echo(format_comparison_table(comparison))
-        click.echo(f"wrote {out_path}")
+    payload = comparison.to_dict()
+    write_json(out_path, payload)
+    _emit(as_json, payload, [format_comparison_table(comparison), f"wrote {out_path}"])
     _warn(f"{row['run']}: {warning}" for row in comparison.rows for warning in row["warnings"])
 
 
@@ -381,27 +368,21 @@ def cmd_compare(run_dirs, baseline, test_set, test_format, seed, scorer_url,
 @click.option("--run", "run_dir", required=True, type=click.Path())
 @click.option("--input-rate", required=True, help="Dollars per 1M input tokens.")
 @click.option("--output-rate", required=True, help="Dollars per 1M output tokens.")
-@click.option("--batching-discount", default="0.5", show_default=True)
+@click.option("--batching-discount", default=str(CostModel.batching_discount),
+              show_default=True)
 @click.option("--fixed-hourly", default=None, help="Dollars per hour for local serving.")
 @click.option("--power-rate", default=None, help="Dollars per kWh.")
 @click.option("--power-kw", default=None, help="Measured draw in kW.")
-@click.option("--json", "as_json", is_flag=True)
+@_json_option
 @_runtime_errors
-def cmd_cost(run_dir, input_rate, output_rate, batching_discount, fixed_hourly,
-             power_rate, power_kw, as_json):
+def cmd_cost(run_dir, as_json, **model_fields):
     """Token-based cost figures for a run; writes costs.json into the run dir."""
     try:
-        model = CostModel(input_rate=input_rate, output_rate=output_rate,
-                          batching_discount=batching_discount, fixed_hourly=fixed_hourly,
-                          power_rate=power_rate, power_kw=power_kw)
+        model = CostModel(**model_fields)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     report = cost_report(run_dir, model)
-    if as_json:
-        click.echo(json.dumps(report.to_dict(), sort_keys=True))
-    else:
-        for line in report.summary_lines():
-            click.echo(line)
+    _emit(as_json, report.to_dict(), report.summary_lines())
 
 
 @main.command("mock-serve")
@@ -416,19 +397,10 @@ def cmd_cost(run_dir, input_rate, output_rate, batching_discount, fixed_hourly,
 @click.option("--latency-ms", type=int, default=MockBehavior.latency_ms, show_default=True)
 @click.option("--seed", type=int, default=MockBehavior.seed, show_default=True)
 @_runtime_errors
-def cmd_mock_serve(host, port, behavior, embed_dim, fail_rate, fail_first,
-                   fail_status, latency_ms, seed):
+def cmd_mock_serve(host, port, behavior, **behavior_fields):
     """Serve deterministic mock backends for offline testing."""
-    mock = MockBehavior(
-        embed_dim=embed_dim,
-        refiner="echo" if behavior == "echo-refiner" else "template",
-        fail_rate=fail_rate,
-        fail_first=fail_first,
-        fail_status=fail_status,
-        latency_ms=latency_ms,
-        seed=seed,
-    )
-    server = MockServer(mock, host=host, port=port)
+    refiner = "echo" if behavior == "echo-refiner" else "template"
+    server = MockServer(MockBehavior(refiner=refiner, **behavior_fields), host=host, port=port)
     click.echo(f"mock backends listening on {server.base_url}")
     try:
         server.serve_forever()

@@ -104,19 +104,9 @@ class CostReport:
     per_100_segments: dict
 
     def to_dict(self) -> dict:
-        out = {
-            "run_id": self.run_id,
-            "n_segments": self.n_segments,
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "api_cost": round_dollars(self.api_cost),
-            "api_cost_batched": round_dollars(self.api_cost_batched),
-            "local_cost": None if self.local_cost is None else round_dollars(self.local_cost),
-            "api_to_local_ratio": self.api_to_local_ratio,
-            "api_batched_to_local_ratio": self.api_batched_to_local_ratio,
-            "per_100_segments": self.per_100_segments,
-        }
-        return out
+        """Every field, each ``Decimal`` rounded by ``round_dollars``."""
+        return {f.name: round_dollars(v) if isinstance(v := getattr(self, f.name), Decimal)
+                else v for f in fields(self)}
 
     def summary_lines(self) -> list[str]:
         lines = [

@@ -14,8 +14,9 @@ the request payload:
 - scorer: 1.0 when hypothesis equals reference else 0.7; metrics outside
   ``SCORER_METRICS`` get HTTP 400 with error type ``unsupported_metric``.
 
-``/translate`` and ``/embed`` answer HTTP 400 ``bad_inputs`` when ``inputs``
-is not a list of strings.
+A body that is not a JSON object gets HTTP 400 ``bad_json``; ``/translate``
+and ``/embed`` answer HTTP 400 ``bad_inputs`` when ``inputs`` is not a list
+of strings.
 
 Fault injection: ``fail_rate`` (probability of a 500 per data request,
 seeded), ``fail_first`` (force the first N data requests per path to fail
@@ -149,7 +150,10 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
-        return json.loads(raw.decode("utf-8"))
+        payload = json.loads(raw.decode("utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError("the body is not a JSON object")
+        return payload
 
     def _maybe_fail(self, path: str) -> bool:
         b = self.behavior

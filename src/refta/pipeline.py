@@ -14,7 +14,7 @@ rejected with ``RequestError``/``ProtocolError`` is resent one input at a
 time before the next batch goes out; a rejected one-input batch, or one
 that exhausts its transport retries, fails every segment it carried. A
 segment that fails retrieval is not drafted. Under ``fail_fast`` a stage
-sends no request after its first failed one, and the run writes no files.
+sends no request after its first failed one, and the run leaves no directory.
 Artifacts are written in input order, so output is a pure function of
 (config, corpus, index) when the backends are deterministic.
 
@@ -119,9 +119,7 @@ class RunConfig:
             raise ValueError("rag requires k >= 1")
         if not 0.0 <= self.jaccard_threshold <= 1.0:
             raise ValueError("jaccard_threshold must be in [0, 1]")
-        # the refiner's sampling rules, checked before any call is paid for
-        ChatRequest(system="", user="", temperature=self.temperature, top_p=self.top_p,
-                    max_output_tokens=self.max_output_tokens, seed=self.seed)
+        self.chat_request("", "")  # the refiner's sampling rules, before any call is paid for
         # the condition's prompt for a one-character source must fit; called through
         # refta.prompt so that a wrapper on stage 4's binding sees only stage 4
         try:
@@ -143,6 +141,12 @@ class RunConfig:
             raise ValueError(f"condition {self.condition} needs endpoints {missing}")
         # the run calls only these, so only these enter the manifest and the hash
         object.__setattr__(self, "endpoints", {r: self.endpoints[r] for r in roles})
+
+    def chat_request(self, system: str, user: str) -> ChatRequest:
+        """The refiner request for one prompt under this run's sampling settings."""
+        return ChatRequest(system=system, user=user, temperature=self.temperature,
+                           top_p=self.top_p, max_output_tokens=self.max_output_tokens,
+                           seed=self.seed)
 
     def to_canonical_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -332,14 +336,8 @@ def translate_segment(
 
     t_refine = time.perf_counter()
     try:
-        refined, usage = clients["refiner"].complete(ChatRequest(
-            system=bundle.system_text,
-            user=bundle.user_text,
-            temperature=cfg.temperature,
-            top_p=cfg.top_p,
-            max_output_tokens=cfg.max_output_tokens,
-            seed=cfg.seed,
-        ))
+        refined, usage = clients["refiner"].complete(
+            cfg.chat_request(bundle.system_text, bundle.user_text))
         refine_ms = _ms_since(t_refine)
     except ReftaError as exc:
         raise PipelineError("refine", segment.id, exc) from exc
@@ -411,7 +409,6 @@ def _run_one(
     run_dir: Path,
     clients: dict,
 ) -> RunResult:
-    run_dir.mkdir(parents=True, exist_ok=True)
     started = _now_iso()
     t0 = time.perf_counter()
     n = len(pairs)
@@ -462,6 +459,7 @@ def _run_one(
         },
         "wall_time_ms": wall_ms,
     }
+    run_dir.mkdir(parents=True, exist_ok=True)  # a run that fails before this leaves none
     write_files({
         run_dir / "records.jsonl": encode_lines(
             json.dumps(r.to_json_dict(), ensure_ascii=False) for r in done),

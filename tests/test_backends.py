@@ -51,6 +51,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EndpointConfig(base_url="http://x", model_id="m", timeout=0)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_timeout_finite(self, timeout):
+        with pytest.raises(ValueError, match="finite"):
+            EndpointConfig(base_url="http://x", model_id="m", timeout=timeout)
+
     def test_parallelism_at_least_one(self):
         with pytest.raises(ValueError):
             EndpointConfig(base_url="http://x", model_id="m", request_parallelism=0)

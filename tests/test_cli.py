@@ -204,8 +204,11 @@ class TestTranslate:
         ("zero_shot", ["--timeout", "0"]),
         ("zero_shot", ["--temp", "0.5", "--temp", "0.50"]),
         ("draft_only", ["--input-budget", "71"]),
+        ("zero_shot", ["--timeout", "nan"]),
+        ("zero_shot", ["--timeout", "inf"]),
     ], ids=["output-ceiling", "top-p", "sweep-temperature", "pool-below-k", "timeout",
-            "repeated-temperature", "budget-below-smallest-prompt"])
+            "repeated-temperature", "budget-below-smallest-prompt", "timeout-nan",
+            "timeout-inf"])
     def test_bad_value_is_usage_error_before_any_request(self, runner, workspace, mock_server,
                                                          condition, extra):
         import requests

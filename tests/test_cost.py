@@ -141,6 +141,34 @@ class TestCostReport:
         data = json.loads((run / "costs.json").read_text())
         assert data["api_cost"] == pytest.approx(1.9388)
         assert data["api_cost_batched"] == pytest.approx(0.9694)
+        assert data == {
+            "run_id": "cost-run", "n_segments": 100,
+            "input_tokens": 23_000, "output_tokens": 191_000,
+            "api_cost": 1.9388, "api_cost_batched": 0.9694, "local_cost": None,
+            "api_to_local_ratio": None, "api_batched_to_local_ratio": None,
+            "per_100_segments": {
+                "api_cost": 1.9388, "api_cost_batched": 0.9694, "local_cost": None,
+                "input_tokens": 23_000.0, "output_tokens": 191_000.0,
+            },
+        }
+
+    def test_writes_local_costs_json(self, tmp_path):
+        model = CostModel(input_rate="1.25", output_rate="10.0", fixed_hourly="0.6667")
+        run = _write_manifest(tmp_path, segments=50, wall_ms=18 * 60 * 1000)
+        cost_report(run, model)
+        data = json.loads((run / "costs.json").read_text())
+        # 0.3 h at $0.6667/h is $0.20001; every dollar figure is rounded to 4 places
+        assert data == {
+            "run_id": "cost-run", "n_segments": 50,
+            "input_tokens": 23_000, "output_tokens": 191_000,
+            "api_cost": 1.9388, "api_cost_batched": 0.9694, "local_cost": 0.2,
+            "api_to_local_ratio": pytest.approx(1.93875 / 0.20001),
+            "api_batched_to_local_ratio": pytest.approx(0.969375 / 0.20001),
+            "per_100_segments": {
+                "api_cost": 3.8775, "api_cost_batched": 1.9388, "local_cost": 0.4,
+                "input_tokens": 46_000.0, "output_tokens": 382_000.0,
+            },
+        }
 
     def test_missing_manifest(self, tmp_path):
         from refta.errors import ReftaError

@@ -89,6 +89,17 @@ def test_inputs_that_are_not_a_list_of_strings_are_refused(mock_server, path, in
     assert requests.get(f"{url}/_stats", timeout=5).json()["inputs"] == {}
 
 
+def test_body_that_is_not_an_object_is_bad_json(mock_server):
+    url = mock_server.base_url
+    with requests.Session() as session:
+        resp = session.post(f"{url}/translate", json=[1], timeout=5)
+        assert resp.status_code == 400
+        assert resp.json() == {"error": {"type": "bad_json"}}
+        resp = session.post(f"{url}/translate", json={"model": "m", "inputs": ["x"]},
+                            timeout=5)
+        assert resp.json()["outputs"] == ["[draft]x"]
+
+
 def test_embed_reply_is_base64_little_endian_float32(mock_server):
     texts = ["alpha", "beta", "gamma"]
     resp = requests.post(f"{mock_server.base_url}/embed",

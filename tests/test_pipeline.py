@@ -520,6 +520,7 @@ class TestTranslateCorpus:
         cfg = _config(endpoints, "draft_only", fail_fast=True)
         with pytest.raises(ReftaError):
             translate_corpus(cfg, _pairs(2), None, runs_root=tmp_path)
+        assert not (tmp_path / cfg.run_id).exists()
 
     def test_fail_fast_stops_dispatching(self, stack, tmp_path):
         endpoints, _, server = stack
