@@ -8,6 +8,8 @@ import json
 import os
 from pathlib import Path
 
+from refta.errors import ReftaError
+
 
 def write_files(files: dict) -> list[str]:
     """Write each ``path -> chunks`` in order; returns the SHA-256 hex digests
@@ -31,6 +33,15 @@ def write_files(files: dict) -> list[str]:
             tmp.unlink(missing_ok=True)
         raise
     return digests
+
+
+def make_dir(path) -> None:
+    """Make ``path`` a directory, with its parents, unless it is one; a
+    location that cannot be one is a ``ReftaError``."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ReftaError(f"cannot write under {path}: {exc}") from exc
 
 
 def encode_lines(lines):

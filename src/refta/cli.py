@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 
 import refta
-from refta.artifacts import write_json
+from refta.artifacts import make_dir, write_json
 from refta.backends import EmbedderClient, EndpointConfig, ScorerClient, resolve_token
 from refta.corpus import load_monolingual, load_parallel
 from refta.errors import ReftaError
@@ -29,11 +29,12 @@ from refta.metrics.report import (
     compare_runs,
     format_comparison_table,
     format_score,
+    read_run,
     score_runs,
 )
 from refta.cost import CostModel, cost_report
 from refta.mockserver import MockBehavior, MockServer
-from refta.pipeline import RunConfig, sweep_configs, translate_corpus
+from refta.pipeline import RunConfig, corpus_digest, sweep_configs, translate_corpus
 from refta.prompt import CONDITIONS
 
 DEFAULT_MODELS = {
@@ -198,15 +199,15 @@ def cmd_index_build(corpora, corpus_format, exclude_path, out_dir, embedder_url,
     """Build and persist the retrieval index."""
     if near_dup_threshold != near_dup_threshold:  # NaN passes FloatRange
         raise click.BadParameter("nan is not in [0, 1]", param_hint="'--near-dup-threshold'")
+    endpoint = _endpoint("embedder", embedder_url, embed_model, timeout=timeout,
+                         max_retries=max_retries, request_parallelism=parallelism)
     out = Path(out_dir)
-    if out.exists() and any(out.iterdir()) and not force:
+    make_dir(out)  # an unusable location is refused before any row is embedded
+    if any(out.iterdir()) and not force:
         _fail(f"{out} already exists and is not empty; pass --force to rebuild")
 
     exclusions = _load_exclusions(exclude_path) if exclude_path else None
-    embedder = EmbedderClient(_endpoint(
-        "embedder", embedder_url, embed_model, timeout=timeout, max_retries=max_retries,
-        request_parallelism=parallelism,
-    ))
+    embedder = EmbedderClient(endpoint)
 
     skipped: list = []
 
@@ -326,8 +327,9 @@ def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
     """Score a run against its test set; writes metrics.json into the run dir."""
     wanted = _neural_metrics(metrics, scorer_url)
     pairs = _load_test_set(test_set, test_format)
+    runs = {Path(run_dir).name: read_run(run_dir, pairs, corpus_digest(pairs))}
     with _scorer(scorer_url, scorer_model, timeout) as scorer:
-        ((report, _, _),) = score_runs([run_dir], pairs, scorer, wanted)
+        ((report, _),) = score_runs(runs, pairs, scorer, wanted)
     write_json(Path(run_dir) / "metrics.json", report.to_dict())
     scores = report.corpus_scores
     _emit(as_json, scores, [f"{Path(run_dir).name}: " + "  ".join(

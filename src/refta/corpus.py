@@ -178,7 +178,7 @@ def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:
     """Yield (line_no, line) pairs without the line ending; open and decode
     failures become CorpusFormatError."""
     try:
-        fh = path.open("r", encoding="utf-8", errors="strict", newline="")
+        fh = path.open("r", encoding="utf-8", errors="strict", newline="\n")
     except OSError as exc:
         raise CorpusFormatError(path, None, f"cannot open: {exc}") from exc
     line_no = 0

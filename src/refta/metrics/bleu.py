@@ -183,9 +183,6 @@ class BleuMetric:
     def segment_scores(self, stats) -> np.ndarray:
         return scores(stats, effective_order=True)
 
-    def corpus_from_sums(self, sums) -> float:
-        return float(self.corpus_scores(np.asarray(sums)[None])[0])
-
 
 def bleu(hypotheses, references) -> tuple[float, list[float]]:
     """Corpus BLEU in [0, 100] plus per-segment scores.
@@ -194,4 +191,5 @@ def bleu(hypotheses, references) -> tuple[float, list[float]]:
     """
     metric = BleuMetric()
     stats = metric.segment_stats(hypotheses, references)
-    return metric.corpus_from_sums(stats.sum(axis=0)), metric.segment_scores(stats).tolist()
+    (corpus,) = metric.corpus_scores(stats.sum(axis=0, keepdims=True))
+    return float(corpus), metric.segment_scores(stats).tolist()

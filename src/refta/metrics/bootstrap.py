@@ -17,7 +17,7 @@ resampled deltas. Results are a pure function of (inputs, seed).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,39 +39,30 @@ class SignificanceResult:
     n_resamples: int
     rng_seed: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def paired_bootstrap(
     metric,
-    hyps_a,
-    hyps_b,
-    references,
+    stats_a,
+    stats_b,
     seed: int = COMPARE_SEED,
     system_a: str = "A",
     system_b: str = "B",
-    stats: tuple | None = None,
 ) -> SignificanceResult:
     """Compare two systems on the same references.
 
     ``metric`` is one of the package's metric objects (``name``,
-    ``segment_stats``, ``corpus_scores``). ``stats`` may hand in both
-    ``segment_stats`` matrices.
+    ``corpus_scores``); ``stats_a`` and ``stats_b`` are its ``segment_stats``
+    matrices for the two systems, row for row on the same segments.
     """
-    n = len(references)
-    if not (len(hyps_a) == len(hyps_b) == n):
-        raise ValueError(
-            f"aligned inputs required: {len(hyps_a)}, {len(hyps_b)}, {n}"
-        )
+    n = len(stats_a)
+    if len(stats_b) != n:
+        raise ValueError(f"aligned inputs required: {n}, {len(stats_b)}")
     if n < 2:
         raise ValueError("need at least 2 segments")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     idx = rng.integers(0, n, size=(N_RESAMPLES, n), dtype=np.int64)
 
-    stats_a, stats_b = stats or (metric.segment_stats(hyps_a, references),
-                                 metric.segment_stats(hyps_b, references))
     sums_a, sums_b = np.hsplit(kernels.resample_sums(np.hstack([stats_a, stats_b]), idx), 2)
     deltas = metric.corpus_scores(sums_a) - metric.corpus_scores(sums_b)
     full_a, full_b = metric.corpus_scores(np.stack([stats_a.sum(axis=0), stats_b.sum(axis=0)]))

@@ -114,12 +114,10 @@ class ChrfPPMetric:
     def segment_scores(self, stats) -> np.ndarray:
         return scores(stats)
 
-    def corpus_from_sums(self, sums) -> float:
-        return float(self.corpus_scores(np.asarray(sums)[None])[0])
-
 
 def chrf_pp(hypotheses, references) -> tuple[float, list[float]]:
     """Corpus chrF++ in [0, 100] plus per-segment scores."""
     metric = ChrfPPMetric()
     stats = metric.segment_stats(hypotheses, references)
-    return metric.corpus_from_sums(stats.sum(axis=0)), metric.segment_scores(stats).tolist()
+    (corpus,) = metric.corpus_scores(stats.sum(axis=0, keepdims=True))
+    return float(corpus), metric.segment_scores(stats).tolist()

@@ -20,9 +20,9 @@ SCORER_TIMEOUT_S = 120.0  # the neural scorer's timeout in ``evaluate`` and ``co
 
 
 def format_score(name: str, value: float) -> str:
-    """A corpus score as ``evaluate`` and ``compare`` print it: BLEU and
-    chrF++ to 2 places, every other metric to 4."""
-    return f"{value:.2f}" if name in ("bleu", "chrf++") else f"{value:.4f}"
+    """A corpus score as ``evaluate`` and ``compare`` print it: the lexical
+    metrics to 2 places, every other metric to 4."""
+    return f"{value:.2f}" if name in {m.name for m in LEXICAL_METRICS} else f"{value:.4f}"
 
 
 @dataclass(frozen=True)
@@ -38,24 +38,17 @@ class MetricReport:
         return asdict(self)
 
 
-def _lexical_stats(hypotheses, references) -> dict:
-    return {m.name: m.segment_stats(hypotheses, references) for m in LEXICAL_METRICS}
-
-
-def evaluate_hypotheses(system_id: str, hypotheses, references, stats=None) -> MetricReport:
+def evaluate_hypotheses(system_id: str, hypotheses, stats) -> MetricReport:
     """BLEU and chrF++ for one system; corpus scores are pooled, not averaged.
 
-    ``<FAILED>`` lines are scored as literal text; the report counts them and
-    warns when there are any. ``stats`` is the segment-statistics matrix per
-    metric name, when the caller has already computed it.
+    ``stats`` maps each lexical metric's name to the system's
+    ``segment_stats`` matrix; the hypotheses are read only to count
+    ``<FAILED>`` lines. Those are scored as literal text; the report counts
+    them and warns when there are any.
     """
-    stats = stats or _lexical_stats(hypotheses, references)
-    corpus_scores: dict = {}
-    segment_scores: dict = {}
-    for metric in LEXICAL_METRICS:
-        m_stats = stats[metric.name]
-        corpus_scores[metric.name] = metric.corpus_from_sums(m_stats.sum(axis=0))
-        segment_scores[metric.name] = metric.segment_scores(m_stats).tolist()
+    corpus_scores = {m.name: float(m.corpus_scores(stats[m.name].sum(axis=0, keepdims=True))[0])
+                     for m in LEXICAL_METRICS}
+    segment_scores = {m.name: m.segment_scores(stats[m.name]).tolist() for m in LEXICAL_METRICS}
     n_failed = sum(1 for h in hypotheses if h == FAILED_SENTINEL)
     return MetricReport(
         system_id=system_id,
@@ -136,33 +129,32 @@ def read_run(run_dir, pairs: list[ParallelPair], digest: str) -> list[str]:
     return hyps
 
 
-def score_runs(run_dirs, pairs: list[ParallelPair], scorer, neural_metrics) -> list[tuple]:
-    """Read every run with ``read_run`` and score it on the shared test set.
+def score_runs(runs: dict, pairs: list[ParallelPair], scorer, neural_metrics) -> list[tuple]:
+    """Score every run on the shared test set.
 
-    Returns one ``(report, hypotheses, stats)`` triple per run, in order;
-    ``stats`` maps each lexical metric's name to the run's segment statistics.
-    One ``segment_stats`` call per metric covers every run, segment-major, so
-    each segment's references are counted once and a hypothesis that several
-    runs share is scored once. ``scorer`` serves ``neural_metrics``; it may be
-    None when that is empty.
+    ``runs`` maps each run's name to its hypotheses, as ``read_run`` gives
+    them. Returns one ``(report, stats)`` pair per run, in order; ``stats``
+    maps each lexical metric's name to the run's segment statistics. This is
+    the one place hypotheses become numbers: one ``segment_stats`` call per
+    metric covers every run, segment-major, so each segment's references are
+    counted once and a hypothesis that several runs share is scored once.
+    ``scorer`` serves ``neural_metrics``; it may be None when that is empty.
     """
-    digest = corpus_digest(pairs)
-    runs = [read_run(run_dir, pairs, digest) for run_dir in run_dirs]
-    references = [list(p.references) for p in pairs]
     sources = [p.source.text for p in pairs]
     first_refs = [p.references[0] for p in pairs]
-    stacked = _lexical_stats([hyps[i] for i in range(len(pairs)) for hyps in runs],
-                             [refs for refs in references for _ in runs])
+    stacked_hyps = [hyps[i] for i in range(len(pairs)) for hyps in runs.values()]
+    stacked_refs = [p.references for p in pairs for _ in runs]
+    stacked = {m.name: m.segment_stats(stacked_hyps, stacked_refs) for m in LEXICAL_METRICS}
     scored = []
-    for j, (run_dir, hyps) in enumerate(zip(run_dirs, runs)):
+    for j, (run_name, hyps) in enumerate(runs.items()):
         stats = {name: np.ascontiguousarray(s.reshape(len(pairs), len(runs), s.shape[1])[:, j])
                  for name, s in stacked.items()}
-        report = evaluate_hypotheses(Path(run_dir).name, hyps, references, stats=stats)
+        report = evaluate_hypotheses(run_name, hyps, stats)
         if neural_metrics:
             report = attach_neural_scores(
                 report, scorer, neural_metrics, sources, hyps, first_refs
             )
-        scored.append((report, hyps, stats))
+        scored.append((report, stats))
     return scored
 
 
@@ -174,11 +166,12 @@ def compare_runs(
     scorer=None,
     neural_metrics=(),
 ) -> RunComparison:
-    """Score every run with ``score_runs`` and test deltas vs the baseline.
+    """Read every run with ``read_run``, score them with ``score_runs`` and
+    test deltas vs the baseline.
 
-    Refuses two runs with the same directory name. Pairwise significance uses
-    paired bootstrap resampling on the lexical metrics at a fixed seed,
-    reusing each run's segment statistics.
+    Refuses two runs with the same directory name, and fewer than 2 pairs
+    once the runs are read. Pairwise significance uses paired bootstrap
+    resampling of each run's lexical segment statistics at a fixed seed.
     """
     baseline_dir = Path(baseline_dir)
     all_dirs = [Path(d) for d in run_dirs]
@@ -190,23 +183,25 @@ def compare_runs(
         # rows, significance and the baseline are keyed by directory name
         raise ComparisonError(f"runs share a directory name: {', '.join(duplicates)}")
 
-    scored = score_runs(all_dirs, pairs, scorer, neural_metrics)
+    digest = corpus_digest(pairs)
+    runs = {run_dir.name: read_run(run_dir, pairs, digest) for run_dir in all_dirs}
+    if len(pairs) < 2:
+        raise ComparisonError(f"a comparison needs at least 2 segments, got {len(pairs)}")
+    scored = score_runs(runs, pairs, scorer, neural_metrics)
     comparison = RunComparison(
-        baseline=baseline_dir.name, test_set_digest=corpus_digest(pairs), seed=seed,
+        baseline=baseline_dir.name, test_set_digest=digest, seed=seed,
         rows=[{"run": run_dir.name, "is_baseline": run_dir == baseline_dir,
                "scores": report.corpus_scores, "warnings": list(report.warnings)}
-              for run_dir, (report, _, _) in zip(all_dirs, scored)],
+              for run_dir, (report, _) in zip(all_dirs, scored)],
     )
-    references = [list(p.references) for p in pairs]
-    _, base_hyps, base_stats = scored[all_dirs.index(baseline_dir)]
-    for run_dir, (_, hyps, stats) in zip(all_dirs, scored):
+    _, base_stats = scored[all_dirs.index(baseline_dir)]
+    for run_dir, (_, stats) in zip(all_dirs, scored):
         if run_dir == baseline_dir:
             continue
         for metric in LEXICAL_METRICS:
             comparison.significance.append(paired_bootstrap(
-                metric, hyps, base_hyps, references, seed=seed,
+                metric, stats[metric.name], base_stats[metric.name], seed=seed,
                 system_a=run_dir.name, system_b=baseline_dir.name,
-                stats=(stats[metric.name], base_stats[metric.name]),
             ))
     return comparison
 

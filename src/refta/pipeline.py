@@ -52,7 +52,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import refta
-from refta.artifacts import encode_json, encode_lines, write_files
+from refta.artifacts import encode_json, encode_lines, make_dir, write_files
 from refta.backends import (
     ChatRequest,
     DrafterClient,
@@ -385,7 +385,10 @@ def translate_corpus(
     cfgs = sweep_configs(cfg, temperatures)  # before stages 1-3 send a request
     suffixes = [""] if len(cfgs) == 1 else [f"-t{c.temperature}" for c in cfgs]
     run_dirs = [Path(runs_root) / f"{cfg.run_id}{suffix}" for suffix in suffixes]
+    make_dir(runs_root)  # an unusable location is refused before any request
     for run_dir in run_dirs:
+        if run_dir.exists() and not run_dir.is_dir():
+            raise ReftaError(f"run directory {run_dir} exists and is not a directory")
         if (run_dir / "records.jsonl").exists() and not force:
             raise ReftaError(f"run directory {run_dir} already holds records; use force")
 

@@ -429,13 +429,16 @@ def test_c10_significance_sanity():
     fixture = json.loads((DATA / "metric_fixture.json").read_text())["primary"]
     hyps, refs = fixture["hypotheses"], fixture["references"]
 
-    same = paired_bootstrap(BleuMetric(), hyps, hyps, refs, seed=17)
+    metric = BleuMetric()
+    stats = metric.segment_stats(hyps, refs)
+    same = paired_bootstrap(metric, stats, stats, seed=17)
     assert same.delta == 0.0
     assert same.ci_low <= 0.0 <= same.ci_high
 
     dominant = [r[0] for r in refs]
-    better = paired_bootstrap(BleuMetric(), dominant, hyps, refs, seed=17)
-    again = paired_bootstrap(BleuMetric(), dominant, hyps, refs, seed=17)
+    dominant_stats = metric.segment_stats(dominant, refs)
+    better = paired_bootstrap(metric, dominant_stats, stats, seed=17)
+    again = paired_bootstrap(metric, dominant_stats, stats, seed=17)
     assert better == again
     assert better.p_value < 0.05
     _ok(10, "paired bootstrap sanity (identical, dominated, seed-stable)")
@@ -474,7 +477,7 @@ LIVE_VARS = ("REFTA_LIVE_DRAFTER_URL", "REFTA_LIVE_REFINER_URL", "REFTA_LIVE_EMB
     reason="live-model track: export REFTA_LIVE_{DRAFTER,REFINER,EMBEDDER}_URL to enable",
 )
 def test_c12_live_model_trend(tmp_path):
-    from refta.metrics.report import evaluate_hypotheses
+    from refta.metrics.report import LEXICAL_METRICS, evaluate_hypotheses
     from refta.pipeline import read_hypotheses
 
     endpoints = {
@@ -496,7 +499,9 @@ def test_c12_live_model_trend(tmp_path):
         (result,) = translate_corpus(cfg, pairs, index if condition == "rag" else None,
                                      runs_root=tmp_path)
         hyps = read_hypotheses(result.run_dir)
-        report = evaluate_hypotheses(condition, hyps, [list(p.references) for p in pairs])
+        refs = [list(p.references) for p in pairs]
+        stats = {m.name: m.segment_stats(hyps, refs) for m in LEXICAL_METRICS}
+        report = evaluate_hypotheses(condition, hyps, stats)
         scores[condition] = report.corpus_scores["chrf++"]
     # direction of trend, recorded rather than gated
     print(f"\nlive chrF++ trend: {scores}")

@@ -19,7 +19,8 @@ def fixture():
 
 def test_identical_systems(fixture):
     hyps, refs = fixture["hypotheses"], fixture["references"]
-    res = paired_bootstrap(BleuMetric(), hyps, hyps, refs, seed=7)
+    stats = BleuMetric().segment_stats(hyps, refs)
+    res = paired_bootstrap(BleuMetric(), stats, stats, seed=7)
     assert res.delta == 0.0
     assert res.p_value == 1.0
     assert res.ci_low <= 0.0 <= res.ci_high
@@ -29,17 +30,21 @@ def test_identical_systems(fixture):
 def test_seed_determinism(fixture):
     hyps, refs = fixture["hypotheses"], fixture["references"]
     better = [r[0] for r in refs]
-    a = paired_bootstrap(ChrfPPMetric(), better, hyps, refs, seed=11)
-    b = paired_bootstrap(ChrfPPMetric(), better, hyps, refs, seed=11)
+    metric = ChrfPPMetric()
+    stats = (metric.segment_stats(better, refs), metric.segment_stats(hyps, refs))
+    a = paired_bootstrap(metric, *stats, seed=11)
+    b = paired_bootstrap(metric, *stats, seed=11)
     assert a == b
-    c = paired_bootstrap(ChrfPPMetric(), better, hyps, refs, seed=12)
+    c = paired_bootstrap(metric, *stats, seed=12)
     assert c != a
 
 
 def test_dominated_fixture_is_significant(fixture):
     hyps, refs = fixture["hypotheses"], fixture["references"]
     better = [r[0] for r in refs]  # wins on every segment
-    res = paired_bootstrap(BleuMetric(), better, hyps, refs, seed=17)
+    metric = BleuMetric()
+    stats = (metric.segment_stats(better, refs), metric.segment_stats(hyps, refs))
+    res = paired_bootstrap(metric, *stats, seed=17)
     assert res.delta > 0
     assert res.p_value < 0.05
 
@@ -56,13 +61,17 @@ def test_resample_sums_refuses_sums_past_exact_float64():
 
 def test_alignment_enforced(fixture):
     hyps, refs = fixture["hypotheses"], fixture["references"]
-    with pytest.raises(ValueError):
-        paired_bootstrap(BleuMetric(), hyps[:-1], hyps, refs)
+    stats = BleuMetric().segment_stats(hyps, refs)
+    with pytest.raises(ValueError, match="aligned"):
+        paired_bootstrap(BleuMetric(), stats[:-1], stats)
+    with pytest.raises(ValueError, match="at least 2"):
+        paired_bootstrap(BleuMetric(), stats[:1], stats[:1])
 
 
 def test_metric_name_recorded(fixture):
     hyps, refs = fixture["hypotheses"], fixture["references"]
-    res = paired_bootstrap(ChrfPPMetric(), hyps, hyps, refs, seed=1)
+    stats = ChrfPPMetric().segment_stats(hyps, refs)
+    res = paired_bootstrap(ChrfPPMetric(), stats, stats, seed=1)
     assert res.metric == "chrf++"
     assert res.rng_seed == 1
     assert res.n_resamples == 1000
@@ -90,7 +99,7 @@ def test_p_value_is_half_a_centred_two_sided_p(seed):
     hyps_a, hyps_b, refs = _synthetic_pair(seed)
     metric = BleuMetric()
     stats = (metric.segment_stats(hyps_a, refs), metric.segment_stats(hyps_b, refs))
-    res = paired_bootstrap(metric, hyps_a, hyps_b, refs, seed=seed, stats=stats)
+    res = paired_bootstrap(metric, *stats, seed=seed)
     assert 0.15 <= res.p_value <= 0.35
 
     # the same resample indices as paired_bootstrap draws
@@ -98,7 +107,6 @@ def test_p_value_is_half_a_centred_two_sided_p(seed):
     idx = np.random.Generator(np.random.PCG64(seed)).integers(
         0, n, size=(res.n_resamples, n), dtype=np.int64)
     sums_a, sums_b = (kernels.resample_sums(s, idx) for s in stats)
-    deltas = np.array([metric.corpus_from_sums(a) - metric.corpus_from_sums(b)
-                       for a, b in zip(sums_a, sums_b)])
+    deltas = metric.corpus_scores(sums_a) - metric.corpus_scores(sums_b)
     two_sided = float(np.mean(np.abs(deltas - res.delta) >= abs(res.delta)))
     assert abs(res.p_value - two_sided / 2) <= 0.03

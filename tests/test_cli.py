@@ -82,6 +82,13 @@ class TestIndexBuild:
         assert "near-dup-threshold" in result.output
         assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {}
 
+    @pytest.mark.parametrize("out", ["notadir/sub", "notadir"], ids=["under-a-file", "a-file"])
+    def test_unusable_out_is_refused_before_any_request(self, runner, workspace, mock_server,
+                                                        out):
+        (workspace / "notadir").write_text("a file\n", encoding="utf-8")
+        result = _build_index(runner, workspace, mock_server.base_url, out=out)
+        _assert_refused_before_any_request(result, mock_server.base_url)
+
     def test_exclusions_applied(self, runner, workspace, mock_server):
         result = runner.invoke(main, [
             "index-build",
@@ -144,14 +151,15 @@ class TestIndexBuild:
         assert "skipped empty: 1" in text.output
 
 
-def _translate(runner, workspace, url, condition, extra=(), run_id="run1", config=None):
+def _translate(runner, workspace, url, condition, extra=(), run_id="run1", config=None,
+               runs_root="runs"):
     args = [] if config is None else ["--config", str(config)]
     args += [
         "translate",
         "--test-set", str(workspace / "test.tsv"),
         "--condition", condition,
         "--run-id", run_id,
-        "--runs-root", str(workspace / "runs"),
+        "--runs-root", str(workspace / runs_root),
         "--refiner", url,
     ]
     if condition in ("draft_only", "rag"):
@@ -175,6 +183,15 @@ def _assert_error_line(result, run_dir):
     assert result.exit_code == 1, result.output
     assert result.stderr.startswith("error: ") and str(run_dir / "manifest.json") in result.stderr
     assert "Traceback" not in result.output
+
+
+def _assert_refused_before_any_request(result, url):
+    import requests
+
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("error: "), result.output
+    assert "Traceback" not in result.output
+    assert requests.get(f"{url}/_stats", timeout=5).json()["counts"] == {}
 
 
 UNREADABLE_MANIFESTS = pytest.mark.parametrize("manifest_text", ["{", "[]"],
@@ -220,6 +237,17 @@ class TestTranslate:
         result = _translate(runner, workspace, url, condition, extra=extra)
         assert result.exit_code == 2, result.output
         assert requests.get(f"{url}/_stats", timeout=5).json()["counts"] == {}
+
+    @pytest.mark.parametrize("runs_root", ["notadir/sub", "notadir", "runs"],
+                             ids=["under-a-file", "a-file", "run-dir-a-file"])
+    def test_unusable_runs_root_is_refused_before_any_request(self, runner, workspace,
+                                                              mock_server, runs_root):
+        (workspace / "notadir").write_text("a file\n", encoding="utf-8")
+        (workspace / "runs").mkdir()
+        (workspace / "runs" / "run1").write_text("a file\n", encoding="utf-8")
+        result = _translate(runner, workspace, mock_server.base_url, "draft_only",
+                            runs_root=runs_root)
+        _assert_refused_before_any_request(result, mock_server.base_url)
 
     @pytest.mark.parametrize("condition, given, missing", [
         ("draft_only", [], "drafter"),
@@ -547,6 +575,23 @@ class TestCompare:
         assert result.exit_code == 2, result.output
         assert flags[0] in result.output
         assert not (workspace / "comparison.json").exists()
+
+    def test_fewer_than_two_segments_is_an_error_line(self, runner, workspace):
+        one_pair = workspace / "one.tsv"
+        one_pair.write_text((workspace / "test.tsv").read_text().splitlines()[0] + "\n",
+                            encoding="utf-8")
+        for name in ("a", "b"):
+            (workspace / name).mkdir()
+            (workspace / name / "hypotheses.txt").write_text("a hypothesis\n", encoding="utf-8")
+        out = workspace / "cmp.json"
+        result = runner.invoke(main, [
+            "compare", "--runs", str(workspace / "a"), "--baseline", str(workspace / "b"),
+            "--test-set", str(one_pair), "--out", str(out),
+        ])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.startswith("error: ") and "at least 2 segments" in result.stderr
+        assert "Traceback" not in result.output
+        assert not out.exists()
 
     def test_scorer_client_closed(self, runner, workspace, mock_server, monkeypatch):
         from refta.backends import ScorerClient

@@ -170,6 +170,23 @@ class TestLoadMonolingual:
         p.write_text(json.dumps(row) + "\n", encoding="utf-8")
         assert list(load_monolingual(p, "jsonl")) == [SourceSegment("a", "latin hic")]
 
+    def test_bare_carriage_return_does_not_end_a_line(self, tmp_path):
+        p = tmp_path / "corpus.txt"
+        p.write_bytes(b"prima linea\rmedia\nsecunda linea\n")
+        segs = list(load_monolingual(p, "plain-lines"))
+        assert [s.id for s in segs] == ["corpus.txt:1", "corpus.txt:2"]
+        assert [s.text for s in segs] == ["prima linea media", "secunda linea"]
+
+    def test_crlf_line_endings(self, tmp_path):
+        p = tmp_path / "corpus.txt"
+        p.write_bytes(b"una linea\r\naltera linea\r\n")
+        segs = list(load_monolingual(p, "plain-lines"))
+        assert [(s.id, s.text) for s in segs] == [
+            ("corpus.txt:1", "una linea"), ("corpus.txt:2", "altera linea")]
+        tsv = tmp_path / "set.tsv"
+        tsv.write_bytes(b"a\tlatin unum\tref one\r\nb\tlatin duo\tref two\r\n")
+        assert [p.references for p in load_parallel(tsv, "tsv")] == [("ref one",), ("ref two",)]
+
     def test_rejects_non_utf8(self, tmp_path):
         p = tmp_path / "corpus.txt"
         p.write_bytes(b"bona\n\xff\xfe latin-1 junk\n")
@@ -190,6 +207,13 @@ class TestLoadParallel:
         p.write_text("a\tlatin hic\tref one\tref two\n", encoding="utf-8")
         pairs = load_parallel(p, "tsv")
         assert pairs[0].references == ("ref one", "ref two")
+
+    def test_bare_carriage_return_inside_a_row(self, tmp_path):
+        p = tmp_path / "set.tsv"
+        p.write_bytes(b"a1\tGallia est\romnis divisa.\tAll Gaul is divided.\n")
+        (pair,) = load_parallel(p, "tsv")
+        assert pair.source.text == "Gallia est omnis divisa."
+        assert pair.references == ("All Gaul is divided.",)
 
     def test_too_few_fields(self, tmp_path):
         p = tmp_path / "set.tsv"

@@ -48,6 +48,11 @@ def oracle():
     return json.loads((DATA / "metric_oracle.json").read_text(encoding="utf-8"))
 
 
+def _lexical_stats(hyps, refs) -> dict:
+    """Each lexical metric's segment statistics, as ``evaluate_hypotheses`` takes them."""
+    return {m.name: m.segment_stats(hyps, refs) for m in LEXICAL_METRICS}
+
+
 class TestOracleEquivalence:
     # expected values recorded once from the reference scorers on the frozen
     # fixture set; see tests/data/metric_oracle.json
@@ -185,7 +190,7 @@ class TestNeuralAttachment:
 def test_evaluate_hypotheses_pools_not_averages(fixture):
     hyps = fixture["primary"]["hypotheses"]
     refs = fixture["primary"]["references"]
-    report = evaluate_hypotheses("sys", hyps, refs)
+    report = evaluate_hypotheses("sys", hyps, _lexical_stats(hyps, refs))
     mean_segment_bleu = sum(report.segment_scores["bleu"]) / len(hyps)
     assert report.corpus_scores["bleu"] != pytest.approx(mean_segment_bleu, abs=1e-6)
     assert report.n_segments == len(hyps)
@@ -194,9 +199,9 @@ def test_evaluate_hypotheses_pools_not_averages(fixture):
 def test_evaluate_hypotheses_counts_failed_lines(fixture):
     hyps = list(fixture["primary"]["hypotheses"])
     refs = fixture["primary"]["references"]
-    assert evaluate_hypotheses("sys", hyps, refs).n_failed == 0
+    assert evaluate_hypotheses("sys", hyps, _lexical_stats(hyps, refs)).n_failed == 0
     hyps[1] = FAILED_SENTINEL
-    report = evaluate_hypotheses("sys", hyps, refs)
+    report = evaluate_hypotheses("sys", hyps, _lexical_stats(hyps, refs))
     assert report.n_failed == 1
     assert report.warnings == (f"1 of {len(hyps)} hypotheses are <FAILED>",)
     assert report.to_dict()["n_failed"] == 1
@@ -239,8 +244,10 @@ def test_compare_runs_reuses_segment_stats_in_bootstrap(tmp_path, monkeypatch):
         ("mid", "bleu"), ("mid", "chrf++"), ("top", "bleu"), ("top", "chrf++")]
     for sig in comparison.significance:
         assert sig.delta > 0.0
+        metric = metrics[sig.metric]
         assert sig == paired_bootstrap(
-            metrics[sig.metric], runs[sig.system_a], runs["base"], references,
+            metric, metric.segment_stats(runs[sig.system_a], references),
+            metric.segment_stats(runs["base"], references),
             seed=9, system_a=sig.system_a, system_b="base")
 
 
@@ -464,6 +471,17 @@ def test_read_run_checks_the_digest_only_where_a_manifest_exists(tmp_path):
         read_run(run, pairs, corpus_digest(pairs))
 
 
+@pytest.mark.parametrize("n_pairs", [0, 1])
+def test_compare_runs_refuses_fewer_than_two_pairs(tmp_path, n_pairs):
+    pairs = load_parallel(FIXTURES / "testsets" / "ood_fixture_110.tsv", "tsv")[:n_pairs]
+    for name in ("base", "sys"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "hypotheses.txt").write_text(
+            "".join(p.references[0] + "\n" for p in pairs), encoding="utf-8")
+    with pytest.raises(ComparisonError, match="at least 2 segments"):
+        compare_runs([tmp_path / "sys"], pairs, tmp_path / "base")
+
+
 def test_score_runs_of_one_run_is_evaluate_hypotheses(tmp_path):
     pairs = load_parallel(FIXTURES / "testsets" / "ood_fixture_110.tsv", "tsv")[:12]
     hyps = [" ".join(p.references[0].split()[1:]) for p in pairs]
@@ -471,7 +489,11 @@ def test_score_runs_of_one_run_is_evaluate_hypotheses(tmp_path):
     (tmp_path / "sys").mkdir()
     (tmp_path / "sys" / "hypotheses.txt").write_text(
         "".join(h + "\n" for h in hyps), encoding="utf-8")
-    ((report, read, stats),) = score_runs([tmp_path / "sys"], pairs, None, set())
-    assert read == hyps
-    assert report == evaluate_hypotheses("sys", hyps, [list(p.references) for p in pairs])
+    runs = {"sys": read_run(tmp_path / "sys", pairs, corpus_digest(pairs))}
+    ((report, stats),) = score_runs(runs, pairs, None, set())
+    assert runs["sys"] == hyps
+    direct = _lexical_stats(hyps, [list(p.references) for p in pairs])
     assert sorted(stats) == ["bleu", "chrf++"]
+    for name, matrix in direct.items():
+        assert np.array_equal(stats[name], matrix)
+    assert report == evaluate_hypotheses("sys", hyps, direct)
