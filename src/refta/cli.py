@@ -123,11 +123,21 @@ def _emit(as_json: bool, payload, lines) -> None:
             click.echo(line)
 
 
-def _load_test_set(test_set: str, test_format: str | None) -> list:
-    """The test set's pairs; without ``--test-format``, a ``.jsonl`` file is
-    JSON lines and anything else TSV."""
-    fmt = test_format or ("jsonl" if test_set.endswith(".jsonl") else "tsv")
-    return load_parallel(test_set, fmt)
+FORMATS = {".tsv": "tsv", ".jsonl": "jsonl", ".txt": "plain-lines"}
+
+
+def _by_extension(*accepted):
+    """A click callback giving each file as ``(path, format)``, the format
+    named by its lower-cased extension in ``FORMATS``; any format but
+    ``accepted`` is a usage error, raised as the flags are read."""
+    def typed(path):
+        fmt = FORMATS.get(Path(path).suffix.lower())
+        if fmt not in accepted:
+            exts = ", ".join(ext for ext, f in FORMATS.items() if f in accepted)
+            raise click.BadParameter(f"{path} does not end in one of {exts}")
+        return path, fmt
+    return lambda ctx, param, value: (
+        value if value is None else tuple(map(typed, value)) if param.multiple else typed(value))
 
 
 def _options(*decorators):
@@ -136,10 +146,8 @@ def _options(*decorators):
 
 
 _json_option = click.option("--json", "as_json", is_flag=True)
-_test_set_options = _options(
-    click.option("--test-set", required=True, type=click.Path(exists=True)),
-    click.option("--test-format", type=click.Choice(["tsv", "jsonl"]), default=None),
-)
+_test_set_option = click.option("--test-set", required=True, type=click.Path(exists=True),
+                                callback=_by_extension("tsv", "jsonl"))
 _scorer_options = _options(
     click.option("--scorer", "scorer_url", default=None),
     click.option("--scorer-model", default=None),
@@ -177,10 +185,10 @@ def main(ctx, config_path):
 
 @main.command("index-build")
 @click.option("--corpus", "corpora", multiple=True, required=True,
-              type=click.Path(exists=True), help="Monolingual corpus file(s).")
-@click.option("--format", "corpus_format", type=click.Choice(["jsonl", "plain-lines"]),
-              default="jsonl", show_default=True)
+              type=click.Path(exists=True), callback=_by_extension("jsonl", "plain-lines"),
+              help="Monolingual corpus file(s).")
 @click.option("--exclude", "exclude_path", type=click.Path(exists=True), default=None,
+              callback=_by_extension("tsv", "jsonl", "plain-lines"),
               help="Test set whose ids/texts must never enter the index.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--embedder", "embedder_url", required=True, help="Embedder base URL.")
@@ -193,9 +201,8 @@ def main(ctx, config_path):
 @click.option("--force", is_flag=True, help="Allow writing into an existing index dir.")
 @_json_option
 @_runtime_errors
-def cmd_index_build(corpora, corpus_format, exclude_path, out_dir, embedder_url,
-                    embed_model, near_dup_threshold, timeout, max_retries, parallelism,
-                    force, as_json):
+def cmd_index_build(corpora, exclude_path, out_dir, embedder_url, embed_model,
+                    near_dup_threshold, timeout, max_retries, parallelism, force, as_json):
     """Build and persist the retrieval index."""
     if near_dup_threshold != near_dup_threshold:  # NaN passes FloatRange
         raise click.BadParameter("nan is not in [0, 1]", param_hint="'--near-dup-threshold'")
@@ -206,14 +213,14 @@ def cmd_index_build(corpora, corpus_format, exclude_path, out_dir, embedder_url,
     if any(out.iterdir()) and not force:
         _fail(f"{out} already exists and is not empty; pass --force to rebuild")
 
-    exclusions = _load_exclusions(exclude_path) if exclude_path else None
+    exclusions = _load_exclusions(*exclude_path) if exclude_path else None
     embedder = EmbedderClient(endpoint)
 
     skipped: list = []
 
     def segments():
-        for corpus_path in corpora:
-            yield from load_monolingual(corpus_path, corpus_format, skipped=skipped)
+        for corpus_path, fmt in corpora:
+            yield from load_monolingual(corpus_path, fmt, skipped=skipped)
 
     try:
         index, report = build_index(
@@ -241,17 +248,15 @@ def cmd_index_build(corpora, corpus_format, exclude_path, out_dir, embedder_url,
     ])
 
 
-def _load_exclusions(path: str) -> ExclusionList:
-    """A ``.tsv`` test set, a ``.jsonl`` file of ``id``/``text`` rows
-    (parallel or monolingual), or else plain lines."""
-    if path.endswith(".tsv"):
-        return ExclusionList.from_pairs(load_parallel(path, "tsv"))
-    fmt = "jsonl" if path.endswith(".jsonl") else "plain-lines"
+def _load_exclusions(path: str, fmt: str) -> ExclusionList:
+    """A ``.tsv`` test set, or the ``id``/``text`` rows of ``.jsonl`` or ``.txt`` lines."""
+    if fmt == "tsv":
+        return ExclusionList.from_pairs(load_parallel(path, fmt))
     return ExclusionList.from_segments(load_monolingual(path, fmt))
 
 
 @main.command("translate")
-@_test_set_options
+@_test_set_option
 @click.option("--index", "index_dir", type=click.Path(exists=True), default=None)
 @click.option("--condition", required=True, type=click.Choice(CONDITIONS))
 @click.option("--k", type=int, default=RunConfig.k, show_default=True)
@@ -271,7 +276,6 @@ def _load_exclusions(path: str) -> ExclusionList:
 @click.option("--embedder", "embedder_url", default=None)
 @click.option("--drafter-model", default=None)
 @click.option("--refiner-model", default=None)
-@click.option("--embed-model", default=None)
 @click.option("--seed", type=int, default=RunConfig.seed)
 @_retry_options
 @click.option("--parallelism", type=int, default=EndpointConfig.request_parallelism,
@@ -281,17 +285,18 @@ def _load_exclusions(path: str) -> ExclusionList:
 @click.option("--force", is_flag=True, help="Overwrite existing run directories.")
 @_json_option
 @_runtime_errors
-def cmd_translate(test_set, test_format, index_dir, temperatures, runs_root,
-                  drafter_url, refiner_url, embedder_url, drafter_model, refiner_model,
-                  embed_model, timeout, max_retries, parallelism, force, as_json,
-                  **run_fields):
+def cmd_translate(test_set, index_dir, temperatures, runs_root, drafter_url, refiner_url,
+                  embedder_url, drafter_model, refiner_model, timeout, max_retries,
+                  parallelism, force, as_json, **run_fields):
     """Translate a test set under one experimental condition."""
     # run_fields are the flags named after RunConfig fields
     if run_fields["condition"] == "rag" and not index_dir:
         raise click.UsageError("--condition rag requires --index")
+    # only rag retrieves; its queries are embedded by the model that built the index
+    index = load_index(index_dir) if run_fields["condition"] == "rag" else None
 
     urls = {"refiner": (refiner_url, refiner_model), "drafter": (drafter_url, drafter_model),
-            "embedder": (embedder_url, embed_model)}
+            "embedder": (embedder_url, getattr(index, "model_id", None))}
     endpoints = {role: _endpoint(role, url, model, timeout=timeout, max_retries=max_retries,
                                  request_parallelism=parallelism)
                  for role, (url, model) in urls.items() if url}
@@ -302,8 +307,7 @@ def cmd_translate(test_set, test_format, index_dir, temperatures, runs_root,
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
-    pairs = _load_test_set(test_set, test_format)
-    index = load_index(index_dir) if cfg.condition == "rag" else None  # only rag retrieves
+    pairs = load_parallel(*test_set)
     results = translate_corpus(cfg, pairs, index, runs_root=runs_root,
                                temperatures=temperatures, force=force)
     payload = [{**vars(r), "run_dir": str(r.run_dir)} for r in results]
@@ -317,16 +321,15 @@ def cmd_translate(test_set, test_format, index_dir, temperatures, runs_root,
 
 @main.command("evaluate")
 @click.option("--run", "run_dir", required=True, type=click.Path())
-@_test_set_options
+@_test_set_option
 @_scorer_options
 @_scorer_timeout_option
 @_json_option
 @_runtime_errors
-def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
-                 metrics, timeout, as_json):
+def cmd_evaluate(run_dir, test_set, scorer_url, scorer_model, metrics, timeout, as_json):
     """Score a run against its test set; writes metrics.json into the run dir."""
     wanted = _neural_metrics(metrics, scorer_url)
-    pairs = _load_test_set(test_set, test_format)
+    pairs = load_parallel(*test_set)
     runs = {Path(run_dir).name: read_run(run_dir, pairs, corpus_digest(pairs))}
     with _scorer(scorer_url, scorer_model, timeout) as scorer:
         ((report, _),) = score_runs(runs, pairs, scorer, wanted)
@@ -341,7 +344,7 @@ def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
 @click.option("--runs", "run_dirs", multiple=True, required=True,
               type=click.Path())
 @click.option("--baseline", required=True, type=click.Path())
-@_test_set_options
+@_test_set_option
 @click.option("--seed", type=click.IntRange(min=0), default=COMPARE_SEED, show_default=True)
 @_scorer_options
 @click.option("--out", "out_path", type=click.Path(), default="comparison.json",
@@ -349,14 +352,14 @@ def cmd_evaluate(run_dir, test_set, test_format, scorer_url, scorer_model,
 @_scorer_timeout_option
 @_json_option
 @_runtime_errors
-def cmd_compare(run_dirs, baseline, test_set, test_format, seed, scorer_url,
-                scorer_model, metrics, out_path, timeout, as_json):
+def cmd_compare(run_dirs, baseline, test_set, seed, scorer_url, scorer_model, metrics,
+                out_path, timeout, as_json):
     """Compare runs against a baseline with significance tests."""
     wanted = _neural_metrics(metrics, scorer_url)
     if Path(out_path).is_dir() or not Path(out_path).parent.is_dir():
         raise click.BadParameter(f"not a file in an existing directory: {out_path}",
                                  param_hint="'--out'")
-    pairs = _load_test_set(test_set, test_format)
+    pairs = load_parallel(*test_set)
     with _scorer(scorer_url, scorer_model, timeout) as scorer:
         comparison = compare_runs(list(run_dirs), pairs, baseline, seed=seed,
                                   scorer=scorer, neural_metrics=wanted)
@@ -390,8 +393,8 @@ def cmd_cost(run_dir, as_json, **model_fields):
 @main.command("mock-serve")
 @click.option("--host", default="127.0.0.1", show_default=True)
 @click.option("--port", type=int, default=8089, show_default=True)
-@click.option("--behavior", type=click.Choice(["default", "echo-refiner"]),
-              default="default", show_default=True)
+@click.option("--refiner", type=click.Choice(["template", "echo", "empty"]),
+              default=MockBehavior.refiner, show_default=True)
 @click.option("--embed-dim", type=int, default=MockBehavior.embed_dim, show_default=True)
 @click.option("--fail-rate", type=float, default=MockBehavior.fail_rate, show_default=True)
 @click.option("--fail-first", type=int, default=MockBehavior.fail_first, show_default=True)
@@ -399,10 +402,9 @@ def cmd_cost(run_dir, as_json, **model_fields):
 @click.option("--latency-ms", type=int, default=MockBehavior.latency_ms, show_default=True)
 @click.option("--seed", type=int, default=MockBehavior.seed, show_default=True)
 @_runtime_errors
-def cmd_mock_serve(host, port, behavior, **behavior_fields):
+def cmd_mock_serve(host, port, **behavior_fields):
     """Serve deterministic mock backends for offline testing."""
-    refiner = "echo" if behavior == "echo-refiner" else "template"
-    server = MockServer(MockBehavior(refiner=refiner, **behavior_fields), host=host, port=port)
+    server = MockServer(MockBehavior(**behavior_fields), host=host, port=port)
     click.echo(f"mock backends listening on {server.base_url}")
     try:
         server.serve_forever()

@@ -267,7 +267,8 @@ def load_monolingual(
 
 
 def load_parallel(path: str | Path, format: str) -> list[ParallelPair]:
-    """Load a parallel test set (``tsv`` or ``jsonl``), preserving file order."""
+    """Load a parallel test set (``tsv`` or ``jsonl``), preserving file order;
+    a file that holds no pair is a ``CorpusFormatError``."""
     if format not in ("tsv", "jsonl"):
         raise ValueError(f"unknown parallel format: {format!r}")
     path = Path(path)
@@ -280,4 +281,6 @@ def load_parallel(path: str | Path, format: str) -> list[ParallelPair]:
         if any(not r for r in refs):
             raise CorpusFormatError(path, line_no, "empty reference")
         pairs.append(ParallelPair(SourceSegment(seg_id, text), refs))
+    if not pairs:
+        raise CorpusFormatError(path, None, "the test set holds no pairs")
     return pairs

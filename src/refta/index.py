@@ -308,6 +308,7 @@ def build_index(
                                  near_dup_threshold)
 
     kept: list[SourceSegment] = []
+    kept_ids: set = set()
     for seg in segments:
         report.rows_seen += 1
         if exclusions.matches(seg.id, seg.text):
@@ -316,6 +317,9 @@ def build_index(
         if is_near_dup(seg.text):
             report.excluded_near_dup += 1
             continue
+        if seg.id in kept_ids:  # refused before any row is embedded
+            raise IndexError_(f"duplicate segment id {seg.id!r} in index")
+        kept_ids.add(seg.id)
         kept.append(seg)
 
     texts = [s.text for s in kept]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -112,18 +113,24 @@ def read_run(run_dir, pairs: list[ParallelPair], digest: str) -> list[str]:
     """A run's hypotheses, one per pair.
 
     A run whose directory holds ``manifest.json`` must name ``digest`` as its
-    corpus digest; a directory holding only ``hypotheses.txt``, such as an
-    outside system's outputs, is read as is.
+    corpus digest and, when the manifest records ``checksums``, hold the
+    ``hypotheses.txt`` it wrote; a directory holding only ``hypotheses.txt``,
+    such as an outside system's outputs, is read as is.
     """
-    run_dir = Path(run_dir)
+    run_dir, written = Path(run_dir), None
     if (run_dir / "manifest.json").exists():
-        found = read_manifest(run_dir).get("corpus_digest")
+        manifest = read_manifest(run_dir)
+        found = manifest.get("corpus_digest")
         if found != digest:
             raise ComparisonError(
                 f"run {run_dir} was produced on a different test set "
                 f"(corpus digest {found} != {digest})"
             )
+        written = (manifest.get("checksums") or {}).get("hypotheses.txt")
     hyps = read_hypotheses(run_dir)
+    if written and written != hashlib.sha256(
+            (run_dir / "hypotheses.txt").read_bytes()).hexdigest():
+        raise ComparisonError(f"run {run_dir}: hypotheses.txt does not match its checksum")
     if len(hyps) != len(pairs):
         raise ComparisonError(f"run {run_dir} holds {len(hyps)} hypotheses for {len(pairs)} pairs")
     return hyps

@@ -54,7 +54,7 @@ _POLL_S = 0.05  # how often serve_forever checks for shutdown, so stop() returns
 @dataclass
 class MockBehavior:
     embed_dim: int = 64
-    refiner: str = "template"  # or "echo"
+    refiner: str = "template"  # or "echo", "empty"
     include_usage: bool = True
     fail_rate: float = 0.0
     fail_first: int = 0

@@ -29,7 +29,8 @@ Run directory layout (one per temperature):
 - ``manifest.json``: resolved config (no secrets) naming only the backends
   the condition calls, ``config_hash``,
   ``corpus_digest``, code version, counts, aggregate token usage, wall time
-  (stages 1-3 included).
+  (stages 1-3 included), and the SHA-256 ``checksums`` of the other three
+  files, taken as they are written; it is written last.
 - ``records.jsonl``: one completed TranslationRecord per row, input order.
 - ``hypotheses.txt``: one line per input segment (line breaks of any kind
   inside a refined text are flattened to spaces); failed segments hold the
@@ -247,8 +248,6 @@ def _prepare(
     under ``fail_fast`` raised for the first segment a failed request
     carried. Every stage 3 failure is found before any draft is attached:
     under ``fail_fast`` earlier segments may name neighbors never drafted."""
-    if cfg.condition == RAG and index is None:
-        raise ValueError("rag condition requires a loaded index")
     preps = [_Prepared() for _ in segments]
     hits: dict[int, list] = {}
     if cfg.condition == RAG:
@@ -383,6 +382,11 @@ def translate_corpus(
 ) -> list[RunResult]:
     """Translate every pair; one run directory per requested temperature."""
     cfgs = sweep_configs(cfg, temperatures)  # before stages 1-3 send a request
+    if cfg.condition == RAG and index is None:
+        raise ValueError("rag condition requires a loaded index")
+    if cfg.condition == RAG and cfg.endpoints["embedder"].model_id != index.model_id:
+        raise ValueError(f"embedder model {cfg.endpoints['embedder'].model_id!r} is not "
+                         f"{index.model_id!r}, the model the index was built with")
     suffixes = [""] if len(cfgs) == 1 else [f"-t{c.temperature}" for c in cfgs]
     run_dirs = [Path(runs_root) / f"{cfg.run_id}{suffix}" for suffix in suffixes]
     make_dir(runs_root)  # an unusable location is refused before any request
@@ -470,7 +474,8 @@ def _run_one(
             FAILED_SENTINEL if r is None else " ".join(r.refined.splitlines()) for r in records),
         run_dir / "errors.jsonl": encode_lines(
             json.dumps(row, ensure_ascii=False) for row in failures),
-        run_dir / "manifest.json": [encode_json(manifest)],
+        run_dir / "manifest.json": lambda sums: [encode_json({**manifest, "checksums": dict(
+            zip(("records.jsonl", "hypotheses.txt", "errors.jsonl"), sums))})],
     })
     return RunResult(run_dir, cfg.temperature, len(done), len(failures))
 

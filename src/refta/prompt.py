@@ -101,31 +101,26 @@ def assemble_prompt(
     if condition == ZERO_SHOT:
         if draft is not None or neighbors:
             raise ValueError("zero_shot takes no draft and no neighbors")
-        system = ""
-        user = f"{BASELINE_INSTRUCTION}\n{latin}"
-        est = estimate_tokens(system) + estimate_tokens(user)
-        if est > budget_ceiling:
-            raise PromptBudgetError(est, budget_ceiling)
-        return PromptBundle(system, user, (), est, "none")
+        system, render = "", lambda kept: f"{BASELINE_INSTRUCTION}\n{latin}"
+    else:
+        if not draft:
+            raise ValueError(f"{condition} requires a draft")
+        if condition == DRAFT_ONLY and neighbors:
+            raise ValueError("draft_only takes no neighbors")
+        system, render = SYSTEM_TEMPLATE, lambda kept: _user_text(latin, draft, kept)
 
-    if draft is None or not draft:
-        raise ValueError(f"{condition} requires a draft")
-    if condition == DRAFT_ONLY and neighbors:
-        raise ValueError("draft_only takes no neighbors")
-
-    kept = neighbors
-    dropped = 0
+    kept = neighbors  # neighbors are dropped from the end until the prompt fits
     while True:
-        user = _user_text(latin, draft, kept)
-        est = estimate_tokens(SYSTEM_TEMPLATE) + estimate_tokens(user)
+        user = render(kept)
+        est = estimate_tokens(system) + estimate_tokens(user)
         if est <= budget_ceiling:
             break
         if not kept:
             raise PromptBudgetError(est, budget_ceiling)
         kept = kept[:-1]
-        dropped += 1
+    dropped = len(neighbors) - len(kept)
     truncation = "none" if dropped == 0 else f"dropped-neighbors({dropped})"
-    return PromptBundle(SYSTEM_TEMPLATE, user, kept, est, truncation)
+    return PromptBundle(system, user, kept, est, truncation)
 
 
 def render_golden(bundle: PromptBundle) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 
@@ -120,6 +121,53 @@ class TestIndexBuild:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["excluded"] == 5
 
+    @pytest.mark.parametrize("flag, name", [
+        ("--exclude", "test.json"), ("--exclude", "test.csv"), ("--corpus", "corpus.tsv"),
+        ("--corpus", "corpus.json"),
+    ])
+    def test_file_of_another_format_is_usage_error_before_any_request(
+            self, runner, workspace, mock_server, flag, name):
+        import requests
+
+        rows = [json.loads(line) for line in
+                (workspace / "corpus.jsonl").read_text().splitlines()[:5]]
+        (workspace / name).write_text("".join(  # parallel JSON lines under another name
+            json.dumps({**r, "references": ["ref"]}) + "\n" for r in rows), encoding="utf-8")
+        # a --corpus case replaces the readable corpus
+        files = {"--corpus": str(workspace / "corpus.jsonl"), flag: str(workspace / name)}
+        result = runner.invoke(main, [
+            "index-build", *[arg for pair in files.items() for arg in pair],
+            "--out", str(workspace / "idx"), "--embedder", mock_server.base_url,
+        ])
+        assert result.exit_code == 2, result.output
+        assert flag in result.output and name in result.output
+        assert not (workspace / "idx").exists()
+        assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {}
+
+    def test_extension_is_compared_lower_cased(self, runner, workspace, mock_server):
+        shutil.copy(workspace / "corpus.jsonl", workspace / "CORPUS.JSONL")
+        rows = [json.loads(line) for line in
+                (workspace / "corpus.jsonl").read_text().splitlines()[:5]]
+        (workspace / "EXCLUDE.Tsv").write_text(
+            "".join(f"{r['id']}\t{r['text']}\tref\n" for r in rows), encoding="utf-8")
+        result = runner.invoke(main, [
+            "index-build", "--corpus", str(workspace / "CORPUS.JSONL"),
+            "--exclude", str(workspace / "EXCLUDE.Tsv"), "--out", str(workspace / "idx"),
+            "--embedder", mock_server.base_url, "--json",
+        ])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["excluded"] == 5
+
+    def test_duplicate_ids_refused_before_any_request(self, runner, workspace, mock_server):
+        corpus = workspace / "corpus.jsonl"
+        first_id = json.loads(corpus.read_text().splitlines()[0])["id"]
+        result = runner.invoke(main, [
+            "index-build", "--corpus", str(corpus), "--corpus", str(corpus),
+            "--out", str(workspace / "idx"), "--embedder", mock_server.base_url,
+        ])
+        _assert_refused_before_any_request(result, mock_server.base_url)
+        assert repr(first_id) in result.stderr
+
     def test_parallelism_sets_batches_in_flight(self, runner, tmp_path, mock_server):
         corpus = tmp_path / "big.jsonl"
         corpus.write_text("".join(
@@ -192,6 +240,16 @@ def _assert_refused_before_any_request(result, url):
     assert result.stderr.startswith("error: "), result.output
     assert "Traceback" not in result.output
     assert requests.get(f"{url}/_stats", timeout=5).json()["counts"] == {}
+
+
+def _edited_run(runner, workspace, url):
+    """A zero_shot run whose ``hypotheses.txt`` line 1 was overwritten after it was written."""
+    assert _translate(runner, workspace, url, "zero_shot", run_id="edited").exit_code == 0
+    run_dir = workspace / "runs" / "edited"
+    lines = (run_dir / "hypotheses.txt").read_text(encoding="utf-8").splitlines()
+    lines[0] = "an edited line"
+    (run_dir / "hypotheses.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return run_dir
 
 
 UNREADABLE_MANIFESTS = pytest.mark.parametrize("manifest_text", ["{", "[]"],
@@ -281,6 +339,26 @@ class TestTranslate:
         assert all("dim 8" in e["error"] for e in errors)
         assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {
             "/embed": 1}
+
+    def test_rag_run_embeds_with_its_index_model(self, runner, workspace, mock_server,
+                                                 monkeypatch):
+        from refta.backends import EmbedderClient
+
+        result = runner.invoke(main, [
+            "index-build", "--corpus", str(workspace / "corpus.jsonl"),
+            "--out", str(workspace / "idx"), "--embedder", mock_server.base_url,
+            "--embed-model", "model-A",
+        ])
+        assert result.exit_code == 0, result.output
+        sent = []
+        embed = EmbedderClient.embed
+        monkeypatch.setattr(EmbedderClient, "embed",
+                            lambda self, texts: sent.append(self.cfg.model_id) or embed(self, texts))
+        result = _translate(runner, workspace, mock_server.base_url, "rag")
+        assert result.exit_code == 0, result.output
+        assert sent and set(sent) == {"model-A"}
+        manifest = json.loads((workspace / "runs" / "run1" / "manifest.json").read_text())
+        assert manifest["model_ids"]["embedder"] == "model-A"
 
     def test_index_is_read_only_under_rag(self, runner, workspace, mock_server):
         # zero_shot never retrieves, so it neither loads nor checks the index
@@ -411,6 +489,26 @@ class TestEvaluate:
         _assert_error_line(result, run_dir)
         assert not (run_dir / "metrics.json").exists()
 
+    def test_edited_hypotheses_refused(self, runner, workspace, mock_server):
+        run_dir = _edited_run(runner, workspace, mock_server.base_url)
+        result = runner.invoke(main, [
+            "evaluate", "--run", str(run_dir), "--test-set", str(workspace / "test.tsv"),
+        ])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.startswith("error: ") and "checksum" in result.stderr
+        assert not (run_dir / "metrics.json").exists()
+
+    def test_manifest_without_checksums_read_as_before(self, runner, workspace, mock_server):
+        run_dir = _edited_run(runner, workspace, mock_server.base_url)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        del manifest["checksums"]
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        result = runner.invoke(main, [
+            "evaluate", "--run", str(run_dir), "--test-set", str(workspace / "test.tsv"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert (run_dir / "metrics.json").exists()
+
     def test_missing_run_dir_exits_1(self, runner, workspace):
         result = runner.invoke(main, [
             "evaluate", "--run", str(workspace / "missing"),
@@ -497,6 +595,7 @@ class TestCompare:
         base = workspace / "runs" / "base"
         broken = workspace / "runs" / "broken"
         shutil.copytree(base, broken)
+        (broken / "manifest.json").unlink()  # edited: an outside system's output now
         lines = (broken / "hypotheses.txt").read_text().splitlines()
         lines[0] = lines[5] = "<FAILED>"
         (broken / "hypotheses.txt").write_text("\n".join(lines) + "\n")
@@ -516,6 +615,7 @@ class TestCompare:
         base = workspace / "runs" / "base"
         broken = workspace / "runs" / "broken"
         shutil.copytree(base, broken)
+        (broken / "manifest.json").unlink()  # edited: an outside system's output now
         lines = (broken / "hypotheses.txt").read_text().splitlines()
         lines[0] = lines[5] = "<FAILED>"
         (broken / "hypotheses.txt").write_text("\n".join(lines) + "\n")
@@ -614,6 +714,7 @@ class TestCompare:
         base = workspace / "runs" / "base"
         dominant = workspace / "runs" / "dominant"
         shutil.copytree(base, dominant)
+        (dominant / "manifest.json").unlink()  # edited: an outside system's output now
         refs = [line.split("\t")[2] for line in
                 (workspace / "test.tsv").read_text().splitlines()]
         (dominant / "hypotheses.txt").write_text("\n".join(refs) + "\n")
@@ -659,6 +760,19 @@ class TestCompare:
             "--test-set", str(workspace / "test.tsv"), "--out", str(out),
         ])
         _assert_error_line(result, run_dir)
+        assert not out.exists()
+
+    def test_edited_hypotheses_refused(self, runner, workspace, mock_server):
+        run_dir = _edited_run(runner, workspace, mock_server.base_url)
+        assert _translate(runner, workspace, mock_server.base_url, "zero_shot",
+                          run_id="base").exit_code == 0
+        out = workspace / "cmp.json"
+        result = runner.invoke(main, [
+            "compare", "--runs", str(run_dir), "--baseline", str(workspace / "runs" / "base"),
+            "--test-set", str(workspace / "test.tsv"), "--out", str(out),
+        ])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.startswith("error: ") and "checksum" in result.stderr
         assert not out.exists()
 
     def test_digest_mismatch_refused(self, runner, workspace, mock_server):
@@ -729,6 +843,75 @@ class TestCost:
         assert result.exit_code == 2, result.output
         assert "Traceback" not in result.output
         assert not (workspace / "runs" / "c" / "costs.json").exists()
+
+
+def test_manifest_records_the_checksums_of_the_run_files(runner, workspace, mock_server):
+    assert _translate(runner, workspace, mock_server.base_url, "zero_shot").exit_code == 0
+    run_dir = workspace / "runs" / "run1"
+    checksums = json.loads((run_dir / "manifest.json").read_text())["checksums"]
+    assert checksums == {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                         for name in ("records.jsonl", "hypotheses.txt", "errors.jsonl")}
+
+
+def _test_set_command(command, workspace, test_set, url):
+    """``command``'s arguments over ``test_set``; translate's refiner is at
+    ``url``, and evaluate and compare read the run directory ``workspace/run``."""
+    run = str(workspace / "run")
+    return {
+        "translate": ["translate", "--condition", "zero_shot", "--run-id", "r",
+                      "--runs-root", str(workspace / "runs"), "--refiner", url],
+        "evaluate": ["evaluate", "--run", run],
+        "compare": ["compare", "--runs", run, "--baseline", run,
+                    "--out", str(workspace / "cmp.json")],
+    }[command] + ["--test-set", str(test_set)]
+
+
+@pytest.mark.parametrize("command", ["translate", "evaluate", "compare"])
+def test_empty_test_set_is_an_error_line(runner, workspace, mock_server, command):
+    (workspace / "run").mkdir()
+    (workspace / "run" / "hypotheses.txt").write_text("", encoding="utf-8")
+    (workspace / "test.tsv").write_text("", encoding="utf-8")
+    result = runner.invoke(main, _test_set_command(command, workspace, workspace / "test.tsv",
+                                                   mock_server.base_url))
+    _assert_refused_before_any_request(result, mock_server.base_url)
+    assert "no pairs" in result.stderr and str(workspace / "test.tsv") in result.stderr
+    assert sorted(p.name for p in workspace.iterdir()) == ["corpus.jsonl", "run", "test.tsv"]
+    assert [p.name for p in (workspace / "run").iterdir()] == ["hypotheses.txt"]
+
+
+@pytest.mark.parametrize("command", ["translate", "evaluate", "compare"])
+def test_test_set_of_another_format_is_usage_error(runner, workspace, mock_server, command):
+    import requests
+
+    test_json = workspace / "test.json"
+    shutil.copy(workspace / "test.tsv", test_json)
+    (workspace / "run").mkdir()
+    result = runner.invoke(main, _test_set_command(command, workspace, test_json,
+                                                   mock_server.base_url))
+    assert result.exit_code == 2, result.output
+    assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {}
+    assert "--test-set" in result.output and "test.json" in result.output
+    assert not (workspace / "runs").exists() and not (workspace / "cmp.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["translate", "--test-format", "tsv"],
+    ["translate", "--embed-model", "bge-m3"],
+    ["evaluate", "--test-format", "tsv"],
+    ["compare", "--test-format", "jsonl"],
+    ["index-build", "--format", "plain-lines"],
+    ["mock-serve", "--behavior", "echo-refiner", "--port", "0"],
+])
+def test_flags_that_restate_an_input_are_gone(runner, monkeypatch, args):
+    from refta.mockserver import MockServer
+
+    def interrupt(self):  # a mock server that did start stops at once
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(MockServer, "service_actions", interrupt)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "No such option" in result.output and args[1] in result.output
 
 
 class TestConfigFile:
@@ -842,6 +1025,22 @@ def test_mock_serve_subprocess():
     finally:
         proc.terminate()
         proc.communicate(timeout=10)
+
+
+@pytest.mark.parametrize("refiner", ["template", "echo", "empty"])
+def test_mock_serve_refiner_flag_sets_the_behavior(runner, monkeypatch, refiner):
+    from refta.mockserver import MockServer
+
+    served = []
+
+    def interrupt(self):
+        served.append(self)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(MockServer, "service_actions", interrupt)
+    result = runner.invoke(main, ["mock-serve", "--port", "0", "--refiner", refiner])
+    assert result.exit_code == 0, result.output
+    assert served[0].behavior.refiner == refiner
 
 
 def test_mock_serve_interrupt_closes_socket(runner, monkeypatch):

@@ -248,6 +248,14 @@ class TestLoadParallel:
             load_parallel(p, "jsonl")
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("fmt, text", [("tsv", ""), ("jsonl", "\n\n")])
+    def test_a_file_without_pairs_is_refused(self, tmp_path, fmt, text):
+        p = tmp_path / f"set.{fmt}"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match="no pairs") as exc:
+            load_parallel(p, fmt)
+        assert exc.value.path == str(p)
+
     def test_empty_reference_rejected(self, tmp_path):
         p = tmp_path / "set.tsv"
         p.write_text("a\tlatin hic\t \n", encoding="utf-8")

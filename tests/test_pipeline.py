@@ -209,7 +209,8 @@ class TestTranslateSegment:
         texts = ["gallia bellum gerunt", "bellum gallia gerunt", "prorsus alienum verbum"]
         vecs = np.stack(embedder.embed(texts))
         embedder.close()
-        index = VectorIndex.from_arrays(["n1", "n2", "n3"], texts, vecs)
+        index = VectorIndex.from_arrays(["n1", "n2", "n3"], texts, vecs,
+                                        model_id=endpoints["embedder"].model_id)
         seg = SourceSegment("q1", "gallia bellum gerunt iterum")
         cfg = _config(endpoints, "rag", k=5, jaccard_threshold=0.3)
         rec = _record(cfg, seg, index, tmp_path)
@@ -228,6 +229,21 @@ class TestTranslateSegment:
         endpoints, _, _ = stack
         with pytest.raises(ValueError, match="index"):
             translate_corpus(_config(endpoints, "rag"), _pairs(1), None, runs_root=tmp_path)
+
+    @pytest.mark.parametrize("embedder_model, has_index, match", [
+        ("model-B", True, "model-B"), ("mock-embedder", False, "index"),
+    ], ids=["embedder-of-another-model", "no-index"])
+    def test_rag_refused_before_any_directory_or_request(self, stack, tmp_path,
+                                                         embedder_model, has_index, match):
+        endpoints, index, server = stack  # the index was built by "mock-embedder"
+        endpoints = {**endpoints,
+                     "embedder": replace(endpoints["embedder"], model_id=embedder_model)}
+        runs_root = tmp_path / "runs"
+        with pytest.raises(ValueError, match=match):
+            translate_corpus(_config(endpoints, "rag"), _pairs(2), index if has_index else None,
+                             runs_root=runs_root)
+        assert not runs_root.exists()
+        assert server.stats.snapshot()["counts"] == {}
 
 
 def _drafted_union(records, pairs) -> set:
