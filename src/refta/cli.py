@@ -2,7 +2,7 @@
 
 Every command takes ``--json`` for machine-readable stdout; human tables are
 the default. Exit codes: 0 success, 1 runtime failure, 2 usage error.
-A declarative config file (JSON always; TOML when the interpreter ships
+A declarative config file (``.json``; ``.toml`` when the interpreter ships
 ``tomllib``) supplies per-command defaults; explicit flags win. See
 ``docs/config.md``.
 """
@@ -34,7 +34,7 @@ from refta.metrics.report import (
 )
 from refta.cost import CostModel, cost_report
 from refta.mockserver import MockBehavior, MockServer
-from refta.pipeline import RunConfig, corpus_digest, sweep_configs, translate_corpus
+from refta.pipeline import METRICS_FILE, RunConfig, corpus_digest, sweep_configs, translate_corpus
 from refta.prompt import CONDITIONS
 
 DEFAULT_MODELS = {
@@ -51,15 +51,18 @@ def _load_config_file(path: str | None) -> dict:
     p = Path(path)
     if not p.exists():
         raise click.UsageError(f"config file not found: {path}")
-    kind, loads = "JSON", json.loads
-    if p.suffix == ".toml":
+    kind = {".json": "JSON", ".toml": "TOML"}.get(p.suffix.lower())
+    if kind is None:
+        raise click.UsageError(f"config file {path} does not end in .json or .toml")
+    loads = json.loads
+    if kind == "TOML":
         try:
             import tomllib  # py311+
         except ImportError as exc:
             raise click.UsageError(
                 "TOML config requires Python 3.11+; use a JSON config file"
             ) from exc
-        kind, loads = "TOML", tomllib.loads
+        loads = tomllib.loads
     try:
         return loads(p.read_text(encoding="utf-8"))
     except ValueError as exc:  # tomllib.TOMLDecodeError is a ValueError
@@ -101,11 +104,11 @@ def _neural_metrics(metrics: str, scorer_url: str | None) -> set:
     return wanted
 
 
-def _scorer(url: str | None, model: str | None, timeout: float):
+def _scorer(url: str | None, timeout: float):
     """A scorer client for ``url``, or None without one; closed on exit."""
     if not url:
         return contextlib.nullcontext()
-    return contextlib.closing(ScorerClient(_endpoint("scorer", url, model, timeout=timeout)))
+    return contextlib.closing(ScorerClient(_endpoint("scorer", url, None, timeout=timeout)))
 
 
 def _warn(warnings) -> None:
@@ -150,7 +153,6 @@ _test_set_option = click.option("--test-set", required=True, type=click.Path(exi
                                 callback=_by_extension("tsv", "jsonl"))
 _scorer_options = _options(
     click.option("--scorer", "scorer_url", default=None),
-    click.option("--scorer-model", default=None),
     click.option("--metrics", default="", help="Comma-separated neural metrics."),
 )
 _scorer_timeout_option = click.option("--timeout", type=float, default=SCORER_TIMEOUT_S,
@@ -165,7 +167,7 @@ _retry_options = _options(
 @click.group()
 @click.version_option(version=refta.__version__, prog_name="refta")
 @click.option("--config", "config_path", type=click.Path(), default=None,
-              help="JSON (or TOML on 3.11+) file with per-command defaults.")
+              help=".json (or .toml on 3.11+) file with per-command defaults.")
 @click.pass_context
 def main(ctx, config_path):
     """Retrieval-augmented draft-refinement translation engine."""
@@ -326,14 +328,14 @@ def cmd_translate(test_set, index_dir, temperatures, runs_root, drafter_url, ref
 @_scorer_timeout_option
 @_json_option
 @_runtime_errors
-def cmd_evaluate(run_dir, test_set, scorer_url, scorer_model, metrics, timeout, as_json):
+def cmd_evaluate(run_dir, test_set, scorer_url, metrics, timeout, as_json):
     """Score a run against its test set; writes metrics.json into the run dir."""
     wanted = _neural_metrics(metrics, scorer_url)
     pairs = load_parallel(*test_set)
     runs = {Path(run_dir).name: read_run(run_dir, pairs, corpus_digest(pairs))}
-    with _scorer(scorer_url, scorer_model, timeout) as scorer:
+    with _scorer(scorer_url, timeout) as scorer:
         ((report, _),) = score_runs(runs, pairs, scorer, wanted)
-    write_json(Path(run_dir) / "metrics.json", report.to_dict())
+    write_json(Path(run_dir) / METRICS_FILE, report.to_dict())
     scores = report.corpus_scores
     _emit(as_json, scores, [f"{Path(run_dir).name}: " + "  ".join(
         f"{name} {format_score(name, value)}" for name, value in sorted(scores.items()))])
@@ -352,15 +354,15 @@ def cmd_evaluate(run_dir, test_set, scorer_url, scorer_model, metrics, timeout, 
 @_scorer_timeout_option
 @_json_option
 @_runtime_errors
-def cmd_compare(run_dirs, baseline, test_set, seed, scorer_url, scorer_model, metrics,
-                out_path, timeout, as_json):
+def cmd_compare(run_dirs, baseline, test_set, seed, scorer_url, metrics, out_path, timeout,
+                as_json):
     """Compare runs against a baseline with significance tests."""
     wanted = _neural_metrics(metrics, scorer_url)
     if Path(out_path).is_dir() or not Path(out_path).parent.is_dir():
         raise click.BadParameter(f"not a file in an existing directory: {out_path}",
                                  param_hint="'--out'")
     pairs = load_parallel(*test_set)
-    with _scorer(scorer_url, scorer_model, timeout) as scorer:
+    with _scorer(scorer_url, timeout) as scorer:
         comparison = compare_runs(list(run_dirs), pairs, baseline, seed=seed,
                                   scorer=scorer, neural_metrics=wanted)
     payload = comparison.to_dict()

@@ -14,13 +14,15 @@ figure applies the configured discount multiplier, 0.5 by default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from pathlib import Path
 
 from refta.artifacts import write_json
 from refta.backends import TokenUsage
-from refta.pipeline import read_manifest
+from refta.errors import ReftaError
+from refta.pipeline import COSTS_FILE, read_manifest
 
 MILLION = Decimal(1_000_000)
 _QUANT = Decimal("0.0001")
@@ -130,15 +132,26 @@ class CostReport:
         return lines
 
 
+def _manifest_number(manifest: dict, path: str, kinds=int):
+    """The manifest's value at the dotted ``path``; ``ReftaError`` unless it
+    is a finite, non-negative ``kinds``."""
+    value = manifest
+    for key in path.split("."):
+        value = value.get(key) if isinstance(value, dict) else None
+    if isinstance(value, bool) or not isinstance(value, kinds) or not 0 <= value < math.inf:
+        kind = "integer" if kinds is int else "number"
+        raise ReftaError(f"manifest field {path} is not a non-negative {kind}: {value!r}")
+    return value
+
+
 def cost_report(run_dir, model: CostModel) -> CostReport:
-    """Aggregate a run's token usage into cost figures; emits ``costs.json``."""
+    """Aggregate a run's token usage into cost figures; emits ``costs.json``.
+    A manifest it cannot price is a ``ReftaError``, and writes nothing."""
     run_dir = Path(run_dir)
     manifest = read_manifest(run_dir)
-    tokens = manifest.get("tokens") or {}
-    n_segments = (manifest.get("counts") or {}).get("segments", 0)
-    usage = TokenUsage(
-        int(tokens.get("input", 0)), int(tokens.get("output", 0)), "backend-reported"
-    )
+    n_segments = _manifest_number(manifest, "counts.segments")
+    usage = TokenUsage(_manifest_number(manifest, "tokens.input"),
+                       _manifest_number(manifest, "tokens.output"), "backend-reported")
 
     api = api_cost(usage, model)
     batched = api * model.batching_discount
@@ -146,7 +159,7 @@ def cost_report(run_dir, model: CostModel) -> CostReport:
     ratio = None
     batched_ratio = None
     if model.fixed_hourly is not None:
-        wall_ms = as_money(manifest.get("wall_time_ms", 0))
+        wall_ms = as_money(_manifest_number(manifest, "wall_time_ms", (int, float)))
         local = local_cost(wall_ms / Decimal(1000), model)
         if local > 0:
             ratio = float(api / local)
@@ -173,5 +186,5 @@ def cost_report(run_dir, model: CostModel) -> CostReport:
         api_batched_to_local_ratio=batched_ratio,
         per_100_segments=per_100,
     )
-    write_json(run_dir / "costs.json", report.to_dict())
+    write_json(run_dir / COSTS_FILE, report.to_dict())
     return report

@@ -297,7 +297,8 @@ def build_index(
     prefix, its first n - α(n) + 1 lemmas in ascending frequency among the
     excluded sets, instead of being compared with every excluded text; the
     pairs that pass the size filter are checked by ``jaccard`` as before.
-    With no excluded text no row is lemmatized.
+    With no excluded text no row is lemmatized. A build that keeps no row
+    raises ``IndexError_`` before any request.
     """
     if not 0.0 <= near_dup_threshold <= 1.0:
         raise ValueError(f"near_dup_threshold must be in [0, 1], got {near_dup_threshold}")
@@ -321,9 +322,11 @@ def build_index(
             raise IndexError_(f"duplicate segment id {seg.id!r} in index")
         kept_ids.add(seg.id)
         kept.append(seg)
+    if not kept:
+        raise IndexError_(f"no row to index: {report.excluded_exact} excluded, "
+                          f"{report.excluded_near_dup} near-duplicates dropped")
 
     texts = [s.text for s in kept]
-    matrix = np.zeros((0, 0), dtype=np.float32)  # stays empty when no row is kept
     for batch_no, (batch, result, _ms) in enumerate(
             send_batches(embedder.embed, texts, embedder.cfg.max_batch, max_in_flight)):
         if isinstance(result, Exception):

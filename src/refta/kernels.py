@@ -2,9 +2,9 @@
 
 ``search_layer`` is the retrieval scan: one matrix-vector product per query,
 then an exact top-``pool`` selection. ``resample_sums`` is the bootstrap's
-per-resample sum of integer segment statistics. Both are exact: the scan
-returns the brute-force prefix in (-similarity, id) order, and the sums are
-integers that float64 holds exactly.
+per-resample sum of segment statistics. The scan returns the brute-force
+prefix in (-similarity, id) order; integer sums are exact, because float64
+holds them exactly.
 """
 
 from __future__ import annotations
@@ -43,20 +43,22 @@ def search_layer(
 
 
 def resample_sums(stats: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Sum int64 segment statistics over each resample's index row.
+    """Sum segment statistics over each resample's index row, in their dtype.
 
     Equal to ``stats[idx].sum(axis=1)``: each resample's draw counts per
-    segment form a count matrix, and ``counts @ stats`` adds the same
-    integers without the ``(R, n, d)`` gather. The product runs as a float64
-    GEMM, exact because no partial sum exceeds ``n * max|stats|`` (a row's
-    counts sum to its ``n`` draws); past ``2**53`` it raises ``ValueError``.
+    segment form a count matrix, and ``counts @ stats`` adds the same values
+    without the ``(R, n, d)`` gather, as a float64 GEMM. Integer sums are
+    exact, as no partial sum exceeds ``n * max|stats|`` (a row's counts sum
+    to its ``n`` draws); past ``2**53`` it raises ``ValueError``. Float sums
+    may differ from the gather's in the last bits.
     """
-    stats = np.asarray(stats, dtype=np.int64)
+    stats = np.asarray(stats)
     idx = np.asarray(idx, dtype=np.int64)
     (n_resamples, n), m = idx.shape, stats.shape[0]
-    if n * max(int(stats.max(initial=0)), -int(stats.min(initial=0))) >= 2**53:
+    if stats.dtype.kind in "iu" and n * max(int(stats.max(initial=0)),
+                                             -int(stats.min(initial=0))) >= 2**53:
         raise ValueError("resample sums could exceed 2**53, beyond exact float64")
     offsets = (np.arange(n_resamples, dtype=np.int64) * m)[:, None]
     counts = np.bincount((idx + offsets).ravel(), minlength=n_resamples * m)
     sums = counts.reshape(n_resamples, m).astype(np.float64) @ stats.astype(np.float64)
-    return sums.astype(np.int64)
+    return sums.astype(stats.dtype, copy=False)

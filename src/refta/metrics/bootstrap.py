@@ -50,9 +50,10 @@ def paired_bootstrap(
 ) -> SignificanceResult:
     """Compare two systems on the same references.
 
-    ``metric`` is one of the package's metric objects (``name``,
-    ``corpus_scores``); ``stats_a`` and ``stats_b`` are its ``segment_stats``
-    matrices for the two systems, row for row on the same segments.
+    ``metric`` has a ``name`` and ``corpus_scores``; ``stats_a`` and
+    ``stats_b`` are its segment statistics for the two systems, row for row
+    on the same segments. Integer statistics give exact sums; float ones, a
+    neural metric's, give sums whose last bits depend on BLAS summation order.
     """
     n = len(stats_a)
     if len(stats_b) != n:

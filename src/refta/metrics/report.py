@@ -20,6 +20,24 @@ SIGNIFICANCE_ALPHA = 0.05
 SCORER_TIMEOUT_S = 120.0  # the neural scorer's timeout in ``evaluate`` and ``compare``
 
 
+@dataclass(frozen=True)
+class MeanMetric:
+    """A neural metric: ``(score, 1)`` segment statistics, scored by their mean."""
+
+    name: str
+
+    def corpus_scores(self, sums) -> np.ndarray:
+        return sums[:, 0] / sums[:, 1]
+
+    def segment_scores(self, stats) -> np.ndarray:
+        return stats[:, 0]
+
+
+def metric_named(name: str):
+    """The lexical metric called ``name``, or else a ``MeanMetric``."""
+    return next((m for m in LEXICAL_METRICS if m.name == name), MeanMetric(name))
+
+
 def format_score(name: str, value: float) -> str:
     """A corpus score as ``evaluate`` and ``compare`` print it: the lexical
     metrics to 2 places, every other metric to 4."""
@@ -40,16 +58,17 @@ class MetricReport:
 
 
 def evaluate_hypotheses(system_id: str, hypotheses, stats) -> MetricReport:
-    """BLEU and chrF++ for one system; corpus scores are pooled, not averaged.
+    """Every metric for one system; corpus scores are pooled, not averaged.
 
-    ``stats`` maps each lexical metric's name to the system's
-    ``segment_stats`` matrix; the hypotheses are read only to count
+    ``stats`` maps each metric's name to the system's segment statistics, as
+    ``score_runs`` gives them; the hypotheses are read only to count
     ``<FAILED>`` lines. Those are scored as literal text; the report counts
     them and warns when there are any.
     """
+    metrics = [metric_named(name) for name in stats]
     corpus_scores = {m.name: float(m.corpus_scores(stats[m.name].sum(axis=0, keepdims=True))[0])
-                     for m in LEXICAL_METRICS}
-    segment_scores = {m.name: m.segment_scores(stats[m.name]).tolist() for m in LEXICAL_METRICS}
+                     for m in metrics}
+    segment_scores = {m.name: m.segment_scores(stats[m.name]).tolist() for m in metrics}
     n_failed = sum(1 for h in hypotheses if h == FAILED_SENTINEL)
     return MetricReport(
         system_id=system_id,
@@ -61,39 +80,6 @@ def evaluate_hypotheses(system_id: str, hypotheses, stats) -> MetricReport:
             if n_failed else ()
         ),
         n_failed=n_failed,
-    )
-
-
-def attach_neural_scores(
-    report: MetricReport,
-    scorer,
-    metrics,
-    sources,
-    hypotheses,
-    references,
-) -> MetricReport:
-    """Fetch per-segment neural scores; the corpus score is their mean.
-
-    ``references`` is one string per segment (the first reference of a
-    multi-reference set). A metric the scorer does not serve leaves the
-    report unchanged for that metric and appends a warning.
-    """
-    corpus_scores = dict(report.corpus_scores)
-    segment_scores = dict(report.segment_scores)
-    warnings = list(report.warnings)
-    for metric in sorted(metrics):
-        try:
-            scores = scorer.score(metric, sources, hypotheses, references)
-        except CapabilityError as exc:
-            warnings.append(f"scorer does not serve '{metric}': {exc.status}")
-            continue
-        corpus_scores[metric] = sum(scores) / len(scores) if scores else 0.0
-        segment_scores[metric] = scores
-    return replace(
-        report,
-        corpus_scores=corpus_scores,
-        segment_scores=segment_scores,
-        warnings=tuple(warnings),
     )
 
 
@@ -141,11 +127,12 @@ def score_runs(runs: dict, pairs: list[ParallelPair], scorer, neural_metrics) ->
 
     ``runs`` maps each run's name to its hypotheses, as ``read_run`` gives
     them. Returns one ``(report, stats)`` pair per run, in order; ``stats``
-    maps each lexical metric's name to the run's segment statistics. This is
-    the one place hypotheses become numbers: one ``segment_stats`` call per
-    metric covers every run, segment-major, so each segment's references are
-    counted once and a hypothesis that several runs share is scored once.
-    ``scorer`` serves ``neural_metrics``; it may be None when that is empty.
+    maps each metric's name to the run's segment statistics, lexical first.
+    This is the one place hypotheses become numbers: one ``segment_stats``
+    call per lexical metric covers every run, segment-major, so each
+    segment's references are counted once and a hypothesis that several runs
+    share is scored once. Each of ``neural_metrics`` is one ``scorer``
+    request per run, whose scores become ``(score, 1)`` rows.
     """
     sources = [p.source.text for p in pairs]
     first_refs = [p.references[0] for p in pairs]
@@ -156,12 +143,16 @@ def score_runs(runs: dict, pairs: list[ParallelPair], scorer, neural_metrics) ->
     for j, (run_name, hyps) in enumerate(runs.items()):
         stats = {name: np.ascontiguousarray(s.reshape(len(pairs), len(runs), s.shape[1])[:, j])
                  for name, s in stacked.items()}
+        unserved = []
+        for metric in sorted(neural_metrics):
+            try:
+                scores = scorer.score(metric, sources, hyps, first_refs)
+            except CapabilityError as exc:
+                unserved.append(f"scorer does not serve '{metric}': {exc.status}")
+                continue
+            stats[metric] = np.column_stack([scores, np.ones(len(scores))])
         report = evaluate_hypotheses(run_name, hyps, stats)
-        if neural_metrics:
-            report = attach_neural_scores(
-                report, scorer, neural_metrics, sources, hyps, first_refs
-            )
-        scored.append((report, stats))
+        scored.append((replace(report, warnings=report.warnings + tuple(unserved)), stats))
     return scored
 
 
@@ -178,7 +169,8 @@ def compare_runs(
 
     Refuses two runs with the same directory name, and fewer than 2 pairs
     once the runs are read. Pairwise significance uses paired bootstrap
-    resampling of each run's lexical segment statistics at a fixed seed.
+    resampling of each run's segment statistics at a fixed seed, for every
+    metric, the lexical metrics first.
     """
     baseline_dir = Path(baseline_dir)
     all_dirs = [Path(d) for d in run_dirs]
@@ -205,9 +197,9 @@ def compare_runs(
     for run_dir, (_, stats) in zip(all_dirs, scored):
         if run_dir == baseline_dir:
             continue
-        for metric in LEXICAL_METRICS:
+        for name in stats:
             comparison.significance.append(paired_bootstrap(
-                metric, stats[metric.name], base_stats[metric.name], seed=seed,
+                metric_named(name), stats[name], base_stats[name], seed=seed,
                 system_a=run_dir.name, system_b=baseline_dir.name,
             ))
     return comparison

@@ -82,6 +82,7 @@ from refta.prompt import (
 )
 
 FAILED_SENTINEL = "<FAILED>"
+METRICS_FILE, COSTS_FILE = "metrics.json", "costs.json"  # reports on a run, beside its files
 
 # auth tokens stay out of manifests and the config hash;
 # base_url is in the manifest but not the hash, so a restarted or moved
@@ -387,6 +388,8 @@ def translate_corpus(
     if cfg.condition == RAG and cfg.endpoints["embedder"].model_id != index.model_id:
         raise ValueError(f"embedder model {cfg.endpoints['embedder'].model_id!r} is not "
                          f"{index.model_id!r}, the model the index was built with")
+    if cfg.condition == RAG and not len(index):
+        raise ReftaError("the index holds no row, so a rag run would retrieve nothing")
     suffixes = [""] if len(cfgs) == 1 else [f"-t{c.temperature}" for c in cfgs]
     run_dirs = [Path(runs_root) / f"{cfg.run_id}{suffix}" for suffix in suffixes]
     make_dir(runs_root)  # an unusable location is refused before any request
@@ -467,6 +470,8 @@ def _run_one(
         "wall_time_ms": wall_ms,
     }
     run_dir.mkdir(parents=True, exist_ok=True)  # a run that fails before this leaves none
+    for stale in (METRICS_FILE, COSTS_FILE):  # they describe the run this one replaces
+        (run_dir / stale).unlink(missing_ok=True)
     write_files({
         run_dir / "records.jsonl": encode_lines(
             json.dumps(r.to_json_dict(), ensure_ascii=False) for r in done),

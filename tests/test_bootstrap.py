@@ -10,6 +10,7 @@ from refta import kernels
 from refta.metrics.bootstrap import paired_bootstrap
 from refta.metrics.bleu import BleuMetric
 from refta.metrics.chrf import ChrfPPMetric
+from refta.metrics.report import MeanMetric
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,28 @@ def test_resample_sums_refuses_sums_past_exact_float64():
             kernels.resample_sums(np.array([[big], [1]], dtype=np.int64), idx)
     stats = np.array([[2**52 - 1], [1]], dtype=np.int64)
     assert np.array_equal(kernels.resample_sums(stats, idx), stats[idx].sum(axis=1))
+
+
+def _neural_stats(scores):
+    return np.column_stack([scores, np.ones(len(scores))])
+
+
+def test_neural_identical_systems():
+    stats = _neural_stats(np.random.default_rng(3).random(60))
+    res = paired_bootstrap(MeanMetric("comet"), stats, stats, seed=7)
+    assert res.metric == "comet"
+    assert res.delta == 0.0
+    assert res.p_value == 1.0
+    # float sums: the BLAS may order each column's additions differently
+    assert [res.ci_low, res.ci_high] == pytest.approx([0.0, 0.0], abs=1e-12)
+
+
+def test_neural_constant_shift_is_significant():
+    scores = np.random.default_rng(4).random(60)
+    res = paired_bootstrap(MeanMetric("comet"), _neural_stats(scores + 0.05),
+                           _neural_stats(scores), seed=7)
+    assert res.p_value == 0.0
+    assert [res.delta, res.ci_low, res.ci_high] == pytest.approx([0.05] * 3, abs=1e-12)
 
 
 def test_alignment_enforced(fixture):

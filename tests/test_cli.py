@@ -4,6 +4,7 @@ import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -168,6 +169,18 @@ class TestIndexBuild:
         _assert_refused_before_any_request(result, mock_server.base_url)
         assert repr(first_id) in result.stderr
 
+    def test_corpus_excluded_by_itself_is_refused_before_any_request(self, runner, workspace,
+                                                                     mock_server):
+        corpus = workspace / "lines.txt"
+        corpus.write_text("arma virumque cano\nTroiae qui primus\nab oris\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "index-build", "--corpus", str(corpus), "--exclude", str(corpus),
+            "--out", str(workspace / "idx"), "--embedder", mock_server.base_url,
+        ])
+        _assert_refused_before_any_request(result, mock_server.base_url)
+        assert "no row to index: 3 excluded, 0 near-duplicates dropped" in result.stderr
+        assert list((workspace / "idx").iterdir()) == []
+
     def test_parallelism_sets_batches_in_flight(self, runner, tmp_path, mock_server):
         corpus = tmp_path / "big.jsonl"
         corpus.write_text("".join(
@@ -265,6 +278,33 @@ class TestTranslate:
         run_dir = workspace / "runs" / "run1"
         assert (run_dir / "manifest.json").exists()
         assert len((run_dir / "hypotheses.txt").read_text().splitlines()) == 8
+
+    def test_rag_on_an_index_without_rows_is_refused_before_any_request(
+            self, runner, workspace, mock_server):
+        from refta.index import VectorIndex, save_index
+
+        # what index-build wrote for a corpus it excluded entirely, before it refused one
+        save_index(VectorIndex([], [], np.zeros((0, 0)), "bge-m3"), workspace / "idx")
+        result = _translate(runner, workspace, mock_server.base_url, "rag")
+        _assert_refused_before_any_request(result, mock_server.base_url)
+        assert "holds no row" in result.stderr
+        assert not (workspace / "runs").exists()
+
+    def test_force_drops_the_reports_of_the_replaced_run(self, runner, workspace,
+                                                         mock_server):
+        assert _translate(runner, workspace, mock_server.base_url, "draft_only",
+                          run_id="d").exit_code == 0
+        run_dir = workspace / "runs" / "d"
+        for args in (["evaluate", "--run", str(run_dir), "--test-set",
+                      str(workspace / "test.tsv")],
+                     ["cost", "--run", str(run_dir), "--input-rate", "1", "--output-rate", "1"]):
+            assert runner.invoke(main, args).exit_code == 0
+        assert (run_dir / "metrics.json").exists() and (run_dir / "costs.json").exists()
+        result = _translate(runner, workspace, mock_server.base_url, "zero_shot",
+                            run_id="d", extra=["--force"])
+        assert result.exit_code == 0, result.output
+        assert not (run_dir / "metrics.json").exists()
+        assert not (run_dir / "costs.json").exists()
 
     def test_rag_without_index_is_usage_error(self, runner, workspace, mock_server):
         result = _translate(runner, workspace, mock_server.base_url, "rag",
@@ -728,6 +768,52 @@ class TestCompare:
                           if line.startswith("dominant"))
         assert "*" in table_line
 
+    def _scored_compare(self, runner, workspace, url, matched, seed=5):
+        """Compare outside runs named by ``matched``, each of whose hypotheses
+        is the reference on the segments it lists and wrong elsewhere, under
+        the mock's comet (1.0 for the reference, else 0.7); the first run is
+        the baseline. Returns each run's comet scores and the comparison."""
+        refs = [line.split("\t")[2] for line in
+                (workspace / "test.tsv").read_text().splitlines()]
+        scores = {}
+        for name, rows in matched.items():
+            (workspace / name).mkdir()
+            (workspace / name / "hypotheses.txt").write_text(
+                "".join((ref if i in rows else "wrong") + "\n" for i, ref in enumerate(refs)))
+            scores[name] = np.array([1.0 if i in rows else 0.7 for i in range(len(refs))])
+        base, *others = (str(workspace / name) for name in matched)
+        out = workspace / "cmp.json"
+        result = runner.invoke(main, [
+            "compare", *(arg for run in others for arg in ("--runs", run)), "--baseline", base,
+            "--test-set", str(workspace / "test.tsv"), "--seed", str(seed), "--out", str(out),
+            "--scorer", url, "--metrics", "comet",
+        ])
+        assert result.exit_code == 0, result.output
+        return scores, json.loads(out.read_text())
+
+    def test_neural_row_is_a_bootstrap_of_score_means(self, runner, workspace, mock_server):
+        scores, data = self._scored_compare(runner, workspace, mock_server.base_url,
+                                            {"base": {0}, "sys": {0, 1, 2}})
+        assert [(s["system_a"], s["metric"]) for s in data["significance"]] == [
+            ("sys", "bleu"), ("sys", "chrf++"), ("sys", "comet")]
+        row = data["significance"][2]
+        n = len(scores["sys"])
+        idx = np.random.Generator(np.random.PCG64(5)).integers(
+            0, n, size=(row["n_resamples"], n), dtype=np.int64)
+        deltas = scores["sys"][idx].mean(axis=1) - scores["base"][idx].mean(axis=1)
+        delta = scores["sys"].mean() - scores["base"].mean()
+        p_value = np.mean(np.sign(deltas) != np.sign(delta))
+        assert 0.0 < p_value < 1.0
+        assert [row["delta"], row["p_value"], row["ci_low"], row["ci_high"]] == pytest.approx(
+            [delta, p_value, *np.percentile(deltas, [2.5, 97.5])], abs=1e-12)
+
+    def test_neural_row_of_identical_runs(self, runner, workspace, mock_server):
+        _, data = self._scored_compare(runner, workspace, mock_server.base_url,
+                                       {"base": {0, 3}, "same": {0, 3}})
+        row = data["significance"][2]
+        assert (row["metric"], row["delta"], row["p_value"]) == ("comet", 0.0, 1.0)
+        assert [row["ci_low"], row["ci_high"]] == pytest.approx([0.0, 0.0], abs=1e-12)
+
     def test_metrics_without_scorer_is_usage_error(self, runner, workspace):
         missing = str(workspace / "runs" / "missing")  # refused before any run is read
         result = runner.invoke(main, [
@@ -844,6 +930,33 @@ class TestCost:
         assert "Traceback" not in result.output
         assert not (workspace / "runs" / "c" / "costs.json").exists()
 
+    @pytest.mark.parametrize("field, value, flags", [
+        ("tokens.input", "many", []),
+        ("tokens.output", None, []),
+        ("counts.segments", -1, []),
+        ("wall_time_ms", None, ["--fixed-hourly", "0.50"]),
+    ])
+    def test_manifest_it_cannot_price_is_an_error_line(self, runner, workspace, mock_server,
+                                                       field, value, flags):
+        _translate(runner, workspace, mock_server.base_url, "zero_shot", run_id="c")
+        run_dir = workspace / "runs" / "c"
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        *parents, key = field.split(".")
+        table = manifest[parents[0]] if parents else manifest
+        if value is None:
+            del table[key]
+        else:
+            table[key] = value
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        result = runner.invoke(main, [
+            "cost", "--run", str(run_dir), "--input-rate", "1.25", "--output-rate", "10.0",
+            *flags,
+        ])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.startswith("error: ") and field in result.stderr
+        assert "Traceback" not in result.output
+        assert not (run_dir / "costs.json").exists()
+
 
 def test_manifest_records_the_checksums_of_the_run_files(runner, workspace, mock_server):
     assert _translate(runner, workspace, mock_server.base_url, "zero_shot").exit_code == 0
@@ -914,6 +1027,16 @@ def test_flags_that_restate_an_input_are_gone(runner, monkeypatch, args):
     assert "No such option" in result.output and args[1] in result.output
 
 
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_scorer_model_flag_is_gone(runner, workspace, mock_server, command):
+    # the /score request names no model, so the flag changed nothing
+    result = runner.invoke(main, _test_set_command(command, workspace, workspace / "test.tsv",
+                                                   mock_server.base_url)
+                           + ["--scorer-model", "comet-22"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--scorer-model" in result.output
+
+
 class TestConfigFile:
     def test_config_provides_defaults_flags_win(self, runner, workspace, mock_server, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -946,6 +1069,20 @@ class TestConfigFile:
         result = runner.invoke(main, ["--config", str(cfg), "translate"])
         assert result.exit_code == 0, result.output
         assert (workspace / "runs" / "from-toml" / "hypotheses.txt").exists()
+
+    def test_extension_is_compared_lower_cased(self, runner, tmp_path):
+        pytest.importorskip("tomllib")
+        cfg = tmp_path / "cfg.TOML"
+        cfg.write_text("[mock-serve]\nport = 0\n")
+        result = runner.invoke(main, ["--config", str(cfg), "mock-serve", "--help"])
+        assert result.exit_code == 0, result.output
+
+    def test_other_extension_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(json.dumps({"mock-serve": {"port": 0}}))
+        result = runner.invoke(main, ["--config", str(cfg), "mock-serve", "--help"])
+        assert result.exit_code == 2, result.output
+        assert "cfg.yaml" in result.output
 
     def test_malformed_toml_is_usage_error(self, runner, tmp_path):
         pytest.importorskip("tomllib")

@@ -247,10 +247,8 @@ class TestBuildIndex:
         assert report.indexed == 8
 
     def test_empty_stream(self):
-        index, report = build_index([], _ArrayEmbedder(), ExclusionList.empty())
-        assert len(index) == 0
-        assert index.query(np.ones(4), frozenset(), k=1, jaccard_threshold=0.0,
-                           candidate_pool=5) == []
+        with pytest.raises(IndexError_, match="no row to index: 0 excluded, 0 near-dup"):
+            build_index([], _ArrayEmbedder(), ExclusionList.empty())
 
     def test_near_duplicate_dropped(self):
         segs = _segments(6)
@@ -337,10 +335,18 @@ def _pairwise_build(rows, exclusions, near_dup_threshold):
 
 def _join_matches_pairwise(rows, excluded_texts, near_dup_threshold):
     exclusions = ExclusionList(exact_texts=frozenset(excluded_texts), ids=frozenset())
+    want = _pairwise_build(rows, exclusions, near_dup_threshold)
+    if not want[1]:  # a build that keeps no row is refused, naming both counts
+        with pytest.raises(IndexError_) as refused:
+            build_index(rows, _ArrayEmbedder(), exclusions,
+                        near_dup_threshold=near_dup_threshold)
+        assert str(refused.value) == (f"no row to index: {want[0].excluded_exact} excluded, "
+                                      f"{want[0].excluded_near_dup} near-duplicates dropped")
+        return want[0]
     index, report = build_index(rows, _ArrayEmbedder(), exclusions,
                                 near_dup_threshold=near_dup_threshold)
     kept = [index.entry(i).segment_id for i in range(len(index))]
-    assert (report, kept) == _pairwise_build(rows, exclusions, near_dup_threshold)
+    assert (report, kept) == want
     return report
 
 

@@ -30,6 +30,15 @@ def test_resample_sums_matches_gather_across_shapes(n_resamples, n, d):
     assert np.array_equal(got, stats[idx].sum(axis=1))
 
 
+def test_resample_sums_of_float_statistics_are_float64():
+    rng = np.random.default_rng(6)
+    stats = np.column_stack([rng.random(40), np.ones(40)])  # neural (score, 1) rows
+    idx = rng.integers(0, 40, size=(300, 40)).astype(np.int64)
+    got = kernels.resample_sums(stats, idx)
+    assert got.dtype == np.float64
+    np.testing.assert_allclose(got, stats[idx].sum(axis=1), rtol=1e-12)
+
+
 def _full_order(sims: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
     return np.lexsort((id_rank, -sims))
 

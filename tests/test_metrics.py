@@ -13,15 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA, FIXTURES
 from refta.backends import ScorerClient
-from refta.corpus import load_parallel
+from refta.corpus import ParallelPair, SourceSegment, load_parallel
 from refta.errors import ComparisonError
 from refta.metrics.bleu import BleuMetric, bleu, tokenize_13a
 from refta.metrics.bootstrap import paired_bootstrap
 from refta.metrics.chrf import ChrfPPMetric, chrf_pp
 from refta.metrics.report import (
     LEXICAL_METRICS,
-    MetricReport,
-    attach_neural_scores,
     compare_runs,
     evaluate_hypotheses,
     read_run,
@@ -151,37 +149,29 @@ class TestProperties:
 
 
 class TestNeuralAttachment:
-    def _report(self, n=4):
-        return MetricReport(
-            system_id="sys",
-            corpus_scores={"bleu": 10.0},
-            segment_scores={"bleu": [10.0] * n},
-            n_segments=n,
-        )
+    def _report(self, scorer, metrics, hyps, refs):
+        pairs = [ParallelPair(SourceSegment(f"s{i}", "s"), (ref,)) for i, ref in enumerate(refs)]
+        ((report, _),) = score_runs({"sys": hyps}, pairs, scorer, metrics)
+        return report
 
     def test_constant_mean(self, endpoint):
         scorer = ScorerClient(endpoint("scorer"))
-        sources = ["s"] * 4
         hyps = ["different"] * 4
         refs = ["reference"] * 4
-        report = attach_neural_scores(self._report(), scorer, {"comet"},
-                                      sources, hyps, refs)
+        report = self._report(scorer, {"comet"}, hyps, refs)
         assert report.corpus_scores["comet"] == pytest.approx(0.7)
         assert report.segment_scores["comet"] == [0.7] * 4
 
     def test_mean_equals_hand_computed(self, endpoint):
         scorer = ScorerClient(endpoint("scorer"))
-        sources = ["s"] * 3
         hyps = ["same", "same", "different"]
         refs = ["same", "same", "reference"]
-        report = attach_neural_scores(self._report(3), scorer, {"comet"},
-                                      sources, hyps, refs)
+        report = self._report(scorer, {"comet"}, hyps, refs)
         assert report.corpus_scores["comet"] == pytest.approx((1.0 + 1.0 + 0.7) / 3)
 
     def test_capability_warning(self, endpoint):
         scorer = ScorerClient(endpoint("scorer"))
-        report = attach_neural_scores(self._report(), scorer, {"meteor", "comet"},
-                                      ["s"] * 4, ["h"] * 4, ["r"] * 4)
+        report = self._report(scorer, {"meteor", "comet"}, ["h"] * 4, ["r"] * 4)
         assert "comet" in report.corpus_scores
         assert "meteor" not in report.corpus_scores
         assert any("meteor" in w for w in report.warnings)
