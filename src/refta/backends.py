@@ -16,7 +16,8 @@ Wire protocols
   reply, JSON lists of decimals included, is a ``ProtocolError``.
 - Scorer: ``POST {base_url}/score`` with
   ``{"metric": str, "sources": [...], "hypotheses": [...], "references": [...]}``
-  returning ``{"scores": [float]}``. An unsupported metric is signalled by
+  returning ``{"scores": [float]}``; a score that is not a finite JSON number
+  is a ``ProtocolError``. An unsupported metric is signalled by
   HTTP 400 with ``{"error": {"type": "unsupported_metric", ...}}``.
 
 A 2xx reply that breaks its protocol (say, a body that is not a JSON object
@@ -56,6 +57,7 @@ import os
 import random
 import select
 import ssl
+import sys
 import threading
 import time
 import urllib.request
@@ -500,7 +502,9 @@ class ScorerClient(_HttpClient):
             raise ProtocolError(
                 f"scorer returned {len(scores or [])} scores for {len(hypotheses)} segments"
             )
-        try:
-            return [float(s) for s in scores]
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"scorer returned a non-numeric score: {exc}") from exc
+        # NaN fails both comparisons; an int past the float range is refused too
+        bad = [s for s in scores if isinstance(s, bool) or not isinstance(s, (int, float))
+               or not -sys.float_info.max <= s <= sys.float_info.max]
+        if bad:
+            raise ProtocolError(f"scorer returned a score that is not a finite number: {bad[0]!r}")
+        return [float(s) for s in scores]

@@ -11,31 +11,33 @@ Per-segment scores apply the same formula to one segment's statistics with
 the effective n-gram order capped at the segment length, which keeps short
 segments from scoring zero by construction.
 
-``segment_stats`` tokenises and counts a segment's references once for every
-run of consecutive rows that share them, and computes one row per distinct
-hypothesis among those rows. ``scores`` turns a whole ``(R, STATS_DIM)``
-matrix of statistics into R scores; it is the only copy of the formula.
+``segment_stats`` counts with arrays, ``BLOCK_ROWS`` rows at a time, so that
+its memory does not grow with the test set; chrF++ counts through the same
+functions. ``scores`` turns a whole ``(R, STATS_DIM)`` matrix of statistics
+into R scores; it is the only copy of the formula.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 
 import numpy as np
 
 NGRAM_ORDER = 4
 STATS_DIM = 2 * NGRAM_ORDER + 2  # correct[4], total[4], sys_len, ref_len
+BLOCK_ROWS = 128  # rows ``segment_stats`` counts at a time
 
 _LOG_ZERO = -9999999999.0
+_INT64_MAX = np.iinfo(np.int64).max
 
 # libm's log and exp, element-wise: NumPy's own can differ in the last bit
 _log = np.frompyfunc(math.log, 1, 1)
 _exp = np.frompyfunc(math.exp, 1, 1)
 
+# 13a rule 1 pads every character of its class with spaces; rules 2-4 follow
+_13A_PAD = str.maketrans({c: f" {c} " for c in " !\"#$%&()*+/:;<=>?@[\\]^_`{|}~"})
 _13A_RULES = [
-    (re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])"), r" \1 "),
     (re.compile(r"([^0-9])([\.,])"), r"\1 \2 "),
     (re.compile(r"([\.,])([^0-9])"), r" \1 \2"),
     (re.compile(r"([0-9])(-)"), r"\1 \2 "),
@@ -53,19 +55,10 @@ def tokenize_13a(line: str) -> str:
         .replace("&lt;", "<")
         .replace("&gt;", ">")
     )
-    norm = f" {norm} "
+    norm = f" {norm} ".translate(_13A_PAD)
     for pattern, repl in _13A_RULES:
         norm = pattern.sub(repl, norm)
     return _WS.sub(" ", norm).strip()
-
-
-def _ngram_counts(tokens: list[str]) -> list[Counter]:
-    return [Counter(zip(*(tokens[i:] for i in range(n)))) for n in range(1, NGRAM_ORDER + 1)]
-
-
-def _matched(hyp: Counter, ref: Counter) -> int:
-    """Clipped matches: the sum of ``min`` over the n-grams both sides hold."""
-    return sum(min(hyp[gram], ref[gram]) for gram in hyp.keys() & ref.keys())
 
 
 def _validate(hypotheses, references) -> None:
@@ -80,55 +73,106 @@ def _validate(hypotheses, references) -> None:
             raise ValueError(f"segment {i} has an empty reference")
 
 
-def _distinct_rows(hypotheses, references, reference_side, row) -> tuple[list, list[int]]:
-    """Rows computed once per distinct (hypothesis, references) pair.
-
-    ``reference_side(refs)`` runs once for each stretch of consecutive
-    segments whose references are the same (``is``, then ``==``), and
-    ``row(hyp, side)`` once per distinct hypothesis within the stretch.
-    Returns the distinct rows and, per segment, its position among them.
-    """
+def _blockwise(hypotheses, references, block_stats, dim: int) -> np.ndarray:
+    """``block_stats(texts, hyp_ids, ref_ids, n_refs)`` of each block of rows:
+    the block's distinct texts (``""`` first) and, per distinct row, its text
+    ids, the references' padded with 0, and its number of references."""
     _validate(hypotheses, references)
-    rows: list = []
-    positions: list[int] = []
-    last_refs, side, seen = None, None, {}
-    for hyp, refs in zip(hypotheses, references):
-        if refs is not last_refs and refs != last_refs:
-            last_refs, side, seen = refs, reference_side(refs), {}
-        pos = seen.get(hyp)
-        if pos is None:
-            pos = seen[hyp] = len(rows)
-            rows.append(row(hyp, side))
-        positions.append(pos)
-    return rows, positions
+    out = np.empty((len(hypotheses), dim), dtype=np.int64)
+    for start in range(0, len(hypotheses), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        rows: dict = {}
+        inverse = [rows.setdefault((hyp, tuple(refs)), len(rows))
+                   for hyp, refs in zip(hypotheses[block], references[block])]
+        texts = {"": 0}
+        hyp_ids = [texts.setdefault(hyp, len(texts)) for hyp, _ in rows]
+        n_refs = np.array([len(refs) for _, refs in rows])
+        ref_ids = np.zeros((len(rows), n_refs.max()), dtype=np.int64)
+        for i, (_, refs) in enumerate(rows):
+            ref_ids[i, :len(refs)] = [texts.setdefault(ref, len(texts)) for ref in refs]
+        out[block] = block_stats(list(texts), np.array(hyp_ids), ref_ids, n_refs)[inverse]
+    return out
 
 
-def _reference_side(refs) -> tuple[list[int], list[Counter]]:
-    """Token lengths and the per-n-gram maximum counts over the references."""
-    lengths: list[int] = []
-    max_counts: list[Counter] = []
-    for ref in refs:
-        tokens = tokenize_13a(ref).split()
-        lengths.append(len(tokens))
-        counts = _ngram_counts(tokens)
-        if not max_counts:
-            max_counts = counts
-            continue
-        for merged, grams in zip(max_counts, counts):
-            for gram, cnt in grams.items():
-                if cnt > merged[gram]:
-                    merged[gram] = cnt
-    return lengths, max_counts
+def _symbol_ids(token_lists) -> tuple[np.ndarray, np.ndarray]:
+    """Every text's tokens as ids, end to end, and each text's length."""
+    vocab: dict = {}
+    ids = [vocab.setdefault(token, len(vocab)) for tokens in token_lists for token in tokens]
+    return (np.array(ids, dtype=np.int64),
+            np.array([len(tokens) for tokens in token_lists], dtype=np.int64))
 
 
-def _row(hyp: str, side) -> list[int]:
-    ref_lengths, ref_counts = side
-    tokens = tokenize_13a(hyp).split()
-    length = len(tokens)
-    correct = [_matched(h, r) for h, r in zip(_ngram_counts(tokens), ref_counts)]
-    total = [max(0, length - n) for n in range(NGRAM_ORDER)]
-    closest = min(ref_lengths, key=lambda ref_len: (abs(length - ref_len), ref_len))
-    return correct + total + [length, closest]
+def _gram_table(streams, n_texts: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every (text, n-gram) pair of a block's texts, counted with one sort.
+
+    ``streams`` holds ``(symbols end to end, text lengths, highest order)``
+    per kind of symbol. Slot ``s`` (a stream's order) of text ``t`` is
+    document ``s * n_texts + t``. Returns the sorted distinct keys
+    ``document * width + gram`` then one above them all, their counts (the
+    last 0), and ``width``. An n-gram's id is its (n-1)-gram's id times the
+    symbol base plus its last symbol, made dense first whenever it could
+    reach ``width``: exact for any alphabet.
+    """
+    n_docs = n_texts * sum(orders for _, _, orders in streams)
+    width = _INT64_MAX // (n_docs + 1)  # every key up to document n_docs fits
+    keys = np.empty(sum(int(np.maximum(lengths - n, 0).sum())
+                        for _, lengths, orders in streams for n in range(orders)), np.int64)
+    slot = filled = 0
+    for symbols, lengths, orders in streams:
+        text = np.repeat(np.arange(n_texts), lengths)
+        end = np.cumsum(lengths)[text]
+        pos = np.arange(len(symbols))
+        gram, bound, base = np.zeros(len(symbols), np.int64), 1, int(symbols.max(initial=0)) + 1
+        for n in range(orders):
+            keep = pos + n < end  # an (n+1)-gram starts here
+            pos, text, end, gram = pos[keep], text[keep], end[keep], gram[keep]
+            if bound * base > width:
+                distinct, gram = np.unique(gram, return_inverse=True)
+                gram, bound = gram.reshape(-1), len(distinct)
+            gram = gram * base + symbols[pos + n]
+            bound *= base
+            keys[filled:filled + len(gram)] = (slot * n_texts + text) * width + gram
+            slot, filled = slot + 1, filled + len(gram)
+    keys.sort()
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    # the last key keeps every search inside the table
+    return np.append(keys[first], _INT64_MAX), np.diff(first, append=[len(keys), len(keys)]), width
+
+
+def _matches(table, n_texts: int, n_slots: int, hyp_ids, ref_ids, best_of_refs: bool):
+    """``(n_rows, n_cols, n_slots)`` clipped matches of each row's hypothesis
+    with each reference column: ``min(count, count in the reference)`` summed
+    over its distinct n-grams; ``best_of_refs`` takes each n-gram's maximum
+    over the columns first, leaving one column."""
+    keys, counts, width = table
+    doc_start = np.searchsorted(keys, np.arange(n_slots * n_texts + 1) * width)
+    hyp_docs = (np.arange(n_slots)[:, None] * n_texts + hyp_ids).ravel()
+    lo, size = doc_start[hyp_docs], doc_start[hyp_docs + 1] - doc_start[hyp_docs]
+    start = np.cumsum(size) - size  # of each (slot, row) run of n-grams
+    entry = np.repeat(lo - start, size) + np.arange(size.sum())
+    hyp_keys, hyp_counts = keys[entry], counts[entry]
+    clipped = np.zeros((ref_ids.shape[1], len(entry) + 1), dtype=np.int64)  # + reduceat's pad
+    for j, ref in enumerate(ref_ids.T):
+        query = hyp_keys + np.repeat(np.tile((ref - hyp_ids) * width, n_slots), size)
+        at = np.searchsorted(keys, query)
+        np.minimum(np.where(keys[at] == query, counts[at], 0), hyp_counts, out=clipped[j, :-1])
+    if best_of_refs:
+        clipped = clipped.max(axis=0, keepdims=True)
+    sums = np.where(size > 0, np.add.reduceat(clipped, start, axis=1), 0)
+    return sums.reshape(len(clipped), n_slots, len(hyp_ids)).transpose(2, 0, 1)
+
+
+def _bleu_block(texts, hyp_ids, ref_ids, n_refs) -> np.ndarray:
+    symbols, lengths = _symbol_ids([tokenize_13a(t).split() for t in texts])
+    table = _gram_table([(symbols, lengths, NGRAM_ORDER)], len(texts))
+    correct = _matches(table, len(texts), NGRAM_ORDER, hyp_ids, ref_ids, best_of_refs=True)
+    sys_len, ref_len = lengths[hyp_ids], lengths[ref_ids]
+    # the closest reference length; ties go to the shorter one
+    rank = np.abs(ref_len - sys_len[:, None]) * (ref_len.max() + 1) + ref_len
+    rank[np.arange(ref_ids.shape[1]) >= n_refs[:, None]] = _INT64_MAX
+    closest = np.take_along_axis(ref_len, rank.argmin(axis=1)[:, None], axis=1)
+    total = np.maximum(sys_len[:, None] - np.arange(NGRAM_ORDER), 0)
+    return np.hstack([correct[:, 0], total, sys_len[:, None], closest])
 
 
 def scores(stats, effective_order: bool) -> np.ndarray:
@@ -173,8 +217,7 @@ class BleuMetric:
     name = "bleu"
 
     def segment_stats(self, hypotheses, references) -> np.ndarray:
-        rows, positions = _distinct_rows(hypotheses, references, _reference_side, _row)
-        return np.array(rows, dtype=np.int64).reshape(-1, STATS_DIM)[positions]
+        return _blockwise(hypotheses, references, _bleu_block, STATS_DIM)
 
     def corpus_scores(self, sums) -> np.ndarray:
         """The corpus score of each row of pooled statistics."""

@@ -8,20 +8,19 @@ matched n-grams; the score averages F over the orders that actually occur
 references the statistics of the first best-scoring reference per segment
 are pooled.
 
-As for BLEU, a reference's counters are built once for each run of
-consecutive rows that share it, and each distinct hypothesis among those
-rows is counted once. ``scores`` is the one copy of the formula, over an
+Statistics are counted with BLEU's arrays, ``bleu.BLOCK_ROWS`` rows at a
+time: characters as code points and words as ids are the two symbol streams
+of one n-gram table. ``scores`` is the one copy of the formula, over an
 ``(R, STATS_DIM)`` matrix.
 """
 
 from __future__ import annotations
 
 import string
-from collections import Counter
 
 import numpy as np
 
-from refta.metrics.bleu import _distinct_rows, _matched
+from refta.metrics.bleu import _blockwise, _gram_table, _matches, _symbol_ids
 
 CHAR_ORDER = 6
 WORD_ORDER = 2
@@ -46,30 +45,23 @@ def _word_tokens(segment: str) -> list[str]:
     return tokens
 
 
-def _all_ngrams(segment: str) -> tuple[list[Counter], list[int]]:
-    """The segment's n-gram counters, characters then words, and their totals."""
-    chars = "".join(segment.split())
-    tokens = _word_tokens(segment)
-    counters = [Counter([chars[i:i + n] for i in range(len(chars) - n + 1)])
-                for n in range(1, CHAR_ORDER + 1)]
-    counters += [Counter(zip(*(tokens[i:] for i in range(n))))
-                 for n in range(1, WORD_ORDER + 1)]
-    totals = [max(0, len(chars) - n) for n in range(CHAR_ORDER)]
-    totals += [max(0, len(tokens) - n) for n in range(WORD_ORDER)]
-    return counters, totals
-
-
-def _candidates(hyp: str, references) -> list[list[int]]:
-    """One statistics row per reference, in reference order."""
-    hyp_counters, hyp_totals = _all_ngrams(hyp)
-    rows = []
-    for ref_counters, ref_totals in references:
-        row: list[int] = []
-        for hyp_c, hyp_n, ref_c, ref_n in zip(hyp_counters, hyp_totals,
-                                              ref_counters, ref_totals):
-            row += (hyp_n, ref_n, _matched(hyp_c, ref_c))
-        rows.append(row)
-    return rows
+def _chrf_block(texts, hyp_ids, ref_ids, n_refs) -> np.ndarray:
+    chars = ["".join(t.split()) for t in texts]
+    codes = np.frombuffer("".join(chars).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    char_lens = np.array([len(c) for c in chars], dtype=np.int64)
+    words, word_lens = _symbol_ids([_word_tokens(t) for t in texts])
+    table = _gram_table([(codes.astype(np.int64), char_lens, CHAR_ORDER),
+                         (words, word_lens, WORD_ORDER)], len(texts))
+    matched = _matches(table, len(texts), N_ORDERS, hyp_ids, ref_ids, best_of_refs=False)
+    # n-grams per order: characters, then words
+    lengths = np.column_stack([char_lens] * CHAR_ORDER + [word_lens] * WORD_ORDER)
+    totals = np.maximum(lengths - np.r_[:CHAR_ORDER, :WORD_ORDER], 0)
+    hyp_totals = np.broadcast_to(totals[hyp_ids][:, None], matched.shape)
+    rows = np.stack([hyp_totals, totals[ref_ids], matched], -1).reshape(*ref_ids.shape, -1)
+    f = scores(rows.reshape(-1, STATS_DIM)).reshape(ref_ids.shape)
+    f[np.arange(ref_ids.shape[1]) >= n_refs[:, None]] = -1.0  # padding is never chosen
+    # argmax keeps the first best-scoring reference
+    return rows[np.arange(len(f)), f.argmax(axis=1)]
 
 
 def scores(stats) -> np.ndarray:
@@ -97,15 +89,7 @@ class ChrfPPMetric:
     name = "chrf++"
 
     def segment_stats(self, hypotheses, references) -> np.ndarray:
-        groups, positions = _distinct_rows(
-            hypotheses, references, lambda refs: [_all_ngrams(r) for r in refs], _candidates)
-        sizes = np.array([len(g) for g in groups], dtype=np.intp)
-        rows = np.array([row for g in groups for row in g], dtype=np.int64).reshape(-1, STATS_DIM)
-        starts = np.cumsum(sizes) - sizes
-        # each hypothesis keeps its first best-scoring reference: a stable
-        # sort by (hypothesis, -F) puts that row at the start of its group
-        best = np.lexsort((-scores(rows), np.repeat(np.arange(len(groups)), sizes)))[starts]
-        return rows[best[positions]]
+        return _blockwise(hypotheses, references, _chrf_block, STATS_DIM)
 
     def corpus_scores(self, sums) -> np.ndarray:
         """The corpus score of each row of pooled statistics."""

@@ -168,9 +168,9 @@ def compare_runs(
     test deltas vs the baseline.
 
     Refuses two runs with the same directory name, and fewer than 2 pairs
-    once the runs are read. Pairwise significance uses paired bootstrap
-    resampling of each run's segment statistics at a fixed seed, for every
-    metric, the lexical metrics first.
+    once the runs are read. Significance is one paired bootstrap per metric
+    over every run's segment statistics at a fixed seed; its rows go run by
+    run, each run's lexical metrics first.
     """
     baseline_dir = Path(baseline_dir)
     all_dirs = [Path(d) for d in run_dirs]
@@ -194,14 +194,13 @@ def compare_runs(
               for run_dir, (report, _) in zip(all_dirs, scored)],
     )
     _, base_stats = scored[all_dirs.index(baseline_dir)]
-    for run_dir, (_, stats) in zip(all_dirs, scored):
-        if run_dir == baseline_dir:
-            continue
-        for name in stats:
-            comparison.significance.append(paired_bootstrap(
-                metric_named(name), stats[name], base_stats[name], seed=seed,
-                system_a=run_dir.name, system_b=baseline_dir.name,
-            ))
+    others = {run_dir.name: stats for run_dir, (_, stats) in zip(all_dirs, scored)
+              if run_dir != baseline_dir}
+    by_metric = [paired_bootstrap(metric_named(name),
+                                  {run: stats[name] for run, stats in others.items()},
+                                  base_stats[name], seed=seed, baseline=baseline_dir.name)
+                 for name in base_stats]
+    comparison.significance = [sig for sigs in zip(*by_metric) for sig in sigs]
     return comparison
 
 

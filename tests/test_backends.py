@@ -323,6 +323,29 @@ class TestScorer:
             client.score("meteor", ["s"], ["h"], ["r"])
 
 
+def _scorer_replying(monkeypatch, body: bytes) -> ScorerClient:
+    client = ScorerClient(EndpointConfig(base_url="http://mock.invalid", model_id="m"))
+    monkeypatch.setattr(client, "_send", lambda path, sent: (200, {}, body))
+    return client
+
+
+@pytest.mark.parametrize("scores", [
+    "NaN, 0.5, 0.5", "Infinity, 0.5, 0.5", "0.5, -Infinity, 0.5", "1e400, 0.5, 0.5",
+    pytest.param("1" + "0" * 400 + ", 0.5, 0.5", id="int-past-the-float-range"),
+    '"0.5", 0.5, 0.5', "true, 0.5, 1", "null, 0.5, 0.5",
+])
+def test_scorer_refuses_a_score_that_is_not_a_finite_number(monkeypatch, scores):
+    client = _scorer_replying(monkeypatch, f'{{"scores": [{scores}]}}'.encode())
+    with pytest.raises(ProtocolError, match="not a finite number"):
+        client.score("comet", ["s"] * 3, ["h"] * 3, ["r"] * 3)
+
+
+def test_scorer_returns_int_and_float_scores_as_floats(monkeypatch):
+    client = _scorer_replying(monkeypatch, b'{"scores": [1, 0.25, -2]}')
+    scores = client.score("comet", ["s"] * 3, ["h"] * 3, ["r"] * 3)
+    assert scores == [1.0, 0.25, -2.0] and all(type(s) is float for s in scores)
+
+
 def test_wall_time_within_bound(mock_server, endpoint, monkeypatch):
     # total wall time <= timeout * (retries + 1) + total backoff
     sleeps = []

@@ -21,7 +21,7 @@ def fixture():
 def test_identical_systems(fixture):
     hyps, refs = fixture["hypotheses"], fixture["references"]
     stats = BleuMetric().segment_stats(hyps, refs)
-    res = paired_bootstrap(BleuMetric(), stats, stats, seed=7)
+    (res,) = paired_bootstrap(BleuMetric(), {"A": stats}, stats, seed=7)
     assert res.delta == 0.0
     assert res.p_value == 1.0
     assert res.ci_low <= 0.0 <= res.ci_high
@@ -33,10 +33,10 @@ def test_seed_determinism(fixture):
     better = [r[0] for r in refs]
     metric = ChrfPPMetric()
     stats = (metric.segment_stats(better, refs), metric.segment_stats(hyps, refs))
-    a = paired_bootstrap(metric, *stats, seed=11)
-    b = paired_bootstrap(metric, *stats, seed=11)
+    (a,) = paired_bootstrap(metric, {"A": stats[0]}, stats[1], seed=11)
+    (b,) = paired_bootstrap(metric, {"A": stats[0]}, stats[1], seed=11)
     assert a == b
-    c = paired_bootstrap(metric, *stats, seed=12)
+    (c,) = paired_bootstrap(metric, {"A": stats[0]}, stats[1], seed=12)
     assert c != a
 
 
@@ -45,7 +45,7 @@ def test_dominated_fixture_is_significant(fixture):
     better = [r[0] for r in refs]  # wins on every segment
     metric = BleuMetric()
     stats = (metric.segment_stats(better, refs), metric.segment_stats(hyps, refs))
-    res = paired_bootstrap(metric, *stats, seed=17)
+    (res,) = paired_bootstrap(metric, {"A": stats[0]}, stats[1], seed=17)
     assert res.delta > 0
     assert res.p_value < 0.05
 
@@ -66,7 +66,7 @@ def _neural_stats(scores):
 
 def test_neural_identical_systems():
     stats = _neural_stats(np.random.default_rng(3).random(60))
-    res = paired_bootstrap(MeanMetric("comet"), stats, stats, seed=7)
+    (res,) = paired_bootstrap(MeanMetric("comet"), {"A": stats}, stats, seed=7)
     assert res.metric == "comet"
     assert res.delta == 0.0
     assert res.p_value == 1.0
@@ -76,8 +76,8 @@ def test_neural_identical_systems():
 
 def test_neural_constant_shift_is_significant():
     scores = np.random.default_rng(4).random(60)
-    res = paired_bootstrap(MeanMetric("comet"), _neural_stats(scores + 0.05),
-                           _neural_stats(scores), seed=7)
+    (res,) = paired_bootstrap(MeanMetric("comet"), {"A": _neural_stats(scores + 0.05)},
+                              _neural_stats(scores), seed=7)
     assert res.p_value == 0.0
     assert [res.delta, res.ci_low, res.ci_high] == pytest.approx([0.05] * 3, abs=1e-12)
 
@@ -86,15 +86,15 @@ def test_alignment_enforced(fixture):
     hyps, refs = fixture["hypotheses"], fixture["references"]
     stats = BleuMetric().segment_stats(hyps, refs)
     with pytest.raises(ValueError, match="aligned"):
-        paired_bootstrap(BleuMetric(), stats[:-1], stats)
+        paired_bootstrap(BleuMetric(), {"A": stats[:-1]}, stats)
     with pytest.raises(ValueError, match="at least 2"):
-        paired_bootstrap(BleuMetric(), stats[:1], stats[:1])
+        paired_bootstrap(BleuMetric(), {"A": stats[:1]}, stats[:1])
 
 
 def test_metric_name_recorded(fixture):
     hyps, refs = fixture["hypotheses"], fixture["references"]
     stats = ChrfPPMetric().segment_stats(hyps, refs)
-    res = paired_bootstrap(ChrfPPMetric(), stats, stats, seed=1)
+    (res,) = paired_bootstrap(ChrfPPMetric(), {"A": stats}, stats, seed=1)
     assert res.metric == "chrf++"
     assert res.rng_seed == 1
     assert res.n_resamples == 1000
@@ -122,7 +122,7 @@ def test_p_value_is_half_a_centred_two_sided_p(seed):
     hyps_a, hyps_b, refs = _synthetic_pair(seed)
     metric = BleuMetric()
     stats = (metric.segment_stats(hyps_a, refs), metric.segment_stats(hyps_b, refs))
-    res = paired_bootstrap(metric, *stats, seed=seed)
+    (res,) = paired_bootstrap(metric, {"A": stats[0]}, stats[1], seed=seed)
     assert 0.15 <= res.p_value <= 0.35
 
     # the same resample indices as paired_bootstrap draws

@@ -450,6 +450,22 @@ class TestTranslate:
         assert all(r["draft"] for r in rows)
 
 
+def _non_finite_scorer(monkeypatch, n: int) -> str:
+    """Make every scorer reply hold one NaN among ``n`` scores; returns a
+    scorer URL that is never contacted."""
+    from refta.backends import ScorerClient
+
+    body = json.dumps({"scores": [float("nan")] + [0.5] * (n - 1)}).encode()
+    monkeypatch.setattr(ScorerClient, "_send", lambda self, path, sent: (200, {}, body))
+    return "http://scorer.invalid"
+
+
+def _assert_one_error_line(result, text: str) -> None:
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert text in result.stderr and "Traceback" not in result.output
+
+
 class TestEvaluate:
     def _identity_run(self, workspace):
         run_dir = workspace / "runs" / "ident"
@@ -612,8 +628,33 @@ class TestEvaluate:
         assert sorted(json.loads(result.stdout)) == ["bleu", "chrf++"]
         assert result.stderr == "warning: 1 of 8 hypotheses are <FAILED>\n"
 
+    def test_non_finite_score_is_an_error(self, runner, workspace, monkeypatch):
+        run_dir = self._identity_run(workspace)
+        result = runner.invoke(main, [
+            "evaluate", "--run", str(run_dir),
+            "--test-set", str(workspace / "test.tsv"),
+            "--scorer", _non_finite_scorer(monkeypatch, 8), "--metrics", "comet",
+        ])
+        _assert_one_error_line(result, "not a finite number")
+        assert not (run_dir / "metrics.json").exists()
+
 
 class TestCompare:
+    def test_non_finite_score_is_an_error(self, runner, workspace, monkeypatch):
+        refs = [line.split("\t")[2] for line in
+                (workspace / "test.tsv").read_text().splitlines()]
+        for name in ("base", "sys"):
+            (workspace / name).mkdir()
+            (workspace / name / "hypotheses.txt").write_text("".join(r + "\n" for r in refs))
+        out = workspace / "cmp.json"
+        result = runner.invoke(main, [
+            "compare", "--runs", str(workspace / "sys"), "--baseline", str(workspace / "base"),
+            "--test-set", str(workspace / "test.tsv"), "--out", str(out),
+            "--scorer", _non_finite_scorer(monkeypatch, 8), "--metrics", "comet",
+        ])
+        _assert_one_error_line(result, "not a finite number")
+        assert not out.exists()
+
     def test_baseline_vs_itself(self, runner, workspace, mock_server):
         _translate(runner, workspace, mock_server.base_url, "zero_shot", run_id="base")
         base = workspace / "runs" / "base"

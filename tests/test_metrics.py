@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import string
+import tracemalloc
 import types
 from collections import Counter
 
@@ -15,7 +17,8 @@ from conftest import DATA, FIXTURES
 from refta.backends import ScorerClient
 from refta.corpus import ParallelPair, SourceSegment, load_parallel
 from refta.errors import ComparisonError
-from refta.metrics.bleu import BleuMetric, bleu, tokenize_13a
+from refta.metrics import bleu as bleu_module
+from refta.metrics.bleu import BLOCK_ROWS, BleuMetric, bleu, tokenize_13a
 from refta.metrics.bootstrap import paired_bootstrap
 from refta.metrics.chrf import ChrfPPMetric, chrf_pp
 from refta.metrics.report import (
@@ -235,10 +238,9 @@ def test_compare_runs_reuses_segment_stats_in_bootstrap(tmp_path, monkeypatch):
     for sig in comparison.significance:
         assert sig.delta > 0.0
         metric = metrics[sig.metric]
-        assert sig == paired_bootstrap(
-            metric, metric.segment_stats(runs[sig.system_a], references),
-            metric.segment_stats(runs["base"], references),
-            seed=9, system_a=sig.system_a, system_b="base")
+        assert [sig] == paired_bootstrap(
+            metric, {sig.system_a: metric.segment_stats(runs[sig.system_a], references)},
+            metric.segment_stats(runs["base"], references), seed=9, baseline="base")
 
 
 def test_compare_runs_refuses_duplicate_run_names(tmp_path):
@@ -400,6 +402,87 @@ def test_closest_length_and_first_best_ties_are_exercised():
     first, second = (_copy_chrf_row("a bb", [r]) for r in ("ccc (d", "e-f 7-8 ccc"))
     assert _copy_chrf_score(first) == _copy_chrf_score(second) == 0.0 and first != second
     assert _copy_chrf_row("a bb", ["ccc (d", "e-f 7-8 ccc"]) == first
+
+
+# words of macrons, Greek, astral-plane letters, combining marks, digits and a
+# NUL, with punctuation at their edges, between the separators str.split splits on
+_unicode_words = st.builds(
+    lambda lead, core, tail: lead + core + tail,
+    st.sampled_from(["", "(", '"', "¿", "-", ".", "'"]),
+    st.text(st.sampled_from("aāēōλόγΩ𝔘𝔞😀e\u0301\u0308x1-.,'\0"), min_size=1, max_size=6),
+    st.sampled_from(["", ".", ",", "!", ";", ")", "-", "'s", ".."]),
+)
+_separators = st.sampled_from([" ", "\t", "\xa0", "\x1c", "\u2003", "\u3000", "\n", "-\n"])
+
+
+@st.composite
+def _unicode_sentences(draw):
+    words = draw(st.lists(_unicode_words, max_size=6))
+    seps = draw(st.lists(_separators, min_size=len(words) + 1, max_size=len(words) + 1))
+    return seps[0] + "".join(w + sep for w, sep in zip(words, seps[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_unicode_sentences(),
+                          st.lists(_unicode_sentences().filter(bool), min_size=1, max_size=3)),
+                min_size=1, max_size=8))
+def test_segment_stats_equal_the_per_row_algorithm_on_unicode(rows):
+    hyps, refs = [h for h, _ in rows], [r for _, r in rows]
+    assert BleuMetric().segment_stats(hyps, refs).tolist() == [
+        _copy_bleu_row(h, r) for h, r in rows]
+    assert ChrfPPMetric().segment_stats(hyps, refs).tolist() == [
+        _copy_chrf_row(h, r) for h, r in rows]
+
+
+def test_segment_stats_across_blocks():
+    # texts and reference lists recur on both sides of every block boundary
+    rng = random.Random(7)
+    pool = ["a bb", "ccc (d", "e-f 7-8 ccc", "1.5 a,", "x", "bb. a ā"]
+    ref_sets = [[rng.choice(pool) for _ in range(rng.randint(1, 3))] for _ in range(30)]
+    rows = [(rng.choice(pool), rng.choice(ref_sets)) for _ in range(2 * BLOCK_ROWS + 3)]
+    hyps, refs = [h for h, _ in rows], [r for _, r in rows]
+    distinct = {(h, tuple(r)) for h, r in rows}
+    bleu_rows = {row: _copy_bleu_row(*row) for row in distinct}
+    chrf_rows = {row: _copy_chrf_row(*row) for row in distinct}
+    assert BleuMetric().segment_stats(hyps, refs).tolist() == [
+        bleu_rows[h, tuple(r)] for h, r in rows]
+    assert ChrfPPMetric().segment_stats(hyps, refs).tolist() == [
+        chrf_rows[h, tuple(r)] for h, r in rows]
+
+
+# the regex of 13a rule 1 that a str.translate table replaced
+_13A_RULE_1 = re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+@example("".join(map(chr, range(0x300))))
+def test_13a_rule_1_table_equals_its_regex(text):
+    assert text.translate(bleu_module._13A_PAD) == _13A_RULE_1.sub(r" \1 ", text)
+
+
+def test_segment_stats_memory_is_bounded_by_the_block():
+    # every block holds one block's rows under a different letter rotation:
+    # distinct texts of the same lengths and n-gram structure
+    rng = random.Random(3)
+    letters = string.ascii_lowercase
+    vocab = ["".join(rng.choices(letters, k=rng.randint(2, 8))) for _ in range(2000)]
+    refs = [" ".join(rng.choices(vocab, k=rng.randint(8, 20))) for _ in range(BLOCK_ROWS)]
+    hyps = [" ".join(w if rng.random() < 0.6 else rng.choice(vocab) for w in r.split())
+            for r in refs]
+    rotations = [str.maketrans(letters, letters[k:] + letters[:k]) for k in range(4)]
+    all_hyps = [h.translate(rot) for rot in rotations for h in hyps]
+    all_refs = [[r.translate(rot)] for rot in rotations for r in refs]
+    for metric in (BleuMetric(), ChrfPPMetric()):
+        peaks = []
+        for rows in (2 * BLOCK_ROWS, 4 * BLOCK_ROWS):
+            tracemalloc.start()
+            try:
+                metric.segment_stats(all_hyps[:rows], all_refs[:rows])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], (metric.name, peaks)
 
 
 @st.composite
