@@ -23,10 +23,10 @@ Wire protocols
 A 2xx reply that breaks its protocol (say, a body that is not a JSON object
 or a token count that is not a non-negative integer) raises ``ProtocolError``.
 
-Batching: one ``translate``/``embed`` call is one request, and a call with
-more than ``max_batch`` texts raises ``ValueError`` before sending.
-``send_batches`` is the one place texts are cut into batches; the pipeline
-and the index build both send through it.
+Batching: one ``translate``/``embed``/``score`` call is one request of at
+most ``max_batch`` inputs, or ``ValueError`` before sending. Every backend
+request goes through ``send_batches``, which cuts inputs into batches and
+refills each slot as its call completes.
 
 Auth tokens come only from the environment (``REFTA_REFINER_TOKEN``,
 ``REFTA_DRAFTER_TOKEN``, ``REFTA_EMBEDDER_TOKEN``, ``REFTA_SCORER_TOKEN``),
@@ -54,6 +54,7 @@ import http.client
 import json
 import math
 import os
+import queue
 import random
 import select
 import ssl
@@ -63,7 +64,6 @@ import time
 import urllib.request
 import weakref
 from base64 import b64decode, b64encode
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from urllib.parse import SplitResult, unquote, urlsplit
@@ -180,16 +180,17 @@ class ClientStats:
             self.retries += attempts - 1
 
 
-def send_batches(call, texts: list, max_batch: int, max_in_flight: int = 1):
-    """Call ``call`` on ``texts`` cut into batches of at most ``max_batch``.
+def send_batches(call, items, max_batch: int, max_in_flight: int = 1):
+    """Call ``call`` on ``items`` cut into batches of at most ``max_batch``.
 
-    Yields ``(batch, result, ms)`` in batch order: ``result`` is what
-    ``call(batch)`` returned or the exception it raised, and ``ms`` the
-    call's wall time. The caller decides what a failed batch means. At most
-    ``max_in_flight`` batches are in flight, and a batch is sent only once
-    the caller has taken the result ``max_in_flight`` places before it: with
-    one in flight, the caller acts on each result (say, resends a rejected
-    batch) before the next batch goes out.
+    Yields ``(batch, result, ms)`` as each call completes: ``result`` is
+    what ``call(batch)`` returned or the exception it raised, and ``ms`` the
+    call's wall time. The caller decides what a failed batch means, and
+    passes indices as ``items`` when it needs positions. At most
+    ``max_in_flight`` calls are in flight, and the slot a call frees is
+    refilled once the caller has taken its result: with one in flight, the
+    caller acts on each result (say, resends a rejected batch) before the
+    next batch goes out. Stopping early waits for the calls in flight.
     """
     def timed(batch):
         t0 = time.perf_counter()
@@ -199,14 +200,15 @@ def send_batches(call, texts: list, max_batch: int, max_in_flight: int = 1):
             result = exc
         return batch, result, (time.perf_counter() - t0) * 1000.0
 
+    starts = range(0, len(items), max_batch)
+    done: queue.SimpleQueue = queue.SimpleQueue()
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        window: deque = deque()
-        for start in range(0, len(texts), max_batch):
-            window.append(pool.submit(timed, texts[start:start + max_batch]))
-            if len(window) == max_in_flight:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
+        for sent, start in enumerate(starts):
+            if sent >= max_in_flight:  # a slot frees when the caller takes its result
+                yield done.get().result()
+            pool.submit(timed, items[start:start + max_batch]).add_done_callback(done.put)
+        for _ in range(min(max_in_flight, len(starts))):
+            yield done.get().result()
 
 
 _RETRYABLE_STATUSES = frozenset({429})
@@ -374,13 +376,17 @@ class _HttpClient:
                 delay = min(float(retry_after), RETRY_AFTER_CAP_S)
             _sleep(delay)
 
+    def _check_batch(self, path: str, inputs: list) -> None:
+        """``ValueError`` unless ``inputs`` fit one request: 1 to ``max_batch``."""
+        if not 0 < len(inputs) <= self.cfg.max_batch:
+            raise ValueError(f"{path} takes 1 to max_batch={self.cfg.max_batch} inputs, "
+                             f"got {len(inputs)}; cut them with send_batches")
+
     def _post_inputs(self, path: str, texts: list[str], **fields) -> dict:
         """POST ``texts`` as one request; returns the response."""
-        if not texts or not all(texts):
-            raise ValueError(f"{path} requires at least one text, none empty")
-        if len(texts) > self.cfg.max_batch:
-            raise ValueError(f"{path} takes at most max_batch={self.cfg.max_batch} texts, "
-                             f"got {len(texts)}; cut them with send_batches")
+        self._check_batch(path, texts)
+        if not all(texts):
+            raise ValueError(f"{path} takes no empty text")
         return self._post(path, {"model": self.cfg.model_id, "inputs": texts, **fields})
 
     def _raise_request_error(self, status: int, body: str) -> None:
@@ -477,30 +483,19 @@ class EmbedderClient(_HttpClient):
 
 
 class ScorerClient(_HttpClient):
-    """Neural metric scorer (COMET, BERTScore, METEOR) treated as opaque."""
+    """Neural metric scorer (COMET, BERTScore, METEOR) treated as opaque;
+    one request of at most ``cfg.max_batch`` triples per call."""
 
-    def score(
-        self,
-        metric: str,
-        sources: list[str],
-        hypotheses: list[str],
-        references: list[str],
-    ) -> list[float]:
-        if not (len(sources) == len(hypotheses) == len(references)):
-            raise ValueError(
-                f"length mismatch: {len(sources)} sources, "
-                f"{len(hypotheses)} hypotheses, {len(references)} references"
-            )
-        data = self._post("/score", {
-            "metric": metric,
-            "sources": sources,
-            "hypotheses": hypotheses,
-            "references": references,
-        })
+    def score(self, metric: str, triples: list[tuple[str, str, str]]) -> list[float]:
+        """Scores of (source, hypothesis, reference) triples."""
+        self._check_batch("/score", triples)
+        sources, hypotheses, references = map(list, zip(*triples))
+        data = self._post("/score", {"metric": metric, "sources": sources,
+                                     "hypotheses": hypotheses, "references": references})
         scores = data.get("scores")
-        if not isinstance(scores, list) or len(scores) != len(hypotheses):
+        if not isinstance(scores, list) or len(scores) != len(triples):
             raise ProtocolError(
-                f"scorer returned {len(scores or [])} scores for {len(hypotheses)} segments"
+                f"scorer returned {len(scores or [])} scores for {len(triples)} segments"
             )
         # NaN fails both comparisons; an int past the float range is refused too
         bad = [s for s in scores if isinstance(s, bool) or not isinstance(s, (int, float))

@@ -327,17 +327,18 @@ def build_index(
                           f"{report.excluded_near_dup} near-duplicates dropped")
 
     texts = [s.text for s in kept]
-    for batch_no, (batch, result, _ms) in enumerate(
-            send_batches(embedder.embed, texts, embedder.cfg.max_batch, max_in_flight)):
+    max_batch, matrix = embedder.cfg.max_batch, None
+    for rows, result, _ms in send_batches(lambda rows: embedder.embed(texts[rows.start:rows.stop]),
+                                          range(len(texts)), max_batch, max_in_flight):
+        batch_no = rows.start // max_batch
         if isinstance(result, Exception):
             raise IndexError_(f"embedding batch {batch_no} failed: {result}") from result
-        if batch_no == 0:
+        if matrix is None:
             matrix = np.empty((len(texts), result.shape[1]), dtype=np.float32)
         elif result.shape[1] != matrix.shape[1]:
             raise IndexError_(f"dimension drift in batch {batch_no}: got {result.shape[1]}, "
                               f"expected {matrix.shape[1]}")
-        start = batch_no * embedder.cfg.max_batch  # every batch but the last is full
-        matrix[start:start + len(batch)] = result
+        matrix[rows.start:rows.stop] = result
 
     ids = [s.id for s in kept]
     index = VectorIndex(ids, texts, _normalize_rows(matrix, ids), embedder.cfg.model_id)

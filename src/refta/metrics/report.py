@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from refta.backends import send_batches
 from refta.corpus import ParallelPair
 from refta.errors import CapabilityError, ComparisonError
 from refta.metrics.bleu import BleuMetric
@@ -131,26 +132,35 @@ def score_runs(runs: dict, pairs: list[ParallelPair], scorer, neural_metrics) ->
     This is the one place hypotheses become numbers: one ``segment_stats``
     call per lexical metric covers every run, segment-major, so each
     segment's references are counted once and a hypothesis that several runs
-    share is scored once. Each of ``neural_metrics`` is one ``scorer``
-    request per run, whose scores become ``(score, 1)`` rows.
+    share is scored once. Each of ``neural_metrics`` scores the distinct
+    (source, hypothesis, first reference) triples of all runs once, through
+    ``send_batches``; the scores become ``(score, 1)`` rows.
     """
-    sources = [p.source.text for p in pairs]
-    first_refs = [p.references[0] for p in pairs]
     stacked_hyps = [hyps[i] for i in range(len(pairs)) for hyps in runs.values()]
-    stacked_refs = [p.references for p in pairs for _ in runs]
-    stacked = {m.name: m.segment_stats(stacked_hyps, stacked_refs) for m in LEXICAL_METRICS}
+    stacked_pairs = [p for p in pairs for _ in runs]
+    stacked = {m.name: m.segment_stats(stacked_hyps, [p.references for p in stacked_pairs])
+               for m in LEXICAL_METRICS}
+    slots: dict = {}  # distinct (source, hypothesis, first reference) -> its row
+    inverse = [slots.setdefault((p.source.text, hyp, p.references[0]), len(slots))
+               for p, hyp in zip(stacked_pairs, stacked_hyps)]
+    triples, unserved = list(slots), []
+    for metric in sorted(neural_metrics):
+        scores = np.empty(len(triples))
+        try:
+            for rows, result, _ms in send_batches(
+                    lambda rows: scorer.score(metric, triples[rows.start:rows.stop]),
+                    range(len(triples)), scorer.cfg.max_batch, scorer.cfg.request_parallelism):
+                if isinstance(result, Exception):
+                    raise result
+                scores[rows.start:rows.stop] = result
+        except CapabilityError as exc:
+            unserved.append(f"scorer does not serve '{metric}': {exc.status}")
+            continue
+        stacked[metric] = np.column_stack([scores[inverse], np.ones(len(inverse))])
     scored = []
     for j, (run_name, hyps) in enumerate(runs.items()):
         stats = {name: np.ascontiguousarray(s.reshape(len(pairs), len(runs), s.shape[1])[:, j])
                  for name, s in stacked.items()}
-        unserved = []
-        for metric in sorted(neural_metrics):
-            try:
-                scores = scorer.score(metric, sources, hyps, first_refs)
-            except CapabilityError as exc:
-                unserved.append(f"scorer does not serve '{metric}': {exc.status}")
-                continue
-            stats[metric] = np.column_stack([scores, np.ones(len(scores))])
         report = evaluate_hypotheses(run_name, hyps, stats)
         scored.append((replace(report, warnings=report.warnings + tuple(unserved)), stats))
     return scored

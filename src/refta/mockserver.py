@@ -22,8 +22,8 @@ Fault injection: ``fail_rate`` (probability of a 500 per data request,
 seeded), ``fail_first`` (force the first N data requests per path to fail
 with ``fail_status``) and ``latency_ms``. ``GET /_stats`` exposes per-path
 request counts, input counts (the length of ``inputs`` for ``/translate``
-and ``/embed``, one per request elsewhere) and the concurrency high-water
-mark; ``POST /_reset`` clears them.
+and ``/embed``, of ``hypotheses`` for ``/score``, one per chat request) and
+the concurrency high-water mark; ``POST /_reset`` clears them.
 
 Accepted sockets set ``TCP_NODELAY``, so Nagle's algorithm does not hold a
 body written after its headers until the client's delayed ACK (~40 ms).
@@ -199,7 +199,7 @@ class _Handler(BaseHTTPRequestHandler):
         if handler is None:
             self._send_json(404, {"error": {"type": "not_found"}})
             return
-        inputs = payload.get("inputs")
+        inputs = payload.get("hypotheses" if path == "/score" else "inputs")
         if path in ("/translate", "/embed") and not (
                 isinstance(inputs, list) and all(isinstance(t, str) for t in inputs)):
             self._send_json(400, {"error": {"type": "bad_inputs"}})

@@ -5,16 +5,18 @@
 1. embed the distinct source texts (rag);
 2. retrieve each segment's neighbors with ``VectorIndex.query`` (rag);
 3. draft the set union of source and neighbor texts (draft_only, rag);
-4. assemble and refine each segment's prompt under a pool of ``workers``.
+4. assemble and refine each segment's prompt, ``workers`` at a time.
 
-Stages 1 and 3 send requests of at most ``max_batch`` inputs, one at a
-time, through ``backends.send_batches``. Stages 1-3 run once per call, and
-every temperature of a sweep reuses them. A batch of several inputs
-rejected with ``RequestError``/``ProtocolError`` is resent one input at a
-time before the next batch goes out; a rejected one-input batch, or one
-that exhausts its transport retries, fails every segment it carried. A
-segment that fails retrieval is not drafted. Under ``fail_fast`` a stage
-sends no request after its first failed one, and the run leaves no directory.
+Every stage sends through ``backends.send_batches``: stages 1 and 3 send
+requests of at most ``max_batch`` inputs one at a time, stage 4 one
+segment per request. Stages 1-3 run once per call, and every temperature
+of a sweep reuses them. A batch of several inputs rejected with
+``RequestError``/``ProtocolError`` is resent one input at a time before
+the next batch goes out; a rejected one-input batch, or one that exhausts
+its transport retries, fails every segment it carried. A segment that
+fails retrieval is not drafted. Under ``fail_fast`` a stage sends no
+request after its first failed one (stage 4 lets at most ``workers - 1``
+calls already in flight finish), and the run leaves no directory.
 Artifacts are written in input order, so output is a pure function of
 (config, corpus, index) when the backends are deterministic.
 
@@ -45,9 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -424,27 +424,19 @@ def _run_one(
     n = len(pairs)
     records: list[TranslationRecord | None] = [None] * n
     errors = [p.error for p in preps]
-    stop = threading.Event()
 
-    def work(i: int) -> None:
-        if stop.is_set():
-            return
-        try:
-            records[i] = translate_segment(cfg, pairs[i].source, preps[i], clients)
-        except PipelineError as exc:
-            if cfg.fail_fast:
-                stop.set()
-                raise
-            errors[i] = exc
+    def refine(batch: list[int]) -> TranslationRecord:
+        (i,) = batch
+        return translate_segment(cfg, pairs[i].source, preps[i], clients)
 
-    # not a with-block: its exit would run every queued segment after a
-    # fail-fast error; cancelling them sends no further refiner calls
-    pool = ThreadPoolExecutor(max_workers=cfg.workers)
-    try:
-        for fut in [pool.submit(work, i) for i in range(n) if errors[i] is None]:
-            fut.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    live = [i for i in range(n) if errors[i] is None]
+    for (i,), result, _ms in send_batches(refine, live, 1, max_in_flight=cfg.workers):
+        if isinstance(result, PipelineError) and not cfg.fail_fast:
+            errors[i] = result
+        elif isinstance(result, Exception):
+            raise result
+        else:
+            records[i] = result
     wall_ms = round(prepare_ms + _ms_since(t0), 3)
 
     failures = [

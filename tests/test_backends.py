@@ -100,12 +100,22 @@ class TestSendBatches:
                 raise RequestError(422, "rejected")
             return [x * 10 for x in batch]
 
-        sent = list(send_batches(call, list(range(12)), 2, max_in_flight=3))
+        sent = sorted(send_batches(call, list(range(12)), 2, max_in_flight=3),
+                      key=lambda taken: taken[0])
         assert [batch for batch, _, _ in sent] == [[i, i + 1] for i in range(0, 12, 2)]
         assert isinstance(sent[2][1], RequestError)
         assert [r for _, r, _ in sent[:2] + sent[3:]] == [
             [0, 10], [20, 30], [60, 70], [80, 90], [100, 110]]
         assert high[0] == 3
+
+    def test_a_slow_batch_holds_only_its_own_slot(self):
+        def call(batch):
+            if batch == [0]:
+                time.sleep(0.3)
+            return batch
+
+        taken = [batch for batch, _, _ in send_batches(call, list(range(6)), 1, max_in_flight=2)]
+        assert taken == [[1], [2], [3], [4], [5], [0]]
 
 
 class TestDrafter:
@@ -125,7 +135,8 @@ class TestDrafter:
     def test_batch_splitting_keeps_order_and_sums_usage(self, mock_server, endpoint):
         client = DrafterClient(endpoint("drafter", max_batch=4))
         texts = [f"textus {i}" for i in range(10)]
-        sent = list(send_batches(client.translate, texts, 4, max_in_flight=3))
+        sent = sorted(send_batches(client.translate, texts, 4, max_in_flight=3),
+                      key=lambda taken: texts.index(taken[0][0]))
         assert [batch for batch, _, _ in sent] == [texts[0:4], texts[4:8], texts[8:10]]
         drafts = [d for _, (batch_drafts, _), _ in sent for d in batch_drafts]
         assert drafts == [f"[draft]{t}" for t in texts]
@@ -270,7 +281,8 @@ class TestEmbedder:
     def test_batch_splitting_request_count(self, mock_server, endpoint):
         client = EmbedderClient(endpoint("embedder", max_batch=64))
         texts = [f"textus {i}" for i in range(130)]
-        sent = list(send_batches(client.embed, texts, 64, max_in_flight=2))
+        sent = sorted(send_batches(client.embed, texts, 64, max_in_flight=2),
+                      key=lambda taken: texts.index(taken[0][0]))
         assert [batch for batch, _, _ in sent] == [texts[0:64], texts[64:128], texts[128:]]
         vecs = [v for _, batch_vecs, _ in sent for v in batch_vecs]
         assert all(np.array_equal(v, hash_embedding(t, 64)) for v, t in zip(vecs, texts))
@@ -308,19 +320,19 @@ class TestEmbedder:
 class TestScorer:
     def test_identity_scores_one(self, endpoint):
         client = ScorerClient(endpoint("scorer"))
-        scores = client.score("comet", ["s"], ["same text"], ["same text"])
+        scores = client.score("comet", [("s", "same text", "same text")])
         assert scores == [1.0]
 
-    def test_length_mismatch_rejected_locally(self, mock_server, endpoint):
-        client = ScorerClient(endpoint("scorer"))
-        with pytest.raises(ValueError):
-            client.score("comet", ["s"], ["h1", "h2"], ["r1"])
+    def test_more_than_max_batch_rejected_locally(self, mock_server, endpoint):
+        client = ScorerClient(endpoint("scorer", max_batch=2))
+        with pytest.raises(ValueError, match="max_batch=2"):
+            client.score("comet", [("s", "h", "r")] * 3)
         assert mock_server.stats.snapshot()["counts"].get("/score", 0) == 0
 
     def test_unsupported_metric(self, endpoint):
         client = ScorerClient(endpoint("scorer"))
         with pytest.raises(CapabilityError):
-            client.score("meteor", ["s"], ["h"], ["r"])
+            client.score("meteor", [("s", "h", "r")])
 
 
 def _scorer_replying(monkeypatch, body: bytes) -> ScorerClient:
@@ -337,12 +349,12 @@ def _scorer_replying(monkeypatch, body: bytes) -> ScorerClient:
 def test_scorer_refuses_a_score_that_is_not_a_finite_number(monkeypatch, scores):
     client = _scorer_replying(monkeypatch, f'{{"scores": [{scores}]}}'.encode())
     with pytest.raises(ProtocolError, match="not a finite number"):
-        client.score("comet", ["s"] * 3, ["h"] * 3, ["r"] * 3)
+        client.score("comet", [("s", "h", "r")] * 3)
 
 
 def test_scorer_returns_int_and_float_scores_as_floats(monkeypatch):
     client = _scorer_replying(monkeypatch, b'{"scores": [1, 0.25, -2]}')
-    scores = client.score("comet", ["s"] * 3, ["h"] * 3, ["r"] * 3)
+    scores = client.score("comet", [("s", "h", "r")] * 3)
     assert scores == [1.0, 0.25, -2.0] and all(type(s) is float for s in scores)
 
 
@@ -398,7 +410,7 @@ _CALLS = {
     "drafter": (DrafterClient, lambda client: client.translate(["x"])),
     "refiner": (RefinerClient, lambda client: client.complete(ChatRequest(system="s", user="u"))),
     "embedder": (EmbedderClient, lambda client: client.embed(["x", "y"])),
-    "scorer": (ScorerClient, lambda client: client.score("comet", ["s"], ["h"], ["r"])),
+    "scorer": (ScorerClient, lambda client: client.score("comet", [("s", "h", "r")])),
 }
 
 

@@ -179,6 +179,21 @@ class TestNeuralAttachment:
         assert "meteor" not in report.corpus_scores
         assert any("meteor" in w for w in report.warnings)
 
+    def test_each_distinct_triple_is_scored_once(self, mock_server, endpoint):
+        scorer = ScorerClient(endpoint("scorer", max_batch=2))
+        refs = ["r0", "r1", "r2", "r3", "r4"]
+        pairs = [ParallelPair(SourceSegment(f"s{i}", "s"), (ref,)) for i, ref in enumerate(refs)]
+        runs = {"a": ["r0", "x", "r2", "x", "x"], "b": ["r0", "r1", "y", "x", "x"]}
+        scored = score_runs(runs, pairs, scorer, {"comet"})
+        for (report, _), hyps in zip(scored, runs.values()):
+            assert report.segment_scores["comet"] == [
+                1.0 if h == r else 0.7 for h, r in zip(hyps, refs)]
+        # 7 distinct of the 10 triples, 2 per request
+        snap = mock_server.stats.snapshot()
+        assert (snap["counts"]["/score"], snap["inputs"]["/score"]) == (4, 7)
+        for report, _ in score_runs(runs, pairs, scorer, {"meteor"}):
+            assert any("meteor" in w for w in report.warnings)
+
 
 def test_evaluate_hypotheses_pools_not_averages(fixture):
     hyps = fixture["primary"]["hypotheses"]

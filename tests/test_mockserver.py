@@ -77,6 +77,14 @@ def test_stats_count_inputs_per_path(mock_server):
     assert snap["inputs"] == {"/translate": 3, "/embed": 1}
 
 
+def test_stats_count_score_hypotheses_as_inputs(mock_server):
+    url = mock_server.base_url
+    requests.post(f"{url}/score", json={"metric": "comet", "sources": ["s", "t"],
+                                        "hypotheses": ["h", "i"], "references": ["r", "q"]},
+                  timeout=5)
+    assert requests.get(f"{url}/_stats", timeout=5).json()["inputs"] == {"/score": 2}
+
+
 @pytest.mark.parametrize("path", ["/translate", "/embed"])
 @pytest.mark.parametrize("inputs", ["abc", None, 3, ["x", 7], [["x"]]],
                          ids=["str", "missing", "int", "int-item", "list-item"])

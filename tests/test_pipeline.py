@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import asdict, replace
 
 import pytest
@@ -487,6 +488,30 @@ class TestTranslateCorpus:
         assert result.succeeded == 3 and len(replies) == 4
         hyps = read_hypotheses(result.run_dir)
         assert hyps[1] == FAILED_SENTINEL and FAILED_SENTINEL not in hyps[:1] + hyps[2:]
+
+    def test_a_slow_refine_holds_only_its_own_worker(self, stack, tmp_path, monkeypatch):
+        endpoints, _, server = stack
+        pairs = _pairs(6)
+        original, seen = RefinerClient._send, []
+
+        def chat_requests():
+            return server.stats.snapshot()["counts"].get("/v1/chat/completions", 0)
+
+        def first_reply_waits_for_the_rest(self, path, body):
+            reply = original(self, path, body)
+            if pairs[0].source.text in json.loads(body)["messages"][1]["content"]:
+                deadline = time.monotonic() + 5.0
+                while chat_requests() < len(pairs) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                seen.append(chat_requests())
+            return reply
+
+        monkeypatch.setattr(RefinerClient, "_send", first_reply_waits_for_the_rest)
+        cfg = _config(endpoints, "zero_shot", workers=2)
+        (result,) = translate_corpus(cfg, pairs, None, runs_root=tmp_path)
+        assert result.succeeded == len(pairs)
+        # the other segments were all sent while segment 0's reply was held
+        assert seen == [len(pairs)]
 
     def test_line_breaks_in_a_refined_text_stay_on_its_line(self, stack, tmp_path,
                                                             monkeypatch):
