@@ -1,14 +1,16 @@
 """Every file refta writes goes through ``write_files``: each is streamed into
 ``<name>.tmp`` beside its target and hashed as it is written, then all are
 renamed over their targets once every one is complete. A failure part-way
-removes the temp files and leaves the targets as they were."""
+removes the temp files and leaves the targets as they were. Every run, index
+and corpus file refta reads goes through ``read_lines`` or ``read_json_object``
+(strict UTF-8)."""
 
 import hashlib
 import json
 import os
 from pathlib import Path
 
-from refta.errors import ReftaError
+from refta.errors import CorpusFormatError, ReftaError
 
 
 def write_files(files: dict) -> list[str]:
@@ -55,3 +57,34 @@ def encode_json(obj) -> bytes:
 
 def write_json(path, obj) -> None:
     write_files({path: [encode_json(obj)]})
+
+
+def read_lines(path, sha=None):
+    """Yield ``(line_no, line)`` for each line of ``path``. Only ``\\n`` ends a
+    line and a trailing ``\\r`` is dropped; each line is decoded on its own as
+    strict UTF-8, and ``sha``, when given, is fed every byte read. A failure
+    is a ``CorpusFormatError`` naming the path, and for a decode the line."""
+    try:
+        with open(path, "rb") as fh:
+            for line_no, raw in enumerate(fh, 1):
+                if sha is not None:
+                    sha.update(raw)
+                yield line_no, raw.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8")
+    except OSError as exc:
+        raise CorpusFormatError(path, None, f"cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(path, line_no, f"not valid UTF-8: {exc}") from exc
+
+
+def read_json_object(path, error=ReftaError) -> dict:
+    """The JSON object in ``path``; a missing or unreadable file, bad UTF-8, bad
+    JSON or a value that is not an object raises ``error`` naming the file."""
+    try:
+        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise error(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise error(f"{path} is not a JSON object")
+    return obj

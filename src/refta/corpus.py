@@ -10,11 +10,12 @@ Input formats
 - parallel jsonl: one object per line with fields ``id``, ``text`` and
   ``references`` (non-empty list of strings).
 
-JSONL rows must be objects holding the fields their format needs; other
-fields are ignored, so the monolingual reader also reads a parallel file's
-``id`` and ``text``. Blank lines are skipped, and ids must be unique.
+JSONL rows must be objects holding the fields their format needs (``text``
+and each reference strings, ``id`` a string or an integer); other fields are
+ignored. Blank lines are skipped, and ids must be unique.
 
-All files must be valid UTF-8; anything else is rejected rather than
+Every run, index and corpus file refta reads must be valid UTF-8 and is
+read by ``refta.artifacts``; anything else is rejected rather than
 transcoded, since silent transcoding corrupts philological text.
 """
 
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
+from refta.artifacts import read_lines
 from refta.errors import CorpusFormatError
 
 _WS_RE = re.compile(r"\s+")
@@ -174,41 +176,20 @@ class SkipRecord:
     reason: str
 
 
-def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:
-    """Yield (line_no, line) pairs without the line ending; open and decode
-    failures become CorpusFormatError."""
-    try:
-        fh = path.open("r", encoding="utf-8", errors="strict", newline="\n")
-    except OSError as exc:
-        raise CorpusFormatError(path, None, f"cannot open: {exc}") from exc
-    line_no = 0
-    with fh:
-        while True:
-            try:
-                line = fh.readline()
-            except UnicodeDecodeError as exc:
-                raise CorpusFormatError(path, line_no + 1, f"not valid UTF-8: {exc}") from exc
-            except OSError as exc:
-                raise CorpusFormatError(path, line_no + 1, f"read failed: {exc}") from exc
-            if line == "":
-                return
-            line_no += 1
-            yield line_no, line.rstrip("\n").rstrip("\r")
-
-
 def _rows(path: Path, format: str, parallel: bool = False):
     """Yield ``(line_no, id, raw_text, raw_references)`` for each row of ``path``.
 
     Every row rule lives here. Blank lines are skipped, except in
     plain-lines, where the loader reports them as empty. A JSONL row must be
     an object holding ``id`` and ``text`` and, when ``parallel``, a
-    non-empty ``references`` list; other keys are ignored. An id seen twice
-    is an error naming both lines. ``raw_references`` is None unless
+    non-empty ``references`` list, with ``text`` and each reference strings
+    and ``id`` a string or an integer; other keys are ignored. An id seen
+    twice is an error naming both lines. ``raw_references`` is None unless
     ``parallel``.
     """
     keys = ("id", "text", "references") if parallel else ("id", "text")
     seen: dict[str, int] = {}
-    for line_no, line in _iter_lines(path):
+    for line_no, line in read_lines(path):
         if format == "plain-lines":
             row = {"id": f"{path.name}:{line_no}", "text": line}
         elif not line.strip():
@@ -234,6 +215,10 @@ def _rows(path: Path, format: str, parallel: bool = False):
             if parallel and not (isinstance(row["references"], list) and row["references"]):
                 raise CorpusFormatError(
                     path, line_no, "'references' must be a non-empty JSON list")
+            strings = [row["text"], *(row["references"] if parallel else ())]
+            if type(row["id"]) not in (str, int) or not all(isinstance(s, str) for s in strings):
+                raise CorpusFormatError(path, line_no, "'text' and every reference must be "
+                                        "JSON strings, and 'id' a string or an integer")
         seg_id = str(row["id"])
         if seg_id in seen:
             raise CorpusFormatError(
@@ -241,7 +226,7 @@ def _rows(path: Path, format: str, parallel: bool = False):
                 f"duplicate id '{seg_id}' (first seen at line {seen[seg_id]})",
             )
         seen[seg_id] = line_no
-        yield line_no, seg_id, str(row["text"]), row["references"] if parallel else None
+        yield line_no, seg_id, row["text"], row["references"] if parallel else None
 
 
 def load_monolingual(
@@ -277,7 +262,7 @@ def load_parallel(path: str | Path, format: str) -> list[ParallelPair]:
         text = normalize_text(raw_text)
         if not text:
             raise CorpusFormatError(path, line_no, "source normalizes to empty text")
-        refs = tuple(normalize_text(str(r)) for r in raw_refs)
+        refs = tuple(normalize_text(r) for r in raw_refs)
         if any(not r for r in refs):
             raise CorpusFormatError(path, line_no, "empty reference")
         pairs.append(ParallelPair(SourceSegment(seg_id, text), refs))

@@ -8,7 +8,7 @@ class ReftaError(Exception):
 
 
 class CorpusFormatError(ReftaError):
-    """A corpus file is malformed; carries the path and offending line."""
+    """A run, index or corpus file is unreadable or malformed; carries the path and line."""
 
     def __init__(self, path, line_no: int | None, reason: str):
         self.path = str(path)

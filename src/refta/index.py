@@ -49,10 +49,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from refta import kernels
-from refta.artifacts import encode_json, encode_lines, write_files
+from refta.artifacts import encode_json, encode_lines, read_json_object, read_lines, write_files
 from refta.backends import send_batches
 from refta.corpus import ParallelPair, SourceSegment, lemmatize
-from refta.errors import IndexError_, VectorError
+from refta.errors import CorpusFormatError, IndexError_, VectorError
 
 FORMAT_VERSION = 3
 NEAR_DUP_THRESHOLD = 0.9
@@ -373,17 +373,17 @@ def _read_vectors(path: Path, sha) -> np.ndarray:
 
 
 def _read_meta(path: Path, sha) -> tuple[list, list]:
-    """Parse ``meta.jsonl`` line by line, hashing each line as it is read."""
+    """Parse ``meta.jsonl`` row by row; ``read_lines`` hashes each line as it is read."""
     ids, texts = [], []
-    with path.open("rb") as fh:
-        for row_no, line in enumerate(fh, 1):
-            sha.update(line)
-            try:
-                row = json.loads(line)
-                ids.append(row["id"])
-                texts.append(row["text"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise IndexError_(f"{path} row {row_no} does not parse: {exc!r}") from exc
+    try:
+        for row_no, line in read_lines(path, sha):
+            row = json.loads(line)
+            ids.append(row["id"])
+            texts.append(row["text"])
+    except CorpusFormatError as exc:  # unreadable, or a row cut inside a character
+        raise IndexError_(str(exc)) from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IndexError_(f"{path} row {row_no} does not parse: {exc!r}") from exc
     return ids, texts
 
 
@@ -399,14 +399,7 @@ _MANIFEST_CHECKS = {
 def load_index(path: str | Path) -> VectorIndex:
     src = Path(path)
     manifest_path = src / "manifest.json"
-    if not manifest_path.exists():
-        raise IndexError_(f"no manifest.json under {src}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise IndexError_(f"{manifest_path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise IndexError_(f"{manifest_path} is not a JSON object")
+    manifest = read_json_object(manifest_path, IndexError_)
 
     version = manifest.get("format_version")
     if version not in (2, FORMAT_VERSION):

@@ -104,7 +104,7 @@ def read_run(run_dir, pairs: list[ParallelPair], digest: str) -> list[str]:
     ``hypotheses.txt`` it wrote; a directory holding only ``hypotheses.txt``,
     such as an outside system's outputs, is read as is.
     """
-    run_dir, written = Path(run_dir), None
+    run_dir, written, sha = Path(run_dir), None, hashlib.sha256()
     if (run_dir / "manifest.json").exists():
         manifest = read_manifest(run_dir)
         found = manifest.get("corpus_digest")
@@ -114,9 +114,8 @@ def read_run(run_dir, pairs: list[ParallelPair], digest: str) -> list[str]:
                 f"(corpus digest {found} != {digest})"
             )
         written = (manifest.get("checksums") or {}).get("hypotheses.txt")
-    hyps = read_hypotheses(run_dir)
-    if written and written != hashlib.sha256(
-            (run_dir / "hypotheses.txt").read_bytes()).hexdigest():
+    hyps = read_hypotheses(run_dir, sha)  # the bytes checked are the bytes scored
+    if written and written != sha.hexdigest():
         raise ComparisonError(f"run {run_dir}: hypotheses.txt does not match its checksum")
     if len(hyps) != len(pairs):
         raise ComparisonError(f"run {run_dir} holds {len(hyps)} hypotheses for {len(pairs)} pairs")

@@ -53,7 +53,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import refta
-from refta.artifacts import encode_json, encode_lines, make_dir, write_files
+from refta.artifacts import (
+    encode_json, encode_lines, make_dir, read_json_object, read_lines, write_files,
+)
 from refta.backends import (
     ChatRequest,
     DrafterClient,
@@ -477,30 +479,15 @@ def _run_one(
     return RunResult(run_dir, cfg.temperature, len(done), len(failures))
 
 
-def _run_file(run_dir: str | Path, name: str) -> Path:
-    path = Path(run_dir) / name
-    if not path.exists():
-        raise ReftaError(f"no {name} under {run_dir}")
-    return path
-
-
 def read_manifest(run_dir: str | Path) -> dict:
-    path = _run_file(run_dir, "manifest.json")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise ReftaError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ReftaError(f"{path} is not a JSON object")
-    return manifest
+    return read_json_object(Path(run_dir) / "manifest.json")
 
 
-def read_hypotheses(run_dir: str | Path) -> list[str]:
-    """One hypothesis per line; the final newline is optional."""
-    lines = _run_file(run_dir, "hypotheses.txt").read_text(encoding="utf-8").split("\n")
-    return lines[:-1] if lines[-1] == "" else lines
+def read_hypotheses(run_dir: str | Path, sha=None) -> list[str]:
+    """One hypothesis per line of ``hypotheses.txt``, read by ``read_lines``."""
+    return [line for _, line in read_lines(Path(run_dir) / "hypotheses.txt", sha)]
 
 
 def read_records(run_dir: str | Path) -> list[dict]:
-    text = _run_file(run_dir, "records.jsonl").read_text(encoding="utf-8")
-    return [json.loads(line) for line in text.split("\n") if line.strip()]
+    return [json.loads(line) for _, line in read_lines(Path(run_dir) / "records.jsonl")
+            if line.strip()]

@@ -639,6 +639,23 @@ class TestEvaluate:
         assert not (run_dir / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_undecodable_hypotheses_are_an_error_line(runner, workspace, command):
+    refs = [line.split("\t")[2] for line in
+            (workspace / "test.tsv").read_text().splitlines()]
+    for name in ("base", "sys"):
+        (workspace / name).mkdir()
+        (workspace / name / "hypotheses.txt").write_text("".join(r + "\n" for r in refs))
+    hyps = workspace / "sys" / "hypotheses.txt"
+    hyps.write_bytes(hyps.read_bytes().replace(b"\n", b"\n\xff", 1))  # a bad byte on line 2
+    args = {"evaluate": ["--run", str(workspace / "sys")],
+            "compare": ["--runs", str(workspace / "sys"), "--baseline", str(workspace / "base"),
+                        "--out", str(workspace / "cmp.json")]}[command]
+    result = runner.invoke(main, [command, *args, "--test-set", str(workspace / "test.tsv")])
+    _assert_one_error_line(result, f"{hyps}:2: not valid UTF-8")
+    assert not (workspace / "cmp.json").exists() and not (workspace / "sys" / "metrics.json").exists()
+
+
 class TestCompare:
     def test_non_finite_score_is_an_error(self, runner, workspace, monkeypatch):
         refs = [line.split("\t")[2] for line in

@@ -190,8 +190,9 @@ class TestLoadMonolingual:
     def test_rejects_non_utf8(self, tmp_path):
         p = tmp_path / "corpus.txt"
         p.write_bytes(b"bona\n\xff\xfe latin-1 junk\n")
-        with pytest.raises(CorpusFormatError, match="UTF-8"):
+        with pytest.raises(CorpusFormatError, match="UTF-8") as exc:
             list(load_monolingual(p, "plain-lines"))
+        assert exc.value.line_no == 2  # the line that holds the bad byte
 
 
 class TestLoadParallel:
@@ -274,6 +275,32 @@ def test_jsonl_non_object_row_names_its_line(tmp_path, load):
     with pytest.raises(CorpusFormatError, match="not a JSON object") as exc:
         load(p)
     assert exc.value.line_no == 3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("text", None), ("text", ["Gallia", "est"]), ("id", None), ("id", 1.5), ("id", True),
+    ("references", [None]), ("references", ["good", 3]),
+])
+@pytest.mark.parametrize("parallel", [False, True], ids=["monolingual", "parallel"])
+def test_jsonl_fields_must_hold_strings(tmp_path, parallel, field, value):
+    """``text`` and every reference are strings and ``id`` a string or an
+    integer (row 1's id 7 reads as "7"); no other value is read as its ``str()``."""
+    p = tmp_path / "rows.jsonl"
+    rows = [{"id": 7, "text": "bona", "references": ["good"]},
+            {"id": "b", "text": "mala", "references": ["bad"], field: value}]
+    p.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    if parallel:
+        def load():
+            return [pair.source for pair in load_parallel(p, "jsonl")]
+    else:
+        def load():
+            return list(load_monolingual(p, "jsonl"))
+    if field == "references" and not parallel:  # the monolingual reader ignores them
+        assert [segment.id for segment in load()] == ["7", "b"]
+        return
+    with pytest.raises(CorpusFormatError, match="JSON strings") as exc:
+        load()
+    assert exc.value.line_no == 2
 
 
 def test_source_segment_requires_text():

@@ -498,6 +498,17 @@ class TestPersistence:
         with pytest.raises(IndexError_, match="meta.jsonl"):
             load_index(tmp_path / "idx")
 
+    def test_meta_cut_inside_a_character_is_an_index_error(self, tmp_path):
+        _, _, vectors = random_index(3, 8, seed=24)
+        index = VectorIndex.from_arrays(["a", "b", "c"], ["una", "duae", "tres æ"], vectors)
+        save_index(index, tmp_path / "idx")
+        meta_path = tmp_path / "idx" / "meta.jsonl"
+        data = meta_path.read_bytes()
+        assert data.endswith('æ"}\n'.encode("utf-8"))
+        meta_path.write_bytes(data[:-4])  # the last row ends in the first byte of æ
+        with pytest.raises(IndexError_, match="meta.jsonl"):
+            load_index(tmp_path / "idx")
+
     @pytest.mark.parametrize("key, value", [
         ("checksums", {}), ("count", "10"), ("dim", -8), ("model_id", None),
     ])

@@ -154,6 +154,7 @@ class TestRunConfig:
 
 @pytest.mark.parametrize("text, lines", [
     ("a\nb\n", ["a", "b"]), ("a\nb", ["a", "b"]), ("\n", [""]), ("", []),
+    ("a\rb\nc\n", ["a\rb", "c"]), ("a\r\nb\r\n", ["a", "b"]),  # only \n ends a line
 ])
 def test_read_hypotheses_final_newline_is_optional(tmp_path, text, lines):
     (tmp_path / "hypotheses.txt").write_text(text, encoding="utf-8")
