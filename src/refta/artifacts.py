@@ -1,9 +1,8 @@
 """Every file refta writes goes through ``write_files``: each is streamed into
 ``<name>.tmp`` beside its target and hashed as it is written, then all are
 renamed over their targets once every one is complete. A failure part-way
-removes the temp files and leaves the targets as they were. Every run, index
-and corpus file refta reads goes through ``read_lines`` or ``read_json_object``
-(strict UTF-8)."""
+removes the temp files and leaves the targets as they were. Every text file
+refta reads goes through ``read_lines`` or ``read_utf8`` (strict UTF-8)."""
 
 import hashlib
 import json
@@ -76,13 +75,20 @@ def read_lines(path, sha=None):
         raise CorpusFormatError(path, line_no, f"not valid UTF-8: {exc}") from exc
 
 
-def read_json_object(path, error=ReftaError) -> dict:
-    """The JSON object in ``path``; a missing or unreadable file, bad UTF-8, bad
-    JSON or a value that is not an object raises ``error`` naming the file."""
+def read_utf8(path, error=ReftaError) -> str:
+    """``path`` decoded as strict UTF-8, so bad bytes raise ``UnicodeDecodeError``
+    (a ``ValueError``); a missing or unreadable file raises ``error`` naming it."""
     try:
-        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+        return Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def read_json_object(path, error=ReftaError) -> dict:
+    """The JSON object in ``path``, read by ``read_utf8``; bad UTF-8, bad JSON or
+    a value that is not an object also raises ``error`` naming the file."""
+    try:
+        obj = json.loads(read_utf8(path, error))
     except ValueError as exc:  # bad UTF-8 or bad JSON
         raise error(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):

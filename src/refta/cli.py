@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 
 import refta
-from refta.artifacts import make_dir, write_json
+from refta.artifacts import make_dir, read_utf8, write_json
 from refta.backends import EmbedderClient, EndpointConfig, ScorerClient, resolve_token
 from refta.corpus import load_monolingual, load_parallel
 from refta.errors import ReftaError
@@ -49,8 +49,6 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     p = Path(path)
-    if not p.exists():
-        raise click.UsageError(f"config file not found: {path}")
     kind = {".json": "JSON", ".toml": "TOML"}.get(p.suffix.lower())
     if kind is None:
         raise click.UsageError(f"config file {path} does not end in .json or .toml")
@@ -64,8 +62,8 @@ def _load_config_file(path: str | None) -> dict:
             ) from exc
         loads = tomllib.loads
     try:
-        return loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:  # tomllib.TOMLDecodeError is a ValueError
+        return loads(read_utf8(p, click.UsageError))
+    except ValueError as exc:  # bad UTF-8; tomllib.TOMLDecodeError is a ValueError
         raise click.UsageError(f"config file {path} is not valid {kind}: {exc}") from exc
 
 

@@ -113,7 +113,10 @@ def read_run(run_dir, pairs: list[ParallelPair], digest: str) -> list[str]:
                 f"run {run_dir} was produced on a different test set "
                 f"(corpus digest {found} != {digest})"
             )
-        written = (manifest.get("checksums") or {}).get("hypotheses.txt")
+        checksums = manifest.get("checksums", {})
+        if not isinstance(checksums, dict):
+            raise ComparisonError(f"run {run_dir}: the manifest's checksums are not an object")
+        written = checksums.get("hypotheses.txt")
     hyps = read_hypotheses(run_dir, sha)  # the bytes checked are the bytes scored
     if written and written != sha.hexdigest():
         raise ComparisonError(f"run {run_dir}: hypotheses.txt does not match its checksum")

@@ -18,12 +18,13 @@ A body that is not a JSON object gets HTTP 400 ``bad_json``; ``/translate``
 and ``/embed`` answer HTTP 400 ``bad_inputs`` when ``inputs`` is not a list
 of strings.
 
-Fault injection: ``fail_rate`` (probability of a 500 per data request,
-seeded), ``fail_first`` (force the first N data requests per path to fail
-with ``fail_status``) and ``latency_ms``. ``GET /_stats`` exposes per-path
-request counts, input counts (the length of ``inputs`` for ``/translate``
-and ``/embed``, of ``hypotheses`` for ``/score``, one per chat request) and
-the concurrency high-water mark; ``POST /_reset`` clears them.
+Fault injection: ``fail_rate`` (the share of data requests that fail with
+``fail_status``, each decided by the request and its attempt, so a seed
+fails the same requests at any parallelism), ``fail_first`` (force the first
+N data requests per path to fail) and ``latency_ms``. ``GET /_stats``
+exposes per-path request counts, input counts (the length of ``inputs`` for
+``/translate`` and ``/embed``, of ``hypotheses`` for ``/score``, one per chat
+request) and the concurrency high-water mark; ``POST /_reset`` clears them.
 
 Accepted sockets set ``TCP_NODELAY``, so Nagle's algorithm does not hold a
 body written after its headers until the client's delayed ACK (~40 ms).
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 import threading
 import time
 from base64 import b64encode
@@ -70,6 +70,7 @@ class _Stats:
     failures_injected: dict = field(default_factory=dict)
     current: dict = field(default_factory=dict)
     max_concurrency: dict = field(default_factory=dict)
+    attempts: dict = field(default_factory=dict)  # (seed, path, body) digest -> requests
     lock: threading.Lock = field(default_factory=threading.Lock)
 
     def enter(self, path: str, inputs: int) -> None:
@@ -101,6 +102,7 @@ class _Stats:
             self.failures_injected.clear()
             self.current.clear()
             self.max_concurrency.clear()
+            self.attempts.clear()
 
 
 def hash_embedding(text: str, dim: int) -> np.ndarray:
@@ -145,31 +147,31 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> dict:
+    def _read_json(self) -> tuple[bytes, dict]:
         length = int(self.headers.get("Content-Length", "0"))
         raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        payload = json.loads(raw.decode("utf-8"))
+        payload = json.loads(raw.decode("utf-8") or "{}")  # an empty body reads as {}
         if not isinstance(payload, dict):
             raise ValueError("the body is not a JSON object")
-        return payload
+        return raw, payload
 
-    def _maybe_fail(self, path: str) -> bool:
+    def _maybe_fail(self, path: str, body: bytes) -> bool:
         b = self.behavior
         with self.stats.lock:
             injected = self.stats.failures_injected.get(path, 0)
-            fail = False
-            if injected < b.fail_first:
-                fail = True
-            elif b.fail_rate > 0.0 and self.server.fault_rng.random() < b.fail_rate:
-                fail = True
+            fail = injected < b.fail_first
+            if b.fail_rate:
+                draw = hashlib.sha256(f"{b.seed}\0{path}\0".encode() + body)
+                attempt = self.stats.attempts.get(draw.digest(), 0)
+                self.stats.attempts[draw.digest()] = attempt + 1
+                # sha256(seed, path, body, attempt); its top 53 bits are a fraction in [0, 1)
+                draw.update(attempt.to_bytes(8, "big"))
+                fail |= (int.from_bytes(draw.digest()[:8], "big") >> 11) / 2**53 < b.fail_rate
             if fail:
                 self.stats.failures_injected[path] = injected + 1
         if fail:
             self._send_json(b.fail_status, {"error": {"type": "injected_fault"}})
-            return True
-        return False
+        return fail
 
     def do_GET(self):
         if self.path == "/_stats":
@@ -182,7 +184,7 @@ class _Handler(BaseHTTPRequestHandler):
         # Drain the body up front: keep-alive connections break if a fault
         # response is sent while request bytes are still unread.
         try:
-            payload = self._read_json()
+            body, payload = self._read_json()
         except (ValueError, UnicodeDecodeError):
             self._send_json(400, {"error": {"type": "bad_json"}})
             return
@@ -208,7 +210,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if self.behavior.latency_ms:
                 time.sleep(self.behavior.latency_ms / 1000.0)
-            if self._maybe_fail(path):
+            if self._maybe_fail(path, body):
                 return
             handler(payload)
         finally:
@@ -286,7 +288,6 @@ class MockServer(ThreadingHTTPServer):
         super().__init__((host, port), _Handler)
         self.behavior = behavior
         self.stats = _Stats()
-        self.fault_rng = random.Random(behavior.seed)
 
     @property
     def base_url(self) -> str:
@@ -304,7 +305,5 @@ def start_mock_server(
 ) -> MockServer:
     """Start a mock server on a background thread; call ``stop()`` when done."""
     server = MockServer(behavior or MockBehavior(), host=host, port=port)
-    thread = threading.Thread(target=server.serve_forever, args=(_POLL_S,), daemon=True)
-    thread.start()
-    server._thread = thread
+    threading.Thread(target=server.serve_forever, args=(_POLL_S,), daemon=True).start()
     return server

@@ -7,16 +7,17 @@
 3. draft the set union of source and neighbor texts (draft_only, rag);
 4. assemble and refine each segment's prompt, ``workers`` at a time.
 
-Every stage sends through ``backends.send_batches``: stages 1 and 3 send
-requests of at most ``max_batch`` inputs one at a time, stage 4 one
-segment per request. Stages 1-3 run once per call, and every temperature
-of a sweep reuses them. A batch of several inputs rejected with
-``RequestError``/``ProtocolError`` is resent one input at a time before
-the next batch goes out; a rejected one-input batch, or one that exhausts
-its transport retries, fails every segment it carried. A segment that
-fails retrieval is not drafted. Under ``fail_fast`` a stage sends no
-request after its first failed one (stage 4 lets at most ``workers - 1``
-calls already in flight finish), and the run leaves no directory.
+Stages 1, 3 and 4 send through ``_map_batches``, one rule for what a failed
+request means: stages 1 and 3 send requests of at most ``max_batch`` inputs
+one at a time, stage 4 one segment per request. Stages 1-3 run once per
+call, and every temperature of a sweep reuses them. A batch of several
+inputs rejected with ``RequestError``/``ProtocolError`` is resent one input
+at a time before the next batch goes out; a rejected one-input batch, or one
+that exhausts its transport retries, fails every segment it carried. A
+segment that fails retrieval is not drafted. Under ``fail_fast`` a stage
+sends no request after its first failed one (stage 4 lets at most
+``workers - 1`` calls already in flight finish), and the run leaves no
+directory.
 Artifacts are written in input order, so output is a pure function of
 (config, corpus, index) when the backends are deterministic.
 
@@ -215,16 +216,16 @@ class _Prepared:
     error: PipelineError | None = None
 
 
-def _map_batches(call, texts: list[str], max_batch: int, fail_fast: bool):
-    """``call`` over the distinct ``texts`` in batches of at most ``max_batch``.
-
-    Returns ``text -> (output, ms)``, with ms the wall time of the request
-    that served the text, and ``text -> error`` for the texts that failed.
-    Under ``fail_fast`` no request follows the first failed one, so the
-    texts after it are in neither map.
-    """
+def _map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_flight: int = 1):
+    """``call`` over the distinct ``items``, in batches of at most ``max_batch``
+    with ``max_in_flight`` calls in flight. Returns ``item -> (output, ms)``,
+    with ms the wall time of the request that served the item, and ``item ->
+    error`` for the items that failed. Under ``fail_fast`` no request follows
+    the first failed one (calls in flight finish), so the items after it are
+    in neither map."""
     served, failed = {}, {}
-    for batch, result, ms in send_batches(call, list(dict.fromkeys(texts)), max_batch):
+    for batch, result, ms in send_batches(call, list(dict.fromkeys(items)), max_batch,
+                                          max_in_flight):
         outcomes = [(batch, result, ms)]
         if isinstance(result, (RequestError, ProtocolError)) and len(batch) > 1:
             # the backend rejected the batch: find the inputs it rejects
@@ -237,7 +238,7 @@ def _map_batches(call, texts: list[str], max_batch: int, fail_fast: bool):
             elif isinstance(outcome, Exception):
                 raise outcome
             else:
-                served.update((text, (out, sent_ms)) for text, out in zip(sent, outcome))
+                served.update((item, (out, sent_ms)) for item, out in zip(sent, outcome))
     return served, failed
 
 
@@ -424,21 +425,13 @@ def _run_one(
     started = _now_iso()
     t0 = time.perf_counter()
     n = len(pairs)
-    records: list[TranslationRecord | None] = [None] * n
-    errors = [p.error for p in preps]
-
-    def refine(batch: list[int]) -> TranslationRecord:
-        (i,) = batch
-        return translate_segment(cfg, pairs[i].source, preps[i], clients)
-
-    live = [i for i in range(n) if errors[i] is None]
-    for (i,), result, _ms in send_batches(refine, live, 1, max_in_flight=cfg.workers):
-        if isinstance(result, PipelineError) and not cfg.fail_fast:
-            errors[i] = result
-        elif isinstance(result, Exception):
-            raise result
-        else:
-            records[i] = result
+    served, failed = _map_batches(
+        lambda batch: [translate_segment(cfg, pairs[i].source, preps[i], clients) for i in batch],
+        [i for i in range(n) if preps[i].error is None], 1, cfg.fail_fast, cfg.workers)
+    if cfg.fail_fast and failed:
+        raise next(iter(failed.values()))
+    records = [served[i][0] if i in served else None for i in range(n)]
+    errors = [failed.get(i, p.error) for i, p in enumerate(preps)]
     wall_ms = round(prepare_ms + _ms_since(t0), 3)
 
     failures = [

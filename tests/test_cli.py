@@ -1150,6 +1150,15 @@ class TestConfigFile:
         assert result.exit_code == 2, result.output
         assert "not valid TOML" in result.output
 
+    def test_unreadable_config_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.mkdir()
+        result = runner.invoke(main, ["--config", str(cfg), "cost", "--run", "x",
+                                      "--input-rate", "1", "--output-rate", "1"])
+        assert result.exit_code == 2, result.output
+        assert f"cannot read {cfg}" in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("config", [
         {"translate": {"workerz": 8}},
         {"translate": {"workers": 8}},

@@ -557,6 +557,11 @@ def test_read_run_checks_the_digest_only_where_a_manifest_exists(tmp_path):
     (run / "manifest.json").write_text(json.dumps({"corpus_digest": "other"}))
     with pytest.raises(ComparisonError, match="digest"):
         read_run(run, pairs, corpus_digest(pairs))
+    (run / "manifest.json").write_text(json.dumps(
+        {"corpus_digest": corpus_digest(pairs), "checksums": "abc"}))
+    with pytest.raises(ComparisonError, match="checksums are not an object") as raised:
+        read_run(run, pairs, corpus_digest(pairs))
+    assert str(run) in str(raised.value)
 
 
 @pytest.mark.parametrize("n_pairs", [0, 1])
