@@ -1,12 +1,16 @@
 """Every file refta writes goes through ``write_files``: each is streamed into
 ``<name>.tmp`` beside its target and hashed as it is written, then all are
 renamed over their targets once every one is complete. A failure part-way
-removes the temp files and leaves the targets as they were. Every text file
-refta reads goes through ``read_lines`` or ``read_utf8`` (strict UTF-8)."""
+removes the temp files and leaves the targets as they were. The files refta
+appends to, the reply store's, are ``AppendFile``s and are read back by
+``read_rows``. Every other text file refta reads goes through ``read_lines``
+or ``read_utf8`` (strict UTF-8)."""
 
+import fcntl
 import hashlib
 import json
 import os
+import threading
 from pathlib import Path
 
 from refta.errors import CorpusFormatError, ReftaError
@@ -43,6 +47,60 @@ def make_dir(path) -> None:
         Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ReftaError(f"cannot write under {path}: {exc}") from exc
+
+
+class AppendFile:
+    """A file of lines that only grows. ``append`` writes its lines in one
+    ``os.write`` under ``flock`` and a thread lock, so appends from threads and
+    processes never interleave, after cutting a final line with no ``\\n`` (a
+    write cut short). The first append makes the directory and file and opens
+    the descriptor that ``close`` closes. Each system call here gives up the
+    GIL and waits to win it back from busy threads, so there are no more of
+    them than the guarantees need."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self._fd = None
+        self._lock = threading.Lock()  # flock does not order the threads of one process
+
+    def append(self, lines) -> None:
+        data = b"".join(encode_lines(lines))
+        with self._lock:
+            try:
+                if self._fd is None:
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+                fcntl.flock(self._fd, fcntl.LOCK_EX)
+                try:
+                    end = cut = os.fstat(self._fd).st_size
+                    while cut and os.pread(self._fd, 1, cut - 1) != b"\n":
+                        cut -= 1  # a writer cut short left a torn line
+                    if cut < end:
+                        os.ftruncate(self._fd, cut)
+                    os.write(self._fd, data)
+                finally:
+                    fcntl.flock(self._fd, fcntl.LOCK_UN)
+            except OSError as exc:
+                raise ReftaError(f"cannot write under {self.path.parent}: {exc}") from exc
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+
+def read_rows(path):
+    """Yield ``(line_no, bytes)`` for each line of an ``AppendFile``; nothing
+    when there is no file. A final line with no ``\\n`` is a write cut short
+    and is skipped."""
+    try:
+        with open(path, "rb") as fh:
+            yield from ((line_no, raw) for line_no, raw in enumerate(fh, 1)
+                        if raw.endswith(b"\n"))
+    except FileNotFoundError:
+        return
+    except OSError as exc:
+        raise CorpusFormatError(path, None, f"cannot read: {exc.strerror or exc}") from exc
 
 
 def encode_lines(lines):

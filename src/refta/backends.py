@@ -335,9 +335,9 @@ class _HttpClient:
                 self._idle.append(conn)
         return resp.status, resp.headers, data
 
-    def _post(self, path: str, payload: dict) -> dict:
+    def _post(self, path: str, payload: dict | bytes) -> dict:
         url = self.cfg.base_url.rstrip("/") + path
-        body = canonical_json(payload).encode("utf-8")
+        body = payload if isinstance(payload, bytes) else canonical_json(payload).encode("utf-8")
         attempts = 0
         last_failure = ""
         while True:
@@ -451,8 +451,10 @@ class RefinerClient(_HttpClient):
             payload["seed"] = req.seed
         return payload
 
-    def complete(self, req: ChatRequest) -> tuple[str, TokenUsage]:
-        data = self._post("/v1/chat/completions", self.build_payload(req))
+    def complete(self, req: ChatRequest, body: bytes | None = None) -> tuple[str, TokenUsage]:
+        """Send ``req``, or ``body`` when given: its ``build_payload`` already
+        encoded by ``canonical_json``."""
+        data = self._post("/v1/chat/completions", body or self.build_payload(req))
         try:
             text = data["choices"][0]["message"]["content"].strip()
         except (KeyError, IndexError, TypeError, AttributeError) as exc:

@@ -7,6 +7,11 @@
 3. draft the set union of source and neighbor texts (draft_only, rag);
 4. assemble and refine each segment's prompt, ``workers`` at a time.
 
+Stages 3 and 4 send only the texts and chat requests that the reply store
+under the runs root (``_Replies``) lacks, and store each reply as it arrives
+(a failed one never), so a run that stopped part-way is resumed by running it
+again: what was paid for is replayed, and the rest is sent.
+
 Stages 1, 3 and 4 send through ``_map_batches``, one rule for what a failed
 request means: stages 1 and 3 send requests of at most ``max_batch`` inputs
 one at a time, stage 4 one segment per request. Stages 1-3 run once per
@@ -26,14 +31,16 @@ A record's ``timings_ms`` holds the wall ms of what served the segment:
 embedder request plus its query; ``neighbor_drafts``, the slowest drafter
 request that carried one of its neighbors (0 without neighbors);
 ``refine``, its own call; ``total``, all of these plus prompt assembly.
+A reply served from the store took 0 ms.
 
 Run directory layout (one per temperature):
 
 - ``manifest.json``: resolved config (no secrets) naming only the backends
   the condition calls, ``config_hash``,
-  ``corpus_digest``, code version, counts, aggregate token usage, wall time
-  (stages 1-3 included), and the SHA-256 ``checksums`` of the other three
-  files, taken as they are written; it is written last.
+  ``corpus_digest``, code version, counts, aggregate token usage (replayed
+  replies included), the replies ``replayed`` from the store per role, wall
+  time (stages 1-3 included), and the SHA-256 ``checksums`` of the other
+  three files, taken as they are written; it is written last.
 - ``records.jsonl``: one completed TranslationRecord per row, input order.
 - ``hypotheses.txt``: one line per input segment (line breaks of any kind
   inside a refined text are flattened to spaces); failed segments hold the
@@ -55,18 +62,22 @@ from pathlib import Path
 
 import refta
 from refta.artifacts import (
-    encode_json, encode_lines, make_dir, read_json_object, read_lines, write_files,
+    AppendFile, encode_json, encode_lines, make_dir, read_json_object, read_lines, read_rows,
+    write_files,
 )
 from refta.backends import (
     ChatRequest,
     DrafterClient,
     EmbedderClient,
     RefinerClient,
+    TokenUsage,
     canonical_json,
     send_batches,
 )
 from refta.corpus import ParallelPair, SourceSegment, lemmatize
 from refta.errors import (
+    BackendError,
+    CorpusFormatError,
     PipelineError,
     PromptBudgetError,
     ProtocolError,
@@ -86,6 +97,7 @@ from refta.prompt import (
 
 FAILED_SENTINEL = "<FAILED>"
 METRICS_FILE, COSTS_FILE = "metrics.json", "costs.json"  # reports on a run, beside its files
+REPLIES_DIR = ".replies"  # the reply store, beside the run directories of a runs root
 
 # auth tokens stay out of manifests and the config hash;
 # base_url is in the manifest but not the hash, so a restarted or moved
@@ -118,6 +130,9 @@ class RunConfig:
     fail_fast: bool = False
 
     def __post_init__(self):
+        if (self.run_id in ("", ".", "..", REPLIES_DIR)
+                or "/" in self.run_id or "\0" in self.run_id):
+            raise ValueError(f"run_id must be one plain path component, not {self.run_id!r}")
         if self.condition not in CONDITIONS:
             raise ValueError(f"unknown condition: {self.condition!r}")
         if self.condition == RAG and self.k < 1:
@@ -206,6 +221,40 @@ def _ms_since(t0: float) -> float:
     return (time.perf_counter() - t0) * 1000.0
 
 
+class _Replies(dict):
+    """The replies one backend has served under a runs root, appended as they
+    arrive to ``.replies/<role>-<sha256 of model_id NUL base_url>.jsonl``
+    (so backends that share a model id share no reply) and replayed in place
+    of the request: ``{"key": source text, "text"}`` for the drafter,
+    ``{"key": sha256 of the request body, "text", "usage"}`` for the refiner.
+    Maps each key to its reply."""
+
+    def __init__(self, runs_root, role: str, endpoint):
+        endpoint_id = f"{endpoint.model_id}\0{endpoint.base_url.rstrip('/')}"
+        digest = hashlib.sha256(endpoint_id.encode("utf-8")).hexdigest()
+        self.file = AppendFile(Path(runs_root) / REPLIES_DIR / f"{role}-{digest}.jsonl")
+        self.role = role
+        for line_no, raw in read_rows(self.file.path):
+            try:
+                row = json.loads(raw.decode("utf-8"))
+                text = row["text"]
+                if not isinstance(text, str) or not text:
+                    raise ValueError(f"text {text!r} is not a non-empty string")
+                self[row["key"]] = (
+                    text if role == "drafter" else (text, TokenUsage(**row["usage"])))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorpusFormatError(self.file.path, line_no,
+                                        f"not a {role} reply: {exc!r}") from exc
+
+    def add(self, replies: dict) -> None:
+        """Append ``key -> reply`` rows in one write, then serve them."""
+        self.file.append(json.dumps(
+            {"key": key, "text": reply} if self.role == "drafter"
+            else {"key": key, "text": reply[0], "usage": vars(reply[1])})
+            for key, reply in replies.items())
+        self.update(replies)
+
+
 @dataclass
 class _Prepared:
     """One segment's stage 1-3 outputs, or the error that ended it there."""
@@ -220,7 +269,9 @@ def _map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_flig
     """``call`` over the distinct ``items``, in batches of at most ``max_batch``
     with ``max_in_flight`` calls in flight. Returns ``item -> (output, ms)``,
     with ms the wall time of the request that served the item, and ``item ->
-    error`` for the items that failed. Under ``fail_fast`` no request follows
+    error`` for the items whose request failed (a ``BackendError``, or stage
+    4's ``PipelineError``); any other exception, such as a reply store that
+    cannot be written, ends the run. Under ``fail_fast`` no request follows
     the first failed one (calls in flight finish), so the items after it are
     in neither map."""
     served, failed = {}, {}
@@ -231,7 +282,7 @@ def _map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_flig
             # the backend rejected the batch: find the inputs it rejects
             outcomes = send_batches(call, batch, 1)
         for sent, outcome, sent_ms in outcomes:
-            if isinstance(outcome, ReftaError):
+            if isinstance(outcome, (BackendError, PipelineError)):
                 failed.update(dict.fromkeys(sent, outcome))
                 if fail_fast:
                     return served, failed
@@ -247,13 +298,16 @@ def _prepare(
     segments: list[SourceSegment],
     index: VectorIndex | None,
     clients: dict,
-) -> list[_Prepared]:
-    """Stages 1-3 for every segment; a failure is kept on its segment, or
+    replies: _Replies | None,
+) -> tuple[list[_Prepared], dict]:
+    """Stages 1-3 for every segment, and ``{"drafter": drafts replayed from
+    replies}`` (empty for zero_shot). A failure is kept on its segment, or
     under ``fail_fast`` raised for the first segment a failed request
     carried. Every stage 3 failure is found before any draft is attached:
     under ``fail_fast`` earlier segments may name neighbors never drafted."""
     preps = [_Prepared() for _ in segments]
     hits: dict[int, list] = {}
+    replayed = {}
     if cfg.condition == RAG:
         embedder = clients["embedder"]
         vectors, failed = _map_batches(embedder.embed, [s.text for s in segments],
@@ -281,8 +335,17 @@ def _prepare(
         texts = [segments[i].text for i in live]
         texts += [r.entry.text for i in live for r in hits.get(i, ())]
         drafter = clients["drafter"]
-        drafts, failed = _map_batches(lambda batch: drafter.translate(batch)[0],
-                                      texts, drafter.cfg.max_batch, cfg.fail_fast)
+
+        def draft(batch):
+            out = drafter.translate(batch)[0]
+            replies.add(dict(zip(batch, out)))
+            return out
+
+        stored = {t: (replies[t], 0.0) for t in texts if t in replies}
+        drafts, failed = _map_batches(draft, [t for t in texts if t not in stored],
+                                      drafter.cfg.max_batch, cfg.fail_fast)
+        drafts.update(stored)
+        replayed["drafter"] = len(stored)
         for i in live:
             seg = segments[i]
             bad = [t for t in [seg.text] + [r.entry.text for r in hits.get(i, ())]
@@ -300,7 +363,7 @@ def _prepare(
                 prep.neighbors = neighbor_drafts(hits[i], drafts)
                 prep.timings_ms["neighbor_drafts"] = round(
                     max((drafts[r.entry.text][1] for r in hits[i]), default=0.0), 3)
-    return preps
+    return preps, replayed
 
 
 def neighbor_drafts(results, drafts: dict) -> tuple[NeighborExample, ...]:
@@ -322,8 +385,11 @@ def translate_segment(
     segment: SourceSegment,
     prepared: _Prepared,
     clients: dict,
-) -> TranslationRecord:
-    """Stage 4 for one segment: assemble its prompt and refine it."""
+    replies: _Replies,
+) -> tuple[TranslationRecord, bool]:
+    """Stage 4 for one segment: assemble its prompt and refine it, unless
+    ``replies`` holds the reply to that very request. Returns the record and
+    whether its reply was replayed."""
     started = _now_iso()
     t0 = time.perf_counter()
     try:
@@ -337,17 +403,24 @@ def translate_segment(
     except ReftaError as exc:
         raise PipelineError("assemble", segment.id, exc) from exc
 
-    t_refine = time.perf_counter()
-    try:
-        refined, usage = clients["refiner"].complete(
-            cfg.chat_request(bundle.system_text, bundle.user_text))
+    refiner, req = clients["refiner"], cfg.chat_request(bundle.system_text, bundle.user_text)
+    body = canonical_json(refiner.build_payload(req)).encode("utf-8")
+    key = hashlib.sha256(body).hexdigest()
+    reply, refine_ms = replies.get(key), 0.0
+    replayed = reply is not None
+    if not replayed:
+        t_refine = time.perf_counter()
+        try:
+            reply = refiner.complete(req, body)
+        except ReftaError as exc:
+            raise PipelineError("refine", segment.id, exc) from exc
         refine_ms = _ms_since(t_refine)
-    except ReftaError as exc:
-        raise PipelineError("refine", segment.id, exc) from exc
+        replies.add({key: reply})
+    refined, usage = reply
 
     timings = {**prepared.timings_ms, "refine": round(refine_ms, 3),
                "total": round(sum(prepared.timings_ms.values()) + _ms_since(t0), 3)}
-    return TranslationRecord(
+    record = TranslationRecord(
         segment_id=segment.id,
         latin=segment.text,
         condition=cfg.condition,
@@ -361,6 +434,7 @@ def translate_segment(
         timings_ms=timings,
         timestamps={"started": started, "finished": _now_iso()},
     )
+    return record, replayed
 
 
 def corpus_digest(pairs: list[ParallelPair]) -> str:
@@ -402,16 +476,20 @@ def translate_corpus(
         if (run_dir / "records.jsonl").exists() and not force:
             raise ReftaError(f"run directory {run_dir} already holds records; use force")
 
+    stores = {role: _Replies(runs_root, role, ep)
+              for role, ep in cfg.endpoints.items() if role in ("drafter", "refiner")}
     t0 = time.perf_counter()
     clients = {role: _CLIENT_CLASSES[role](ep) for role, ep in cfg.endpoints.items()}
     try:
-        preps = _prepare(cfg, [p.source for p in pairs], index, clients)
+        preps, replayed = _prepare(cfg, [p.source for p in pairs], index, clients,
+                                   stores.get("drafter"))
         prepare_ms = _ms_since(t0)
-        return [_run_one(run_cfg, pairs, preps, prepare_ms, run_dir, clients)
+        return [_run_one(run_cfg, pairs, preps, prepare_ms, run_dir, clients,
+                         stores["refiner"], replayed)
                 for run_cfg, run_dir in zip(cfgs, run_dirs)]
     finally:
-        for client in clients.values():
-            client.close()
+        for opened in [*clients.values(), *(store.file for store in stores.values())]:
+            opened.close()
 
 
 def _run_one(
@@ -421,16 +499,20 @@ def _run_one(
     prepare_ms: float,
     run_dir: Path,
     clients: dict,
+    replies: _Replies,
+    replayed: dict,
 ) -> RunResult:
     started = _now_iso()
     t0 = time.perf_counter()
     n = len(pairs)
     served, failed = _map_batches(
-        lambda batch: [translate_segment(cfg, pairs[i].source, preps[i], clients) for i in batch],
+        lambda batch: [translate_segment(cfg, pairs[i].source, preps[i], clients, replies)
+                       for i in batch],
         [i for i in range(n) if preps[i].error is None], 1, cfg.fail_fast, cfg.workers)
     if cfg.fail_fast and failed:
         raise next(iter(failed.values()))
-    records = [served[i][0] if i in served else None for i in range(n)]
+    outcomes = [served[i][0] if i in served else (None, False) for i in range(n)]
+    records = [record for record, _ in outcomes]
     errors = [failed.get(i, p.error) for i, p in enumerate(preps)]
     wall_ms = round(prepare_ms + _ms_since(t0), 3)
 
@@ -454,6 +536,7 @@ def _run_one(
             "input": sum(r.prompt_tokens for r in done),
             "output": sum(r.output_tokens for r in done),
         },
+        "replayed": {**replayed, "refiner": sum(replay for _, replay in outcomes)},
         "wall_time_ms": wall_ms,
     }
     run_dir.mkdir(parents=True, exist_ok=True)  # a run that fails before this leaves none

@@ -336,6 +336,18 @@ class TestTranslate:
         assert result.exit_code == 2, result.output
         assert requests.get(f"{url}/_stats", timeout=5).json()["counts"] == {}
 
+    @pytest.mark.parametrize("run_id", ["", ".", "..", "../escaped", "a/b", ".replies", "a\0b"])
+    def test_run_id_that_is_not_one_path_component_is_usage_error(self, runner, workspace,
+                                                                  mock_server, run_id):
+        import requests
+
+        result = _translate(runner, workspace, mock_server.base_url, "zero_shot",
+                            run_id=run_id)
+        assert result.exit_code == 2, result.output
+        assert "one plain path component" in result.output
+        assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {}
+        assert sorted(p.name for p in workspace.iterdir()) == ["corpus.jsonl", "test.tsv"]
+
     @pytest.mark.parametrize("runs_root", ["notadir/sub", "notadir", "runs"],
                              ids=["under-a-file", "a-file", "run-dir-a-file"])
     def test_unusable_runs_root_is_refused_before_any_request(self, runner, workspace,

@@ -1,6 +1,8 @@
 """Fault matrix: under the mock's request-keyed faults a run accounts for
 every segment, fails the same segments at any parallelism, and under
-``fail_fast`` fails loudly and writes nothing.
+``fail_fast`` fails loudly and writes nothing. Run again with faults off in
+the same runs root, it pays only for the replies the faulty run did not get,
+and its records equal those of a fault-free run.
 
 The mock decides each ``fail_rate`` fault from the request's path, body and
 attempt, so one draw fails the same requests whatever order they arrive in.
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES
 from refta.artifacts import read_lines
-from refta.backends import EmbedderClient, EndpointConfig
+from refta.backends import DrafterClient, EmbedderClient, EndpointConfig, RefinerClient
 from refta.corpus import load_monolingual, load_parallel
 from refta.errors import PipelineError
 from refta.index import ExclusionList, build_index
@@ -32,6 +34,7 @@ from refta.prompt import CONDITIONS
 RUN_ID = "faults"
 SEGMENTS = 20
 BATCHED = ("/embed", "/translate")  # the paths whose rejected batches are resent
+CHAT = "/v1/chat/completions"
 
 
 class _World:
@@ -40,28 +43,37 @@ class _World:
     def __init__(self, server, index, pairs, roots):
         self.server, self.index, self.pairs, self.roots = server, index, pairs, roots
         self._free: dict = {}
+        self.drafted: list = []  # the texts of every draft the drafter served
+        self.refined: list = []  # one entry per chat reply the refiner served
 
     def run(self, condition, parallelism, max_batch, max_retries, fail_fast,
-            fail_rate=0.0, fail_status=500):
-        """``translate_corpus`` on a freshly reset mock; returns the run's
-        directory, or the ``PipelineError`` it raised, and the mock's counts."""
+            fail_rate=0.0, fail_status=500, root=None):
+        """``translate_corpus`` on a freshly reset mock, in ``root`` (a new
+        runs root when None, else over what runs there); returns the run's
+        directory, or the ``PipelineError`` it raised, and the mock's counts
+        with the texts drafted and the number of chat replies served."""
         self.server.behavior.fail_rate = fail_rate
         self.server.behavior.fail_status = fail_status
         self.server.stats.reset()
+        self.drafted.clear()
+        self.refined.clear()
         endpoints = {role: EndpointConfig(
             base_url=self.server.base_url, model_id=f"mock-{role}", timeout=10.0,
             max_retries=max_retries, request_parallelism=parallelism, max_batch=max_batch,
         ) for role in ("drafter", "refiner", "embedder")}
         cfg = RunConfig(condition=condition, run_id=RUN_ID, endpoints=endpoints, k=3,
                         jaccard_threshold=0.0, workers=parallelism, fail_fast=fail_fast)
-        root = self.roots.mktemp("runs")
+        force = root is not None
+        root = root or self.roots.mktemp("runs")
         try:
-            (result,) = translate_corpus(cfg, self.pairs, self.index, runs_root=root)
+            (result,) = translate_corpus(cfg, self.pairs, self.index, runs_root=root,
+                                         force=force)
             outcome = result.run_dir
         except PipelineError as exc:
-            assert not (root / RUN_ID).exists()
+            assert force or not (root / RUN_ID).exists()
             outcome = exc
-        return outcome, self.server.stats.snapshot()
+        return outcome, {**self.server.stats.snapshot(), "root": root,
+                         "drafted": set(self.drafted), "refined": len(self.refined)}
 
     def fault_free(self, condition, max_batch):
         """Each segment's record, and the mock's counts, with faults off."""
@@ -71,6 +83,15 @@ class _World:
             assert len(records) == SEGMENTS
             self._free[condition, max_batch] = records, stats
         return self._free[condition, max_batch]
+
+
+def _served(method, into: list, inputs):
+    """``method``, which notes the inputs of each call that returns in ``into``."""
+    def wrapper(client, arg, *rest):
+        out = method(client, arg, *rest)
+        into.extend(inputs(arg))
+        return out
+    return wrapper
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +104,13 @@ def world(tmp_path_factory):
     index, _ = build_index(segments, embedder, ExclusionList.empty())
     embedder.close()
     pairs = load_parallel(FIXTURES / "testsets" / "ood_fixture_110.tsv", "tsv")[:SEGMENTS]
-    yield _World(server, index, pairs, tmp_path_factory)
+    world = _World(server, index, pairs, tmp_path_factory)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DrafterClient, "translate",
+                      _served(DrafterClient.translate, world.drafted, lambda texts: texts))
+        patch.setattr(RefinerClient, "complete",
+                      _served(RefinerClient.complete, world.refined, lambda req: [req]))
+        yield world
     server.stop()
 
 
@@ -109,7 +136,7 @@ def _failed(run_dir, pairs, free_records) -> set:
     return {(row["index"], row["stage"]) for row in errors}
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(
     condition=st.sampled_from(CONDITIONS),
     parallelism=st.sampled_from([1, 2, 8]),
@@ -139,3 +166,13 @@ def test_a_run_accounts_for_every_segment_or_fails_loudly(
         assert isinstance(outcome, PipelineError) == bool(serial_failed)
     if not isinstance(outcome, PipelineError):
         assert _failed(outcome, world.pairs, free_records) == serial_failed
+
+    # run again with faults off: only what the faulty run was not served is sent
+    resumed, again = world.run(condition, parallelism, max_batch, max_retries, fail_fast,
+                               root=stats["root"])
+    assert _failed(resumed, world.pairs, free_records) == set()
+    assert again["drafted"] == free_stats["drafted"] - stats["drafted"]
+    assert again["inputs"].get("/translate", 0) == len(again["drafted"])
+    assert again["counts"].get(CHAT, 0) == SEGMENTS - stats["refined"]
+    for counted in ("counts", "inputs"):  # query embeddings are not stored
+        assert again[counted].get("/embed") == free_stats[counted].get("/embed")

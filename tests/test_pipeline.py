@@ -130,6 +130,12 @@ class TestRunConfig:
                         endpoints={r: given[r] for r in roles})
         assert cfg.config_hash() == own.config_hash()
 
+    @pytest.mark.parametrize("run_id", ["", ".", "..", "../escaped", "a/b", "/abs", "a\0b",
+                                        ".replies"])
+    def test_run_id_is_one_plain_path_component(self, run_id):
+        with pytest.raises(ValueError, match="one plain path component"):
+            _config(_offline_endpoints(), "zero_shot", run_id=run_id)
+
     def test_candidate_pool_is_resolved_once(self):
         cfg = _config(_offline_endpoints(), "rag", k=7)
         assert cfg.candidate_pool == 70
