@@ -5,24 +5,24 @@
 1. embed the distinct source texts (rag);
 2. retrieve each segment's neighbors with ``VectorIndex.query`` (rag);
 3. draft the set union of source and neighbor texts (draft_only, rag);
-4. assemble and refine each segment's prompt, ``workers`` at a time.
-
-Stages 3 and 4 send only the texts and chat requests that the reply store
-under the runs root (``_Replies``) lacks, and store each reply as it arrives
-(a failed one never), so a run that stopped part-way is resumed by running it
-again: what was paid for is replayed, and the rest is sent.
+4. assemble each segment's prompt, then refine each distinct prompt,
+   ``workers`` requests at a time.
 
 Stages 1, 3 and 4 send through ``_map_batches``, one rule for what a failed
-request means: stages 1 and 3 send requests of at most ``max_batch`` inputs
-one at a time, stage 4 one segment per request. Stages 1-3 run once per
-call, and every temperature of a sweep reuses them. A batch of several
-inputs rejected with ``RequestError``/``ProtocolError`` is resent one input
-at a time before the next batch goes out; a rejected one-input batch, or one
-that exhausts its transport retries, fails every segment it carried. A
-segment that fails retrieval is not drafted. Under ``fail_fast`` a stage
-sends no request after its first failed one (stage 4 lets at most
-``workers - 1`` calls already in flight finish), and the run leaves no
-directory.
+request means and for the reply store under the runs root (``_Replies``):
+stages 3 and 4 send only the texts and chat requests the store lacks, and
+each batch paid for is stored by the call that paid (a failed one never), so
+a run that stopped part-way is resumed by running it again. Stages 1 and 3
+send requests of at most ``max_batch`` inputs one at a time, stage 4 one
+prompt per request. Stages 1-3 run once per call, and every temperature of a
+sweep reuses them. A batch of several inputs rejected with
+``RequestError``/``ProtocolError`` is resent one input at a time before the
+next batch goes out; a rejected one-input batch, or one that exhausts its
+transport retries, fails every segment it carried. A segment that fails
+retrieval is not drafted. Under ``fail_fast`` a prompt over the budget ends
+the run before stage 4 sends a request, a stage sends no request after its
+first failed one (stage 4 lets at most ``workers - 1`` calls in flight finish
+and store their replies), and the run leaves no directory.
 Artifacts are written in input order, so output is a pure function of
 (config, corpus, index) when the backends are deterministic.
 
@@ -30,15 +30,18 @@ A record's ``timings_ms`` holds the wall ms of what served the segment:
 ``draft``, the drafter request that carried its source; ``retrieve``, its
 embedder request plus its query; ``neighbor_drafts``, the slowest drafter
 request that carried one of its neighbors (0 without neighbors);
-``refine``, its own call; ``total``, all of these plus prompt assembly.
-A reply served from the store took 0 ms.
+``refine``, the refiner request that carried its prompt; ``total``, all of
+these plus prompt assembly. A reply served from the store took 0 ms. Its
+``timestamps`` mark when its prompt was assembled and when the record was
+built.
 
 Run directory layout (one per temperature):
 
 - ``manifest.json``: resolved config (no secrets) naming only the backends
   the condition calls, ``config_hash``,
   ``corpus_digest``, code version, counts, aggregate token usage (replayed
-  replies included), the replies ``replayed`` from the store per role, wall
+  replies included), the distinct texts (drafter) and requests (refiner)
+  ``replayed`` from the store, wall
   time (stages 1-3 included), and the SHA-256 ``checksums`` of the other
   three files, taken as they are written; it is written last.
 - ``records.jsonl``: one completed TranslationRecord per row, input order.
@@ -265,24 +268,35 @@ class _Prepared:
     error: PipelineError | None = None
 
 
-def _map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_flight: int = 1):
+def _map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_flight: int = 1,
+                 store: _Replies | None = None):
     """``call`` over the distinct ``items``, in batches of at most ``max_batch``
     with ``max_in_flight`` calls in flight. Returns ``item -> (output, ms)``,
     with ms the wall time of the request that served the item, and ``item ->
-    error`` for the items whose request failed (a ``BackendError``, or stage
-    4's ``PipelineError``); any other exception, such as a reply store that
-    cannot be written, ends the run. Under ``fail_fast`` no request follows
-    the first failed one (calls in flight finish), so the items after it are
-    in neither map."""
-    served, failed = {}, {}
-    for batch, result, ms in send_batches(call, list(dict.fromkeys(items)), max_batch,
-                                          max_in_flight):
+    error`` for the items whose request failed with a ``BackendError``; any
+    other exception, such as a reply store that cannot be written, ends the
+    run. An item ``store`` holds is served from it in 0 ms and sent in no
+    request, and each batch paid for is added to ``store`` inside the call
+    that paid. Under ``fail_fast`` no request follows the first failed one
+    (calls in flight finish and store their replies), so the items after it
+    are in neither map."""
+    served = {item: (store[item], 0.0) for item in items if store is not None and item in store}
+    failed = {}
+
+    def paid(batch):
+        out = call(batch)
+        if store is not None:
+            store.add(dict(zip(batch, out)))
+        return out
+
+    unserved = [item for item in dict.fromkeys(items) if item not in served]
+    for batch, result, ms in send_batches(paid, unserved, max_batch, max_in_flight):
         outcomes = [(batch, result, ms)]
         if isinstance(result, (RequestError, ProtocolError)) and len(batch) > 1:
             # the backend rejected the batch: find the inputs it rejects
-            outcomes = send_batches(call, batch, 1)
+            outcomes = send_batches(paid, batch, 1)
         for sent, outcome, sent_ms in outcomes:
-            if isinstance(outcome, (BackendError, PipelineError)):
+            if isinstance(outcome, BackendError):
                 failed.update(dict.fromkeys(sent, outcome))
                 if fail_fast:
                     return served, failed
@@ -300,8 +314,8 @@ def _prepare(
     clients: dict,
     replies: _Replies | None,
 ) -> tuple[list[_Prepared], dict]:
-    """Stages 1-3 for every segment, and ``{"drafter": drafts replayed from
-    replies}`` (empty for zero_shot). A failure is kept on its segment, or
+    """Stages 1-3 for every segment, and ``{"drafter": distinct texts replayed
+    from replies}`` (empty for zero_shot). A failure is kept on its segment, or
     under ``fail_fast`` raised for the first segment a failed request
     carried. Every stage 3 failure is found before any draft is attached:
     under ``fail_fast`` earlier segments may name neighbors never drafted."""
@@ -335,17 +349,9 @@ def _prepare(
         texts = [segments[i].text for i in live]
         texts += [r.entry.text for i in live for r in hits.get(i, ())]
         drafter = clients["drafter"]
-
-        def draft(batch):
-            out = drafter.translate(batch)[0]
-            replies.add(dict(zip(batch, out)))
-            return out
-
-        stored = {t: (replies[t], 0.0) for t in texts if t in replies}
-        drafts, failed = _map_batches(draft, [t for t in texts if t not in stored],
-                                      drafter.cfg.max_batch, cfg.fail_fast)
-        drafts.update(stored)
-        replayed["drafter"] = len(stored)
+        replayed["drafter"] = len(replies.keys() & texts)
+        drafts, failed = _map_batches(lambda batch: drafter.translate(batch)[0], texts,
+                                      drafter.cfg.max_batch, cfg.fail_fast, store=replies)
         for i in live:
             seg = segments[i]
             bad = [t for t in [seg.text] + [r.entry.text for r in hits.get(i, ())]
@@ -380,47 +386,16 @@ def neighbor_drafts(results, drafts: dict) -> tuple[NeighborExample, ...]:
     )
 
 
-def translate_segment(
-    cfg: RunConfig,
-    segment: SourceSegment,
-    prepared: _Prepared,
-    clients: dict,
-    replies: _Replies,
-) -> tuple[TranslationRecord, bool]:
-    """Stage 4 for one segment: assemble its prompt and refine it, unless
-    ``replies`` holds the reply to that very request. Returns the record and
-    whether its reply was replayed."""
-    started = _now_iso()
-    t0 = time.perf_counter()
-    try:
-        bundle = assemble_prompt(
-            latin=segment.text,
-            draft=prepared.draft,
-            neighbors=prepared.neighbors,
-            condition=cfg.condition,
-            budget_ceiling=cfg.input_budget,
-        )
-    except ReftaError as exc:
-        raise PipelineError("assemble", segment.id, exc) from exc
-
-    refiner, req = clients["refiner"], cfg.chat_request(bundle.system_text, bundle.user_text)
-    body = canonical_json(refiner.build_payload(req)).encode("utf-8")
-    key = hashlib.sha256(body).hexdigest()
-    reply, refine_ms = replies.get(key), 0.0
-    replayed = reply is not None
-    if not replayed:
-        t_refine = time.perf_counter()
-        try:
-            reply = refiner.complete(req, body)
-        except ReftaError as exc:
-            raise PipelineError("refine", segment.id, exc) from exc
-        refine_ms = _ms_since(t_refine)
-        replies.add({key: reply})
-    refined, usage = reply
-
+def translate_segment(cfg: RunConfig, segment: SourceSegment, prepared: _Prepared,
+                      prompt: tuple, served: tuple) -> TranslationRecord:
+    """Stage 4's record for one segment, from its ``prompt`` ``(bundle,
+    assembled at, assembly ms)`` and the ``(reply, ms)`` that ``_map_batches``
+    served for the refiner request that carried it."""
+    bundle, assembled, assemble_ms = prompt
+    (refined, usage), refine_ms = served
     timings = {**prepared.timings_ms, "refine": round(refine_ms, 3),
-               "total": round(sum(prepared.timings_ms.values()) + _ms_since(t0), 3)}
-    record = TranslationRecord(
+               "total": round(sum(prepared.timings_ms.values()) + assemble_ms + refine_ms, 3)}
+    return TranslationRecord(
         segment_id=segment.id,
         latin=segment.text,
         condition=cfg.condition,
@@ -432,9 +407,8 @@ def translate_segment(
         usage_source=usage.source,
         truncation_applied=bundle.truncation_applied,
         timings_ms=timings,
-        timestamps={"started": started, "finished": _now_iso()},
+        timestamps={"started": assembled, "finished": _now_iso()},
     )
-    return record, replayed
 
 
 def corpus_digest(pairs: list[ParallelPair]) -> str:
@@ -504,16 +478,36 @@ def _run_one(
 ) -> RunResult:
     started = _now_iso()
     t0 = time.perf_counter()
-    n = len(pairs)
-    served, failed = _map_batches(
-        lambda batch: [translate_segment(cfg, pairs[i].source, preps[i], clients, replies)
-                       for i in batch],
-        [i for i in range(n) if preps[i].error is None], 1, cfg.fail_fast, cfg.workers)
-    if cfg.fail_fast and failed:
-        raise next(iter(failed.values()))
-    outcomes = [served[i][0] if i in served else (None, False) for i in range(n)]
-    records = [record for record, _ in outcomes]
-    errors = [failed.get(i, p.error) for i, p in enumerate(preps)]
+    n, refiner = len(pairs), clients["refiner"]
+    errors = [p.error for p in preps]
+    prompts, bodies = {}, {}  # segment -> (key, prompt); key -> (request, body)
+    for i in [i for i in range(n) if preps[i].error is None]:
+        segment, assembled, t_segment = pairs[i].source, _now_iso(), time.perf_counter()
+        try:
+            bundle = assemble_prompt(latin=segment.text, draft=preps[i].draft,
+                                     neighbors=preps[i].neighbors, condition=cfg.condition,
+                                     budget_ceiling=cfg.input_budget)
+        except ReftaError as exc:
+            errors[i] = PipelineError("assemble", segment.id, exc)
+            if cfg.fail_fast:
+                raise errors[i] from exc
+            continue
+        req = cfg.chat_request(bundle.system_text, bundle.user_text)
+        body = canonical_json(refiner.build_payload(req)).encode("utf-8")
+        key = hashlib.sha256(body).hexdigest()
+        bodies[key] = (req, body)
+        prompts[i] = key, (bundle, assembled, _ms_since(t_segment))
+    replayed = {**replayed, "refiner": len(replies.keys() & bodies.keys())}
+    served, failed = _map_batches(lambda keys: [refiner.complete(*bodies[k]) for k in keys],
+                                  list(bodies), 1, cfg.fail_fast, cfg.workers, store=replies)
+    records = [None] * n
+    for i, (key, prompt) in prompts.items():
+        if key in failed:
+            errors[i] = PipelineError("refine", pairs[i].source.id, failed[key])
+            if cfg.fail_fast:
+                raise errors[i]
+        elif key in served:
+            records[i] = translate_segment(cfg, pairs[i].source, preps[i], prompt, served[key])
     wall_ms = round(prepare_ms + _ms_since(t0), 3)
 
     failures = [
@@ -536,7 +530,7 @@ def _run_one(
             "input": sum(r.prompt_tokens for r in done),
             "output": sum(r.output_tokens for r in done),
         },
-        "replayed": {**replayed, "refiner": sum(replay for _, replay in outcomes)},
+        "replayed": replayed,
         "wall_time_ms": wall_ms,
     }
     run_dir.mkdir(parents=True, exist_ok=True)  # a run that fails before this leaves none

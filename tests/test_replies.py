@@ -9,13 +9,14 @@ import json
 import multiprocessing
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
 from conftest import FIXTURES
 from refta.artifacts import AppendFile, read_rows
 from refta.backends import EmbedderClient, EndpointConfig, RefinerClient
-from refta.corpus import load_monolingual, load_parallel
+from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_parallel
 from refta.errors import CorpusFormatError, PipelineError, ReftaError
 from refta.index import ExclusionList, build_index
 from refta.mockserver import MockBehavior, start_mock_server
@@ -134,6 +135,30 @@ def test_a_refused_run_leaves_no_store(tmp_path, server, pairs):
         translate_corpus(_config(server, "zero_shot"), pairs[:4], runs_root=tmp_path,
                          temperatures=[0.5, 0.5])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_prompt_two_segments_share_is_paid_once_and_replayed_once(tmp_path, pairs):
+    twins = [ParallelPair(SourceSegment(f"twin{i}", pairs[0].source.text), pairs[0].references)
+             for i in range(2)]
+    srv = start_mock_server(MockBehavior(latency_ms=50))
+    try:
+        # two requests may be in flight at once, so both twins could be sent
+        cfg = _config(srv, "zero_shot", workers=2)
+        cfg = replace(cfg, endpoints={"refiner": replace(cfg.endpoints["refiner"],
+                                                         request_parallelism=2)})
+        (result,) = translate_corpus(cfg, twins, runs_root=tmp_path)
+        assert srv.stats.snapshot()["counts"] == {CHAT: 1}
+        srv.stats.reset()
+        (again,) = translate_corpus(replace(cfg, run_id="again"), twins, runs_root=tmp_path)
+        assert srv.stats.snapshot()["counts"] == {}
+    finally:
+        srv.stop()
+    first, second = read_records(result.run_dir)
+    assert (first["segment_id"], second["segment_id"]) == ("twin0", "twin1")
+    assert first["refined"] == second["refined"]
+    assert first["timings_ms"]["refine"] == second["timings_ms"]["refine"] > 0
+    assert read_manifest(again.run_dir)["replayed"] == {"refiner": 1}  # distinct requests
+    assert _comparable(again.run_dir) == _comparable(result.run_dir)
 
 
 @pytest.mark.parametrize("change", [{"seed": 1}, {"temperature": 0.5}], ids=["seed", "temp"])
@@ -261,6 +286,20 @@ def test_a_fail_fast_run_keeps_what_it_paid_for(tmp_path, server, pairs):
     (result,) = translate_corpus(cfg, pairs[:5], runs_root=tmp_path)
     assert result.failed == 0
     assert server.stats.snapshot()["counts"] == {CHAT: 5}  # every draft was kept
+
+
+def test_under_fail_fast_a_prompt_over_the_budget_costs_no_request(tmp_path, pairs):
+    srv = start_mock_server(MockBehavior(latency_ms=20))
+    try:
+        oversized = ParallelPair(SourceSegment("long", "verbum " * 2000), ("words",))
+        with pytest.raises(PipelineError) as raised:
+            translate_corpus(_config(srv, "zero_shot", fail_fast=True, workers=4),
+                             [oversized, *pairs[:8]], runs_root=tmp_path)
+        assert srv.stats.snapshot()["counts"] == {}
+    finally:
+        srv.stop()
+    assert (raised.value.stage, raised.value.segment_id) == ("assemble", "long")
+    assert not (tmp_path / "zero_shot").exists()
 
 
 @pytest.mark.parametrize("line", [b"not json", b"[1, 2]", b'{"key": "\xff", "text": "t"}',
