@@ -25,8 +25,8 @@ or a token count that is not a non-negative integer) raises ``ProtocolError``.
 
 Batching: one ``translate``/``embed``/``score`` call is one request of at
 most ``max_batch`` inputs, or ``ValueError`` before sending. Every backend
-request goes through ``send_batches``, which cuts inputs into batches and
-refills each slot as its call completes.
+request goes through ``send_batches``, which batches inputs and refills each
+slot as its call completes; all but the index build's via ``map_batches``.
 
 Auth tokens come only from the environment (``REFTA_REFINER_TOKEN``,
 ``REFTA_DRAFTER_TOKEN``, ``REFTA_EMBEDDER_TOKEN``, ``REFTA_SCORER_TOKEN``),
@@ -71,6 +71,7 @@ from urllib.parse import SplitResult, unquote, urlsplit
 import numpy as np
 
 from refta.errors import (
+    BackendError,
     CapabilityError,
     ProtocolError,
     RequestError,
@@ -209,6 +210,46 @@ def send_batches(call, items, max_batch: int, max_in_flight: int = 1):
             pool.submit(timed, items[start:start + max_batch]).add_done_callback(done.put)
         for _ in range(min(max_in_flight, len(starts))):
             yield done.get().result()
+
+
+def map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_flight: int = 1,
+                store=None):
+    """``call`` over the distinct ``items``, in batches of at most ``max_batch``
+    with ``max_in_flight`` calls in flight: the one rule for what a failed
+    request means. Returns ``item -> (output, ms)``, with ms the wall time of
+    the request that served the item, and ``item -> error`` for the items whose
+    request failed with a ``BackendError``; any other exception is raised. An
+    item ``store`` holds is served from it in 0 ms and sent in no request, and
+    each batch paid for is added to ``store`` inside the call that paid. Under
+    ``fail_fast`` no request follows the first failed one (calls in flight
+    finish and store their replies), so the items after it are in neither
+    map."""
+    served = {item: (store[item], 0.0) for item in items if store is not None and item in store}
+    failed = {}
+
+    def paid(batch):
+        out = call(batch)
+        if store is not None:
+            store.add(dict(zip(batch, out)))
+        return out
+
+    unserved = [item for item in dict.fromkeys(items) if item not in served]
+    for batch, result, ms in send_batches(paid, unserved, max_batch, max_in_flight):
+        outcomes = [(batch, result, ms)]
+        if (isinstance(result, (RequestError, ProtocolError)) and len(batch) > 1
+                and not isinstance(result, CapabilityError)):
+            # rejected for an input, not for what it asks: find the inputs it rejects
+            outcomes = send_batches(paid, batch, 1)
+        for sent, outcome, sent_ms in outcomes:
+            if isinstance(outcome, BackendError):
+                failed.update(dict.fromkeys(sent, outcome))
+                if fail_fast:
+                    return served, failed
+            elif isinstance(outcome, Exception):
+                raise outcome
+            else:
+                served.update((item, (out, sent_ms)) for item, out in zip(sent, outcome))
+    return served, failed
 
 
 _RETRYABLE_STATUSES = frozenset({429})

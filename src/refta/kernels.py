@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "numpy"
+RESAMPLE_BLOCK_COUNTS = 2**20  # count-matrix entries ``resample_sums`` builds at a time
 
 
 def search_layer(
@@ -46,11 +47,11 @@ def resample_sums(stats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Sum segment statistics over each resample's index row, in their dtype.
 
     Equal to ``stats[idx].sum(axis=1)``: each resample's draw counts per
-    segment form a count matrix, and ``counts @ stats`` adds the same values
-    without the ``(R, n, d)`` gather, as a float64 GEMM. Integer sums are
-    exact, as no partial sum exceeds ``n * max|stats|`` (a row's counts sum
-    to its ``n`` draws); past ``2**53`` it raises ``ValueError``. Float sums
-    may differ from the gather's in the last bits.
+    segment form a count matrix, built ``RESAMPLE_BLOCK_COUNTS`` counts at a time,
+    and ``counts @ stats`` adds the same values as a float64 GEMM. Integer
+    sums are exact, as no partial sum exceeds ``n * max|stats|`` (a row's
+    counts sum to its ``n`` draws); past ``2**53`` it raises ``ValueError``.
+    Float sums may differ from the gather's in the last bits.
     """
     stats = np.asarray(stats)
     idx = np.asarray(idx, dtype=np.int64)
@@ -58,7 +59,11 @@ def resample_sums(stats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if stats.dtype.kind in "iu" and n * max(int(stats.max(initial=0)),
                                              -int(stats.min(initial=0))) >= 2**53:
         raise ValueError("resample sums could exceed 2**53, beyond exact float64")
-    offsets = (np.arange(n_resamples, dtype=np.int64) * m)[:, None]
-    counts = np.bincount((idx + offsets).ravel(), minlength=n_resamples * m)
-    sums = counts.reshape(n_resamples, m).astype(np.float64) @ stats.astype(np.float64)
+    values, sums = stats.astype(np.float64), np.empty((n_resamples, stats.shape[1]))
+    block = max(1, RESAMPLE_BLOCK_COUNTS // max(m, n, 1))
+    for lo in range(0, n_resamples, block):
+        rows = idx[lo:lo + block]
+        offsets = (np.arange(len(rows), dtype=np.int64) * m)[:, None]
+        counts = np.bincount((rows + offsets).ravel(), minlength=len(rows) * m)
+        np.matmul(counts.reshape(len(rows), m).astype(np.float64), values, out=sums[lo:lo + block])
     return sums.astype(stats.dtype, copy=False)

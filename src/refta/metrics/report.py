@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from refta.backends import send_batches
+from refta.backends import map_batches
 from refta.corpus import ParallelPair
 from refta.errors import CapabilityError, ComparisonError
 from refta.metrics.bleu import BleuMetric
@@ -136,29 +136,29 @@ def score_runs(runs: dict, pairs: list[ParallelPair], scorer, neural_metrics) ->
     segment's references are counted once and a hypothesis that several runs
     share is scored once. Each of ``neural_metrics`` scores the distinct
     (source, hypothesis, first reference) triples of all runs once, through
-    ``send_batches``; the scores become ``(score, 1)`` rows.
+    ``backends.map_batches``, so a rejected batch is resent triple by triple
+    as the pipeline's are; the scores become ``(score, 1)`` rows. A metric the
+    scorer refuses (``CapabilityError``) is a warning on every report, any
+    other failure is raised. No reply is stored: ``/score`` names no checkpoint.
     """
     stacked_hyps = [hyps[i] for i in range(len(pairs)) for hyps in runs.values()]
     stacked_pairs = [p for p in pairs for _ in runs]
     stacked = {m.name: m.segment_stats(stacked_hyps, [p.references for p in stacked_pairs])
                for m in LEXICAL_METRICS}
-    slots: dict = {}  # distinct (source, hypothesis, first reference) -> its row
-    inverse = [slots.setdefault((p.source.text, hyp, p.references[0]), len(slots))
+    triples = [(p.source.text, hyp, p.references[0])
                for p, hyp in zip(stacked_pairs, stacked_hyps)]
-    triples, unserved = list(slots), []
+    unserved = []
     for metric in sorted(neural_metrics):
-        scores = np.empty(len(triples))
-        try:
-            for rows, result, _ms in send_batches(
-                    lambda rows: scorer.score(metric, triples[rows.start:rows.stop]),
-                    range(len(triples)), scorer.cfg.max_batch, scorer.cfg.request_parallelism):
-                if isinstance(result, Exception):
-                    raise result
-                scores[rows.start:rows.stop] = result
-        except CapabilityError as exc:
+        served, failed = map_batches(lambda batch: scorer.score(metric, batch), triples,
+                                     scorer.cfg.max_batch, True, scorer.cfg.request_parallelism)
+        exc = next(iter(failed.values()), None)
+        if exc is None:
+            scores = [served[t][0] for t in triples]
+            stacked[metric] = np.column_stack([scores, np.ones(len(scores))])
+        elif isinstance(exc, CapabilityError):
             unserved.append(f"scorer does not serve '{metric}': {exc.status}")
-            continue
-        stacked[metric] = np.column_stack([scores[inverse], np.ones(len(inverse))])
+        else:
+            raise exc
     scored = []
     for j, (run_name, hyps) in enumerate(runs.items()):
         stats = {name: np.ascontiguousarray(s.reshape(len(pairs), len(runs), s.shape[1])[:, j])

@@ -8,8 +8,8 @@
 4. assemble each segment's prompt, then refine each distinct prompt,
    ``workers`` requests at a time.
 
-Stages 1, 3 and 4 send through ``_map_batches``, one rule for what a failed
-request means and for the reply store under the runs root (``_Replies``):
+Stages 1, 3 and 4 send through ``backends.map_batches``, one rule for what a
+failed request means and for the reply store under the runs root (``_Replies``):
 stages 3 and 4 send only the texts and chat requests the store lacks, and
 each batch paid for is stored by the call that paid (a failed one never), so
 a run that stopped part-way is resumed by running it again. Stages 1 and 3
@@ -75,18 +75,10 @@ from refta.backends import (
     RefinerClient,
     TokenUsage,
     canonical_json,
-    send_batches,
+    map_batches,
 )
 from refta.corpus import ParallelPair, SourceSegment, lemmatize
-from refta.errors import (
-    BackendError,
-    CorpusFormatError,
-    PipelineError,
-    PromptBudgetError,
-    ProtocolError,
-    ReftaError,
-    RequestError,
-)
+from refta.errors import CorpusFormatError, PipelineError, PromptBudgetError, ReftaError
 from refta.index import VectorIndex, default_candidate_pool
 from refta.prompt import (
     CONDITIONS,
@@ -268,45 +260,6 @@ class _Prepared:
     error: PipelineError | None = None
 
 
-def _map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_flight: int = 1,
-                 store: _Replies | None = None):
-    """``call`` over the distinct ``items``, in batches of at most ``max_batch``
-    with ``max_in_flight`` calls in flight. Returns ``item -> (output, ms)``,
-    with ms the wall time of the request that served the item, and ``item ->
-    error`` for the items whose request failed with a ``BackendError``; any
-    other exception, such as a reply store that cannot be written, ends the
-    run. An item ``store`` holds is served from it in 0 ms and sent in no
-    request, and each batch paid for is added to ``store`` inside the call
-    that paid. Under ``fail_fast`` no request follows the first failed one
-    (calls in flight finish and store their replies), so the items after it
-    are in neither map."""
-    served = {item: (store[item], 0.0) for item in items if store is not None and item in store}
-    failed = {}
-
-    def paid(batch):
-        out = call(batch)
-        if store is not None:
-            store.add(dict(zip(batch, out)))
-        return out
-
-    unserved = [item for item in dict.fromkeys(items) if item not in served]
-    for batch, result, ms in send_batches(paid, unserved, max_batch, max_in_flight):
-        outcomes = [(batch, result, ms)]
-        if isinstance(result, (RequestError, ProtocolError)) and len(batch) > 1:
-            # the backend rejected the batch: find the inputs it rejects
-            outcomes = send_batches(paid, batch, 1)
-        for sent, outcome, sent_ms in outcomes:
-            if isinstance(outcome, BackendError):
-                failed.update(dict.fromkeys(sent, outcome))
-                if fail_fast:
-                    return served, failed
-            elif isinstance(outcome, Exception):
-                raise outcome
-            else:
-                served.update((item, (out, sent_ms)) for item, out in zip(sent, outcome))
-    return served, failed
-
-
 def _prepare(
     cfg: RunConfig,
     segments: list[SourceSegment],
@@ -324,8 +277,8 @@ def _prepare(
     replayed = {}
     if cfg.condition == RAG:
         embedder = clients["embedder"]
-        vectors, failed = _map_batches(embedder.embed, [s.text for s in segments],
-                                       embedder.cfg.max_batch, cfg.fail_fast)
+        vectors, failed = map_batches(embedder.embed, [s.text for s in segments],
+                                      embedder.cfg.max_batch, cfg.fail_fast)
         for i, seg in enumerate(segments):
             try:
                 if seg.text in failed:
@@ -350,8 +303,8 @@ def _prepare(
         texts += [r.entry.text for i in live for r in hits.get(i, ())]
         drafter = clients["drafter"]
         replayed["drafter"] = len(replies.keys() & texts)
-        drafts, failed = _map_batches(lambda batch: drafter.translate(batch)[0], texts,
-                                      drafter.cfg.max_batch, cfg.fail_fast, store=replies)
+        drafts, failed = map_batches(lambda batch: drafter.translate(batch)[0], texts,
+                                     drafter.cfg.max_batch, cfg.fail_fast, store=replies)
         for i in live:
             seg = segments[i]
             bad = [t for t in [seg.text] + [r.entry.text for r in hits.get(i, ())]
@@ -389,7 +342,7 @@ def neighbor_drafts(results, drafts: dict) -> tuple[NeighborExample, ...]:
 def translate_segment(cfg: RunConfig, segment: SourceSegment, prepared: _Prepared,
                       prompt: tuple, served: tuple) -> TranslationRecord:
     """Stage 4's record for one segment, from its ``prompt`` ``(bundle,
-    assembled at, assembly ms)`` and the ``(reply, ms)`` that ``_map_batches``
+    assembled at, assembly ms)`` and the ``(reply, ms)`` that ``map_batches``
     served for the refiner request that carried it."""
     bundle, assembled, assemble_ms = prompt
     (refined, usage), refine_ms = served
@@ -498,8 +451,8 @@ def _run_one(
         bodies[key] = (req, body)
         prompts[i] = key, (bundle, assembled, _ms_since(t_segment))
     replayed = {**replayed, "refiner": len(replies.keys() & bodies.keys())}
-    served, failed = _map_batches(lambda keys: [refiner.complete(*bodies[k]) for k in keys],
-                                  list(bodies), 1, cfg.fail_fast, cfg.workers, store=replies)
+    served, failed = map_batches(lambda keys: [refiner.complete(*bodies[k]) for k in keys],
+                                 list(bodies), 1, cfg.fail_fast, cfg.workers, store=replies)
     records = [None] * n
     for i, (key, prompt) in prompts.items():
         if key in failed:

@@ -462,13 +462,16 @@ class TestTranslate:
         assert all(r["draft"] for r in rows)
 
 
-def _non_finite_scorer(monkeypatch, n: int) -> str:
-    """Make every scorer reply hold one NaN among ``n`` scores; returns a
-    scorer URL that is never contacted."""
+def _non_finite_scorer(monkeypatch) -> str:
+    """Make every scorer reply hold one score per hypothesis sent, NaN first;
+    returns a scorer URL that is never contacted."""
     from refta.backends import ScorerClient
 
-    body = json.dumps({"scores": [float("nan")] + [0.5] * (n - 1)}).encode()
-    monkeypatch.setattr(ScorerClient, "_send", lambda self, path, sent: (200, {}, body))
+    def send(self, path, sent):
+        n = len(json.loads(sent)["hypotheses"])
+        return 200, {}, json.dumps({"scores": [float("nan")] + [0.5] * (n - 1)}).encode()
+
+    monkeypatch.setattr(ScorerClient, "_send", send)
     return "http://scorer.invalid"
 
 
@@ -645,41 +648,67 @@ class TestEvaluate:
         result = runner.invoke(main, [
             "evaluate", "--run", str(run_dir),
             "--test-set", str(workspace / "test.tsv"),
-            "--scorer", _non_finite_scorer(monkeypatch, 8), "--metrics", "comet",
+            "--scorer", _non_finite_scorer(monkeypatch), "--metrics", "comet",
         ])
         _assert_one_error_line(result, "not a finite number")
         assert not (run_dir / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("command", ["evaluate", "compare"])
-def test_undecodable_hypotheses_are_an_error_line(runner, workspace, command):
+def _identity_runs_args(workspace, command) -> list:
+    """Write runs ``base`` and ``sys`` that repeat the references; returns
+    the arguments that score ``sys`` with ``command``."""
     refs = [line.split("\t")[2] for line in
             (workspace / "test.tsv").read_text().splitlines()]
     for name in ("base", "sys"):
         (workspace / name).mkdir()
         (workspace / name / "hypotheses.txt").write_text("".join(r + "\n" for r in refs))
-    hyps = workspace / "sys" / "hypotheses.txt"
-    hyps.write_bytes(hyps.read_bytes().replace(b"\n", b"\n\xff", 1))  # a bad byte on line 2
-    args = {"evaluate": ["--run", str(workspace / "sys")],
+    runs = {"evaluate": ["--run", str(workspace / "sys")],
             "compare": ["--runs", str(workspace / "sys"), "--baseline", str(workspace / "base"),
                         "--out", str(workspace / "cmp.json")]}[command]
-    result = runner.invoke(main, [command, *args, "--test-set", str(workspace / "test.tsv")])
+    return [command, *runs, "--test-set", str(workspace / "test.tsv")]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_undecodable_hypotheses_are_an_error_line(runner, workspace, command):
+    args = _identity_runs_args(workspace, command)
+    hyps = workspace / "sys" / "hypotheses.txt"
+    hyps.write_bytes(hyps.read_bytes().replace(b"\n", b"\n\xff", 1))  # a bad byte on line 2
+    result = runner.invoke(main, args)
     _assert_one_error_line(result, f"{hyps}:2: not valid UTF-8")
     assert not (workspace / "cmp.json").exists() and not (workspace / "sys" / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_scorer_batch_rejected_as_too_large_is_scored_triple_by_triple(
+        runner, workspace, monkeypatch, command):
+    from refta.backends import ScorerClient
+
+    sent = []
+
+    def send(self, path, body):  # HTTP 413 for more than 3 triples
+        hyps = json.loads(body)["hypotheses"]
+        sent.append(len(hyps))
+        if len(hyps) > 3:
+            return 413, {}, b'{"error": {"type": "payload_too_large"}}'
+        return 200, {}, json.dumps({"scores": [0.5] * len(hyps)}).encode()
+
+    monkeypatch.setattr(ScorerClient, "_send", send)
+    result = runner.invoke(main, [*_identity_runs_args(workspace, command),
+                                  "--scorer", "http://scorer.invalid", "--metrics", "comet"])
+    assert result.exit_code == 0, result.output
+    # the 8 distinct triples in one batch, then one request per triple
+    assert sent == [8] + [1] * 8
+    report = (workspace / "sys" / "metrics.json" if command == "evaluate"
+              else workspace / "cmp.json")
+    assert "comet" in report.read_text()
+
+
 class TestCompare:
     def test_non_finite_score_is_an_error(self, runner, workspace, monkeypatch):
-        refs = [line.split("\t")[2] for line in
-                (workspace / "test.tsv").read_text().splitlines()]
-        for name in ("base", "sys"):
-            (workspace / name).mkdir()
-            (workspace / name / "hypotheses.txt").write_text("".join(r + "\n" for r in refs))
         out = workspace / "cmp.json"
         result = runner.invoke(main, [
-            "compare", "--runs", str(workspace / "sys"), "--baseline", str(workspace / "base"),
-            "--test-set", str(workspace / "test.tsv"), "--out", str(out),
-            "--scorer", _non_finite_scorer(monkeypatch, 8), "--metrics", "comet",
+            *_identity_runs_args(workspace, "compare"),
+            "--scorer", _non_finite_scorer(monkeypatch), "--metrics", "comet",
         ])
         _assert_one_error_line(result, "not a finite number")
         assert not out.exists()

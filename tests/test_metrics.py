@@ -194,6 +194,16 @@ class TestNeuralAttachment:
         for report, _ in score_runs(runs, pairs, scorer, {"meteor"}):
             assert any("meteor" in w for w in report.warnings)
 
+    def test_refused_metric_is_not_resent_triple_by_triple(self, mock_server, endpoint):
+        scorer = ScorerClient(endpoint("scorer", max_batch=2, request_parallelism=4))
+        refs = [f"r{i}" for i in range(8)]
+        pairs = [ParallelPair(SourceSegment(f"s{i}", "s"), (ref,)) for i, ref in enumerate(refs)]
+        for report, _ in score_runs({"a": refs}, pairs, scorer, {"meteor"}):
+            assert any("meteor" in w for w in report.warnings)
+        # the 4 batches of 2 were in flight together; none is resent
+        snap = mock_server.stats.snapshot()
+        assert (snap["counts"]["/score"], snap["inputs"]["/score"]) == (4, 8)
+
 
 def test_evaluate_hypotheses_pools_not_averages(fixture):
     hyps = fixture["primary"]["hypotheses"]
