@@ -51,12 +51,12 @@ def make_dir(path) -> None:
 
 class AppendFile:
     """A file of lines that only grows. ``append`` writes its lines in one
-    ``os.write`` under ``flock`` and a thread lock, so appends from threads and
-    processes never interleave, after cutting a final line with no ``\\n`` (a
-    write cut short). The first append makes the directory and file and opens
-    the descriptor that ``close`` closes. Each system call here gives up the
-    GIL and waits to win it back from busy threads, so there are no more of
-    them than the guarantees need."""
+    ``os.write`` (more if it is cut short) under ``flock`` and a thread lock,
+    so appends from threads and processes never interleave, after cutting a
+    final line with no ``\\n`` (a writer killed part-way). The first append
+    makes the directory and file and opens the descriptor that ``close``
+    closes. Each system call here gives up the GIL and waits to win it back
+    from busy threads, so there are no more of them than the guarantees need."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -77,7 +77,8 @@ class AppendFile:
                         cut -= 1  # a writer cut short left a torn line
                     if cut < end:
                         os.ftruncate(self._fd, cut)
-                    os.write(self._fd, data)
+                    while data:  # a short write (a disk filling part-way) sends the rest
+                        data = data[os.write(self._fd, data):]
                 finally:
                     fcntl.flock(self._fd, fcntl.LOCK_UN)
             except OSError as exc:

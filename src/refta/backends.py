@@ -220,10 +220,12 @@ def map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_fligh
     the request that served the item, and ``item -> error`` for the items whose
     request failed with a ``BackendError``; any other exception is raised. An
     item ``store`` holds is served from it in 0 ms and sent in no request, and
-    each batch paid for is added to ``store`` inside the call that paid. Under
-    ``fail_fast`` no request follows the first failed one (calls in flight
-    finish and store their replies), so the items after it are in neither
-    map."""
+    each batch paid for is added to ``store`` inside the call that paid. A
+    batch of several items rejected with ``RequestError``/``ProtocolError``
+    is mapped again, one item per request, at the same ``max_in_flight``.
+    Under ``fail_fast`` no request follows the first failed one, so the items
+    after it are in neither map; calls in flight finish and store their
+    replies, and a resend already begun runs until it ends or fails."""
     served = {item: (store[item], 0.0) for item in items if store is not None and item in store}
     failed = {}
 
@@ -235,20 +237,20 @@ def map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_fligh
 
     unserved = [item for item in dict.fromkeys(items) if item not in served]
     for batch, result, ms in send_batches(paid, unserved, max_batch, max_in_flight):
-        outcomes = [(batch, result, ms)]
         if (isinstance(result, (RequestError, ProtocolError)) and len(batch) > 1
                 and not isinstance(result, CapabilityError)):
             # rejected for an input, not for what it asks: find the inputs it rejects
-            outcomes = send_batches(paid, batch, 1)
-        for sent, outcome, sent_ms in outcomes:
-            if isinstance(outcome, BackendError):
-                failed.update(dict.fromkeys(sent, outcome))
-                if fail_fast:
-                    return served, failed
-            elif isinstance(outcome, Exception):
-                raise outcome
-            else:
-                served.update((item, (out, sent_ms)) for item, out in zip(sent, outcome))
+            resent, rejected = map_batches(call, batch, 1, fail_fast, max_in_flight, store)
+            served.update(resent)
+            failed.update(rejected)
+        elif isinstance(result, BackendError):
+            failed.update(dict.fromkeys(batch, result))
+        elif isinstance(result, Exception):
+            raise result
+        else:
+            served.update((item, (out, ms)) for item, out in zip(batch, result))
+        if fail_fast and failed:
+            break
     return served, failed
 
 

@@ -136,10 +136,11 @@ def score_runs(runs: dict, pairs: list[ParallelPair], scorer, neural_metrics) ->
     segment's references are counted once and a hypothesis that several runs
     share is scored once. Each of ``neural_metrics`` scores the distinct
     (source, hypothesis, first reference) triples of all runs once, through
-    ``backends.map_batches``, so a rejected batch is resent triple by triple
-    as the pipeline's are; the scores become ``(score, 1)`` rows. A metric the
-    scorer refuses (``CapabilityError``) is a warning on every report, any
-    other failure is raised. No reply is stored: ``/score`` names no checkpoint.
+    ``backends.map_batches``, so a rejected batch is resent triple by triple,
+    at the scorer's parallelism, as the pipeline's are; the scores become
+    ``(score, 1)`` rows. A metric the scorer refuses (``CapabilityError``) is
+    a warning on every report, any other failure is raised. No reply is
+    stored: ``/score`` names no checkpoint.
     """
     stacked_hyps = [hyps[i] for i in range(len(pairs)) for hyps in runs.values()]
     stacked_pairs = [p for p in pairs for _ in runs]

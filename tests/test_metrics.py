@@ -5,6 +5,8 @@ import math
 import random
 import re
 import string
+import threading
+import time
 import tracemalloc
 import types
 from collections import Counter
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA, FIXTURES
-from refta.backends import ScorerClient
+from refta.backends import EndpointConfig, ScorerClient
 from refta.corpus import ParallelPair, SourceSegment, load_parallel
 from refta.errors import ComparisonError
 from refta.metrics import bleu as bleu_module
@@ -203,6 +205,33 @@ class TestNeuralAttachment:
         # the 4 batches of 2 were in flight together; none is resent
         snap = mock_server.stats.snapshot()
         assert (snap["counts"]["/score"], snap["inputs"]["/score"]) == (4, 8)
+
+    def test_a_rejected_batch_is_resent_at_the_scorers_parallelism(self, monkeypatch):
+        lock, in_flight, peak, sent = threading.Lock(), Counter(), Counter(), []
+
+        def send(self, path, body):  # HTTP 413 for more than 3 triples
+            n = len(json.loads(body)["hypotheses"])
+            with lock:
+                sent.append(n)
+                in_flight[n] += 1
+                peak[n] = max(peak[n], in_flight[n])
+            time.sleep(0.01)
+            with lock:
+                in_flight[n] -= 1
+            if n > 3:
+                return 413, {}, b'{"error": {"type": "payload_too_large"}}'
+            return 200, {}, json.dumps({"scores": [0.5] * n}).encode()
+
+        monkeypatch.setattr(ScorerClient, "_send", send)
+        scorer = ScorerClient(EndpointConfig(base_url="http://scorer.invalid", model_id="m",
+                                             max_batch=8, request_parallelism=4))
+        refs = [f"r{i}" for i in range(64)]
+        pairs = [ParallelPair(SourceSegment(f"s{i}", "s"), (ref,)) for i, ref in enumerate(refs)]
+        ((report, _),) = score_runs({"a": refs}, pairs, scorer, {"comet"})
+        assert report.segment_scores["comet"] == [0.5] * 64
+        # 8 rejected batches of 8, then one request per triple, several in flight
+        assert sorted(sent) == [1] * 64 + [8] * 8
+        assert peak[1] > 1
 
 
 def test_evaluate_hypotheses_pools_not_averages(fixture):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -75,6 +76,42 @@ def test_a_torn_final_row_is_skipped_then_cut_by_the_next_append(tmp_path):
     rows.close()
     assert path.read_bytes() == b'{"key": "a"}\n{"key": "b"}\n{"key": "d"}\n'
     assert _rows(path) == [{"key": "a"}, {"key": "b"}, {"key": "d"}]
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_a_short_write_sends_the_rest(tmp_path, monkeypatch, k):
+    original = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: original(fd, bytes(data[:k])))
+    path = tmp_path / "rows.jsonl"
+    rows = AppendFile(path)
+    wanted = [{"key": f"k{i}", "text": "x" * i} for i in range(5)]
+    rows.append(json.dumps(row) for row in wanted[:3])
+    rows.append(json.dumps(row) for row in wanted[3:])
+    rows.close()
+    assert _rows(path) == wanted
+
+
+def test_a_disk_filling_part_way_is_an_error_and_the_next_append_cuts_the_torn_row(
+        tmp_path, monkeypatch):
+    original, calls = os.write, []
+
+    def full_after_3_bytes(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(28, "No space left on device")
+        return original(fd, bytes(data[:3]))
+
+    path = tmp_path / "rows.jsonl"
+    rows = AppendFile(path)
+    rows.append([json.dumps({"key": "a"})])
+    monkeypatch.setattr(os, "write", full_after_3_bytes)
+    with pytest.raises(ReftaError, match="No space left"):
+        rows.append([json.dumps({"key": "b"})])
+    monkeypatch.undo()
+    assert _rows(path) == [{"key": "a"}]
+    rows.append([json.dumps({"key": "c"})])
+    rows.close()
+    assert _rows(path) == [{"key": "a"}, {"key": "c"}]
 
 
 def test_the_first_append_makes_the_directory_and_no_file_reads_as_empty(tmp_path):
