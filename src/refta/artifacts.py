@@ -55,8 +55,8 @@ class AppendFile:
     so appends from threads and processes never interleave, after cutting a
     final line with no ``\\n`` (a writer killed part-way). The first append
     makes the directory and file and opens the descriptor that ``close``
-    closes. Each system call here gives up the GIL and waits to win it back
-    from busy threads, so there are no more of them than the guarantees need."""
+    closes. The reply store appends on the thread that takes each paid batch
+    from ``backends.map_batches``, so there the lock is never contended."""
 
     def __init__(self, path):
         self.path = Path(path)

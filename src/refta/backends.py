@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import http.client
+import itertools
 import json
 import math
 import os
@@ -182,16 +183,18 @@ class ClientStats:
 
 
 def send_batches(call, items, max_batch: int, max_in_flight: int = 1):
-    """Call ``call`` on ``items`` cut into batches of at most ``max_batch``.
+    """Call ``call`` on ``items``, any iterable, cut into list batches of at
+    most ``max_batch``.
 
     Yields ``(batch, result, ms)`` as each call completes: ``result`` is
     what ``call(batch)`` returned or the exception it raised, and ``ms`` the
     call's wall time. The caller decides what a failed batch means, and
     passes indices as ``items`` when it needs positions. At most
-    ``max_in_flight`` calls are in flight, and the slot a call frees is
-    refilled once the caller has taken its result: with one in flight, the
-    caller acts on each result (say, resends a rejected batch) before the
-    next batch goes out. Stopping early waits for the calls in flight.
+    ``max_in_flight`` calls are in flight, and the next batch is taken from
+    ``items`` only once the caller has taken a result and so freed a slot:
+    with one in flight, the caller acts on each result (say, resends a
+    rejected batch) before the next batch goes out. Stopping early waits for
+    the calls in flight.
     """
     def timed(batch):
         t0 = time.perf_counter()
@@ -201,14 +204,16 @@ def send_batches(call, items, max_batch: int, max_in_flight: int = 1):
             result = exc
         return batch, result, (time.perf_counter() - t0) * 1000.0
 
-    starts = range(0, len(items), max_batch)
+    feed, in_flight = iter(items), 0
     done: queue.SimpleQueue = queue.SimpleQueue()
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        for sent, start in enumerate(starts):
-            if sent >= max_in_flight:  # a slot frees when the caller takes its result
+        while batch := list(itertools.islice(feed, max_batch)):
+            pool.submit(timed, batch).add_done_callback(done.put)
+            in_flight += 1
+            if in_flight == max_in_flight:  # a slot frees when the caller takes its result
                 yield done.get().result()
-            pool.submit(timed, items[start:start + max_batch]).add_done_callback(done.put)
-        for _ in range(min(max_in_flight, len(starts))):
+                in_flight -= 1
+        for _ in range(in_flight):
             yield done.get().result()
 
 
@@ -220,23 +225,18 @@ def map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_fligh
     the request that served the item, and ``item -> error`` for the items whose
     request failed with a ``BackendError``; any other exception is raised. An
     item ``store`` holds is served from it in 0 ms and sent in no request, and
-    each batch paid for is added to ``store`` inside the call that paid. A
-    batch of several items rejected with ``RequestError``/``ProtocolError``
-    is mapped again, one item per request, at the same ``max_in_flight``.
-    Under ``fail_fast`` no request follows the first failed one, so the items
-    after it are in neither map; calls in flight finish and store their
-    replies, and a resend already begun runs until it ends or fails."""
+    each batch paid for is added to ``store`` by the calling thread as it takes
+    the result. A batch of several items rejected with
+    ``RequestError``/``ProtocolError`` is mapped again, one item per request,
+    at the same ``max_in_flight``. Under ``fail_fast`` the feed ends at the
+    first failed request taken, so the items after it are in neither map; the
+    calls in flight are taken as ever, served and stored, and a resend already
+    begun runs until it ends or fails."""
     served = {item: (store[item], 0.0) for item in items if store is not None and item in store}
     failed = {}
-
-    def paid(batch):
-        out = call(batch)
-        if store is not None:
-            store.add(dict(zip(batch, out)))
-        return out
-
     unserved = [item for item in dict.fromkeys(items) if item not in served]
-    for batch, result, ms in send_batches(paid, unserved, max_batch, max_in_flight):
+    feed = itertools.takewhile(lambda _: not failed, unserved) if fail_fast else unserved
+    for batch, result, ms in send_batches(call, feed, max_batch, max_in_flight):
         if (isinstance(result, (RequestError, ProtocolError)) and len(batch) > 1
                 and not isinstance(result, CapabilityError)):
             # rejected for an input, not for what it asks: find the inputs it rejects
@@ -248,9 +248,9 @@ def map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_fligh
         elif isinstance(result, Exception):
             raise result
         else:
+            if store is not None:
+                store.add(dict(zip(batch, result)))
             served.update((item, (out, ms)) for item, out in zip(batch, result))
-        if fail_fast and failed:
-            break
     return served, failed
 
 

@@ -328,9 +328,9 @@ def build_index(
 
     texts = [s.text for s in kept]
     max_batch, matrix = embedder.cfg.max_batch, None
-    for rows, result, _ms in send_batches(lambda rows: embedder.embed(texts[rows.start:rows.stop]),
+    for rows, result, _ms in send_batches(lambda rows: embedder.embed(texts[rows[0]:rows[-1] + 1]),
                                           range(len(texts)), max_batch, max_in_flight):
-        batch_no = rows.start // max_batch
+        batch_no = rows[0] // max_batch
         if isinstance(result, Exception):
             raise IndexError_(f"embedding batch {batch_no} failed: {result}") from result
         if matrix is None:
@@ -338,7 +338,7 @@ def build_index(
         elif result.shape[1] != matrix.shape[1]:
             raise IndexError_(f"dimension drift in batch {batch_no}: got {result.shape[1]}, "
                               f"expected {matrix.shape[1]}")
-        matrix[rows.start:rows.stop] = result
+        matrix[rows[0]:rows[-1] + 1] = result
 
     ids = [s.id for s in kept]
     index = VectorIndex(ids, texts, _normalize_rows(matrix, ids), embedder.cfg.model_id)

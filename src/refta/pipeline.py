@@ -11,18 +11,18 @@
 Stages 1, 3 and 4 send through ``backends.map_batches``, one rule for what a
 failed request means and for the reply store under the runs root (``_Replies``):
 stages 3 and 4 send only the texts and chat requests the store lacks, and
-each batch paid for is stored by the call that paid (a failed one never), so
-a run that stopped part-way is resumed by running it again. Stages 1 and 3
-send requests of at most ``max_batch`` inputs one at a time, stage 4 one
-prompt per request. Stages 1-3 run once per call, and every temperature of a
-sweep reuses them. A batch of several inputs rejected with
+the calling thread stores each batch paid for as it takes the reply (a failed
+one never), so a run that stopped part-way is resumed by running it again.
+Stages 1 and 3 send requests of at most ``max_batch`` inputs one at a time,
+stage 4 one prompt per request. Stages 1-3 run once per call, and every
+temperature of a sweep reuses them. A batch of several inputs rejected with
 ``RequestError``/``ProtocolError`` is resent one input at a time before the
 next batch goes out; a rejected one-input batch, or one that exhausts its
 transport retries, fails every segment it carried. A segment that fails
 retrieval is not drafted. Under ``fail_fast`` a prompt over the budget ends
 the run before stage 4 sends a request, a stage sends no request after its
-first failed one (stage 4 lets at most ``workers - 1`` calls in flight finish
-and store their replies), and the run leaves no directory.
+first failed one (stage 4 stores and serves the at most ``workers - 1`` calls
+still in flight), and the run leaves no directory.
 Artifacts are written in input order, so output is a pure function of
 (config, corpus, index) when the backends are deterministic.
 

@@ -24,6 +24,7 @@ from refta.backends import (
     ScorerClient,
     canonical_json,
     estimate_tokens,
+    map_batches,
     send_batches,
 )
 from refta.errors import (
@@ -69,21 +70,28 @@ class TestConfigValidation:
             ChatRequest(system="s", user="u", max_output_tokens=0)
 
 
+def _sent_and_taken(items) -> list:
+    log = []
+
+    def call(batch):
+        log.append(("sent", batch))
+        return len(batch)
+
+    for batch, result, _ in send_batches(call, items, 2):
+        log.append(("taken", batch, result))
+    return log
+
+
 class TestSendBatches:
     def test_next_batch_waits_for_the_caller(self):
-        log = []
-
-        def call(batch):
-            log.append(("sent", batch))
-            return len(batch)
-
-        for batch, result, _ in send_batches(call, list("abcde"), 2):
-            log.append(("taken", batch, result))
-        assert log == [
+        assert _sent_and_taken(list("abcde")) == [
             ("sent", ["a", "b"]), ("taken", ["a", "b"], 2),
             ("sent", ["c", "d"]), ("taken", ["c", "d"], 2),
             ("sent", ["e"]), ("taken", ["e"], 1),
         ]
+
+    def test_a_generator_feed_interleaves_as_a_list_does(self):
+        assert _sent_and_taken(c for c in "abcde") == _sent_and_taken(list("abcde"))
 
     def test_bounded_in_flight_in_order_with_failures(self):
         lock = threading.Lock()
@@ -116,6 +124,32 @@ class TestSendBatches:
 
         taken = [batch for batch, _, _ in send_batches(call, list(range(6)), 1, max_in_flight=2)]
         assert taken == [[1], [2], [3], [4], [5], [0]]
+
+
+class _DictStore(dict):
+    def add(self, replies: dict) -> None:
+        self.update(replies)
+
+
+class TestMapBatches:
+    def test_fail_fast_takes_serves_and_stores_the_calls_in_flight(self):
+        sent, a_sent = [], threading.Event()
+
+        def call(batch):
+            sent.append(batch)
+            if batch == ["a"]:
+                a_sent.set()
+                raise TransportError("down")
+            a_sent.wait(timeout=10)  # so "a" fails first, however the threads start
+            time.sleep(0.05)
+            return [item.upper() for item in batch]
+
+        store = _DictStore()
+        served, failed = map_batches(call, list("abcd"), 1, True, max_in_flight=2, store=store)
+        assert sorted(sent) == [["a"], ["b"]]  # no batch went out after "a" was taken
+        assert list(failed) == ["a"]
+        assert {item: out for item, (out, _ms) in served.items()} == {"b": "B"}
+        assert store == {"b": "B"}
 
 
 class TestDrafter:

@@ -224,13 +224,19 @@ def test_each_run_of_a_sweep_counts_its_own_replays(tmp_path, server, pairs):
     assert read_manifest(warm.run_dir)["replayed"] == {"drafter": 6, "refiner": 6}
 
 
-def test_a_second_identical_run_sends_no_draft_or_chat_request(tmp_path, server, pairs):
+def _index(server):
+    """An index of the first 60 fixture corpus rows, embedded by ``server``."""
     segments = list(load_monolingual(FIXTURES / "corpora" / "retrieval_fixture.jsonl",
                                      "jsonl"))[:60]
     embedder = EmbedderClient(EndpointConfig(base_url=server.base_url,
                                              model_id="mock/embedder", timeout=10.0))
     index, _ = build_index(segments, embedder, ExclusionList.empty())
     embedder.close()
+    return index
+
+
+def test_a_second_identical_run_sends_no_draft_or_chat_request(tmp_path, server, pairs):
+    index = _index(server)
     cfg = _config(server, "rag")
     server.stats.reset()
     (first,) = translate_corpus(cfg, pairs[:12], index, runs_root=tmp_path)
@@ -251,6 +257,22 @@ def test_a_second_identical_run_sends_no_draft_or_chat_request(tmp_path, server,
     assert set(_store_files(tmp_path)) == {
         f"{role}-{hashlib.sha256(endpoint_id.encode()).hexdigest()}.jsonl"
         for role, endpoint_id in endpoint_ids.items()}
+
+
+def test_every_store_append_runs_on_the_calling_thread(tmp_path, server, pairs, monkeypatch):
+    index = _index(server)
+    append, threads = AppendFile.append, []
+
+    def recording(self, lines):
+        threads.append(threading.get_ident())
+        append(self, lines)
+
+    monkeypatch.setattr(AppendFile, "append", recording)
+    cfg = _config(server, "rag", workers=4)  # request_parallelism 4 for every role
+    assert {ep.request_parallelism for ep in cfg.endpoints.values()} == {4}
+    translate_corpus(cfg, pairs, index, runs_root=tmp_path)
+    assert [len(rows) > 0 for rows in _store_files(tmp_path).values()] == [True, True]
+    assert set(threads) == {threading.get_ident()}
 
 
 def test_two_backends_that_serve_one_model_id_share_no_reply(tmp_path, pairs):
