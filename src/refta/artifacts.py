@@ -53,14 +53,15 @@ class AppendFile:
     """A file of lines that only grows. ``append`` writes its lines in one
     ``os.write`` (more if it is cut short) under ``flock`` and a thread lock,
     so appends from threads and processes never interleave, after cutting a
-    final line with no ``\\n`` (a writer killed part-way). The first append
-    makes the directory and file and opens the descriptor that ``close``
-    closes. The reply store appends on the thread that takes each paid batch
-    from ``backends.map_batches``, so there the lock is never contended."""
+    final line with no ``\\n`` (a writer killed part-way), looked for only when
+    the file does not end where this object's last whole write left it. The
+    first append makes the directory and file and opens the descriptor that
+    ``close`` closes. The reply store appends on the thread that takes each paid
+    batch from ``backends.map_batches``, so there the lock is never contended."""
 
     def __init__(self, path):
         self.path = Path(path)
-        self._fd = None
+        self._fd = self._end = None  # the descriptor; the size its last whole write left
         self._lock = threading.Lock()  # flock does not order the threads of one process
 
     def append(self, lines) -> None:
@@ -73,12 +74,14 @@ class AppendFile:
                 fcntl.flock(self._fd, fcntl.LOCK_EX)
                 try:
                     end = cut = os.fstat(self._fd).st_size
-                    while cut and os.pread(self._fd, 1, cut - 1) != b"\n":
+                    while end != self._end and cut and os.pread(self._fd, 1, cut - 1) != b"\n":
                         cut -= 1  # a writer cut short left a torn line
+                    self._end, size = None, cut + len(data)  # unset until every byte is out
                     if cut < end:
                         os.ftruncate(self._fd, cut)
                     while data:  # a short write (a disk filling part-way) sends the rest
                         data = data[os.write(self._fd, data):]
+                    self._end = size
                 finally:
                     fcntl.flock(self._fd, fcntl.LOCK_UN)
             except OSError as exc:

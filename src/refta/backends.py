@@ -182,7 +182,7 @@ class ClientStats:
             self.retries += attempts - 1
 
 
-def send_batches(call, items, max_batch: int, max_in_flight: int = 1):
+def send_batches(call, items, max_batch: int, max_in_flight: int):
     """Call ``call`` on ``items``, any iterable, cut into list batches of at
     most ``max_batch``.
 
@@ -191,10 +191,9 @@ def send_batches(call, items, max_batch: int, max_in_flight: int = 1):
     call's wall time. The caller decides what a failed batch means, and
     passes indices as ``items`` when it needs positions. At most
     ``max_in_flight`` calls are in flight, and the next batch is taken from
-    ``items`` only once the caller has taken a result and so freed a slot:
-    with one in flight, the caller acts on each result (say, resends a
-    rejected batch) before the next batch goes out. Stopping early waits for
-    the calls in flight.
+    ``items`` only once the caller has taken a result and so freed a slot, so
+    a feed the caller ends sends nothing more. Stopping early waits for the
+    calls in flight.
     """
     def timed(batch):
         t0 = time.perf_counter()
@@ -217,7 +216,7 @@ def send_batches(call, items, max_batch: int, max_in_flight: int = 1):
             yield done.get().result()
 
 
-def map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_flight: int = 1,
+def map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_flight: int,
                 store=None):
     """``call`` over the distinct ``items``, in batches of at most ``max_batch``
     with ``max_in_flight`` calls in flight: the one rule for what a failed

@@ -13,16 +13,16 @@ failed request means and for the reply store under the runs root (``_Replies``):
 stages 3 and 4 send only the texts and chat requests the store lacks, and
 the calling thread stores each batch paid for as it takes the reply (a failed
 one never), so a run that stopped part-way is resumed by running it again.
-Stages 1 and 3 send requests of at most ``max_batch`` inputs one at a time,
-stage 4 one prompt per request. Stages 1-3 run once per call, and every
-temperature of a sweep reuses them. A batch of several inputs rejected with
-``RequestError``/``ProtocolError`` is resent one input at a time before the
-next batch goes out; a rejected one-input batch, or one that exhausts its
-transport retries, fails every segment it carried. A segment that fails
-retrieval is not drafted. Under ``fail_fast`` a prompt over the budget ends
-the run before stage 4 sends a request, a stage sends no request after its
-first failed one (stage 4 stores and serves the at most ``workers - 1`` calls
-still in flight), and the run leaves no directory.
+Stages 1 and 3 send requests of at most ``max_batch`` inputs, their
+endpoint's ``request_parallelism`` in flight, and stage 4 one prompt per
+request; stages 1-3 run once per call, for every temperature of a sweep. A
+batch of several inputs rejected with ``RequestError``/``ProtocolError`` is
+resent one input per request; a rejected one-input batch, or one that
+exhausts its transport retries, fails every segment it carried. A segment
+that fails retrieval is not drafted. Under ``fail_fast`` a prompt over the
+budget ends the run before stage 4 sends a request, a stage sends no request
+after it takes its first failed one (the rest of its p calls in flight are
+served, and all but embeddings stored), and the run leaves no directory.
 Artifacts are written in input order, so output is a pure function of
 (config, corpus, index) when the backends are deterministic.
 
@@ -278,7 +278,8 @@ def _prepare(
     if cfg.condition == RAG:
         embedder = clients["embedder"]
         vectors, failed = map_batches(embedder.embed, [s.text for s in segments],
-                                      embedder.cfg.max_batch, cfg.fail_fast)
+                                      embedder.cfg.max_batch, cfg.fail_fast,
+                                      embedder.cfg.request_parallelism)
         for i, seg in enumerate(segments):
             try:
                 if seg.text in failed:
@@ -304,7 +305,8 @@ def _prepare(
         drafter = clients["drafter"]
         replayed["drafter"] = len(replies.keys() & texts)
         drafts, failed = map_batches(lambda batch: drafter.translate(batch)[0], texts,
-                                     drafter.cfg.max_batch, cfg.fail_fast, store=replies)
+                                     drafter.cfg.max_batch, cfg.fail_fast,
+                                     drafter.cfg.request_parallelism, store=replies)
         for i in live:
             seg = segments[i]
             bad = [t for t in [seg.text] + [r.entry.text for r in hits.get(i, ())]

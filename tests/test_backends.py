@@ -77,7 +77,7 @@ def _sent_and_taken(items) -> list:
         log.append(("sent", batch))
         return len(batch)
 
-    for batch, result, _ in send_batches(call, items, 2):
+    for batch, result, _ in send_batches(call, items, 2, 1):
         log.append(("taken", batch, result))
     return log
 

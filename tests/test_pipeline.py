@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 from dataclasses import asdict, replace
 
@@ -16,6 +17,7 @@ from refta.metrics.report import compare_runs
 from refta.mockserver import MockBehavior, start_mock_server
 from refta.pipeline import (
     FAILED_SENTINEL,
+    REPLIES_DIR,
     RunConfig,
     TranslationRecord,
     read_hypotheses,
@@ -316,7 +318,9 @@ class TestDraftUnion:
 @pytest.fixture()
 def faulty(stack):
     """Endpoints on a second, healthy mock, except ``role`` on the stack's
-    mock, which injects ``fail_first`` faults; returns (endpoints, healthy)."""
+    mock, which injects ``fail_first`` faults; returns (endpoints, healthy).
+    The faulty endpoint sends one request at a time, so that the first
+    requests to arrive, the ones that fail, are the first ones cut."""
     endpoints, _, server = stack
     healthy = start_mock_server(MockBehavior())
 
@@ -325,7 +329,8 @@ def faulty(stack):
         server.behavior.fail_status = fail_status
         eps = {r: EndpointConfig(**{**ep.__dict__, "base_url": healthy.base_url})
                for r, ep in endpoints.items()}
-        eps[role] = EndpointConfig(**{**endpoints[role].__dict__, **overrides})
+        eps[role] = EndpointConfig(**{**endpoints[role].__dict__, "request_parallelism": 1,
+                                      **overrides})
         return eps, healthy
 
     yield make
@@ -599,7 +604,9 @@ class TestTranslateCorpus:
             return original(self, texts)
 
         monkeypatch.setattr(cls, method, one_request_fails)
-        small = {r: replace(ep, max_batch=4) for r, ep in endpoints.items()}
+        # one request at a time, so that "the n-th call" names one batch
+        small = {r: replace(ep, max_batch=4, request_parallelism=1)
+                 for r, ep in endpoints.items()}
         cfg = _config(small, condition, k=5, jaccard_threshold=0.0, fail_fast=True)
         with pytest.raises(PipelineError) as raised:
             translate_corpus(cfg, _pairs(20), index, runs_root=tmp_path)
@@ -621,7 +628,9 @@ class TestTranslateCorpus:
             return original(self, texts)
 
         monkeypatch.setattr(DrafterClient, "translate", rejecting)
-        small = {r: replace(ep, max_batch=4) for r, ep in endpoints.items()}
+        # one request at a time, so that "the n-th call" names one batch
+        small = {r: replace(ep, max_batch=4, request_parallelism=1)
+                 for r, ep in endpoints.items()}
         with pytest.raises(PipelineError) as raised:
             translate_corpus(_config(small, "draft_only", fail_fast=True), pairs, None,
                              runs_root=tmp_path)
@@ -714,3 +723,70 @@ class TestTranslateCorpus:
                     assert nb["latin"] not in banned_texts
         finally:
             server.stop()
+
+
+class TestStagesAtRequestParallelism:
+    """Stages 1 and 3 keep their endpoint's ``request_parallelism`` in flight,
+    and under ``fail_fast`` send nothing after the first failure they take."""
+
+    def test_embed_and_draft_reach_the_endpoint_parallelism(self, stack, tmp_path):
+        endpoints, index, server = stack  # the stats were reset after the index build
+        server.behavior.latency_ms = 20
+        small = {r: replace(ep, max_batch=16) for r, ep in endpoints.items()}
+        base = _pairs(1)[0].source.text
+        pairs = [ParallelPair(SourceSegment(f"q{i}", f"{base} verbum{i}"), ("ref",))
+                 for i in range(200)]
+        (result,) = translate_corpus(_config(small, "rag", jaccard_threshold=0.0), pairs,
+                                     index, runs_root=tmp_path)
+        assert result.failed == 0
+        reached = server.stats.snapshot()["max_concurrency"]
+        parallelism = small["drafter"].request_parallelism
+        assert (reached["/embed"], reached["/translate"]) == (parallelism, parallelism)
+
+    def test_fail_fast_pays_and_stores_only_the_calls_in_flight(self, stack, tmp_path,
+                                                                monkeypatch):
+        endpoints, _, _ = stack
+        # faults keyed by the request: of the first four batches of four
+        # sources, this seed fails only the first, in whatever order they arrive
+        faulty = start_mock_server(MockBehavior(fail_rate=0.3, seed=0))
+        try:
+            drafter = replace(endpoints["drafter"], base_url=faulty.base_url, max_batch=4,
+                              max_retries=0)
+            cfg = _config({**endpoints, "drafter": drafter}, "draft_only", fail_fast=True)
+            failed_once, original = threading.Event(), DrafterClient.translate
+
+            def failure_taken_first(self, texts):
+                try:
+                    out = original(self, texts)  # paid for at the mock
+                except TransportError:
+                    failed_once.set()
+                    raise
+                failed_once.wait(timeout=10)
+                time.sleep(0.05)  # the failed batch is taken before any reply
+                return out
+
+            monkeypatch.setattr(DrafterClient, "translate", failure_taken_first)
+            pairs = _pairs(40)
+            with pytest.raises(PipelineError) as raised:
+                translate_corpus(cfg, pairs, None, runs_root=tmp_path)
+            assert (raised.value.stage, raised.value.segment_id) == ("draft", "ood000")
+            snap = faulty.stats.snapshot()
+            p = drafter.request_parallelism
+            assert snap["failures_injected"]["/translate"] == 1
+            # the first p batches went out together; none after the failure was taken
+            assert snap["counts"]["/translate"] == p
+            paid = snap["inputs"]["/translate"] - drafter.max_batch
+            stored = {json.loads(line)["key"]
+                      for path in (tmp_path / REPLIES_DIR).glob("drafter-*")
+                      for line in path.read_text().splitlines()}
+            assert paid == len(stored) == (p - 1) * drafter.max_batch
+            monkeypatch.setattr(DrafterClient, "translate", original)
+
+            faulty.behavior.fail_rate = 0.0
+            faulty.stats.reset()
+            (result,) = translate_corpus(replace(cfg, fail_fast=False), pairs, None,
+                                         runs_root=tmp_path)
+            assert result.failed == 0
+            assert faulty.stats.snapshot()["inputs"]["/translate"] == len(pairs) - len(stored)
+        finally:
+            faulty.stop()

@@ -78,6 +78,18 @@ def test_a_torn_final_row_is_skipped_then_cut_by_the_next_append(tmp_path):
     assert _rows(path) == [{"key": "a"}, {"key": "b"}, {"key": "d"}]
 
 
+def test_an_append_after_its_own_reads_no_tail(tmp_path, monkeypatch):
+    original, reads = os.pread, []
+    monkeypatch.setattr(os, "pread", lambda *args: reads.append(args) or original(*args))
+    rows = AppendFile(tmp_path / "rows.jsonl")
+    rows.append([json.dumps({"key": "a"})])
+    reads.clear()
+    rows.append([json.dumps({"key": "b"})])  # no other writer came between
+    rows.close()
+    assert reads == []
+    assert _rows(tmp_path / "rows.jsonl") == [{"key": "a"}, {"key": "b"}]
+
+
 @pytest.mark.parametrize("k", [1, 7])
 def test_a_short_write_sends_the_rest(tmp_path, monkeypatch, k):
     original = os.write
