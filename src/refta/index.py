@@ -17,11 +17,14 @@ comparison per (row, excluded text) pair (prefix filtering: Bayardo, Ma and
 Srikant, WWW 2007; Xiao et al., PPJoin, WWW 2008). Lemmas are ranked by
 ascending frequency among the excluded sets; a set of size n is indexed or
 probed by its first n - α(n) + 1 lemmas, where α(n) is the least integer i
-with ``i / n >= t``; a pair survives the size filter only if
-``min(|a|, |b|) / max(|a|, |b|) >= t``, and survivors are checked by
-``jaccard(a, b) >= t``. Each bound is the same float division as that final
-test, and rounding is monotone, so the join keeps and drops exactly the
-rows a pairwise loop would.
+with ``i / n >= t``. Each posting list ascends by set size, and a row of n
+lemmas scans only the sets of a size m in [α(n), hi(n)], hi(n) being the
+largest m with ``n / m >= t``: the size filter ``min(|a|, |b|) / max(|a|,
+|b|) >= t``, applied by position. Survivors are checked by ``jaccard(a, b)
+>= t``. Each bound is the same float division as that final test, and
+rounding is monotone, so the join keeps and drops exactly the rows a
+pairwise loop would. Each row is probed as the embedding batch it would
+join is cut, so the probe runs while the batches before it are embedded.
 
 On-disk layout (``save_index``/``load_index``), format version 3:
 
@@ -41,6 +44,7 @@ import functools
 import hashlib
 import json
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -229,7 +233,7 @@ def _near_dup_join(excluded: list[frozenset], t: float) -> Callable[[str], bool]
     """Return a test of whether a row text's lemmas reach Jaccard ``t``
     against any of the ``excluded`` lemma sets, by the join the module
     docstring describes. Lemmas that no excluded set holds rank first, and
-    frequency ties go by lemma.
+    frequency ties go by lemma; the size window is found by bisection.
 
     The filters are exact. If ``jaccard(a, b) >= t``, then ``|a n b| / |a|``
     and ``|a n b| / |b|`` reach ``t`` as floats too, since the union is no
@@ -244,30 +248,37 @@ def _near_dup_join(excluded: list[frozenset], t: float) -> Callable[[str], bool]
         return lambda text: False
     if t == 0.0:
         return lambda text: True
-    sets = [b for b in set(excluded) if b]
+    sets = sorted((b for b in set(excluded) if b), key=len)
     freq = Counter(lem for b in sets for lem in b)
     rank = {lem: r for r, lem in enumerate(sorted(freq, key=lambda lem: (freq[lem], lem)))}
-    prefix_len = functools.cache(lambda n: n - _min_overlap(n, t) + 1)
     postings: list[list[int]] = [[] for _ in rank]
+    sizes: list[list[int]] = [[] for _ in rank]  # beside each posting list, ascending
     for j, b in enumerate(sets):
-        for r in sorted(rank[lem] for lem in b)[:prefix_len(len(b))]:
+        for r in sorted(rank[lem] for lem in b)[:len(b) - _min_overlap(len(b), t) + 1]:
             postings[r].append(j)
+            sizes[r].append(len(b))
+
+    @functools.cache
+    def window(n: int) -> tuple[int, int]:
+        """α(n), and the largest m up to the longest set with ``n / m >= t``."""
+        return _min_overlap(n, t), bisect_left(range(1, len(sets[-1]) + 1), True,
+                                               key=lambda m: n / m < t)
 
     def is_near_dup(text: str) -> bool:
         a = lemmatize(text)
-        n = len(a)
-        if not n:
-            return False
         shared = sorted(rank[lem] for lem in a if lem in rank)
-        # the lemmas of ``a`` that no excluded set holds fill its prefix first
-        probe = prefix_len(n) - (n - len(shared))
+        if not shared:
+            return False
+        lo, hi = window(len(a))
         seen: set[int] = set()
-        for r in shared[:max(0, probe)]:
-            for j in postings[r]:
+        # the lemmas of ``a`` that no excluded set holds fill its prefix of
+        # n - α(n) + 1 first: it holds all but the last α(n) - 1 shared ones
+        for r in shared[:max(0, len(shared) - lo + 1)]:
+            m = sizes[r]
+            for j in postings[r][bisect_left(m, lo):bisect_right(m, hi)]:
                 if j not in seen:
                     seen.add(j)
-                    m = len(sets[j])
-                    if min(n, m) / max(n, m) >= t and jaccard(a, sets[j]) >= t:
+                    if jaccard(a, sets[j]) >= t:
                         return True
         return False
 
@@ -286,63 +297,72 @@ def build_index(
 
     ``embedder`` must expose ``embed(texts)``, returning a ``(len(texts),
     dim)`` float32 matrix, and a ``cfg`` with ``model_id`` and ``max_batch``
-    (the backends client does). Embedding batches of at most
-    ``cfg.max_batch`` texts go out through ``send_batches`` with at most
-    ``max_in_flight`` in flight, and each lands in one preallocated matrix
-    that is then normalised in place. Exact-text and id matches against
-    ``exclusions`` are dropped, as are near-duplicates whose lemma Jaccard
-    against any excluded text reaches ``near_dup_threshold``, which must lie
-    in [0, 1]. Near-duplicates are found by the exact prefix-filtered join
-    of the module docstring: each row probes the posting lists of its own
-    prefix, its first n - α(n) + 1 lemmas in ascending frequency among the
-    excluded sets, instead of being compared with every excluded text; the
-    pairs that pass the size filter are checked by ``jaccard`` as before.
-    With no excluded text no row is lemmatized. A build that keeps no row
-    raises ``IndexError_`` before any request.
+    (the backends client does). Exact-text and id matches against
+    ``exclusions`` are dropped first. The other rows feed ``send_batches``
+    (batches of at most ``cfg.max_batch`` texts, at most ``max_in_flight``
+    in flight), which cuts a batch only as a slot frees; each row is probed
+    as its batch is cut, by the exact join of the module docstring, and
+    dropped if its lemma Jaccard against any excluded text reaches
+    ``near_dup_threshold``, which must lie in [0, 1]. With no excluded text
+    no row is lemmatized. Each batch lands in one matrix preallocated at the
+    candidate count, whose kept rows are normalised in place. The rows of an
+    id that repeats are probed up front, so two kept copies of one id raise
+    ``IndexError_`` before any request; so does a build that keeps no row,
+    which cuts no batch.
     """
     if not 0.0 <= near_dup_threshold <= 1.0:
         raise ValueError(f"near_dup_threshold must be in [0, 1], got {near_dup_threshold}")
     exclusions = exclusions or ExclusionList.empty()
     report = BuildReport()
 
-    is_near_dup = _near_dup_join([lemmatize(t) for t in exclusions.exact_texts],
-                                 near_dup_threshold)
-
-    kept: list[SourceSegment] = []
-    kept_ids: set = set()
+    candidates: list[SourceSegment] = []
     for seg in segments:
         report.rows_seen += 1
         if exclusions.matches(seg.id, seg.text):
             report.excluded_exact += 1
-            continue
-        if is_near_dup(seg.text):
-            report.excluded_near_dup += 1
-            continue
-        if seg.id in kept_ids:  # refused before any row is embedded
-            raise IndexError_(f"duplicate segment id {seg.id!r} in index")
-        kept_ids.add(seg.id)
-        kept.append(seg)
-    if not kept:
-        raise IndexError_(f"no row to index: {report.excluded_exact} excluded, "
-                          f"{report.excluded_near_dup} near-duplicates dropped")
+        else:
+            candidates.append(seg)
 
-    texts = [s.text for s in kept]
+    is_near_dup = _near_dup_join([lemmatize(t) for t in exclusions.exact_texts],
+                                 near_dup_threshold)
+    repeated = {sid for sid, copies in Counter(s.id for s in candidates).items() if copies > 1}
+    kept_ids: set = set()
+    for seg in candidates:
+        if seg.id in repeated and not is_near_dup(seg.text):
+            if seg.id in kept_ids:  # refused before any request
+                raise IndexError_(f"duplicate segment id {seg.id!r} in index")
+            kept_ids.add(seg.id)
+
+    ids, texts = [], []
+
+    def kept_rows():
+        for seg in candidates:  # probed as the batch it would join is cut
+            if is_near_dup(seg.text):
+                report.excluded_near_dup += 1
+                continue
+            ids.append(seg.id)
+            texts.append(seg.text)
+            yield len(texts) - 1
+
     max_batch, matrix = embedder.cfg.max_batch, None
     for rows, result, _ms in send_batches(lambda rows: embedder.embed(texts[rows[0]:rows[-1] + 1]),
-                                          range(len(texts)), max_batch, max_in_flight):
+                                          kept_rows(), max_batch, max_in_flight):
         batch_no = rows[0] // max_batch
         if isinstance(result, Exception):
             raise IndexError_(f"embedding batch {batch_no} failed: {result}") from result
         if matrix is None:
-            matrix = np.empty((len(texts), result.shape[1]), dtype=np.float32)
+            matrix = np.empty((len(candidates), result.shape[1]), dtype=np.float32)
         elif result.shape[1] != matrix.shape[1]:
             raise IndexError_(f"dimension drift in batch {batch_no}: got {result.shape[1]}, "
                               f"expected {matrix.shape[1]}")
         matrix[rows[0]:rows[-1] + 1] = result
+    if not texts:
+        raise IndexError_(f"no row to index: {report.excluded_exact} excluded, "
+                          f"{report.excluded_near_dup} near-duplicates dropped")
 
-    ids = [s.id for s in kept]
+    matrix = matrix[:len(texts)]  # a view: the near-duplicates' rows were never filled
     index = VectorIndex(ids, texts, _normalize_rows(matrix, ids), embedder.cfg.model_id)
-    report.indexed = len(kept)
+    report.indexed = len(texts)
     return index, report
 
 

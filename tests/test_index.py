@@ -3,6 +3,7 @@ from __future__ import annotations
 import builtins
 import io
 import json
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -223,6 +224,23 @@ class _ArrayEmbedder:
         return out
 
 
+class _RecordingEmbedder(_ArrayEmbedder):
+    """An ``_ArrayEmbedder`` of ``max_batch`` 8 that hands each batch's texts
+    to ``on_embed`` before it answers."""
+
+    class cfg:
+        model_id = "test-embedder"
+        max_batch = 8
+
+    def __init__(self, on_embed):
+        super().__init__()
+        self.on_embed = on_embed
+
+    def embed(self, texts):
+        self.on_embed(texts)
+        return super().embed(texts)
+
+
 def _segments(n, prefix="seg"):
     words = ["gallia", "bellum", "senatus", "populus", "roma", "aqua",
              "terra", "ignis", "silva", "flumen", "mons", "ager", "urbs"]
@@ -312,6 +330,64 @@ class TestBuildIndex:
         assert report.indexed == 12
         assert calls == []
 
+    def test_first_request_goes_out_before_the_last_row_is_probed(self, monkeypatch):
+        lemmatized, at_call = [], []
+        monkeypatch.setattr(refta.index, "lemmatize",
+                            lambda text: lemmatized.append(text) or lemmatize(text))
+        rows = [SourceSegment(f"r{i:02d}", spell(frozenset(LEMMA_WORDS[i % 20:i % 20 + 4]), i))
+                for i in range(40)]
+        excluded = [spell(frozenset(LEMMA_WORDS[30 + j:33 + j]), 1000 + j) for j in range(3)]
+        embedder = _RecordingEmbedder(lambda texts: at_call.append(len(lemmatized)))
+        _index, report = build_index(rows, embedder, ExclusionList(frozenset(excluded), frozenset()))
+        assert report.indexed == 40
+        assert len(lemmatized) == 40 + len(excluded)  # each text once
+        # the first batches are in flight while later rows are still probed
+        assert min(at_call) < 40 + len(excluded)
+
+    def test_repeated_id_whose_other_copy_is_a_near_duplicate(self):
+        excluded = "Gallia est omnis divisa in partes tres."
+        rows = [SourceSegment("dup", "Roma aeterna est."),
+                SourceSegment("other", "Alea iacta est."),
+                SourceSegment("dup", excluded.upper())]  # same lemmas, another text
+        sent = []
+        index, report = build_index(rows, _RecordingEmbedder(sent.append),
+                                    ExclusionList(frozenset({excluded}), frozenset()))
+        assert [index.entry(i) for i in range(len(index))] == [
+            refta.index.IndexEntry("dup", "Roma aeterna est."),
+            refta.index.IndexEntry("other", "Alea iacta est.")]
+        assert (report.excluded_exact, report.excluded_near_dup, report.indexed) == (0, 1, 2)
+        assert len(sent) == 1
+
+    def test_repeated_id_kept_twice_refused_before_any_request(self):
+        rows = [SourceSegment("dup", "Roma aeterna est."),
+                SourceSegment("other", "Alea iacta est."),
+                SourceSegment("dup", "Gallia est omnis divisa.")]
+        sent = []
+        with pytest.raises(IndexError_, match="duplicate segment id 'dup'"):
+            build_index(rows, _RecordingEmbedder(sent.append),
+                        ExclusionList(frozenset({"Veni vidi vici."}), frozenset()))
+        assert sent == []
+
+    def test_rows_and_vectors_stay_aligned_under_thread_switching(self):
+        # the feed appends each kept row on the calling thread while the
+        # workers read their batches' texts; near-duplicates dropped along
+        # the way set kept positions apart from candidate positions
+        rows = [SourceSegment(f"s{i:03d}", spell(frozenset(LEMMA_WORDS[i % 30:i % 30 + 5]), i))
+                for i in range(600)]
+        excluded = frozenset(spell(frozenset(LEMMA_WORDS[k:k + 5]), 1000 + k) for k in (3, 17))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            index, report = build_index(rows, _RecordingEmbedder(lambda texts: None),
+                                        ExclusionList(excluded, frozenset()), max_in_flight=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (report.excluded_near_dup, report.indexed) == (40, 560)
+        texts = [index.entry(i).text for i in range(len(index))]
+        assert texts == [r.text for r in rows if int(r.id[1:]) % 30 not in (3, 17)]
+        want = _normalize_rows(np.concatenate([_ArrayEmbedder().embed([t]) for t in texts]))
+        assert index._vectors.tobytes() == want.tobytes()
+
 
 def _pairwise_build(rows, exclusions, near_dup_threshold):
     """The pairwise near-duplicate loop ``build_index`` ran before its
@@ -378,12 +454,40 @@ class TestNearDupJoin:
         rows, excluded_texts = case
         _join_matches_pairwise(rows, excluded_texts, near_dup_threshold)
 
-    def test_superset_at_the_threshold_dropped(self):
+    # a row of 7 lemmas reaches an excluded 10 only at the top of its size
+    # window, where 7 / 10 is 0.7 as well
+    @pytest.mark.parametrize("row_size, excluded_size", [(10, 7), (7, 10)])
+    def test_superset_at_the_threshold_dropped(self, row_size, excluded_size):
         # |a n b| / |a u b| = 7 / 10, which is the float 0.7 itself
-        a, b = frozenset(LEMMA_WORDS[:10]), frozenset(LEMMA_WORDS[:7])
+        a, b = frozenset(LEMMA_WORDS[:row_size]), frozenset(LEMMA_WORDS[:excluded_size])
         report = _join_matches_pairwise([SourceSegment("a", spell(a, 0))],
                                         [spell(b, 1)], 0.7)
         assert report.excluded_near_dup == 1
+
+    @pytest.mark.parametrize("near_dup_threshold", [0.9, 0.5])
+    def test_many_sizes_per_posting_list_match_the_pairwise_loop(self, near_dup_threshold):
+        # 200 excluded sets of 1-30 lemmas over 40, so each posting list holds
+        # many sizes, and rows one lemma away from an excluded set on either
+        # side of each size window's edges
+        rng = np.random.default_rng(38)
+        vocab = LEMMA_WORDS[:40]
+
+        def draw(size, among=vocab):
+            return frozenset(rng.choice(among, size, replace=False).tolist())
+
+        excluded = [draw(int(rng.integers(1, 31))) for _ in range(200)]
+        rows = [draw(int(rng.integers(1, 31))) for _ in range(1000)]
+        for b in (excluded[j] for j in rng.integers(0, len(excluded), 500)):
+            outside = [lem for lem in vocab if lem not in b]
+            edit = rng.integers(3) if len(b) > 1 else 0
+            rows.append(b | draw(1, outside) if edit == 0 else
+                        b - draw(1, sorted(b)) if edit == 1 else
+                        b - draw(1, sorted(b)) | draw(1, outside))
+        order = rng.permutation(len(rows))
+        report = _join_matches_pairwise(
+            [SourceSegment(f"r{i:04d}", spell(rows[k], i)) for i, k in enumerate(order)],
+            [spell(b, 5000 + j) for j, b in enumerate(excluded)], near_dup_threshold)
+        assert 0 < report.excluded_near_dup < report.rows_seen
 
 
 class _MatrixEmbedder:
