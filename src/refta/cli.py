@@ -34,7 +34,7 @@ from refta.metrics.report import (
 )
 from refta.cost import CostModel, cost_report
 from refta.mockserver import MockBehavior, MockServer
-from refta.pipeline import METRICS_FILE, RunConfig, corpus_digest, sweep_configs, translate_corpus
+from refta.pipeline import METRICS_FILE, RunConfig, corpus_digest, translate_corpus
 from refta.prompt import CONDITIONS
 
 DEFAULT_MODELS = {
@@ -262,8 +262,7 @@ def _load_exclusions(path: str, fmt: str) -> ExclusionList:
 @click.option("--k", type=int, default=RunConfig.k, show_default=True)
 @click.option("--jaccard-threshold", type=float, default=RunConfig.jaccard_threshold,
               show_default=True)
-@click.option("--temp", "temperatures", multiple=True, type=float,
-              help="Sampling temperature; repeat for one run dir per value.")
+@click.option("--temperature", type=float, default=RunConfig.temperature, show_default=True)
 @click.option("--top-p", type=float, default=RunConfig.top_p, show_default=True)
 @click.option("--max-output-tokens", type=int, default=RunConfig.max_output_tokens,
               show_default=True)
@@ -282,10 +281,10 @@ def _load_exclusions(path: str, fmt: str) -> ExclusionList:
               show_default=True,
               help="Requests in flight per endpoint, and segments refined at once.")
 @click.option("--fail-fast", is_flag=True)
-@click.option("--force", is_flag=True, help="Overwrite existing run directories.")
+@click.option("--force", is_flag=True, help="Overwrite an existing run directory.")
 @_json_option
 @_runtime_errors
-def cmd_translate(test_set, index_dir, temperatures, runs_root, drafter_url, refiner_url,
+def cmd_translate(test_set, index_dir, runs_root, drafter_url, refiner_url,
                   embedder_url, drafter_model, refiner_model, timeout, max_retries,
                   parallelism, force, as_json, **run_fields):
     """Translate a test set under one experimental condition."""
@@ -303,13 +302,11 @@ def cmd_translate(test_set, index_dir, temperatures, runs_root, drafter_url, ref
 
     try:
         cfg = RunConfig(endpoints=endpoints, workers=parallelism, **run_fields)
-        sweep_configs(cfg, temperatures)  # every run of a sweep is checked up front
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
 
     pairs = load_parallel(*test_set)
-    results = translate_corpus(cfg, pairs, index, runs_root=runs_root,
-                               temperatures=temperatures, force=force)
+    results = translate_corpus(cfg, pairs, index, runs_root=runs_root, force=force)
     payload = [{**vars(r), "run_dir": str(r.run_dir)} for r in results]
     _emit(as_json, payload, (
         f"{row['run_dir']} (temp {row['temperature']}): "

@@ -218,7 +218,9 @@ def compare_runs(
 
 
 def format_comparison_table(comparison: RunComparison) -> str:
-    """Aligned plain-text table; '*' marks p < alpha vs the baseline."""
+    """Aligned plain-text table; '*' marks a delta vs the baseline whose
+    two-sided p, twice the one-sided ``p_value``, is below alpha: ties aside,
+    one whose 95% interval leaves out 0."""
     metric_names: list[str] = []
     for row in comparison.rows:
         for name in row["scores"]:
@@ -239,7 +241,7 @@ def format_comparison_table(comparison: RunComparison) -> str:
                 continue
             mark = ""
             sig = sig_by_run.get(row["run"], {}).get(name)
-            if sig is not None and sig.p_value < SIGNIFICANCE_ALPHA:
+            if sig is not None and 2 * sig.p_value < SIGNIFICANCE_ALPHA:
                 mark = "*"
             cells.append(format_score(name, score) + mark)
         lines.append(cells)
@@ -250,6 +252,7 @@ def format_comparison_table(comparison: RunComparison) -> str:
     out = [fmt(header), fmt(["-" * w for w in widths])]
     out.extend(fmt(cells) for cells in lines)
     out.append("")
-    out.append(f"* p < {SIGNIFICANCE_ALPHA} (one-sided paired bootstrap vs "
-               f"{comparison.baseline}, seed {comparison.seed})")
+    out.append(f"* two-sided p < {SIGNIFICANCE_ALPHA} (twice the one-sided p in "
+               f"comparison.json; paired bootstrap vs {comparison.baseline}, "
+               f"seed {comparison.seed})")
     return "\n".join(out)

@@ -1,6 +1,7 @@
 """Corpus-level orchestration of the draft-refine workflow, stage by stage.
 
-``translate_corpus`` runs four stages, each over the whole test set:
+``translate_corpus`` runs one config into one run directory, in four stages,
+each over the whole test set:
 
 1. embed the distinct source texts (rag);
 2. retrieve each segment's neighbors with ``VectorIndex.query`` (rag);
@@ -10,19 +11,19 @@
 
 Stages 1, 3 and 4 send through ``backends.map_batches``, one rule for what a
 failed request means and for the reply store under the runs root (``_Replies``):
-stages 3 and 4 send only the texts and chat requests the store lacks, and
-the calling thread stores each batch paid for as it takes the reply (a failed
-one never), so a run that stopped part-way is resumed by running it again.
-Stages 1 and 3 send requests of at most ``max_batch`` inputs, their
-endpoint's ``request_parallelism`` in flight, and stage 4 one prompt per
-request; stages 1-3 run once per call, for every temperature of a sweep. A
+each sends only the texts and chat requests the store lacks, and the calling
+thread stores each batch paid for as it takes the reply (a failed one never),
+so a run that stopped part-way is resumed by running it again, and a run at
+another temperature pays only for stage 4. Stages 1 and 3 send requests of
+at most ``max_batch`` inputs, their endpoint's ``request_parallelism`` in
+flight, and stage 4 one prompt per request. A
 batch of several inputs rejected with ``RequestError``/``ProtocolError`` is
 resent one input per request; a rejected one-input batch, or one that
 exhausts its transport retries, fails every segment it carried. A segment
 that fails retrieval is not drafted. Under ``fail_fast`` a prompt over the
 budget ends the run before stage 4 sends a request, a stage sends no request
 after it takes its first failed one (the rest of its p calls in flight are
-served, and all but embeddings stored), and the run leaves no directory.
+served and stored), and the run leaves no directory.
 Artifacts are written in input order, so output is a pure function of
 (config, corpus, index) when the backends are deterministic.
 
@@ -35,13 +36,13 @@ these plus prompt assembly. A reply served from the store took 0 ms. Its
 ``timestamps`` mark when its prompt was assembled and when the record was
 built.
 
-Run directory layout (one per temperature):
+Run directory layout:
 
 - ``manifest.json``: resolved config (no secrets) naming only the backends
   the condition calls, ``config_hash``,
   ``corpus_digest``, code version, counts, aggregate token usage (replayed
-  replies included), the distinct texts (drafter) and requests (refiner)
-  ``replayed`` from the store, wall
+  replies included), the distinct texts (drafter, embedder) and requests
+  (refiner) ``replayed`` from the store, wall
   time (stages 1-3 included), and the SHA-256 ``checksums`` of the other
   three files, taken as they are written; it is written last.
 - ``records.jsonl``: one completed TranslationRecord per row, input order.
@@ -59,9 +60,12 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from base64 import b64decode, b64encode
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 import refta
 from refta.artifacts import (
@@ -178,16 +182,6 @@ class RunConfig:
         return hashlib.sha256(canonical_json(hashed).encode("utf-8")).hexdigest()
 
 
-def sweep_configs(cfg: RunConfig, temperatures) -> list[RunConfig]:
-    """One checked config per temperature of a sweep; ``cfg``'s own when
-    ``temperatures`` is empty. A value repeated after ``float()`` raises
-    ``ValueError``: its runs would share one run directory."""
-    temps = [float(t) for t in temperatures] if temperatures else [float(cfg.temperature)]
-    if len(set(temps)) < len(temps):
-        raise ValueError(f"a sweep's temperatures must differ, got {temps}")
-    return [replace(cfg, temperature=t) for t in temps]
-
-
 @dataclass(frozen=True)
 class TranslationRecord:
     segment_id: str
@@ -221,7 +215,9 @@ class _Replies(dict):
     arrive to ``.replies/<role>-<sha256 of model_id NUL base_url>.jsonl``
     (so backends that share a model id share no reply) and replayed in place
     of the request: ``{"key": source text, "text"}`` for the drafter,
-    ``{"key": sha256 of the request body, "text", "usage"}`` for the refiner.
+    ``{"key": sha256 of the request body, "text", "usage"}`` for the refiner,
+    ``{"key": source text, "vector": base64 of the little-endian float32 row}``
+    for the embedder, the row as it was served, before any normalization.
     Maps each key to its reply."""
 
     def __init__(self, runs_root, role: str, endpoint):
@@ -232,22 +228,32 @@ class _Replies(dict):
         for line_no, raw in read_rows(self.file.path):
             try:
                 row = json.loads(raw.decode("utf-8"))
-                text = row["text"]
-                if not isinstance(text, str) or not text:
-                    raise ValueError(f"text {text!r} is not a non-empty string")
-                self[row["key"]] = (
-                    text if role == "drafter" else (text, TokenUsage(**row["usage"])))
+                if role == "embedder":
+                    reply = np.frombuffer(b64decode(row["vector"], validate=True), "<f4")
+                    if not reply.size:
+                        raise ValueError("the vector is empty")
+                else:
+                    reply = row["text"]
+                    if not isinstance(reply, str) or not reply:
+                        raise ValueError(f"text {reply!r} is not a non-empty string")
+                    if role == "refiner":
+                        reply = (reply, TokenUsage(**row["usage"]))
+                self[row["key"]] = reply
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(self.file.path, line_no,
                                         f"not a {role} reply: {exc!r}") from exc
 
     def add(self, replies: dict) -> None:
         """Append ``key -> reply`` rows in one write, then serve them."""
-        self.file.append(json.dumps(
-            {"key": key, "text": reply} if self.role == "drafter"
-            else {"key": key, "text": reply[0], "usage": vars(reply[1])})
-            for key, reply in replies.items())
+        self.file.append(json.dumps(self._row(key, reply)) for key, reply in replies.items())
         self.update(replies)
+
+    def _row(self, key, reply) -> dict:
+        if self.role == "embedder":
+            return {"key": key, "vector": b64encode(reply.astype("<f4").tobytes()).decode()}
+        if self.role == "drafter":
+            return {"key": key, "text": reply}
+        return {"key": key, "text": reply[0], "usage": vars(reply[1])}
 
 
 @dataclass
@@ -265,21 +271,23 @@ def _prepare(
     segments: list[SourceSegment],
     index: VectorIndex | None,
     clients: dict,
-    replies: _Replies | None,
+    stores: dict,
 ) -> tuple[list[_Prepared], dict]:
-    """Stages 1-3 for every segment, and ``{"drafter": distinct texts replayed
-    from replies}`` (empty for zero_shot). A failure is kept on its segment, or
-    under ``fail_fast`` raised for the first segment a failed request
-    carried. Every stage 3 failure is found before any draft is attached:
-    under ``fail_fast`` earlier segments may name neighbors never drafted."""
+    """Stages 1-3 for every segment, and the distinct texts each of their
+    roles replayed from its store (empty for zero_shot). A failure is kept on
+    its segment, or under ``fail_fast`` raised for the first segment a failed
+    request carried. Every stage 3 failure is found before any draft is
+    attached: under ``fail_fast`` earlier segments may name neighbors never
+    drafted."""
     preps = [_Prepared() for _ in segments]
     hits: dict[int, list] = {}
     replayed = {}
     if cfg.condition == RAG:
-        embedder = clients["embedder"]
-        vectors, failed = map_batches(embedder.embed, [s.text for s in segments],
-                                      embedder.cfg.max_batch, cfg.fail_fast,
-                                      embedder.cfg.request_parallelism)
+        embedder, texts = clients["embedder"], [s.text for s in segments]
+        replayed["embedder"] = len(stores["embedder"].keys() & texts)
+        vectors, failed = map_batches(embedder.embed, texts, embedder.cfg.max_batch,
+                                      cfg.fail_fast, embedder.cfg.request_parallelism,
+                                      store=stores["embedder"])
         for i, seg in enumerate(segments):
             try:
                 if seg.text in failed:
@@ -303,10 +311,10 @@ def _prepare(
         texts = [segments[i].text for i in live]
         texts += [r.entry.text for i in live for r in hits.get(i, ())]
         drafter = clients["drafter"]
-        replayed["drafter"] = len(replies.keys() & texts)
+        replayed["drafter"] = len(stores["drafter"].keys() & texts)
         drafts, failed = map_batches(lambda batch: drafter.translate(batch)[0], texts,
                                      drafter.cfg.max_batch, cfg.fail_fast,
-                                     drafter.cfg.request_parallelism, store=replies)
+                                     drafter.cfg.request_parallelism, store=stores["drafter"])
         for i in live:
             seg = segments[i]
             bad = [t for t in [seg.text] + [r.entry.text for r in hits.get(i, ())]
@@ -384,11 +392,10 @@ def translate_corpus(
     pairs: list[ParallelPair],
     index: VectorIndex | None = None,
     runs_root: str | Path = "runs",
-    temperatures: list[float] | None = None,
     force: bool = False,
 ) -> list[RunResult]:
-    """Translate every pair; one run directory per requested temperature."""
-    cfgs = sweep_configs(cfg, temperatures)  # before stages 1-3 send a request
+    """Translate every pair into the run directory ``runs_root/run_id``;
+    returns its one ``RunResult``."""
     if cfg.condition == RAG and index is None:
         raise ValueError("rag condition requires a loaded index")
     if cfg.condition == RAG and cfg.endpoints["embedder"].model_id != index.model_id:
@@ -396,26 +403,17 @@ def translate_corpus(
                          f"{index.model_id!r}, the model the index was built with")
     if cfg.condition == RAG and not len(index):
         raise ReftaError("the index holds no row, so a rag run would retrieve nothing")
-    suffixes = [""] if len(cfgs) == 1 else [f"-t{c.temperature}" for c in cfgs]
-    run_dirs = [Path(runs_root) / f"{cfg.run_id}{suffix}" for suffix in suffixes]
+    run_dir = Path(runs_root) / cfg.run_id
     make_dir(runs_root)  # an unusable location is refused before any request
-    for run_dir in run_dirs:
-        if run_dir.exists() and not run_dir.is_dir():
-            raise ReftaError(f"run directory {run_dir} exists and is not a directory")
-        if (run_dir / "records.jsonl").exists() and not force:
-            raise ReftaError(f"run directory {run_dir} already holds records; use force")
+    if run_dir.exists() and not run_dir.is_dir():
+        raise ReftaError(f"run directory {run_dir} exists and is not a directory")
+    if (run_dir / "records.jsonl").exists() and not force:
+        raise ReftaError(f"run directory {run_dir} already holds records; use force")
 
-    stores = {role: _Replies(runs_root, role, ep)
-              for role, ep in cfg.endpoints.items() if role in ("drafter", "refiner")}
-    t0 = time.perf_counter()
+    stores = {role: _Replies(runs_root, role, ep) for role, ep in cfg.endpoints.items()}
     clients = {role: _CLIENT_CLASSES[role](ep) for role, ep in cfg.endpoints.items()}
     try:
-        preps, replayed = _prepare(cfg, [p.source for p in pairs], index, clients,
-                                   stores.get("drafter"))
-        prepare_ms = _ms_since(t0)
-        return [_run_one(run_cfg, pairs, preps, prepare_ms, run_dir, clients,
-                         stores["refiner"], replayed)
-                for run_cfg, run_dir in zip(cfgs, run_dirs)]
+        return [_run_one(cfg, pairs, index, run_dir, clients, stores)]
     finally:
         for opened in [*clients.values(), *(store.file for store in stores.values())]:
             opened.close()
@@ -424,16 +422,15 @@ def translate_corpus(
 def _run_one(
     cfg: RunConfig,
     pairs: list[ParallelPair],
-    preps: list[_Prepared],
-    prepare_ms: float,
+    index: VectorIndex | None,
     run_dir: Path,
     clients: dict,
-    replies: _Replies,
-    replayed: dict,
+    stores: dict,
 ) -> RunResult:
     started = _now_iso()
     t0 = time.perf_counter()
-    n, refiner = len(pairs), clients["refiner"]
+    preps, replayed = _prepare(cfg, [p.source for p in pairs], index, clients, stores)
+    n, refiner, replies = len(pairs), clients["refiner"], stores["refiner"]
     errors = [p.error for p in preps]
     prompts, bodies = {}, {}  # segment -> (key, prompt); key -> (request, body)
     for i in [i for i in range(n) if preps[i].error is None]:
@@ -452,7 +449,7 @@ def _run_one(
         key = hashlib.sha256(body).hexdigest()
         bodies[key] = (req, body)
         prompts[i] = key, (bundle, assembled, _ms_since(t_segment))
-    replayed = {**replayed, "refiner": len(replies.keys() & bodies.keys())}
+    replayed["refiner"] = len(replies.keys() & bodies.keys())
     served, failed = map_batches(lambda keys: [refiner.complete(*bodies[k]) for k in keys],
                                  list(bodies), 1, cfg.fail_fast, cfg.workers, store=replies)
     records = [None] * n
@@ -463,7 +460,7 @@ def _run_one(
                 raise errors[i]
         elif key in served:
             records[i] = translate_segment(cfg, pairs[i].source, preps[i], prompt, served[key])
-    wall_ms = round(prepare_ms + _ms_since(t0), 3)
+    wall_ms = round(_ms_since(t0), 3)
 
     failures = [
         {"index": i, "segment_id": exc.segment_id, "stage": exc.stage, "error": str(exc.cause)}

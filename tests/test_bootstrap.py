@@ -10,7 +10,9 @@ from refta import kernels
 from refta.metrics.bootstrap import paired_bootstrap
 from refta.metrics.bleu import BleuMetric
 from refta.metrics.chrf import ChrfPPMetric
-from refta.metrics.report import MeanMetric
+from refta.metrics.report import (
+    SIGNIFICANCE_ALPHA, MeanMetric, RunComparison, format_comparison_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +135,22 @@ def test_p_value_is_half_a_centred_two_sided_p(seed):
     deltas = metric.corpus_scores(sums_a) - metric.corpus_scores(sums_b)
     two_sided = float(np.mean(np.abs(deltas - res.delta) >= abs(res.delta)))
     assert abs(res.p_value - two_sided / 2) <= 0.03
+
+
+def test_the_compare_marker_fires_at_alpha_under_the_null():
+    # 400 null pairs at n = 100: each system is a shared segment quality plus
+    # its own noise, so the true delta is 0 and a two-sided test at alpha
+    # marks about alpha of them
+    pairs, n = 400, 100
+    rows, significance = [{"run": "base", "is_baseline": True, "scores": {"m": 0.0}}], []
+    for j in range(pairs):
+        rng = np.random.default_rng(j)
+        quality = rng.normal(0.0, 1.0, n)
+        a, b = (_neural_stats(quality + rng.normal(0.0, 0.5, n)) for _ in range(2))
+        (sig,) = paired_bootstrap(MeanMetric("m"), {f"s{j}": a}, b, seed=j, baseline="base")
+        rows.append({"run": f"s{j}", "is_baseline": False, "scores": {"m": sig.delta}})
+        significance.append(sig)
+    table = format_comparison_table(RunComparison("base", "", 0, rows, significance))
+    marked = [line for line in table.splitlines() if line.startswith("s") and line.endswith("*")]
+    bound = SIGNIFICANCE_ALPHA * pairs + 2 * (pairs * SIGNIFICANCE_ALPHA * 0.95) ** 0.5
+    assert len(marked) <= bound

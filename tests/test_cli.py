@@ -314,10 +314,10 @@ class TestTranslate:
     @pytest.mark.parametrize("condition, extra", [
         ("draft_only", ["--max-output-tokens", "9000"]),
         ("draft_only", ["--top-p", "0"]),
-        ("zero_shot", ["--temp", "0.0", "--temp", "3.0"]),
+        ("zero_shot", ["--temperature", "3.0"]),
         ("rag", ["--candidate-pool", "2", "--k", "5"]),
         ("zero_shot", ["--timeout", "0"]),
-        ("zero_shot", ["--temp", "0.5", "--temp", "0.50"]),
+        ("zero_shot", ["--temp", "0.5"]),  # refused, so no old sweep shrinks to one run
         ("draft_only", ["--input-budget", "71"]),
         ("zero_shot", ["--timeout", "nan"]),
         ("zero_shot", ["--timeout", "inf"]),
@@ -430,12 +430,12 @@ class TestTranslate:
         assert result.exit_code == 0, result.output
         assert 4 < mock_server.stats.snapshot()["max_concurrency"]["/v1/chat/completions"] <= 8
 
-    def test_two_temperatures_two_dirs(self, runner, workspace, mock_server):
+    def test_temperature_is_the_run_temperature(self, runner, workspace, mock_server):
         result = _translate(runner, workspace, mock_server.base_url, "zero_shot",
-                            extra=["--temp", "0.0", "--temp", "0.5"], run_id="sweep")
+                            extra=["--temperature", "0.5"], run_id="warm")
         assert result.exit_code == 0, result.output
-        assert (workspace / "runs" / "sweep-t0.0").is_dir()
-        assert (workspace / "runs" / "sweep-t0.5").is_dir()
+        manifest = json.loads((workspace / "runs" / "warm" / "manifest.json").read_text())
+        assert manifest["temperature"] == manifest["config"]["temperature"] == 0.5
 
     def test_manifest_names_only_the_backends_the_condition_calls(self, runner, workspace,
                                                                   mock_server):

@@ -44,6 +44,7 @@ class _World:
         self.server, self.index, self.pairs, self.roots = server, index, pairs, roots
         self._free: dict = {}
         self.drafted: list = []  # the texts of every draft the drafter served
+        self.embedded: list = []  # the texts of every vector the embedder served
         self.refined: list = []  # one entry per chat reply the refiner served
 
     def run(self, condition, parallelism, max_batch, max_retries, fail_fast,
@@ -51,11 +52,13 @@ class _World:
         """``translate_corpus`` on a freshly reset mock, in ``root`` (a new
         runs root when None, else over what runs there); returns the run's
         directory, or the ``PipelineError`` it raised, and the mock's counts
-        with the texts drafted and the number of chat replies served."""
+        with the texts drafted and embedded and the number of chat replies
+        served."""
         self.server.behavior.fail_rate = fail_rate
         self.server.behavior.fail_status = fail_status
         self.server.stats.reset()
         self.drafted.clear()
+        self.embedded.clear()
         self.refined.clear()
         endpoints = {role: EndpointConfig(
             base_url=self.server.base_url, model_id=f"mock-{role}", timeout=10.0,
@@ -73,7 +76,8 @@ class _World:
             assert force or not (root / RUN_ID).exists()
             outcome = exc
         return outcome, {**self.server.stats.snapshot(), "root": root,
-                         "drafted": set(self.drafted), "refined": len(self.refined)}
+                         "drafted": set(self.drafted), "embedded": set(self.embedded),
+                         "refined": len(self.refined)}
 
     def fault_free(self, condition, max_batch):
         """Each segment's record, and the mock's counts, with faults off."""
@@ -108,6 +112,8 @@ def world(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DrafterClient, "translate",
                       _served(DrafterClient.translate, world.drafted, lambda texts: texts))
+        patch.setattr(EmbedderClient, "embed",
+                      _served(EmbedderClient.embed, world.embedded, lambda texts: texts))
         patch.setattr(RefinerClient, "complete",
                       _served(RefinerClient.complete, world.refined, lambda req: [req]))
         yield world
@@ -171,8 +177,8 @@ def test_a_run_accounts_for_every_segment_or_fails_loudly(
     resumed, again = world.run(condition, parallelism, max_batch, max_retries, fail_fast,
                                root=stats["root"])
     assert _failed(resumed, world.pairs, free_records) == set()
+    assert again["embedded"] == free_stats["embedded"] - stats["embedded"]
+    assert again["inputs"].get("/embed", 0) == len(again["embedded"])
     assert again["drafted"] == free_stats["drafted"] - stats["drafted"]
     assert again["inputs"].get("/translate", 0) == len(again["drafted"])
     assert again["counts"].get(CHAT, 0) == SEGMENTS - stats["refined"]
-    for counted in ("counts", "inputs"):  # query embeddings are not stored
-        assert again[counted].get("/embed") == free_stats[counted].get("/embed")

@@ -304,15 +304,23 @@ class TestDraftUnion:
         assert snap["counts"]["/embed"] == math.ceil(8 / 3)
 
     def test_temperature_sweep_shares_drafts(self, stack, tmp_path):
+        # a run at a second temperature pays only for its chat replies
         endpoints, index, server = stack
         pairs = _pairs(4)
-        results = translate_corpus(_config(endpoints, "rag"), pairs, index,
-                                   runs_root=tmp_path, temperatures=[0.0, 0.5])
-        union = _drafted_union(read_records(results[0].run_dir), pairs)
+        (first,) = translate_corpus(_config(endpoints, "rag", run_id="t0.0"), pairs, index,
+                                    runs_root=tmp_path)
+        union = _drafted_union(read_records(first.run_dir), pairs)
         snap = server.stats.snapshot()
         assert snap["inputs"]["/translate"] == len(union)
         assert snap["inputs"]["/embed"] == 4
-        assert snap["counts"]["/v1/chat/completions"] == 8
+        server.stats.reset()
+        (second,) = translate_corpus(_config(endpoints, "rag", run_id="t0.5", temperature=0.5),
+                                     pairs, index, runs_root=tmp_path)
+        assert server.stats.snapshot()["counts"] == {"/v1/chat/completions": 4}
+        neighbors = [[nb["segment_id"] for nb in rec["neighbors"]]
+                     for rec in read_records(second.run_dir)]
+        assert neighbors == [[nb["segment_id"] for nb in rec["neighbors"]]
+                             for rec in read_records(first.run_dir)]
 
 
 @pytest.fixture()
@@ -542,8 +550,9 @@ class TestTranslateCorpus:
         monkeypatch.setattr(RefinerClient, "_send", second_reply_has_crlf)
         pairs = _pairs(3)
         cfg = _config(endpoints, "zero_shot", workers=1)
-        crlf, other = translate_corpus(cfg, pairs, None, runs_root=tmp_path,
-                                       temperatures=[0.0, 0.5])
+        (crlf,) = translate_corpus(cfg, pairs, None, runs_root=tmp_path)
+        (other,) = translate_corpus(replace(cfg, run_id="other", temperature=0.5), pairs, None,
+                                    runs_root=tmp_path)
         hyps = read_hypotheses(crlf.run_dir)
         assert len(hyps) == 3 and hyps[1] == "first line second line"
         assert compare_runs([crlf.run_dir], pairs, other.run_dir).baseline == other.run_dir.name
@@ -646,31 +655,10 @@ class TestTranslateCorpus:
             translate_corpus(cfg, _pairs(2), None, runs_root=tmp_path)
         translate_corpus(cfg, _pairs(2), None, runs_root=tmp_path, force=True)
 
-    def test_temperature_sweep_directories(self, stack, tmp_path):
-        endpoints, index, _ = stack
-        cfg = _config(endpoints, "zero_shot")
-        results = translate_corpus(cfg, _pairs(2), None, runs_root=tmp_path,
-                                   temperatures=[0.0, 0.5])
-        names = sorted(r.run_dir.name for r in results)
-        assert names == ["test-run-t0.0", "test-run-t0.5"]
-        assert read_manifest(results[1].run_dir)["temperature"] == 0.5
-
     def test_bad_sweep_temperature_refused_before_any_request(self, stack, tmp_path):
         endpoints, index, server = stack
-        cfg = _config(endpoints, "draft_only")
         with pytest.raises(ValueError, match="temperature"):
-            translate_corpus(cfg, _pairs(2), None, runs_root=tmp_path,
-                             temperatures=[0.0, 3.0])
-        assert server.stats.snapshot()["counts"] == {}
-
-    @pytest.mark.parametrize("temps", [[0.5, 0.5], [1, 1.0]])
-    def test_repeated_sweep_temperature_refused_before_any_request(self, stack, tmp_path,
-                                                                   temps):
-        # both runs would write one directory and pay the refiner twice
-        endpoints, index, server = stack
-        cfg = _config(endpoints, "zero_shot")
-        with pytest.raises(ValueError, match="must differ"):
-            translate_corpus(cfg, _pairs(2), None, runs_root=tmp_path, temperatures=temps)
+            _config(endpoints, "draft_only", temperature=3.0)
         assert server.stats.snapshot()["counts"] == {}
         assert list(tmp_path.iterdir()) == []
 
@@ -743,17 +731,23 @@ class TestStagesAtRequestParallelism:
         parallelism = small["drafter"].request_parallelism
         assert (reached["/embed"], reached["/translate"]) == (parallelism, parallelism)
 
-    def test_fail_fast_pays_and_stores_only_the_calls_in_flight(self, stack, tmp_path,
-                                                                monkeypatch):
-        endpoints, _, _ = stack
-        # faults keyed by the request: of the first four batches of four
-        # sources, this seed fails only the first, in whatever order they arrive
-        faulty = start_mock_server(MockBehavior(fail_rate=0.3, seed=0))
+    # faults keyed by the request: of the first four batches of four sources
+    # to the role's path, each seed fails only the first, in whatever order
+    # they arrive
+    @pytest.mark.parametrize("role, condition, seed, stage", [
+        ("drafter", "draft_only", 0, "draft"),
+        ("embedder", "rag", 4, "retrieve"),
+    ], ids=["drafter", "embedder"])
+    def test_fail_fast_pays_and_stores_only_the_calls_in_flight(
+            self, stack, tmp_path, monkeypatch, role, condition, seed, stage):
+        endpoints, index, _ = stack
+        cls, method, path = {"drafter": (DrafterClient, "translate", "/translate"),
+                             "embedder": (EmbedderClient, "embed", "/embed")}[role]
+        faulty = start_mock_server(MockBehavior(fail_rate=0.3, seed=seed))
         try:
-            drafter = replace(endpoints["drafter"], base_url=faulty.base_url, max_batch=4,
-                              max_retries=0)
-            cfg = _config({**endpoints, "drafter": drafter}, "draft_only", fail_fast=True)
-            failed_once, original = threading.Event(), DrafterClient.translate
+            ep = replace(endpoints[role], base_url=faulty.base_url, max_batch=4, max_retries=0)
+            cfg = _config({**endpoints, role: ep}, condition, fail_fast=True)
+            failed_once, original, paid = threading.Event(), getattr(cls, method), []
 
             def failure_taken_first(self, texts):
                 try:
@@ -763,30 +757,32 @@ class TestStagesAtRequestParallelism:
                     raise
                 failed_once.wait(timeout=10)
                 time.sleep(0.05)  # the failed batch is taken before any reply
+                paid.extend(texts)
                 return out
 
-            monkeypatch.setattr(DrafterClient, "translate", failure_taken_first)
+            monkeypatch.setattr(cls, method, failure_taken_first)
             pairs = _pairs(40)
             with pytest.raises(PipelineError) as raised:
-                translate_corpus(cfg, pairs, None, runs_root=tmp_path)
-            assert (raised.value.stage, raised.value.segment_id) == ("draft", "ood000")
+                translate_corpus(cfg, pairs, index, runs_root=tmp_path)
+            assert (raised.value.stage, raised.value.segment_id) == (stage, "ood000")
             snap = faulty.stats.snapshot()
-            p = drafter.request_parallelism
-            assert snap["failures_injected"]["/translate"] == 1
+            p = ep.request_parallelism
+            assert snap["failures_injected"][path] == 1
             # the first p batches went out together; none after the failure was taken
-            assert snap["counts"]["/translate"] == p
-            paid = snap["inputs"]["/translate"] - drafter.max_batch
+            assert snap["counts"][path] == p
             stored = {json.loads(line)["key"]
-                      for path in (tmp_path / REPLIES_DIR).glob("drafter-*")
-                      for line in path.read_text().splitlines()}
-            assert paid == len(stored) == (p - 1) * drafter.max_batch
-            monkeypatch.setattr(DrafterClient, "translate", original)
+                      for rows in (tmp_path / REPLIES_DIR).glob(f"{role}-*")
+                      for line in rows.read_text().splitlines()}
+            assert stored == set(paid)
+            assert len(stored) == snap["inputs"][path] - ep.max_batch == (p - 1) * ep.max_batch
+            monkeypatch.setattr(cls, method, original)
 
             faulty.behavior.fail_rate = 0.0
             faulty.stats.reset()
-            (result,) = translate_corpus(replace(cfg, fail_fast=False), pairs, None,
+            (result,) = translate_corpus(replace(cfg, fail_fast=False), pairs, index,
                                          runs_root=tmp_path)
             assert result.failed == 0
-            assert faulty.stats.snapshot()["inputs"]["/translate"] == len(pairs) - len(stored)
+            assert faulty.stats.snapshot()["inputs"][path] == len(pairs) - len(stored)
+            assert read_manifest(result.run_dir)["replayed"][role] == len(stored)
         finally:
             faulty.stop()

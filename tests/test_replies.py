@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import sys
 import threading
+from base64 import b64decode
 from dataclasses import replace
 
 import pytest
@@ -180,9 +181,11 @@ def test_a_failed_refine_leaves_no_row(tmp_path, pairs):
 
 
 def test_a_refused_run_leaves_no_store(tmp_path, server, pairs):
-    with pytest.raises(ValueError, match="differ"):
-        translate_corpus(_config(server, "zero_shot"), pairs[:4], runs_root=tmp_path,
-                         temperatures=[0.5, 0.5])
+    cfg = _config(server, "rag")
+    embedder = replace(cfg.endpoints["embedder"], model_id="another-embedder")
+    with pytest.raises(ValueError, match="the model the index was built with"):
+        translate_corpus(replace(cfg, endpoints={**cfg.endpoints, "embedder": embedder}),
+                         pairs[:4], _index(server), runs_root=tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -229,8 +232,10 @@ def test_a_changed_seed_or_temperature_is_a_miss(tmp_path, server, pairs, change
 def test_each_run_of_a_sweep_counts_its_own_replays(tmp_path, server, pairs):
     translate_corpus(_config(server, "draft_only"), pairs[:6], runs_root=tmp_path)
     server.stats.reset()
-    cold, warm = translate_corpus(_config(server, "draft_only", run_id="sweep"), pairs[:6],
-                                  runs_root=tmp_path, temperatures=[0.5, 0.0])
+    (cold,) = translate_corpus(_config(server, "draft_only", run_id="t0.5", temperature=0.5),
+                               pairs[:6], runs_root=tmp_path)
+    (warm,) = translate_corpus(_config(server, "draft_only", run_id="t0.0"), pairs[:6],
+                               runs_root=tmp_path)
     assert server.stats.snapshot()["counts"] == {CHAT: 6}
     assert read_manifest(cold.run_dir)["replayed"] == {"drafter": 6, "refiner": 0}
     assert read_manifest(warm.run_dir)["replayed"] == {"drafter": 6, "refiner": 6}
@@ -247,7 +252,7 @@ def _index(server):
     return index
 
 
-def test_a_second_identical_run_sends_no_draft_or_chat_request(tmp_path, server, pairs):
+def test_a_second_identical_run_sends_no_request(tmp_path, server, pairs):
     index = _index(server)
     cfg = _config(server, "rag")
     server.stats.reset()
@@ -255,17 +260,18 @@ def test_a_second_identical_run_sends_no_draft_or_chat_request(tmp_path, server,
     paid = server.stats.snapshot()
     server.stats.reset()
     (again,) = translate_corpus(cfg, pairs[:12], index, runs_root=tmp_path, force=True)
-    stats = server.stats.snapshot()
-    assert stats["counts"] == {"/embed": paid["counts"]["/embed"]}  # queries stay unstored
+    assert server.stats.snapshot()["counts"] == {}
+    # the replayed query vectors are the paid ones, bit for bit, so are the cosines
     assert _comparable(again.run_dir) == _comparable(first.run_dir)
     assert read_manifest(again.run_dir)["replayed"] == {
-        "drafter": paid["inputs"]["/translate"], "refiner": 12}
+        "drafter": paid["inputs"]["/translate"], "embedder": 12, "refiner": 12}
     manifest = read_manifest(again.run_dir)
     assert manifest["tokens"] == read_manifest(first.run_dir)["tokens"]
     for rec in read_records(again.run_dir):
         assert rec["timings_ms"]["refine"] == rec["timings_ms"]["draft"] == 0.0
         assert rec["timings_ms"]["neighbor_drafts"] == 0.0
-    endpoint_ids = {role: f"mock/{role}\0{server.base_url}" for role in ("drafter", "refiner")}
+    endpoint_ids = {role: f"mock/{role}\0{server.base_url}"
+                    for role in ("drafter", "refiner", "embedder")}
     assert set(_store_files(tmp_path)) == {
         f"{role}-{hashlib.sha256(endpoint_id.encode()).hexdigest()}.jsonl"
         for role, endpoint_id in endpoint_ids.items()}
@@ -283,7 +289,7 @@ def test_every_store_append_runs_on_the_calling_thread(tmp_path, server, pairs, 
     cfg = _config(server, "rag", workers=4)  # request_parallelism 4 for every role
     assert {ep.request_parallelism for ep in cfg.endpoints.values()} == {4}
     translate_corpus(cfg, pairs, index, runs_root=tmp_path)
-    assert [len(rows) > 0 for rows in _store_files(tmp_path).values()] == [True, True]
+    assert [len(rows) > 0 for rows in _store_files(tmp_path).values()] == [True] * 3
     assert set(threads) == {threading.get_ident()}
 
 
@@ -373,18 +379,37 @@ def test_under_fail_fast_a_prompt_over_the_budget_costs_no_request(tmp_path, pai
     assert not (tmp_path / "zero_shot").exists()
 
 
-@pytest.mark.parametrize("line", [b"not json", b"[1, 2]", b'{"key": "\xff", "text": "t"}',
-                                  b'{"key": "k", "text": "t"}', b'{"key": "k", "text": ""}'],
-                         ids=["not-json", "not-an-object", "not-utf8", "no-usage", "no-text"])
+@pytest.mark.parametrize("role, line", [
+    ("refiner", b"not json"), ("refiner", b"[1, 2]"), ("refiner", b'{"key": "\xff", "text": "t"}'),
+    ("refiner", b'{"key": "k", "text": "t"}'), ("refiner", b'{"key": "k", "text": ""}'),
+    ("embedder", b'{"key": "k", "vector": "not base64!"}'),
+    ("embedder", b'{"key": "k", "vector": "AAA="}'),
+    ("embedder", b'{"key": "k", "vector": ""}'), ("embedder", b'{"key": "k", "text": "t"}'),
+], ids=["not-json", "not-an-object", "not-utf8", "no-usage", "no-text", "vector-not-base64",
+        "vector-not-float32", "vector-empty", "no-vector"])
 def test_a_store_row_that_is_not_a_reply_is_refused_before_any_request(tmp_path, server,
-                                                                        pairs, line):
-    translate_corpus(_config(server, "zero_shot"), pairs[:2], runs_root=tmp_path)
-    (path,) = (tmp_path / REPLIES_DIR).iterdir()
+                                                                        pairs, role, line):
+    condition, index = ("rag", _index(server)) if role == "embedder" else ("zero_shot", None)
+    translate_corpus(_config(server, condition), pairs[:2], index, runs_root=tmp_path)
+    (path,) = (tmp_path / REPLIES_DIR).glob(f"{role}-*")
     first, rest = path.read_bytes().split(b"\n", 1)
     path.write_bytes(first + b"\n" + line + b"\n" + rest)
     server.stats.reset()
     with pytest.raises(CorpusFormatError) as exc:
-        translate_corpus(_config(server, "zero_shot", run_id="next"), pairs[:2],
+        translate_corpus(_config(server, condition, run_id="next"), pairs[:2], index,
                          runs_root=tmp_path)
     assert (exc.value.path, exc.value.line_no) == (str(path), 2)
     assert server.stats.snapshot()["counts"] == {}
+
+
+def test_an_embedder_row_holds_the_row_the_embedder_served(tmp_path, server, pairs):
+    translate_corpus(_config(server, "rag"), pairs[:6], _index(server), runs_root=tmp_path)
+    (rows,) = [rows for name, rows in _store_files(tmp_path).items()
+               if name.startswith("embedder-")]
+    assert sorted(row["key"] for row in rows) == sorted(p.source.text for p in pairs[:6])
+    embedder = EmbedderClient(EndpointConfig(base_url=server.base_url,
+                                             model_id="mock/embedder", timeout=10.0))
+    served = embedder.embed([row["key"] for row in rows])
+    embedder.close()
+    assert [b64decode(row["vector"]) for row in rows] == [v.astype("<f4").tobytes()
+                                                          for v in served]
