@@ -306,13 +306,11 @@ def cmd_translate(test_set, index_dir, runs_root, drafter_url, refiner_url,
         raise click.UsageError(str(exc)) from exc
 
     pairs = load_parallel(*test_set)
-    results = translate_corpus(cfg, pairs, index, runs_root=runs_root, force=force)
-    payload = [{**vars(r), "run_dir": str(r.run_dir)} for r in results]
-    _emit(as_json, payload, (
-        f"{row['run_dir']} (temp {row['temperature']}): "
-        f"{row['succeeded']} ok, {row['failed']} failed" for row in payload
-    ))
-    if any(r.failed for r in results):
+    (result,) = translate_corpus(cfg, pairs, index, runs_root=runs_root, force=force)
+    _emit(as_json, {**vars(result), "run_dir": str(result.run_dir)}, [
+        f"{result.run_dir} (temp {cfg.temperature}): {result.succeeded} ok, {result.failed} failed"
+    ])
+    if result.failed:
         sys.exit(1)
 
 

@@ -11,16 +11,19 @@ each over the whole test set:
 
 Stages 1, 3 and 4 send through ``backends.map_batches``, one rule for what a
 failed request means and for the reply store under the runs root (``_Replies``):
-each sends only the texts and chat requests the store lacks, and the calling
-thread stores each batch paid for as it takes the reply (a failed one never),
-so a run that stopped part-way is resumed by running it again, and a run at
+each sends only the texts and chat requests the store lacks (a stored query
+vector whose size is not the index's is a miss), and the calling thread
+stores each batch paid for as it takes the reply (a failed one never), so a
+run that stopped part-way is resumed by running it again, and a run at
 another temperature pays only for stage 4. Stages 1 and 3 send requests of
 at most ``max_batch`` inputs, their endpoint's ``request_parallelism`` in
-flight, and stage 4 one prompt per request. A
-batch of several inputs rejected with ``RequestError``/``ProtocolError`` is
-resent one input per request; a rejected one-input batch, or one that
-exhausts its transport retries, fails every segment it carried. A segment
-that fails retrieval is not drafted. Under ``fail_fast`` a prompt over the
+flight, and stage 4 one prompt per request. A batch of several inputs
+rejected with ``RequestError``/``ProtocolError`` is resent one input per
+request; a rejected one-input batch, or one that exhausts its transport
+retries, fails every segment it carried. One rule (``_fail``) fails a
+segment at any stage: it gets a ``PipelineError`` naming the stage and cause
+and goes no further (a segment that fails retrieval is not drafted); under
+``fail_fast`` that error is raised ``from`` its cause, so a prompt over the
 budget ends the run before stage 4 sends a request, a stage sends no request
 after it takes its first failed one (the rest of its p calls in flight are
 served and stored), and the run leaves no directory.
@@ -258,12 +261,20 @@ class _Replies(dict):
 
 @dataclass
 class _Prepared:
-    """One segment's stage 1-3 outputs, or the error that ended it there."""
+    """One segment's stage 1-3 outputs."""
 
     draft: str | None = None
     neighbors: tuple[NeighborExample, ...] = ()
     timings_ms: dict = field(default_factory=dict)
-    error: PipelineError | None = None
+
+
+def _fail(errors: list, i: int, stage: str, segment: SourceSegment, cause: Exception,
+          fail_fast: bool) -> None:
+    """The one failure rule: ``errors[i]`` holds segment ``i``'s ``PipelineError``,
+    which under ``fail_fast`` is raised, chained from ``cause``."""
+    errors[i] = PipelineError(stage, segment.id, cause)
+    if fail_fast:
+        raise errors[i] from cause
 
 
 def _prepare(
@@ -272,18 +283,21 @@ def _prepare(
     index: VectorIndex | None,
     clients: dict,
     stores: dict,
+    errors: list,
 ) -> tuple[list[_Prepared], dict]:
     """Stages 1-3 for every segment, and the distinct texts each of their
-    roles replayed from its store (empty for zero_shot). A failure is kept on
-    its segment, or under ``fail_fast`` raised for the first segment a failed
-    request carried. Every stage 3 failure is found before any draft is
-    attached: under ``fail_fast`` earlier segments may name neighbors never
-    drafted."""
+    roles replayed from its store (empty for zero_shot). A failure goes
+    through ``_fail``, so under ``fail_fast`` it is raised for the first
+    segment a failed request carried. Every stage 3 failure is found before
+    any draft is attached: under ``fail_fast`` earlier segments may name
+    neighbors never drafted."""
     preps = [_Prepared() for _ in segments]
     hits: dict[int, list] = {}
     replayed = {}
     if cfg.condition == RAG:
         embedder, texts = clients["embedder"], [s.text for s in segments]
+        for text in [t for t, vector in stores["embedder"].items() if vector.size != index.dim]:
+            del stores["embedder"][text]  # served at another dimension: a miss, paid again
         replayed["embedder"] = len(stores["embedder"].keys() & texts)
         vectors, failed = map_batches(embedder.embed, texts, embedder.cfg.max_batch,
                                       cfg.fail_fast, embedder.cfg.request_parallelism,
@@ -302,12 +316,10 @@ def _prepare(
                 )
                 preps[i].timings_ms["retrieve"] = round(embed_ms + _ms_since(t0), 3)
             except ReftaError as exc:
-                preps[i].error = PipelineError("retrieve", seg.id, exc)
-                if cfg.fail_fast:
-                    raise preps[i].error from exc
+                _fail(errors, i, "retrieve", seg, exc, cfg.fail_fast)
 
     if cfg.condition != ZERO_SHOT:
-        live = [i for i, prep in enumerate(preps) if prep.error is None]
+        live = [i for i in range(len(segments)) if errors[i] is None]
         texts = [segments[i].text for i in live]
         texts += [r.entry.text for i in live for r in hits.get(i, ())]
         drafter = clients["drafter"]
@@ -320,11 +332,9 @@ def _prepare(
             bad = [t for t in [seg.text] + [r.entry.text for r in hits.get(i, ())]
                    if t in failed]
             if bad:
-                stage = "draft" if bad[0] == seg.text else "neighbor_drafts"
-                preps[i].error = PipelineError(stage, seg.id, failed[bad[0]])
-                if cfg.fail_fast:
-                    raise preps[i].error
-        for i in [i for i in live if preps[i].error is None]:
+                _fail(errors, i, "draft" if bad[0] == seg.text else "neighbor_drafts", seg,
+                      failed[bad[0]], cfg.fail_fast)
+        for i in [i for i in live if errors[i] is None]:
             prep = preps[i]
             prep.draft, draft_ms = drafts[segments[i].text]
             prep.timings_ms["draft"] = round(draft_ms, 3)
@@ -382,7 +392,6 @@ def corpus_digest(pairs: list[ParallelPair]) -> str:
 @dataclass
 class RunResult:
     run_dir: Path
-    temperature: float
     succeeded: int
     failed: int
 
@@ -412,55 +421,38 @@ def translate_corpus(
 
     stores = {role: _Replies(runs_root, role, ep) for role, ep in cfg.endpoints.items()}
     clients = {role: _CLIENT_CLASSES[role](ep) for role, ep in cfg.endpoints.items()}
+    started, t0 = _now_iso(), time.perf_counter()
+    n, errors = len(pairs), [None] * len(pairs)  # segment -> its PipelineError, from _fail
     try:
-        return [_run_one(cfg, pairs, index, run_dir, clients, stores)]
+        preps, replayed = _prepare(cfg, [p.source for p in pairs], index, clients, stores, errors)
+        refiner, replies = clients["refiner"], stores["refiner"]
+        prompts, bodies = {}, {}  # segment -> (key, prompt); key -> (request, body)
+        for i in [i for i in range(n) if errors[i] is None]:
+            segment, assembled, t_segment = pairs[i].source, _now_iso(), time.perf_counter()
+            try:
+                bundle = assemble_prompt(latin=segment.text, draft=preps[i].draft,
+                                         neighbors=preps[i].neighbors, condition=cfg.condition,
+                                         budget_ceiling=cfg.input_budget)
+            except ReftaError as exc:
+                _fail(errors, i, "assemble", segment, exc, cfg.fail_fast)
+                continue
+            req = cfg.chat_request(bundle.system_text, bundle.user_text)
+            body = canonical_json(refiner.build_payload(req)).encode("utf-8")
+            key = hashlib.sha256(body).hexdigest()
+            bodies[key] = (req, body)
+            prompts[i] = key, (bundle, assembled, _ms_since(t_segment))
+        replayed["refiner"] = len(replies.keys() & bodies.keys())
+        served, failed = map_batches(lambda keys: [refiner.complete(*bodies[k]) for k in keys],
+                                     list(bodies), 1, cfg.fail_fast, cfg.workers, store=replies)
     finally:
         for opened in [*clients.values(), *(store.file for store in stores.values())]:
             opened.close()
-
-
-def _run_one(
-    cfg: RunConfig,
-    pairs: list[ParallelPair],
-    index: VectorIndex | None,
-    run_dir: Path,
-    clients: dict,
-    stores: dict,
-) -> RunResult:
-    started = _now_iso()
-    t0 = time.perf_counter()
-    preps, replayed = _prepare(cfg, [p.source for p in pairs], index, clients, stores)
-    n, refiner, replies = len(pairs), clients["refiner"], stores["refiner"]
-    errors = [p.error for p in preps]
-    prompts, bodies = {}, {}  # segment -> (key, prompt); key -> (request, body)
-    for i in [i for i in range(n) if preps[i].error is None]:
-        segment, assembled, t_segment = pairs[i].source, _now_iso(), time.perf_counter()
-        try:
-            bundle = assemble_prompt(latin=segment.text, draft=preps[i].draft,
-                                     neighbors=preps[i].neighbors, condition=cfg.condition,
-                                     budget_ceiling=cfg.input_budget)
-        except ReftaError as exc:
-            errors[i] = PipelineError("assemble", segment.id, exc)
-            if cfg.fail_fast:
-                raise errors[i] from exc
-            continue
-        req = cfg.chat_request(bundle.system_text, bundle.user_text)
-        body = canonical_json(refiner.build_payload(req)).encode("utf-8")
-        key = hashlib.sha256(body).hexdigest()
-        bodies[key] = (req, body)
-        prompts[i] = key, (bundle, assembled, _ms_since(t_segment))
-    replayed["refiner"] = len(replies.keys() & bodies.keys())
-    served, failed = map_batches(lambda keys: [refiner.complete(*bodies[k]) for k in keys],
-                                 list(bodies), 1, cfg.fail_fast, cfg.workers, store=replies)
     records = [None] * n
     for i, (key, prompt) in prompts.items():
         if key in failed:
-            errors[i] = PipelineError("refine", pairs[i].source.id, failed[key])
-            if cfg.fail_fast:
-                raise errors[i]
+            _fail(errors, i, "refine", pairs[i].source, failed[key], cfg.fail_fast)
         elif key in served:
             records[i] = translate_segment(cfg, pairs[i].source, preps[i], prompt, served[key])
-    wall_ms = round(_ms_since(t0), 3)
 
     failures = [
         {"index": i, "segment_id": exc.segment_id, "stage": exc.stage, "error": str(exc.cause)}
@@ -483,7 +475,7 @@ def _run_one(
             "output": sum(r.output_tokens for r in done),
         },
         "replayed": replayed,
-        "wall_time_ms": wall_ms,
+        "wall_time_ms": round(_ms_since(t0), 3),
     }
     run_dir.mkdir(parents=True, exist_ok=True)  # a run that fails before this leaves none
     for stale in (METRICS_FILE, COSTS_FILE):  # they describe the run this one replaces
@@ -498,7 +490,7 @@ def _run_one(
         run_dir / "manifest.json": lambda sums: [encode_json({**manifest, "checksums": dict(
             zip(("records.jsonl", "hypotheses.txt", "errors.jsonl"), sums))})],
     })
-    return RunResult(run_dir, cfg.temperature, len(done), len(failures))
+    return [RunResult(run_dir, len(done), len(failures))]
 
 
 def read_manifest(run_dir: str | Path) -> dict:

@@ -434,8 +434,25 @@ class TestTranslate:
         result = _translate(runner, workspace, mock_server.base_url, "zero_shot",
                             extra=["--temperature", "0.5"], run_id="warm")
         assert result.exit_code == 0, result.output
+        assert result.output.strip().endswith("(temp 0.5): 8 ok, 0 failed")
         manifest = json.loads((workspace / "runs" / "warm" / "manifest.json").read_text())
         assert manifest["temperature"] == manifest["config"]["temperature"] == 0.5
+
+    def test_json_prints_one_object_for_the_run(self, runner, workspace, mock_server):
+        result = _translate(runner, workspace, mock_server.base_url, "zero_shot",
+                            extra=["--json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout) == {
+            "run_dir": str(workspace / "runs" / "run1"), "succeeded": 8, "failed": 0}
+
+    def test_json_counts_failed_segments_and_exits_1(self, runner, workspace, mock_server):
+        mock_server.behavior.refiner = "empty"
+        result = _translate(runner, workspace, mock_server.base_url, "zero_shot",
+                            extra=["--json"])
+        assert result.exit_code == 1, result.output
+        payload = json.loads(result.stdout)
+        assert sorted(payload) == ["failed", "run_dir", "succeeded"]
+        assert payload["failed"] > 0
 
     def test_manifest_names_only_the_backends_the_condition_calls(self, runner, workspace,
                                                                   mock_server):

@@ -588,8 +588,9 @@ class TestTranslateCorpus:
         endpoints, _, server = stack
         server.behavior.refiner = "empty"
         cfg = _config(endpoints, "draft_only", fail_fast=True, workers=2)
-        with pytest.raises(ReftaError, match="refine"):
+        with pytest.raises(PipelineError, match="refine") as raised:
             translate_corpus(cfg, _pairs(40), None, runs_root=tmp_path)
+        assert raised.value.__cause__ is raised.value.cause
         # the first failed call, then at most one further call per worker
         assert server.stats.snapshot()["counts"]["/v1/chat/completions"] <= 1 + 2
 
@@ -597,7 +598,10 @@ class TestTranslateCorpus:
         ("draft_only", "drafter", 1, 1, "draft", "ood000"),
         ("rag", "drafter", 3, 3, "draft", "ood008"),
         ("rag", "embedder", 1, 1, "retrieve", "ood000"),
-    ], ids=["draft_only-first-draft", "rag-third-draft", "rag-first-embed"])
+        # the first drafter batch after the 5 of the 20 sources
+        ("rag", "drafter", 6, 6, "neighbor_drafts", "ood000"),
+    ], ids=["draft_only-first-draft", "rag-third-draft", "rag-first-embed",
+            "rag-first-neighbor-draft"])
     def test_fail_fast_sends_no_batch_after_a_failed_one(
             self, stack, tmp_path, monkeypatch, condition, role, failing, sent, stage,
             segment_id):
@@ -620,6 +624,7 @@ class TestTranslateCorpus:
         with pytest.raises(PipelineError) as raised:
             translate_corpus(cfg, _pairs(20), index, runs_root=tmp_path)
         assert (raised.value.stage, raised.value.segment_id) == (stage, segment_id)
+        assert raised.value.__cause__ is raised.value.cause
         assert len(calls) == sent
         assert not (tmp_path / cfg.run_id).exists()
 

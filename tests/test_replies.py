@@ -277,6 +277,20 @@ def test_a_second_identical_run_sends_no_request(tmp_path, server, pairs):
         for role, endpoint_id in endpoint_ids.items()}
 
 
+def test_a_stored_query_vector_of_another_size_is_paid_again(tmp_path, server, pairs):
+    cfg = _config(server, "rag")
+    translate_corpus(cfg, pairs[:6], _index(server), runs_root=tmp_path)
+    server.behavior.embed_dim = 32  # the same model id and URL now serve another size
+    index = _index(server)
+    server.stats.reset()
+    (result,) = translate_corpus(cfg, pairs[:6], index, runs_root=tmp_path, force=True)
+    assert (result.succeeded, result.failed) == (6, 0)
+    assert server.stats.snapshot()["inputs"]["/embed"] == 6
+    server.stats.reset()
+    translate_corpus(cfg, pairs[:6], index, runs_root=tmp_path, force=True)
+    assert server.stats.snapshot()["counts"] == {}  # the newer rows win on the next load
+
+
 def test_every_store_append_runs_on_the_calling_thread(tmp_path, server, pairs, monkeypatch):
     index = _index(server)
     append, threads = AppendFile.append, []
@@ -376,6 +390,7 @@ def test_under_fail_fast_a_prompt_over_the_budget_costs_no_request(tmp_path, pai
     finally:
         srv.stop()
     assert (raised.value.stage, raised.value.segment_id) == ("assemble", "long")
+    assert raised.value.__cause__ is raised.value.cause
     assert not (tmp_path / "zero_shot").exists()
 
 
