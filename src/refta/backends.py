@@ -75,6 +75,7 @@ from refta.errors import (
     BackendError,
     CapabilityError,
     ProtocolError,
+    Refusal,
     RequestError,
     TransportError,
 )
@@ -230,26 +231,33 @@ def map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_fligh
     at the same ``max_in_flight``. Under ``fail_fast`` the feed ends at the
     first failed request taken, so the items after it are in neither map; the
     calls in flight are taken as ever, served and stored, and a resend already
-    begun runs until it ends or fails."""
+    begun runs until it ends or fails. A ``Refusal``, in a resend too, ends the
+    feed in the same way whatever ``fail_fast`` says, and every item never
+    sent fails with it."""
     served = {item: (store[item], 0.0) for item in items if store is not None and item in store}
-    failed = {}
+    failed, refusal = {}, None
     unserved = [item for item in dict.fromkeys(items) if item not in served]
-    feed = itertools.takewhile(lambda _: not failed, unserved) if fail_fast else unserved
+    feed = itertools.takewhile(lambda _: not (refusal or fail_fast and failed), unserved)
     for batch, result, ms in send_batches(call, feed, max_batch, max_in_flight):
         if (isinstance(result, (RequestError, ProtocolError)) and len(batch) > 1
-                and not isinstance(result, CapabilityError)):
+                and not isinstance(result, Refusal)):
             # rejected for an input, not for what it asks: find the inputs it rejects
             resent, rejected = map_batches(call, batch, 1, fail_fast, max_in_flight, store)
             served.update(resent)
-            failed.update(rejected)
         elif isinstance(result, BackendError):
-            failed.update(dict.fromkeys(batch, result))
+            rejected = dict.fromkeys(batch, result)
         elif isinstance(result, Exception):
             raise result
         else:
             if store is not None:
                 store.add(dict(zip(batch, result)))
             served.update((item, (out, ms)) for item, out in zip(batch, result))
+            continue
+        failed.update(rejected)
+        refusal = refusal or next((e for e in rejected.values() if isinstance(e, Refusal)), None)
+    if refusal is not None:
+        failed.update((item, refusal) for item in unserved
+                      if item not in served and item not in failed)
     return served, failed
 
 
@@ -408,10 +416,7 @@ class _HttpClient:
                     retry_after = headers.get("Retry-After", "").strip()
             if attempts > self.cfg.max_retries:
                 self.stats.record(attempts)
-                raise TransportError(
-                    f"{url}: giving up after {attempts} attempts ({last_failure})",
-                    attempts=attempts,
-                )
+                raise TransportError(f"{url}: giving up after {attempts} attempts ({last_failure})")
             delay = BACKOFF_BASE_S * (BACKOFF_FACTOR ** (attempts - 1))
             delay *= 1.0 + 0.1 * self._rng.random()
             if retry_after.isascii() and retry_after.isdigit():  # delta-seconds, not a date

@@ -22,7 +22,7 @@ from refta.artifacts import make_dir, read_utf8, write_json
 from refta.backends import EmbedderClient, EndpointConfig, ScorerClient, resolve_token
 from refta.corpus import load_monolingual, load_parallel
 from refta.errors import ReftaError
-from refta.index import NEAR_DUP_THRESHOLD, ExclusionList, build_index, load_index, save_index
+from refta.index import ExclusionList, build_index, load_index, save_index
 from refta.metrics.bootstrap import COMPARE_SEED
 from refta.metrics.report import (
     SCORER_TIMEOUT_S,
@@ -193,19 +193,15 @@ def main(ctx, config_path):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--embedder", "embedder_url", required=True, help="Embedder base URL.")
 @click.option("--embed-model", default=None)
-@click.option("--near-dup-threshold", type=click.FloatRange(0, 1), default=NEAR_DUP_THRESHOLD,
-              show_default=True)
 @_retry_options
 @click.option("--parallelism", type=int, default=EndpointConfig.request_parallelism,
               show_default=True)
 @click.option("--force", is_flag=True, help="Allow writing into an existing index dir.")
 @_json_option
 @_runtime_errors
-def cmd_index_build(corpora, exclude_path, out_dir, embedder_url, embed_model,
-                    near_dup_threshold, timeout, max_retries, parallelism, force, as_json):
+def cmd_index_build(corpora, exclude_path, out_dir, embedder_url, embed_model, timeout,
+                    max_retries, parallelism, force, as_json):
     """Build and persist the retrieval index."""
-    if near_dup_threshold != near_dup_threshold:  # NaN passes FloatRange
-        raise click.BadParameter("nan is not in [0, 1]", param_hint="'--near-dup-threshold'")
     endpoint = _endpoint("embedder", embedder_url, embed_model, timeout=timeout,
                          max_retries=max_retries, request_parallelism=parallelism)
     out = Path(out_dir)
@@ -223,10 +219,7 @@ def cmd_index_build(corpora, exclude_path, out_dir, embedder_url, embed_model,
             yield from load_monolingual(corpus_path, fmt, skipped=skipped)
 
     try:
-        index, report = build_index(
-            segments(), embedder, exclusions, near_dup_threshold=near_dup_threshold,
-            max_in_flight=parallelism,
-        )
+        index, report = build_index(segments(), embedder, exclusions, max_in_flight=parallelism)
     finally:
         embedder.close()
     save_index(index, out)
@@ -267,7 +260,6 @@ def _load_exclusions(path: str, fmt: str) -> ExclusionList:
 @click.option("--max-output-tokens", type=int, default=RunConfig.max_output_tokens,
               show_default=True)
 @click.option("--input-budget", type=int, default=RunConfig.input_budget, show_default=True)
-@click.option("--candidate-pool", type=int, default=RunConfig.candidate_pool)
 @click.option("--run-id", required=True)
 @click.option("--runs-root", type=click.Path(), default="runs", show_default=True)
 @click.option("--drafter", "drafter_url", default=None)

@@ -167,15 +167,6 @@ def lemmatize(text: str) -> frozenset:
     return frozenset(stems)
 
 
-@dataclass
-class SkipRecord:
-    """One segment dropped during loading, with the reason."""
-
-    path: str
-    line_no: int
-    reason: str
-
-
 def _rows(path: Path, format: str, parallel: bool = False):
     """Yield ``(line_no, id, raw_text, raw_references)`` for each row of ``path``.
 
@@ -232,12 +223,13 @@ def _rows(path: Path, format: str, parallel: bool = False):
 def load_monolingual(
     path: str | Path,
     format: str,
-    skipped: list[SkipRecord] | None = None,
+    skipped: list[int] | None = None,
 ) -> Iterator[SourceSegment]:
     """Stream normalized segments from a monolingual corpus file.
 
     ``format`` is ``"jsonl"`` or ``"plain-lines"``. Rows that normalize to
-    empty text are skipped and, when ``skipped`` is given, reported into it.
+    empty text are skipped and, when ``skipped`` is given, their line numbers
+    appended to it.
     Malformed rows raise :class:`CorpusFormatError` with the line number.
     """
     if format not in ("jsonl", "plain-lines"):
@@ -248,7 +240,7 @@ def load_monolingual(
         if text:
             yield SourceSegment(seg_id, text)
         elif skipped is not None:
-            skipped.append(SkipRecord(str(path), line_no, "empty after normalization"))
+            skipped.append(line_no)
 
 
 def load_parallel(path: str | Path, format: str) -> list[ParallelPair]:

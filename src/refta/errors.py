@@ -31,12 +31,13 @@ class BackendError(ReftaError):
     """Base class for model-backend client failures."""
 
 
+class Refusal(BackendError):
+    """The backend cannot serve what the run asks of it, for any input, so
+    ``backends.map_batches`` sends nothing more once it takes one."""
+
+
 class TransportError(BackendError):
     """Transport-level failure that persisted through all retries."""
-
-    def __init__(self, message: str, attempts: int = 0):
-        self.attempts = attempts
-        super().__init__(message)
 
 
 class RequestError(BackendError):
@@ -44,12 +45,15 @@ class RequestError(BackendError):
 
     def __init__(self, status: int, body: str):
         self.status = status
-        self.body = body
         super().__init__(f"HTTP {status}: {body[:500]}")
 
 
-class CapabilityError(RequestError):
+class CapabilityError(RequestError, Refusal):
     """Backend does not support the requested capability (e.g. a metric)."""
+
+
+class DimensionError(Refusal):
+    """The embedder serves vectors of another size than the index holds."""
 
 
 class ProtocolError(BackendError):

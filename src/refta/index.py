@@ -290,7 +290,6 @@ def build_index(
     embedder,
     exclusions: ExclusionList | None = None,
     *,
-    near_dup_threshold: float = NEAR_DUP_THRESHOLD,
     max_in_flight: int = 4,
 ) -> tuple[VectorIndex, BuildReport]:
     """Embed and index every non-excluded segment.
@@ -303,15 +302,12 @@ def build_index(
     in flight), which cuts a batch only as a slot frees; each row is probed
     as its batch is cut, by the exact join of the module docstring, and
     dropped if its lemma Jaccard against any excluded text reaches
-    ``near_dup_threshold``, which must lie in [0, 1]. With no excluded text
-    no row is lemmatized. Each batch lands in one matrix preallocated at the
-    candidate count, whose kept rows are normalised in place. The rows of an
-    id that repeats are probed up front, so two kept copies of one id raise
-    ``IndexError_`` before any request; so does a build that keeps no row,
-    which cuts no batch.
+    ``NEAR_DUP_THRESHOLD``. With no excluded text no row is lemmatized. Each
+    batch lands in one matrix preallocated at the candidate count, whose kept
+    rows are normalised in place. The rows of an id that repeats are probed
+    up front, so two kept copies of one id raise ``IndexError_`` before any
+    request; so does a build that keeps no row, which cuts no batch.
     """
-    if not 0.0 <= near_dup_threshold <= 1.0:
-        raise ValueError(f"near_dup_threshold must be in [0, 1], got {near_dup_threshold}")
     exclusions = exclusions or ExclusionList.empty()
     report = BuildReport()
 
@@ -324,7 +320,7 @@ def build_index(
             candidates.append(seg)
 
     is_near_dup = _near_dup_join([lemmatize(t) for t in exclusions.exact_texts],
-                                 near_dup_threshold)
+                                 NEAR_DUP_THRESHOLD)
     repeated = {sid for sid, copies in Counter(s.id for s in candidates).items() if copies > 1}
     kept_ids: set = set()
     for seg in candidates:

@@ -12,7 +12,8 @@ each over the whole test set:
 Stages 1, 3 and 4 send through ``backends.map_batches``, one rule for what a
 failed request means and for the reply store under the runs root (``_Replies``):
 each sends only the texts and chat requests the store lacks (a stored query
-vector whose size is not the index's is a miss), and the calling thread
+vector whose size is not the index's is a miss, and a served one is a
+``DimensionError``, a refusal that ends stage 1), and the calling thread
 stores each batch paid for as it takes the reply (a failed one never), so a
 run that stopped part-way is resumed by running it again, and a run at
 another temperature pays only for stage 4. Stages 1 and 3 send requests of
@@ -85,7 +86,9 @@ from refta.backends import (
     map_batches,
 )
 from refta.corpus import ParallelPair, SourceSegment, lemmatize
-from refta.errors import CorpusFormatError, PipelineError, PromptBudgetError, ReftaError
+from refta.errors import (
+    CorpusFormatError, DimensionError, PipelineError, PromptBudgetError, ReftaError,
+)
 from refta.index import VectorIndex, default_candidate_pool
 from refta.prompt import (
     CONDITIONS,
@@ -126,7 +129,6 @@ class RunConfig:
     top_p: float = ChatRequest.top_p
     max_output_tokens: int = ChatRequest.max_output_tokens
     input_budget: int = DEFAULT_INPUT_BUDGET
-    candidate_pool: int | None = None
     workers: int = 4
     seed: int | None = None
     fail_fast: bool = False
@@ -150,11 +152,6 @@ class RunConfig:
         except PromptBudgetError as exc:
             raise ValueError(f"input_budget {self.input_budget} is below the {exc.estimated} "
                              f"tokens of the smallest {self.condition} prompt") from exc
-        if self.candidate_pool is None:
-            object.__setattr__(self, "candidate_pool", default_candidate_pool(self.k))
-        if self.condition == RAG and self.candidate_pool + 1 < self.k:
-            # the retrieve stage queries a pool of candidate_pool + 1
-            raise ValueError(f"candidate_pool {self.candidate_pool} + 1 must be >= k {self.k}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         roles = _ROLE_REQUIREMENTS[self.condition]
@@ -299,7 +296,15 @@ def _prepare(
         for text in [t for t, vector in stores["embedder"].items() if vector.size != index.dim]:
             del stores["embedder"][text]  # served at another dimension: a miss, paid again
         replayed["embedder"] = len(stores["embedder"].keys() & texts)
-        vectors, failed = map_batches(embedder.embed, texts, embedder.cfg.max_batch,
+
+        def embed(batch):  # a vector of another size is refused before it is stored
+            served = embedder.embed(batch)
+            if served.shape[1] != index.dim:
+                raise DimensionError(f"the embedder serves vectors of dim {served.shape[1]}, "
+                                     f"not the index dim {index.dim}")
+            return served
+
+        vectors, failed = map_batches(embed, texts, embedder.cfg.max_batch,
                                       cfg.fail_fast, embedder.cfg.request_parallelism,
                                       store=stores["embedder"])
         for i, seg in enumerate(segments):
@@ -312,7 +317,8 @@ def _prepare(
                 # pool slot before being skipped
                 hits[i] = index.query(
                     qvec, lemmatize(seg.text), k=cfg.k, jaccard_threshold=cfg.jaccard_threshold,
-                    candidate_pool=cfg.candidate_pool + 1, skip_texts=frozenset((seg.text,)),
+                    candidate_pool=default_candidate_pool(cfg.k) + 1,
+                    skip_texts=frozenset((seg.text,)),
                 )
                 preps[i].timings_ms["retrieve"] = round(embed_ms + _ms_since(t0), 3)
             except ReftaError as exc:

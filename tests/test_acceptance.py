@@ -395,9 +395,8 @@ def test_c08_retry_contract(monkeypatch):
     srv = start_mock_server(MockBehavior(fail_rate=1.0))
     try:
         client = DrafterClient(_endpoint(srv.base_url, "drafter", max_retries=2))
-        with pytest.raises(TransportError) as exc:
+        with pytest.raises(TransportError, match="after 3 attempts"):
             client.translate(["numquam"])
-        assert exc.value.attempts == 3
     finally:
         srv.stop()
     _ok(8, "retry only on 5xx/429/transport with bounded backoff")

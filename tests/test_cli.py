@@ -70,20 +70,6 @@ class TestIndexBuild:
         assert "timeout" in result.output
         assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {}
 
-    @pytest.mark.parametrize("threshold", ["2", "-0.5", "nan"])
-    def test_near_dup_threshold_outside_unit_interval_is_usage_error(
-            self, runner, workspace, mock_server, threshold):
-        import requests
-
-        result = runner.invoke(main, [
-            "index-build", "--corpus", str(workspace / "corpus.jsonl"),
-            "--out", str(workspace / "idx"), "--embedder", mock_server.base_url,
-            "--near-dup-threshold", threshold,
-        ])
-        assert result.exit_code == 2
-        assert "near-dup-threshold" in result.output
-        assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {}
-
     @pytest.mark.parametrize("out", ["notadir/sub", "notadir"], ids=["under-a-file", "a-file"])
     def test_unusable_out_is_refused_before_any_request(self, runner, workspace, mock_server,
                                                         out):
@@ -315,23 +301,18 @@ class TestTranslate:
         ("draft_only", ["--max-output-tokens", "9000"]),
         ("draft_only", ["--top-p", "0"]),
         ("zero_shot", ["--temperature", "3.0"]),
-        ("rag", ["--candidate-pool", "2", "--k", "5"]),
         ("zero_shot", ["--timeout", "0"]),
         ("zero_shot", ["--temp", "0.5"]),  # refused, so no old sweep shrinks to one run
         ("draft_only", ["--input-budget", "71"]),
         ("zero_shot", ["--timeout", "nan"]),
         ("zero_shot", ["--timeout", "inf"]),
-    ], ids=["output-ceiling", "top-p", "sweep-temperature", "pool-below-k", "timeout",
-            "repeated-temperature", "budget-below-smallest-prompt", "timeout-nan",
-            "timeout-inf"])
+    ], ids=["output-ceiling", "top-p", "sweep-temperature", "timeout", "repeated-temperature",
+            "budget-below-smallest-prompt", "timeout-nan", "timeout-inf"])
     def test_bad_value_is_usage_error_before_any_request(self, runner, workspace, mock_server,
                                                          condition, extra):
         import requests
 
         url = mock_server.base_url
-        if condition == "rag":
-            assert _build_index(runner, workspace, url).exit_code == 0
-            requests.post(f"{url}/_reset", json={}, timeout=5)
         result = _translate(runner, workspace, url, condition, extra=extra)
         assert result.exit_code == 2, result.output
         assert requests.get(f"{url}/_stats", timeout=5).json()["counts"] == {}
@@ -1220,10 +1201,13 @@ class TestConfigFile:
     @pytest.mark.parametrize("config", [
         {"translate": {"workerz": 8}},
         {"translate": {"workers": 8}},
+        {"translate": {"candidate_pool": 50}},
+        {"index-build": {"near_dup_threshold": 0.9}},
         {"translat": {"parallelism": 8}},
         {"translate": ["parallelism"]},
         ["translate"],
-    ], ids=["misspelled-key", "removed-key", "misspelled-command", "table-not-an-object",
+    ], ids=["misspelled-key", "removed-key", "removed-candidate-pool",
+            "removed-near-dup-threshold", "misspelled-command", "table-not-an-object",
             "not-an-object"])
     def test_unknown_name_is_usage_error_before_any_request(self, runner, workspace,
                                                             mock_server, tmp_path, config):

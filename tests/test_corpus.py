@@ -155,7 +155,7 @@ class TestLoadMonolingual:
         skipped = []
         segs = list(load_monolingual(p, "plain-lines", skipped=skipped))
         assert len(segs) == 2
-        assert len(skipped) == 1 and skipped[0].line_no == 2
+        assert skipped == [2]
 
     def test_duplicate_jsonl_id(self, tmp_path):
         p = tmp_path / "corpus.jsonl"

@@ -21,6 +21,7 @@ from refta.index import (
     BuildReport,
     ExclusionList,
     VectorIndex,
+    _near_dup_join,
     _normalize_rows,
     build_index,
     jaccard,
@@ -273,18 +274,9 @@ class TestBuildIndex:
         # same lemma set as segs[0] via word-order permutation
         twin = SourceSegment("twin", " ".join(reversed(segs[0].text.split())))
         excl = ExclusionList(exact_texts=frozenset({segs[0].text}), ids=frozenset())
-        index, report = build_index(segs[1:] + [twin], _ArrayEmbedder(), excl,
-                                    near_dup_threshold=0.9)
+        index, report = build_index(segs[1:] + [twin], _ArrayEmbedder(), excl)
         assert report.excluded_near_dup == 1
         assert "twin" not in {index.entry(i).segment_id for i in range(len(index))}
-
-    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
-    def test_near_dup_threshold_out_of_range_refused(self, threshold):
-        embedder, sent = _ArrayEmbedder(), []
-        embedder.embed = sent.append
-        with pytest.raises(ValueError, match="near_dup_threshold"):
-            build_index(_segments(3), embedder, near_dup_threshold=threshold)
-        assert sent == []
 
     def test_backend_failure_names_batch(self):
         segs = _segments(40)  # 3 batches at max_batch 16
@@ -410,19 +402,14 @@ def _pairwise_build(rows, exclusions, near_dup_threshold):
 
 
 def _join_matches_pairwise(rows, excluded_texts, near_dup_threshold):
+    """``_near_dup_join`` keeps exactly the rows the pairwise loop keeps;
+    returns the loop's report."""
     exclusions = ExclusionList(exact_texts=frozenset(excluded_texts), ids=frozenset())
-    want = _pairwise_build(rows, exclusions, near_dup_threshold)
-    if not want[1]:  # a build that keeps no row is refused, naming both counts
-        with pytest.raises(IndexError_) as refused:
-            build_index(rows, _ArrayEmbedder(), exclusions,
-                        near_dup_threshold=near_dup_threshold)
-        assert str(refused.value) == (f"no row to index: {want[0].excluded_exact} excluded, "
-                                      f"{want[0].excluded_near_dup} near-duplicates dropped")
-        return want[0]
-    index, report = build_index(rows, _ArrayEmbedder(), exclusions,
-                                near_dup_threshold=near_dup_threshold)
-    kept = [index.entry(i).segment_id for i in range(len(index))]
-    assert (report, kept) == want
+    report, kept = _pairwise_build(rows, exclusions, near_dup_threshold)
+    is_near_dup = _near_dup_join([lemmatize(t) for t in exclusions.exact_texts],
+                                 near_dup_threshold)
+    assert [seg.id for seg in rows if not exclusions.matches(seg.id, seg.text)
+            and not is_near_dup(seg.text)] == kept
     return report
 
 

@@ -113,7 +113,6 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("overrides", [
         {"max_output_tokens": 9000}, {"temperature": 2.5}, {"top_p": 0.0},
-        {"condition": "rag", "k": 5, "candidate_pool": 2},
     ])
     def test_refuses_what_a_later_stage_refuses(self, overrides):
         with pytest.raises(ValueError):
@@ -137,17 +136,6 @@ class TestRunConfig:
     def test_run_id_is_one_plain_path_component(self, run_id):
         with pytest.raises(ValueError, match="one plain path component"):
             _config(_offline_endpoints(), "zero_shot", run_id=run_id)
-
-    def test_candidate_pool_is_resolved_once(self):
-        cfg = _config(_offline_endpoints(), "rag", k=7)
-        assert cfg.candidate_pool == 70
-        assert cfg.to_canonical_dict()["candidate_pool"] == 70
-        assert cfg.config_hash() == _config(_offline_endpoints(), "rag", k=7,
-                                            candidate_pool=70).config_hash()
-
-    def test_pool_one_below_k_is_accepted(self):
-        # the retrieve stage queries candidate_pool + 1 candidates
-        assert _config(_offline_endpoints(), "rag", k=5, candidate_pool=4).candidate_pool == 4
 
     @pytest.mark.parametrize("condition, smallest", [
         ("zero_shot", 12), ("draft_only", 72), ("rag", 72),
@@ -613,7 +601,7 @@ class TestTranslateCorpus:
         def one_request_fails(self, texts):
             calls.append(list(texts))
             if len(calls) == failing:
-                raise TransportError("backend down", attempts=1)
+                raise TransportError("backend down")
             return original(self, texts)
 
         monkeypatch.setattr(cls, method, one_request_fails)

@@ -291,6 +291,27 @@ def test_a_stored_query_vector_of_another_size_is_paid_again(tmp_path, server, p
     assert server.stats.snapshot()["counts"] == {}  # the newer rows win on the next load
 
 
+def test_an_embedder_serving_another_size_costs_one_round_of_requests(tmp_path, server,
+                                                                      pairs):
+    server.behavior.embed_dim = 8
+    index = _index(server)
+    server.behavior.embed_dim = 64  # the same model id and URL now serve another size
+    cfg = _config(server, "rag")
+    cfg = replace(cfg, endpoints={role: replace(ep, max_batch=8, request_parallelism=4)
+                                  for role, ep in cfg.endpoints.items()})
+    for force in (False, True):
+        server.stats.reset()
+        (result,) = translate_corpus(cfg, pairs, index, runs_root=tmp_path, force=force)
+        assert (result.succeeded, result.failed) == (0, len(pairs))
+        counts = server.stats.snapshot()["counts"]
+        assert counts.keys() == {"/embed"} and counts["/embed"] <= 4  # at parallelism 4
+        assert not any(_store_files(tmp_path).values())  # no vector of the wrong size is kept
+        errors = _rows(result.run_dir / "errors.jsonl")
+        assert len(errors) == len(pairs)
+        assert {(row["stage"], row["error"]) for row in errors} == {
+            ("retrieve", "the embedder serves vectors of dim 64, not the index dim 8")}
+
+
 def test_every_store_append_runs_on_the_calling_thread(tmp_path, server, pairs, monkeypatch):
     index = _index(server)
     append, threads = AppendFile.append, []
