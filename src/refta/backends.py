@@ -221,12 +221,13 @@ def map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_fligh
                 store=None):
     """``call`` over the distinct ``items``, in batches of at most ``max_batch``
     with ``max_in_flight`` calls in flight: the one rule for what a failed
-    request means. Returns ``item -> (output, ms)``, with ms the wall time of
-    the request that served the item, and ``item -> error`` for the items whose
-    request failed with a ``BackendError``; any other exception is raised. An
-    item ``store`` holds is served from it in 0 ms and sent in no request, and
-    each batch paid for is added to ``store`` by the calling thread as it takes
-    the result. A batch of several items rejected with
+    request means; the first batch goes alone, so an endpoint that refuses the
+    run costs one request. Returns ``item -> (output, ms)``, with ms the wall
+    time of the request that served the item, and ``item -> error`` for the
+    items whose request failed with a ``BackendError``; any other exception is
+    raised. An item ``store`` holds is served from it in 0 ms and sent in no
+    request, and each batch paid for is added to ``store`` by the calling
+    thread as it takes the result. A batch of several items rejected with
     ``RequestError``/``ProtocolError`` is mapped again, one item per request,
     at the same ``max_in_flight``. Under ``fail_fast`` the feed ends at the
     first failed request taken, so the items after it are in neither map; the
@@ -238,7 +239,9 @@ def map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_fligh
     failed, refusal = {}, None
     unserved = [item for item in dict.fromkeys(items) if item not in served]
     feed = itertools.takewhile(lambda _: not (refusal or fail_fast and failed), unserved)
-    for batch, result, ms in send_batches(call, feed, max_batch, max_in_flight):
+    first = send_batches(call, itertools.islice(feed, max_batch), max_batch, 1)
+    rest = send_batches(call, feed, max_batch, max_in_flight)  # once the first returns
+    for batch, result, ms in itertools.chain(first, rest):
         if (isinstance(result, (RequestError, ProtocolError)) and len(batch) > 1
                 and not isinstance(result, Refusal)):
             # rejected for an input, not for what it asks: find the inputs it rejects

@@ -46,24 +46,25 @@ def search_layer(
 def resample_sums(stats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Sum segment statistics over each resample's index row, in their dtype.
 
-    Equal to ``stats[idx].sum(axis=1)``: each resample's draw counts per
-    segment form a count matrix, built ``RESAMPLE_BLOCK_COUNTS`` counts at a time,
-    and ``counts @ stats`` adds the same values as a float64 GEMM. Integer
-    sums are exact, as no partial sum exceeds ``n * max|stats|`` (a row's
-    counts sum to its ``n`` draws); past ``2**53`` it raises ``ValueError``.
-    Float sums may differ from the gather's in the last bits.
+    Equal to ``stats[idx].sum(axis=1)``: each row of ``idx``, read in place
+    (the bootstrap's is int32), is counted per segment into one reused
+    float64 block of ``RESAMPLE_BLOCK_COUNTS`` counts, and ``counts @ stats``
+    adds the same values as a float64 GEMM. Integer sums are exact, as no
+    partial sum exceeds ``n * max|stats|`` (a row's counts sum to its ``n``
+    draws); past ``2**53`` it raises ``ValueError``. Float sums may differ
+    from the gather's in the last bits.
     """
-    stats = np.asarray(stats)
-    idx = np.asarray(idx, dtype=np.int64)
+    stats, idx = np.asarray(stats), np.asarray(idx)
     (n_resamples, n), m = idx.shape, stats.shape[0]
     if stats.dtype.kind in "iu" and n * max(int(stats.max(initial=0)),
                                              -int(stats.min(initial=0))) >= 2**53:
         raise ValueError("resample sums could exceed 2**53, beyond exact float64")
     values, sums = stats.astype(np.float64), np.empty((n_resamples, stats.shape[1]))
-    block = max(1, RESAMPLE_BLOCK_COUNTS // max(m, n, 1))
-    for lo in range(0, n_resamples, block):
-        rows = idx[lo:lo + block]
-        offsets = (np.arange(len(rows), dtype=np.int64) * m)[:, None]
-        counts = np.bincount((rows + offsets).ravel(), minlength=len(rows) * m)
-        np.matmul(counts.reshape(len(rows), m).astype(np.float64), values, out=sums[lo:lo + block])
+    counts = np.empty((max(1, min(n_resamples, RESAMPLE_BLOCK_COUNTS // max(m, 1))), m))
+    for lo in range(0, n_resamples, len(counts)):
+        rows = idx[lo:lo + len(counts)]
+        for j, row in enumerate(rows):
+            counts[j] = np.bincount(row, minlength=m)
+        np.matmul(counts[:len(rows)], values, out=sums[lo:lo + len(rows)])
+    del counts  # before the cast to the statistics' dtype copies the sums
     return sums.astype(stats.dtype, copy=False)

@@ -181,8 +181,8 @@ def compare_runs(
     test deltas vs the baseline.
 
     Refuses two runs with the same directory name, and fewer than 2 pairs
-    once the runs are read. Significance is one paired bootstrap per metric
-    over every run's segment statistics at a fixed seed; its rows go run by
+    once the runs are read. Significance is one paired bootstrap over every
+    run's and metric's segment statistics at a fixed seed; its rows go run by
     run, each run's lexical metrics first.
     """
     baseline_dir = Path(baseline_dir)
@@ -209,11 +209,9 @@ def compare_runs(
     _, base_stats = scored[all_dirs.index(baseline_dir)]
     others = {run_dir.name: stats for run_dir, (_, stats) in zip(all_dirs, scored)
               if run_dir != baseline_dir}
-    by_metric = [paired_bootstrap(metric_named(name),
-                                  {run: stats[name] for run, stats in others.items()},
-                                  base_stats[name], seed=seed, baseline=baseline_dir.name)
-                 for name in base_stats]
-    comparison.significance = [sig for sigs in zip(*by_metric) for sig in sigs]
+    comparison.significance = paired_bootstrap([metric_named(name) for name in base_stats],
+                                               others, base_stats, seed=seed,
+                                               baseline=baseline_dir.name)
     return comparison
 
 

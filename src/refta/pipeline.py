@@ -18,10 +18,11 @@ stores each batch paid for as it takes the reply (a failed one never), so a
 run that stopped part-way is resumed by running it again, and a run at
 another temperature pays only for stage 4. Stages 1 and 3 send requests of
 at most ``max_batch`` inputs, their endpoint's ``request_parallelism`` in
-flight, and stage 4 one prompt per request. A batch of several inputs
-rejected with ``RequestError``/``ProtocolError`` is resent one input per
-request; a rejected one-input batch, or one that exhausts its transport
-retries, fails every segment it carried. One rule (``_fail``) fails a
+flight, and stage 4 one prompt per request; each stage's first request goes
+alone, so an endpoint that refuses the run costs one request. A batch of
+several inputs rejected with ``RequestError``/``ProtocolError`` is resent
+one input per request; a rejected one-input batch, or one that exhausts its
+transport retries, fails every segment it carried. One rule (``_fail``) fails a
 segment at any stage: it gets a ``PipelineError`` naming the stage and cause
 and goes no further (a segment that fails retrieval is not drafted); under
 ``fail_fast`` that error is raised ``from`` its cause, so a prompt over the

@@ -430,14 +430,16 @@ def test_c10_significance_sanity():
 
     metric = BleuMetric()
     stats = metric.segment_stats(hyps, refs)
-    (same,) = paired_bootstrap(metric, {"A": stats}, stats, seed=17)
+    (same,) = paired_bootstrap([metric], {"A": {"bleu": stats}}, {"bleu": stats}, seed=17)
     assert same.delta == 0.0
     assert same.ci_low <= 0.0 <= same.ci_high
 
     dominant = [r[0] for r in refs]
     dominant_stats = metric.segment_stats(dominant, refs)
-    (better,) = paired_bootstrap(metric, {"A": dominant_stats}, stats, seed=17)
-    (again,) = paired_bootstrap(metric, {"A": dominant_stats}, stats, seed=17)
+    (better,) = paired_bootstrap([metric], {"A": {"bleu": dominant_stats}}, {"bleu": stats},
+                                 seed=17)
+    (again,) = paired_bootstrap([metric], {"A": {"bleu": dominant_stats}}, {"bleu": stats},
+                                seed=17)
     assert better == again
     assert better.p_value < 0.05
     _ok(10, "paired bootstrap sanity (identical, dominated, seed-stable)")

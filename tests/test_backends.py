@@ -140,16 +140,18 @@ class TestMapBatches:
             if batch == ["a"]:
                 a_sent.set()
                 raise TransportError("down")
-            a_sent.wait(timeout=10)  # so "a" fails first, however the threads start
-            time.sleep(0.05)
+            if batch != ["z"]:  # "z", the first batch, goes alone
+                a_sent.wait(timeout=10)  # so "a" fails first, however the threads start
+                time.sleep(0.05)
             return [item.upper() for item in batch]
 
         store = _DictStore()
-        served, failed = map_batches(call, list("abcd"), 1, True, max_in_flight=2, store=store)
-        assert sorted(sent) == [["a"], ["b"]]  # no batch went out after "a" was taken
+        served, failed = map_batches(call, list("zabcd"), 1, True, max_in_flight=2, store=store)
+        assert sent[0] == ["z"]
+        assert sorted(sent) == [["a"], ["b"], ["z"]]  # no batch went out after "a" was taken
         assert list(failed) == ["a"]
-        assert {item: out for item, (out, _ms) in served.items()} == {"b": "B"}
-        assert store == {"b": "B"}
+        assert {item: out for item, (out, _ms) in served.items()} == {"z": "Z", "b": "B"}
+        assert store == {"z": "Z", "b": "B"}
 
     def test_a_refusal_in_a_resend_ends_the_feed_without_fail_fast(self):
         sent = []

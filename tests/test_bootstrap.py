@@ -7,7 +7,7 @@ import pytest
 
 from conftest import DATA
 from refta import kernels
-from refta.metrics.bootstrap import paired_bootstrap
+from refta.metrics.bootstrap import N_RESAMPLES, paired_bootstrap
 from refta.metrics.bleu import BleuMetric
 from refta.metrics.chrf import ChrfPPMetric
 from refta.metrics.report import (
@@ -20,10 +20,16 @@ def fixture():
     return json.loads((DATA / "metric_fixture.json").read_text())["primary"]
 
 
+def _compare(metric, stats, baseline_stats, system="A", **kwargs):
+    """``paired_bootstrap`` of one system against the baseline on one metric."""
+    return paired_bootstrap([metric], {system: {metric.name: stats}},
+                            {metric.name: baseline_stats}, **kwargs)
+
+
 def test_identical_systems(fixture):
     hyps, refs = fixture["hypotheses"], fixture["references"]
     stats = BleuMetric().segment_stats(hyps, refs)
-    (res,) = paired_bootstrap(BleuMetric(), {"A": stats}, stats, seed=7)
+    (res,) = _compare(BleuMetric(), stats, stats, seed=7)
     assert res.delta == 0.0
     assert res.p_value == 1.0
     assert res.ci_low <= 0.0 <= res.ci_high
@@ -35,10 +41,10 @@ def test_seed_determinism(fixture):
     better = [r[0] for r in refs]
     metric = ChrfPPMetric()
     stats = (metric.segment_stats(better, refs), metric.segment_stats(hyps, refs))
-    (a,) = paired_bootstrap(metric, {"A": stats[0]}, stats[1], seed=11)
-    (b,) = paired_bootstrap(metric, {"A": stats[0]}, stats[1], seed=11)
+    (a,) = _compare(metric, *stats, seed=11)
+    (b,) = _compare(metric, *stats, seed=11)
     assert a == b
-    (c,) = paired_bootstrap(metric, {"A": stats[0]}, stats[1], seed=12)
+    (c,) = _compare(metric, *stats, seed=12)
     assert c != a
 
 
@@ -47,7 +53,7 @@ def test_dominated_fixture_is_significant(fixture):
     better = [r[0] for r in refs]  # wins on every segment
     metric = BleuMetric()
     stats = (metric.segment_stats(better, refs), metric.segment_stats(hyps, refs))
-    (res,) = paired_bootstrap(metric, {"A": stats[0]}, stats[1], seed=17)
+    (res,) = _compare(metric, *stats, seed=17)
     assert res.delta > 0
     assert res.p_value < 0.05
 
@@ -68,7 +74,7 @@ def _neural_stats(scores):
 
 def test_neural_identical_systems():
     stats = _neural_stats(np.random.default_rng(3).random(60))
-    (res,) = paired_bootstrap(MeanMetric("comet"), {"A": stats}, stats, seed=7)
+    (res,) = _compare(MeanMetric("comet"), stats, stats, seed=7)
     assert res.metric == "comet"
     assert res.delta == 0.0
     assert res.p_value == 1.0
@@ -78,8 +84,8 @@ def test_neural_identical_systems():
 
 def test_neural_constant_shift_is_significant():
     scores = np.random.default_rng(4).random(60)
-    (res,) = paired_bootstrap(MeanMetric("comet"), {"A": _neural_stats(scores + 0.05)},
-                              _neural_stats(scores), seed=7)
+    (res,) = _compare(MeanMetric("comet"), _neural_stats(scores + 0.05),
+                      _neural_stats(scores), seed=7)
     assert res.p_value == 0.0
     assert [res.delta, res.ci_low, res.ci_high] == pytest.approx([0.05] * 3, abs=1e-12)
 
@@ -88,15 +94,15 @@ def test_alignment_enforced(fixture):
     hyps, refs = fixture["hypotheses"], fixture["references"]
     stats = BleuMetric().segment_stats(hyps, refs)
     with pytest.raises(ValueError, match="aligned"):
-        paired_bootstrap(BleuMetric(), {"A": stats[:-1]}, stats)
+        _compare(BleuMetric(), stats[:-1], stats)
     with pytest.raises(ValueError, match="at least 2"):
-        paired_bootstrap(BleuMetric(), {"A": stats[:1]}, stats[:1])
+        _compare(BleuMetric(), stats[:1], stats[:1])
 
 
 def test_metric_name_recorded(fixture):
     hyps, refs = fixture["hypotheses"], fixture["references"]
     stats = ChrfPPMetric().segment_stats(hyps, refs)
-    (res,) = paired_bootstrap(ChrfPPMetric(), {"A": stats}, stats, seed=1)
+    (res,) = _compare(ChrfPPMetric(), stats, stats, seed=1)
     assert res.metric == "chrf++"
     assert res.rng_seed == 1
     assert res.n_resamples == 1000
@@ -124,7 +130,7 @@ def test_p_value_is_half_a_centred_two_sided_p(seed):
     hyps_a, hyps_b, refs = _synthetic_pair(seed)
     metric = BleuMetric()
     stats = (metric.segment_stats(hyps_a, refs), metric.segment_stats(hyps_b, refs))
-    (res,) = paired_bootstrap(metric, {"A": stats[0]}, stats[1], seed=seed)
+    (res,) = _compare(metric, *stats, seed=seed)
     assert 0.15 <= res.p_value <= 0.35
 
     # the same resample indices as paired_bootstrap draws
@@ -147,10 +153,62 @@ def test_the_compare_marker_fires_at_alpha_under_the_null():
         rng = np.random.default_rng(j)
         quality = rng.normal(0.0, 1.0, n)
         a, b = (_neural_stats(quality + rng.normal(0.0, 0.5, n)) for _ in range(2))
-        (sig,) = paired_bootstrap(MeanMetric("m"), {f"s{j}": a}, b, seed=j, baseline="base")
+        (sig,) = _compare(MeanMetric("m"), a, b, seed=j, baseline="base", system=f"s{j}")
         rows.append({"run": f"s{j}", "is_baseline": False, "scores": {"m": sig.delta}})
         significance.append(sig)
     table = format_comparison_table(RunComparison("base", "", 0, rows, significance))
     marked = [line for line in table.splitlines() if line.startswith("s") and line.endswith("*")]
     bound = SIGNIFICANCE_ALPHA * pairs + 2 * (pairs * SIGNIFICANCE_ALPHA * 0.95) ** 0.5
     assert len(marked) <= bound
+
+
+def _reference_rows(metrics, stats_by_system, baseline_stats, seed):
+    """The reference bootstrap, one metric at a time: an int64 draw per metric
+    and the gather ``stats[idx].sum(axis=1)`` per system."""
+    rows = {}
+    for metric in metrics:
+        every = [baseline_stats, *stats_by_system.values()]
+        n = len(baseline_stats[metric.name])
+        idx = np.random.Generator(np.random.PCG64(seed)).integers(
+            0, n, size=(N_RESAMPLES, n), dtype=np.int64)
+        resampled = [metric.corpus_scores(s[metric.name][idx].sum(axis=1)) for s in every]
+        full = metric.corpus_scores(np.stack([s[metric.name].sum(axis=0) for s in every]))
+        for name, scores, score in zip(stats_by_system, resampled[1:], full[1:]):
+            deltas, delta = scores - resampled[0], score - full[0]
+            flips = np.count_nonzero(np.sign(deltas) != np.sign(delta))
+            rows[name, metric.name] = (
+                float(delta), 1.0 if delta == 0.0 else flips / N_RESAMPLES,
+                *(float(q) for q in np.percentile(deltas, [2.5, 97.5])))
+    return [(name, metric.name, *rows[name, metric.name])
+            for name in stats_by_system for metric in metrics]
+
+
+@pytest.mark.parametrize("n", [2, 110, 1000])
+def test_one_draw_for_every_metric_equals_a_draw_per_metric(n):
+    hyps_a, hyps_b, refs = _synthetic_pair(n, n)
+    base = [" ".join(r[0].split()[::-1]) for r in refs]
+    rng = np.random.default_rng(n)
+    metrics = [BleuMetric(), ChrfPPMetric(), MeanMetric("comet"), MeanMetric("bertscore")]
+
+    def stats(hyps):
+        # neural scores on a 1/64 grid: their float sums are exact in any order
+        return {"bleu": metrics[0].segment_stats(hyps, refs),
+                "chrf++": metrics[1].segment_stats(hyps, refs),
+                "comet": _neural_stats(rng.integers(0, 64, n) / 64),
+                "bertscore": _neural_stats(rng.integers(0, 64, n) / 64)}
+
+    systems, baseline_stats = {"A": stats(hyps_a), "B2": stats(hyps_b)}, stats(base)
+    got = paired_bootstrap(metrics, systems, baseline_stats, seed=n, baseline="base")
+    assert [(r.system_a, r.metric, r.delta, r.p_value, r.ci_low, r.ci_high) for r in got] == (
+        _reference_rows(metrics, systems, baseline_stats, seed=n))
+    assert {(r.system_b, r.rng_seed, r.n_resamples) for r in got} == {("base", n, N_RESAMPLES)}
+
+
+@pytest.mark.parametrize("n", [2, 111, 10**4, 2**31 - 1])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_the_int32_draw_equals_the_int64_draw(n, seed):
+    # below 2**32, both dtypes draw through the same 32-bit bounded generator
+    shape = (N_RESAMPLES, min(n, 500))
+    draws = [np.random.Generator(np.random.PCG64(seed)).integers(0, n, size=shape, dtype=dtype)
+             for dtype in (np.int32, np.int64)]
+    assert np.array_equal(*draws)

@@ -55,16 +55,16 @@ def test_resample_sums_memory_is_bounded_by_its_block():
     rng = np.random.default_rng(9)
     n, d = 4000, 8
     stats = rng.integers(0, 50, size=(n, d)).astype(np.int64)
-    idx = rng.integers(0, n, size=(1000, n)).astype(np.int64)
+    idx = rng.integers(0, n, size=(1000, n)).astype(np.int32)  # the bootstrap's draw
     tracemalloc.start()
     try:
         kernels.resample_sums(stats, idx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a block's int64 draws, its counts and their float64 copy, plus the
-    # float64 statistics and sums; one (1000, n) count matrix alone is 32 MB
-    assert peak < 4 * 8 * kernels.RESAMPLE_BLOCK_COUNTS + 2 * 8 * (n + 1000) * d
+    # one reused float64 count block, plus the float64 statistics and sums;
+    # the draws are read in place, and one (1000, n) count matrix alone is 32 MB
+    assert peak < 1.1 * 8 * kernels.RESAMPLE_BLOCK_COUNTS + 2 * 8 * (n + 1000) * d
 
 
 def _full_order(sims: np.ndarray, id_rank: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA, FIXTURES
+from refta import kernels
 from refta.backends import EndpointConfig, ScorerClient
 from refta.corpus import ParallelPair, SourceSegment, load_parallel
 from refta.errors import ComparisonError
@@ -202,9 +203,9 @@ class TestNeuralAttachment:
         pairs = [ParallelPair(SourceSegment(f"s{i}", "s"), (ref,)) for i, ref in enumerate(refs)]
         for report, _ in score_runs({"a": refs}, pairs, scorer, {"meteor"}):
             assert any("meteor" in w for w in report.warnings)
-        # the 4 batches of 2 were in flight together; none is resent
+        # the first batch of 2 goes alone, and its refusal ends the feed
         snap = mock_server.stats.snapshot()
-        assert (snap["counts"]["/score"], snap["inputs"]["/score"]) == (4, 8)
+        assert (snap["counts"]["/score"], snap["inputs"]["/score"]) == (1, 2)
 
     def test_a_rejected_batch_is_resent_at_the_scorers_parallelism(self, monkeypatch):
         lock, in_flight, peak, sent = threading.Lock(), Counter(), Counter(), []
@@ -293,8 +294,43 @@ def test_compare_runs_reuses_segment_stats_in_bootstrap(tmp_path, monkeypatch):
         assert sig.delta > 0.0
         metric = metrics[sig.metric]
         assert [sig] == paired_bootstrap(
-            metric, {sig.system_a: metric.segment_stats(runs[sig.system_a], references)},
-            metric.segment_stats(runs["base"], references), seed=9, baseline="base")
+            [metric], {sig.system_a: {sig.metric: metric.segment_stats(runs[sig.system_a],
+                                                                       references)}},
+            {sig.metric: metric.segment_stats(runs["base"], references)}, seed=9,
+            baseline="base")
+
+
+@pytest.mark.parametrize("neural_metrics,sums_calls", [((), 1), (("bertscore", "comet"), 2)],
+                         ids=["lexical", "neural"])
+def test_compare_runs_resamples_once_per_statistics_dtype(tmp_path, monkeypatch, endpoint,
+                                                          neural_metrics, sums_calls):
+    pairs = load_parallel(FIXTURES / "testsets" / "ood_fixture_110.tsv", "tsv")[:30]
+    first_refs = [p.references[0] for p in pairs]
+    for name, keep in (("base", 3), ("mid", 2), ("top", 1)):
+        (tmp_path / name).mkdir()
+        hyps = [r if i % keep == 0 else " ".join(r.split()[::-1]) for i, r in enumerate(first_refs)]
+        (tmp_path / name / "hypotheses.txt").write_text(
+            "".join(h + "\n" for h in hyps), encoding="utf-8")
+    calls = []
+
+    def resample_sums(stats, idx):
+        calls.append((stats.dtype, stats.shape, idx.dtype))
+        return original(stats, idx)
+
+    original = kernels.resample_sums
+    monkeypatch.setattr(kernels, "resample_sums", resample_sums)
+    comparison = compare_runs([tmp_path / "mid", tmp_path / "top"], pairs, tmp_path / "base",
+                              scorer=ScorerClient(endpoint("scorer")),
+                              neural_metrics=neural_metrics)
+    # one count matrix for the integer statistics of every metric and run, and
+    # one for the float ones, rather than one per metric
+    assert len(calls) == sums_calls
+    assert {dtype for dtype, _, _ in calls} == (
+        {np.dtype(np.int64), np.dtype(np.float64)} if neural_metrics else {np.dtype(np.int64)})
+    assert all(shape[0] == len(pairs) and idx == np.int32 for _, shape, idx in calls)
+    names = ["bleu", "chrf++", *neural_metrics]
+    assert [(s.system_a, s.metric) for s in comparison.significance] == [
+        (run, name) for run in ("mid", "top") for name in names]
 
 
 def test_compare_runs_refuses_duplicate_run_names(tmp_path):

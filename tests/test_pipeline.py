@@ -505,20 +505,21 @@ class TestTranslateCorpus:
         def chat_requests():
             return server.stats.snapshot()["counts"].get("/v1/chat/completions", 0)
 
-        def first_reply_waits_for_the_rest(self, path, body):
+        def second_reply_waits_for_the_rest(self, path, body):
             reply = original(self, path, body)
-            if pairs[0].source.text in json.loads(body)["messages"][1]["content"]:
+            # the first request goes alone, so the second is the one held
+            if pairs[1].source.text in json.loads(body)["messages"][1]["content"]:
                 deadline = time.monotonic() + 5.0
                 while chat_requests() < len(pairs) and time.monotonic() < deadline:
                     time.sleep(0.01)
                 seen.append(chat_requests())
             return reply
 
-        monkeypatch.setattr(RefinerClient, "_send", first_reply_waits_for_the_rest)
+        monkeypatch.setattr(RefinerClient, "_send", second_reply_waits_for_the_rest)
         cfg = _config(endpoints, "zero_shot", workers=2)
         (result,) = translate_corpus(cfg, pairs, None, runs_root=tmp_path)
         assert result.succeeded == len(pairs)
-        # the other segments were all sent while segment 0's reply was held
+        # the other segments were all sent while segment 1's reply was held
         assert seen == [len(pairs)]
 
     def test_line_breaks_in_a_refined_text_stay_on_its_line(self, stack, tmp_path,
@@ -724,12 +725,12 @@ class TestStagesAtRequestParallelism:
         parallelism = small["drafter"].request_parallelism
         assert (reached["/embed"], reached["/translate"]) == (parallelism, parallelism)
 
-    # faults keyed by the request: of the first four batches of four sources
-    # to the role's path, each seed fails only the first, in whatever order
-    # they arrive
+    # faults keyed by the request: of the first five batches of four sources
+    # to the role's path, each seed fails only the second. The first batch
+    # goes alone, and the next four together, in whatever order they arrive
     @pytest.mark.parametrize("role, condition, seed, stage", [
-        ("drafter", "draft_only", 0, "draft"),
-        ("embedder", "rag", 4, "retrieve"),
+        ("drafter", "draft_only", 28, "draft"),
+        ("embedder", "rag", 17, "retrieve"),
     ], ids=["drafter", "embedder"])
     def test_fail_fast_pays_and_stores_only_the_calls_in_flight(
             self, stack, tmp_path, monkeypatch, role, condition, seed, stage):
@@ -748,8 +749,9 @@ class TestStagesAtRequestParallelism:
                 except TransportError:
                     failed_once.set()
                     raise
-                failed_once.wait(timeout=10)
-                time.sleep(0.05)  # the failed batch is taken before any reply
+                if paid:  # the first batch went alone, before any failure
+                    failed_once.wait(timeout=10)
+                    time.sleep(0.05)  # the failed batch is taken before any reply
                 paid.extend(texts)
                 return out
 
@@ -757,17 +759,17 @@ class TestStagesAtRequestParallelism:
             pairs = _pairs(40)
             with pytest.raises(PipelineError) as raised:
                 translate_corpus(cfg, pairs, index, runs_root=tmp_path)
-            assert (raised.value.stage, raised.value.segment_id) == (stage, "ood000")
+            assert (raised.value.stage, raised.value.segment_id) == (stage, "ood004")
             snap = faulty.stats.snapshot()
             p = ep.request_parallelism
             assert snap["failures_injected"][path] == 1
-            # the first p batches went out together; none after the failure was taken
-            assert snap["counts"][path] == p
+            # the first batch alone, then p together; none after the failure was taken
+            assert snap["counts"][path] == 1 + p
             stored = {json.loads(line)["key"]
                       for rows in (tmp_path / REPLIES_DIR).glob(f"{role}-*")
                       for line in rows.read_text().splitlines()}
             assert stored == set(paid)
-            assert len(stored) == snap["inputs"][path] - ep.max_batch == (p - 1) * ep.max_batch
+            assert len(stored) == snap["inputs"][path] - ep.max_batch == p * ep.max_batch
             monkeypatch.setattr(cls, method, original)
 
             faulty.behavior.fail_rate = 0.0
