@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "numpy"
-RESAMPLE_BLOCK_COUNTS = 2**20  # count-matrix entries ``resample_sums`` builds at a time
 
 
 def search_layer(
@@ -43,28 +42,25 @@ def search_layer(
     return rows, sims[rows]
 
 
-def resample_sums(stats: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def exact_float64(columns, draws: int) -> np.ndarray:
+    """Statistics side by side in float64; ``ValueError`` where a sum of
+    ``draws`` integer rows could pass ``2**53``, beyond exact float64."""
+    values = np.hstack(columns, dtype=np.float64)
+    top = max(values.max(initial=0), -values.min(initial=0))
+    if any(c.dtype.kind in "iu" for c in columns) and draws * top >= 2**53:
+        raise ValueError("resample sums could exceed 2**53, beyond exact float64")
+    return values
+
+
+def resample_sums(stats: np.ndarray, idx: np.ndarray, out=None) -> np.ndarray:
     """Sum segment statistics over each resample's index row, in their dtype.
 
-    Equal to ``stats[idx].sum(axis=1)``: each row of ``idx``, read in place
-    (the bootstrap's is int32), is counted per segment into one reused
-    float64 block of ``RESAMPLE_BLOCK_COUNTS`` counts, and ``counts @ stats``
-    adds the same values as a float64 GEMM. Integer sums are exact, as no
-    partial sum exceeds ``n * max|stats|`` (a row's counts sum to its ``n``
-    draws); past ``2**53`` it raises ``ValueError``. Float sums may differ
-    from the gather's in the last bits.
+    Equal to ``stats[idx].sum(axis=1)``: ``counts @ stats`` of each row's
+    per-segment counts, a float64 GEMM into ``out`` if given, on statistics
+    ``exact_float64`` casts; float sums may differ in the last bits.
     """
-    stats, idx = np.asarray(stats), np.asarray(idx)
-    (n_resamples, n), m = idx.shape, stats.shape[0]
-    if stats.dtype.kind in "iu" and n * max(int(stats.max(initial=0)),
-                                             -int(stats.min(initial=0))) >= 2**53:
-        raise ValueError("resample sums could exceed 2**53, beyond exact float64")
-    values, sums = stats.astype(np.float64), np.empty((n_resamples, stats.shape[1]))
-    counts = np.empty((max(1, min(n_resamples, RESAMPLE_BLOCK_COUNTS // max(m, 1))), m))
-    for lo in range(0, n_resamples, len(counts)):
-        rows = idx[lo:lo + len(counts)]
-        for j, row in enumerate(rows):
-            counts[j] = np.bincount(row, minlength=m)
-        np.matmul(counts[:len(rows)], values, out=sums[lo:lo + len(rows)])
-    del counts  # before the cast to the statistics' dtype copies the sums
-    return sums.astype(stats.dtype, copy=False)
+    counts = np.empty((len(idx), len(stats)))
+    for j, row in enumerate(idx):
+        counts[j] = np.bincount(row, minlength=len(stats))
+    values = stats if stats.dtype == np.float64 else exact_float64([stats], idx.shape[1])
+    return np.matmul(counts, values, out=out).astype(stats.dtype, copy=False)

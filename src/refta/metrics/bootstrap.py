@@ -1,19 +1,18 @@
 """Paired bootstrap resampling for system comparisons.
 
 Segment indices are resampled with replacement ``N_RESAMPLES`` times, once
-per comparison: one int32 draw (40 MB at 10^4 segments) serves a baseline,
-every system compared with it and every metric. One ``kernels.resample_sums``
-call per statistics dtype, over all their statistics side by side, gives an
-``(N_RESAMPLES, d)`` matrix of sums per metric and system, and each metric's
-array scorer, ``corpus_scores``, scores each system's sums in one call: the
-scorer of the full-corpus and per-segment scores, so the formula exists
-once. The p-value is one-sided: the fraction of resampled deltas whose sign
-differs from the full-corpus delta (Koehn, "Statistical Significance Tests
-for Machine Translation Evaluation", EMNLP 2004). A zero resampled delta
-counts against the observed sign, and an all-zero full delta yields p = 1.0.
-It is about half of a centred two-sided bootstrap p. The confidence interval
-is the 2.5/97.5 percentile band of resampled deltas. Results are a pure
-function of (inputs, seed).
+per comparison, as int32 draws from one generator ``RESAMPLE_BLOCK`` at a
+time; the blocks joined end to end equal one draw. Per block, one
+``kernels.resample_sums`` call per statistics dtype fills its rows of the
+``(N_RESAMPLES, d)`` sums of every metric and system, and each metric's array
+scorer, ``corpus_scores``, scores each system's sums in one call: the scorer
+of the full-corpus and per-segment scores, so the formula exists once. The
+p-value is one-sided: the fraction of resampled deltas whose sign differs
+from the full-corpus delta (Koehn, "Statistical Significance Tests for
+Machine Translation Evaluation", EMNLP 2004). A zero resampled delta counts
+against the observed sign, and an all-zero full delta yields p = 1.0. It is
+about half of a centred two-sided bootstrap p. The confidence interval is the
+2.5/97.5 band of resampled deltas. Results are a pure function of (inputs, seed).
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import numpy as np
 from refta import kernels
 
 N_RESAMPLES = 1000
+RESAMPLE_BLOCK = 64  # resamples drawn, counted and summed at a time
 COMPARE_SEED = 42  # the seed of ``paired_bootstrap``, ``compare_runs`` and ``refta compare``
 
 
@@ -65,14 +65,18 @@ def paired_bootstrap(
     if n < 2:
         raise ValueError("need at least 2 segments")
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    idx = rng.integers(0, n, size=(N_RESAMPLES, n), dtype=np.int32)
-
-    sums = {}
+    sums, groups = {}, []
     for dtype in dict.fromkeys(stats.dtype for stats in columns):
         at = [i for i, stats in enumerate(columns) if stats.dtype == dtype]
-        summed = kernels.resample_sums(np.hstack([columns[i] for i in at]), idx)
+        values = kernels.exact_float64([columns[i] for i in at], n)
+        summed = np.empty((N_RESAMPLES, values.shape[1]))
         sums.update(zip(at, np.hsplit(summed, np.cumsum([columns[i].shape[1] for i in at])[:-1])))
+        groups.append((values, summed))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for lo in range(0, N_RESAMPLES, RESAMPLE_BLOCK):
+        idx = rng.integers(0, n, size=(min(RESAMPLE_BLOCK, N_RESAMPLES - lo), n), dtype=np.int32)
+        for values, summed in groups:
+            kernels.resample_sums(values, idx, out=summed[lo:lo + len(idx)])
     results = []
     for k, metric in enumerate(metrics):
         own = range(k * len(every), (k + 1) * len(every))

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import DATA
+from conftest import DATA, REPO_ROOT
 from refta import kernels
-from refta.metrics.bootstrap import N_RESAMPLES, paired_bootstrap
+from refta.metrics import bleu, bootstrap, chrf
+from refta.metrics.bootstrap import N_RESAMPLES, RESAMPLE_BLOCK, paired_bootstrap
 from refta.metrics.bleu import BleuMetric
 from refta.metrics.chrf import ChrfPPMetric
 from refta.metrics.report import (
@@ -66,6 +70,10 @@ def test_resample_sums_refuses_sums_past_exact_float64():
             kernels.resample_sums(np.array([[big], [1]], dtype=np.int64), idx)
     stats = np.array([[2**52 - 1], [1]], dtype=np.int64)
     assert np.array_equal(kernels.resample_sums(stats, idx), stats[idx].sum(axis=1))
+    # the bootstrap checks each statistics dtype once, before its one cast
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        _compare(MeanMetric("big"), np.array([[2**52, 1], [1, 1]], dtype=np.int64),
+                 np.ones((2, 2), dtype=np.int64))
 
 
 def _neural_stats(scores):
@@ -212,3 +220,69 @@ def test_the_int32_draw_equals_the_int64_draw(n, seed):
     draws = [np.random.Generator(np.random.PCG64(seed)).integers(0, n, size=shape, dtype=dtype)
              for dtype in (np.int32, np.int64)]
     assert np.array_equal(*draws)
+
+
+@pytest.mark.parametrize("n", [2, 7, 111, 10**4])
+@pytest.mark.parametrize("rows", [1, 63, 64, 1000])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_draws_in_blocks_of_resamples_equal_one_draw(n, rows, seed):
+    # the bootstrap draws its indices a block of resamples at a time; NumPy
+    # does not document that the blocks join into one draw, so pin it here
+    whole = np.random.Generator(np.random.PCG64(seed)).integers(
+        0, n, size=(N_RESAMPLES, n), dtype=np.int32)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    blocks = [rng.integers(0, n, size=(min(rows, N_RESAMPLES - lo), n), dtype=np.int32)
+              for lo in range(0, N_RESAMPLES, rows)]
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 1000])
+def test_resamples_in_blocks_equal_one_block(monkeypatch, rows):
+    # blocks of 1 and of 3 resamples, the last one short, and one block
+    hyps_a, hyps_b, refs = _synthetic_pair(5, 110)
+    metrics = [BleuMetric(), ChrfPPMetric(), MeanMetric("comet")]
+    rng = np.random.default_rng(5)
+
+    def stats(hyps):
+        # neural scores on a 1/64 grid: their float sums are exact in any order
+        return {"bleu": metrics[0].segment_stats(hyps, refs),
+                "chrf++": metrics[1].segment_stats(hyps, refs),
+                "comet": _neural_stats(rng.integers(0, 64, len(refs)) / 64)}
+
+    systems, baseline_stats = {"A": stats(hyps_a)}, stats(hyps_b)
+    want = paired_bootstrap(metrics, systems, baseline_stats, seed=5)
+    monkeypatch.setattr(bootstrap, "RESAMPLE_BLOCK", rows)
+    assert paired_bootstrap(metrics, systems, baseline_stats, seed=5) == want
+
+
+def test_bootstrap_memory_is_bounded_by_one_block():
+    # two systems of BLEU and chrF++ statistics at 10^4 segments, where one
+    # (1000, n) int32 draw alone would take 40 MB
+    n, d = 10**4, 2 * (bleu.STATS_DIM + chrf.STATS_DIM)
+    rng = np.random.default_rng(9)
+
+    def stats():
+        return {"bleu": rng.integers(1, 30, size=(n, bleu.STATS_DIM)),
+                "chrf++": rng.integers(1, 30, size=(n, chrf.STATS_DIM))}
+
+    systems, baseline_stats = {"A": stats()}, stats()
+    tracemalloc.start()
+    try:
+        paired_bootstrap([BleuMetric(), ChrfPPMetric()], systems, baseline_stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block of int32 draws and their float64 counts, one float64 copy of
+    # the statistics and the float64 sums, plus 1 MB for per-row temporaries
+    block = RESAMPLE_BLOCK * n * (4 + 8)
+    assert peak < block + 8 * n * d + 8 * N_RESAMPLES * d + 2**20
+
+
+def test_compare_scale_rows_equal_the_golden():
+    # significance rows of a three-system lexical compare of 301 segments,
+    # as the tool printed them before the bootstrap drew in blocks
+    golden = json.loads((DATA / "golden" / "compare_scale_301.json").read_text())
+    proc = subprocess.run([sys.executable, str(REPO_ROOT / "tools" / "compare_scale.py"),
+                           *golden["argv"]], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["significance"] == golden["significance"]

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -39,32 +37,6 @@ def test_resample_sums_of_float_statistics_are_float64():
     got = kernels.resample_sums(stats, idx)
     assert got.dtype == np.float64
     np.testing.assert_allclose(got, stats[idx].sum(axis=1), rtol=1e-12)
-
-
-@pytest.mark.parametrize("block_counts", [1, 100])
-def test_resample_sums_in_blocks_equals_gather(monkeypatch, block_counts):
-    # blocks of 1 and of 3 resamples, the last one short
-    monkeypatch.setattr(kernels, "RESAMPLE_BLOCK_COUNTS", block_counts)
-    rng = np.random.default_rng(7)
-    stats = rng.integers(0, 50, size=(30, 10)).astype(np.int64)
-    idx = rng.integers(0, 30, size=(200, 30)).astype(np.int64)
-    assert np.array_equal(kernels.resample_sums(stats, idx), stats[idx].sum(axis=1))
-
-
-def test_resample_sums_memory_is_bounded_by_its_block():
-    rng = np.random.default_rng(9)
-    n, d = 4000, 8
-    stats = rng.integers(0, 50, size=(n, d)).astype(np.int64)
-    idx = rng.integers(0, n, size=(1000, n)).astype(np.int32)  # the bootstrap's draw
-    tracemalloc.start()
-    try:
-        kernels.resample_sums(stats, idx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one reused float64 count block, plus the float64 statistics and sums;
-    # the draws are read in place, and one (1000, n) count matrix alone is 32 MB
-    assert peak < 1.1 * 8 * kernels.RESAMPLE_BLOCK_COUNTS + 2 * 8 * (n + 1000) * d
 
 
 def _full_order(sims: np.ndarray, id_rank: np.ndarray) -> np.ndarray:

@@ -21,8 +21,9 @@ from refta.backends import EndpointConfig, ScorerClient
 from refta.corpus import ParallelPair, SourceSegment, load_parallel
 from refta.errors import ComparisonError
 from refta.metrics import bleu as bleu_module
+from refta.metrics import chrf as chrf_module
 from refta.metrics.bleu import BLOCK_ROWS, BleuMetric, bleu, tokenize_13a
-from refta.metrics.bootstrap import paired_bootstrap
+from refta.metrics.bootstrap import N_RESAMPLES, RESAMPLE_BLOCK, paired_bootstrap
 from refta.metrics.chrf import ChrfPPMetric, chrf_pp
 from refta.metrics.report import (
     LEXICAL_METRICS,
@@ -313,21 +314,24 @@ def test_compare_runs_resamples_once_per_statistics_dtype(tmp_path, monkeypatch,
             "".join(h + "\n" for h in hyps), encoding="utf-8")
     calls = []
 
-    def resample_sums(stats, idx):
-        calls.append((stats.dtype, stats.shape, idx.dtype))
-        return original(stats, idx)
+    def resample_sums(stats, idx, out=None):
+        calls.append((stats.shape, idx.shape, idx.dtype))
+        return original(stats, idx, out=out)
 
     original = kernels.resample_sums
     monkeypatch.setattr(kernels, "resample_sums", resample_sums)
     comparison = compare_runs([tmp_path / "mid", tmp_path / "top"], pairs, tmp_path / "base",
                               scorer=ScorerClient(endpoint("scorer")),
                               neural_metrics=neural_metrics)
-    # one count matrix for the integer statistics of every metric and run, and
-    # one for the float ones, rather than one per metric
-    assert len(calls) == sums_calls
-    assert {dtype for dtype, _, _ in calls} == (
-        {np.dtype(np.int64), np.dtype(np.float64)} if neural_metrics else {np.dtype(np.int64)})
-    assert all(shape[0] == len(pairs) and idx == np.int32 for _, shape, idx in calls)
+    # per block of resamples, one count block for the integer statistics of
+    # every metric and run, and one for the float ones, rather than one per metric
+    blocks = -(-N_RESAMPLES // RESAMPLE_BLOCK)
+    assert len(calls) == sums_calls * blocks
+    widths = [3 * (bleu_module.STATS_DIM + chrf_module.STATS_DIM), 3 * 2 * len(neural_metrics)]
+    assert [shape[1] for shape, _, _ in calls] == widths[:sums_calls] * blocks
+    assert all(shape[0] == idx[1] == len(pairs) and dtype == np.int32
+               for shape, idx, dtype in calls)
+    assert sum(idx[0] for _, idx, _ in calls) == sums_calls * N_RESAMPLES
     names = ["bleu", "chrf++", *neural_metrics]
     assert [(s.system_a, s.metric) for s in comparison.significance] == [
         (run, name) for run in ("mid", "top") for name in names]

@@ -8,8 +8,9 @@ The test set has one reference per segment, of 8-29 words drawn from a
 reference's words with other vocabulary words. The test set and the runs
 are written to a temporary directory, removed on exit. Prints one JSON
 object: the segment count, the seconds ``compare_runs`` took, the process's
-peak resident set (``ru_maxrss``) in MB and the lexical significance rows,
-so that two checkouts can be compared on the same inputs.
+peak resident set (``ru_maxrss``) in MB just before ``compare_runs`` and at
+the end (the difference is ``compare``'s own increment) and the lexical
+significance rows, so that two checkouts can be compared on the same inputs.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ def _write_inputs(root: Path, n: int, seed: int) -> tuple[Path, list[Path]]:
     return test_set, run_dirs
 
 
+def _maxrss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--segments", type=int, default=10000)
@@ -64,6 +69,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         test_set, run_dirs = _write_inputs(Path(tmp), args.segments, args.seed)
         pairs = load_parallel(test_set, "tsv")
+        before_mb = _maxrss_mb()
         start = time.perf_counter()
         comparison = compare_runs(run_dirs, pairs, run_dirs[0], seed=SEED)
         seconds = time.perf_counter() - start
@@ -71,7 +77,8 @@ def main(argv=None) -> int:
         "segments": args.segments,
         "systems": len(SYSTEMS),
         "compare_s": round(seconds, 3),
-        "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "ru_maxrss_before_mb": before_mb,
+        "ru_maxrss_mb": _maxrss_mb(),
         "significance": [
             {k: getattr(sig, k) for k in ("system_a", "metric", "delta", "p_value",
                                            "ci_low", "ci_high")}
