@@ -13,8 +13,9 @@ segments from scoring zero by construction.
 
 ``segment_stats`` counts with arrays, ``BLOCK_ROWS`` rows at a time, so that
 its memory does not grow with the test set; chrF++ counts through the same
-functions. ``scores`` turns a whole ``(R, STATS_DIM)`` matrix of statistics
-into R scores; it is the only copy of the formula.
+functions. A block's texts are 13a-tokenized in one pass over their joined
+text. ``scores`` turns an ``(R, STATS_DIM)`` matrix into R scores; it is the
+only copy of the formula.
 """
 
 from __future__ import annotations
@@ -35,30 +36,37 @@ _INT64_MAX = np.iinfo(np.int64).max
 _log = np.frompyfunc(math.log, 1, 1)
 _exp = np.frompyfunc(math.exp, 1, 1)
 
-# 13a rule 1 pads every character of its class with spaces; rules 2-4 follow
-_13A_PAD = str.maketrans({c: f" {c} " for c in " !\"#$%&()*+/:;<=>?@[\\]^_`{|}~"})
-_13A_RULES = [
-    (re.compile(r"([^0-9])([\.,])"), r"\1 \2 "),
-    (re.compile(r"([\.,])([^0-9])"), r" \1 \2"),
-    (re.compile(r"([0-9])(-)"), r"\1 \2 "),
-]
-_WS = re.compile(r"\s+")
+# 13a on "\n"-joined texts: a digit's hyphen (rule 4) by ``str.replace``, each
+# run of [.,] (rules 2 and 3) in one callback, then rule 1's padding without the
+# space. Rules 2-4 see only whether a neighbour is a digit, so the order is free.
+_13A_RUN = re.compile(r"([0-9]?)([.,]+)(?=([0-9]?))")
+_13A_PAD = re.compile(r"([!\"#$%&()*+/:;<=>?@\[\\\]^_`{|}~])")
+
+
+def _13a_run(match) -> str:
+    """Rules 2 and 3 on a run of [.,] and a digit either side, if any. They
+    space off every character but a lone one between digits (3.14), and the
+    last before a digit when the run plus a digit before it is even in length."""
+    before, run, after = match.groups()
+    left = " " if len(run) > 1 or not (before and after) else ""
+    right = " " if not after or (len(run) + len(before)) % 2 else ""
+    return f"{before}{left}{' '.join(run)}{right}"
+
+
+def _13a_tokens(texts) -> list[list[str]]:
+    """The 13a tokens of each of ``texts``, tokenized in one pass."""
+    block = "\n".join(t.replace("<skipped>", "").replace("-\n", "").replace("\n", " ")
+                      for t in texts)
+    block = (block.replace("&quot;", '"').replace("&amp;", "&").replace("&lt;", "<")
+             .replace("&gt;", ">"))
+    for digit in "0123456789":
+        block = block.replace(f"{digit}-", f"{digit} - ")
+    block = _13A_PAD.sub(r" \1 ", _13A_RUN.sub(_13a_run, block))
+    return [line.split() for line in block.split("\n")]
 
 
 def tokenize_13a(line: str) -> str:
-    norm = (
-        line.replace("<skipped>", "")
-        .replace("-\n", "")
-        .replace("\n", " ")
-        .replace("&quot;", '"')
-        .replace("&amp;", "&")
-        .replace("&lt;", "<")
-        .replace("&gt;", ">")
-    )
-    norm = f" {norm} ".translate(_13A_PAD)
-    for pattern, repl in _13A_RULES:
-        norm = pattern.sub(repl, norm)
-    return _WS.sub(" ", norm).strip()
+    return " ".join(*_13a_tokens([line]))
 
 
 def _validate(hypotheses, references) -> None:
@@ -163,7 +171,7 @@ def _matches(table, n_texts: int, n_slots: int, hyp_ids, ref_ids, best_of_refs: 
 
 
 def _bleu_block(texts, hyp_ids, ref_ids, n_refs) -> np.ndarray:
-    symbols, lengths = _symbol_ids([tokenize_13a(t).split() for t in texts])
+    symbols, lengths = _symbol_ids(_13a_tokens(texts))
     table = _gram_table([(symbols, lengths, NGRAM_ORDER)], len(texts))
     correct = _matches(table, len(texts), NGRAM_ORDER, hyp_ids, ref_ids, best_of_refs=True)
     sys_len, ref_len = lengths[hyp_ids], lengths[ref_ids]

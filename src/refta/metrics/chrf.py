@@ -10,12 +10,13 @@ are pooled.
 
 Statistics are counted with BLEU's arrays, ``bleu.BLOCK_ROWS`` rows at a
 time: characters as code points and words as ids are the two symbol streams
-of one n-gram table. ``scores`` is the one copy of the formula, over an
-``(R, STATS_DIM)`` matrix.
+of one n-gram table; a block's words are split by two regexes over its joined
+text. ``scores`` is the one copy of the formula, over an ``(R, STATS_DIM)`` matrix.
 """
 
 from __future__ import annotations
 
+import re
 import string
 
 import numpy as np
@@ -28,28 +29,25 @@ BETA = 2.0
 N_ORDERS = CHAR_ORDER + WORD_ORDER
 STATS_DIM = 3 * N_ORDERS  # per order: hyp total, ref total, matched
 
-_PUNCTS = frozenset(string.punctuation)
+_PUNCT = re.escape(string.punctuation)
+# the first character of a word of 2+ that starts but does not end with punctuation
+_WORD_FIRST = re.compile(rf"([{_PUNCT}])(?<!\S[{_PUNCT}])(?=\S*[^\s{_PUNCT}](?!\S))")
+_WORD_LAST = re.compile(rf"([{_PUNCT}])(?<=\S[{_PUNCT}])(?!\S)")  # ends a word of 2+
 
 
-def _word_tokens(segment: str) -> list[str]:
-    tokens: list[str] = []
-    for word in segment.split():
-        if len(word) == 1:
-            tokens.append(word)
-        elif word[-1] in _PUNCTS:
-            tokens.extend((word[:-1], word[-1]))
-        elif word[0] in _PUNCTS:
-            tokens.extend((word[0], word[1:]))
-        else:
-            tokens.append(word)
-    return tokens
+def _word_tokens(texts) -> list[list[str]]:
+    """Each text's whitespace-split words, a word of 2+ characters split before
+    a final punctuation character, else after a first one."""
+    block = "\n".join(t.replace("\n", " ") for t in texts)
+    block = _WORD_LAST.sub(r" \1", _WORD_FIRST.sub(r"\1 ", block))
+    return [line.split() for line in block.split("\n")]
 
 
 def _chrf_block(texts, hyp_ids, ref_ids, n_refs) -> np.ndarray:
     chars = ["".join(t.split()) for t in texts]
     codes = np.frombuffer("".join(chars).encode("utf-32-le", "surrogatepass"), dtype="<u4")
     char_lens = np.array([len(c) for c in chars], dtype=np.int64)
-    words, word_lens = _symbol_ids([_word_tokens(t) for t in texts])
+    words, word_lens = _symbol_ids(_word_tokens(texts))
     table = _gram_table([(codes.astype(np.int64), char_lens, CHAR_ORDER),
                          (words, word_lens, WORD_ORDER)], len(texts))
     matched = _matches(table, len(texts), N_ORDERS, hyp_ids, ref_ids, best_of_refs=False)

@@ -147,7 +147,7 @@ def score_runs(runs: dict, pairs: list[ParallelPair], scorer, neural_metrics) ->
     stacked = {m.name: m.segment_stats(stacked_hyps, [p.references for p in stacked_pairs])
                for m in LEXICAL_METRICS}
     triples = [(p.source.text, hyp, p.references[0])
-               for p, hyp in zip(stacked_pairs, stacked_hyps)]
+               for p, hyp in zip(stacked_pairs, stacked_hyps)] if neural_metrics else []
     unserved = []
     for metric in sorted(neural_metrics):
         served, failed = map_batches(lambda batch: scorer.score(metric, batch), triples,
@@ -219,14 +219,8 @@ def format_comparison_table(comparison: RunComparison) -> str:
     """Aligned plain-text table; '*' marks a delta vs the baseline whose
     two-sided p, twice the one-sided ``p_value``, is below alpha: ties aside,
     one whose 95% interval leaves out 0."""
-    metric_names: list[str] = []
-    for row in comparison.rows:
-        for name in row["scores"]:
-            if name not in metric_names:
-                metric_names.append(name)
-    sig_by_run = {}
-    for sig in comparison.significance:
-        sig_by_run.setdefault(sig.system_a, {})[sig.metric] = sig
+    metric_names = list(dict.fromkeys(name for row in comparison.rows for name in row["scores"]))
+    sigs = {(sig.system_a, sig.metric): sig for sig in comparison.significance}
 
     header = ["run"] + metric_names
     lines = []
@@ -237,11 +231,9 @@ def format_comparison_table(comparison: RunComparison) -> str:
             if score is None:
                 cells.append("-")
                 continue
-            mark = ""
-            sig = sig_by_run.get(row["run"], {}).get(name)
-            if sig is not None and 2 * sig.p_value < SIGNIFICANCE_ALPHA:
-                mark = "*"
-            cells.append(format_score(name, score) + mark)
+            sig = sigs.get((row["run"], name))
+            marked = sig is not None and 2 * sig.p_value < SIGNIFICANCE_ALPHA
+            cells.append(format_score(name, score) + ("*" if marked else ""))
         lines.append(cells)
 
     widths = [max(len(r[i]) for r in [header] + lines) for i in range(len(header))]

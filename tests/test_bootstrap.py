@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import DATA, REPO_ROOT
+from conftest import DATA, FIXTURES, REPO_ROOT
 from refta import kernels
 from refta.metrics import bleu, bootstrap, chrf
 from refta.metrics.bootstrap import N_RESAMPLES, RESAMPLE_BLOCK, paired_bootstrap
@@ -286,3 +288,53 @@ def test_compare_scale_rows_equal_the_golden():
                            *golden["argv"]], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["significance"] == golden["significance"]
+
+
+@st.composite
+def _deltas(draw):
+    """N_RESAMPLES deltas: ties among a few values (one value makes a constant
+    array, 0.0 and -0.0 are two), or a normal sample."""
+    pool = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324])
+                         | st.floats(-1e6, 1e6, allow_subnormal=True), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.choice(pool, N_RESAMPLES) if draw(st.booleans())
+            else rng.normal(scale=abs(pool[0]) + 1e-9, size=N_RESAMPLES))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_deltas())
+@example(np.zeros(N_RESAMPLES))
+@example(np.where(np.arange(N_RESAMPLES) % 3 == 0, -0.0, 0.0))
+@example(np.repeat([-1.0, 0.0, -0.0, 2.0], N_RESAMPLES // 4))
+def test_interval_is_numpy_percentile_bit_for_bit(deltas):
+    want = np.percentile(deltas, [2.5, 97.5])
+    got = bootstrap._interval(deltas.copy())
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="NumPy 1 imports numpy.ma with numpy itself")
+def test_compare_leaves_numpy_ma_unimported(tmp_path):
+    # three runs over the fixture test set: references with words dropped
+    script = """
+import sys
+from pathlib import Path
+from refta.corpus import load_parallel
+from refta.metrics.report import compare_runs
+pairs = load_parallel(sys.argv[1], "tsv")
+runs = []
+for k in range(3):
+    run = Path(sys.argv[2], f"run{k}")
+    run.mkdir()
+    words = (p.references[0].split() for p in pairs)
+    run.joinpath("hypotheses.txt").write_text("".join(" ".join(w[k:]) + "\\n" for w in words))
+    runs.append(run)
+assert len(compare_runs(runs, pairs, runs[0]).significance) == 4
+print("numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script,
+                           str(FIXTURES / "testsets" / "ood_fixture_110.tsv"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

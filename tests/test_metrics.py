@@ -363,13 +363,52 @@ def _copy_ngrams(tokens, n):
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
+_COPY_13A_PAD = str.maketrans({c: f" {c} " for c in " !\"#$%&()*+/:;<=>?@[\\]^_`{|}~"})
+_COPY_13A_RULES = [
+    (re.compile(r"([^0-9])([\.,])"), r"\1 \2 "),
+    (re.compile(r"([\.,])([^0-9])"), r" \1 \2"),
+    (re.compile(r"([0-9])(-)"), r"\1 \2 "),
+]
+_COPY_WS = re.compile(r"\s+")
+
+
+def _copy_tokenize_13a(line):
+    norm = (
+        line.replace("<skipped>", "")
+        .replace("-\n", "")
+        .replace("\n", " ")
+        .replace("&quot;", '"')
+        .replace("&amp;", "&")
+        .replace("&lt;", "<")
+        .replace("&gt;", ">")
+    )
+    norm = f" {norm} ".translate(_COPY_13A_PAD)
+    for pattern, repl in _COPY_13A_RULES:
+        norm = pattern.sub(repl, norm)
+    return _COPY_WS.sub(" ", norm).strip()
+
+
+def _copy_word_tokens(segment):
+    tokens = []
+    for word in segment.split():
+        if len(word) == 1:
+            tokens.append(word)
+        elif word[-1] in string.punctuation:
+            tokens.extend((word[:-1], word[-1]))
+        elif word[0] in string.punctuation:
+            tokens.extend((word[0], word[1:]))
+        else:
+            tokens.append(word)
+    return tokens
+
+
 def _copy_bleu_row(hyp, refs):
-    hyp_tokens = tokenize_13a(hyp).split()
+    hyp_tokens = _copy_tokenize_13a(hyp).split()
     hyp_counts = [_copy_ngrams(hyp_tokens, n) for n in range(1, 5)]
     ref_counts = [Counter() for _ in range(4)]
     closest_diff, closest_len = None, 0
     for ref in refs:
-        ref_tokens = tokenize_13a(ref).split()
+        ref_tokens = _copy_tokenize_13a(ref).split()
         diff = abs(len(hyp_tokens) - len(ref_tokens))
         if closest_diff is None or diff < closest_diff or (
                 diff == closest_diff and len(ref_tokens) < closest_len):
@@ -410,16 +449,7 @@ def _copy_bleu_score(row, effective_order):
 
 def _copy_chrf_counters(segment):
     chars = "".join(segment.split())
-    tokens = []
-    for word in segment.split():
-        if len(word) == 1:
-            tokens.append(word)
-        elif word[-1] in string.punctuation:
-            tokens.extend((word[:-1], word[-1]))
-        elif word[0] in string.punctuation:
-            tokens.extend((word[0], word[1:]))
-        else:
-            tokens.append(word)
+    tokens = _copy_word_tokens(segment)
     counters = [Counter(chars[i:i + n] for i in range(len(chars) - n + 1)) for n in range(1, 7)]
     return counters + [_copy_ngrams(tokens, n) for n in (1, 2)]
 
@@ -544,15 +574,43 @@ def test_segment_stats_across_blocks():
         chrf_rows[h, tuple(r)] for h, r in rows]
 
 
-# the regex of 13a rule 1 that a str.translate table replaced
+# the regex of 13a rule 1, which pads the space too
 _13A_RULE_1 = re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])")
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.text())
 @example("".join(map(chr, range(0x300))))
-def test_13a_rule_1_table_equals_its_regex(text):
-    assert text.translate(bleu_module._13A_PAD) == _13A_RULE_1.sub(r" \1 ", text)
+def test_13a_rule_1_padding_equals_its_regex(text):
+    assert (bleu_module._13A_PAD.sub(r" \1 ", text).split()
+            == _13A_RULE_1.sub(r" \1 ", text).split())
+
+
+# texts heavy in what 13a's rules and chrF++'s word split treat specially
+_tokenizer_texts = st.lists(st.sampled_from(
+    list("0123456789") + [".", ",", "-", ".", ",", "-", "\n", "-\n", "&quot;", "&amp;", "&lt;",
+                          "&gt;", "&", "amp;", "<skipped>", "<", "ski", "pped>", " ", "a", "é",
+                          "(", ")", "!", "'", ";", "\t", "\r", "\xa0", "\x1c", "\x85",
+                          "\u2003", "\u3000", "\u2028"]), max_size=16).map("".join)
+_TOKENIZER_EXAMPLES = [
+    "3.14 1..5 a..5 1.5. ,,1 1-2 1--x", "a-\n-\nb -", "&amp;lt; <ski<skipped>pped>",
+    "a-<skipped>\nb", ".(a a.) .. .a. ,,a a,, ' '.",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_tokenizer_texts, min_size=1, max_size=8))
+@example(_TOKENIZER_EXAMPLES)
+def test_block_13a_tokens_equal_the_per_text_rules(texts):
+    assert bleu_module._13a_tokens(texts) == [_copy_tokenize_13a(t).split() for t in texts]
+    assert [tokenize_13a(t) for t in texts] == [_copy_tokenize_13a(t) for t in texts]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_tokenizer_texts, min_size=1, max_size=8))
+@example(_TOKENIZER_EXAMPLES)
+def test_block_word_tokens_equal_the_per_text_split(texts):
+    assert chrf_module._word_tokens(texts) == [_copy_word_tokens(t) for t in texts]
 
 
 def test_segment_stats_memory_is_bounded_by_the_block():
