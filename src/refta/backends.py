@@ -80,13 +80,6 @@ from refta.errors import (
     TransportError,
 )
 
-ENV_TOKEN_VARS = {
-    "refiner": "REFTA_REFINER_TOKEN",
-    "drafter": "REFTA_DRAFTER_TOKEN",
-    "embedder": "REFTA_EMBEDDER_TOKEN",
-    "scorer": "REFTA_SCORER_TOKEN",
-}
-
 MAX_OUTPUT_TOKENS_CEILING = 8192
 
 # patch point for tests; never sleep directly
@@ -94,9 +87,8 @@ _sleep = time.sleep
 
 
 def resolve_token(role: str) -> str | None:
-    """Auth token for a backend role, from the environment only."""
-    var = ENV_TOKEN_VARS.get(role)
-    return os.environ.get(var) if var else None
+    """Auth token for a backend role, from ``REFTA_<ROLE>_TOKEN`` only."""
+    return os.environ.get(f"REFTA_{role.upper()}_TOKEN")
 
 
 def estimate_tokens(text: str) -> int:
@@ -264,14 +256,9 @@ def map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_fligh
     return served, failed
 
 
-_RETRYABLE_STATUSES = frozenset({429})
 RETRY_AFTER_CAP_S = 60.0
 BACKOFF_BASE_S = 0.5
 BACKOFF_FACTOR = 2.0
-
-
-def _is_retryable_status(status: int) -> bool:
-    return status in _RETRYABLE_STATUSES or 500 <= status <= 599
 
 
 def _split_http_url(url: str) -> tuple[SplitResult, int]:
@@ -411,7 +398,7 @@ class _HttpClient:
                     if not isinstance(reply, dict):
                         raise ProtocolError(f"{url}: response is not a JSON object")
                     return reply
-                if not _is_retryable_status(status):
+                if status != 429 and not 500 <= status <= 599:  # not retryable
                     self.stats.record(attempts)
                     self._raise_request_error(status, data.decode("utf-8", "replace"))
                 last_failure = f"HTTP {status}"

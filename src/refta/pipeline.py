@@ -9,26 +9,31 @@ each over the whole test set:
 4. assemble each segment's prompt, then refine each distinct prompt,
    ``workers`` requests at a time.
 
-Stages 1, 3 and 4 send through ``backends.map_batches``, one rule for what a
-failed request means and for the reply store under the runs root (``_Replies``):
-each sends only the texts and chat requests the store lacks (a stored query
-vector whose size is not the index's is a miss, and a served one is a
-``DimensionError``, a refusal that ends stage 1), and the calling thread
-stores each batch paid for as it takes the reply (a failed one never), so a
-run that stopped part-way is resumed by running it again, and a run at
-another temperature pays only for stage 4. Stages 1 and 3 send requests of
-at most ``max_batch`` inputs, their endpoint's ``request_parallelism`` in
-flight, and stage 4 one prompt per request; each stage's first request goes
-alone, so an endpoint that refuses the run costs one request. A batch of
-several inputs rejected with ``RequestError``/``ProtocolError`` is resent
-one input per request; a rejected one-input batch, or one that exhausts its
-transport retries, fails every segment it carried. One rule (``_fail``) fails a
-segment at any stage: it gets a ``PipelineError`` naming the stage and cause
-and goes no further (a segment that fails retrieval is not drafted); under
-``fail_fast`` that error is raised ``from`` its cause, so a prompt over the
-budget ends the run before stage 4 sends a request, a stage sends no request
-after it takes its first failed one (the rest of its p calls in flight are
-served and stored), and the run leaves no directory.
+Stages 1, 3 and 4 are one paid step, ``send``: it feeds the items each
+live segment needs (its own text or prompt first, then its neighbors'
+texts) to ``backends.map_batches``, every segment's own item first, then the
+others, each group in segment order, and fails each segment at its first
+failed item, so a stage finds all its failures before the next stage starts.
+``map_batches`` is the one rule for what a failed request means and for the
+reply store under the runs root (``_Replies``): it sends only the texts and
+chat requests the store lacks (a stored query vector whose size is not the
+index's is a miss, and a served one is a ``DimensionError``, a refusal that
+ends stage 1), and stores each batch paid for as it takes the reply (a
+failed one never), so a run that stopped part-way is resumed by running it
+again, and a run at another temperature pays only for stage 4. Stages 1 and
+3 send requests of at most ``max_batch`` inputs, their endpoint's
+``request_parallelism`` in flight, and stage 4 one prompt per request; each
+stage's first request goes alone, so an endpoint that refuses the run costs
+one request. A batch of several inputs rejected with
+``RequestError``/``ProtocolError`` is resent one input per request; a
+rejected one-input batch, or one that exhausts its transport retries, fails
+every segment it carried. One rule (``_fail``) fails a segment at any stage:
+it gets a ``PipelineError`` naming the stage and cause and goes no further
+(a segment that fails retrieval is not drafted); under ``fail_fast`` that
+error is raised ``from`` its cause, so a prompt over the budget ends the run
+before stage 4 sends a request, a stage sends no request after it takes its
+first failed one (the rest of its p calls in flight are served and stored),
+and the run leaves no directory.
 Artifacts are written in input order, so output is a pure function of
 (config, corpus, index) when the backends are deterministic.
 
@@ -66,7 +71,7 @@ import hashlib
 import json
 import time
 from base64 import b64decode, b64encode
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -257,15 +262,6 @@ class _Replies(dict):
         return {"key": key, "text": reply[0], "usage": vars(reply[1])}
 
 
-@dataclass
-class _Prepared:
-    """One segment's stage 1-3 outputs."""
-
-    draft: str | None = None
-    neighbors: tuple[NeighborExample, ...] = ()
-    timings_ms: dict = field(default_factory=dict)
-
-
 def _fail(errors: list, i: int, stage: str, segment: SourceSegment, cause: Exception,
           fail_fast: bool) -> None:
     """The one failure rule: ``errors[i]`` holds segment ``i``'s ``PipelineError``,
@@ -273,83 +269,6 @@ def _fail(errors: list, i: int, stage: str, segment: SourceSegment, cause: Excep
     errors[i] = PipelineError(stage, segment.id, cause)
     if fail_fast:
         raise errors[i] from cause
-
-
-def _prepare(
-    cfg: RunConfig,
-    segments: list[SourceSegment],
-    index: VectorIndex | None,
-    clients: dict,
-    stores: dict,
-    errors: list,
-) -> tuple[list[_Prepared], dict]:
-    """Stages 1-3 for every segment, and the distinct texts each of their
-    roles replayed from its store (empty for zero_shot). A failure goes
-    through ``_fail``, so under ``fail_fast`` it is raised for the first
-    segment a failed request carried. Every stage 3 failure is found before
-    any draft is attached: under ``fail_fast`` earlier segments may name
-    neighbors never drafted."""
-    preps = [_Prepared() for _ in segments]
-    hits: dict[int, list] = {}
-    replayed = {}
-    if cfg.condition == RAG:
-        embedder, texts = clients["embedder"], [s.text for s in segments]
-        for text in [t for t, vector in stores["embedder"].items() if vector.size != index.dim]:
-            del stores["embedder"][text]  # served at another dimension: a miss, paid again
-        replayed["embedder"] = len(stores["embedder"].keys() & texts)
-
-        def embed(batch):  # a vector of another size is refused before it is stored
-            served = embedder.embed(batch)
-            if served.shape[1] != index.dim:
-                raise DimensionError(f"the embedder serves vectors of dim {served.shape[1]}, "
-                                     f"not the index dim {index.dim}")
-            return served
-
-        vectors, failed = map_batches(embed, texts, embedder.cfg.max_batch,
-                                      cfg.fail_fast, embedder.cfg.request_parallelism,
-                                      store=stores["embedder"])
-        for i, seg in enumerate(segments):
-            try:
-                if seg.text in failed:
-                    raise failed[seg.text]
-                qvec, embed_ms = vectors[seg.text]
-                t0 = time.perf_counter()
-                # one extra candidate of headroom: a self-match occupies a
-                # pool slot before being skipped
-                hits[i] = index.query(
-                    qvec, lemmatize(seg.text), k=cfg.k, jaccard_threshold=cfg.jaccard_threshold,
-                    candidate_pool=default_candidate_pool(cfg.k) + 1,
-                    skip_texts=frozenset((seg.text,)),
-                )
-                preps[i].timings_ms["retrieve"] = round(embed_ms + _ms_since(t0), 3)
-            except ReftaError as exc:
-                _fail(errors, i, "retrieve", seg, exc, cfg.fail_fast)
-
-    if cfg.condition != ZERO_SHOT:
-        live = [i for i in range(len(segments)) if errors[i] is None]
-        texts = [segments[i].text for i in live]
-        texts += [r.entry.text for i in live for r in hits.get(i, ())]
-        drafter = clients["drafter"]
-        replayed["drafter"] = len(stores["drafter"].keys() & texts)
-        drafts, failed = map_batches(lambda batch: drafter.translate(batch)[0], texts,
-                                     drafter.cfg.max_batch, cfg.fail_fast,
-                                     drafter.cfg.request_parallelism, store=stores["drafter"])
-        for i in live:
-            seg = segments[i]
-            bad = [t for t in [seg.text] + [r.entry.text for r in hits.get(i, ())]
-                   if t in failed]
-            if bad:
-                _fail(errors, i, "draft" if bad[0] == seg.text else "neighbor_drafts", seg,
-                      failed[bad[0]], cfg.fail_fast)
-        for i in [i for i in live if errors[i] is None]:
-            prep = preps[i]
-            prep.draft, draft_ms = drafts[segments[i].text]
-            prep.timings_ms["draft"] = round(draft_ms, 3)
-            if cfg.condition == RAG:
-                prep.neighbors = neighbor_drafts(hits[i], drafts)
-                prep.timings_ms["neighbor_drafts"] = round(
-                    max((drafts[r.entry.text][1] for r in hits[i]), default=0.0), 3)
-    return preps, replayed
 
 
 def neighbor_drafts(results, drafts: dict) -> tuple[NeighborExample, ...]:
@@ -366,20 +285,20 @@ def neighbor_drafts(results, drafts: dict) -> tuple[NeighborExample, ...]:
     )
 
 
-def translate_segment(cfg: RunConfig, segment: SourceSegment, prepared: _Prepared,
-                      prompt: tuple, served: tuple) -> TranslationRecord:
-    """Stage 4's record for one segment, from its ``prompt`` ``(bundle,
-    assembled at, assembly ms)`` and the ``(reply, ms)`` that ``map_batches``
-    served for the refiner request that carried it."""
+def translate_segment(cfg: RunConfig, segment: SourceSegment, draft: str | None,
+                      timings: dict, prompt: tuple, served: tuple) -> TranslationRecord:
+    """Stage 4's record for one segment, from its ``draft``, its stage 1-3
+    ``timings``, its ``prompt`` ``(bundle, assembled at, assembly ms)`` and
+    the ``(reply, ms)`` served for the refiner request that carried it."""
     bundle, assembled, assemble_ms = prompt
     (refined, usage), refine_ms = served
-    timings = {**prepared.timings_ms, "refine": round(refine_ms, 3),
-               "total": round(sum(prepared.timings_ms.values()) + assemble_ms + refine_ms, 3)}
+    timings = {**timings, "refine": round(refine_ms, 3),
+               "total": round(sum(timings.values()) + assemble_ms + refine_ms, 3)}
     return TranslationRecord(
         segment_id=segment.id,
         latin=segment.text,
         condition=cfg.condition,
-        draft=prepared.draft,
+        draft=draft,
         neighbors=bundle.neighbors_used,
         refined=refined,
         prompt_tokens=usage.input_tokens,
@@ -429,17 +348,75 @@ def translate_corpus(
     stores = {role: _Replies(runs_root, role, ep) for role, ep in cfg.endpoints.items()}
     clients = {role: _CLIENT_CLASSES[role](ep) for role, ep in cfg.endpoints.items()}
     started, t0 = _now_iso(), time.perf_counter()
+    segments = [p.source for p in pairs]
     n, errors = len(pairs), [None] * len(pairs)  # segment -> its PipelineError, from _fail
+    timings = [{} for _ in segments]  # segment -> the wall ms of what served it
+    hits, drafts, replayed = {}, {}, {}  # segment -> results; text -> (draft, ms); role -> replays
+
+    def live():
+        return [i for i in range(n) if errors[i] is None]
+
+    def send(role, call, needs, stages, max_batch=None, parallelism=None):
+        """``map_batches`` over the items ``needs`` names (segment -> its own item,
+        then the others it needs); a segment fails at its first failed item, at
+        ``stages[0]`` if it is its own, else ``stages[1]``. Returns item -> (reply, ms)."""
+        items = [own for own, *_ in needs.values()]
+        items += [item for _, *others in needs.values() for item in others]
+        replayed[role] = len(stores[role].keys() & items)
+        endpoint = clients[role].cfg
+        served, failed = map_batches(call, items, max_batch or endpoint.max_batch,
+                                     cfg.fail_fast, parallelism or endpoint.request_parallelism,
+                                     store=stores[role])
+        for i, needed in needs.items():
+            if (bad := next((x for x in needed if x in failed), None)) is not None:
+                _fail(errors, i, stages[bad != needed[0]], segments[i], failed[bad], cfg.fail_fast)
+        return served
+
     try:
-        preps, replayed = _prepare(cfg, [p.source for p in pairs], index, clients, stores, errors)
-        refiner, replies = clients["refiner"], stores["refiner"]
-        prompts, bodies = {}, {}  # segment -> (key, prompt); key -> (request, body)
-        for i in [i for i in range(n) if errors[i] is None]:
-            segment, assembled, t_segment = pairs[i].source, _now_iso(), time.perf_counter()
+        if cfg.condition == RAG:
+            for text in [t for t, vector in stores["embedder"].items() if vector.size != index.dim]:
+                del stores["embedder"][text]  # served at another dimension: a miss, paid again
+
+            def embed(batch):  # a vector of another size is refused before it is stored
+                served = clients["embedder"].embed(batch)
+                if served.shape[1] != index.dim:
+                    raise DimensionError(f"the embedder serves vectors of dim {served.shape[1]}, "
+                                         f"not the index dim {index.dim}")
+                return served
+
+            vectors = send("embedder", embed, {i: (s.text,) for i, s in enumerate(segments)},
+                           ("retrieve",))
+            for i in live():
+                seg, (qvec, embed_ms) = segments[i], vectors[segments[i].text]
+                t_query = time.perf_counter()
+                try:  # a self-match takes a pool slot before it is skipped: one more slot
+                    hits[i] = index.query(qvec, lemmatize(seg.text), k=cfg.k,
+                                          jaccard_threshold=cfg.jaccard_threshold,
+                                          candidate_pool=default_candidate_pool(cfg.k) + 1,
+                                          skip_texts=frozenset((seg.text,)))
+                except ReftaError as exc:
+                    _fail(errors, i, "retrieve", seg, exc, cfg.fail_fast)
+                    continue
+                timings[i]["retrieve"] = round(embed_ms + _ms_since(t_query), 3)
+        if cfg.condition != ZERO_SHOT:
+            drafts = send("drafter", lambda batch: clients["drafter"].translate(batch)[0],
+                          {i: (segments[i].text, *[r.entry.text for r in hits.get(i, ())])
+                           for i in live()}, ("draft", "neighbor_drafts"))
+        refiner = clients["refiner"]
+        prompts, bodies = {}, {}  # segment -> (key, draft, prompt); key -> (request, body)
+        for i in live():
+            segment, draft, neighbors = segments[i], None, ()
+            if cfg.condition != ZERO_SHOT:
+                draft, draft_ms = drafts[segment.text]
+                timings[i]["draft"] = round(draft_ms, 3)
+            if cfg.condition == RAG:
+                neighbors = neighbor_drafts(hits[i], drafts)
+                timings[i]["neighbor_drafts"] = round(
+                    max((drafts[r.entry.text][1] for r in hits[i]), default=0.0), 3)
+            assembled, t_segment = _now_iso(), time.perf_counter()
             try:
-                bundle = assemble_prompt(latin=segment.text, draft=preps[i].draft,
-                                         neighbors=preps[i].neighbors, condition=cfg.condition,
-                                         budget_ceiling=cfg.input_budget)
+                bundle = assemble_prompt(latin=segment.text, draft=draft, neighbors=neighbors,
+                                         condition=cfg.condition, budget_ceiling=cfg.input_budget)
             except ReftaError as exc:
                 _fail(errors, i, "assemble", segment, exc, cfg.fail_fast)
                 continue
@@ -447,19 +424,18 @@ def translate_corpus(
             body = canonical_json(refiner.build_payload(req)).encode("utf-8")
             key = hashlib.sha256(body).hexdigest()
             bodies[key] = (req, body)
-            prompts[i] = key, (bundle, assembled, _ms_since(t_segment))
-        replayed["refiner"] = len(replies.keys() & bodies.keys())
-        served, failed = map_batches(lambda keys: [refiner.complete(*bodies[k]) for k in keys],
-                                     list(bodies), 1, cfg.fail_fast, cfg.workers, store=replies)
+            prompts[i] = key, draft, (bundle, assembled, _ms_since(t_segment))
+        served = send("refiner", lambda keys: [refiner.complete(*bodies[k]) for k in keys],
+                      {i: (key,) for i, (key, *_) in prompts.items()}, ("refine",),
+                      1, cfg.workers)
     finally:
         for opened in [*clients.values(), *(store.file for store in stores.values())]:
             opened.close()
     records = [None] * n
-    for i, (key, prompt) in prompts.items():
-        if key in failed:
-            _fail(errors, i, "refine", pairs[i].source, failed[key], cfg.fail_fast)
-        elif key in served:
-            records[i] = translate_segment(cfg, pairs[i].source, preps[i], prompt, served[key])
+    for i, (key, draft, prompt) in prompts.items():
+        if errors[i] is None:
+            records[i] = translate_segment(cfg, segments[i], draft, timings[i], prompt,
+                                           served[key])
 
     failures = [
         {"index": i, "segment_id": exc.segment_id, "stage": exc.stage, "error": str(exc.cause)}

@@ -617,3 +617,12 @@ def test_dropped_client_closes_its_connections(endpoint):
 def test_base_url_must_be_http(url):
     with pytest.raises(ValueError):
         EndpointConfig(base_url=url, model_id="m")
+
+
+@pytest.mark.parametrize("role", ["refiner", "drafter", "embedder", "scorer"])
+def test_each_role_reads_its_own_token_variable(monkeypatch, role):
+    for other in ("REFINER", "DRAFTER", "EMBEDDER", "SCORER"):
+        monkeypatch.delenv(f"REFTA_{other}_TOKEN", raising=False)
+    assert backends_mod.resolve_token(role) is None
+    monkeypatch.setenv(f"REFTA_{role.upper()}_TOKEN", f"secret-{role}")
+    assert backends_mod.resolve_token(role) == f"secret-{role}"
