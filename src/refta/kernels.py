@@ -52,15 +52,15 @@ def exact_float64(columns, draws: int) -> np.ndarray:
     return values
 
 
-def resample_sums(stats: np.ndarray, idx: np.ndarray, out=None) -> np.ndarray:
+def resample_sums(stats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Sum segment statistics over each resample's index row, in their dtype.
 
     Equal to ``stats[idx].sum(axis=1)``: ``counts @ stats`` of each row's
-    per-segment counts, a float64 GEMM into ``out`` if given, on statistics
-    ``exact_float64`` casts; float sums may differ in the last bits.
+    per-segment counts, a float64 GEMM that returns the block's sums, on
+    statistics ``exact_float64`` casts; float sums may differ in the last bits.
     """
     counts = np.empty((len(idx), len(stats)))
     for j, row in enumerate(idx):
         counts[j] = np.bincount(row, minlength=len(stats))
     values = stats if stats.dtype == np.float64 else exact_float64([stats], idx.shape[1])
-    return np.matmul(counts, values, out=out).astype(stats.dtype, copy=False)
+    return (counts @ values).astype(stats.dtype, copy=False)

@@ -13,9 +13,10 @@ segments from scoring zero by construction.
 
 ``segment_stats`` counts with arrays, ``BLOCK_ROWS`` rows at a time, so that
 its memory does not grow with the test set; chrF++ counts through the same
-functions. A block's texts are 13a-tokenized in one pass over their joined
-text. ``scores`` turns an ``(R, STATS_DIM)`` matrix into R scores; it is the
-only copy of the formula.
+functions. A block keeps only the arrays its next step reads: int32 counts,
+and one reference column's search at a time. Its texts are 13a-tokenized in
+one pass over their joined text. ``scores`` turns an ``(R, STATS_DIM)``
+matrix into R scores; it is the only copy of the formula.
 """
 
 from __future__ import annotations
@@ -142,9 +143,12 @@ def _gram_table(streams, n_texts: int) -> tuple[np.ndarray, np.ndarray, int]:
             keys[filled:filled + len(gram)] = (slot * n_texts + text) * width + gram
             slot, filled = slot + 1, filled + len(gram)
     keys.sort()
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    starts = np.ones(len(keys), bool)  # where each run of equal keys starts
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    counts = np.diff(first, append=[len(keys), len(keys)]).astype(np.int32)  # < len(keys)
     # the last key keeps every search inside the table
-    return np.append(keys[first], _INT64_MAX), np.diff(first, append=[len(keys), len(keys)]), width
+    return np.append(keys[first], _INT64_MAX), counts, width
 
 
 def _matches(table, n_texts: int, n_slots: int, hyp_ids, ref_ids, best_of_refs: bool):
@@ -159,11 +163,16 @@ def _matches(table, n_texts: int, n_slots: int, hyp_ids, ref_ids, best_of_refs: 
     start = np.cumsum(size) - size  # of each (slot, row) run of n-grams
     entry = np.repeat(lo - start, size) + np.arange(size.sum())
     hyp_keys, hyp_counts = keys[entry], counts[entry]
-    clipped = np.zeros((ref_ids.shape[1], len(entry) + 1), dtype=np.int64)  # + reduceat's pad
+    del entry
+    clipped = np.zeros((ref_ids.shape[1], len(hyp_keys) + 1), dtype=np.int32)  # + reduceat's pad
     for j, ref in enumerate(ref_ids.T):
-        query = hyp_keys + np.repeat(np.tile((ref - hyp_ids) * width, n_slots), size)
+        query = np.repeat(np.tile((ref - hyp_ids) * width, n_slots), size)
+        query += hyp_keys
         at = np.searchsorted(keys, query)
-        np.minimum(np.where(keys[at] == query, counts[at], 0), hyp_counts, out=clipped[j, :-1])
+        row = np.take(counts, at, out=clipped[j, :-1])
+        row *= keys[at] == query
+        np.minimum(row, hyp_counts, out=row)
+        del query, at
     if best_of_refs:
         clipped = clipped.max(axis=0, keepdims=True)
     sums = np.where(size > 0, np.add.reduceat(clipped, start, axis=1), 0)

@@ -3,10 +3,11 @@
 Segment indices are resampled with replacement ``N_RESAMPLES`` times, once
 per comparison, as int32 draws from one generator ``RESAMPLE_BLOCK`` at a
 time; the blocks joined end to end equal one draw. Per block, one
-``kernels.resample_sums`` call per statistics dtype fills its rows of the
-``(N_RESAMPLES, d)`` sums of every metric and system, and each metric's array
-scorer, ``corpus_scores``, scores each system's sums in one call: the scorer
-of the full-corpus and per-segment scores, so the formula exists once. The
+``kernels.resample_sums`` call per statistics dtype sums the block for every
+metric and system, and each metric's array scorer, ``corpus_scores``, scores
+every system's block sums in one call, into that metric's ``(systems,
+N_RESAMPLES)`` scores, so no block's sums outlive it. It is the scorer of
+the full-corpus and per-segment scores, so the formula exists once. The
 p-value is one-sided: the fraction of resampled deltas whose sign differs
 from the full-corpus delta (Koehn, "Statistical Significance Tests for
 Machine Translation Evaluation", EMNLP 2004). A zero resampled delta counts
@@ -80,25 +81,27 @@ def paired_bootstrap(
     if n < 2:
         raise ValueError("need at least 2 segments")
 
-    sums, groups = {}, []
+    groups = []
     for dtype in dict.fromkeys(stats.dtype for stats in columns):
         at = [i for i, stats in enumerate(columns) if stats.dtype == dtype]
-        values = kernels.exact_float64([columns[i] for i in at], n)
-        summed = np.empty((N_RESAMPLES, values.shape[1]))
-        sums.update(zip(at, np.hsplit(summed, np.cumsum([columns[i].shape[1] for i in at])[:-1])))
-        groups.append((values, summed))
+        splits = np.cumsum([columns[i].shape[1] for i in at])[:-1]
+        groups.append((at, kernels.exact_float64([columns[i] for i in at], n), splits))
+    resampled = np.empty((len(metrics), len(every), N_RESAMPLES))
     rng = np.random.Generator(np.random.PCG64(seed))
     for lo in range(0, N_RESAMPLES, RESAMPLE_BLOCK):
         idx = rng.integers(0, n, size=(min(RESAMPLE_BLOCK, N_RESAMPLES - lo), n), dtype=np.int32)
-        for values, summed in groups:
-            kernels.resample_sums(values, idx, out=summed[lo:lo + len(idx)])
+        sums = {}
+        for at, values, splits in groups:
+            sums.update(zip(at, np.hsplit(kernels.resample_sums(values, idx), splits)))
+        for k, metric in enumerate(metrics):  # each run's rows one after another
+            rows = np.vstack([sums[i] for i in range(k * len(every), (k + 1) * len(every))])
+            resampled[k, :, lo:lo + len(idx)] = metric.corpus_scores(rows).reshape(len(every), -1)
     results = []
     for k, metric in enumerate(metrics):
         own = range(k * len(every), (k + 1) * len(every))
-        resampled = [metric.corpus_scores(sums[i]) for i in own]
         full = metric.corpus_scores(np.stack([columns[i].sum(axis=0) for i in own]))
-        for name, scores, score in zip(stats_by_system, resampled[1:], full[1:]):
-            deltas = scores - resampled[0]
+        for name, scores, score in zip(stats_by_system, resampled[k, 1:], full[1:]):
+            deltas = scores - resampled[k, 0]
             full_delta = score - full[0]
             flips = np.count_nonzero(np.sign(deltas) != np.sign(full_delta))
             p_value = 1.0 if full_delta == 0.0 else flips / N_RESAMPLES

@@ -275,9 +275,34 @@ def test_bootstrap_memory_is_bounded_by_one_block():
     finally:
         tracemalloc.stop()
     # a block of int32 draws and their float64 counts, one float64 copy of
-    # the statistics and the float64 sums, plus 1 MB for per-row temporaries
+    # the statistics and the float64 scores of both metrics and both runs,
+    # plus 1 MB for per-row temporaries
     block = RESAMPLE_BLOCK * n * (4 + 8)
-    assert peak < block + 8 * n * d + 8 * N_RESAMPLES * d + 2**20
+    assert peak < block + 8 * n * d + 8 * N_RESAMPLES * 2 * 2 + 2**20
+
+
+def test_bootstrap_memory_does_not_grow_with_resamples_times_statistics():
+    # 40 systems and a baseline of BLEU and chrF++ statistics at n = 200: each
+    # block of resamples is scored as it is summed, so no (N_RESAMPLES, d)
+    # sums exist, which alone would take 11 MB here
+    n, systems = 200, 40
+    d = (systems + 1) * (bleu.STATS_DIM + chrf.STATS_DIM)
+    rng = np.random.default_rng(10)
+
+    def stats():
+        return {"bleu": rng.integers(1, 30, size=(n, bleu.STATS_DIM)),
+                "chrf++": rng.integers(1, 30, size=(n, chrf.STATS_DIM))}
+
+    runs, baseline_stats = {f"s{k}": stats() for k in range(systems)}, stats()
+    tracemalloc.start()
+    try:
+        paired_bootstrap([BleuMetric(), ChrfPPMetric()], runs, baseline_stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float64 copy of the statistics, a block of their float64 sums, the
+    # float64 scores of every run and metric, plus 2 MiB for the rest
+    assert peak < 8 * n * d + 8 * RESAMPLE_BLOCK * d + 8 * N_RESAMPLES * (systems + 1) * 2 + 2**21
 
 
 def test_compare_scale_rows_equal_the_golden():

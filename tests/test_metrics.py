@@ -314,9 +314,9 @@ def test_compare_runs_resamples_once_per_statistics_dtype(tmp_path, monkeypatch,
             "".join(h + "\n" for h in hyps), encoding="utf-8")
     calls = []
 
-    def resample_sums(stats, idx, out=None):
+    def resample_sums(stats, idx):
         calls.append((stats.shape, idx.shape, idx.dtype))
-        return original(stats, idx, out=out)
+        return original(stats, idx)
 
     original = kernels.resample_sums
     monkeypatch.setattr(kernels, "resample_sums", resample_sums)
@@ -550,6 +550,9 @@ def _unicode_sentences(draw):
 @given(st.lists(st.tuples(_unicode_sentences(),
                           st.lists(_unicode_sentences().filter(bool), min_size=1, max_size=3)),
                 min_size=1, max_size=8))
+# NumPy's str dtype drops trailing NULs, so ids from np.unique over it would
+# merge these two words
+@example([("a", ["a\0"]), ("a\0", ["a"])])
 def test_segment_stats_equal_the_per_row_algorithm_on_unicode(rows):
     hyps, refs = [h for h, _ in rows], [r for _, r in rows]
     assert BleuMetric().segment_stats(hyps, refs).tolist() == [
