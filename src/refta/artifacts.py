@@ -4,16 +4,20 @@ renamed over their targets once every one is complete. A failure part-way
 removes the temp files and leaves the targets as they were. The files refta
 appends to, the reply store's, are ``AppendFile``s and are read back by
 ``read_rows``. Every other text file refta reads goes through ``read_lines``
-or ``read_utf8`` (strict UTF-8)."""
+or ``read_utf8`` (strict UTF-8); an index's ``vectors.bin`` is mapped by
+``map_file``. A rename over a mapped file leaves the map intact."""
 
 import fcntl
 import hashlib
 import json
+import mmap
 import os
 import threading
 from pathlib import Path
 
 from refta.errors import CorpusFormatError, ReftaError
+
+HASH_CHUNK = 1 << 20  # bytes of a map ``map_file`` hashes at a time
 
 
 def write_files(files: dict) -> list[str]:
@@ -135,6 +139,19 @@ def read_lines(path, sha=None):
         raise CorpusFormatError(path, None, f"cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise CorpusFormatError(path, line_no, f"not valid UTF-8: {exc}") from exc
+
+
+def map_file(path, sha):
+    """``path`` mapped read-only, ``b""`` when it is empty (``mmap`` refuses an
+    empty file); ``sha`` is fed every mapped byte, ``HASH_CHUNK`` at a time,
+    and nothing is copied. The map lives as long as the last array viewing it."""
+    with open(path, "rb") as fh:
+        mapped = (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                  if os.fstat(fh.fileno()).st_size else b"")
+    with memoryview(mapped) as view:
+        for start in range(0, len(view), HASH_CHUNK):
+            sha.update(view[start:start + HASH_CHUNK])
+    return mapped
 
 
 def read_utf8(path, error=ReftaError) -> str:

@@ -34,8 +34,13 @@ On-disk layout (``save_index``/``load_index``), format version 3:
 - ``meta.jsonl``: one row per entry with ``id`` and ``text``. Format 2, still
   read, also wrote each row's ``lemmas``, which a load ignores.
 
-A load reads each file once and hashes what it reads; the manifest must name
-both data files and type its fields (a non-negative int count and dim).
+A load maps ``vectors.bin`` read-only, and the index scans the map with no
+private copy; it reads ``meta.jsonl`` once. Both are hashed as they are read.
+The manifest must name both data files and type its fields (a non-negative
+int count and dim). The checksum proves the bytes as they were at the load.
+``save_index`` renames over the old files, which leaves a loaded map intact;
+a writer that edited ``vectors.bin`` in place would change what a loaded
+index reads, or, by cutting it, make its next scan raise SIGBUS.
 """
 
 from __future__ import annotations
@@ -53,7 +58,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from refta import kernels
-from refta.artifacts import encode_json, encode_lines, read_json_object, read_lines, write_files
+from refta.artifacts import (encode_json, encode_lines, map_file, read_json_object, read_lines,
+                             write_files)
 from refta.backends import send_batches
 from refta.corpus import ParallelPair, SourceSegment, lemmatize
 from refta.errors import CorpusFormatError, IndexError_, VectorError
@@ -382,12 +388,6 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
     })
 
 
-def _read_vectors(path: Path, sha) -> np.ndarray:
-    vectors = np.fromfile(path, dtype="<f4")
-    sha.update(vectors)
-    return vectors
-
-
 def _read_meta(path: Path, sha) -> tuple[list, list]:
     """Parse ``meta.jsonl`` row by row; ``read_lines`` hashes each line as it is read."""
     ids, texts = [], []
@@ -403,7 +403,7 @@ def _read_meta(path: Path, sha) -> tuple[list, list]:
     return ids, texts
 
 
-_DATA_FILES = {"vectors.bin": _read_vectors, "meta.jsonl": _read_meta}
+_DATA_FILES = {"vectors.bin": map_file, "meta.jsonl": _read_meta}
 _MANIFEST_CHECKS = {
     "checksums": lambda v: isinstance(v, dict) and _DATA_FILES.keys() <= v.keys(),
     "count": lambda v: type(v) is int and v >= 0,
@@ -431,7 +431,7 @@ def load_index(path: str | Path) -> VectorIndex:
         if not valid(manifest[key]):
             raise IndexError_(f"{manifest_path} has a malformed {key!r}: {manifest[key]!r}")
 
-    # each data file is read once and hashed as it is read
+    # each data file is read, or mapped, once and hashed as it is read
     data = {}
     for name, read in _DATA_FILES.items():
         sha = hashlib.sha256()
@@ -441,10 +441,12 @@ def load_index(path: str | Path) -> VectorIndex:
             raise IndexError_(
                 f"checksum mismatch for {name}: file is missing, corrupt or truncated"
             )
-    vectors, (ids, texts) = data["vectors.bin"], data["meta.jsonl"]
+    mapped, (ids, texts) = data["vectors.bin"], data["meta.jsonl"]
     count, dim = manifest["count"], manifest["dim"]
-    if vectors.size != count * dim:
-        raise IndexError_(f"vectors.bin holds {vectors.size} floats, expected {count * dim}")
+    if len(mapped) != 4 * count * dim:
+        raise IndexError_(f"vectors.bin holds {len(mapped)} bytes, expected {4 * count * dim}")
     if len(ids) != count:
         raise IndexError_(f"meta.jsonl holds {len(ids)} rows, expected {count}")
-    return VectorIndex(ids, texts, vectors.reshape(count, dim), manifest["model_id"])
+    # a read-only view of the map, which VectorIndex takes without a copy
+    vectors = np.frombuffer(mapped, dtype="<f4").reshape(count, dim)
+    return VectorIndex(ids, texts, vectors, manifest["model_id"])

@@ -14,9 +14,10 @@ segments from scoring zero by construction.
 ``segment_stats`` counts with arrays, ``BLOCK_ROWS`` rows at a time, so that
 its memory does not grow with the test set; chrF++ counts through the same
 functions. A block keeps only the arrays its next step reads: int32 counts,
-and one reference column's search at a time. Its texts are 13a-tokenized in
-one pass over their joined text. ``scores`` turns an ``(R, STATS_DIM)``
-matrix into R scores; it is the only copy of the formula.
+and one n-gram order's table and one reference column's search at a time.
+Its texts are 13a-tokenized in one pass over their joined text. ``scores``
+turns an ``(R, STATS_DIM)`` matrix into R scores; it is the only copy of the
+formula.
 """
 
 from __future__ import annotations
@@ -111,22 +112,18 @@ def _symbol_ids(token_lists) -> tuple[np.ndarray, np.ndarray]:
             np.array([len(tokens) for tokens in token_lists], dtype=np.int64))
 
 
-def _gram_table(streams, n_texts: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Every (text, n-gram) pair of a block's texts, counted with one sort.
+def _gram_table(streams, n_texts: int):
+    """Each order's (text, n-gram) pairs of a block's texts, counted with one
+    sort per order, yielded one order at a time.
 
     ``streams`` holds ``(symbols end to end, text lengths, highest order)``
-    per kind of symbol. Slot ``s`` (a stream's order) of text ``t`` is
-    document ``s * n_texts + t``. Returns the sorted distinct keys
-    ``document * width + gram`` then one above them all, their counts (the
-    last 0), and ``width``. An n-gram's id is its (n-1)-gram's id times the
-    symbol base plus its last symbol, made dense first whenever it could
-    reach ``width``: exact for any alphabet.
+    per kind of symbol; the orders come stream by stream, lowest first. Each
+    order yields its sorted distinct keys ``text * width + gram`` then one
+    above them all, their counts (the last 0), and ``width``. An n-gram's id is its
+    (n-1)-gram's id times the symbol base plus its last symbol, made dense
+    first whenever it could reach ``width``: exact for any alphabet.
     """
-    n_docs = n_texts * sum(orders for _, _, orders in streams)
-    width = _INT64_MAX // (n_docs + 1)  # every key up to document n_docs fits
-    keys = np.empty(sum(int(np.maximum(lengths - n, 0).sum())
-                        for _, lengths, orders in streams for n in range(orders)), np.int64)
-    slot = filled = 0
+    width = _INT64_MAX // (n_texts + 1)  # every key up to text n_texts fits
     for symbols, lengths, orders in streams:
         text = np.repeat(np.arange(n_texts), lengths)
         end = np.cumsum(lengths)[text]
@@ -140,49 +137,52 @@ def _gram_table(streams, n_texts: int) -> tuple[np.ndarray, np.ndarray, int]:
                 gram, bound = gram.reshape(-1), len(distinct)
             gram = gram * base + symbols[pos + n]
             bound *= base
-            keys[filled:filled + len(gram)] = (slot * n_texts + text) * width + gram
-            slot, filled = slot + 1, filled + len(gram)
-    keys.sort()
-    starts = np.ones(len(keys), bool)  # where each run of equal keys starts
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    first = np.flatnonzero(starts)
-    counts = np.diff(first, append=[len(keys), len(keys)]).astype(np.int32)  # < len(keys)
-    # the last key keeps every search inside the table
-    return np.append(keys[first], _INT64_MAX), counts, width
+            keys = text * width + gram
+            keys.sort()
+            starts = np.ones(len(keys), bool)  # where each run of equal keys starts
+            np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+            first = np.flatnonzero(starts)
+            counts = np.diff(first, append=[len(keys), len(keys)]).astype(np.int32)  # < len(keys)
+            # the last key keeps every search inside the table
+            keys = np.append(keys[first], _INT64_MAX)
+            del keep, starts, first  # not held while the caller reads the table
+            yield keys, counts, width
 
 
-def _matches(table, n_texts: int, n_slots: int, hyp_ids, ref_ids, best_of_refs: bool):
-    """``(n_rows, n_cols, n_slots)`` clipped matches of each row's hypothesis
-    with each reference column: ``min(count, count in the reference)`` summed
-    over its distinct n-grams; ``best_of_refs`` takes each n-gram's maximum
-    over the columns first, leaving one column."""
-    keys, counts, width = table
-    doc_start = np.searchsorted(keys, np.arange(n_slots * n_texts + 1) * width)
-    hyp_docs = (np.arange(n_slots)[:, None] * n_texts + hyp_ids).ravel()
-    lo, size = doc_start[hyp_docs], doc_start[hyp_docs + 1] - doc_start[hyp_docs]
-    start = np.cumsum(size) - size  # of each (slot, row) run of n-grams
-    entry = np.repeat(lo - start, size) + np.arange(size.sum())
-    hyp_keys, hyp_counts = keys[entry], counts[entry]
-    del entry
-    clipped = np.zeros((ref_ids.shape[1], len(hyp_keys) + 1), dtype=np.int32)  # + reduceat's pad
-    for j, ref in enumerate(ref_ids.T):
-        query = np.repeat(np.tile((ref - hyp_ids) * width, n_slots), size)
-        query += hyp_keys
-        at = np.searchsorted(keys, query)
-        row = np.take(counts, at, out=clipped[j, :-1])
-        row *= keys[at] == query
-        np.minimum(row, hyp_counts, out=row)
-        del query, at
-    if best_of_refs:
-        clipped = clipped.max(axis=0, keepdims=True)
-    sums = np.where(size > 0, np.add.reduceat(clipped, start, axis=1), 0)
-    return sums.reshape(len(clipped), n_slots, len(hyp_ids)).transpose(2, 0, 1)
+def _matches(tables, n_texts: int, hyp_ids, ref_ids, best_of_refs: bool):
+    """``(n_rows, n_cols, orders)`` clipped matches of each row's hypothesis
+    with each reference column, one order's table at a time: ``min(count,
+    count in the reference)`` summed over its distinct n-grams;
+    ``best_of_refs`` takes each n-gram's maximum over the columns first,
+    leaving one column."""
+    per_order = []
+    for keys, counts, width in tables:
+        text_start = np.searchsorted(keys, np.arange(n_texts + 1) * width)
+        lo, size = text_start[hyp_ids], text_start[hyp_ids + 1] - text_start[hyp_ids]
+        start = np.cumsum(size) - size  # of each row's run of n-grams
+        entry = np.repeat(lo - start, size) + np.arange(size.sum())
+        hyp_keys, hyp_counts = keys[entry], counts[entry]
+        del entry
+        # a column per hypothesis n-gram, and reduceat's pad
+        clipped = np.zeros((ref_ids.shape[1], len(hyp_keys) + 1), dtype=np.int32)
+        for j, ref in enumerate(ref_ids.T):
+            query = np.repeat((ref - hyp_ids) * width, size)
+            query += hyp_keys
+            at = np.searchsorted(keys, query)
+            row = np.take(counts, at, out=clipped[j, :-1])
+            row *= keys[at] == query
+            np.minimum(row, hyp_counts, out=row)
+            del query, at
+        if best_of_refs:
+            clipped = clipped.max(axis=0, keepdims=True)
+        per_order.append(np.where(size > 0, np.add.reduceat(clipped, start, axis=1), 0))
+    return np.stack(per_order, axis=-1).transpose(1, 0, 2)
 
 
 def _bleu_block(texts, hyp_ids, ref_ids, n_refs) -> np.ndarray:
     symbols, lengths = _symbol_ids(_13a_tokens(texts))
-    table = _gram_table([(symbols, lengths, NGRAM_ORDER)], len(texts))
-    correct = _matches(table, len(texts), NGRAM_ORDER, hyp_ids, ref_ids, best_of_refs=True)
+    tables = _gram_table([(symbols, lengths, NGRAM_ORDER)], len(texts))
+    correct = _matches(tables, len(texts), hyp_ids, ref_ids, best_of_refs=True)
     sys_len, ref_len = lengths[hyp_ids], lengths[ref_ids]
     # the closest reference length; ties go to the shorter one
     rank = np.abs(ref_len - sys_len[:, None]) * (ref_len.max() + 1) + ref_len

@@ -10,8 +10,9 @@ are pooled.
 
 Statistics are counted with BLEU's arrays, ``bleu.BLOCK_ROWS`` rows at a
 time: characters as code points and words as ids are the two symbol streams
-of one n-gram table; a block's words are split by two regexes over its joined
-text. ``scores`` is the one copy of the formula, over an ``(R, STATS_DIM)`` matrix.
+whose n-grams are counted and matched one order at a time; a block's words
+are split by two regexes over its joined text. ``scores`` is the one copy of
+the formula, over an ``(R, STATS_DIM)`` matrix.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ def _chrf_block(texts, hyp_ids, ref_ids, n_refs) -> np.ndarray:
     codes = np.frombuffer("".join(chars).encode("utf-32-le", "surrogatepass"), dtype="<u4")
     char_lens = np.array([len(c) for c in chars], dtype=np.int64)
     words, word_lens = _symbol_ids(_word_tokens(texts))
-    table = _gram_table([(codes.astype(np.int64), char_lens, CHAR_ORDER),
-                         (words, word_lens, WORD_ORDER)], len(texts))
-    matched = _matches(table, len(texts), N_ORDERS, hyp_ids, ref_ids, best_of_refs=False)
+    tables = _gram_table([(codes.astype(np.int64), char_lens, CHAR_ORDER),
+                          (words, word_lens, WORD_ORDER)], len(texts))
+    matched = _matches(tables, len(texts), hyp_ids, ref_ids, best_of_refs=False)
     # n-grams per order: characters, then words
     lengths = np.column_stack([char_lens] * CHAR_ORDER + [word_lens] * WORD_ORDER)
     totals = np.maximum(lengths - np.r_[:CHAR_ORDER, :WORD_ORDER], 0)

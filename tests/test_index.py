@@ -3,6 +3,7 @@ from __future__ import annotations
 import builtins
 import io
 import json
+import mmap
 import sys
 import time
 import tracemalloc
@@ -529,6 +530,46 @@ def test_build_save_and_load_stay_near_one_matrix(tmp_path):
     assert loaded[0].dim == dim and len(loaded[0]) == n
 
 
+SMAPS_ROLLUP = Path("/proc/self/smaps_rollup")
+
+
+def _anonymous_bytes() -> int:
+    """This process's anonymous memory, from the ``Anonymous:`` line of
+    ``smaps_rollup``: a map of a file is not counted there, and its page-cache
+    pages, which read as ``Private_Dirty`` just after a save, are not either."""
+    for line in SMAPS_ROLLUP.read_text().splitlines():
+        if line.startswith("Anonymous:"):
+            return int(line.split()[1]) * 1024
+    raise AssertionError(f"{SMAPS_ROLLUP} has no Anonymous: line")
+
+
+@pytest.mark.skipif(not SMAPS_ROLLUP.is_file(), reason="needs /proc/self/smaps_rollup")
+def test_load_maps_the_vectors_and_adds_no_anonymous_memory(tmp_path, monkeypatch):
+    # 48 MiB: above glibc's largest mmap threshold, so a private copy of the
+    # matrix would be fresh anonymous memory, not reused heap
+    n, dim = 3072, 4096
+    matrix_bytes = n * dim * 4
+    save_index(VectorIndex([f"s{i:05d}" for i in range(n)], [f"textus {i}" for i in range(n)],
+                           np.ones((n, dim), np.float32), "synthetic"), tmp_path / "idx")
+    maps = []
+    real_mmap = mmap.mmap
+
+    def recording_mmap(*args, **kwargs):
+        maps.append(real_mmap(*args, **kwargs))
+        return maps[-1]
+
+    monkeypatch.setattr(mmap, "mmap", recording_mmap)
+    before = _anonymous_bytes()
+    loaded = load_index(tmp_path / "idx")
+    added = _anonymous_bytes() - before
+    monkeypatch.undo()
+    assert added < 0.1 * matrix_bytes, added / matrix_bytes
+    assert len(maps) == 1 and len(maps[0]) == matrix_bytes
+    assert np.shares_memory(loaded._vectors, np.frombuffer(maps[0], np.uint8))
+    assert not loaded._vectors.flags.writeable
+    assert loaded._vectors.shape == (n, dim) and loaded._vectors[-1, -1] == 1.0
+
+
 class TestPersistence:
     def test_round_trip_identical_queries_and_vectors(self, tmp_path):
         index, lemmas, raw = random_index(1000, 24, seed=21)
@@ -572,11 +613,12 @@ class TestPersistence:
             with pytest.raises(IndexError_, match=message):
                 load_index(tmp_path / "idx")
 
-    def test_truncated_vectors_fail_checksum(self, tmp_path):
+    @pytest.mark.parametrize("cut", [1, 8])  # into the last float, or two whole floats
+    def test_truncated_vectors_fail_checksum(self, tmp_path, cut):
         index, _, _ = random_index(10, 8, seed=23)
         save_index(index, tmp_path / "idx")
         vec_path = tmp_path / "idx" / "vectors.bin"
-        vec_path.write_bytes(vec_path.read_bytes()[:-8])
+        vec_path.write_bytes(vec_path.read_bytes()[:-cut])
         with pytest.raises(IndexError_, match="vectors.bin"):
             load_index(tmp_path / "idx")
 
@@ -626,7 +668,7 @@ class TestPersistence:
             opened.append(Path(file).name)
             return real_open(file, *args, **kwargs)
 
-        # pathlib opens through io.open, NumPy's fromfile through builtins.open
+        # pathlib opens through io.open, the map of vectors.bin through builtins.open
         monkeypatch.setattr(io, "open", counting_open)
         monkeypatch.setattr(builtins, "open", counting_open)
         save_index(index, tmp_path / "idx")
@@ -637,6 +679,27 @@ class TestPersistence:
         assert saved == ["manifest.json.tmp", "meta.jsonl.tmp", "vectors.bin.tmp"]
         assert sorted(opened) == ["manifest.json", "meta.jsonl", "vectors.bin"]
         assert np.array_equal(loaded._vectors, index._vectors)
+
+    def test_rebuild_in_place_leaves_a_loaded_index_intact(self, tmp_path):
+        # save_index renames new files over the old, so a loaded index keeps
+        # its map of the old vectors.bin
+        old, _, raw = random_index(50, 16, seed=29)
+        new, _, _ = random_index(50, 16, seed=30)
+        save_index(old, tmp_path / "idx")
+        loaded = load_index(tmp_path / "idx")
+        vectors = loaded._vectors.copy()
+
+        def top():
+            return loaded.query(raw[0], frozenset(), k=5, jaccard_threshold=0.0,
+                                candidate_pool=20)
+
+        before = top()
+        save_index(new, tmp_path / "idx")
+        assert np.array_equal(loaded._vectors, vectors)
+        assert top() == before
+        fresh = load_index(tmp_path / "idx")
+        assert np.array_equal(fresh._vectors, new._vectors)
+        assert not np.array_equal(fresh._vectors, vectors)
 
     @pytest.mark.parametrize("failing",
                              ["vectors.bin.tmp", "meta.jsonl.tmp", "manifest.json.tmp"])
