@@ -30,7 +30,8 @@ slot as its call completes; all but the index build's via ``map_batches``.
 
 Auth tokens come only from the environment (``REFTA_REFINER_TOKEN``,
 ``REFTA_DRAFTER_TOKEN``, ``REFTA_EMBEDDER_TOKEN``, ``REFTA_SCORER_TOKEN``),
-never from config files, and are sent as ``Authorization: Bearer``.
+never from config files or a ``base_url``'s user info, which is refused, and
+are sent as ``Authorization: Bearer``.
 
 Retry policy: transport failures, HTTP 5xx and 429 are retried up to
 ``max_retries`` times with exponential backoff (``BACKOFF_BASE_S``, factor 2,
@@ -125,7 +126,10 @@ class EndpointConfig:
             raise ValueError("request_parallelism must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        _split_http_url(self.base_url)
+        url, _ = _split_http_url(self.base_url)
+        if url.username is not None or url.password is not None:
+            raise ValueError("base_url carries credentials, which are never sent; "
+                             "give the token in REFTA_<ROLE>_TOKEN")
 
 
 @dataclass(frozen=True)
@@ -135,8 +139,9 @@ class TokenUsage:
     source: str  # "backend-reported" or "estimated"
 
     def __post_init__(self):
-        if self.input_tokens < 0 or self.output_tokens < 0:
-            raise ValueError("token counts must be non-negative")
+        counts = (self.input_tokens, self.output_tokens)
+        if not all(type(c) is int and c >= 0 for c in counts):
+            raise ValueError(f"token counts must be non-negative integers, got {counts}")
         if self.source not in ("backend-reported", "estimated"):
             raise ValueError(f"unknown usage source: {self.source!r}")
 
@@ -318,7 +323,7 @@ class _HttpClient:
             if https:  # CONNECT through the proxy, then TLS to the host
                 self._tunnel = (host, port, _proxy_auth(proxy_url))
             else:  # the proxy takes the absolute URL
-                self._target = f"http://{url.netloc.rpartition('@')[2]}{self._target}"
+                self._target = f"http://{url.netloc}{self._target}"
                 self._headers.update(_proxy_auth(proxy_url))
             host, port = proxy_url.hostname, proxy_port
         if https:  # the system trust store, as OpenSSL finds it
@@ -446,10 +451,10 @@ def _usage(data: dict, keys: tuple[str, str], inputs, outputs) -> TokenUsage:
     if not all(key in usage for key in keys):
         return TokenUsage(sum(map(estimate_tokens, inputs)),
                           sum(map(estimate_tokens, outputs)), "estimated")
-    counts = [usage[key] for key in keys]
-    if not all(type(c) is int and c >= 0 for c in counts):
-        raise ProtocolError(f"usage {keys} must be non-negative integers, got {counts}")
-    return TokenUsage(*counts, "backend-reported")
+    try:
+        return TokenUsage(*(usage[key] for key in keys), "backend-reported")
+    except ValueError as exc:
+        raise ProtocolError(f"usage {keys}: {exc}") from exc
 
 
 class DrafterClient(_HttpClient):

@@ -2,9 +2,8 @@
 
 Every command takes ``--json`` for machine-readable stdout; human tables are
 the default. Exit codes: 0 success, 1 runtime failure, 2 usage error.
-A declarative config file (``.json``; ``.toml`` when the interpreter ships
-``tomllib``) supplies per-command defaults; explicit flags win. See
-``docs/config.md``.
+A declarative config file (``.json`` or ``.toml``) supplies per-command
+defaults; explicit flags win. See ``docs/config.md``.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ import contextlib
 import functools
 import json
 import sys
+import tomllib
 from pathlib import Path
 
 import click
@@ -52,15 +52,7 @@ def _load_config_file(path: str | None) -> dict:
     kind = {".json": "JSON", ".toml": "TOML"}.get(p.suffix.lower())
     if kind is None:
         raise click.UsageError(f"config file {path} does not end in .json or .toml")
-    loads = json.loads
-    if kind == "TOML":
-        try:
-            import tomllib  # py311+
-        except ImportError as exc:
-            raise click.UsageError(
-                "TOML config requires Python 3.11+; use a JSON config file"
-            ) from exc
-        loads = tomllib.loads
+    loads = tomllib.loads if kind == "TOML" else json.loads
     try:
         return loads(read_utf8(p, click.UsageError))
     except ValueError as exc:  # bad UTF-8; tomllib.TOMLDecodeError is a ValueError
@@ -88,7 +80,7 @@ def _endpoint(role: str, url: str, model: str | None, **settings) -> EndpointCon
         return EndpointConfig(base_url=url, model_id=model or DEFAULT_MODELS[role],
                               auth_token=resolve_token(role), **settings)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise click.UsageError(str(exc).replace("<ROLE>", role.upper())) from exc
 
 
 def _neural_metrics(metrics: str, scorer_url: str | None) -> set:
@@ -165,7 +157,7 @@ _retry_options = _options(
 @click.group()
 @click.version_option(version=refta.__version__, prog_name="refta")
 @click.option("--config", "config_path", type=click.Path(), default=None,
-              help=".json (or .toml on 3.11+) file with per-command defaults.")
+              help=".json or .toml file with per-command defaults.")
 @click.pass_context
 def main(ctx, config_path):
     """Retrieval-augmented draft-refinement translation engine."""

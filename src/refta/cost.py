@@ -20,7 +20,6 @@ from decimal import Decimal
 from pathlib import Path
 
 from refta.artifacts import write_json
-from refta.backends import TokenUsage
 from refta.errors import ReftaError
 from refta.pipeline import COSTS_FILE, read_manifest
 
@@ -69,12 +68,10 @@ class CostModel:
             raise ValueError("power_kw and power_rate need fixed_hourly")
 
 
-def api_cost(usage: TokenUsage, model: CostModel) -> Decimal:
+def api_cost(input_tokens: int, output_tokens: int, model: CostModel) -> Decimal:
     """Dollars for the given token totals: linear in both counts, exact."""
-    return (
-        Decimal(usage.input_tokens) * model.input_rate
-        + Decimal(usage.output_tokens) * model.output_rate
-    ) / MILLION
+    return (Decimal(input_tokens) * model.input_rate
+            + Decimal(output_tokens) * model.output_rate) / MILLION
 
 
 def local_cost(wall_seconds, model: CostModel) -> Decimal:
@@ -150,10 +147,10 @@ def cost_report(run_dir, model: CostModel) -> CostReport:
     run_dir = Path(run_dir)
     manifest = read_manifest(run_dir)
     n_segments = _manifest_number(manifest, "counts.segments")
-    usage = TokenUsage(_manifest_number(manifest, "tokens.input"),
-                       _manifest_number(manifest, "tokens.output"), "backend-reported")
+    input_tokens = _manifest_number(manifest, "tokens.input")
+    output_tokens = _manifest_number(manifest, "tokens.output")
 
-    api = api_cost(usage, model)
+    api = api_cost(input_tokens, output_tokens, model)
     batched = api * model.batching_discount
     local = None
     ratio = None
@@ -170,15 +167,15 @@ def cost_report(run_dir, model: CostModel) -> CostReport:
         "api_cost": round_dollars(api * scale),
         "api_cost_batched": round_dollars(batched * scale),
         "local_cost": round_dollars(local * scale) if local is not None else None,
-        "input_tokens": float(Decimal(usage.input_tokens) * scale),
-        "output_tokens": float(Decimal(usage.output_tokens) * scale),
+        "input_tokens": float(Decimal(input_tokens) * scale),
+        "output_tokens": float(Decimal(output_tokens) * scale),
     }
 
     report = CostReport(
         run_id=manifest.get("run_id", run_dir.name),
         n_segments=n_segments,
-        input_tokens=usage.input_tokens,
-        output_tokens=usage.output_tokens,
+        input_tokens=input_tokens,
+        output_tokens=output_tokens,
         api_cost=api,
         api_cost_batched=batched,
         local_cost=local,

@@ -2,9 +2,10 @@
 
 ``search_layer`` is the retrieval scan: one matrix-vector product per query,
 then an exact top-``pool`` selection. ``resample_sums`` is the bootstrap's
-per-resample sum of segment statistics. The scan returns the brute-force
-prefix in (-similarity, id) order; integer sums are exact, because float64
-holds them exactly.
+per-resample sum of float64 segment statistics. The scan returns the
+brute-force prefix in (-similarity, id) order; sums of integer statistics are
+exact, because ``bootstrap.exact_float64`` admits only those that float64
+holds exactly.
 """
 
 from __future__ import annotations
@@ -42,25 +43,14 @@ def search_layer(
     return rows, sims[rows]
 
 
-def exact_float64(columns, draws: int) -> np.ndarray:
-    """Statistics side by side in float64; ``ValueError`` where a sum of
-    ``draws`` integer rows could pass ``2**53``, beyond exact float64."""
-    values = np.hstack(columns, dtype=np.float64)
-    top = max(values.max(initial=0), -values.min(initial=0))
-    if any(c.dtype.kind in "iu" for c in columns) and draws * top >= 2**53:
-        raise ValueError("resample sums could exceed 2**53, beyond exact float64")
-    return values
-
-
 def resample_sums(stats: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Sum segment statistics over each resample's index row, in their dtype.
+    """Sum float64 segment statistics over each resample's index row.
 
     Equal to ``stats[idx].sum(axis=1)``: ``counts @ stats`` of each row's
-    per-segment counts, a float64 GEMM that returns the block's sums, on
-    statistics ``exact_float64`` casts; float sums may differ in the last bits.
+    per-segment counts, a float64 GEMM that returns the block's float64 sums;
+    float sums may differ in the last bits.
     """
     counts = np.empty((len(idx), len(stats)))
     for j, row in enumerate(idx):
         counts[j] = np.bincount(row, minlength=len(stats))
-    values = stats if stats.dtype == np.float64 else exact_float64([stats], idx.shape[1])
-    return (counts @ values).astype(stats.dtype, copy=False)
+    return counts @ stats

@@ -67,10 +67,6 @@ def _13a_tokens(texts) -> list[list[str]]:
     return [line.split() for line in block.split("\n")]
 
 
-def tokenize_13a(line: str) -> str:
-    return " ".join(*_13a_tokens([line]))
-
-
 def _validate(hypotheses, references) -> None:
     if len(hypotheses) != len(references):
         raise ValueError(
@@ -242,14 +238,3 @@ class BleuMetric:
 
     def segment_scores(self, stats) -> np.ndarray:
         return scores(stats, effective_order=True)
-
-
-def bleu(hypotheses, references) -> tuple[float, list[float]]:
-    """Corpus BLEU in [0, 100] plus per-segment scores.
-
-    ``references`` is one list of reference strings per hypothesis.
-    """
-    metric = BleuMetric()
-    stats = metric.segment_stats(hypotheses, references)
-    (corpus,) = metric.corpus_scores(stats.sum(axis=0, keepdims=True))
-    return float(corpus), metric.segment_scores(stats).tolist()

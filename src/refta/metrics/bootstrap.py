@@ -2,9 +2,11 @@
 
 Segment indices are resampled with replacement ``N_RESAMPLES`` times, once
 per comparison, as int32 draws from one generator ``RESAMPLE_BLOCK`` at a
-time; the blocks joined end to end equal one draw. Per block, one
-``kernels.resample_sums`` call per statistics dtype sums the block for every
-metric and system, and each metric's array scorer, ``corpus_scores``, scores
+time; the blocks joined end to end equal one draw. Each statistics dtype's
+columns are cast once to one float64 matrix by ``exact_float64``, which
+refuses integer statistics whose sums could pass 2**53. Per block, one
+``kernels.resample_sums`` call per matrix sums the block for every metric
+and system, and each metric's array scorer, ``corpus_scores``, scores
 every system's block sums in one call, into that metric's ``(systems,
 N_RESAMPLES)`` scores, so no block's sums outlive it. It is the scorer of
 the full-corpus and per-segment scores, so the formula exists once. The
@@ -33,6 +35,16 @@ COMPARE_SEED = 42  # the seed of ``paired_bootstrap``, ``compare_runs`` and ``re
 # the virtual indexes (24.975, 974.025) of NumPy's linear percentile at 2.5, 97.5
 _CI_AT = N_RESAMPLES * np.array([0.025, 0.975]) + (1 - np.array([0.025, 0.975])) - 1
 _CI_BELOW = np.floor(_CI_AT).astype(np.intp)
+
+
+def exact_float64(columns, draws: int) -> np.ndarray:
+    """Statistics side by side in float64; ``ValueError`` where a sum of
+    ``draws`` integer rows could pass ``2**53``, beyond exact float64."""
+    values = np.hstack(columns, dtype=np.float64)
+    top = max(values.max(initial=0), -values.min(initial=0))
+    if any(c.dtype.kind in "iu" for c in columns) and draws * top >= 2**53:
+        raise ValueError("resample sums could exceed 2**53, beyond exact float64")
+    return values
 
 
 def _interval(deltas) -> np.ndarray:
@@ -85,7 +97,7 @@ def paired_bootstrap(
     for dtype in dict.fromkeys(stats.dtype for stats in columns):
         at = [i for i, stats in enumerate(columns) if stats.dtype == dtype]
         splits = np.cumsum([columns[i].shape[1] for i in at])[:-1]
-        groups.append((at, kernels.exact_float64([columns[i] for i in at], n), splits))
+        groups.append((at, exact_float64([columns[i] for i in at], n), splits))
     resampled = np.empty((len(metrics), len(every), N_RESAMPLES))
     rng = np.random.Generator(np.random.PCG64(seed))
     for lo in range(0, N_RESAMPLES, RESAMPLE_BLOCK):

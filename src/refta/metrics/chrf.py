@@ -96,11 +96,3 @@ class ChrfPPMetric:
 
     def segment_scores(self, stats) -> np.ndarray:
         return scores(stats)
-
-
-def chrf_pp(hypotheses, references) -> tuple[float, list[float]]:
-    """Corpus chrF++ in [0, 100] plus per-segment scores."""
-    metric = ChrfPPMetric()
-    stats = metric.segment_stats(hypotheses, references)
-    (corpus,) = metric.corpus_scores(stats.sum(axis=0, keepdims=True))
-    return float(corpus), metric.segment_scores(stats).tolist()

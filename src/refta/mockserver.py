@@ -48,8 +48,6 @@ DRAFT_PREFIX = "[draft]"
 REFINED_PREFIX = "[refined] "
 SCORER_METRICS = ("comet", "bertscore")
 
-_POLL_S = 0.05  # how often serve_forever checks for shutdown, so stop() returns fast
-
 
 @dataclass
 class MockBehavior:
@@ -298,12 +296,3 @@ class MockServer(ThreadingHTTPServer):
         """Stop serving and close the listening socket."""
         self.shutdown()
         self.server_close()
-
-
-def start_mock_server(
-    behavior: MockBehavior | None = None, host: str = "127.0.0.1", port: int = 0
-) -> MockServer:
-    """Start a mock server on a background thread; call ``stop()`` when done."""
-    server = MockServer(behavior or MockBehavior(), host=host, port=port)
-    threading.Thread(target=server.serve_forever, args=(_POLL_S,), daemon=True).start()
-    return server

@@ -121,8 +121,3 @@ def assemble_prompt(
     dropped = len(neighbors) - len(kept)
     truncation = "none" if dropped == 0 else f"dropped-neighbors({dropped})"
     return PromptBundle(system, user, kept, est, truncation)
-
-
-def render_golden(bundle: PromptBundle) -> str:
-    """Canonical byte-stable serialization used for golden-file snapshots."""
-    return bundle.system_text + "\n" + "-" * 8 + "\n" + bundle.user_text + "\n"

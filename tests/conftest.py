@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,50 @@ from refta import backends
 from refta.backends import EndpointConfig
 from refta.corpus import lemmatize
 from refta.index import VectorIndex
-from refta.mockserver import MockBehavior, start_mock_server
+from refta.metrics.bleu import BleuMetric, _13a_tokens
+from refta.metrics.chrf import ChrfPPMetric
+from refta.mockserver import MockBehavior, MockServer
+from refta.prompt import PromptBundle
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "fixtures"
 DATA = Path(__file__).resolve().parent / "data"
+
+MOCK_POLL_S = 0.05  # how often serve_forever checks for shutdown, so stop() returns fast
+
+
+def start_mock_server(behavior: MockBehavior) -> MockServer:
+    """A mock server on a background thread; call ``stop()`` when done."""
+    server = MockServer(behavior)
+    threading.Thread(target=server.serve_forever, args=(MOCK_POLL_S,), daemon=True).start()
+    return server
+
+
+def _scores(metric, hypotheses, references) -> tuple[float, list[float]]:
+    stats = metric.segment_stats(hypotheses, references)
+    (corpus,) = metric.corpus_scores(stats.sum(axis=0, keepdims=True))
+    return float(corpus), metric.segment_scores(stats).tolist()
+
+
+def bleu(hypotheses, references) -> tuple[float, list[float]]:
+    """Corpus BLEU in [0, 100] plus per-segment scores, the C03 oracle's
+    quantities; ``references`` is one list of reference strings per hypothesis."""
+    return _scores(BleuMetric(), hypotheses, references)
+
+
+def chrf_pp(hypotheses, references) -> tuple[float, list[float]]:
+    """Corpus chrF++ in [0, 100] plus per-segment scores."""
+    return _scores(ChrfPPMetric(), hypotheses, references)
+
+
+def tokenize_13a(line: str) -> str:
+    return " ".join(*_13a_tokens([line]))
+
+
+def render_golden(bundle: PromptBundle) -> str:
+    """The byte-stable form of a prompt that the golden files under
+    ``fixtures/prompts/`` hold (C04)."""
+    return bundle.system_text + "\n" + "-" * 8 + "\n" + bundle.user_text + "\n"
 
 
 @pytest.fixture(autouse=True)

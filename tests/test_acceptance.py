@@ -18,22 +18,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refta.backends as backends_mod
-from conftest import DATA, FIXTURES, LEMMA_WORDS, brute_force_query, random_index, spell
+from conftest import (
+    DATA, FIXTURES, LEMMA_WORDS, bleu, brute_force_query, chrf_pp, random_index, render_golden,
+    spell, start_mock_server,
+)
 from refta.backends import DrafterClient, EmbedderClient, EndpointConfig
 from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_parallel
 from refta.cost import CostModel, api_cost, local_cost, round_dollars
 from refta.errors import PromptBudgetError, RequestError, TransportError
 from refta.index import ExclusionList, VectorIndex, build_index, jaccard
-from refta.metrics.bleu import BleuMetric, bleu
+from refta.metrics.bleu import BleuMetric
 from refta.metrics.bootstrap import paired_bootstrap
-from refta.metrics.chrf import chrf_pp
-from refta.mockserver import MockBehavior, start_mock_server
+from refta.mockserver import MockBehavior
 from refta.pipeline import (
     RunConfig,
     read_records,
     translate_corpus,
 )
-from refta.prompt import NeighborExample, assemble_prompt, render_golden
+from refta.prompt import NeighborExample, assemble_prompt
 
 
 def _ok(number: int, name: str) -> None:
@@ -405,10 +407,8 @@ def test_c08_retry_contract(monkeypatch):
 # -- 9. cost arithmetic ------------------------------------------------------------
 
 def test_c09_cost_arithmetic():
-    from refta.backends import TokenUsage
-
     model = CostModel(input_rate="1.25", output_rate="10.0")
-    cost = api_cost(TokenUsage(23_000, 191_000, "backend-reported"), model)
+    cost = api_cost(23_000, 191_000, model)
     assert abs(round_dollars(cost) - 1.9388) <= 1e-6
 
     local_model = CostModel(input_rate="0", output_rate="0",

@@ -22,6 +22,7 @@ from refta.backends import (
     EndpointConfig,
     RefinerClient,
     ScorerClient,
+    TokenUsage,
     canonical_json,
     estimate_tokens,
     map_batches,
@@ -60,6 +61,17 @@ class TestConfigValidation:
     def test_parallelism_at_least_one(self):
         with pytest.raises(ValueError):
             EndpointConfig(base_url="http://x", model_id="m", request_parallelism=0)
+
+    @pytest.mark.parametrize("userinfo", ["alice:s3cret@", "alice@", ":s3cret@"])
+    def test_credentials_in_base_url_are_refused(self, userinfo):
+        with pytest.raises(ValueError, match="REFTA_<ROLE>_TOKEN") as exc:
+            EndpointConfig(base_url=f"http://{userinfo}host:8089", model_id="m")
+        assert "s3cret" not in str(exc.value)
+
+    @pytest.mark.parametrize("counts", [(1.5, 2), (1, True), (2.0, 0), (-1, 0)])
+    def test_token_counts_are_non_negative_ints(self, counts):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            TokenUsage(*counts, "backend-reported")
 
     def test_chat_request_ranges(self):
         with pytest.raises(ValueError):

@@ -69,9 +69,12 @@ def test_resample_sums_refuses_sums_past_exact_float64():
     idx = np.zeros((3, 2), dtype=np.int64)
     for big in (2**52, -(2**52)):
         with pytest.raises(ValueError, match="2\\*\\*53"):
-            kernels.resample_sums(np.array([[big], [1]], dtype=np.int64), idx)
+            bootstrap.exact_float64([np.array([[big], [1]], dtype=np.int64)], 2)
     stats = np.array([[2**52 - 1], [1]], dtype=np.int64)
-    assert np.array_equal(kernels.resample_sums(stats, idx), stats[idx].sum(axis=1))
+    values = bootstrap.exact_float64([stats], 2)
+    assert np.array_equal(kernels.resample_sums(values, idx), stats[idx].sum(axis=1))
+    # float statistics are not integer sums, and are never refused
+    assert bootstrap.exact_float64([np.array([[2.0**60], [1.0]])], 2).dtype == np.float64
     # the bootstrap checks each statistics dtype once, before its one cast
     with pytest.raises(ValueError, match="2\\*\\*53"):
         _compare(MeanMetric("big"), np.array([[2**52, 1], [1, 1]], dtype=np.int64),
@@ -147,7 +150,7 @@ def test_p_value_is_half_a_centred_two_sided_p(seed):
     n = len(refs)
     idx = np.random.Generator(np.random.PCG64(seed)).integers(
         0, n, size=(res.n_resamples, n), dtype=np.int64)
-    sums_a, sums_b = (kernels.resample_sums(s, idx) for s in stats)
+    sums_a, sums_b = (kernels.resample_sums(s.astype(np.float64), idx) for s in stats)
     deltas = metric.corpus_scores(sums_a) - metric.corpus_scores(sums_b)
     two_sided = float(np.mean(np.abs(deltas - res.delta) >= abs(res.delta)))
     assert abs(res.p_value - two_sided / 2) <= 0.03

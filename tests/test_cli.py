@@ -329,6 +329,18 @@ class TestTranslate:
         assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {}
         assert sorted(p.name for p in workspace.iterdir()) == ["corpus.jsonl", "test.tsv"]
 
+    def test_credentials_in_a_url_are_refused_before_any_request(self, runner, workspace,
+                                                                 mock_server):
+        import requests
+
+        url = mock_server.base_url.replace("http://", "http://u:p@")
+        result = _translate(runner, workspace, url, "zero_shot")
+        assert result.exit_code == 2, result.output
+        assert "REFTA_REFINER_TOKEN" in result.output
+        assert "u:p" not in result.output
+        assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {}
+        assert sorted(p.name for p in workspace.iterdir()) == ["corpus.jsonl", "test.tsv"]
+
     @pytest.mark.parametrize("runs_root", ["notadir/sub", "notadir", "runs"],
                              ids=["under-a-file", "a-file", "run-dir-a-file"])
     def test_unusable_runs_root_is_refused_before_any_request(self, runner, workspace,
@@ -1153,7 +1165,6 @@ class TestConfigFile:
         assert not (workspace / "runs" / "from-config").exists()
 
     def test_toml_table_supplies_defaults(self, runner, workspace, mock_server, tmp_path):
-        pytest.importorskip("tomllib")
         cfg = tmp_path / "cfg.toml"
         cfg.write_text(
             "[translate]\n"
@@ -1168,7 +1179,6 @@ class TestConfigFile:
         assert (workspace / "runs" / "from-toml" / "hypotheses.txt").exists()
 
     def test_extension_is_compared_lower_cased(self, runner, tmp_path):
-        pytest.importorskip("tomllib")
         cfg = tmp_path / "cfg.TOML"
         cfg.write_text("[mock-serve]\nport = 0\n")
         result = runner.invoke(main, ["--config", str(cfg), "mock-serve", "--help"])
@@ -1182,7 +1192,6 @@ class TestConfigFile:
         assert "cfg.yaml" in result.output
 
     def test_malformed_toml_is_usage_error(self, runner, tmp_path):
-        pytest.importorskip("tomllib")
         cfg = tmp_path / "cfg.toml"
         cfg.write_text("[translate\nk = 3\n")
         result = runner.invoke(main, ["--config", str(cfg), "mock-serve", "--help"])

@@ -6,12 +6,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, strategies as st
 
-from refta.backends import TokenUsage
 from refta.cost import CostModel, api_cost, cost_report, local_cost, round_dollars
-
-
-def _usage(inp, out):
-    return TokenUsage(inp, out, "backend-reported")
 
 
 STANDARD = CostModel(input_rate="1.25", output_rate="10.0")
@@ -19,23 +14,23 @@ STANDARD = CostModel(input_rate="1.25", output_rate="10.0")
 
 class TestApiCost:
     def test_zero(self):
-        assert api_cost(_usage(0, 0), STANDARD) == 0
+        assert api_cost(0, 0, STANDARD) == 0
 
     def test_unit_definition(self):
         model = CostModel(input_rate="1.25", output_rate="10.0")
-        assert api_cost(_usage(1_000_000, 0), model) == Decimal("1.25")
+        assert api_cost(1_000_000, 0, model) == Decimal("1.25")
 
     def test_observed_token_mix(self):
         # 23k input + 191k output at 1.25/10 per million:
         # 0.02875 + 1.91 = 1.93875, reported as 1.9388
-        cost = api_cost(_usage(23_000, 191_000), STANDARD)
+        cost = api_cost(23_000, 191_000, STANDARD)
         assert cost == Decimal("1.93875")
         assert round_dollars(cost) == pytest.approx(1.9388, abs=1e-6)
 
     @given(st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 10**9))
     def test_linear_in_token_counts(self, a, b, c):
-        base = api_cost(_usage(a, c), STANDARD)
-        more = api_cost(_usage(a + b, c), STANDARD)
+        base = api_cost(a, c, STANDARD)
+        more = api_cost(a + b, c, STANDARD)
         assert more - base == Decimal(b) * STANDARD.input_rate / Decimal(1_000_000)
 
 

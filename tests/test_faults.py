@@ -15,13 +15,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, start_mock_server
 from refta.artifacts import read_lines
 from refta.backends import DrafterClient, EmbedderClient, EndpointConfig, RefinerClient
 from refta.corpus import load_monolingual, load_parallel
 from refta.errors import PipelineError
 from refta.index import ExclusionList, build_index
-from refta.mockserver import MockBehavior, start_mock_server
+from refta.mockserver import MockBehavior
 from refta.pipeline import (
     FAILED_SENTINEL,
     RunConfig,

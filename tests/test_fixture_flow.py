@@ -24,9 +24,9 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from conftest import DATA, FIXTURES
+from conftest import DATA, FIXTURES, start_mock_server
 from refta.cli import main
-from refta.mockserver import MockBehavior, start_mock_server
+from refta.mockserver import MockBehavior
 from refta.pipeline import REPLIES_DIR
 
 GOLDEN = DATA / "golden" / "fixture_flow.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from refta import kernels
+from refta.metrics.bootstrap import exact_float64
 
 
 def test_backend_flag_is_reported():
@@ -12,7 +13,7 @@ def test_backend_flag_is_reported():
 
 def test_resample_sums_equals_numpy_reference():
     rng = np.random.default_rng(5)
-    stats = rng.integers(0, 50, size=(30, 10)).astype(np.int64)
+    stats = rng.integers(0, 50, size=(30, 10)).astype(np.float64)
     idx = rng.integers(0, 30, size=(200, 30)).astype(np.int64)
     got = kernels.resample_sums(stats, idx)
     want = stats[idx].sum(axis=1)
@@ -25,8 +26,9 @@ def test_resample_sums_matches_gather_across_shapes(n_resamples, n, d):
     stats = rng.integers(-(2**40), 2**40, size=(n, d)).astype(np.int64)
     idx = rng.integers(0, n, size=(n_resamples, n)).astype(np.int64)
     idx[0] = 0  # one resample that draws the same segment every time
-    got = kernels.resample_sums(stats, idx)
-    assert got.dtype == np.int64
+    # integer statistics, cast as the bootstrap casts them, sum exactly
+    got = kernels.resample_sums(exact_float64([stats], n), idx)
+    assert got.dtype == np.float64
     assert np.array_equal(got, stats[idx].sum(axis=1))
 
 

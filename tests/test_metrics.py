@@ -15,16 +15,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import DATA, FIXTURES
+from conftest import DATA, FIXTURES, bleu, chrf_pp, tokenize_13a
 from refta import kernels
 from refta.backends import EndpointConfig, ScorerClient
 from refta.corpus import ParallelPair, SourceSegment, load_parallel
 from refta.errors import ComparisonError
 from refta.metrics import bleu as bleu_module
 from refta.metrics import chrf as chrf_module
-from refta.metrics.bleu import BLOCK_ROWS, BleuMetric, bleu, tokenize_13a
+from refta.metrics.bleu import BLOCK_ROWS, BleuMetric
 from refta.metrics.bootstrap import N_RESAMPLES, RESAMPLE_BLOCK, paired_bootstrap
-from refta.metrics.chrf import ChrfPPMetric, chrf_pp
+from refta.metrics.chrf import ChrfPPMetric
 from refta.metrics.report import (
     LEXICAL_METRICS,
     compare_runs,

@@ -11,11 +11,11 @@ import pytest
 import requests
 from hypothesis import given, strategies as st
 
+from conftest import start_mock_server
 from refta.mockserver import (
     MockBehavior,
     MockServer,
     hash_embedding,
-    start_mock_server,
     template_refine,
 )
 

@@ -8,13 +8,13 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, start_mock_server
 from refta.backends import DrafterClient, EmbedderClient, EndpointConfig, RefinerClient
 from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_parallel
 from refta.errors import PipelineError, ReftaError, RequestError, TransportError
 from refta.index import ExclusionList, build_index
 from refta.metrics.report import compare_runs
-from refta.mockserver import MockBehavior, start_mock_server
+from refta.mockserver import MockBehavior
 from refta.pipeline import (
     FAILED_SENTINEL,
     REPLIES_DIR,

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, render_golden
 from refta.backends import estimate_tokens
 from refta.errors import PromptBudgetError
 from refta.prompt import (
@@ -13,7 +13,6 @@ from refta.prompt import (
     NeighborExample,
     REVISION_INSTRUCTION,
     assemble_prompt,
-    render_golden,
 )
 
 GOLDEN_DIR = FIXTURES / "prompts"

@@ -15,13 +15,13 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, start_mock_server
 from refta.artifacts import AppendFile, read_rows
 from refta.backends import EmbedderClient, EndpointConfig, RefinerClient
 from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_parallel
 from refta.errors import CorpusFormatError, PipelineError, ReftaError
 from refta.index import ExclusionList, build_index
-from refta.mockserver import MockBehavior, start_mock_server
+from refta.mockserver import MockBehavior
 from refta.pipeline import REPLIES_DIR, RunConfig, read_manifest, read_records, translate_corpus
 
 TEST_SET = FIXTURES / "testsets" / "ood_fixture_110.tsv"
@@ -418,11 +418,15 @@ def test_under_fail_fast_a_prompt_over_the_budget_costs_no_request(tmp_path, pai
 @pytest.mark.parametrize("role, line", [
     ("refiner", b"not json"), ("refiner", b"[1, 2]"), ("refiner", b'{"key": "\xff", "text": "t"}'),
     ("refiner", b'{"key": "k", "text": "t"}'), ("refiner", b'{"key": "k", "text": ""}'),
+    ("refiner", b'{"key": "k", "text": "t", "usage": {"input_tokens": 1.5, "output_tokens": 2,'
+                b' "source": "backend-reported"}}'),
+    ("refiner", b'{"key": "k", "text": "t", "usage": {"input_tokens": 1, "output_tokens": true,'
+                b' "source": "backend-reported"}}'),
     ("embedder", b'{"key": "k", "vector": "not base64!"}'),
     ("embedder", b'{"key": "k", "vector": "AAA="}'),
     ("embedder", b'{"key": "k", "vector": ""}'), ("embedder", b'{"key": "k", "text": "t"}'),
-], ids=["not-json", "not-an-object", "not-utf8", "no-usage", "no-text", "vector-not-base64",
-        "vector-not-float32", "vector-empty", "no-vector"])
+], ids=["not-json", "not-an-object", "not-utf8", "no-usage", "no-text", "usage-float",
+        "usage-bool", "vector-not-base64", "vector-not-float32", "vector-empty", "no-vector"])
 def test_a_store_row_that_is_not_a_reply_is_refused_before_any_request(tmp_path, server,
                                                                         pairs, role, line):
     condition, index = ("rag", _index(server)) if role == "embedder" else ("zero_shot", None)
