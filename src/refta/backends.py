@@ -4,7 +4,9 @@ Wire protocols
 --------------
 - Refiner: ``POST {base_url}/v1/chat/completions`` with an OpenAI-compatible
   body (``model``, ``messages``, ``temperature``, ``top_p``, ``max_tokens``,
-  optional ``seed``); the first choice's message content is the reply.
+  optional ``seed``); the first choice's message content is the reply. A 400
+  naming a sampling field as ``error.param``, or an empty reply whose
+  ``finish_reason`` is ``"length"``, is a ``Refusal``.
 - Drafter: ``POST {base_url}/translate`` with
   ``{"model": str, "inputs": [str], "src": "la", "tgt": "en"}`` returning
   ``{"outputs": [str], "usage": {"input_tokens": int, "output_tokens": int}}``.
@@ -43,9 +45,9 @@ share across threads.
 
 Transport: stdlib ``http.client`` keep-alive connections, pooled per client
 (at most one per admitted request). ``base_url`` and the proxy variables
-(``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``) are read once,
-when the client is built. Redirects are not followed, and no compressed
-response is asked for.
+(``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``; ``http://``
+proxies only) are checked by ``EndpointConfig`` and read when the client is
+built. Redirects are not followed, and no compressed response is asked for.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ import numpy as np
 from refta.errors import (
     BackendError,
     CapabilityError,
+    OutputBudgetError,
     ProtocolError,
     Refusal,
     RequestError,
@@ -82,6 +85,7 @@ from refta.errors import (
 )
 
 MAX_OUTPUT_TOKENS_CEILING = 8192
+SAMPLING_FIELDS = ("temperature", "top_p", "max_tokens", "seed")  # what a chat body may set
 
 # patch point for tests; never sleep directly
 _sleep = time.sleep
@@ -130,6 +134,7 @@ class EndpointConfig:
         if url.username is not None or url.password is not None:
             raise ValueError("base_url carries credentials, which are never sent; "
                              "give the token in REFTA_<ROLE>_TOKEN")
+        _env_proxy(url.scheme, url.hostname)  # refuses an unusable proxy before any client
 
 
 @dataclass(frozen=True)
@@ -433,11 +438,11 @@ class _HttpClient:
 
     def _raise_request_error(self, status: int, body: str) -> None:
         try:
-            parsed = json.loads(body)
-            err_type = parsed.get("error", {}).get("type", "")
+            error = json.loads(body).get("error", {})
+            err_type, param = error.get("type", ""), error.get("param")
         except (ValueError, AttributeError):
-            err_type = ""
-        if err_type == "unsupported_metric":
+            err_type = param = None
+        if err_type == "unsupported_metric" or status == 400 and param in SAMPLING_FIELDS:
             raise CapabilityError(status, body)
         raise RequestError(status, body)
 
@@ -498,9 +503,13 @@ class RefinerClient(_HttpClient):
         encoded by ``canonical_json``."""
         data = self._post("/v1/chat/completions", body or self.build_payload(req))
         try:
-            text = data["choices"][0]["message"]["content"].strip()
+            choice = data["choices"][0]
+            text = choice["message"]["content"].strip()
         except (KeyError, IndexError, TypeError, AttributeError) as exc:
             raise ProtocolError("refiner reply has no choices[0].message.content") from exc
+        if not text and choice.get("finish_reason") == "length":
+            raise OutputBudgetError(f"refiner reply is empty: its max_output_tokens of "
+                                    f"{req.max_output_tokens} ran out before any text")
         if not text:
             raise ProtocolError("refiner returned empty content")
         return text, _usage(data, ("prompt_tokens", "completion_tokens"),

@@ -371,7 +371,7 @@ def cmd_cost(run_dir, as_json, **model_fields):
 
 @main.command("mock-serve")
 @click.option("--host", default="127.0.0.1", show_default=True)
-@click.option("--port", type=int, default=8089, show_default=True)
+@click.option("--port", type=click.IntRange(0, 65535), default=8089, show_default=True)
 @click.option("--refiner", type=click.Choice(["template", "echo", "empty"]),
               default=MockBehavior.refiner, show_default=True)
 @click.option("--embed-dim", type=int, default=MockBehavior.embed_dim, show_default=True)
@@ -383,7 +383,10 @@ def cmd_cost(run_dir, as_json, **model_fields):
 @_runtime_errors
 def cmd_mock_serve(host, port, **behavior_fields):
     """Serve deterministic mock backends for offline testing."""
-    server = MockServer(MockBehavior(**behavior_fields), host=host, port=port)
+    try:
+        server = MockServer(MockBehavior(**behavior_fields), host=host, port=port)
+    except OSError as exc:  # the address is taken, or names no interface of this host
+        _fail(f"cannot listen on {host}:{port}: {exc}")
     click.echo(f"mock backends listening on {server.base_url}")
     try:
         server.serve_forever()

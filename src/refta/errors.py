@@ -56,6 +56,10 @@ class DimensionError(Refusal):
     """The embedder serves vectors of another size than the index holds."""
 
 
+class OutputBudgetError(Refusal):
+    """The refiner spent its output budget, say on reasoning, before any reply text."""
+
+
 class ProtocolError(BackendError):
     """Backend answered 2xx but the payload violates the wire contract."""
 

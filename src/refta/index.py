@@ -161,20 +161,6 @@ class VectorIndex:
         self._id_rank = np.empty(len(ids), dtype=np.int64)
         self._id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
 
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_arrays(cls, ids: Sequence[str], texts: Sequence[str], vectors: np.ndarray,
-                    model_id: str = "unknown") -> "VectorIndex":
-        n = len(ids)
-        if len(texts) != n:
-            raise ValueError("ids and texts must have equal lengths")
-        vectors = np.array(vectors, dtype=np.float32)  # a copy: the caller's rows stay raw
-        if vectors.ndim != 2 or vectors.shape[0] != n:
-            raise ValueError("vectors must be a (n, dim) matrix")
-        ids = list(ids)
-        return cls(ids, list(texts), _normalize_rows(vectors, ids), model_id)
-
     @property
     def dim(self) -> int:
         return int(self._vectors.shape[1]) if self._vectors.ndim == 2 else 0
@@ -202,8 +188,6 @@ class VectorIndex:
             raise ValueError("k must be >= 1")
         if candidate_pool < k:
             raise ValueError(f"candidate_pool {candidate_pool} must be >= k {k}")
-        if len(self._ids) == 0:
-            return []
         query = np.array(query_vector, dtype=np.float32, ndmin=2)
         if query.shape != (1, self.dim):
             raise IndexError_(f"query of shape {query.shape} does not fit index dim {self.dim}")

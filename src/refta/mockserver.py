@@ -53,7 +53,6 @@ SCORER_METRICS = ("comet", "bertscore")
 class MockBehavior:
     embed_dim: int = 64
     refiner: str = "template"  # or "echo", "empty"
-    include_usage: bool = True
     fail_rate: float = 0.0
     fail_first: int = 0
     fail_status: int = 500
@@ -261,7 +260,7 @@ class _Handler(BaseHTTPRequestHandler):
             text = ""
         else:
             text = template_refine(system, user)
-        resp = {
+        self._send_json(200, {
             "id": "mock-chat",
             "object": "chat.completion",
             "model": payload.get("model", "mock"),
@@ -270,13 +269,11 @@ class _Handler(BaseHTTPRequestHandler):
                 "message": {"role": "assistant", "content": text},
                 "finish_reason": "stop",
             }],
-        }
-        if self.behavior.include_usage:
-            resp["usage"] = {
+            "usage": {
                 "prompt_tokens": (len(system) + len(user) + 3) // 4,
                 "completion_tokens": (len(text) + 3) // 4,
-            }
-        self._send_json(200, resp)
+            },
+        })
 
 
 class MockServer(ThreadingHTTPServer):

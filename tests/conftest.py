@@ -9,7 +9,7 @@ import pytest
 from refta import backends
 from refta.backends import EndpointConfig
 from refta.corpus import lemmatize
-from refta.index import VectorIndex
+from refta.index import VectorIndex, _normalize_rows
 from refta.metrics.bleu import BleuMetric, _13a_tokens
 from refta.metrics.chrf import ChrfPPMetric
 from refta.mockserver import MockBehavior, MockServer
@@ -27,6 +27,14 @@ def start_mock_server(behavior: MockBehavior) -> MockServer:
     server = MockServer(behavior)
     threading.Thread(target=server.serve_forever, args=(MOCK_POLL_S,), daemon=True).start()
     return server
+
+
+def index_from_arrays(ids, texts, vectors, model_id: str = "unknown") -> VectorIndex:
+    """An index over unit-length copies of the raw ``vectors``, normalised as
+    ``build_index`` normalises them; the caller's rows stay raw."""
+    ids = list(ids)
+    rows = np.array(vectors, dtype=np.float32)
+    return VectorIndex(ids, list(texts), _normalize_rows(rows, ids), model_id)
 
 
 def _scores(metric, hypotheses, references) -> tuple[float, list[float]]:
@@ -112,10 +120,7 @@ def random_index(
         ))
     ids = [f"seg{i:05d}" for i in range(n)]
     texts = [spell(lemmas, i) for i, lemmas in enumerate(lemma_sets)]
-    index = VectorIndex.from_arrays(
-        ids, texts, vectors,
-        model_id="synthetic",
-    )
+    index = index_from_arrays(ids, texts, vectors, model_id="synthetic")
     return index, lemma_sets, vectors
 
 

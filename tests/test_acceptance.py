@@ -19,14 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 import refta.backends as backends_mod
 from conftest import (
-    DATA, FIXTURES, LEMMA_WORDS, bleu, brute_force_query, chrf_pp, random_index, render_golden,
-    spell, start_mock_server,
+    DATA, FIXTURES, LEMMA_WORDS, bleu, brute_force_query, chrf_pp, index_from_arrays,
+    random_index, render_golden, spell, start_mock_server,
 )
 from refta.backends import DrafterClient, EmbedderClient, EndpointConfig
 from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_parallel
 from refta.cost import CostModel, api_cost, local_cost, round_dollars
 from refta.errors import PromptBudgetError, RequestError, TransportError
-from refta.index import ExclusionList, VectorIndex, build_index, jaccard
+from refta.index import ExclusionList, build_index, jaccard
 from refta.metrics.bleu import BleuMetric
 from refta.metrics.bootstrap import paired_bootstrap
 from refta.mockserver import MockBehavior
@@ -106,7 +106,7 @@ def _c01_tied_pool_boundaries(rng) -> int:
     ids = [f"dup{int(i):04d}" for i in rng.permutation(n)]
     lemma_sets = [frozenset({LEMMA_WORDS[int(rng.integers(0, 5))]}) for _ in range(n)]
     texts = [spell(lemmas, i) for i, lemmas in enumerate(lemma_sets)]
-    index = VectorIndex.from_arrays(ids, texts, raw)
+    index = index_from_arrays(ids, texts, raw)
     checked = 0
     for qvec in (raw[0], raw[77], rng.standard_normal(dim).astype(np.float32)):
         for k in (1, 3, 7):

@@ -287,9 +287,11 @@ class TestRefiner:
         outputs = {client.complete(req)[0] for _ in range(5)}
         assert len(outputs) == 1
 
-    def test_missing_usage_falls_back_to_estimate(self, mock_server, endpoint):
-        mock_server.behavior.include_usage = False
-        client = RefinerClient(endpoint("refiner"))
+    def test_missing_usage_falls_back_to_estimate(self, monkeypatch):
+        client = RefinerClient(EndpointConfig(base_url="http://mock.invalid", model_id="m"))
+        reply = {"choices": [{"message": {"content": "[refined] x"}, "finish_reason": "stop"}]}
+        monkeypatch.setattr(client, "_send",
+                            lambda path, body: (200, {}, canonical_json(reply).encode()))
         _, usage = client.complete(ChatRequest(system="sys", user="NMT draft (NLLB): x"))
         assert usage.source == "estimated"
         assert usage.input_tokens == estimate_tokens("sys") + estimate_tokens(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import socket
 
 import numpy as np
 import pytest
@@ -37,6 +38,14 @@ def _build_index(runner, workspace, url, out="idx"):
     ])
 
 
+def _unusable_proxy(monkeypatch) -> None:
+    """Name an ``https://`` proxy for every host, which no client can use."""
+    for var in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(var, raising=False)
+        monkeypatch.delenv(var.upper(), raising=False)
+    monkeypatch.setenv("http_proxy", "https://proxy.invalid:3128")
+
+
 class TestIndexBuild:
     def test_builds_and_reports_counts(self, runner, workspace, mock_server):
         result = _build_index(runner, workspace, mock_server.base_url)
@@ -69,6 +78,15 @@ class TestIndexBuild:
         assert result.exit_code == 2
         assert "timeout" in result.output
         assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {}
+
+    def test_unusable_proxy_is_usage_error_before_out_is_made(self, runner, workspace,
+                                                               mock_server, monkeypatch):
+        _unusable_proxy(monkeypatch)
+        result = _build_index(runner, workspace, mock_server.base_url)
+        assert result.exit_code == 2, result.output
+        assert "only http:// proxies are supported" in result.output
+        assert not (workspace / "idx").exists()
+        assert mock_server.stats.snapshot()["counts"] == {}
 
     @pytest.mark.parametrize("out", ["notadir/sub", "notadir"], ids=["under-a-file", "a-file"])
     def test_unusable_out_is_refused_before_any_request(self, runner, workspace, mock_server,
@@ -340,6 +358,19 @@ class TestTranslate:
         assert "u:p" not in result.output
         assert requests.get(f"{mock_server.base_url}/_stats", timeout=5).json()["counts"] == {}
         assert sorted(p.name for p in workspace.iterdir()) == ["corpus.jsonl", "test.tsv"]
+
+    def test_unusable_proxy_is_usage_error_before_any_directory_or_request(
+            self, runner, workspace, mock_server, monkeypatch):
+        _unusable_proxy(monkeypatch)
+        result = _translate(runner, workspace, mock_server.base_url, "zero_shot")
+        assert result.exit_code == 2, result.output
+        assert "only http:// proxies are supported" in result.output
+        assert "Traceback" not in result.output
+        assert mock_server.stats.snapshot()["counts"] == {}
+        assert sorted(p.name for p in workspace.iterdir()) == ["corpus.jsonl", "test.tsv"]
+        # the proxy of a host that NO_PROXY covers is never used, so never checked
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        assert _translate(runner, workspace, mock_server.base_url, "zero_shot").exit_code == 0
 
     @pytest.mark.parametrize("runs_root", ["notadir/sub", "notadir", "runs"],
                              ids=["under-a-file", "a-file", "run-dir-a-file"])
@@ -1311,3 +1342,33 @@ def test_mock_serve_interrupt_closes_socket(runner, monkeypatch):
     result = runner.invoke(main, ["mock-serve", "--port", "0"])
     assert result.exit_code == 0, result.output
     assert served[0].socket.fileno() == -1
+
+
+def _assert_listen_error(result, address: str) -> None:
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith(f"error: cannot listen on {address}: "), result.output
+    assert "Traceback" not in result.output
+
+
+def test_mock_serve_on_a_port_in_use_is_an_error_line(runner):
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        result = runner.invoke(main, ["mock-serve", "--port", str(port)])
+    _assert_listen_error(result, f"127.0.0.1:{port}")
+
+
+def test_mock_serve_on_a_host_that_names_no_address_is_an_error_line(runner, monkeypatch):
+    from refta.mockserver import MockServer
+
+    def unresolved(self):  # what binding to 256.1.1.1 raises, without a name lookup
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    monkeypatch.setattr(MockServer, "server_bind", unresolved)
+    result = runner.invoke(main, ["mock-serve", "--host", "256.1.1.1", "--port", "0"])
+    _assert_listen_error(result, "256.1.1.1:0")
+
+
+def test_mock_serve_port_out_of_range_is_usage_error(runner):
+    result = runner.invoke(main, ["mock-serve", "--port", "70000"])
+    assert result.exit_code == 2, result.output
+    assert "70000" in result.output and "Traceback" not in result.output

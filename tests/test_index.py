@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA, FIXTURES, LEMMA_WORDS, brute_force_query, random_index, spell
+from conftest import (DATA, FIXTURES, LEMMA_WORDS, brute_force_query, index_from_arrays,
+                      random_index, spell)
 from refta.backends import EmbedderClient
 from refta.corpus import SourceSegment, lemmatize, load_monolingual, load_parallel
 from refta.errors import IndexError_
@@ -44,8 +45,8 @@ def _fixture_index(n: int | None, dim: int) -> VectorIndex:
     segs = list(load_monolingual(RETRIEVAL, "jsonl"))[:n]
     texts = [s.text for s in segs]
     vectors = np.stack([hash_embedding(t, dim) for t in texts])
-    return VectorIndex.from_arrays([s.id for s in segs], texts, vectors,
-                                   model_id=f"hash-embedding-{dim}")
+    return index_from_arrays([s.id for s in segs], texts, vectors,
+                             model_id=f"hash-embedding-{dim}")
 
 
 class TestJaccard:
@@ -88,7 +89,7 @@ class TestQuery:
 
     def test_no_backfill_below_threshold(self):
         vecs = np.eye(4, dtype=np.float32)
-        index = VectorIndex.from_arrays(
+        index = index_from_arrays(
             ["s0", "s1", "s2", "s3"], ["ab 0", "ab 1", "ac 2", "ac 3"], vecs
         )
         res = index.query(vecs[0], frozenset({"ab"}), k=4, jaccard_threshold=0.5,
@@ -98,7 +99,7 @@ class TestQuery:
 
     def test_tie_break_ascending_id(self):
         v = np.array([[1.0, 0.0]] * 3, dtype=np.float32)
-        index = VectorIndex.from_arrays(
+        index = index_from_arrays(
             ["sc", "sa", "sb"], ["ex 2", "ex 0", "ex 1"], v,
         )
         res = index.query(np.array([1.0, 0.0], dtype=np.float32), frozenset({"ex"}),
@@ -118,7 +119,7 @@ class TestQuery:
                         candidate_pool=3)
 
     def test_empty_index_answers_empty(self):
-        index = VectorIndex.from_arrays([], [], np.zeros((0, 8), dtype=np.float32))
+        index = index_from_arrays([], [], np.zeros((0, 8), dtype=np.float32))
         assert index.query(np.ones(8), frozenset(), k=3, jaccard_threshold=0.0,
                            candidate_pool=10) == []
 
@@ -196,7 +197,7 @@ class TestNormalizeRows:
     def test_from_arrays_leaves_its_input_unchanged(self):
         raw = np.random.default_rng(5).standard_normal((20, 8)).astype(np.float32)
         kept = raw.copy()
-        index = VectorIndex.from_arrays([f"s{i}" for i in range(20)], ["t"] * 20, raw)
+        index = index_from_arrays([f"s{i}" for i in range(20)], ["t"] * 20, raw)
         assert np.array_equal(raw, kept)
         assert np.allclose(np.linalg.norm(index._vectors, axis=1), 1.0)
 
@@ -633,7 +634,7 @@ class TestPersistence:
 
     def test_meta_cut_inside_a_character_is_an_index_error(self, tmp_path):
         _, _, vectors = random_index(3, 8, seed=24)
-        index = VectorIndex.from_arrays(["a", "b", "c"], ["una", "duae", "tres æ"], vectors)
+        index = index_from_arrays(["a", "b", "c"], ["una", "duae", "tres æ"], vectors)
         save_index(index, tmp_path / "idx")
         meta_path = tmp_path / "idx" / "meta.jsonl"
         data = meta_path.read_bytes()
@@ -783,7 +784,7 @@ class TestPersistence:
     def test_empty_index_round_trip(self, tmp_path):
         import numpy as np
 
-        empty = VectorIndex.from_arrays([], [], np.zeros((0, 8), dtype=np.float32))
+        empty = index_from_arrays([], [], np.zeros((0, 8), dtype=np.float32))
         save_index(empty, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx")
         assert len(loaded) == 0

@@ -8,12 +8,13 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from conftest import FIXTURES, start_mock_server
+from conftest import FIXTURES, index_from_arrays, start_mock_server
 from refta.backends import DrafterClient, EmbedderClient, EndpointConfig, RefinerClient
 from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_parallel
 from refta.errors import PipelineError, ReftaError, RequestError, TransportError
 from refta.index import ExclusionList, build_index
 from refta.metrics.report import compare_runs
+from refta import mockserver
 from refta.mockserver import MockBehavior
 from refta.pipeline import (
     FAILED_SENTINEL,
@@ -199,7 +200,6 @@ class TestTranslateSegment:
     def test_rag_survivor_count_bounded_by_filter(self, stack, tmp_path):
         endpoints, _, _ = stack
         from refta.backends import EmbedderClient
-        from refta.index import VectorIndex
         import numpy as np
 
         # 3-entry index where only 2 entries can pass the lemma filter
@@ -207,8 +207,8 @@ class TestTranslateSegment:
         texts = ["gallia bellum gerunt", "bellum gallia gerunt", "prorsus alienum verbum"]
         vecs = np.stack(embedder.embed(texts))
         embedder.close()
-        index = VectorIndex.from_arrays(["n1", "n2", "n3"], texts, vecs,
-                                        model_id=endpoints["embedder"].model_id)
+        index = index_from_arrays(["n1", "n2", "n3"], texts, vecs,
+                                  model_id=endpoints["embedder"].model_id)
         seg = SourceSegment("q1", "gallia bellum gerunt iterum")
         cfg = _config(endpoints, "rag", k=5, jaccard_threshold=0.3)
         rec = _record(cfg, seg, index, tmp_path)
@@ -496,6 +496,32 @@ class TestTranslateCorpus:
         assert result.succeeded == 3 and len(replies) == 4
         hyps = read_hypotheses(result.run_dir)
         assert hyps[1] == FAILED_SENTINEL and FAILED_SENTINEL not in hyps[:1] + hyps[2:]
+
+    @pytest.mark.parametrize("status, reply, cause", [
+        # OpenAI's reply to a reasoning model sent a temperature it does not take
+        (400, {"error": {"message": "Unsupported value: 'temperature' does not support 0.0 "
+                                    "with this model. Only the default (1) value is supported.",
+                         "type": "invalid_request_error", "param": "temperature",
+                         "code": "unsupported_value"}}, '"param": "temperature"'),
+        # a reasoning model that spent its whole output budget thinking
+        (200, {"choices": [{"index": 0, "message": {"role": "assistant", "content": ""},
+                            "finish_reason": "length"}],
+               "usage": {"prompt_tokens": 40, "completion_tokens": 256}}, "max_output_tokens"),
+    ], ids=["sampling-field-refused", "budget-spent-before-any-text"])
+    def test_a_refiner_that_serves_no_prompt_costs_one_request(self, stack, tmp_path,
+                                                              monkeypatch, status, reply, cause):
+        endpoints, _, server = stack
+        monkeypatch.setattr(mockserver._Handler, "_chat",
+                            lambda handler, payload: handler._send_json(status, reply))
+        pairs = load_parallel(FIXTURES / "testsets" / "ood_fixture_110.tsv", "tsv")
+        (result,) = translate_corpus(_config(endpoints, "zero_shot", workers=4), pairs, None,
+                                     runs_root=tmp_path)
+        errors = _errors(result.run_dir)
+        assert result.failed == len(errors) == len(pairs) == 110
+        assert {row["stage"] for row in errors} == {"refine"}
+        assert all(cause in row["error"] for row in errors), errors[0]
+        assert server.stats.snapshot()["counts"] == {"/v1/chat/completions": 1}
+        assert not any(rows.read_text() for rows in (tmp_path / REPLIES_DIR).glob("refiner-*"))
 
     def test_a_slow_refine_holds_only_its_own_worker(self, stack, tmp_path, monkeypatch):
         endpoints, _, server = stack
