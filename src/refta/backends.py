@@ -14,7 +14,7 @@ Wire protocols
   ``{"model": str, "inputs": [str], "encoding_format": "base64"}`` returning
   ``{"vectors": str, "dim": int}``: ``vectors`` is the base64 of the
   little-endian float32 ``(len(inputs), dim)`` matrix in row order, the
-  layout of ``vectors.bin``, and ``embed`` returns that matrix. Any other
+  layout of ``vectors.bin``, and ``parse`` returns that matrix. Any other
   reply, JSON lists of decimals included, is a ``ProtocolError``.
 - Scorer: ``POST {base_url}/score`` with
   ``{"metric": str, "sources": [...], "hypotheses": [...], "references": [...]}``
@@ -25,10 +25,12 @@ Wire protocols
 A 2xx reply that breaks its protocol (say, a body that is not a JSON object
 or a token count that is not a non-negative integer) raises ``ProtocolError``.
 
-Batching: one ``translate``/``embed``/``score`` call is one request of at
-most ``max_batch`` inputs, or ``ValueError`` before sending. Every backend
-request goes through ``send_batches``, which batches inputs and refills each
-slot as its call completes; all but the index build's via ``map_batches``.
+Batching: a ``translate``/``complete``/``embed``/``score`` call is one POST of at
+most ``max_batch`` inputs (else ``ValueError`` before sending) that returns the
+JSON object served, which the client's pure ``parse(request, body)`` checks and
+turns into outputs. Every backend request goes through ``send_batches``, which
+batches inputs and refills each slot as its call completes; all but the index
+build's via ``map_batches``.
 
 Auth tokens come only from the environment (``REFTA_REFINER_TOKEN``,
 ``REFTA_DRAFTER_TOKEN``, ``REFTA_EMBEDDER_TOKEN``, ``REFTA_SCORER_TOKEN``),
@@ -219,44 +221,55 @@ def send_batches(call, items, max_batch: int, max_in_flight: int):
             yield done.get().result()
 
 
-def map_batches(call, items: list, max_batch: int, fail_fast: bool, max_in_flight: int,
-                store=None):
+def map_batches(call, parse, items: list, max_batch: int, fail_fast: bool,
+                max_in_flight: int, store=None):
     """``call`` over the distinct ``items``, in batches of at most ``max_batch``
     with ``max_in_flight`` calls in flight: the one rule for what a failed
     request means; the first batch goes alone, so an endpoint that refuses the
-    run costs one request. Returns ``item -> (output, ms)``, with ms the wall
-    time of the request that served the item, and ``item -> error`` for the
-    items whose request failed with a ``BackendError``; any other exception is
-    raised. An item ``store`` holds is served from it in 0 ms and sent in no
-    request, and each batch paid for is added to ``store`` by the calling
-    thread as it takes the result. A batch of several items rejected with
-    ``RequestError``/``ProtocolError`` is mapped again, one item per request,
-    at the same ``max_in_flight``. Under ``fail_fast`` the feed ends at the
-    first failed request taken, so the items after it are in neither map; the
-    calls in flight are taken as ever, served and stored, and a resend already
-    begun runs until it ends or fails. A ``Refusal``, in a resend too, ends the
-    feed in the same way whatever ``fail_fast`` says, and every item never
-    sent fails with it."""
-    served = {item: (store[item], 0.0) for item in items if store is not None and item in store}
-    failed, refusal = {}, None
+    run costs one request. ``call(batch)`` returns the body served and
+    ``parse(batch, body)`` each item's output. Returns ``item -> (output,
+    ms)``, with ms the wall time of the request that served the item, and
+    ``item -> error`` for the items whose request failed with a
+    ``BackendError``; any other exception is raised. An item whose ``(keys,
+    body)`` row ``store`` holds is served from it by the same ``parse`` in 0 ms
+    and sent in no request, unless ``parse`` rejects that body with a
+    ``BackendError``: then it is a miss. The calling thread adds each body paid
+    for, ``store.add(batch, body)``, as it takes the result. A batch of several
+    items rejected with ``RequestError``/``ProtocolError`` is mapped again, one
+    item per request, at the same ``max_in_flight``. Under ``fail_fast`` the
+    feed ends at the first failed request taken, so the items after it are in
+    neither map; the calls in flight are taken as ever, served and stored, and
+    a resend already begun runs until it ends or fails. A ``Refusal``, in a
+    resend too, ends the feed in the same way whatever ``fail_fast`` says, and
+    every item never sent fails with it."""
+    served, failed, refusal = {}, {}, None
+    rows = {id(row): row for row in map((store or {}).get, items) if row is not None}
+    for row in rows.values():  # each stored body parsed once, for the keys it is newest for
+        try:
+            outputs = parse(*row)
+        except BackendError:
+            continue
+        served.update((k, (out, 0.0)) for k, out in zip(row[0], outputs) if store[k] is row)
     unserved = [item for item in dict.fromkeys(items) if item not in served]
     feed = itertools.takewhile(lambda _: not (refusal or fail_fast and failed), unserved)
-    first = send_batches(call, itertools.islice(feed, max_batch), max_batch, 1)
-    rest = send_batches(call, feed, max_batch, max_in_flight)  # once the first returns
+    paid = lambda batch: (body := call(batch), parse(batch, body))  # noqa: E731
+    first = send_batches(paid, itertools.islice(feed, max_batch), max_batch, 1)
+    rest = send_batches(paid, feed, max_batch, max_in_flight)  # once the first returns
     for batch, result, ms in itertools.chain(first, rest):
         if (isinstance(result, (RequestError, ProtocolError)) and len(batch) > 1
                 and not isinstance(result, Refusal)):
             # rejected for an input, not for what it asks: find the inputs it rejects
-            resent, rejected = map_batches(call, batch, 1, fail_fast, max_in_flight, store)
+            resent, rejected = map_batches(call, parse, batch, 1, fail_fast, max_in_flight, store)
             served.update(resent)
         elif isinstance(result, BackendError):
             rejected = dict.fromkeys(batch, result)
         elif isinstance(result, Exception):
             raise result
         else:
+            body, outputs = result
             if store is not None:
-                store.add(dict(zip(batch, result)))
-            served.update((item, (out, ms)) for item, out in zip(batch, result))
+                store.add(batch, body)
+            served.update((item, (out, ms)) for item, out in zip(batch, outputs))
             continue
         failed.update(rejected)
         refusal = refusal or next((e for e in rejected.values() if isinstance(e, Refusal)), None)
@@ -466,8 +479,10 @@ class DrafterClient(_HttpClient):
     """NMT draft translation backend (Latin to English); one request of at
     most ``cfg.max_batch`` texts per call."""
 
-    def translate(self, texts: list[str]) -> tuple[list[str], TokenUsage]:
-        data = self._post_inputs("/translate", texts, src="la", tgt="en")
+    def translate(self, texts: list[str]) -> dict:
+        return self._post_inputs("/translate", texts, src="la", tgt="en")
+
+    def parse(self, texts: list[str], data: dict) -> tuple[list[str], TokenUsage]:
         outputs = data.get("outputs")
         if not isinstance(outputs, list) or len(outputs) != len(texts):
             raise ProtocolError(f"drafter returned {len(outputs or [])} "
@@ -498,10 +513,12 @@ class RefinerClient(_HttpClient):
             payload["seed"] = req.seed
         return payload
 
-    def complete(self, req: ChatRequest, body: bytes | None = None) -> tuple[str, TokenUsage]:
+    def complete(self, req: ChatRequest, body: bytes | None = None) -> dict:
         """Send ``req``, or ``body`` when given: its ``build_payload`` already
         encoded by ``canonical_json``."""
-        data = self._post("/v1/chat/completions", body or self.build_payload(req))
+        return self._post("/v1/chat/completions", body or self.build_payload(req))
+
+    def parse(self, req: ChatRequest, data: dict) -> tuple[str, TokenUsage]:
         try:
             choice = data["choices"][0]
             text = choice["message"]["content"].strip()
@@ -520,8 +537,10 @@ class EmbedderClient(_HttpClient):
     """Dense embedding backend; one request of at most ``cfg.max_batch``
     texts per call."""
 
-    def embed(self, texts: list[str]) -> np.ndarray:
-        data = self._post_inputs("/embed", texts, encoding_format="base64")
+    def embed(self, texts: list[str]) -> dict:
+        return self._post_inputs("/embed", texts, encoding_format="base64")
+
+    def parse(self, texts: list[str], data: dict) -> np.ndarray:
         vectors, dim = data.get("vectors"), data.get("dim")
         if not isinstance(vectors, str) or type(dim) is not int or dim < 1:
             raise ProtocolError("embedder reply needs base64 str vectors and an int dim >= 1")
@@ -539,12 +558,14 @@ class ScorerClient(_HttpClient):
     """Neural metric scorer (COMET, BERTScore, METEOR) treated as opaque;
     one request of at most ``cfg.max_batch`` triples per call."""
 
-    def score(self, metric: str, triples: list[tuple[str, str, str]]) -> list[float]:
-        """Scores of (source, hypothesis, reference) triples."""
+    def score(self, metric: str, triples: list[tuple[str, str, str]]) -> dict:
+        """Score (source, hypothesis, reference) triples by ``metric``."""
         self._check_batch("/score", triples)
         sources, hypotheses, references = map(list, zip(*triples))
-        data = self._post("/score", {"metric": metric, "sources": sources,
+        return self._post("/score", {"metric": metric, "sources": sources,
                                      "hypotheses": hypotheses, "references": references})
+
+    def parse(self, triples: list[tuple[str, str, str]], data: dict) -> list[float]:
         scores = data.get("scores")
         if not isinstance(scores, list) or len(scores) != len(triples):
             raise ProtocolError(

@@ -284,9 +284,10 @@ def build_index(
 ) -> tuple[VectorIndex, BuildReport]:
     """Embed and index every non-excluded segment.
 
-    ``embedder`` must expose ``embed(texts)``, returning a ``(len(texts),
-    dim)`` float32 matrix, and a ``cfg`` with ``model_id`` and ``max_batch``
-    (the backends client does). Exact-text and id matches against
+    ``embedder`` must expose ``embed(texts)``, one request that returns the
+    served body, ``parse(texts, body)``, returning a ``(len(texts), dim)``
+    float32 matrix, and a ``cfg`` with ``model_id`` and ``max_batch`` (the
+    backends client does). Exact-text and id matches against
     ``exclusions`` are dropped first. The other rows feed ``send_batches``
     (batches of at most ``cfg.max_batch`` texts, at most ``max_in_flight``
     in flight), which cuts a batch only as a slot frees; each row is probed
@@ -331,8 +332,9 @@ def build_index(
             yield len(texts) - 1
 
     max_batch, matrix = embedder.cfg.max_batch, None
-    for rows, result, _ms in send_batches(lambda rows: embedder.embed(texts[rows[0]:rows[-1] + 1]),
-                                          kept_rows(), max_batch, max_in_flight):
+    for rows, result, _ms in send_batches(
+            lambda rows: embedder.parse(sent := texts[rows[0]:rows[-1] + 1], embedder.embed(sent)),
+            kept_rows(), max_batch, max_in_flight):
         batch_no = rows[0] // max_batch
         if isinstance(result, Exception):
             raise IndexError_(f"embedding batch {batch_no} failed: {result}") from result

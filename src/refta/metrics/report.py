@@ -150,7 +150,7 @@ def score_runs(runs: dict, pairs: list[ParallelPair], scorer, neural_metrics) ->
                for p, hyp in zip(stacked_pairs, stacked_hyps)] if neural_metrics else []
     unserved = []
     for metric in sorted(neural_metrics):
-        served, failed = map_batches(lambda batch: scorer.score(metric, batch), triples,
+        served, failed = map_batches(lambda b: scorer.score(metric, b), scorer.parse, triples,
                                      scorer.cfg.max_batch, True, scorer.cfg.request_parallelism)
         exc = next(iter(failed.values()), None)
         if exc is None:

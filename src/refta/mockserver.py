@@ -37,6 +37,7 @@ import json
 import threading
 import time
 from base64 import b64encode
+from contextlib import suppress
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -127,6 +128,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, fmt, *args):  # quiet by default
         pass
+
+    def handle(self):  # a client gone before its reply is not an error to print
+        with suppress(BrokenPipeError, ConnectionResetError):
+            super().handle()
 
     @property
     def behavior(self) -> MockBehavior:

@@ -15,19 +15,19 @@ texts) to ``backends.map_batches``, every segment's own item first, then the
 others, each group in segment order, and fails each segment at its first
 failed item, so a stage finds all its failures before the next stage starts.
 ``map_batches`` is the one rule for what a failed request means and for the
-reply store under the runs root (``_Replies``): it sends only the texts and
-chat requests the store lacks (a stored query vector whose size is not the
-index's is a miss, and a served one is a ``DimensionError``, a refusal that
-ends stage 1), and stores each batch paid for as it takes the reply (a
-failed one never), so a run that stopped part-way is resumed by running it
-again, and a run at another temperature pays only for stage 4. Stages 1 and
-3 send requests of at most ``max_batch`` inputs, their endpoint's
-``request_parallelism`` in flight, and stage 4 one prompt per request; each
-stage's first request goes alone, so an endpoint that refuses the run costs
-one request. A batch of several inputs rejected with
-``RequestError``/``ProtocolError`` is resent one input per request; a
-rejected one-input batch, or one that exhausts its transport retries, fails
-every segment it carried. One rule (``_fail``) fails a segment at any stage:
+reply store under the runs root (``_Replies``): it stores each body paid for
+as it takes the reply (a failed one never), and pays only for the items whose
+stored body is missing or fails the parse a served one gets (a query vector
+not of the index's size fails: a stored one is a miss, a served one a
+``DimensionError``, a refusal that ends stage 1), so a run that stopped
+part-way is resumed by running it again, and a run at another temperature
+pays only for stage 4. Stages 1 and 3 send requests of at most
+``max_batch`` inputs, their endpoint's ``request_parallelism`` in flight,
+and stage 4 one prompt per request; each stage's first request goes alone,
+so an endpoint that refuses the run costs one request. A batch of several
+inputs rejected with ``RequestError``/``ProtocolError`` is resent one input
+per request; a rejected one-input batch, or one that exhausts its transport
+retries, fails every segment it carried. One rule (``_fail``) fails a segment at any stage:
 it gets a ``PipelineError`` naming the stage and cause and goes no further
 (a segment that fails retrieval is not drafted); under ``fail_fast`` that
 error is raised ``from`` its cause, so a prompt over the budget ends the run
@@ -70,12 +70,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from base64 import b64decode, b64encode
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 import refta
 from refta.artifacts import (
@@ -87,7 +84,6 @@ from refta.backends import (
     DrafterClient,
     EmbedderClient,
     RefinerClient,
-    TokenUsage,
     canonical_json,
     map_batches,
 )
@@ -217,49 +213,49 @@ def _ms_since(t0: float) -> float:
 
 
 class _Replies(dict):
-    """The replies one backend has served under a runs root, appended as they
-    arrive to ``.replies/<role>-<sha256 of model_id NUL base_url>.jsonl``
-    (so backends that share a model id share no reply) and replayed in place
-    of the request: ``{"key": source text, "text"}`` for the drafter,
-    ``{"key": sha256 of the request body, "text", "usage"}`` for the refiner,
-    ``{"key": source text, "vector": base64 of the little-endian float32 row}``
-    for the embedder, the row as it was served, before any normalization.
-    Maps each key to its reply."""
+    """The requests one backend has served under a runs root, appended as they
+    are paid for to ``.replies/<role>-<sha256 of model_id NUL base_url>.jsonl``
+    (so backends that share a model id share no reply): ``{"keys": [the source
+    texts, or the SHA-256 of the refiner request body], "body": the JSON object
+    served}``, one row per request. Maps each key to the newest row that
+    carried it, as ``(keys, body)``; a row of another shape is a
+    ``CorpusFormatError``, unless ``_old_row`` reads it."""
 
     def __init__(self, runs_root, role: str, endpoint):
         endpoint_id = f"{endpoint.model_id}\0{endpoint.base_url.rstrip('/')}"
         digest = hashlib.sha256(endpoint_id.encode("utf-8")).hexdigest()
         self.file = AppendFile(Path(runs_root) / REPLIES_DIR / f"{role}-{digest}.jsonl")
-        self.role = role
         for line_no, raw in read_rows(self.file.path):
             try:
                 row = json.loads(raw.decode("utf-8"))
-                if role == "embedder":
-                    reply = np.frombuffer(b64decode(row["vector"], validate=True), "<f4")
-                    if not reply.size:
-                        raise ValueError("the vector is empty")
-                else:
-                    reply = row["text"]
-                    if not isinstance(reply, str) or not reply:
-                        raise ValueError(f"text {reply!r} is not a non-empty string")
-                    if role == "refiner":
-                        reply = (reply, TokenUsage(**row["usage"]))
-                self[row["key"]] = reply
+                keys, body = (row["keys"], row["body"]) if "keys" in row else _old_row(role, row)
+                if not (isinstance(keys, list) and keys and isinstance(body, dict)
+                        and all(isinstance(key, str) and key for key in keys)):
+                    raise ValueError("a row is {\"keys\": [non-empty str], \"body\": {...}}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(self.file.path, line_no,
-                                        f"not a {role} reply: {exc!r}") from exc
+                                        f"not a {role} row: {exc!r}") from exc
+            self.update(dict.fromkeys(keys, (keys, body)))
 
-    def add(self, replies: dict) -> None:
-        """Append ``key -> reply`` rows in one write, then serve them."""
-        self.file.append(json.dumps(self._row(key, reply)) for key, reply in replies.items())
-        self.update(replies)
+    def add(self, keys: list, body: dict) -> None:
+        """Append the row of one paid request in one write, then serve it."""
+        self.file.append([json.dumps({"keys": keys, "body": body})])
+        self.update(dict.fromkeys(keys, (keys, body)))
 
-    def _row(self, key, reply) -> dict:
-        if self.role == "embedder":
-            return {"key": key, "vector": b64encode(reply.astype("<f4").tobytes()).decode()}
-        if self.role == "drafter":
-            return {"key": key, "text": reply}
-        return {"key": key, "text": reply[0], "usage": vars(reply[1])}
+
+def _old_row(role: str, row: dict) -> tuple[list, dict]:
+    """A row of the per-role shape stores held before they kept bodies, as the body
+    it implies: a refiner's finished with "stop", with its usage if it was reported."""
+    if role == "embedder":  # base64 of 4 * dim bytes is 16 * dim / 3 characters, rounded up
+        return [row["key"]], {"vectors": row["vector"], "dim": len(row["vector"]) * 3 // 16}
+    if role == "drafter":
+        return [row["key"]], {"outputs": [row["text"]]}
+    usage, body = row["usage"], {"choices": [{"message": {"content": row["text"]},
+                                              "finish_reason": "stop"}]}
+    if usage["source"] == "backend-reported":
+        body["usage"] = {"prompt_tokens": usage["input_tokens"],
+                         "completion_tokens": usage["output_tokens"]}
+    return [row["key"]], body
 
 
 def _fail(errors: list, i: int, stage: str, segment: SourceSegment, cause: Exception,
@@ -356,17 +352,17 @@ def translate_corpus(
     def live():
         return [i for i in range(n) if errors[i] is None]
 
-    def send(role, call, needs, stages, max_batch=None, parallelism=None):
+    def send(role, call, parse, needs, stages, max_batch=None, parallelism=None):
         """``map_batches`` over the items ``needs`` names (segment -> its own item,
         then the others it needs); a segment fails at its first failed item, at
         ``stages[0]`` if it is its own, else ``stages[1]``. Returns item -> (reply, ms)."""
         items = [own for own, *_ in needs.values()]
         items += [item for _, *others in needs.values() for item in others]
-        replayed[role] = len(stores[role].keys() & items)
         endpoint = clients[role].cfg
-        served, failed = map_batches(call, items, max_batch or endpoint.max_batch,
+        served, failed = map_batches(call, parse, items, max_batch or endpoint.max_batch,
                                      cfg.fail_fast, parallelism or endpoint.request_parallelism,
                                      store=stores[role])
+        replayed[role] = len({item for item in items if item in served and not served[item][1]})
         for i, needed in needs.items():
             if (bad := next((x for x in needed if x in failed), None)) is not None:
                 _fail(errors, i, stages[bad != needed[0]], segments[i], failed[bad], cfg.fail_fast)
@@ -374,18 +370,15 @@ def translate_corpus(
 
     try:
         if cfg.condition == RAG:
-            for text in [t for t, vector in stores["embedder"].items() if vector.size != index.dim]:
-                del stores["embedder"][text]  # served at another dimension: a miss, paid again
-
-            def embed(batch):  # a vector of another size is refused before it is stored
-                served = clients["embedder"].embed(batch)
-                if served.shape[1] != index.dim:
-                    raise DimensionError(f"the embedder serves vectors of dim {served.shape[1]}, "
+            def parse_vectors(texts, body):  # another size: a miss if stored, else a refusal
+                vectors = clients["embedder"].parse(texts, body)
+                if vectors.shape[1] != index.dim:
+                    raise DimensionError(f"the embedder serves vectors of dim {vectors.shape[1]}, "
                                          f"not the index dim {index.dim}")
-                return served
+                return vectors
 
-            vectors = send("embedder", embed, {i: (s.text,) for i, s in enumerate(segments)},
-                           ("retrieve",))
+            vectors = send("embedder", clients["embedder"].embed, parse_vectors,
+                           {i: (s.text,) for i, s in enumerate(segments)}, ("retrieve",))
             for i in live():
                 seg, (qvec, embed_ms) = segments[i], vectors[segments[i].text]
                 t_query = time.perf_counter()
@@ -399,7 +392,8 @@ def translate_corpus(
                     continue
                 timings[i]["retrieve"] = round(embed_ms + _ms_since(t_query), 3)
         if cfg.condition != ZERO_SHOT:
-            drafts = send("drafter", lambda batch: clients["drafter"].translate(batch)[0],
+            drafts = send("drafter", clients["drafter"].translate,
+                          lambda texts, body: clients["drafter"].parse(texts, body)[0],
                           {i: (segments[i].text, *[r.entry.text for r in hits.get(i, ())])
                            for i in live()}, ("draft", "neighbor_drafts"))
         refiner = clients["refiner"]
@@ -425,7 +419,8 @@ def translate_corpus(
             key = hashlib.sha256(body).hexdigest()
             bodies[key] = (req, body)
             prompts[i] = key, draft, (bundle, assembled, _ms_since(t_segment))
-        served = send("refiner", lambda keys: [refiner.complete(*bodies[k]) for k in keys],
+        served = send("refiner", lambda keys: refiner.complete(*bodies[keys[0]]),
+                      lambda keys, body: [refiner.parse(bodies[keys[0]][0], body)],
                       {i: (key,) for i, (key, *_) in prompts.items()}, ("refine",),
                       1, cfg.workers)
     finally:

@@ -375,7 +375,8 @@ def test_c08_retry_contract(monkeypatch):
     srv = start_mock_server(MockBehavior(fail_first=2))
     try:
         client = DrafterClient(_endpoint(srv.base_url, "drafter", max_retries=3))
-        (text,), _ = client.translate(["iterum atque iterum"])
+        (text,), _ = client.parse(["iterum atque iterum"],
+                                  client.translate(["iterum atque iterum"]))
         assert text.startswith("[draft]")
         assert client.stats.retries == 2
         assert srv.stats.snapshot()["counts"]["/translate"] == 3

@@ -139,8 +139,12 @@ class TestSendBatches:
 
 
 class _DictStore(dict):
-    def add(self, replies: dict) -> None:
-        self.update(replies)
+    def add(self, keys: list, body) -> None:
+        self.update(dict.fromkeys(keys, (keys, body)))
+
+
+def _as_served(batch, body):
+    return body
 
 
 class TestMapBatches:
@@ -158,12 +162,13 @@ class TestMapBatches:
             return [item.upper() for item in batch]
 
         store = _DictStore()
-        served, failed = map_batches(call, list("zabcd"), 1, True, max_in_flight=2, store=store)
+        served, failed = map_batches(call, _as_served, list("zabcd"), 1, True, max_in_flight=2,
+                                     store=store)
         assert sent[0] == ["z"]
         assert sorted(sent) == [["a"], ["b"], ["z"]]  # no batch went out after "a" was taken
         assert list(failed) == ["a"]
         assert {item: out for item, (out, _ms) in served.items()} == {"z": "Z", "b": "B"}
-        assert store == {"z": "Z", "b": "B"}
+        assert store == {"z": (["z"], ["Z"]), "b": (["b"], ["B"])}
 
     def test_a_refusal_in_a_resend_ends_the_feed_without_fail_fast(self):
         sent = []
@@ -176,7 +181,8 @@ class TestMapBatches:
                 raise CapabilityError(400, "not served")
             return [item.upper() for item in batch]
 
-        served, failed = map_batches(call, list("abcdefgh"), 4, False, max_in_flight=1)
+        served, failed = map_batches(call, _as_served, list("abcdefgh"), 4, False,
+                                     max_in_flight=1)
         assert sent == [list("abcd"), ["a"], ["b"]]  # nothing after the refusal was taken
         assert {item: out for item, (out, _ms) in served.items()} == {"a": "A"}
         assert failed.keys() == set("bcdefgh")  # every item never sent fails with it
@@ -186,7 +192,7 @@ class TestMapBatches:
 class TestDrafter:
     def test_echo(self, endpoint):
         client = DrafterClient(endpoint("drafter"))
-        texts, usage = client.translate(["Gallia est"])
+        texts, usage = client.parse(["Gallia est"], client.translate(["Gallia est"]))
         assert texts == ["[draft]Gallia est"]
         assert usage.source == "backend-reported"
 
@@ -200,7 +206,8 @@ class TestDrafter:
     def test_batch_splitting_keeps_order_and_sums_usage(self, mock_server, endpoint):
         client = DrafterClient(endpoint("drafter", max_batch=4))
         texts = [f"textus {i}" for i in range(10)]
-        sent = sorted(send_batches(client.translate, texts, 4, max_in_flight=3),
+        sent = sorted(send_batches(lambda b: client.parse(b, client.translate(b)), texts, 4,
+                                   max_in_flight=3),
                       key=lambda taken: texts.index(taken[0][0]))
         assert [batch for batch, _, _ in sent] == [texts[0:4], texts[4:8], texts[8:10]]
         drafts = [d for _, (batch_drafts, _), _ in sent for d in batch_drafts]
@@ -226,7 +233,7 @@ class TestDrafter:
         monkeypatch.setattr(backends_mod, "_sleep", sleeps.append)
         mock_server.behavior.fail_first = 2
         client = DrafterClient(endpoint("drafter", max_retries=3))
-        texts, _ = client.translate(["iterum"])
+        texts, _ = client.parse(["iterum"], client.translate(["iterum"]))
         assert texts == ["[draft]iterum"]
         assert client.stats.retries == 2
         assert mock_server.stats.snapshot()["counts"]["/translate"] == 3
@@ -284,7 +291,7 @@ class TestRefiner:
     def test_deterministic_across_calls(self, endpoint):
         client = RefinerClient(endpoint("refiner"))
         req = ChatRequest(system="s", user="NMT draft (NLLB): textus", temperature=0.0)
-        outputs = {client.complete(req)[0] for _ in range(5)}
+        outputs = {client.parse(req, client.complete(req))[0] for _ in range(5)}
         assert len(outputs) == 1
 
     def test_missing_usage_falls_back_to_estimate(self, monkeypatch):
@@ -292,7 +299,8 @@ class TestRefiner:
         reply = {"choices": [{"message": {"content": "[refined] x"}, "finish_reason": "stop"}]}
         monkeypatch.setattr(client, "_send",
                             lambda path, body: (200, {}, canonical_json(reply).encode()))
-        _, usage = client.complete(ChatRequest(system="sys", user="NMT draft (NLLB): x"))
+        req = ChatRequest(system="sys", user="NMT draft (NLLB): x")
+        _, usage = client.parse(req, client.complete(req))
         assert usage.source == "estimated"
         assert usage.input_tokens == estimate_tokens("sys") + estimate_tokens(
             "NMT draft (NLLB): x"
@@ -301,8 +309,9 @@ class TestRefiner:
     def test_empty_content_is_protocol_error(self, mock_server, endpoint):
         mock_server.behavior.refiner = "empty"
         client = RefinerClient(endpoint("refiner"))
+        req = ChatRequest(system="s", user="u")
         with pytest.raises(ProtocolError):
-            client.complete(ChatRequest(system="s", user="u"))
+            client.parse(req, client.complete(req))
 
     def test_request_serialization_matches_golden(self):
         client = RefinerClient(EndpointConfig(
@@ -335,7 +344,7 @@ class TestRefiner:
 class TestEmbedder:
     def test_arity_and_uniform_dim(self, endpoint):
         client = EmbedderClient(endpoint("embedder"))
-        vecs = client.embed(["a b", "c d", "e f"])
+        vecs = client.parse(["a b", "c d", "e f"], client.embed(["a b", "c d", "e f"]))
         assert vecs.dtype == np.float32 and vecs.shape == (3, 64)
         assert len(vecs) == 3
         assert all(v.shape == (64,) for v in vecs)
@@ -347,7 +356,8 @@ class TestEmbedder:
     def test_batch_splitting_request_count(self, mock_server, endpoint):
         client = EmbedderClient(endpoint("embedder", max_batch=64))
         texts = [f"textus {i}" for i in range(130)]
-        sent = sorted(send_batches(client.embed, texts, 64, max_in_flight=2),
+        sent = sorted(send_batches(lambda b: client.parse(b, client.embed(b)), texts, 64,
+                                   max_in_flight=2),
                       key=lambda taken: texts.index(taken[0][0]))
         assert [batch for batch, _, _ in sent] == [texts[0:64], texts[64:128], texts[128:]]
         vecs = [v for _, batch_vecs, _ in sent for v in batch_vecs]
@@ -369,7 +379,7 @@ class TestEmbedder:
 
         monkeypatch.setattr(client, "_send", recording_send)
         texts = [f"textus numero {i}" for i in range(64)]
-        vecs = client.embed(texts)
+        vecs = client.parse(texts, client.embed(texts))
         expected = np.stack([hash_embedding(t, 256) for t in texts])
         assert vecs.dtype == np.float32 and vecs.flags.writeable
         assert vecs.tobytes() == expected.tobytes()
@@ -379,14 +389,15 @@ class TestEmbedder:
 
     def test_identical_text_identical_vector(self, endpoint):
         client = EmbedderClient(endpoint("embedder"))
-        a, b = client.embed(["idem textus", "idem textus"])
+        a, b = client.parse(["idem textus"] * 2, client.embed(["idem textus", "idem textus"]))
         assert np.array_equal(a, b)
 
 
 class TestScorer:
     def test_identity_scores_one(self, endpoint):
         client = ScorerClient(endpoint("scorer"))
-        scores = client.score("comet", [("s", "same text", "same text")])
+        triples = [("s", "same text", "same text")]
+        scores = client.parse(triples, client.score("comet", triples))
         assert scores == [1.0]
 
     def test_more_than_max_batch_rejected_locally(self, mock_server, endpoint):
@@ -414,13 +425,15 @@ def _scorer_replying(monkeypatch, body: bytes) -> ScorerClient:
 ])
 def test_scorer_refuses_a_score_that_is_not_a_finite_number(monkeypatch, scores):
     client = _scorer_replying(monkeypatch, f'{{"scores": [{scores}]}}'.encode())
+    triples = [("s", "h", "r")] * 3
     with pytest.raises(ProtocolError, match="not a finite number"):
-        client.score("comet", [("s", "h", "r")] * 3)
+        client.parse(triples, client.score("comet", triples))
 
 
 def test_scorer_returns_int_and_float_scores_as_floats(monkeypatch):
     client = _scorer_replying(monkeypatch, b'{"scores": [1, 0.25, -2]}')
-    scores = client.score("comet", [("s", "h", "r")] * 3)
+    triples = [("s", "h", "r")] * 3
+    scores = client.parse(triples, client.score("comet", triples))
     assert scores == [1.0, 0.25, -2.0] and all(type(s) is float for s in scores)
 
 
@@ -457,7 +470,7 @@ def test_retry_after_on_429_capped(monkeypatch, status, retry_after, honoured):
     headers = {} if retry_after is None else {"Retry-After": retry_after}
     replies = iter([(status, headers, _OK_BODY), (200, {}, _OK_BODY)])
     monkeypatch.setattr(client, "_send", lambda path, body: next(replies))
-    assert client.translate(["x"])[0] == ["[draft]x"]
+    assert client.parse(["x"], client.translate(["x"]))[0] == ["[draft]x"]
     assert len(sleeps) == 1
     if honoured is None:  # absent or not delta-seconds: the jittered backoff
         assert BACKOFF_BASE_S <= sleeps[0] <= 1.1 * BACKOFF_BASE_S
@@ -472,11 +485,15 @@ def _b64_floats(n: int) -> str:
 
 
 _CHAT = {"choices": [{"message": {"content": "ok"}}]}
+_CHAT_REQUEST = ChatRequest(system="s", user="u")
 _CALLS = {
-    "drafter": (DrafterClient, lambda client: client.translate(["x"])),
-    "refiner": (RefinerClient, lambda client: client.complete(ChatRequest(system="s", user="u"))),
-    "embedder": (EmbedderClient, lambda client: client.embed(["x", "y"])),
-    "scorer": (ScorerClient, lambda client: client.score("comet", [("s", "h", "r")])),
+    "drafter": (DrafterClient, lambda client: client.parse(["x"], client.translate(["x"]))),
+    "refiner": (RefinerClient,
+                lambda client: client.parse(_CHAT_REQUEST, client.complete(_CHAT_REQUEST))),
+    "embedder": (EmbedderClient,
+                 lambda client: client.parse(["x", "y"], client.embed(["x", "y"]))),
+    "scorer": (ScorerClient, lambda client: client.parse(
+        [("s", "h", "r")], client.score("comet", [("s", "h", "r")]))),
 }
 
 
@@ -565,9 +582,9 @@ def test_idle_connection_closed_by_server_is_replaced(one_shot_server, monkeypat
     one_shot_server.reply = _OK_REPLY
     client = DrafterClient(EndpointConfig(base_url=one_shot_server.base_url, model_id="m"))
     try:
-        assert client.translate(["x"])[0] == ["[draft]x"]
+        assert client.parse(["x"], client.translate(["x"]))[0] == ["[draft]x"]
         assert one_shot_server.closed.acquire(timeout=5)  # the pooled connection is dead
-        assert client.translate(["x"])[0] == ["[draft]x"]
+        assert client.parse(["x"], client.translate(["x"]))[0] == ["[draft]x"]
         assert one_shot_server.closed.acquire(timeout=5)
     finally:
         client.close()
@@ -603,7 +620,7 @@ def test_proxy_from_environment(one_shot_server, monkeypatch):
     client = DrafterClient(EndpointConfig(base_url="http://backend.invalid:8080/v1",
                                           model_id="m"))
     try:
-        assert client.translate(["x"])[0] == ["[draft]x"]
+        assert client.parse(["x"], client.translate(["x"]))[0] == ["[draft]x"]
     finally:
         client.close()
     head = one_shot_server.heads[0]

@@ -226,6 +226,9 @@ class _ArrayEmbedder:
                 row[:] = np.random.default_rng(abs(hash(t)) % (2**32)).standard_normal(dim)
         return out
 
+    def parse(self, texts, body):
+        return body
+
 
 class _RecordingEmbedder(_ArrayEmbedder):
     """An ``_ArrayEmbedder`` of ``max_batch`` 8 that hands each batch's texts
@@ -493,6 +496,9 @@ class _MatrixEmbedder:
 
     def embed(self, texts):
         return self.rows[:len(texts)].copy()
+
+    def parse(self, texts, body):
+        return body
 
 
 def _traced_peak(fn) -> tuple[int, float]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import base64
 import socket
 import statistics
+import struct
 import threading
 import time
 
@@ -14,6 +15,7 @@ from hypothesis import given, strategies as st
 from conftest import start_mock_server
 from refta.mockserver import (
     MockBehavior,
+    _Handler,
     MockServer,
     hash_embedding,
     template_refine,
@@ -180,3 +182,44 @@ def test_stop_returns_promptly():
     t0 = time.perf_counter()
     server.stop()
     assert time.perf_counter() - t0 < 0.25
+
+
+def _post_then_reset(server, path: str, body: bytes) -> None:
+    """Send one request and reset the connection before the reply comes, then
+    wait until the mock has tried to answer it."""
+    with socket.create_connection(("127.0.0.1", server.server_address[1])) as sock:
+        sock.sendall(b"POST %s HTTP/1.1\r\nHost: mock\r\nContent-Type: application/json\r\n"
+                     b"Content-Length: %d\r\n\r\n%s" % (path.encode(), len(body), body))
+        deadline = time.monotonic() + 5
+        while not server.stats.current.get(path) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))  # RST
+    while server.stats.current.get(path) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    time.sleep(0.2)  # the handler thread reports its error after it leaves
+
+
+def test_a_client_gone_before_its_reply_leaves_no_traceback(capfd):
+    server = start_mock_server(MockBehavior(latency_ms=100))
+    try:
+        _post_then_reset(server, "/translate", b'{"inputs": ["a"]}')
+        assert server.stats.snapshot()["counts"] == {"/translate": 1}
+    finally:
+        server.stop()
+    assert capfd.readouterr().err == ""
+
+
+def test_any_other_handler_error_is_still_printed(capfd, monkeypatch):
+    def broken(self, payload):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setattr(_Handler, "_translate", broken)
+    server = start_mock_server(MockBehavior())
+    try:
+        with pytest.raises(requests.ConnectionError):
+            requests.post(f"{server.base_url}/translate", json={"inputs": ["a"]}, timeout=5)
+        time.sleep(0.2)
+    finally:
+        server.stop()
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "RuntimeError: handler bug" in err

@@ -205,7 +205,7 @@ class TestTranslateSegment:
         # 3-entry index where only 2 entries can pass the lemma filter
         embedder = EmbedderClient(endpoints["embedder"])
         texts = ["gallia bellum gerunt", "bellum gallia gerunt", "prorsus alienum verbum"]
-        vecs = np.stack(embedder.embed(texts))
+        vecs = np.stack(embedder.parse(texts, embedder.embed(texts)))
         embedder.close()
         index = index_from_arrays(["n1", "n2", "n3"], texts, vecs,
                                   model_id=endpoints["embedder"].model_id)
@@ -399,14 +399,14 @@ class TestFailureIsolation:
                                                                    monkeypatch):
         endpoints, index, _ = stack
         pairs = _pairs(4)
-        original = EmbedderClient.embed
+        original = EmbedderClient.parse
 
-        def zero_first(self, texts):
-            matrix = original(self, texts)
+        def zero_first(self, texts, body):
+            matrix = original(self, texts, body)
             matrix[[t == pairs[0].source.text for t in texts]] = 0.0
             return matrix
 
-        monkeypatch.setattr(EmbedderClient, "embed", zero_first)
+        monkeypatch.setattr(EmbedderClient, "parse", zero_first)
         (result,) = translate_corpus(_config(endpoints, "rag"), pairs, index,
                                      runs_root=tmp_path)
         (row,) = _errors(result.run_dir)
@@ -791,9 +791,9 @@ class TestStagesAtRequestParallelism:
             assert snap["failures_injected"][path] == 1
             # the first batch alone, then p together; none after the failure was taken
             assert snap["counts"][path] == 1 + p
-            stored = {json.loads(line)["key"]
-                      for rows in (tmp_path / REPLIES_DIR).glob(f"{role}-*")
-                      for line in rows.read_text().splitlines()}
+            stored = {key for rows in (tmp_path / REPLIES_DIR).glob(f"{role}-*")
+                      for line in rows.read_text().splitlines()
+                      for key in json.loads(line)["keys"]}
             assert stored == set(paid)
             assert len(stored) == snap["inputs"][path] - ep.max_batch == p * ep.max_batch
             monkeypatch.setattr(cls, method, original)

@@ -15,14 +15,18 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import FIXTURES, start_mock_server
+from conftest import DATA, FIXTURES, start_mock_server
 from refta.artifacts import AppendFile, read_rows
-from refta.backends import EmbedderClient, EndpointConfig, RefinerClient
+from refta.backends import (
+    DrafterClient, EmbedderClient, EndpointConfig, RefinerClient, estimate_tokens,
+)
 from refta.corpus import ParallelPair, SourceSegment, load_monolingual, load_parallel
-from refta.errors import CorpusFormatError, PipelineError, ReftaError
+from refta.errors import CorpusFormatError, PipelineError, ProtocolError, ReftaError
 from refta.index import ExclusionList, build_index
 from refta.mockserver import MockBehavior
-from refta.pipeline import REPLIES_DIR, RunConfig, read_manifest, read_records, translate_corpus
+from refta.pipeline import (
+    REPLIES_DIR, RunConfig, read_hypotheses, read_manifest, read_records, translate_corpus,
+)
 
 TEST_SET = FIXTURES / "testsets" / "ood_fixture_110.tsv"
 CHAT = "/v1/chat/completions"
@@ -177,7 +181,7 @@ def test_a_failed_refine_leaves_no_row(tmp_path, pairs):
         srv.stop()
     assert result.failed == 4
     (name, rows), = _store_files(tmp_path).items()  # the drafter's file alone
-    assert name.startswith("drafter-") and len(rows) == 4
+    assert name.startswith("drafter-") and sum(len(row["keys"]) for row in rows) == 4
 
 
 def test_a_refused_run_leaves_no_store(tmp_path, server, pairs):
@@ -415,26 +419,36 @@ def test_under_fail_fast_a_prompt_over_the_budget_costs_no_request(tmp_path, pai
     assert not (tmp_path / "zero_shot").exists()
 
 
-@pytest.mark.parametrize("role, line", [
-    ("refiner", b"not json"), ("refiner", b"[1, 2]"), ("refiner", b'{"key": "\xff", "text": "t"}'),
-    ("refiner", b'{"key": "k", "text": "t"}'), ("refiner", b'{"key": "k", "text": ""}'),
-    ("refiner", b'{"key": "k", "text": "t", "usage": {"input_tokens": 1.5, "output_tokens": 2,'
-                b' "source": "backend-reported"}}'),
-    ("refiner", b'{"key": "k", "text": "t", "usage": {"input_tokens": 1, "output_tokens": true,'
-                b' "source": "backend-reported"}}'),
-    ("embedder", b'{"key": "k", "vector": "not base64!"}'),
-    ("embedder", b'{"key": "k", "vector": "AAA="}'),
-    ("embedder", b'{"key": "k", "vector": ""}'), ("embedder", b'{"key": "k", "text": "t"}'),
-], ids=["not-json", "not-an-object", "not-utf8", "no-usage", "no-text", "usage-float",
-        "usage-bool", "vector-not-base64", "vector-not-float32", "vector-empty", "no-vector"])
-def test_a_store_row_that_is_not_a_reply_is_refused_before_any_request(tmp_path, server,
-                                                                        pairs, role, line):
-    condition, index = ("rag", _index(server)) if role == "embedder" else ("zero_shot", None)
+def _paid_with_a_row_added(tmp_path, server, pairs, role, line: bytes):
+    """A run of pairs[:2] with ``role`` in its config, then ``line`` put into
+    the role's store file after its first row, ``KEY`` in it replaced by the
+    first key of that row. Returns the condition, the index and the file."""
+    condition, index = {"refiner": ("zero_shot", None), "drafter": ("draft_only", None),
+                        "embedder": ("rag", _index(server))}[role]
     translate_corpus(_config(server, condition), pairs[:2], index, runs_root=tmp_path)
     (path,) = (tmp_path / REPLIES_DIR).glob(f"{role}-*")
     first, rest = path.read_bytes().split(b"\n", 1)
-    path.write_bytes(first + b"\n" + line + b"\n" + rest)
+    key = json.dumps(json.loads(first)["keys"][0]).encode()
+    path.write_bytes(first + b"\n" + line.replace(b'"KEY"', key) + b"\n" + rest)
     server.stats.reset()
+    return condition, index, path
+
+
+@pytest.mark.parametrize("role, line", [
+    ("refiner", b"not json"), ("refiner", b"[1, 2]"),
+    ("refiner", b'{"keys": ["\xff"], "body": {}}'),
+    ("refiner", b'{"keys": "KEY", "body": {}}'), ("refiner", b'{"keys": [], "body": {}}'),
+    ("refiner", b'{"keys": [7], "body": {}}'), ("drafter", b'{"keys": [""], "body": {}}'),
+    ("refiner", b'{"keys": ["KEY"]}'), ("embedder", b'{"keys": ["KEY"], "body": []}'),
+    # rows of the shape stores had before they kept bodies, that cannot be read
+    ("refiner", b'{"key": "KEY", "text": "t"}'), ("drafter", b'{"key": "KEY"}'),
+    ("embedder", b'{"key": "KEY", "text": "t"}'),
+], ids=["not-json", "not-an-object", "not-utf8", "keys-not-a-list", "keys-empty",
+        "key-not-a-string", "key-empty", "no-body", "body-not-an-object",
+        "no-usage", "no-text", "no-vector"])
+def test_a_store_row_that_is_not_a_reply_is_refused_before_any_request(tmp_path, server,
+                                                                        pairs, role, line):
+    condition, index, path = _paid_with_a_row_added(tmp_path, server, pairs, role, line)
     with pytest.raises(CorpusFormatError) as exc:
         translate_corpus(_config(server, condition, run_id="next"), pairs[:2], index,
                          runs_root=tmp_path)
@@ -442,14 +456,139 @@ def test_a_store_row_that_is_not_a_reply_is_refused_before_any_request(tmp_path,
     assert server.stats.snapshot()["counts"] == {}
 
 
+_CHOICE = b'"choices": [{"message": {"content": "t"}, "finish_reason": "stop"}]'
+
+
+@pytest.mark.parametrize("role, line", [
+    ("refiner", b'{"keys": ["KEY"], "body": {"choices": [{"message": {"content": ""}}]}}'),
+    ("refiner", b'{"keys": ["KEY"], "body": {' + _CHOICE
+                + b', "usage": {"prompt_tokens": 1.5, "completion_tokens": 2}}}'),
+    ("embedder", b'{"keys": ["KEY"], "body": {"vectors": "not base64!", "dim": 64}}'),
+    ("drafter", b'{"keys": ["KEY"], "body": {"outputs": [" "]}}'),
+    # rows of the shape stores had before they kept bodies, read as the body they imply
+    ("refiner", b'{"key": "KEY", "text": "t", "usage": {"input_tokens": 1.5, "output_tokens": 2,'
+                b' "source": "backend-reported"}}'),
+    ("refiner", b'{"key": "KEY", "text": "t", "usage": {"input_tokens": 1, "output_tokens": true,'
+                b' "source": "backend-reported"}}'),
+    ("embedder", b'{"key": "KEY", "vector": "not base64!"}'),
+    ("embedder", b'{"key": "KEY", "vector": "AAA="}'),
+    ("embedder", b'{"key": "KEY", "vector": ""}'),
+], ids=["empty-content", "body-usage-float", "body-vector-not-base64", "empty-draft",
+        "usage-float", "usage-bool", "vector-not-base64", "vector-not-float32", "vector-empty"])
+def test_a_stored_body_the_parser_rejects_is_paid_again_once(tmp_path, server, pairs, role,
+                                                             line):
+    condition, index, _ = _paid_with_a_row_added(tmp_path, server, pairs, role, line)
+    (cold,) = translate_corpus(_config(server, condition), pairs[:2], index,
+                               runs_root=tmp_path / "cold")
+    server.stats.reset()
+    (paid,) = translate_corpus(_config(server, condition, run_id="paid"), pairs[:2], index,
+                               runs_root=tmp_path)
+    counts = server.stats.snapshot()["counts"]
+    assert counts == {{"refiner": CHAT, "drafter": "/translate", "embedder": "/embed"}[role]: 1}
+    assert server.stats.snapshot()["inputs"] == counts  # the one key the row carried
+    replayed = read_manifest(paid.run_dir)["replayed"]
+    assert replayed[role] == len({p.source.text for p in pairs[:2]}) - 1
+    assert _comparable(paid.run_dir) == _comparable(cold.run_dir)
+    server.stats.reset()
+    (again,) = translate_corpus(_config(server, condition, run_id="again"), pairs[:2], index,
+                                runs_root=tmp_path)
+    assert server.stats.snapshot()["counts"] == {}  # the row paid again is newer
+    assert _comparable(again.run_dir) == _comparable(cold.run_dir)
+
+
 def test_an_embedder_row_holds_the_row_the_embedder_served(tmp_path, server, pairs):
     translate_corpus(_config(server, "rag"), pairs[:6], _index(server), runs_root=tmp_path)
     (rows,) = [rows for name, rows in _store_files(tmp_path).items()
                if name.startswith("embedder-")]
-    assert sorted(row["key"] for row in rows) == sorted(p.source.text for p in pairs[:6])
+    assert sorted(key for row in rows for key in row["keys"]) == sorted(
+        p.source.text for p in pairs[:6])
     embedder = EmbedderClient(EndpointConfig(base_url=server.base_url,
                                              model_id="mock/embedder", timeout=10.0))
-    served = embedder.embed([row["key"] for row in rows])
+    served = [embedder.embed(row["keys"]) for row in rows]
     embedder.close()
-    assert [b64decode(row["vector"]) for row in rows] == [v.astype("<f4").tobytes()
-                                                          for v in served]
+    assert [row["body"] for row in rows] == served
+    assert [b64decode(row["body"]["vectors"]) for row in rows] == [
+        embedder.parse(row["keys"], body).astype("<f4").tobytes()
+        for row, body in zip(rows, served)]
+
+
+# -- rows of the shape stores had before they kept the served body -------------------
+
+OLD_STORE = DATA / "old_store"  # a fixture rag run of pairs[:6], as such a store wrote it
+
+
+def test_a_store_of_the_old_row_shapes_replays_for_free(tmp_path, server, pairs):
+    """``{"key", "text"}`` drafter rows, ``{"key", "text", "usage"}`` refiner
+    rows and ``{"key", "vector"}`` embedder rows are read as the bodies they
+    imply, so no reply they hold is paid again, and new rows join them in the
+    one row shape."""
+    index, cfg = _index(server), _config(server, "rag")
+    (cold,) = translate_corpus(cfg, pairs[:7], index, runs_root=tmp_path / "cold")
+    store = tmp_path / "old" / REPLIES_DIR
+    store.mkdir(parents=True)
+    for role in cfg.endpoints:
+        endpoint_id = f"mock/{role}\0{server.base_url}"
+        (store / f"{role}-{hashlib.sha256(endpoint_id.encode()).hexdigest()}.jsonl").write_bytes(
+            (OLD_STORE / f"{role}.jsonl").read_bytes())
+    server.stats.reset()
+    (replayed,) = translate_corpus(cfg, pairs[:6], index, runs_root=tmp_path / "old")
+    assert server.stats.snapshot()["counts"] == {}
+    assert _comparable(replayed.run_dir) == _comparable(cold.run_dir)[:6]
+    assert read_manifest(replayed.run_dir)["replayed"] == {
+        "drafter": len(_rows(OLD_STORE / "drafter.jsonl")), "embedder": 6, "refiner": 6}
+    (more,) = translate_corpus(cfg, pairs[:7], index, runs_root=tmp_path / "old", force=True)
+    assert server.stats.snapshot()["counts"][CHAT] == 1  # the seventh segment's alone
+    assert _comparable(more.run_dir) == _comparable(cold.run_dir)
+    for name, rows in _store_files(tmp_path / "old").items():
+        old = _rows(OLD_STORE / f"{name.split('-')[0]}.jsonl")
+        assert rows[:len(old)] == old
+        assert rows[len(old):] and all(row.keys() == {"keys", "body"} for row in rows[len(old):])
+
+
+def test_an_old_refiner_row_of_estimated_usage_is_estimated_again(tmp_path, server, pairs):
+    cfg = _config(server, "zero_shot")
+    (cold,) = translate_corpus(cfg, pairs[:1], runs_root=tmp_path / "cold")
+    ((name, (row,)),) = _store_files(tmp_path / "cold").items()
+    (text,) = read_hypotheses(cold.run_dir)
+    old = {"key": row["keys"][0], "text": text,
+           "usage": {"input_tokens": 1, "output_tokens": 1, "source": "estimated"}}
+    rows = AppendFile(tmp_path / REPLIES_DIR / name)
+    rows.append([json.dumps(old)])
+    rows.close()
+    server.stats.reset()
+    (replayed,) = translate_corpus(cfg, pairs[:1], runs_root=tmp_path)
+    assert server.stats.snapshot()["counts"] == {}
+    (record,) = read_records(replayed.run_dir)
+    (served,) = read_records(cold.run_dir)
+    assert record["refined"] == served["refined"] and record["usage_source"] == "estimated"
+    assert record["output_tokens"] == estimate_tokens(text)
+
+
+def test_a_stricter_parser_reaches_the_replays(tmp_path, server, pairs, monkeypatch):
+    cfg = _config(server, "draft_only")
+    translate_corpus(cfg, pairs[:8], runs_root=tmp_path)
+    parse, refused = DrafterClient.parse, pairs[3].source.text
+
+    def stricter(self, texts, body):
+        if refused in texts:
+            raise ProtocolError(f"a draft of {refused!r}")
+        return parse(self, texts, body)
+
+    monkeypatch.setattr(DrafterClient, "parse", stricter)
+    server.stats.reset()
+    (cold,) = translate_corpus(cfg, pairs[:8], runs_root=tmp_path / "cold")
+    cold_counts = server.stats.snapshot()["counts"]
+    server.stats.reset()
+    (replayed,) = translate_corpus(replace(cfg, run_id="strict"), pairs[:8], runs_root=tmp_path)
+    # the one stored drafter row is rejected, so its batch and its resends go out again
+    assert server.stats.snapshot()["counts"] == {"/translate": cold_counts["/translate"]}
+    assert cold_counts == {"/translate": 1 + 8, CHAT: 7}
+    assert _rows(replayed.run_dir / "errors.jsonl") == _rows(cold.run_dir / "errors.jsonl")
+    assert [row["segment_id"] for row in _rows(cold.run_dir / "errors.jsonl")] == ["ood003"]
+    assert _comparable(replayed.run_dir) == _comparable(cold.run_dir)
+    monkeypatch.setattr(DrafterClient, "parse", parse)
+    server.stats.reset()
+    (restored,) = translate_corpus(replace(cfg, run_id="restored"), pairs[:8],
+                                   runs_root=tmp_path)
+    assert server.stats.snapshot()["counts"] == {}
+    assert restored.failed == 0
