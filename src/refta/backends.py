@@ -6,7 +6,8 @@ Wire protocols
   body (``model``, ``messages``, ``temperature``, ``top_p``, ``max_tokens``,
   optional ``seed``); the first choice's message content is the reply. A 400
   naming a sampling field as ``error.param``, or an empty reply whose
-  ``finish_reason`` is ``"length"``, is a ``Refusal``.
+  ``finish_reason`` is ``"length"``, is a ``Refusal``; a non-empty one cut so
+  is a ``ProtocolError``.
 - Drafter: ``POST {base_url}/translate`` with
   ``{"model": str, "inputs": [str], "src": "la", "tgt": "en"}`` returning
   ``{"outputs": [str], "usage": {"input_tokens": int, "output_tokens": int}}``.
@@ -25,12 +26,12 @@ Wire protocols
 A 2xx reply that breaks its protocol (say, a body that is not a JSON object
 or a token count that is not a non-negative integer) raises ``ProtocolError``.
 
-Batching: a ``translate``/``complete``/``embed``/``score`` call is one POST of at
-most ``max_batch`` inputs (else ``ValueError`` before sending) that returns the
-JSON object served, which the client's pure ``parse(request, body)`` checks and
-turns into outputs. Every backend request goes through ``send_batches``, which
-batches inputs and refills each slot as its call completes; all but the index
-build's via ``map_batches``.
+Batching: a ``translate``/``complete``/``embed``/``score`` call is one POST of the
+inputs it is given that returns the JSON object served, which the client's pure
+``parse(request, body)`` checks and turns into outputs. Every backend request
+goes through ``send_batches``, which cuts non-empty batches of at most the
+endpoint's ``max_batch`` inputs and refills each slot as its call completes; all
+but the index build's via ``map_batches``.
 
 Auth tokens come only from the environment (``REFTA_REFINER_TOKEN``,
 ``REFTA_DRAFTER_TOKEN``, ``REFTA_EMBEDDER_TOKEN``, ``REFTA_SCORER_TOKEN``),
@@ -436,17 +437,8 @@ class _HttpClient:
                 delay = min(float(retry_after), RETRY_AFTER_CAP_S)
             _sleep(delay)
 
-    def _check_batch(self, path: str, inputs: list) -> None:
-        """``ValueError`` unless ``inputs`` fit one request: 1 to ``max_batch``."""
-        if not 0 < len(inputs) <= self.cfg.max_batch:
-            raise ValueError(f"{path} takes 1 to max_batch={self.cfg.max_batch} inputs, "
-                             f"got {len(inputs)}; cut them with send_batches")
-
     def _post_inputs(self, path: str, texts: list[str], **fields) -> dict:
         """POST ``texts`` as one request; returns the response."""
-        self._check_batch(path, texts)
-        if not all(texts):
-            raise ValueError(f"{path} takes no empty text")
         return self._post(path, {"model": self.cfg.model_id, "inputs": texts, **fields})
 
     def _raise_request_error(self, status: int, body: str) -> None:
@@ -529,6 +521,8 @@ class RefinerClient(_HttpClient):
                                     f"{req.max_output_tokens} ran out before any text")
         if not text:
             raise ProtocolError("refiner returned empty content")
+        if choice.get("finish_reason") == "length":
+            raise ProtocolError(f"output cut at max_output_tokens ({req.max_output_tokens})")
         return text, _usage(data, ("prompt_tokens", "completion_tokens"),
                             (req.system, req.user), (text,))
 
@@ -560,7 +554,6 @@ class ScorerClient(_HttpClient):
 
     def score(self, metric: str, triples: list[tuple[str, str, str]]) -> dict:
         """Score (source, hypothesis, reference) triples by ``metric``."""
-        self._check_batch("/score", triples)
         sources, hypotheses, references = map(list, zip(*triples))
         return self._post("/score", {"metric": metric, "sources": sources,
                                      "hypotheses": hypotheses, "references": references})

@@ -232,8 +232,6 @@ def load_monolingual(
     appended to it.
     Malformed rows raise :class:`CorpusFormatError` with the line number.
     """
-    if format not in ("jsonl", "plain-lines"):
-        raise ValueError(f"unknown monolingual format: {format!r}")
     path = Path(path)
     for line_no, seg_id, raw_text, _ in _rows(path, format):
         text = normalize_text(raw_text)
@@ -246,8 +244,6 @@ def load_monolingual(
 def load_parallel(path: str | Path, format: str) -> list[ParallelPair]:
     """Load a parallel test set (``tsv`` or ``jsonl``), preserving file order;
     a file that holds no pair is a ``CorpusFormatError``."""
-    if format not in ("tsv", "jsonl"):
-        raise ValueError(f"unknown parallel format: {format!r}")
     path = Path(path)
     pairs: list[ParallelPair] = []
     for line_no, seg_id, raw_text, raw_refs in _rows(path, format, parallel=True):

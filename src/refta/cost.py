@@ -75,9 +75,8 @@ def api_cost(input_tokens: int, output_tokens: int, model: CostModel) -> Decimal
 
 
 def local_cost(wall_seconds, model: CostModel) -> Decimal:
-    """Dollars for local serving: hourly amortization plus optional power."""
-    if model.fixed_hourly is None:
-        raise ValueError("local_cost requires fixed_hourly in the cost model")
+    """Dollars for local serving, for a ``model`` with ``fixed_hourly`` set:
+    hourly amortization plus optional power."""
     hours = as_money(wall_seconds) / Decimal(3600)
     total = hours * model.fixed_hourly
     if model.power_kw is not None:

@@ -183,14 +183,9 @@ class VectorIndex:
         skip_texts: frozenset = frozenset(),
     ) -> list[RetrievalResult]:
         """Top-k filtered retrieval; see the module docstring for semantics. A
-        zero or non-finite ``query_vector`` raises ``VectorError``."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if candidate_pool < k:
-            raise ValueError(f"candidate_pool {candidate_pool} must be >= k {k}")
+        zero or non-finite ``query_vector`` raises ``VectorError``. The caller
+        holds ``1 <= k <= candidate_pool`` and a query of ``dim`` floats."""
         query = np.array(query_vector, dtype=np.float32, ndmin=2)
-        if query.shape != (1, self.dim):
-            raise IndexError_(f"query of shape {query.shape} does not fit index dim {self.dim}")
         rows, sims = kernels.search_layer(self._vectors, self._id_rank,
                                           _normalize_rows(query)[0], candidate_pool)
         out: list[RetrievalResult] = []
@@ -382,6 +377,8 @@ def _read_meta(path: Path, sha) -> tuple[list, list]:
             row = json.loads(line)
             ids.append(row["id"])
             texts.append(row["text"])
+            if not row["text"]:
+                raise IndexError_(f"{path} row {row_no} has an empty text")
     except CorpusFormatError as exc:  # unreadable, or a row cut inside a character
         raise IndexError_(str(exc)) from exc
     except (ValueError, KeyError, TypeError) as exc:

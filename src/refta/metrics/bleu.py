@@ -67,23 +67,10 @@ def _13a_tokens(texts) -> list[list[str]]:
     return [line.split() for line in block.split("\n")]
 
 
-def _validate(hypotheses, references) -> None:
-    if len(hypotheses) != len(references):
-        raise ValueError(
-            f"{len(hypotheses)} hypotheses vs {len(references)} reference rows"
-        )
-    for i, refs in enumerate(references):
-        if not refs:
-            raise ValueError(f"segment {i} has no references")
-        if any(not r for r in refs):
-            raise ValueError(f"segment {i} has an empty reference")
-
-
 def _blockwise(hypotheses, references, block_stats, dim: int) -> np.ndarray:
     """``block_stats(texts, hyp_ids, ref_ids, n_refs)`` of each block of rows:
     the block's distinct texts (``""`` first) and, per distinct row, its text
     ids, the references' padded with 0, and its number of references."""
-    _validate(hypotheses, references)
     out = np.empty((len(hypotheses), dim), dtype=np.int64)
     for start in range(0, len(hypotheses), BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)

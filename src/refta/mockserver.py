@@ -43,6 +43,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
+from refta.backends import estimate_tokens
 from refta.prompt import BASELINE_INSTRUCTION, DRAFT_LABEL
 
 DRAFT_PREFIX = "[draft]"
@@ -221,8 +222,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _translate(self, payload: dict) -> None:
         inputs = payload["inputs"]
         outputs = [DRAFT_PREFIX + t for t in inputs]
-        in_tok = sum((len(t) + 3) // 4 for t in inputs)
-        out_tok = sum((len(o) + 3) // 4 for o in outputs)
+        in_tok = sum(map(estimate_tokens, inputs))
+        out_tok = sum(map(estimate_tokens, outputs))
         self._send_json(200, {
             "outputs": outputs,
             "usage": {"input_tokens": in_tok, "output_tokens": out_tok},
@@ -275,8 +276,8 @@ class _Handler(BaseHTTPRequestHandler):
                 "finish_reason": "stop",
             }],
             "usage": {
-                "prompt_tokens": (len(system) + len(user) + 3) // 4,
-                "completion_tokens": (len(text) + 3) // 4,
+                "prompt_tokens": estimate_tokens(system + user),
+                "completion_tokens": estimate_tokens(text),
             },
         })
 

@@ -54,10 +54,6 @@ class NeighborExample:
     cosine_similarity: float
     jaccard: float
 
-    def __post_init__(self):
-        if not self.latin or not self.draft:
-            raise ValueError(f"neighbor '{self.segment_id}' needs non-empty latin and draft")
-
 
 @dataclass(frozen=True)
 class PromptBundle:
@@ -91,22 +87,12 @@ def assemble_prompt(
     condition: str,
     budget_ceiling: int = DEFAULT_INPUT_BUDGET,
 ) -> PromptBundle:
-    """Build the refiner prompt for one segment under a token budget."""
-    if condition not in CONDITIONS:
-        raise ValueError(f"unknown condition: {condition!r}")
-    if not latin:
-        raise ValueError("latin source must be non-empty")
+    """Build the refiner prompt for one segment under a token budget. The
+    caller passes a draft unless ``zero_shot``, and neighbors only for ``rag``."""
     neighbors = tuple(neighbors)
-
     if condition == ZERO_SHOT:
-        if draft is not None or neighbors:
-            raise ValueError("zero_shot takes no draft and no neighbors")
         system, render = "", lambda kept: f"{BASELINE_INSTRUCTION}\n{latin}"
     else:
-        if not draft:
-            raise ValueError(f"{condition} requires a draft")
-        if condition == DRAFT_ONLY and neighbors:
-            raise ValueError("draft_only takes no neighbors")
         system, render = SYSTEM_TEMPLATE, lambda kept: _user_text(latin, draft, kept)
 
     kept = neighbors  # neighbors are dropped from the end until the prompt fits

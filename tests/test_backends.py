@@ -196,13 +196,6 @@ class TestDrafter:
         assert texts == ["[draft]Gallia est"]
         assert usage.source == "backend-reported"
 
-    def test_empty_input_rejected(self, endpoint):
-        client = DrafterClient(endpoint("drafter"))
-        with pytest.raises(ValueError):
-            client.translate([])
-        with pytest.raises(ValueError):
-            client.translate(["Gallia", ""])
-
     def test_batch_splitting_keeps_order_and_sums_usage(self, mock_server, endpoint):
         client = DrafterClient(endpoint("drafter", max_batch=4))
         texts = [f"textus {i}" for i in range(10)]
@@ -218,15 +211,6 @@ class TestDrafter:
         usages = [usage for _, (_, usage), _ in sent]
         assert sum(u.input_tokens for u in usages) == sum((len(t) + 3) // 4 for t in texts)
         assert {u.source for u in usages} == {"backend-reported"}
-
-    def test_more_than_max_batch_raises_before_sending(self, mock_server, endpoint):
-        with pytest.raises(ValueError, match="max_batch=4"):
-            DrafterClient(endpoint("drafter", max_batch=4)).translate(
-                [f"textus {i}" for i in range(5)])
-        with pytest.raises(ValueError, match="max_batch=4"):
-            EmbedderClient(endpoint("embedder", max_batch=4)).embed(
-                [f"textus {i}" for i in range(5)])
-        assert mock_server.stats.snapshot()["counts"] == {}
 
     def test_retry_then_recover(self, mock_server, endpoint, monkeypatch):
         sleeps = []
@@ -349,10 +333,6 @@ class TestEmbedder:
         assert len(vecs) == 3
         assert all(v.shape == (64,) for v in vecs)
 
-    def test_empty_batch_rejected(self, endpoint):
-        with pytest.raises(ValueError):
-            EmbedderClient(endpoint("embedder")).embed([])
-
     def test_batch_splitting_request_count(self, mock_server, endpoint):
         client = EmbedderClient(endpoint("embedder", max_batch=64))
         texts = [f"textus {i}" for i in range(130)]
@@ -399,12 +379,6 @@ class TestScorer:
         triples = [("s", "same text", "same text")]
         scores = client.parse(triples, client.score("comet", triples))
         assert scores == [1.0]
-
-    def test_more_than_max_batch_rejected_locally(self, mock_server, endpoint):
-        client = ScorerClient(endpoint("scorer", max_batch=2))
-        with pytest.raises(ValueError, match="max_batch=2"):
-            client.score("comet", [("s", "h", "r")] * 3)
-        assert mock_server.stats.snapshot()["counts"].get("/score", 0) == 0
 
     def test_unsupported_metric(self, endpoint):
         client = ScorerClient(endpoint("scorer"))
@@ -501,6 +475,7 @@ _CALLS = {
     *[(role, []) for role in _CALLS],
     ("refiner", {"choices": ["x"]}),
     ("refiner", {"choices": [{"message": {"content": None}}]}),
+    ("refiner", {"choices": [{"message": {"content": "ok"}, "finish_reason": "length"}]}),
     ("refiner", {**_CHAT, "usage": {"prompt_tokens": None, "completion_tokens": 1}}),
     ("refiner", {**_CHAT, "usage": "many"}),
     ("drafter", {"outputs": ["d"], "usage": {"input_tokens": "many", "output_tokens": 1}}),

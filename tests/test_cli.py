@@ -96,6 +96,11 @@ class TestIndexBuild:
         _assert_refused_before_any_request(result, mock_server.base_url)
 
     def test_exclusions_applied(self, runner, workspace, mock_server):
+        # the first test sentence upper-cased: the same lemmas under another
+        # normalized text, so no exact match drops it
+        text = (workspace / "test.tsv").read_text(encoding="utf-8").split("\t")[1]
+        with (workspace / "corpus.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "near-dup", "text": text.upper()}) + "\n")
         result = runner.invoke(main, [
             "index-build",
             "--corpus", str(workspace / "corpus.jsonl"),
@@ -107,6 +112,7 @@ class TestIndexBuild:
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
         assert payload["indexed"] == 50  # fixture rows do not overlap the test set
+        assert payload["near_dup_dropped"] == 1
 
     @pytest.mark.parametrize("name, row", [
         ("parallel.jsonl", lambda r: json.dumps({**r, "references": ["ref"]})),
@@ -1187,13 +1193,17 @@ class TestConfigFile:
                 "runs_root": str(workspace / "runs"),
                 "condition": "zero_shot",
                 "run_id": "from-config",
-            }
+            },
+            "mock-serve": {"port": 9099},
         }))
         result = runner.invoke(main, ["--config", str(cfg), "translate",
                                       "--run-id", "flag-wins"])
         assert result.exit_code == 0, result.output
         assert (workspace / "runs" / "flag-wins").is_dir()
         assert not (workspace / "runs" / "from-config").exists()
+        # the help shows the config's value as the default, with click's range after it
+        shown = runner.invoke(main, ["--config", str(cfg), "mock-serve", "--help"])
+        assert shown.exit_code == 0 and "default: 9099" in shown.output, shown.output
 
     def test_toml_table_supplies_defaults(self, runner, workspace, mock_server, tmp_path):
         cfg = tmp_path / "cfg.toml"

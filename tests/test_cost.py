@@ -51,10 +51,6 @@ class TestLocalCost:
         model = CostModel(input_rate=0, output_rate=0, fixed_hourly="0.79")
         assert local_cost(3600, model) == Decimal("0.79")
 
-    def test_requires_hourly_rate(self):
-        with pytest.raises(ValueError):
-            local_cost(60, STANDARD)
-
 
 class TestCostModelValidation:
     def test_negative_rate(self):

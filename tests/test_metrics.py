@@ -102,18 +102,6 @@ class TestIdentityAndDegenerates:
         corpus, segments = chrf_pp(["aaaa"], [["zzzz"]])
         assert corpus == 0.0 and segments == [0.0]
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            bleu(["a"], [["r"], ["r2"]])
-        with pytest.raises(ValueError):
-            chrf_pp(["a", "b"], [["r"]])
-
-    def test_empty_reference(self):
-        with pytest.raises(ValueError):
-            bleu(["a fine text"], [[""]])
-        with pytest.raises(ValueError):
-            chrf_pp(["a fine text"], [[]])
-
 
 class TestTokenizer13a:
     def test_punctuation_split(self):

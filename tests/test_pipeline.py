@@ -523,6 +523,24 @@ class TestTranslateCorpus:
         assert server.stats.snapshot()["counts"] == {"/v1/chat/completions": 1}
         assert not any(rows.read_text() for rows in (tmp_path / REPLIES_DIR).glob("refiner-*"))
 
+    def test_a_reply_cut_at_the_output_budget_fails_its_segment(self, stack, tmp_path,
+                                                                monkeypatch):
+        endpoints, _, server = stack
+        cut = {"choices": [{"index": 0, "finish_reason": "length",
+                            "message": {"role": "assistant", "content": "The Gauls, who"}}],
+               "usage": {"prompt_tokens": 40, "completion_tokens": 256}}
+        monkeypatch.setattr(mockserver._Handler, "_chat",
+                            lambda handler, payload: handler._send_json(200, cut))
+        pairs = load_parallel(FIXTURES / "testsets" / "ood_fixture_110.tsv", "tsv")
+        (result,) = translate_corpus(_config(endpoints, "zero_shot", workers=4), pairs, None,
+                                     runs_root=tmp_path)
+        errors = _errors(result.run_dir)
+        assert result.failed == len(errors) == len(pairs) == 110
+        assert {row["stage"] for row in errors} == {"refine"}
+        assert all("output cut at max_output_tokens" in row["error"] for row in errors)
+        assert server.stats.snapshot()["counts"] == {"/v1/chat/completions": 110}
+        assert not any(rows.read_text() for rows in (tmp_path / REPLIES_DIR).glob("refiner-*"))
+
     def test_a_slow_refine_holds_only_its_own_worker(self, stack, tmp_path, monkeypatch):
         endpoints, _, server = stack
         pairs = _pairs(6)

@@ -125,29 +125,6 @@ class TestTemplateFidelity:
         assert stripped == draft_only.user_text
 
 
-class TestValidation:
-    def test_zero_shot_rejects_draft(self):
-        with pytest.raises(ValueError):
-            assemble_prompt(LATIN, DRAFT, [], "zero_shot")
-
-    def test_draft_only_rejects_neighbors(self):
-        with pytest.raises(ValueError):
-            assemble_prompt(LATIN, DRAFT, _golden_neighbors(), "draft_only")
-
-    def test_rag_requires_draft(self):
-        with pytest.raises(ValueError):
-            assemble_prompt(LATIN, None, _golden_neighbors(), "rag")
-
-    def test_unknown_condition(self):
-        with pytest.raises(ValueError):
-            assemble_prompt(LATIN, None, [], "few_shot")
-
-    def test_neighbor_requires_text(self):
-        with pytest.raises(ValueError):
-            NeighborExample(latin="", draft="d", segment_id="x",
-                            cosine_similarity=0.5, jaccard=0.5)
-
-
 class TestBudget:
     def _big_neighbors(self, n: int, chars: int = 600):
         return [
