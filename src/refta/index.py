@@ -23,8 +23,7 @@ largest m with ``n / m >= t``: the size filter ``min(|a|, |b|) / max(|a|,
 |b|) >= t``, applied by position. Survivors are checked by ``jaccard(a, b)
 >= t``. Each bound is the same float division as that final test, and
 rounding is monotone, so the join keeps and drops exactly the rows a
-pairwise loop would. Each row is probed as the embedding batch it would
-join is cut, so the probe runs while the batches before it are embedded.
+pairwise loop would.
 
 On-disk layout (``save_index``/``load_index``), format version 3:
 
@@ -282,71 +281,55 @@ def build_index(
     ``embedder`` must expose ``embed(texts)``, one request that returns the
     served body, ``parse(texts, body)``, returning a ``(len(texts), dim)``
     float32 matrix, and a ``cfg`` with ``model_id`` and ``max_batch`` (the
-    backends client does). Exact-text and id matches against
-    ``exclusions`` are dropped first. The other rows feed ``send_batches``
-    (batches of at most ``cfg.max_batch`` texts, at most ``max_in_flight``
-    in flight), which cuts a batch only as a slot frees; each row is probed
-    as its batch is cut, by the exact join of the module docstring, and
-    dropped if its lemma Jaccard against any excluded text reaches
-    ``NEAR_DUP_THRESHOLD``. With no excluded text no row is lemmatized. Each
-    batch lands in one matrix preallocated at the candidate count, whose kept
-    rows are normalised in place. The rows of an id that repeats are probed
-    up front, so two kept copies of one id raise ``IndexError_`` before any
-    request; so does a build that keeps no row, which cuts no batch.
+    backends client does). One pass over ``segments`` drops the rows that
+    match ``exclusions`` by id or exact text, and then the rows whose lemma
+    Jaccard against any excluded text reaches ``NEAR_DUP_THRESHOLD``, by the
+    exact join of the module docstring; with no excluded text no row is
+    lemmatized. So the kept rows are known before any request, and a build
+    that keeps no row, or keeps one id twice, raises ``IndexError_`` before
+    one is sent. The kept rows feed ``send_batches`` (batches of at most
+    ``cfg.max_batch`` texts, at most ``max_in_flight`` in flight), and each
+    batch is normalized as it lands in the matrix.
     """
     exclusions = exclusions or ExclusionList.empty()
     report = BuildReport()
-
-    candidates: list[SourceSegment] = []
+    is_near_dup = _near_dup_join([lemmatize(t) for t in exclusions.exact_texts],
+                                 NEAR_DUP_THRESHOLD)
+    ids, texts = [], []
     for seg in segments:
         report.rows_seen += 1
         if exclusions.matches(seg.id, seg.text):
             report.excluded_exact += 1
+        elif is_near_dup(seg.text):
+            report.excluded_near_dup += 1
         else:
-            candidates.append(seg)
-
-    is_near_dup = _near_dup_join([lemmatize(t) for t in exclusions.exact_texts],
-                                 NEAR_DUP_THRESHOLD)
-    repeated = {sid for sid, copies in Counter(s.id for s in candidates).items() if copies > 1}
-    kept_ids: set = set()
-    for seg in candidates:
-        if seg.id in repeated and not is_near_dup(seg.text):
-            if seg.id in kept_ids:  # refused before any request
-                raise IndexError_(f"duplicate segment id {seg.id!r} in index")
-            kept_ids.add(seg.id)
-
-    ids, texts = [], []
-
-    def kept_rows():
-        for seg in candidates:  # probed as the batch it would join is cut
-            if is_near_dup(seg.text):
-                report.excluded_near_dup += 1
-                continue
             ids.append(seg.id)
             texts.append(seg.text)
-            yield len(texts) - 1
+    if not ids:
+        raise IndexError_(f"no row to index: {report.excluded_exact} excluded, "
+                          f"{report.excluded_near_dup} near-duplicates dropped")
+    seen: set = set()
+    for sid in ids:  # the first id kept twice, in corpus order
+        if sid in seen:
+            raise IndexError_(f"duplicate segment id {sid!r} in index")
+        seen.add(sid)
 
     max_batch, matrix = embedder.cfg.max_batch, None
     for rows, result, _ms in send_batches(
             lambda rows: embedder.parse(sent := texts[rows[0]:rows[-1] + 1], embedder.embed(sent)),
-            kept_rows(), max_batch, max_in_flight):
-        batch_no = rows[0] // max_batch
+            range(len(texts)), max_batch, max_in_flight):
+        batch_no, batch = rows[0] // max_batch, slice(rows[0], rows[-1] + 1)
         if isinstance(result, Exception):
             raise IndexError_(f"embedding batch {batch_no} failed: {result}") from result
         if matrix is None:
-            matrix = np.empty((len(candidates), result.shape[1]), dtype=np.float32)
+            matrix = np.empty((len(texts), result.shape[1]), dtype=np.float32)
         elif result.shape[1] != matrix.shape[1]:
             raise IndexError_(f"dimension drift in batch {batch_no}: got {result.shape[1]}, "
                               f"expected {matrix.shape[1]}")
-        matrix[rows[0]:rows[-1] + 1] = result
-    if not texts:
-        raise IndexError_(f"no row to index: {report.excluded_exact} excluded, "
-                          f"{report.excluded_near_dup} near-duplicates dropped")
+        matrix[batch] = _normalize_rows(result, ids[batch])
 
-    matrix = matrix[:len(texts)]  # a view: the near-duplicates' rows were never filled
-    index = VectorIndex(ids, texts, _normalize_rows(matrix, ids), embedder.cfg.model_id)
     report.indexed = len(texts)
-    return index, report
+    return VectorIndex(ids, texts, matrix, embedder.cfg.model_id), report
 
 
 def save_index(index: VectorIndex, path: str | Path) -> None:
@@ -377,7 +360,9 @@ def _read_meta(path: Path, sha) -> tuple[list, list]:
             row = json.loads(line)
             ids.append(row["id"])
             texts.append(row["text"])
-            if not row["text"]:
+            if not (isinstance(ids[-1], str) and isinstance(texts[-1], str)):
+                raise IndexError_(f"{path} row {row_no} has an id or a text that is not a string")
+            if not texts[-1]:
                 raise IndexError_(f"{path} row {row_no} has an empty text")
     except CorpusFormatError as exc:  # unreadable, or a row cut inside a character
         raise IndexError_(str(exc)) from exc

@@ -66,7 +66,9 @@ def _requests(server) -> dict:
 
 
 def _digests(root: Path) -> dict:
-    out = {"comparison.json": _sha((root.parent / "comparison.json").read_bytes())}
+    # the index manifest's checksums cover vectors.bin and meta.jsonl
+    out = {name: _sha((root.parent / name).read_bytes())
+           for name in ("comparison.json", "idx/manifest.json")}
     for run in RUNS:
         run_dir = root / run
         for name in ("hypotheses.txt", "errors.jsonl", "metrics.json"):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import builtins
+import hashlib
 import io
 import json
 import mmap
@@ -315,7 +316,7 @@ class TestBuildIndex:
         assert report.indexed == 12
         assert calls == []
 
-    def test_first_request_goes_out_before_the_last_row_is_probed(self, monkeypatch):
+    def test_every_row_is_probed_before_the_first_request(self, monkeypatch):
         lemmatized, at_call = [], []
         monkeypatch.setattr(refta.index, "lemmatize",
                             lambda text: lemmatized.append(text) or lemmatize(text))
@@ -326,8 +327,8 @@ class TestBuildIndex:
         _index, report = build_index(rows, embedder, ExclusionList(frozenset(excluded), frozenset()))
         assert report.indexed == 40
         assert len(lemmatized) == 40 + len(excluded)  # each text once
-        # the first batches are in flight while later rows are still probed
-        assert min(at_call) < 40 + len(excluded)
+        # the kept rows are settled before any request is paid for
+        assert len(at_call) == 5 and min(at_call) == 40 + len(excluded)
 
     def test_repeated_id_whose_other_copy_is_a_near_duplicate(self):
         excluded = "Gallia est omnis divisa in partes tres."
@@ -525,6 +526,19 @@ def test_build_save_and_load_stay_near_one_matrix(tmp_path):
     assert loaded[0].dim == dim and len(loaded[0]) == n
 
 
+def test_build_normalizes_each_batch_as_it_lands():
+    # no float64 pass over the whole matrix: at 2000 x 512 one such pass
+    # would add twice the float32 matrix
+    n, dim = 2000, 512
+    matrix_bytes = n * dim * 4
+    segs = [SourceSegment(f"s{i:05d}", f"textus {i}") for i in range(n)]
+    embedder, built = _MatrixEmbedder(dim), []
+    peak, _seconds = _traced_peak(lambda: built.append(build_index(segs, embedder)))
+    assert peak < 1.5 * matrix_bytes, peak / matrix_bytes
+    index, report = built[0]
+    assert report.indexed == n and index._vectors.shape == (n, dim)
+
+
 SMAPS_ROLLUP = Path("/proc/self/smaps_rollup")
 
 
@@ -638,12 +652,24 @@ class TestPersistence:
             load_index(tmp_path / "idx")
 
     def test_meta_row_with_an_empty_text_is_refused_naming_the_row(self, tmp_path):
-        # such a row, retrieved at threshold 0, would be sent to the drafter as ""
+        # such a row, retrieved at threshold 0, would be sent to the drafter as "";
+        # a row that is not two strings would escape the load as a TypeError, or
+        # load and crash lemmatize in stage 2
         _, _, vectors = random_index(3, 8, seed=24)
         save_index(index_from_arrays(["a", "b", "c"], ["una", "", "tres"], vectors),
                    tmp_path / "idx")
         with pytest.raises(IndexError_, match=r"meta.jsonl row 2 has an empty text"):
             load_index(tmp_path / "idx")
+        meta_path, manifest_path = tmp_path / "idx" / "meta.jsonl", tmp_path / "idx" / "manifest.json"
+        lines = meta_path.read_text("utf-8").splitlines(True)
+        for row in ({"id": ["b"], "text": "duae"}, {"id": "b", "text": 5}):
+            meta_path.write_text("".join([lines[0], json.dumps(row) + "\n", lines[2]]), "utf-8")
+            manifest = json.loads(manifest_path.read_text("utf-8"))
+            manifest["checksums"]["meta.jsonl"] = hashlib.sha256(meta_path.read_bytes()).hexdigest()
+            manifest_path.write_text(json.dumps(manifest), "utf-8")
+            with pytest.raises(IndexError_,
+                               match=r"meta.jsonl row 2 has an id or a text that is not a string"):
+                load_index(tmp_path / "idx")
 
     @pytest.mark.parametrize("key, value", [
         ("checksums", {}), ("count", "10"), ("dim", -8), ("model_id", None),
